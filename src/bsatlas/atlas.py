@@ -12,7 +12,7 @@ from __future__ import annotations
 from .errors import NotInBigCell, NotInChartDomain
 from .groups import GroupElement, GroupModel, MinorSpec
 from .linalg import adjugate_inverse, mat_mul
-from .symbolic import RatFunc, VarName
+from .symbolic import RatFunc, VarName, var
 
 _CHART_CACHE = {}
 
@@ -89,7 +89,7 @@ class ChartSpec:
 class Chart:
     """A chart with its symbolic parametrization and coordinate recipes."""
 
-    __slots__ = ("spec", "dims", "zvars", "param", "coord_formulas", "_eval_cache")
+    __slots__ = ("spec", "dims", "zvars", "param", "coord_formulas")
 
     def __init__(self, spec, dims, zvars, param, coord_formulas):
         self.spec = spec
@@ -97,7 +97,6 @@ class Chart:
         self.zvars = zvars
         self.param = param
         self.coord_formulas = coord_formulas
-        self._eval_cache = {}
 
     def torus_block(self):
         """Indices (1-based) of the Laurent coordinates (Nv torus block)."""
@@ -181,7 +180,7 @@ def parametrize(spec: ChartSpec) -> Chart:
     l = l0 + len(v_word)
     dims = spec.space.dims()
     zvars = [zvar(j) for j in range(1, dims + 1)]
-    zfuncs = [_rf_var(v) for v in zvars]
+    zfuncs = [var("z", j) for j in range(1, dims + 1)]
     g1 = model.g_word(w0_word, zfuncs[:k])
     g2 = model.g_word(w_word, zfuncs[k:l0])
     g3 = model.g_word(v_word, zfuncs[l0:l])
@@ -201,12 +200,6 @@ def parametrize(spec: ChartSpec) -> Chart:
     chart = Chart(spec, dims, zvars, param, coordinate_formulas(spec))
     _CHART_CACHE[spec.key()] = chart
     return chart
-
-
-def _rf_var(v):
-    from .symbolic import MultiPoly
-
-    return RatFunc.from_poly(MultiPoly.variable(v))
 
 
 def eval_coordinates(chart: Chart, g):
@@ -291,7 +284,3 @@ def t_weights(chart: Chart):
         for i in spec.space.omega_order:
             out.append(rs.act(spec.w, rs.fundamental_weight(i)))
     return out
-
-
-def clear_chart_cache():
-    _CHART_CACHE.clear()

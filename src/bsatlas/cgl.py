@@ -11,9 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .atlas import Chart
-from .errors import DimensionMismatch, NotVerifiedCGL
+from .errors import DimensionMismatch, EvaluationPole, NotVerifiedCGL
 from .poisson import BracketTable
-from .symbolic import MultiPoly, RatFunc, VarName
+from .symbolic import MultiPoly, RatFunc, VarName, var
 
 
 class CGLPresentation:
@@ -258,6 +258,12 @@ def _as_tuple(x):
     return x if isinstance(x, tuple) else (x,)
 
 
+def _shift_z(f, shift):
+    """f with every z_m renamed to z_{m+shift}."""
+    sub = {v: var("z", v.index + shift) for v in f.variables() if v.symbol == "z"}
+    return f.substitute(sub) if sub else f
+
+
 def mixed_product(e1: CGLData, e2: CGLData, nu) -> CGLData:
     """Mixed product of two CGL extensions along nu = sum_q a_q (x) b_q.
 
@@ -275,50 +281,35 @@ def mixed_product(e1: CGLData, e2: CGLData, nu) -> CGLData:
     def ev(char_tuple, h_tuple):
         return sum(rs.evaluate(l, h) for l, h in zip(char_tuple, h_tuple)) or Fraction(0)
 
-    def nu_sharp(chi):
+    def nu_sharp(chi, side):
+        """sum_q chi(nu_q[side]) nu_q[1 - side]: nu contracted on one side by chi."""
         out = None
-        for a, b in nu:
-            c = ev(chi, a)
+        for pair in nu:
+            c = ev(chi, pair[side])
             if c == 0:
                 continue
-            part = tuple(h * c for h in b)
+            part = tuple(h * c for h in pair[1 - side])
             out = part if out is None else tuple(x + y for x, y in zip(out, part))
-        return out if out is not None else tuple(_zero_coweight(rs) for _ in range(e2.torus_power))
-
-    def nu21_sharp(chi):
-        out = None
-        for a, b in nu:
-            c = ev(chi, b)
-            if c == 0:
-                continue
-            part = tuple(h * c for h in a)
-            out = part if out is None else tuple(x + y for x, y in zip(out, part))
-        return out if out is not None else tuple(_zero_coweight(rs) for _ in range(e1.torus_power))
+        if out is None:
+            return tuple(_zero_coweight(rs) for _ in range((e1, e2)[1 - side].torus_power))
+        return out
 
     chars = [c + zero2 for c in e1.chars] + [zero1 + c for c in e2.chars]
     hvecs = []
     hprimes = []
     for idx in range(n1):
-        hvecs.append(_as_tuple(e1.hvecs[idx]) + nu_sharp(e1.chars[idx]))
-        hprimes.append(_as_tuple(e1.hprimes[idx]) + tuple(-h for h in nu_sharp(e1.chars[idx])))
+        hvecs.append(_as_tuple(e1.hvecs[idx]) + nu_sharp(e1.chars[idx], 0))
+        hprimes.append(_as_tuple(e1.hprimes[idx]) + tuple(-h for h in nu_sharp(e1.chars[idx], 0)))
     for idx in range(n2):
-        hvecs.append(nu21_sharp(e2.chars[idx]) + _as_tuple(e2.hvecs[idx]))
-        hprimes.append(tuple(-h for h in nu21_sharp(e2.chars[idx])) + _as_tuple(e2.hprimes[idx]))
+        hvecs.append(nu_sharp(e2.chars[idx], 1) + _as_tuple(e2.hvecs[idx]))
+        hprimes.append(tuple(-h for h in nu_sharp(e2.chars[idx], 1)) + _as_tuple(e2.hprimes[idx]))
 
     entries = {}
     for (i, j), f in e1.table.entries.items():
         entries[(i, j)] = f
     shift = n1
-
-    def shift_poly(f):
-        sub = {}
-        for v in f.variables():
-            if v.symbol == "z":
-                sub[v] = RatFunc.from_poly(MultiPoly.variable(VarName("z", v.index + shift)))
-        return f.substitute(sub) if sub else f
-
     for (i, j), f in e2.table.entries.items():
-        entries[(i + shift, j + shift)] = shift_poly(f)
+        entries[(i + shift, j + shift)] = _shift_z(f, shift)
     for i in range(1, n1 + 1):
         for j in range(1, n2 + 1):
             c = Fraction(0)
@@ -360,16 +351,8 @@ def block_cgl(chart: Chart, table: BracketTable):
     chis1, hs1 = data_for(w0_word)
     chis2, hs2 = data_for(word2)
     t1 = BracketTable(k, (), {p: table.entries[p] for p in table.entries if p[1] <= k})
-
-    def unshift(f, shift):
-        sub = {}
-        for v in f.variables():
-            if v.symbol == "z":
-                sub[v] = RatFunc.from_poly(MultiPoly.variable(VarName("z", v.index - shift)))
-        return f.substitute(sub) if sub else f
-
     t2entries = {
-        (i - k, j - k): unshift(table.entries[(i, j)], k)
+        (i - k, j - k): _shift_z(table.entries[(i, j)], -k)
         for (i, j) in table.entries
         if i > k
     }
@@ -447,16 +430,22 @@ def flow_sample(table: BracketTable, j, start, horizon, rtol=1e-9):
         point = {VarName("z", i + 1): y[i] for i in range(n)}
         return [f.evaluate_float(point) for f in rhs_funcs[0]]
 
-    sol = solve_ivp(rhs, (0.0, float(horizon)), y0, method="RK45", rtol=rtol, atol=1e-12, dense_output=False)
-    finite = bool(sol.success) and bool(np.all(np.isfinite(sol.y)))
-    max_abs = float(np.max(np.abs(sol.y))) if sol.y.size else float("nan")
+    try:
+        sol = solve_ivp(rhs, (0.0, float(horizon)), y0, method="RK45", rtol=rtol, atol=1e-12, dense_output=False)
+    except EvaluationPole:
+        # the trajectory reached a pole of the Laurent block
+        ys, finite = np.empty((n, 0)), False
+    else:
+        ys = sol.y
+        finite = bool(sol.success) and bool(np.all(np.isfinite(ys)))
+    max_abs = float(np.max(np.abs(ys))) if ys.size else float("nan")
     return {
         "coordinate": j,
         "horizon": float(horizon),
         "finite": finite,
         "status": "ok" if finite else "NumericBlowup",
         "max_abs": max_abs,
-        "n_steps": int(sol.t.size),
-        "final": [float(v) for v in sol.y[:, -1]] if sol.y.size else [],
+        "n_steps": int(ys.shape[1]),
+        "final": [float(v) for v in ys[:, -1]] if ys.size else [],
         "note": "numeric sanity check only; not a completeness proof",
     }

@@ -14,7 +14,7 @@ import random
 import sys
 from fractions import Fraction
 
-from . import cache
+from . import __version__, cache
 from .atlas import (
     ChartSpec,
     SpaceSpec,
@@ -23,8 +23,8 @@ from .atlas import (
     parametrize,
     t_weights,
 )
-from .errors import BSAtlasError, GoldenMismatch
-from .groups import build_model
+from .errors import BSAtlasError
+from .groups import cached_model
 from .leaves import t_leaf_classify
 from .poisson import chart_bracket, jacobi_check
 from .positivity import ToricChartSpec, certify_chart_positivity
@@ -39,16 +39,6 @@ from .serialize import (
     content_hash,
     dumps,
 )
-
-_MODELS = {}
-
-
-def _model(series, rank):
-    got = _MODELS.get((series, rank))
-    if got is None:
-        got = build_model(build_root_system(series, rank))
-        _MODELS[(series, rank)] = got
-    return got
 
 
 def parse_word(text):
@@ -72,7 +62,7 @@ def _resolve(rs, word):
 
 
 def _space(args):
-    model = _model(args.series, args.rank)
+    model = cached_model(args.series, args.rank)
     rs = model.rs
     v = _resolve(rs, parse_word(args.v))
     return SpaceSpec(model, args.q, v)
@@ -198,10 +188,15 @@ def cmd_chart_change(args):
     return 0
 
 
+def _bracket_key(spec):
+    """Cache key of a chart's bracket table; a new engine or schema version misses."""
+    return content_hash(["bracket", __version__, SCHEMA_VERSION, spec.key()])
+
+
 def cmd_bracket(args):
     space = _space(args)
     spec = _chart_spec(args, space)
-    key = content_hash(["bracket", spec.key()])
+    key = _bracket_key(spec)
     payload = None
     if not args.no_cache:
         payload = cache.load(key, args.cache_dir)
@@ -406,21 +401,17 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command; exit code 0 ok, 1 failed verification or internal invariant, 2 usage."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except GoldenMismatch as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except (BSAtlasError, ValueError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
-
-
-def run(argv=None):
-    """Entry point returning the exit code (0 ok, 1 verification failure, 2 usage)."""
-    return main(argv)
+    except AssertionError as e:
+        print(f"error: internal invariant failed: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -80,16 +80,5 @@ class NotVerifiedCGL(BSAtlasError):
     """An operation requires a table that passed CGL verification."""
 
 
-class GoldenMismatch(BSAtlasError):
-    """A reproduction case disagrees with its golden file."""
-
-    def __init__(self, case, item, got, expected):
-        self.case = case
-        self.item = item
-        self.got = got
-        self.expected = expected
-        super().__init__(f"{case}: first mismatch at {item}: got {got!r}, expected {expected!r}")
-
-
 class IncomparableCharts(BSAtlasError):
     """Toric charts can only be compared with toric charts."""

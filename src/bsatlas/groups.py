@@ -11,21 +11,25 @@ brackets) are canonical given this data.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import NormalizationMismatch, UnsupportedSeries, ZeroTorusValue
 from .linalg import (
+    _is_zero,
     adjugate_inverse,
     det,
     gauss_ltu,
     gauss_utl,
     leading_minor,
+    mat_add,
     mat_identity,
     mat_mul,
     mat_scale,
     mat_sub,
     mat_transpose,
+    rational_inverse,
 )
-from .rootdata import RootSystem, Weight
+from .rootdata import RootSystem, Weight, build_root_system
 from .symbolic import RatFunc
 
 _QH = Fraction(1, 2)
@@ -75,7 +79,7 @@ class GroupElement:
 
     def satisfies_group_constraint(self):
         """det = 1 for series A; additionally g^T J g = J for series C."""
-        if not _eq_scalar(self.det(), 1):
+        if not _is_zero(self.det() - 1):
             return False
         if self.model.symplectic_form is not None:
             j = self.model.symplectic_form
@@ -96,14 +100,8 @@ class GroupElement:
         )
 
 
-def _eq_scalar(x, c):
-    if hasattr(x, "is_zero"):
-        return (x - c).is_zero()
-    return x == c
-
-
 def _mat_eq(a, b):
-    return all(_eq_scalar(x - y, 0) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    return all(_is_zero(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def _bracket(a, b):
@@ -170,6 +168,7 @@ class GroupModel:
         self._coroot_mats = [
             _bracket(simple_e[i], simple_f[i]) for i in range(1, rs.rank + 1)
         ]
+        self._cartan_slots, self._cartan_slots_inv = self._independent_slots()
         self.pos_root_vectors = self._build_root_vectors(simple_e, simple_f)
         self._sbar_cache = {}
         self._wbar_cache = {}
@@ -212,22 +211,24 @@ class GroupModel:
                 raise AssertionError(f"could not build root vector for {beta}")
         return {Weight(k): v for k, v in vectors.items()}
 
+    def _independent_slots(self):
+        """First rank diagonal slots on which the coroots are independent, and
+        the inverse of the coroots' values there."""
+        rank = self.rs.rank
+        for combo in combinations(range(self.dim), rank):
+            a = [[self._coroot_mats[i][p][p] for i in range(rank)] for p in combo]
+            try:
+                return combo, rational_inverse(a)
+            except ZeroDivisionError:
+                continue
+        raise AssertionError("coroots do not span the diagonal")
+
     def _eval_weight_on_cartan(self, lam, h):
         """lam(h) for h a diagonal matrix in the Cartan subalgebra."""
-        rs = self.rs
-        n = self.dim
-        # solve h = sum t_i coroot_i using the first rank independent diagonal slots
-        slots = list(range(n))
-        import itertools
-
-        for combo in itertools.combinations(slots, rs.rank):
-            a = [[Fraction(self._coroot_mats[i][p][p]) for i in range(rs.rank)] for p in combo]
-            d = _rat_det(a)
-            if d != 0:
-                rhs = [Fraction(h[p][p]) for p in combo]
-                ts = _rat_solve(a, rhs)
-                return sum(t * lam.coeffs[i] for i, t in enumerate(ts))
-        raise AssertionError("coroots do not span the diagonal")
+        # h = sum t_i coroot_i, solved on the independent slots
+        rhs = [h[p][p] for p in self._cartan_slots]
+        ts = [sum(c * r for c, r in zip(row, rhs)) for row in self._cartan_slots_inv]
+        return sum(t * lam.coeffs[i] for i, t in enumerate(ts))
 
     def _validate(self):
         rs = self.rs
@@ -272,9 +273,9 @@ class GroupModel:
         k = 1
         while True:
             term = mat_scale(mat_mul(term, x), c * Fraction(1, k))
-            if all(_eq_scalar(v, 0) for row in term for v in row):
+            if all(_is_zero(v) for row in term for v in row):
                 break
-            out = mat_add_safe(out, term)
+            out = mat_add(out, term)
             k += 1
         return GroupElement(self, out)
 
@@ -390,7 +391,7 @@ class GroupModel:
         x = vb_inv * n_el * vb
         lo, t, up = self.triangular_factor(x.entries, "LTU")
         for i in range(self.dim):
-            if not _eq_scalar(t[i][i], 1):
+            if not _is_zero(t[i][i] - 1):
                 raise AssertionError("unipotent split produced a torus part")
         n1 = vb * GroupElement(self, lo) * vb_inv
         n2 = vb * GroupElement(self, up) * vb_inv
@@ -402,10 +403,6 @@ class GroupModel:
         """Delta^{omega_alpha} is the leading principal minor of this size."""
         return alpha
 
-    def principal_minor(self, g, alpha):
-        entries = g.entries if isinstance(g, GroupElement) else g
-        return leading_minor(entries, self.minor_size(alpha))
-
     def generalized_minor(self, g, spec: MinorSpec):
         """Delta_{u omega_a, v omega_a}(g) = Delta^{omega_a}(ubar^{-1} g vbar)."""
         ub_inv = self.wbar_element(spec.u).inverse()
@@ -415,44 +412,24 @@ class GroupModel:
         return leading_minor(shifted, self.minor_size(spec.alpha))
 
 
-def mat_add_safe(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def _elem(n, i, j):
     m = [[Fraction(0)] * n for _ in range(n)]
     m[i - 1][j - 1] = Fraction(1)
     return m
 
 
-def _rat_det(a):
-    n = len(a)
-    if n == 1:
-        return a[0][0]
-    tot = Fraction(0)
-    for j in range(n):
-        if a[0][j] == 0:
-            continue
-        sub = [row[:j] + row[j + 1 :] for row in a[1:]]
-        tot += (-1) ** j * a[0][j] * _rat_det(sub)
-    return tot
-
-
-def _rat_solve(a, rhs):
-    n = len(a)
-    m = [list(map(Fraction, row)) + [Fraction(r)] for row, r in zip(a, rhs)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
-
-
 def build_model(rs: RootSystem) -> GroupModel:
     """Matrix model with validated root vectors for all positive roots."""
     return GroupModel(rs)
+
+
+_MODELS = {}
+
+
+def cached_model(series, rank) -> GroupModel:
+    """The model of (series, rank), built once per process."""
+    got = _MODELS.get((series, rank))
+    if got is None:
+        got = build_model(build_root_system(series, rank))
+        _MODELS[(series, rank)] = got
+    return got

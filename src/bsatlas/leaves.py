@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .errors import SingularInput
 from .groups import GroupElement
-from .linalg import det, exact_div, mat_mul
+from .linalg import _is_zero, det, exact_div, mat_mul
 
 
 class TLeafLabel:
@@ -70,27 +70,6 @@ def pivot_permutation_upper(mat):
     return tuple(sigma[1:])
 
 
-def pivot_permutation_mixed(mat):
-    """Permutation sigma with mat in B^- sigma B: column -> top-most pivot row."""
-    m = [list(row) for row in mat]
-    n = len(m)
-    sigma = [0] * (n + 1)
-    for j in range(n):
-        i = min(r for r in range(n) if m[r][j] != 0)
-        sigma[j + 1] = i + 1
-        piv = m[i][j]
-        for r in range(i + 1, n):
-            if m[r][j] != 0:
-                f = exact_div(m[r][j], piv)
-                m[r] = [x - f * y for x, y in zip(m[r], m[i])]
-        for c in range(j + 1, n):
-            if m[i][c] != 0:
-                f = exact_div(m[i][c], piv)
-                for r in range(n):
-                    m[r][c] = m[r][c] - f * m[r][j]
-    return tuple(sigma[1:])
-
-
 def _element_from_pattern(model, sigma):
     """The Weyl element whose representative has internal pattern (sigma(j), j)."""
     rs = model.rs
@@ -131,12 +110,6 @@ def _pattern_of(model, g):
     return tuple(out)
 
 
-def _is_zero(x):
-    if hasattr(x, "is_zero"):
-        return x.is_zero()
-    return x == 0
-
-
 def t_leaf_classify(space, g) -> TLeafLabel:
     """Leaf label of an exact-rational group element (or coset representative).
 
@@ -151,8 +124,11 @@ def t_leaf_classify(space, g) -> TLeafLabel:
     sigma_w = pivot_permutation_upper(model.to_internal(mat))
     w = _element_from_pattern(model, sigma_w)
     vbar = _to_fraction_matrix(model.wbar_element(space.v))
-    gv = mat_mul(mat, vbar)
-    sigma_y = pivot_permutation_mixed(model.to_internal(gv))
+    gv = model.to_internal(mat_mul(mat, vbar))
+    # the row reversal P has P B^- P = B, so gv lies in B^- y B exactly when
+    # P gv lies in B (P y) B
+    n = len(gv)
+    sigma_y = tuple(n + 1 - s for s in pivot_permutation_upper(gv[::-1]))
     y = _element_from_pattern(model, sigma_y)
     target = rs.star_product(w, space.v)
     if not rs.bruhat_leq(y, target):

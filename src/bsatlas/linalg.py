@@ -142,6 +142,24 @@ def gauss_ltu(a):
     return lower, tmat, upper
 
 
+def rational_inverse(m):
+    """Inverse of a square rational matrix by Gauss-Jordan; raises on singular input."""
+    n = len(m)
+    a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        a[col], a[piv] = a[piv], a[col]
+        pv = a[col][col]
+        a[col] = [x / pv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
 def _flip(a):
     n = len(a)
     return [[a[n - 1 - i][n - 1 - j] for j in range(n)] for i in range(n)]
@@ -151,7 +169,3 @@ def gauss_utl(a):
     """Factor a = U*T*L (upper-uni, diagonal, lower-uni); trailing minors nonzero."""
     lf, tf, uf = gauss_ltu(_flip(a))
     return _flip(lf), _flip(tf), _flip(uf)
-
-
-def diagonal_entries(a):
-    return [a[i][i] for i in range(len(a))]

@@ -16,7 +16,7 @@ from itertools import combinations
 from .atlas import Chart, eval_coordinates
 from .errors import NonPolynomialBracket, NormalizationMismatch
 from .groups import GroupElement, GroupModel
-from .linalg import mat_mul
+from .linalg import _is_zero, mat_mul
 from .symbolic import Dual, MultiPoly, RatFunc, VarName
 
 
@@ -72,19 +72,13 @@ def _directional(model, f: RatFunc, direction_entries):
     for i in range(n):
         for j in range(n):
             d = direction_entries[i][j]
-            if _is_zero_entry(d):
+            if _is_zero(d):
                 continue
             part = f.differentiate(entry_var(i + 1, j + 1))
             if part.is_zero():
                 continue
             out = out + part * d
     return out
-
-
-def _is_zero_entry(x):
-    if hasattr(x, "is_zero"):
-        return x.is_zero()
-    return x == 0
 
 
 def entry_bracket(model: GroupModel, f1: RatFunc, f2: RatFunc, lam: LambdaData | None = None) -> RatFunc:
@@ -219,41 +213,15 @@ def _require_polynomial(f: RatFunc, laurent, where):
         )
 
 
-def jacobi_check(table: BracketTable, symbolic_limit=8, samples=8, seed=0):
-    """Jacobi identity report: symbolic for small tables, sampled beyond."""
-    n = table.n_vars
+def jacobi_check(table: BracketTable):
+    """Exact Jacobi identity report, with the nonzero cyclic sum of each failing triple."""
     failures = []
-    if n <= symbolic_limit:
-        for i, j, k in combinations(range(1, n + 1), 3):
-            s = (
-                table.bracket_with(i, table.get(j, k))
-                + table.bracket_with(j, table.get(k, i))
-                + table.bracket_with(k, table.get(i, j))
-            )
-            if not s.is_zero():
-                failures.append({"triple": (i, j, k), "value": s.text()})
-        mode = "symbolic"
-    else:
-        import random
-
-        rng = random.Random(seed)
-        pts = []
-        for _ in range(samples):
-            pts.append(
-                {
-                    VarName("z", m): Fraction(rng.randint(1, 50), rng.randint(1, 50))
-                    for m in range(1, n + 1)
-                }
-            )
-        for i, j, k in combinations(range(1, n + 1), 3):
-            s = (
-                table.bracket_with(i, table.get(j, k))
-                + table.bracket_with(j, table.get(k, i))
-                + table.bracket_with(k, table.get(i, j))
-            )
-            for pt in pts:
-                if s.evaluate(pt) != 0:
-                    failures.append({"triple": (i, j, k), "point": {str(v): str(x) for v, x in pt.items()}})
-                    break
-        mode = "sampled"
-    return {"ok": not failures, "mode": mode, "failures": failures}
+    for i, j, k in combinations(range(1, table.n_vars + 1), 3):
+        s = (
+            table.bracket_with(i, table.get(j, k))
+            + table.bracket_with(j, table.get(k, i))
+            + table.bracket_with(k, table.get(i, j))
+        )
+        if not s.is_zero():
+            failures.append({"triple": (i, j, k), "value": s.text()})
+    return {"ok": not failures, "mode": "symbolic", "failures": failures}

@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NonReducedWord, UnsupportedSeries
+from .linalg import rational_inverse
 
 _Q0 = Fraction(0)
 
@@ -124,22 +125,6 @@ def _mat_mul_int(a, b):
     )
 
 
-def _mat_inv_rational(m):
-    """Inverse of a square rational matrix by Gauss-Jordan."""
-    n = len(m)
-    a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
 class RootSystem:
     """Cartan data for series A (any rank >= 1) and C (rank 2)."""
 
@@ -162,7 +147,7 @@ class RootSystem:
         self.rank = rank
         self.cartan = tuple(tuple(row) for row in cartan)
         self._norms2 = tuple(norms2)
-        self._cartan_inv = _mat_inv_rational(self.cartan)
+        self._cartan_inv = rational_inverse(self.cartan)
         # form[i][j] = <alpha_i, alpha_j> = cartan[i][j] * norms2[i] / 2
         self.form = tuple(
             tuple(Fraction(self.cartan[i][j]) * self._norms2[i] / 2 for j in range(rank))
@@ -275,7 +260,7 @@ class RootSystem:
         n = self.rank
         f = [self.fundamental_coweight(i + 1) for i in range(n)]
         gram = [[self.pairing_coweights(f[a], f[b]) for b in range(n)] for a in range(n)]
-        inv = _mat_inv_rational(gram)
+        inv = rational_inverse(gram)
         pairs = []
         for a in range(n):
             for b in range(n):
@@ -351,38 +336,16 @@ class RootSystem:
         return el
 
     def _first_left_descent(self, action):
-        """Smallest i with l(s_i w) < l(w), detected via w^{-1}(alpha_i) < 0.
+        """Smallest i with l(s_i w) < l(w), from the action matrix of w.
 
-        For the action matrix m of w, w^{-1}(alpha_i) < 0 iff w sends some
-        negative root to alpha_i, iff alpha_i-row criterion: s_i w shorter.
-        Uses: l(s_i w) < l(w) iff w^{-1}(alpha_i) is a negative root.
+        Row i of the matrix sums to <alpha_i^vee, w rho>, which is negative
+        exactly when w^{-1}(alpha_i) is a negative root, i.e. when s_i w is
+        shorter than w.
         """
-        for i in range(1, self.rank + 1):
-            img = self._act_matrix_inv_on_simple(action, i)
-            if not self._is_positive_root_vec(img):
+        for i, row in enumerate(action, start=1):
+            if sum(row) < 0:
                 return i
         raise AssertionError("identity reached without descent")
-
-    def _act_matrix_inv_on_simple(self, action, i):
-        """w^{-1}(alpha_i) given the action matrix of w (matrix is orthogonal-like).
-
-        Computed by solving action * x = alpha_i over the rationals; the
-        matrices are small so Gaussian elimination is fine, but we instead
-        use the transpose trick: the inverse action is the action of w^{-1};
-        we avoid it by checking sign of the solved vector.
-        """
-        n = self.rank
-        a = [list(map(Fraction, row)) + [Fraction(self.simple_roots[i - 1].coeffs[r])] for r, row in enumerate(action)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if a[r][col] != 0)
-            a[col], a[piv] = a[piv], a[col]
-            pv = a[col][col]
-            a[col] = [x / pv for x in a[col]]
-            for r in range(n):
-                if r != col and a[r][col] != 0:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        return Weight(a[r][n] for r in range(n))
 
     def element_from_word(self, word):
         m = self._id_action
@@ -408,9 +371,7 @@ class RootSystem:
         return self._element_from_action(_mat_mul_int(w1.action, w2.action))
 
     def inverse(self, w):
-        m = w.action
-        el = self.element_from_word(tuple(reversed(w.canonical)))
-        return el
+        return self.element_from_word(tuple(reversed(w.canonical)))
 
     def simple(self, i):
         return self.element_from_word((i,))

@@ -41,23 +41,8 @@ def ratfunc_from_json(obj) -> RatFunc:
     return RatFunc(poly_from_json(obj["num"]), poly_from_json(obj["den"]))
 
 
-def matrix_to_json(entries):
-    out = []
-    for row in entries:
-        out.append([ratfunc_to_json(RatFunc.coerce(x)) for x in row])
-    return out
-
-
 def matrix_text(entries):
     return [[RatFunc.coerce(x).text() for x in row] for row in entries]
-
-
-def group_element_to_json(g):
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "model": g.model.name,
-        "entries": matrix_to_json(g.entries),
-    }
 
 
 def chart_to_json(chart):

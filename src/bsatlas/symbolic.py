@@ -145,9 +145,6 @@ class MultiPoly:
     def is_monomial(self):
         return len(self.terms) <= 1
 
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
     def degree_in(self, v):
         if v not in self.vars:
             return 0
@@ -429,14 +426,6 @@ def _coeffs_in(f, v):
     return {d: MultiPoly._make(rest, t) for d, t in out.items()}
 
 
-def _from_coeffs(coeffs, v):
-    out = MultiPoly((), {})
-    vp = MultiPoly.variable(v)
-    for d, c in coeffs.items():
-        out = out + c * vp**d
-    return out
-
-
 def _uni_prem(A, B, v):
     """Pseudo-remainder of A by B viewed in the main variable v."""
     a = _coeffs_in(A, v)
@@ -615,9 +604,6 @@ class RatFunc:
     def is_zero(self):
         return self.num.is_zero()
 
-    def is_polynomial(self):
-        return self.den.is_one()
-
     def is_constant(self):
         return self.num.is_constant() and self.den.is_one()
 
@@ -745,23 +731,11 @@ class RatFunc:
 
     def evaluate_float(self, point):
         """Float value; used only by the numeric flow sampler."""
-        num = 0.0
-        den = 0.0
         fpoint = {v: float(x) for v, x in point.items()}
-        for poly, acc in ((self.num, "n"), (self.den, "d")):
-            tot = 0.0
-            vals = [fpoint[v] for v in poly.vars]
-            for e, c in poly.terms.items():
-                t = float(c)
-                for b, k in zip(vals, e):
-                    if k:
-                        t *= b**k
-                tot += t
-            if acc == "n":
-                num = tot
-            else:
-                den = tot
-        return num / den
+        den = _evaluate_float(self.den, fpoint)
+        if den == 0.0:
+            raise EvaluationPole("denominator vanishes at the evaluation point")
+        return _evaluate_float(self.num, fpoint) / den
 
     # -- display -------------------------------------------------------------
 
@@ -780,13 +754,20 @@ class RatFunc:
         return f"RatFunc({self.text()})"
 
 
+def _evaluate_float(poly, fpoint):
+    tot = 0.0
+    vals = [fpoint[v] for v in poly.vars]
+    for e, c in poly.terms.items():
+        t = float(c)
+        for b, k in zip(vals, e):
+            if k:
+                t *= b**k
+        tot += t
+    return tot
+
+
 _RF_ZERO = RatFunc.from_poly(MultiPoly.constant(0))
 _RF_ONE = RatFunc.from_poly(MultiPoly.constant(1))
-
-
-def normalize(f):
-    """Re-run canonicalization (idempotent on well-formed values)."""
-    return RatFunc(f.num, f.den)
 
 
 class Dual:

@@ -208,6 +208,13 @@ def test_flow_log_canonical_exponential():
     assert abs(rep["final"][0] - 1.0) < 1e-12
 
 
+def test_flow_reaching_a_pole_is_a_numeric_blowup():
+    z1, z2 = var("z", 1), var("z", 2)
+    table = BracketTable(2, (2,), {(1, 2): z1 / z2})
+    rep = flow_sample(table, 1, [1, 0], 1.0)
+    assert not rep["finite"] and rep["status"] == "NumericBlowup"
+
+
 def test_verify_cgl_both_qkinds_both_v():
     """SL(2) and SL(3), Q-kinds Bv and Nv, v identity and longest."""
     for series, rank in (("A", 1), ("A", 2)):
@@ -242,7 +249,7 @@ def test_verify_cgl_intermediate_v():
 
 
 def test_sp4_full_atlas_verification():
-    """Every chart on Sp(4): round trip, CGL presentation, sampled Jacobi."""
+    """Every chart on Sp(4): round trip, CGL presentation, exact Jacobi."""
     from bsatlas.atlas import eval_coordinates
     from bsatlas.poisson import build_lambda, jacobi_check
     from bsatlas.symbolic import MultiPoly
@@ -262,7 +269,7 @@ def test_sp4_full_atlas_verification():
         ), spec.label()
         table = chart_bracket(chart, lam)
         assert verify_cgl(table, predicted_cgl(chart)).ok, spec.label()
-        assert jacobi_check(table, samples=3, seed=1)["ok"], spec.label()
+        assert jacobi_check(table)["ok"], spec.label()
 
 
 def test_sl4_mixed_block_charts():
@@ -295,4 +302,4 @@ def test_sl4_group_chart_full_verification():
     assert table.n_vars == 15 and table.laurent_vars == (13, 14, 15)
     rep = verify_cgl(table, predicted_cgl(chart))
     assert rep.ok, rep.to_dict()["checks"]
-    assert jacobi_check(table, samples=2, seed=0)["ok"]
+    assert jacobi_check(table)["ok"]

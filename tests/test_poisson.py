@@ -154,26 +154,23 @@ def test_jacobi_sl2_and_toy_failure():
     for spec in enumerate_charts(space):
         assert jacobi_check(chart_bracket(parametrize(spec)))["ok"]
     z1, z3 = var("z", 1), var("z", 3)
-    bad = BracketTable(
-        3,
-        (),
-        {
-            (1, 2): z3,
-            (1, 3): z1 * z3,
-            (2, 3): RatFunc.zero(),
-        },
-    )
-    rep = jacobi_check(bad)
-    assert not rep["ok"]
-    assert rep["failures"][0]["triple"] == (1, 2, 3)
+    # nine variables: large tables get the same exact check and witness
+    for n in (3, 9):
+        entries = {p: RatFunc.zero() for p in combinations(range(1, n + 1), 2)}
+        entries[(1, 2)] = z3
+        entries[(1, 3)] = z1 * z3
+        rep = jacobi_check(BracketTable(n, (), entries))
+        assert not rep["ok"] and rep["mode"] == "symbolic"
+        assert rep["failures"][0]["triple"] == (1, 2, 3)
+        assert rep["failures"][0]["value"] != "0"
 
 
-def test_jacobi_sampled_mode():
+def test_jacobi_exact_mode_sp4():
     mc = model("C", 2)
     space = SpaceSpec(mc, "Nv", mc.rs.w0)
     chart = parametrize(ChartSpec(space, mc.rs.identity, ((1, 2, 1, 2), (), (2, 1, 2, 1))))
     rep = jacobi_check(chart_bracket(chart))
-    assert rep["ok"] and rep["mode"] == "sampled"
+    assert rep["ok"] and rep["mode"] == "symbolic"
 
 
 def test_chart_bracket_parallel_map():

@@ -165,6 +165,22 @@ def test_reduced_word_consistency():
                 assert len(word) == w.length()
 
 
+def test_length_is_number_of_inversions():
+    """l(w) = #{beta > 0 : w(beta) < 0}, with w acting through its matrix."""
+    for series, rank in (("A", 4), ("C", 2)):
+        rs = build_root_system(series, rank)
+        rho = rs.fundamental_weight(1)
+        for i in range(2, rank + 1):
+            rho = rho + rs.fundamental_weight(i)
+        elements = rs.all_elements()
+        assert len(elements) == {"A": 120, "C": 8}[series]
+        negatives = {(-b).coeffs for b in rs.positive_roots}
+        for w in elements:
+            inversions = sum(rs.act(w, b).coeffs in negatives for b in rs.positive_roots)
+            assert len(w.canonical) == inversions
+            assert rs.act_word(w.canonical, rho) == rs.act(w, rho)
+
+
 def test_w0_involution_and_star_roots():
     for series, rank in (("A", 2), ("A", 3), ("C", 2)):
         rs = build_root_system(series, rank)

@@ -97,6 +97,42 @@ def test_cli_bracket_cached(tmp_path, capsys):
     assert json.loads(first)["entries"]["1,2"]["text"] == "-2*z1*z2"
 
 
+def test_cli_bracket_cache_misses_other_engine_version(tmp_path, monkeypatch, capsys):
+    from bsatlas import cli
+    from bsatlas.atlas import SpaceSpec, enumerate_charts
+    from bsatlas.groups import cached_model
+
+    m = cached_model("A", 1)
+    spec = enumerate_charts(SpaceSpec(m, "Nv", m.rs.w0))[0]
+    stale = {"schema_version": 1, "n_vars": 0, "laurent_vars": [], "entries": {}}
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "__version__", "0.0.0-older-engine")
+        cache.store(cli._bracket_key(spec), stale, str(tmp_path))
+    args = [
+        "--json", "--cache-dir", str(tmp_path), "bracket",
+        "--series", "A", "--rank", "1", "--q", "Nv", "--v", "w0", "--index", "0",
+    ]
+    assert main(args) == 0
+    assert json.loads(capsys.readouterr().out)["entries"]["1,2"]["text"] == "-2*z1*z2"
+    # the same stale payload under the current key would be served
+    cache.store(cli._bracket_key(spec), stale, str(tmp_path))
+    assert main(args) == 0
+    assert json.loads(capsys.readouterr().out) == stale
+
+
+def test_cli_internal_invariant_exit_code(monkeypatch, capsys):
+    from bsatlas import cli
+
+    def broken(space, g):
+        raise AssertionError("leaf label violates y <= w * v")
+
+    monkeypatch.setattr(cli, "t_leaf_classify", broken)
+    rc = main(["tleaf", "--series", "A", "--rank", "1", "--q", "Nv", "--v", "w0", "--samples", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: internal invariant failed: leaf label violates y <= w * v\n"
+
+
 def test_cli_cgl_and_positivity(capsys):
     rc = main(["cgl", "verify", "--series", "A", "--rank", "1", "--q", "Nv", "--v", "w0", "--index", "0"])
     assert rc == 0
