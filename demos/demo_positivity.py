@@ -26,7 +26,7 @@ tspec = ToricChartSpec(model, "G", ((1, 2, 1), (2, 1, 2)))
 point = toric_point(tspec, [Fraction(1)] * 8)
 print("totally positive point at all-ones parameters:")
 for row in point.entries:
-    print("  ", [str(x.constant_value()) for x in row])
+    print("  ", [str(x) for x in row])
 
 # The chart inversion is exact; parameters come back on the nose.
 c = [Fraction(p, q) for p, q in [(2, 3), (1, 2), (5, 4), (1, 3), (3, 2), (2, 5), (7, 6), (1, 4)]]

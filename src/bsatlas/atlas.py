@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import NotInBigCell, NotInChartDomain
 from .groups import GroupElement, GroupModel, MinorSpec
-from .linalg import adjugate_inverse, mat_mul
+from .linalg import adjugate_inverse, diag_conjugate, mat_mul
 from .symbolic import RatFunc, VarName, var
 
 _CHART_CACHE = {}
@@ -62,13 +62,10 @@ class ChartSpec:
     def __init__(self, space: SpaceSpec, w, r):
         rs = space.model.rs
         w0_word, w_word, v_word = (tuple(x) for x in r)
-        u = rs.multiply(rs.w0, w.inverse())
-        for word, el in ((w0_word, u), (w_word, w), (v_word, space.v)):
-            got = rs.element_from_word(word)
-            if got != el or len(word) != el.length():
+        # a prefix of a reduced word of w0 is reduced, so w0_word is one of w0 w^{-1}
+        for word, el in ((w0_word + w_word, rs.w0), (w_word, w), (v_word, space.v)):
+            if len(word) != el.length() or rs.element_from_word(word) != el:
                 raise ValueError(f"word {word} is not a reduced word of {el!r}")
-        if not rs.is_reduced(w0_word + w_word):
-            raise ValueError("concatenated (w0_word, w_word) is not reduced for w0")
         self.space = space
         self.w = w
         self.r = (w0_word, w_word, v_word)
@@ -230,11 +227,7 @@ def eval_coordinates(chart: Chart, g):
         p1 = n1.entries
     n_el = None
     if p1 is not None:
-        tvals = [tdiag[i][i] for i in range(model.dim)]
-        n_el = [
-            [p1[i][j] * (tvals[i] / tvals[j]) if i != j else p1[i][j] for j in range(model.dim)]
-            for i in range(model.dim)
-        ]
+        n_el = diag_conjugate([tdiag[i][i] for i in range(model.dim)], p1)
     wbar = model.wbar(spec.w.canonical)
     wmw = None
     out = []
@@ -248,12 +241,7 @@ def eval_coordinates(chart: Chart, g):
         elif tag == "n":
             out.append(model.generalized_minor(n_el, payload))
         elif tag == "t":
-            i = payload
-            slots = model._perm[: model.minor_size(i)]
-            prod = tdiag[slots[0]][slots[0]]
-            for p in slots[1:]:
-                prod = prod * tdiag[p][p]
-            out.append(prod)
+            out.append(model.torus_value(tdiag, payload))
         else:
             raise AssertionError(f"unknown tag {tag}")
     return out

@@ -68,13 +68,17 @@ def _space(args):
     return SpaceSpec(model, args.q, v)
 
 
+def _indexed_chart(space, index):
+    charts = enumerate_charts(space)
+    if not 0 <= index < len(charts):
+        raise ValueError(f"chart index out of range (0..{len(charts) - 1})")
+    return charts[index]
+
+
 def _chart_spec(args, space):
     rs = space.model.rs
     if getattr(args, "index", None) is not None:
-        charts = enumerate_charts(space)
-        if not 0 <= args.index < len(charts):
-            raise ValueError(f"chart index out of range (0..{len(charts) - 1})")
-        return charts[args.index]
+        return _indexed_chart(space, args.index)
     w = _resolve(rs, parse_word(args.w))
     parts = [parse_word(p) for p in args.r.split("|")]
     if len(parts) != 3:
@@ -246,9 +250,7 @@ def cmd_positivity(args):
     else:
         kind = "GmodBv" if space.qkind == "Bv" else "GmodNv"
         tspec = ToricChartSpec(model, kind, (rs.w0.canonical, space.v.canonical))
-    charts = enumerate_charts(space)
-    if args.index is not None:
-        charts = [charts[args.index]]
+    charts = enumerate_charts(space) if args.index is None else [_indexed_chart(space, args.index)]
     all_ok = True
     results = []
     for spec in charts:
@@ -273,6 +275,10 @@ def cmd_tleaf(args):
     labels = []
     if args.point:
         rows = json.loads(args.point)
+        n = model.dim
+        shape_ok = isinstance(rows, list) and len(rows) == n
+        if not (shape_ok and all(isinstance(r, list) and len(r) == n for r in rows)):
+            raise ValueError(f"--point must be a {n}x{n} matrix for {model.name}")
         mat = [[Fraction(str(x)) for x in row] for row in rows]
         lbl = t_leaf_classify(space, mat)
         labels.append((None, lbl))

@@ -30,7 +30,6 @@ from .linalg import (
     rational_inverse,
 )
 from .rootdata import RootSystem, Weight, build_root_system
-from .symbolic import RatFunc
 
 _QH = Fraction(1, 2)
 
@@ -246,7 +245,7 @@ class GroupModel:
     # -- basic elements ---------------------------------------------------------
 
     def identity(self):
-        return GroupElement(self, [[RatFunc.constant(int(i == j)) for j in range(self.dim)] for i in range(self.dim)])
+        return GroupElement(self, [[Fraction(int(i == j)) for j in range(self.dim)] for i in range(self.dim)])
 
     def root_vector(self, i, sign):
         e, f = self.pos_root_vectors[self.rs.simple_root(i)]
@@ -266,7 +265,7 @@ class GroupModel:
         return self._exp_nilpotent(nilpotent, c)
 
     def _exp_nilpotent(self, x, c):
-        c = RatFunc.coerce(c) if not hasattr(c, "a") else c  # Dual passes through
+        """exp(c x); entries have the type of c (an int c gives Fractions)."""
         n = self.dim
         out = mat_identity(n)
         term = mat_identity(n)
@@ -308,24 +307,32 @@ class GroupModel:
         return self.wbar(w.canonical)
 
     def torus_element(self, values):
-        """Diagonal t with t^{omega_i} = values[i]."""
+        """Diagonal t with t^{omega_i} = values[i]; entries have the values' type."""
         rs = self.rs
-        values = [RatFunc.coerce(v) for v in values]
         if len(values) != rs.rank:
             raise ValueError("need one value per fundamental weight")
-        for v in values:
-            if v.is_zero():
-                raise ZeroTorusValue("torus coordinates must be nonzero")
+        if any(_is_zero(v) for v in values):
+            raise ZeroTorusValue("torus coordinates must be nonzero")
         n = self.dim
-        entries = [[RatFunc.constant(0)] * n for _ in range(n)]
+        entries = [[Fraction(0)] * n for _ in range(n)]
         for p in range(n):
-            d = RatFunc.constant(1)
-            for i, c in enumerate(self.torus_weights[p].coeffs):
-                ci = int(c)
-                if ci:
-                    d = d * values[i] ** ci
+            d = Fraction(1)
+            for v, c in zip(values, self.torus_weights[p].coeffs):
+                # dividing keeps an int value exact; int ** -1 is a float
+                if c > 0:
+                    d = d * v ** int(c)
+                elif c < 0:
+                    d = d / v ** int(-c)
             entries[p][p] = d
         return GroupElement(self, entries)
+
+    def torus_value(self, tdiag, i):
+        """t^{omega_i} of a diagonal matrix: the product of its first minor_size(i) slots."""
+        slots = self._perm[: self.minor_size(i)]
+        out = tdiag[slots[0]][slots[0]]
+        for p in slots[1:]:
+            out = out * tdiag[p][p]
+        return out
 
     def g_word(self, word, vars):
         """Product x_{a1}(z1) sbar_{a1} ... x_{ak}(zk) sbar_{ak} (word reduced)."""

@@ -7,8 +7,6 @@ order against the Demazure product) is asserted on every classification.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import SingularInput
 from .groups import GroupElement
 from .linalg import _is_zero, det, exact_div, mat_mul
@@ -28,20 +26,6 @@ class TLeafLabel:
 
     def __repr__(self):
         return f"TLeafLabel(w={self.w!r}, y={self.y!r})"
-
-
-def _to_fraction_matrix(g):
-    entries = g.entries if isinstance(g, GroupElement) else g
-    out = []
-    for row in entries:
-        new = []
-        for x in row:
-            if hasattr(x, "is_constant"):
-                new.append(x.constant_value())
-            else:
-                new.append(Fraction(x))
-        out.append(new)
-    return out
 
 
 def pivot_permutation_upper(mat):
@@ -117,14 +101,13 @@ def t_leaf_classify(space, g) -> TLeafLabel:
     Borel pair is genuinely triangular (this matters for Sp(4)).
     """
     model = space.model
-    mat = _to_fraction_matrix(g)
+    mat = g.entries if isinstance(g, GroupElement) else g
     if det(mat) == 0:
         raise SingularInput("group element is singular")
     rs = model.rs
     sigma_w = pivot_permutation_upper(model.to_internal(mat))
     w = _element_from_pattern(model, sigma_w)
-    vbar = _to_fraction_matrix(model.wbar_element(space.v))
-    gv = model.to_internal(mat_mul(mat, vbar))
+    gv = model.to_internal(mat_mul(mat, model.wbar_element(space.v).entries))
     # the row reversal P has P B^- P = B, so gv lies in B^- y B exactly when
     # P gv lies in B (P y) B
     n = len(gv)

@@ -59,6 +59,15 @@ def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
+def diag_conjugate(tvals, m):
+    """t m t^{-1} for the diagonal matrix t = diag(tvals)."""
+    n = len(m)
+    return [
+        [m[i][j] * exact_div(tvals[i], tvals[j]) if i != j else m[i][j] for j in range(n)]
+        for i in range(n)
+    ]
+
+
 def mat_transpose(a):
     return [list(col) for col in zip(*a)]
 

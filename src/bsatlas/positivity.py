@@ -18,7 +18,7 @@ from .errors import (
     NotInChartDomain,
 )
 from .groups import GroupElement, MinorSpec
-from .linalg import mat_mul
+from .linalg import diag_conjugate
 
 
 class ToricChartSpec:
@@ -110,12 +110,6 @@ def _sample_positive(rng, n):
     return [Fraction(rng.randint(1, 1000), rng.randint(1, 1000)) for _ in range(n)]
 
 
-def _as_fraction(x):
-    if hasattr(x, "constant_value"):
-        return x.constant_value()
-    return Fraction(x)
-
-
 def certify_chart_positivity(chart: Chart, spec: ToricChartSpec, n_samples, seed):
     """Exact positivity of every chart coordinate at toric-chart samples.
 
@@ -137,11 +131,11 @@ def certify_chart_positivity(chart: Chart, spec: ToricChartSpec, n_samples, seed
         for w in all_w:
             for alpha in range(1, rs.rank + 1):
                 m = model.generalized_minor(point, MinorSpec(w, rs.identity, alpha))
-                if _as_fraction(m) <= 0:
+                if m <= 0:
                     cell_ok = False
                     violations.append({"sample": s, "kind": "big_cell", "w": str(w), "alpha": alpha})
         try:
-            coords = [_as_fraction(x) for x in eval_coordinates(chart, point)]
+            coords = eval_coordinates(chart, point)
         except NotInChartDomain as e:
             violations.append({"sample": s, "kind": "chart_domain", "minor": e.minor_index})
             per_sample.append({"sample": s, "params": [str(x) for x in c], "coords": None})
@@ -184,7 +178,7 @@ def certify_minor_positivity(space, w, v1, alpha, n_samples, seed=0):
     for s in range(n_samples):
         c = _sample_positive(rng, spec.n_params())
         point = toric_point(spec, c)
-        val = _as_fraction(model.generalized_minor(point, ms))
+        val = model.generalized_minor(point, ms)
         values.append(str(val))
         if val <= 0:
             violations.append({"sample": s, "value": str(val)})
@@ -207,9 +201,9 @@ def extract_negative_chain(model, m, word):
         a = word[j - 1]
         wprime = rs.element_from_word(word[:j])
         ms = MinorSpec(wprime, rs.identity, a)
-        f0 = _as_fraction(model.generalized_minor(cur, ms))
+        f0 = model.generalized_minor(cur, ms)
         peeled1 = cur * model.one_param(-a, Fraction(-1))
-        f1 = _as_fraction(model.generalized_minor(peeled1, ms))
+        f1 = model.generalized_minor(peeled1, ms)
         slope = f1 - f0
         if slope == 0:
             raise ArithmeticError("degenerate peel: minor not affine in the parameter")
@@ -229,8 +223,7 @@ def extract_positive_chain(model, n, word):
 def _assert_identity(g):
     for i, row in enumerate(g.entries):
         for j, x in enumerate(row):
-            val = _as_fraction(x)
-            if val != (1 if i == j else 0):
+            if x != (1 if i == j else 0):
                 raise ArithmeticError("chain extraction did not exhaust the unipotent factor")
 
 
@@ -247,49 +240,22 @@ def toric_coordinates(spec: ToricChartSpec, point) -> list:
     entries = point.entries if isinstance(point, GroupElement) else point
     lower, tdiag, upper = model.triangular_factor(entries, "LTU")
     c1 = extract_negative_chain(model, GroupElement(model, lower), spec.words[0])
-    tvals_all = [_as_fraction(tdiag[i][i]) for i in range(model.dim)]
-
-    def torus_values():
-        out = []
-        for i in spec.omega_order:
-            p = Fraction(1)
-            for q in model._perm[: model.minor_size(i)]:
-                p *= tvals_all[q]
-            out.append(p)
-        return out
-
-    tmat_conj = [
-        [tvals_all[i] if i == j else Fraction(0) for j in range(model.dim)]
-        for i in range(model.dim)
-    ]
+    # point = lower * t * upper = lower * (t upper t^{-1}) * t
+    plus = diag_conjugate([tdiag[i][i] for i in range(model.dim)], upper)
+    torus = [model.torus_value(tdiag, i) for i in spec.omega_order]
     if spec.target == "G":
-        pos = mat_mul(mat_mul(tmat_conj, upper), _diag_inv(tvals_all))
-        c2 = extract_positive_chain(model, GroupElement(model, pos), spec.words[1])
-        return c1 + c2 + torus_values()
+        return c1 + extract_positive_chain(model, plus, spec.words[1]) + torus
     v = spec.v_element()
     if not (v.is_identity() or v == rs.w0):
         raise HypothesisViolated(
             "toric-chart inversion on flag targets supports v = e or v = w0 only"
         )
-    if v.is_identity():
-        c2 = []
-    else:
-        tmat = [
-            [tvals_all[i] if i == j else Fraction(0) for j in range(model.dim)]
-            for i in range(model.dim)
-        ]
-        ntilde = mat_mul(mat_mul(tmat, upper), _diag_inv(tvals_all))
-        rev = tuple(reversed(spec.words[1]))
-        c2rev = extract_positive_chain(model, GroupElement(model, ntilde), rev)
-        c2 = list(reversed(c2rev))
+    c2 = []
+    if v == rs.w0:
+        c2 = list(reversed(extract_positive_chain(model, plus, tuple(reversed(spec.words[1])))))
     if spec.target == "GmodBv":
         return c1 + c2
-    return c1 + c2 + torus_values()
-
-
-def _diag_inv(vals):
-    n = len(vals)
-    return [[1 / vals[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    return c1 + c2 + torus
 
 
 def certify_toric_equivalence(spec_a, spec_b, n_samples, seed=0):

@@ -663,7 +663,12 @@ class RatFunc:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, MultiPoly)):
+        if isinstance(other, (int, Fraction)):
+            if other == 0 or self.num.is_zero():
+                return _RF_ZERO
+            # a nonzero scalar leaves gcd(num, den) and den itself unchanged
+            return RatFunc(self.num * other, self.den, _canonical=True)
+        if isinstance(other, MultiPoly):
             other = RatFunc.coerce(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
@@ -809,6 +814,8 @@ class Dual:
         return Dual.coerce(other) - self
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return Dual(self.a * other, self.b * other)
         other = Dual.coerce(other)
         return Dual(self.a * other.a, self.a * other.b + self.b * other.a)
 

@@ -15,7 +15,7 @@ from bsatlas.atlas import (
     t_weights,
 )
 from bsatlas.errors import NotInChartDomain
-from bsatlas.groups import GroupElement, build_model
+from bsatlas.groups import build_model
 from bsatlas.rootdata import build_root_system
 from bsatlas.symbolic import MultiPoly, RatFunc, VarName, var
 
@@ -55,9 +55,33 @@ def test_chart_census():
 
 def test_chartspec_validation():
     m = model("A", 2)
-    space = SpaceSpec(m, "Nv", m.rs.w0)
+    rs = m.rs
+    space = SpaceSpec(m, "Nv", rs.w0)
+    s1, s2 = rs.element_from_word((1,)), rs.element_from_word((2,))
+    assert ChartSpec(space, s1, ((1, 2), (1,), (1, 2, 1))).r == ((1, 2), (1,), (1, 2, 1))
     with pytest.raises(ValueError):
-        ChartSpec(space, m.rs.identity, ((1, 2), (), (1, 2, 1)))
+        ChartSpec(space, rs.identity, ((1, 2), (), (1, 2, 1)))
+    # a w-word of the wrong element, although w0_word + w_word is reduced for w0
+    with pytest.raises(ValueError, match=r"word \(1,\) is not"):
+        ChartSpec(space, s2, ((1, 2), (1,), (1, 2, 1)))
+    # w0_word and w_word are reduced, their concatenation is not
+    with pytest.raises(ValueError, match=r"word \(1, 2, 2\) is not"):
+        ChartSpec(space, s2, ((1, 2), (2,), (1, 2, 1)))
+    with pytest.raises(ValueError, match=r"word \(1, 2, 2\) is not"):
+        ChartSpec(space, s1, ((1, 2), (1,), (1, 2, 2)))
+
+
+@pytest.mark.parametrize("series,rank", [("A", 2), ("C", 2)])
+def test_numeric_round_trip_is_exact_fractions(series, rank):
+    m = model(series, rank)
+    rng = random.Random(3)
+    for spec in enumerate_charts(SpaceSpec(m, "Nv", m.rs.w0)):
+        chart = parametrize(spec)
+        z = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in chart.zvars]
+        point = dict(zip(chart.zvars, z))
+        mat = [[e.evaluate(point) for e in row] for row in chart.param.entries]
+        got = eval_coordinates(chart, mat)
+        assert got == z and all(type(x) is Fraction for x in got), spec.label()
 
 
 def test_sl2_parametrizations_match_reference():

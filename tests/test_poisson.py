@@ -1,7 +1,6 @@
 """Bracket engine: entry brackets, chart brackets, Jacobi."""
 
 import random
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -20,7 +19,7 @@ from bsatlas.poisson import (
     jacobi_check,
 )
 from bsatlas.rootdata import build_root_system
-from bsatlas.symbolic import MultiPoly, RatFunc, VarName, var
+from bsatlas.symbolic import MultiPoly, RatFunc, var
 
 _M = {}
 

@@ -8,7 +8,6 @@ import pytest
 from bsatlas import cache
 from bsatlas.cli import main, parse_word
 from bsatlas.serialize import (
-    bracket_table_to_json,
     content_hash,
     poly_from_json,
     poly_to_json,
@@ -150,6 +149,22 @@ def test_cli_tleaf_point(capsys):
     assert rc == 0
     data = json.loads(capsys.readouterr().out)
     assert data["labels"][0]["w"] == []
+
+
+def test_cli_positivity_index_out_of_range(capsys):
+    # SL(2)/N(w0) has charts 0 and 1; chart show refuses the same indices
+    for index in ("2", "-1"):
+        for cmd in (["positivity", "--samples", "1"], ["chart", "show"]):
+            rc = main(cmd + ["--series", "A", "--rank", "1", "--index", index])
+            assert rc == 2
+            assert "chart index out of range (0..1)" in capsys.readouterr().err
+
+
+def test_cli_tleaf_point_must_be_square(capsys):
+    for point in ("[[1,2]]", "[[1,2,3],[4,5,6]]"):
+        rc = main(["tleaf", "--series", "A", "--rank", "1", "--point", point])
+        assert rc == 2
+        assert "--point must be a 2x2 matrix" in capsys.readouterr().err
 
 
 def test_cli_repro(capsys):

@@ -121,6 +121,18 @@ def test_substitute_evaluate_compat(a, px, py):
     assert lhs == rhs
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(rationals, rationals, rationals, rationals), rationals)
+def test_scalar_product_is_canonical(a, c):
+    f = _rf(a)
+    for k in (c, int(c)):
+        want = f * RatFunc.constant(k)  # the RatFunc-by-RatFunc path cancels a gcd
+        for got in (f * k, k * f):
+            assert got == want and got.text() == want.text()
+    d = Dual(f, f * f) * c
+    assert d.a == f * RatFunc.constant(c) and d.b == f * f * RatFunc.constant(c)
+
+
 def test_dual_arithmetic():
     d = Dual(x, RatFunc.one())
     sq = d * d
