@@ -181,11 +181,11 @@ def parametrize(spec: ChartSpec) -> Chart:
     g1 = model.g_word(w0_word, zfuncs[:k])
     g2 = model.g_word(w_word, zfuncs[k:l0])
     g3 = model.g_word(v_word, zfuncs[l0:l])
-    w0bar_inv = model.wbar(rs.w0.canonical).inverse()
+    w0bar_inv = model.wbar_inverse(rs.w0.canonical)
     x = g2 * w0bar_inv * g1
     lower, _, _ = model.triangular_factor(x.entries, "LTU")
     lower_inv = adjugate_inverse(lower)
-    vbar_inv = model.wbar(v_word).inverse()
+    vbar_inv = model.wbar_inverse(v_word)
     rep = mat_mul(mat_mul(mat_mul(lower_inv, g2.entries), g3.entries), vbar_inv.entries)
     if spec.space.qkind == "Nv":
         values = [None] * rs.rank
@@ -211,7 +211,7 @@ def eval_coordinates(chart: Chart, g):
     model = spec.space.model
     rs = model.rs
     entries = g.entries if isinstance(g, GroupElement) else g
-    wbar_inv = model.wbar(spec.w.canonical).inverse()
+    wbar_inv = model.wbar_inverse(spec.w.canonical)
     h = mat_mul(wbar_inv.entries, entries)
     try:
         lower, tdiag, nfull = model.triangular_factor(h, "LTU")

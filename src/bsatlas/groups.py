@@ -171,6 +171,7 @@ class GroupModel:
         self.pos_root_vectors = self._build_root_vectors(simple_e, simple_f)
         self._sbar_cache = {}
         self._wbar_cache = {}
+        self._wbar_inv_cache = {}
         self._validate()
 
     # -- construction ---------------------------------------------------------
@@ -261,9 +262,6 @@ class GroupModel:
         x = self.root_vector(i, 1 if signed_index > 0 else -1)
         return self._exp_nilpotent(x, c)
 
-    def one_param_matrix(self, nilpotent, c):
-        return self._exp_nilpotent(nilpotent, c)
-
     def _exp_nilpotent(self, x, c):
         """exp(c x); entries have the type of c (an int c gives Fractions)."""
         n = self.dim
@@ -302,6 +300,15 @@ class GroupModel:
             out = out * self.sbar(i)
         self._wbar_cache[word] = out
         return out
+
+    def wbar_inverse(self, word):
+        """Inverse of ``wbar(word)``, computed once per word."""
+        word = tuple(word)
+        got = self._wbar_inv_cache.get(word)
+        if got is None:
+            got = self.wbar(word).inverse()
+            self._wbar_inv_cache[word] = got
+        return got
 
     def wbar_element(self, w):
         return self.wbar(w.canonical)
@@ -394,7 +401,7 @@ class GroupModel:
     def split_unipotent_by_v(self, n_el, v):
         """n = n1 * n2 with vbar^{-1} n1 vbar in N^- and vbar^{-1} n2 vbar in N."""
         vb = self.wbar_element(v)
-        vb_inv = vb.inverse()
+        vb_inv = self.wbar_inverse(v.canonical)
         x = vb_inv * n_el * vb
         lo, t, up = self.triangular_factor(x.entries, "LTU")
         for i in range(self.dim):
@@ -412,7 +419,7 @@ class GroupModel:
 
     def generalized_minor(self, g, spec: MinorSpec):
         """Delta_{u omega_a, v omega_a}(g) = Delta^{omega_a}(ubar^{-1} g vbar)."""
-        ub_inv = self.wbar_element(spec.u).inverse()
+        ub_inv = self.wbar_inverse(spec.u.canonical)
         vb = self.wbar_element(spec.v)
         entries = g.entries if isinstance(g, GroupElement) else g
         shifted = mat_mul(mat_mul(ub_inv.entries, entries), vb.entries)

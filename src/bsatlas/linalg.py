@@ -2,7 +2,9 @@
 
 Matrices are lists of lists (or tuples) whose entries live in any
 commutative ring that coerces Python ints through its arithmetic operators:
-``fractions.Fraction``, ``RatFunc``, or ``Dual``.  Determinants use
+``fractions.Fraction``, ``RatFunc``, or ``Dual`` (a vector tangent: one
+factorization of a Dual matrix differentiates along every tangent slot at
+once).  Determinants use
 division-free cofactor expansion so polynomial matrices stay polynomial.
 """
 

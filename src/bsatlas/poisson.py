@@ -4,8 +4,9 @@ The multiplicative Poisson bivector on G is the difference of the left and
 right invariant extensions of the skew tensor with one term per positive
 root, weighted by half the squared root length.  Brackets of functions of
 matrix entries come from the four-term sum over those terms; brackets in a
-chart come from pushing first-order perturbations of the parametrized point
-through coordinate extraction with dual numbers.
+chart come from pushing the first-order perturbations of the parametrized
+point through coordinate extraction once, as one vector tangent: a matrix of
+dual numbers with one tangent slot per left/right root-vector direction.
 """
 
 from __future__ import annotations
@@ -140,8 +141,9 @@ def chart_bracket(chart: Chart, lam: LambdaData | None = None, map_fn=map) -> Br
 
     Coordinates are lifted to right-Q-invariant functions of the matrix
     entries; the bracket on G is evaluated at the parametrized point by
-    pushing each left/right root-vector perturbation through the chart's
-    coordinate extraction with dual numbers.
+    pushing all 4|Delta+| left/right root-vector perturbations through one
+    coordinate extraction with vector dual numbers, one tangent slot per
+    perturbation.  ``map_fn`` maps the pair assembly.
     """
     model = chart.spec.space.model
     if lam is None:
@@ -150,38 +152,24 @@ def chart_bracket(chart: Chart, lam: LambdaData | None = None, map_fn=map) -> Br
     n = chart.dims
 
     directions = []
-    for _, e_minus, e_plus, coeff in lam.terms:
-        directions.append(("L-", mat_mul(rep, e_minus)))
-        directions.append(("L+", mat_mul(rep, e_plus)))
-        directions.append(("R-", mat_mul(e_minus, rep)))
-        directions.append(("R+", mat_mul(e_plus, rep)))
-
-    def derive(direction):
-        dual = [
-            [Dual(rep[i][j], direction[i][j]) for j in range(model.dim)]
-            for i in range(model.dim)
-        ]
-        coords = eval_coordinates(chart, GroupElement(model, dual))
-        eps = []
-        for idx, c in enumerate(coords):
-            base = c.a - RatFunc.from_poly(MultiPoly.variable(chart.zvars[idx]))
-            if not base.is_zero():
-                raise AssertionError("chart round trip failed inside bracket engine")
-            eps.append(c.b)
-        return eps
-
-    derivs = list(map_fn(derive, [d for _, d in directions]))
-    per_term = []
-    for t in range(len(lam.terms)):
-        per_term.append(
-            (
-                lam.terms[t][3],
-                derivs[4 * t + 0],
-                derivs[4 * t + 1],
-                derivs[4 * t + 2],
-                derivs[4 * t + 3],
-            )
-        )
+    for _, e_minus, e_plus, _ in lam.terms:
+        directions.append(mat_mul(rep, e_minus))
+        directions.append(mat_mul(rep, e_plus))
+        directions.append(mat_mul(e_minus, rep))
+        directions.append(mat_mul(e_plus, rep))
+    dual = [
+        [Dual(rep[i][j], tuple(d[i][j] for d in directions)) for j in range(model.dim)]
+        for i in range(model.dim)
+    ]
+    coords = eval_coordinates(chart, GroupElement(model, dual))
+    for c, z in zip(coords, chart.zvars):
+        if not (c.a - RatFunc.from_poly(MultiPoly.variable(z))).is_zero():
+            raise AssertionError("chart round trip failed inside bracket engine")
+    # derivs[k][i]: derivative of z_{i+1} along direction k (order L-, L+, R-, R+ per term)
+    derivs = [[c.b[k] for c in coords] for k in range(len(directions))]
+    per_term = [
+        (coeff, *derivs[4 * t : 4 * t + 4]) for t, (_, _, _, coeff) in enumerate(lam.terms)
+    ]
 
     laurent = chart.torus_block()
     pairs = list(combinations(range(1, n + 1), 2))

@@ -106,6 +106,12 @@ def toric_point(spec: ToricChartSpec, c) -> GroupElement:
     return point
 
 
+def _require_samples(n_samples):
+    """A sampled verdict needs at least one sample behind it."""
+    if n_samples < 1:
+        raise ValueError(f"need at least one sample, got {n_samples}")
+
+
 def _sample_positive(rng, n):
     return [Fraction(rng.randint(1, 1000), rng.randint(1, 1000)) for _ in range(n)]
 
@@ -117,6 +123,7 @@ def certify_chart_positivity(chart: Chart, spec: ToricChartSpec, n_samples, seed
     every other shifted big cell (all flag minors D_{w omega, omega} nonzero);
     (ii) every coordinate value is a strictly positive rational.
     """
+    _require_samples(n_samples)
     model = chart.spec.space.model
     rs = model.rs
     rng = random.Random(seed)
@@ -165,6 +172,7 @@ def certify_minor_positivity(space, w, v1, alpha, n_samples, seed=0):
     Requires v1 weakly below v (the function is otherwise not right-N(v)
     invariant); raises HypothesisViolated when the precondition fails.
     """
+    _require_samples(n_samples)
     model = space.model
     rs = model.rs
     if not rs.weak_leq(v1, space.v):
@@ -264,6 +272,7 @@ def certify_toric_equivalence(spec_a, spec_b, n_samples, seed=0):
     This is the checkable necessary condition of positive equivalence; a
     Bott-Samelson chart is not accepted here (different kind of chart).
     """
+    _require_samples(n_samples)
     if isinstance(spec_a, Chart) or isinstance(spec_b, Chart):
         raise IncomparableCharts(
             "Bott-Samelson charts are not toric charts of the positive structure; "

@@ -638,6 +638,11 @@ class RatFunc:
             other = RatFunc.coerce(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
+        # both operands are canonical, so a zero one leaves the other as the sum
+        if other.num.is_zero():
+            return self
+        if self.num.is_zero():
+            return other
         if self.den.is_one() and other.den.is_one():
             return RatFunc.from_poly(self.num + other.num)
         g0 = poly_gcd(self.den, other.den)
@@ -776,61 +781,103 @@ _RF_ONE = RatFunc.from_poly(MultiPoly.constant(1))
 
 
 class Dual:
-    """Dual numbers a + b*eps with eps^2 = 0 over the rational-function field.
+    """Vector dual numbers a + sum_k b_k eps_k with eps_i eps_j = 0 over RatFunc.
 
-    Used to push first-order perturbations through chart evaluation; the
-    base component must be invertible wherever a division happens.
+    ``a`` is a RatFunc and ``b`` a tuple of RatFuncs with one slot per
+    direction, so one evaluation pushes every first-order perturbation of a
+    point through a computation at once (vector forward mode).  Two Duals
+    combined must have the same number of slots; an int, Fraction or RatFunc
+    operand acts on the base and on each slot.  The base must be invertible
+    wherever a division happens.
     """
 
     __slots__ = ("a", "b")
 
-    def __init__(self, a, b=None):
+    def __init__(self, a, b):
         self.a = RatFunc.coerce(a)
-        self.b = RatFunc.coerce(b) if b is not None else RatFunc.zero()
-
-    @staticmethod
-    def coerce(x):
-        if isinstance(x, Dual):
-            return x
-        return Dual(RatFunc.coerce(x))
+        self.b = tuple(RatFunc.coerce(x) for x in b)
 
     def is_zero(self):
-        return self.a.is_zero() and self.b.is_zero()
+        return self.a.is_zero() and all(x.is_zero() for x in self.b)
 
     def __neg__(self):
-        return Dual(-self.a, -self.b)
+        return _dual(-self.a, tuple(-x for x in self.b))
 
     def __add__(self, other):
-        other = Dual.coerce(other)
-        return Dual(self.a + other.a, self.b + other.b)
+        if isinstance(other, Dual):
+            return _dual(self.a + other.a, tuple(x + y for x, y in zip(self.b, other.b, strict=True)))
+        if isinstance(other, _SCALARS):
+            return _dual(self.a + other, self.b)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = Dual.coerce(other)
-        return Dual(self.a - other.a, self.b - other.b)
+        if isinstance(other, Dual):
+            return _dual(self.a - other.a, tuple(x - y for x, y in zip(self.b, other.b, strict=True)))
+        if isinstance(other, _SCALARS):
+            return _dual(self.a - other, self.b)
+        return NotImplemented
 
     def __rsub__(self, other):
-        return Dual.coerce(other) - self
+        return -self + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Dual(self.a * other, self.b * other)
-        other = Dual.coerce(other)
-        return Dual(self.a * other.a, self.a * other.b + self.b * other.a)
+        if isinstance(other, Dual):
+            a1, a2 = self.a, other.a
+            slots = []
+            for x, y in zip(self.b, other.b, strict=True):
+                # Leibniz a1 y + x a2, with no product of a zero factor
+                if x.is_zero() or a2.is_zero():
+                    slots.append(a1 * y)
+                elif y.is_zero() or a1.is_zero():
+                    slots.append(x * a2)
+                else:
+                    slots.append(a1 * y + x * a2)
+            return _dual(a1 * a2, tuple(slots))
+        if isinstance(other, _SCALARS):
+            return _dual(self.a * other, tuple(x * other for x in self.b))
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = Dual.coerce(other)
+        if isinstance(other, _SCALARS):
+            return self * RatFunc.coerce(other).inv()
+        if not isinstance(other, Dual):
+            return NotImplemented
         if other.a.is_zero():
             raise ZeroDenominator("dual division by an infinitesimal")
         inv_a = other.a.inv()
         base = self.a * inv_a
-        return Dual(base, (self.b - base * other.b) * inv_a)
+        # (x - base y) / a2 per slot; a zero y leaves x / a2
+        return _dual(
+            base,
+            tuple(
+                x * inv_a if y.is_zero() else (x - base * y) * inv_a
+                for x, y in zip(self.b, other.b, strict=True)
+            ),
+        )
 
     def __rtruediv__(self, other):
-        return Dual.coerce(other) / self
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
+        if self.a.is_zero():
+            raise ZeroDenominator("dual division by an infinitesimal")
+        inv_a = self.a.inv()
+        base = inv_a * other
+        return _dual(base, tuple(-(base * y * inv_a) for y in self.b))
 
     def __repr__(self):
-        return f"Dual({self.a.text()}, {self.b.text()})"
+        return f"Dual({self.a.text()}, ({', '.join(x.text() for x in self.b)}))"
+
+
+_SCALARS = (int, Fraction, MultiPoly, RatFunc)
+
+
+def _dual(a, b):
+    """A Dual from a RatFunc base and a tuple of RatFunc slots, without coercion."""
+    d = object.__new__(Dual)
+    d.a = a
+    d.b = b
+    return d

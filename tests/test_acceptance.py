@@ -354,9 +354,9 @@ def test_criterion_10_roundtrip_and_representative_independence():
     # conjugate of N by vbar need not be in N(v); instead use the honest N(v):
     # N(v) = N cap vbar N vbar^{-1}; for v = s1 that is the root subgroups of
     # alpha_2 and alpha_1 + alpha_2
-    qn = m2.one_param_matrix(m2.root_vector_for(m2.rs.simple_root(2), +1), var("u", 5))
+    qn = m2._exp_nilpotent(m2.root_vector_for(m2.rs.simple_root(2), +1), var("u", 5))
     beta = m2.rs.simple_root(1) + m2.rs.simple_root(2)
-    qn = qn * m2.one_param_matrix(m2.root_vector_for(beta, +1), var("u", 6))
+    qn = qn * m2._exp_nilpotent(m2.root_vector_for(beta, +1), var("u", 6))
     got = eval_coordinates(chartn, chartn.param * qn)
     if not all((RatFunc.coerce(c) - _zrf(i + 1)).is_zero() for i, c in enumerate(got)):
         bad.append(("representative-independence", "Nv"))

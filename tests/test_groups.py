@@ -37,6 +37,14 @@ def test_one_param_sl2():
     assert [[e.text() for e in r] for r in m.one_param(-1, c).entries] == [["1", "0"], ["c", "1"]]
 
 
+def test_wbar_inverse_is_cached():
+    for m in (model("A", 2), model("C", 2)):
+        for word in ((), (1,), (2, 1), m.rs.w0.canonical):
+            inv = m.wbar_inverse(word)
+            assert inv is m.wbar_inverse(list(word))
+            assert (m.wbar(word) * inv).entries == m.identity().entries
+
+
 def test_sbar_and_gword_sl2():
     m = model("A", 1)
     assert m.sbar(1).entries == [[0, -1], [1, 0]]

@@ -172,6 +172,39 @@ def test_jacobi_exact_mode_sp4():
     assert rep["ok"] and rep["mode"] == "symbolic"
 
 
+@pytest.mark.parametrize("series, rank, index", [("A", 2, 5), ("C", 2, 7)])
+def test_chart_bracket_evaluates_coordinates_once(monkeypatch, series, rank, index):
+    import bsatlas.poisson as poisson
+
+    m = model(series, rank)
+    chart = parametrize(enumerate_charts(SpaceSpec(m, "Nv", m.rs.w0))[index])
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return eval_coordinates(*args)
+
+    monkeypatch.setattr(poisson, "eval_coordinates", counting)
+    chart_bracket(chart)
+    assert len(calls) == 1
+
+
+def test_chart_bracket_round_trip_check(monkeypatch):
+    import bsatlas.poisson as poisson
+
+    m = model("A", 2)
+    chart = parametrize(enumerate_charts(SpaceSpec(m, "Nv", m.rs.w0))[3])
+
+    def shifted(*args):
+        coords = eval_coordinates(*args)
+        coords[-1] = coords[-1] + 1
+        return coords
+
+    monkeypatch.setattr(poisson, "eval_coordinates", shifted)
+    with pytest.raises(AssertionError, match="chart round trip failed"):
+        chart_bracket(chart)
+
+
 def test_chart_bracket_parallel_map():
     from concurrent.futures import ThreadPoolExecutor
 

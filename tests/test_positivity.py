@@ -172,6 +172,21 @@ def test_toric_equivalence():
         certify_toric_equivalence(a, chart, 1)
 
 
+def test_sampled_verdicts_need_a_sample():
+    m = model("A", 2)
+    rs = m.rs
+    space = SpaceSpec(m, "Nv", rs.w0)
+    chart = parametrize(enumerate_charts(space)[0])
+    tspec = ToricChartSpec(m, "G", ((1, 2, 1), (2, 1, 2)))
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="at least one sample"):
+            certify_chart_positivity(chart, tspec, n, seed=0)
+        with pytest.raises(ValueError, match="at least one sample"):
+            certify_minor_positivity(space, rs.w0, rs.identity, 1, n)
+        with pytest.raises(ValueError, match="at least one sample"):
+            certify_toric_equivalence(tspec, tspec, n)
+
+
 def test_sp4_positivity_smoke():
     mc = model("C", 2)
     rs = mc.rs

@@ -160,6 +160,15 @@ def test_cli_positivity_index_out_of_range(capsys):
             assert "chart index out of range (0..1)" in capsys.readouterr().err
 
 
+def test_cli_positivity_needs_samples(capsys):
+    for samples in ("0", "-3"):
+        rc = main(["--json", "positivity", "--series", "A", "--rank", "1", "--samples", samples])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "need at least one sample" in captured.err
+
+
 def test_cli_tleaf_point_must_be_square(capsys):
     for point in ("[[1,2]]", "[[1,2,3],[4,5,6]]"):
         rc = main(["tleaf", "--series", "A", "--rank", "1", "--point", point])
