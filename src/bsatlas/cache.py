@@ -9,16 +9,16 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 
 ENV_CACHE_DIR = "BSATLAS_CACHE_DIR"
 
 
 def default_cache_dir():
+    """``$BSATLAS_CACHE_DIR`` if set, else ``~/.cache/bsatlas`` (a per-user root, not the shared /tmp)."""
     env = os.environ.get(ENV_CACHE_DIR)
     if env:
         return env
-    return os.path.join(tempfile.gettempdir(), "bsatlas-cache")
+    return os.path.join(os.path.expanduser("~"), ".cache", "bsatlas")
 
 
 def _path_for(cache_dir, key):

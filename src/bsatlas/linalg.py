@@ -62,10 +62,10 @@ def mat_add(a, b):
 
 
 def diag_conjugate(tvals, m):
-    """t m t^{-1} for the diagonal matrix t = diag(tvals)."""
+    """t m t^{-1} for the diagonal matrix t = diag(tvals); a zero entry stays as it is."""
     n = len(m)
     return [
-        [m[i][j] * exact_div(tvals[i], tvals[j]) if i != j else m[i][j] for j in range(n)]
+        [m[i][j] if i == j or _is_zero(m[i][j]) else m[i][j] * exact_div(tvals[i], tvals[j]) for j in range(n)]
         for i in range(n)
     ]
 

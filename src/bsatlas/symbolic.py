@@ -1,10 +1,13 @@
 """Exact sparse multivariate polynomials and rational functions.
 
-Coefficients are ``fractions.Fraction`` throughout; no floating point enters
-any symbolic path.  Monomials are ordered graded-lexicographically with
-respect to the total order on variable names, which makes every normalized
-value canonical: equal rational functions have identical representations and
-identical text serializations.
+Coefficients are exact rationals: a Python ``int`` wherever the coefficient
+is integral and a ``fractions.Fraction`` only where it is not, so the small
+integer coefficients of chart formulas never pay for ``Fraction`` arithmetic;
+no floating point enters any symbolic path.  Gcds run on integer-primitive
+parts.  Monomials are ordered graded-lexicographically with respect to the
+total order on variable names, which makes every normalized value canonical:
+equal rational functions have identical representations and identical text
+serializations.
 """
 
 from __future__ import annotations
@@ -18,7 +21,16 @@ from math import lcm as _int_lcm
 from .errors import EvaluationPole, SubstitutionPole, ZeroDenominator
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+
+def _exact(c):
+    """An int or Fraction coefficient, as an int when it is integral."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
+def _exact_terms(terms):
+    """Drop zero coefficients and store the integral ones as int."""
+    return {e: c if type(c) is int else _exact(c) for e, c in terms.items() if c}
 
 
 @total_ordering
@@ -89,11 +101,12 @@ def _grlex_key(exp):
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial with Fraction coefficients.
+    """Sparse multivariate polynomial with exact rational coefficients.
 
     Normalized form: ``vars`` lists exactly the variables that occur with a
     nonzero exponent, sorted; ``terms`` maps exponent tuples (aligned with
-    ``vars``) to nonzero coefficients.
+    ``vars``) to nonzero coefficients, each an ``int`` when it is integral and
+    a ``Fraction`` otherwise (never an integral ``Fraction``).
     """
 
     __slots__ = ("vars", "terms")
@@ -106,20 +119,25 @@ class MultiPoly:
 
     @staticmethod
     def constant(c):
-        c = Fraction(c)
-        return MultiPoly((), {} if c == 0 else {(): c})
+        if type(c) is not int:
+            c = _exact(Fraction(c))
+        return MultiPoly((), {(): c} if c else {})
 
     @staticmethod
     def variable(v):
-        return MultiPoly((v,), {(1,): _ONE})
+        return MultiPoly((v,), {(1,): 1})
 
     @staticmethod
     def _make(vars, terms):
-        """Normalize a raw (vars, terms) pair: drop zeros and unused vars."""
-        terms = {e: c for e, c in terms.items() if c != 0}
+        """Normalize a raw (vars, terms) pair: exact coefficients, no zeros or unused vars."""
+        return MultiPoly._pruned(vars, _exact_terms(terms))
+
+    @staticmethod
+    def _pruned(vars, terms):
+        """A polynomial from normalized nonzero coefficients; drops the vars that do not occur."""
         if not terms:
             return MultiPoly((), {})
-        used = [i for i in range(len(vars)) if any(e[i] for e in terms)]
+        used = [i for i, col in enumerate(zip(*terms)) if any(col)]
         if len(used) == len(vars):
             return MultiPoly(vars, terms)
         new_vars = tuple(vars[i] for i in used)
@@ -135,12 +153,12 @@ class MultiPoly:
         return not self.vars
 
     def is_one(self):
-        return self.terms == {(): _ONE}
+        return self.terms == {(): 1}
 
     def constant_value(self):
         if self.vars:
             raise ValueError("not a constant polynomial")
-        return self.terms.get((), _ZERO)
+        return Fraction(self.terms.get((), 0))
 
     def is_monomial(self):
         return len(self.terms) <= 1
@@ -165,10 +183,10 @@ class MultiPoly:
         return (self.vars, tuple(self.sorted_terms()))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(other)
         if not isinstance(other, MultiPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = MultiPoly.constant(other)
         return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
@@ -180,10 +198,10 @@ class MultiPoly:
         return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(other)
         if not isinstance(other, MultiPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = MultiPoly.constant(other)
         if not self.terms:
             return other
         if not other.terms:
@@ -191,8 +209,8 @@ class MultiPoly:
         vars, i1, i2 = _merge_vars(self.vars, other.vars)
         t = _remap(self.terms, len(self.vars), len(vars), i1)
         for e, c in _remap(other.terms, len(other.vars), len(vars), i2).items():
-            s = t.get(e, _ZERO) + c
-            if s == 0:
+            s = t.get(e, 0) + c
+            if not s:
                 t.pop(e, None)
             else:
                 t[e] = s
@@ -209,13 +227,13 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
-                return MultiPoly((), {})
-            return MultiPoly(self.vars, {e: k * c for e, k in self.terms.items()})
         if not isinstance(other, MultiPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            if not other:
+                return MultiPoly((), {})
+            c = _exact(other)
+            return MultiPoly(self.vars, _exact_terms({e: k * c for e, k in self.terms.items()}))
         if not self.terms or not other.terms:
             return MultiPoly((), {})
         if self.is_constant():
@@ -232,12 +250,13 @@ class MultiPoly:
         for e1, c1 in t1.items():
             for e2, c2 in items2:
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, _ZERO) + c1 * c2
-                if s == 0:
+                s = out.get(e, 0) + c1 * c2
+                if not s:
                     out.pop(e, None)
                 else:
                     out[e] = s
-        return MultiPoly._make(vars, out)
+        # deg_v(fg) = deg_v f + deg_v g, so every merged variable occurs
+        return MultiPoly(vars, _exact_terms(out))
 
     __rmul__ = __mul__
 
@@ -309,13 +328,13 @@ class MultiPoly:
     def z_content(self):
         """Positive rational c with self/c integer-primitive; 0 for the zero poly."""
         if not self.terms:
-            return _ZERO
+            return 0
         num = 0
         den = 1
         for c in self.terms.values():
-            num = _int_gcd(num, abs(c.numerator))
+            num = _int_gcd(num, c.numerator)
             den = _int_lcm(den, c.denominator)
-        return Fraction(num, den)
+        return num if den == 1 else Fraction(num, den)
 
     def leading_sign(self):
         if not self.terms:
@@ -369,7 +388,7 @@ def try_divide(f, g):
     if f.is_zero():
         return f
     if g.is_constant():
-        return f * (1 / g.terms[()])
+        return f * (Fraction(1) / g.terms[()])
     vars, i1, i2 = _merge_vars(f.vars, g.vars)
     rem = _remap(f.terms, len(f.vars), len(vars), i1)
     gt = _remap(g.terms, len(g.vars), len(vars), i2)
@@ -381,12 +400,16 @@ def try_divide(f, g):
         if not _divides_mono(g_lead, e):
             return None
         q_exp = tuple(a - b for a, b in zip(e, g_lead))
-        q_c = rem[e] / g_lc
+        c = rem[e]
+        if type(c) is int and type(g_lc) is int and not c % g_lc:
+            q_c = c // g_lc
+        else:
+            q_c = _exact(Fraction(c, g_lc))
         quo[q_exp] = q_c
         for ge, gc in gt.items():
             t = tuple(a + b for a, b in zip(q_exp, ge))
-            s = rem.get(t, _ZERO) - q_c * gc
-            if s == 0:
+            s = rem.get(t, 0) - q_c * gc
+            if not s:
                 rem.pop(t, None)
             else:
                 rem[t] = s
@@ -409,7 +432,7 @@ def _mono_gcd(f):
 def _strip_mono(f, e):
     if not any(e):
         return f
-    return MultiPoly._make(f.vars, {tuple(a - b for a, b in zip(exp, e)): c for exp, c in f.terms.items()})
+    return MultiPoly._pruned(f.vars, {tuple(a - b for a, b in zip(exp, e)): c for exp, c in f.terms.items()})
 
 
 def _coeffs_in(f, v):
@@ -423,7 +446,7 @@ def _coeffs_in(f, v):
         d = e[i]
         re = e[:i] + e[i + 1 :]
         out.setdefault(d, {})[re] = c
-    return {d: MultiPoly._make(rest, t) for d, t in out.items()}
+    return {d: MultiPoly._pruned(rest, t) for d, t in out.items()}
 
 
 def _uni_prem(A, B, v):
@@ -454,14 +477,25 @@ def _poly_content_in(f, v):
     return g
 
 
+def _signed_content(f):
+    """The z_content of f, with the sign of its graded-lex leading coefficient."""
+    c = f.z_content()
+    return -c if f.leading_sign() < 0 else c
+
+
+def _divide_content(f, c):
+    """f / c for c = +-z_content(f), in int arithmetic: every quotient is an integer."""
+    if c == 1:
+        return f
+    n, d = c.numerator, c.denominator
+    return MultiPoly(f.vars, {e: k.numerator * d // (k.denominator * n) for e, k in f.terms.items()})
+
+
 def _normalize_primitive(f):
     """Scale f to integer-primitive with positive graded-lex leading coefficient."""
     if f.is_zero():
         return f
-    c = f.z_content()
-    if f.leading_sign() < 0:
-        c = -c
-    return f * (1 / c)
+    return _divide_content(f, _signed_content(f))
 
 
 def poly_gcd(f, g):
@@ -488,7 +522,7 @@ def poly_gcd(f, g):
     for v, k in zip(g.vars, eg):
         if v in common:
             mono[v] = min(common[v], k)
-    mono_poly = MultiPoly._make(tuple(sorted(mono)), {tuple(mono[v] for v in sorted(mono)): _ONE}) if mono else MultiPoly.constant(1)
+    mono_poly = MultiPoly._make(tuple(sorted(mono)), {tuple(mono[v] for v in sorted(mono)): 1}) if mono else MultiPoly.constant(1)
     if f1.is_constant() or g1.is_constant():
         return _normalize_primitive(mono_poly)
     cand = _poly_gcd_stripped(f1, g1)
@@ -496,6 +530,9 @@ def poly_gcd(f, g):
 
 
 def _poly_gcd_stripped(f, g):
+    # on integer-primitive parts every division and pseudo-remainder below stays in int
+    f = _divide_content(f, f.z_content())
+    g = _divide_content(g, g.z_content())
     if f.vars == g.vars and f.terms == g.terms:
         return f
     q = try_divide(f, g)
@@ -562,12 +599,10 @@ class RatFunc:
             if not g.is_one():
                 num = try_divide(num, g)
                 den = try_divide(den, g)
-        c = den.z_content()
-        if den.leading_sign() < 0:
-            c = -c
+        c = _signed_content(den)
         if c != 1:
-            num = num * (1 / c)
-            den = den * (1 / c)
+            num = num * (Fraction(1) / c)
+            den = _divide_content(den, c)
         self.num = num
         self.den = den
 
@@ -619,10 +654,10 @@ class RatFunc:
         return (self.num.key(), self.den.key())
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, MultiPoly)):
-            other = RatFunc.coerce(other)
         if not isinstance(other, RatFunc):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction, MultiPoly)):
+                return NotImplemented
+            other = RatFunc.coerce(other)
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
@@ -634,10 +669,10 @@ class RatFunc:
         return RatFunc(-self.num, self.den, _canonical=True)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, MultiPoly)):
-            other = RatFunc.coerce(other)
         if not isinstance(other, RatFunc):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction, MultiPoly)):
+                return NotImplemented
+            other = RatFunc.coerce(other)
         # both operands are canonical, so a zero one leaves the other as the sum
         if other.num.is_zero():
             return self
@@ -668,15 +703,16 @@ class RatFunc:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0 or self.num.is_zero():
-                return _RF_ZERO
-            # a nonzero scalar leaves gcd(num, den) and den itself unchanged
-            return RatFunc(self.num * other, self.den, _canonical=True)
-        if isinstance(other, MultiPoly):
-            other = RatFunc.coerce(other)
         if not isinstance(other, RatFunc):
-            return NotImplemented
+            if isinstance(other, MultiPoly):
+                other = RatFunc.from_poly(other)
+            elif isinstance(other, (int, Fraction)):
+                if other == 0 or self.num.is_zero():
+                    return _RF_ZERO
+                # a nonzero scalar leaves gcd(num, den) and den itself unchanged
+                return RatFunc(self.num * other, self.den, _canonical=True)
+            else:
+                return NotImplemented
         if self.num.is_zero() or other.num.is_zero():
             return _RF_ZERO
         if self.den.is_one() and other.den.is_one():

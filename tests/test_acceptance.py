@@ -348,10 +348,6 @@ def test_criterion_10_roundtrip_and_representative_independence():
         bad.append(("representative-independence", "Bv"))
     spn = SpaceSpec(m2, "Nv", m2.rs.element_from_word((1,)))
     chartn = parametrize(enumerate_charts(spn)[0])
-    qn = m2.one_param(1, var("u", 5))  # N(v) for v = s1 contains x_{alpha_1}? no: use v-conj
-    vb = m2.wbar_element(spn.v)
-    qn = vb * m2.one_param(1, var("u", 5)) * vb.inverse()
-    # conjugate of N by vbar need not be in N(v); instead use the honest N(v):
     # N(v) = N cap vbar N vbar^{-1}; for v = s1 that is the root subgroups of
     # alpha_2 and alpha_1 + alpha_2
     qn = m2._exp_nilpotent(m2.root_vector_for(m2.rs.simple_root(2), +1), var("u", 5))

@@ -25,6 +25,14 @@ def test_ratfunc_json_roundtrip():
     assert poly_from_json(poly_to_json(p)) == p
 
 
+def test_default_cache_dir_is_per_user(tmp_path, monkeypatch):
+    monkeypatch.delenv(cache.ENV_CACHE_DIR, raising=False)
+    monkeypatch.setenv("HOME", str(tmp_path))
+    assert cache.default_cache_dir() == os.path.join(str(tmp_path), ".cache", "bsatlas")
+    monkeypatch.setenv(cache.ENV_CACHE_DIR, str(tmp_path / "elsewhere"))
+    assert cache.default_cache_dir() == str(tmp_path / "elsewhere")
+
+
 def test_cache_roundtrip(tmp_path):
     key = content_hash(["k", 1])
     payload = {"a": [1, 2, 3], "b": "text"}

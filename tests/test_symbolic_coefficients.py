@@ -1,0 +1,205 @@
+"""Coefficient normal form of the symbolic core, and sympy as an independent oracle.
+
+A stored coefficient is an ``int`` wherever it is integral and a ``Fraction``
+only where it is not.  The canonical forms built on that layout (the
+normalized gcd and the reduced rational function) are checked against sympy.
+"""
+
+from fractions import Fraction
+from math import gcd, lcm
+
+import sympy
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from bsatlas.serialize import poly_from_json, poly_to_json
+from bsatlas.symbolic import MultiPoly, RatFunc, VarName, poly_gcd, try_divide
+
+VARS = tuple(VarName("z", i) for i in range(1, 5))
+SYMS = sympy.symbols("z1:5")
+
+coeffs = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+)
+
+
+@st.composite
+def poly_triples(draw):
+    """Three polynomials in the same 2-4 variables, as lists of (exponents, coeff)."""
+    n = draw(st.integers(2, 4))
+    term = st.tuples(st.tuples(*[st.integers(0, 2)] * n), coeffs)
+    return n, [draw(st.lists(term, max_size=4)) for _ in range(3)]
+
+
+def _poly(n, terms):
+    out = MultiPoly.constant(0)
+    for exps, c in terms:
+        t = MultiPoly.constant(c)
+        for v, k in zip(VARS[:n], exps):
+            t = t * MultiPoly.variable(v) ** k
+        out = out + t
+    return out
+
+
+def _sympy_expr(n, terms):
+    return sympy.Add(
+        *(
+            sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
+            * sympy.Mul(*(s**k for s, k in zip(SYMS[:n], exps)))
+            for exps, c in terms
+        )
+    )
+
+
+def _dict_of(p, n):
+    """MultiPoly -> {full exponent tuple over z1..zn: Fraction}."""
+    pos = [VARS.index(v) for v in p.vars]
+    out = {}
+    for exp, c in p.terms.items():
+        full = [0] * n
+        for i, k in zip(pos, exp):
+            full[i] = k
+        out[tuple(full)] = Fraction(c)
+    return out
+
+
+def _sympy_dict(expr, n):
+    poly = sympy.Poly(expr, *SYMS[:n], domain="QQ")
+    return {exp: Fraction(int(c.p), int(c.q)) for exp, c in poly.terms() if c != 0}
+
+
+def _primitive(d):
+    """Scale a term dict to integer-primitive with positive graded-lex leading coefficient."""
+    if not d:
+        return d, Fraction(1)
+    num, den = 0, 1
+    for c in d.values():
+        num = gcd(num, c.numerator)
+        den = lcm(den, c.denominator)
+    scale = Fraction(num, den)
+    lead = max(d, key=lambda e: (sum(e), e))
+    if d[lead] < 0:
+        scale = -scale
+    return {e: c / scale for e, c in d.items()}, scale
+
+
+def _all_exact(p):
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in p.terms.values())
+
+
+# -- normal form -----------------------------------------------------------------
+
+
+def test_integral_coefficients_are_stored_as_int():
+    X, Y = MultiPoly.variable(VARS[0]), MultiPoly.variable(VARS[1])
+    half = MultiPoly.constant(Fraction(1, 2))
+    assert MultiPoly.constant(Fraction(6, 2)).terms == {(): 3}
+    assert type(MultiPoly.constant(Fraction(6, 2)).terms[()]) is int
+    for p in (
+        half * X + half * X,
+        (half * X) * 2,
+        (half * X) * Fraction(4),
+        (half * X) * (MultiPoly.constant(2) * Y),
+        X - half * X - half * X + Y,
+        try_divide(X * Y + X, MultiPoly.constant(Fraction(1, 2))),
+        poly_gcd(half * X * Y, MultiPoly.constant(Fraction(3, 4)) * X),
+        poly_from_json({"vars": ["z1"], "terms": [[[1], "4/2"], [[0], "1/3"]]}),
+    ):
+        assert _all_exact(p), p.terms
+    assert type(poly_from_json({"vars": ["z1"], "terms": [[[1], "4/2"]]}).terms[(1,)]) is int
+
+
+def test_division_by_an_integer_constant_is_exact():
+    X = MultiPoly.variable(VARS[0])
+    got = try_divide(X + 2, MultiPoly.constant(3))
+    assert got.terms == {(1,): Fraction(1, 3), (0,): Fraction(2, 3)}
+    assert all(type(c) is Fraction for c in got.terms.values())
+    got = try_divide(3 * X + 6, MultiPoly.constant(3))
+    assert got.terms == {(1,): 1, (0,): 2} and _all_exact(got)
+    assert not any(isinstance(c, float) for c in try_divide(X, MultiPoly.constant(-7)).terms.values())
+
+
+def test_boundary_values_are_fractions():
+    X = MultiPoly.variable(VARS[0])
+    for p in (MultiPoly.constant(3), MultiPoly.constant(0), MultiPoly.constant(Fraction(1, 2))):
+        assert type(p.constant_value()) is Fraction
+        assert type(p.evaluate({})) is Fraction
+    assert type((X + 1).evaluate({VARS[0]: 2})) is Fraction
+    assert type(RatFunc.constant(3).constant_value()) is Fraction
+    f = RatFunc(X * X + 1, X + 1)
+    assert type(f.evaluate({VARS[0]: 1})) is Fraction
+    assert type(RatFunc.from_poly(X + 1).evaluate({VARS[0]: 2})) is Fraction
+
+
+def test_text_and_json_do_not_depend_on_coefficient_type():
+    X, Y = MultiPoly.variable(VARS[0]), MultiPoly.variable(VARS[1])
+    with_int = MultiPoly.constant(3) * X * Y - MultiPoly.constant(2) * Y + MultiPoly.constant(1)
+    with_frac = (
+        MultiPoly.constant(Fraction(6, 2)) * X * Y
+        - MultiPoly.constant(Fraction(-4, -2)) * Y
+        + MultiPoly.constant(Fraction(1))
+    )
+    raw = MultiPoly._make(with_int.vars, {e: Fraction(c) for e, c in with_int.terms.items()})
+    for p in (with_frac, raw):
+        assert p == with_int and hash(p) == hash(with_int)
+        assert p.text() == with_int.text() == "3*z1*z2 - 2*z2 + 1"
+        assert poly_to_json(p) == poly_to_json(with_int)
+    f, g = RatFunc(with_int, X + 2), RatFunc(raw * 2, MultiPoly.constant(Fraction(2)) * X + Fraction(4))
+    assert f == g and hash(f) == hash(g) and f.text() == g.text()
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_triples())
+def test_arithmetic_keeps_the_normal_form(triple):
+    n, (ta, tb, tc) = triple
+    a, b, c = _poly(n, ta), _poly(n, tb), _poly(n, tc)
+    for p in (a, b, c, a + b, a - b, a * b, a * c + b, poly_gcd(a, b), poly_gcd(a * c, b * c)):
+        assert _all_exact(p), p.terms
+    if not c.is_zero():
+        q = try_divide(a * c, c)
+        assert q == a and _all_exact(q)
+
+
+# -- sympy oracle ------------------------------------------------------------------
+
+
+# c = (2 z2 + 1/2)(z1 + z2): with z1 the main variable of the PRS, the gcd is a
+# content times a primitive part
+CONTENT_CASE = (
+    2,
+    [
+        [((1, 0), 1), ((0, 0), 3)],
+        [((1, 1), 1), ((0, 0), 1)],
+        [((1, 1), 2), ((0, 2), 2), ((1, 0), Fraction(1, 2)), ((0, 1), Fraction(1, 2))],
+    ],
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_triples())
+@example(CONTENT_CASE)
+def test_gcd_matches_sympy(triple):
+    n, (ta, tb, tc) = triple
+    a, b, c = _poly(n, ta), _poly(n, tb), _poly(n, tc)
+    sa, sb, sc = _sympy_expr(n, ta), _sympy_expr(n, tb), _sympy_expr(n, tc)
+    for f, g, sf, sg in ((a, b, sa, sb), (a * c, b * c, sa * sc, sb * sc)):
+        got = _dict_of(poly_gcd(f, g), n)
+        want, _ = _primitive(_sympy_dict(sympy.gcd(sympy.expand(sf), sympy.expand(sg)), n))
+        assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_triples())
+@example(CONTENT_CASE)
+def test_ratfunc_canonical_form_matches_sympy_cancel(triple):
+    n, (ta, tb, tc) = triple
+    a, b, c = _poly(n, ta), _poly(n, tb), _poly(n, tc)
+    assume(not (b * c).is_zero())
+    f = RatFunc(a * c, b * c)
+    sc = _sympy_expr(n, tc)
+    snum, sden = sympy.fraction(sympy.cancel(_sympy_expr(n, ta) * sc / (_sympy_expr(n, tb) * sc)))
+    den, scale = _primitive(_sympy_dict(sden, n))
+    num = {e: v / scale for e, v in _sympy_dict(snum, n).items()}
+    assert _dict_of(f.den, n) == den
+    assert _dict_of(f.num, n) == num
