@@ -181,18 +181,16 @@ def parametrize(spec: ChartSpec) -> Chart:
     g1 = model.g_word(w0_word, zfuncs[:k])
     g2 = model.g_word(w_word, zfuncs[k:l0])
     g3 = model.g_word(v_word, zfuncs[l0:l])
-    w0bar_inv = model.wbar_inverse(rs.w0.canonical)
-    x = g2 * w0bar_inv * g1
-    lower, _, _ = model.triangular_factor(x.entries, "LTU")
+    x = mat_mul(g2.entries, model.signed_perm(rs.w0.canonical).left_inv(g1.entries))
+    lower, _, _ = model.triangular_factor(x, "LTU")
     lower_inv = adjugate_inverse(lower)
-    vbar_inv = model.wbar_inverse(v_word)
-    rep = mat_mul(mat_mul(mat_mul(lower_inv, g2.entries), g3.entries), vbar_inv.entries)
+    rep = mat_mul(mat_mul(lower_inv, g2.entries), g3.entries)
+    rep = model.signed_perm(v_word).right_inv(rep)
     if spec.space.qkind == "Nv":
         values = [None] * rs.rank
         for pos, i in enumerate(spec.space.omega_order):
             values[i - 1] = zfuncs[l + pos]
-        t = model.torus_element(values)
-        rep = mat_mul(rep, t.entries)
+        rep = model.mul_torus(GroupElement(model, rep), values).entries
     param = GroupElement(model, [[RatFunc.coerce(x) for x in row] for row in rep])
     chart = Chart(spec, dims, zvars, param, coordinate_formulas(spec))
     _CHART_CACHE[spec.key()] = chart
@@ -211,8 +209,8 @@ def eval_coordinates(chart: Chart, g):
     model = spec.space.model
     rs = model.rs
     entries = g.entries if isinstance(g, GroupElement) else g
-    wbar_inv = model.wbar_inverse(spec.w.canonical)
-    h = mat_mul(wbar_inv.entries, entries)
+    wp = model.signed_perm(spec.w.canonical)
+    h = wp.left_inv(entries)
     try:
         lower, tdiag, nfull = model.triangular_factor(h, "LTU")
     except NotInBigCell as e:
@@ -228,7 +226,6 @@ def eval_coordinates(chart: Chart, g):
     n_el = None
     if p1 is not None:
         n_el = diag_conjugate([tdiag[i][i] for i in range(model.dim)], p1)
-    wbar = model.wbar(spec.w.canonical)
     wmw = None
     out = []
     for tag, payload in chart.coord_formulas:
@@ -236,7 +233,7 @@ def eval_coordinates(chart: Chart, g):
             out.append(model.generalized_minor(lower, payload))
         elif tag == "wmw":
             if wmw is None:
-                wmw = mat_mul(mat_mul(wbar.entries, lower), wbar_inv.entries)
+                wmw = wp.right_inv(wp.left(lower))
             out.append(model.generalized_minor(wmw, payload))
         elif tag == "n":
             out.append(model.generalized_minor(n_el, payload))

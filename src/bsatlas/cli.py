@@ -13,6 +13,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from math import factorial
 
 from . import __version__, cache
 from .atlas import (
@@ -24,13 +25,13 @@ from .atlas import (
     t_weights,
 )
 from .errors import BSAtlasError
-from .groups import cached_model
+from .groups import GroupElement, cached_model
 from .leaves import t_leaf_classify
 from .poisson import chart_bracket, jacobi_check
 from .positivity import ToricChartSpec, certify_chart_positivity
 from .cgl import predicted_cgl, verify_cgl
 from .repro import CASES, repro_case
-from .rootdata import build_root_system
+from .rootdata import Weight, build_root_system
 from .serialize import (
     SCHEMA_VERSION,
     bracket_table_to_json,
@@ -68,8 +69,58 @@ def _space(args):
     return SpaceSpec(model, args.q, v)
 
 
+# A request for a larger atlas is refused before any chart is built;
+# SL(5)/B(e), with 8448 charts, still lists.
+MAX_CHARTS = 10_000
+
+
+def _reduced_word_counts(rs):
+    """Number of reduced words of every w in W, keyed by the weight w(rho).
+
+    s_i w is longer than w exactly when coefficient i of w(rho) is positive,
+    so one pass over the lengths pushes each count up to the elements one
+    letter longer; no word is listed.
+    """
+    layer = {Weight([1] * rs.rank): 1}
+    counts = dict(layer)
+    while layer:
+        longer = {}
+        for lam, c in layer.items():
+            for i in range(1, rs.rank + 1):
+                if lam.coeffs[i - 1] > 0:
+                    mu = rs.reflect(i, lam)
+                    longer[mu] = longer.get(mu, 0) + c
+        counts.update(longer)
+        layer = longer
+    return counts
+
+
+def _chart_count(space):
+    """Sum over w of #rw(w0 w^-1) #rw(w) #rw(v), the size of enumerate_charts(space).
+
+    (w0 w^-1)^-1 = w w0 sends rho to -w(rho), and inverting reverses words.
+    """
+    rs = space.model.rs
+    counts = _reduced_word_counts(rs)
+    v_rho = rs.act(space.v, Weight([1] * rs.rank))
+    return sum(c * counts[-lam] for lam, c in counts.items()) * counts[v_rho]
+
+
+def _charts(space):
+    """``enumerate_charts``, refused with a usage error when the atlas is over MAX_CHARTS."""
+    rs = space.model.rs
+    # every w in W carries at least one chart
+    order = factorial(rs.rank + 1) if rs.series == "A" else 2**rs.rank * factorial(rs.rank)
+    if order > MAX_CHARTS:
+        raise ValueError(f"{space!r} has at least {order} charts, over the limit of {MAX_CHARTS}")
+    count = _chart_count(space)
+    if count > MAX_CHARTS:
+        raise ValueError(f"{space!r} has {count} charts, over the limit of {MAX_CHARTS}")
+    return enumerate_charts(space)
+
+
 def _indexed_chart(space, index):
-    charts = enumerate_charts(space)
+    charts = _charts(space)
     if not 0 <= index < len(charts):
         raise ValueError(f"chart index out of range (0..{len(charts) - 1})")
     return charts[index]
@@ -126,7 +177,7 @@ def cmd_roots(args):
 
 def cmd_charts_list(args):
     space = _space(args)
-    charts = enumerate_charts(space)
+    charts = _charts(space)
     if args.json:
         print(
             dumps(
@@ -250,7 +301,7 @@ def cmd_positivity(args):
     else:
         kind = "GmodBv" if space.qkind == "Bv" else "GmodNv"
         tspec = ToricChartSpec(model, kind, (rs.w0.canonical, space.v.canonical))
-    charts = enumerate_charts(space) if args.index is None else [_indexed_chart(space, args.index)]
+    charts = _charts(space) if args.index is None else [_indexed_chart(space, args.index)]
     all_ok = True
     results = []
     for spec in charts:
@@ -316,11 +367,11 @@ def _random_element(model, rng):
     for _ in range(rng.randint(1, 2 * rs.l0)):
         i = rng.randint(1, rs.rank)
         c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        g = g * model.one_param(i if rng.random() < 0.5 else -i, c)
+        g = model.mul_one_param(g, i if rng.random() < 0.5 else -i, c)
         if rng.random() < 0.3:
-            g = g * model.sbar(i)
+            g = GroupElement(model, model.signed_perm((i,)).right(g.entries))
     vals = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(rs.rank)]
-    return g * model.torus_element(vals)
+    return model.mul_torus(g, vals)
 
 
 def cmd_repro(args):

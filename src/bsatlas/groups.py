@@ -6,6 +6,17 @@ roots are generated by height-increasing left-bracketing with the
 smallest-index simple root and normalized so [e_b, e_{-b}] = h_b with
 b(h_b) = 2.  All constructions downstream (representatives, minors,
 brackets) are canonical given this data.
+
+The pinned constants act by index, never through a dense matrix product.
+A representative wbar is a signed permutation matrix, read once per word
+into a ``SignedPerm`` (the row and the sign of each column's one nonzero
+entry), so wbar^{-1} g, g wbar and the generalized minor
+Delta^{omega_i}(ubar^{-1} g vbar) = +- det g[ubar rows, vbar cols] only
+reorder and negate entries.  A simple root vector e has e^2 = 0, so right
+multiplication by x_{+-i}(c) = 1 + c e is one column update
+(``mul_one_param``), and by a torus element one column scaling
+(``mul_torus``).  Neither operation changes the type of an entry: a
+Fraction point gives Fractions, a RatFunc point RatFuncs, a Dual point Duals.
 """
 
 from __future__ import annotations
@@ -20,13 +31,13 @@ from .linalg import (
     det,
     gauss_ltu,
     gauss_utl,
-    leading_minor,
     mat_add,
     mat_identity,
     mat_mul,
     mat_scale,
     mat_sub,
     mat_transpose,
+    minor,
     rational_inverse,
 )
 from .rootdata import RootSystem, Weight, build_root_system
@@ -99,6 +110,62 @@ class GroupElement:
         )
 
 
+class SignedPerm:
+    """A signed permutation matrix W: column j is signs[j] times basis vector rows[j].
+
+    W^{-1} = W^T, so all four products with W only reorder and negate.
+    """
+
+    __slots__ = ("rows", "signs", "_cols", "_prefix_signs")
+
+    def __init__(self, entries):
+        n = len(entries)
+        rows, signs = [], []
+        for j in range(n):
+            nonzero = [i for i in range(n) if not _is_zero(entries[i][j])]
+            if len(nonzero) != 1 or entries[nonzero[0]][j] not in (1, -1):
+                raise AssertionError("representative is not a signed permutation matrix")
+            rows.append(nonzero[0])
+            signs.append(int(entries[nonzero[0]][j]))
+        if sorted(rows) != list(range(n)):
+            raise AssertionError("representative is not a signed permutation matrix")
+        self.rows = tuple(rows)
+        self.signs = tuple(signs)
+        cols = [0] * n
+        for j, r in enumerate(rows):
+            cols[r] = j
+        self._cols = tuple(cols)
+        prefix = [1]
+        for sg in signs:
+            prefix.append(prefix[-1] * sg)
+        self._prefix_signs = tuple(prefix)
+
+    def right(self, a):
+        """a W: column j is signs[j] times column rows[j] of a."""
+        return [[_signed(row[r], sg) for r, sg in zip(self.rows, self.signs)] for row in a]
+
+    def right_inv(self, a):
+        """a W^{-1} = a W^T: column rows[j] is signs[j] times column j of a."""
+        return [[_signed(row[j], self.signs[j]) for j in self._cols] for row in a]
+
+    def left(self, a):
+        """W a: row rows[j] is signs[j] times row j of a."""
+        return [[_signed(x, self.signs[j]) for x in a[j]] for j in self._cols]
+
+    def left_inv(self, a):
+        """W^{-1} a = W^T a: row j is signs[j] times row rows[j] of a."""
+        return [[_signed(x, sg) for x in a[r]] for r, sg in zip(self.rows, self.signs)]
+
+    def minor(self, a, other, k):
+        """Leading k x k minor of W^{-1} a V for V = other: +- det a[rows[:k], V.rows[:k]]."""
+        val = minor(a, self.rows[:k], other.rows[:k])
+        return val if self._prefix_signs[k] == other._prefix_signs[k] else -val
+
+
+def _signed(x, sign):
+    return x if sign == 1 else -x
+
+
 def _mat_eq(a, b):
     return all(_is_zero(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
@@ -169,9 +236,16 @@ class GroupModel:
         ]
         self._cartan_slots, self._cartan_slots_inv = self._independent_slots()
         self.pos_root_vectors = self._build_root_vectors(simple_e, simple_f)
+        # g x_{+-i}(c) = g + c g e: the (source column, target column, coefficient) of e
+        self._column_updates = {}
+        for i in range(1, rs.rank + 1):
+            for signed, x in ((i, simple_e[i]), (-i, simple_f[i])):
+                self._column_updates[signed] = tuple(
+                    (p, q, x[p][q]) for p in range(self.dim) for q in range(self.dim) if x[p][q] != 0
+                )
         self._sbar_cache = {}
         self._wbar_cache = {}
-        self._wbar_inv_cache = {}
+        self._perm_cache = {}
         self._validate()
 
     # -- construction ---------------------------------------------------------
@@ -232,6 +306,11 @@ class GroupModel:
 
     def _validate(self):
         rs = self.rs
+        for i in range(1, rs.rank + 1):
+            for sign in (1, -1):
+                x = self.root_vector(i, sign)
+                if any(v != 0 for row in mat_mul(x, x) for v in row):
+                    raise AssertionError(f"simple root vector {sign * i} does not square to zero")
         for beta, (e_b, f_b) in self.pos_root_vectors.items():
             h = _bracket(e_b, f_b)
             if self._eval_weight_on_cartan(beta, h) != 2:
@@ -246,7 +325,13 @@ class GroupModel:
     # -- basic elements ---------------------------------------------------------
 
     def identity(self):
-        return GroupElement(self, [[Fraction(int(i == j)) for j in range(self.dim)] for i in range(self.dim)])
+        return self.identity_like(0)
+
+    def identity_like(self, c):
+        """Identity with entries of the type of c (an int or Fraction c gives Fractions)."""
+        zero = c * 0 + Fraction(0)
+        one = zero + 1
+        return GroupElement(self, [[one if i == j else zero for j in range(self.dim)] for i in range(self.dim)])
 
     def root_vector(self, i, sign):
         e, f = self.pos_root_vectors[self.rs.simple_root(i)]
@@ -258,12 +343,26 @@ class GroupModel:
 
     def one_param(self, signed_index, c):
         """x_{alpha_i}(c) = exp(c e_{alpha_i}); negative index uses e_{-alpha_i}."""
-        i = abs(signed_index)
-        x = self.root_vector(i, 1 if signed_index > 0 else -1)
-        return self._exp_nilpotent(x, c)
+        return self.mul_one_param(self.identity_like(c), signed_index, c)
+
+    def mul_one_param(self, g, signed_index, c):
+        """g x_{+-alpha_i}(c) = g + c g e, one column update since e^2 = 0.
+
+        Entries the update does not reach keep their type, so g should already
+        carry the type of c (``identity_like``).
+        """
+        src = g.entries
+        out = [list(row) for row in src]
+        for p, q, coef in self._column_updates[signed_index]:
+            cc = c if coef == 1 else c * coef
+            for row, srow in zip(out, src):
+                x = srow[p]
+                if not _is_zero(x):
+                    row[q] = row[q] + cc * x
+        return GroupElement(self, out)
 
     def _exp_nilpotent(self, x, c):
-        """exp(c x); entries have the type of c (an int c gives Fractions)."""
+        """exp(c x) for any nilpotent x; entries have the type of c (an int c gives Fractions)."""
         n = self.dim
         out = mat_identity(n)
         term = mat_identity(n)
@@ -279,11 +378,9 @@ class GroupModel:
     def sbar(self, i):
         got = self._sbar_cache.get(i)
         if got is None:
-            got = (
-                self.one_param(i, Fraction(-1))
-                * self.one_param(-i, Fraction(1))
-                * self.one_param(i, Fraction(-1))
-            )
+            got = self.one_param(i, Fraction(-1))
+            got = self.mul_one_param(got, -i, Fraction(1))
+            got = self.mul_one_param(got, i, Fraction(-1))
             self._sbar_cache[i] = got
         return got
 
@@ -295,19 +392,23 @@ class GroupModel:
             return got
         if len(word) > 1:
             self.rs.assert_reduced(word)
-        out = self.identity()
-        for i in word:
-            out = out * self.sbar(i)
+        # signed_perm((i,)) reads sbar(i), so a longer word reindexes letter by letter
+        if len(word) == 1:
+            out = self.sbar(word[0])
+        else:
+            out = self.identity()
+            for i in word:
+                out = GroupElement(self, self.signed_perm((i,)).right(out.entries))
         self._wbar_cache[word] = out
         return out
 
-    def wbar_inverse(self, word):
-        """Inverse of ``wbar(word)``, computed once per word."""
+    def signed_perm(self, word):
+        """``wbar(word)`` as a SignedPerm, read once per word."""
         word = tuple(word)
-        got = self._wbar_inv_cache.get(word)
+        got = self._perm_cache.get(word)
         if got is None:
-            got = self.wbar(word).inverse()
-            self._wbar_inv_cache[word] = got
+            got = SignedPerm(self.wbar(word).entries)
+            self._perm_cache[word] = got
         return got
 
     def wbar_element(self, w):
@@ -333,6 +434,11 @@ class GroupModel:
             entries[p][p] = d
         return GroupElement(self, entries)
 
+    def mul_torus(self, g, values):
+        """g t for the torus element t with t^{omega_i} = values[i], as a column scaling."""
+        t = self.torus_element(values).entries
+        return GroupElement(self, [[x * t[j][j] for j, x in enumerate(row)] for row in g.entries])
+
     def torus_value(self, tdiag, i):
         """t^{omega_i} of a diagonal matrix: the product of its first minor_size(i) slots."""
         slots = self._perm[: self.minor_size(i)]
@@ -348,9 +454,10 @@ class GroupModel:
             raise ValueError("need one variable per letter")
         if word:
             self.rs.assert_reduced(word)
-        out = self.identity()
+        out = self.identity_like(vars[0]) if word else self.identity()
         for i, z in zip(word, vars):
-            out = out * self.one_param(i, z) * self.sbar(i)
+            out = self.mul_one_param(out, i, z)
+            out = GroupElement(self, self.signed_perm((i,)).right(out.entries))
         return out
 
     # -- factorizations -----------------------------------------------------------
@@ -400,15 +507,14 @@ class GroupModel:
 
     def split_unipotent_by_v(self, n_el, v):
         """n = n1 * n2 with vbar^{-1} n1 vbar in N^- and vbar^{-1} n2 vbar in N."""
-        vb = self.wbar_element(v)
-        vb_inv = self.wbar_inverse(v.canonical)
-        x = vb_inv * n_el * vb
-        lo, t, up = self.triangular_factor(x.entries, "LTU")
+        vp = self.signed_perm(v.canonical)
+        x = vp.right(vp.left_inv(n_el.entries))
+        lo, t, up = self.triangular_factor(x, "LTU")
         for i in range(self.dim):
             if not _is_zero(t[i][i] - 1):
                 raise AssertionError("unipotent split produced a torus part")
-        n1 = vb * GroupElement(self, lo) * vb_inv
-        n2 = vb * GroupElement(self, up) * vb_inv
+        n1 = GroupElement(self, vp.right_inv(vp.left(lo)))
+        n2 = GroupElement(self, vp.right_inv(vp.left(up)))
         return n1, n2
 
     # -- generalized minors ---------------------------------------------------------
@@ -418,12 +524,10 @@ class GroupModel:
         return alpha
 
     def generalized_minor(self, g, spec: MinorSpec):
-        """Delta_{u omega_a, v omega_a}(g) = Delta^{omega_a}(ubar^{-1} g vbar)."""
-        ub_inv = self.wbar_inverse(spec.u.canonical)
-        vb = self.wbar_element(spec.v)
+        """Delta_{u omega_a, v omega_a}(g) = Delta^{omega_a}(ubar^{-1} g vbar), a signed minor of g."""
         entries = g.entries if isinstance(g, GroupElement) else g
-        shifted = mat_mul(mat_mul(ub_inv.entries, entries), vb.entries)
-        return leading_minor(shifted, self.minor_size(spec.alpha))
+        up = self.signed_perm(spec.u.canonical)
+        return up.minor(entries, self.signed_perm(spec.v.canonical), self.minor_size(spec.alpha))
 
 
 def _elem(n, i, j):

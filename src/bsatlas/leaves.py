@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .errors import SingularInput
 from .groups import GroupElement
-from .linalg import _is_zero, det, exact_div, mat_mul
+from .linalg import det, exact_div
 
 
 class TLeafLabel:
@@ -72,26 +72,24 @@ def _element_from_pattern(model, sigma):
     else:
         el = None
         for cand in rs.all_elements():
-            if _pattern_of(model, model.wbar_element(cand)) == tuple(sigma):
+            if _pattern_of(model, cand) == tuple(sigma):
                 el = cand
                 break
         if el is None:
             raise AssertionError("pivot pattern is not a Weyl-group pattern for this model")
-    if _pattern_of(model, model.wbar_element(el)) != tuple(sigma):
+    if _pattern_of(model, el) != tuple(sigma):
         raise AssertionError("pattern reconstruction mismatch")
     return el
 
 
-def _pattern_of(model, g):
-    entries = model.to_internal(g.entries)
-    n = len(entries)
-    out = []
-    for j in range(n):
-        rows = [i for i in range(n) if not _is_zero(entries[i][j])]
-        if len(rows) != 1:
-            raise AssertionError("representative is not monomial")
-        out.append(rows[0] + 1)
-    return tuple(out)
+def _pattern_of(model, el):
+    """Internal pattern of el's representative: internal column j -> row sigma(j).
+
+    Read off the signed permutation; ``to_internal`` puts slot p[j] at j.
+    """
+    rows = model.signed_perm(el.canonical).rows
+    p = model._perm
+    return tuple(p.index(rows[p[j]]) + 1 for j in range(model.dim))
 
 
 def t_leaf_classify(space, g) -> TLeafLabel:
@@ -107,7 +105,7 @@ def t_leaf_classify(space, g) -> TLeafLabel:
     rs = model.rs
     sigma_w = pivot_permutation_upper(model.to_internal(mat))
     w = _element_from_pattern(model, sigma_w)
-    gv = model.to_internal(mat_mul(mat, model.wbar_element(space.v).entries))
+    gv = model.to_internal(model.signed_perm(space.v.canonical).right(mat))
     # the row reversal P has P B^- P = B, so gv lies in B^- y B exactly when
     # P gv lies in B (P y) B
     n = len(gv)

@@ -101,10 +101,6 @@ def minor(a, rows, cols):
     return det(sub)
 
 
-def leading_minor(a, k):
-    return minor(a, range(k), range(k))
-
-
 def adjugate_inverse(a, d=None):
     """Inverse via adjugate/determinant; raises on singular input."""
     n = len(a)
@@ -133,7 +129,10 @@ def gauss_ltu(a):
     """
     n = len(a)
     m = [list(row) for row in a]
-    lower = mat_identity(n)
+    # the unitriangular and diagonal fill has the entries' own type, so no int leaks out
+    zero = a[0][0] * 0
+    one = zero + 1
+    lower = [[one if i == j else zero for j in range(n)] for i in range(n)]
     for k in range(n):
         piv = m[k][k]
         if _is_zero(piv):
@@ -145,11 +144,11 @@ def gauss_ltu(a):
             lower[i][k] = f
             m[i] = [x - f * y for x, y in zip(m[i], m[k])]
     t = [row[i] for i, row in enumerate(m)]
-    upper = mat_identity(n)
+    upper = [[one if i == j else zero for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             upper[i][j] = exact_div(m[i][j], t[i])
-    tmat = [[t[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    tmat = [[t[i] if i == j else zero for j in range(n)] for i in range(n)]
     return lower, tmat, upper
 
 

@@ -68,10 +68,15 @@ def x_chain(model, word, sign, c):
     """Ordered product of one-parameter factors x_{+-alpha_i}(c_i)."""
     if len(word) != len(c):
         raise LengthMismatch(f"{len(c)} parameters for a length-{len(word)} word")
-    out = model.identity()
     s = 1 if sign in (1, "+", "+1") else -1
-    for i, ci in zip(word, c):
-        out = out * model.one_param(s * i, ci)
+    return _chain(model, [s * i for i in word], c)
+
+
+def _chain(model, letters, c):
+    """x_{a_1}(c_1) ... x_{a_k}(c_k) for signed letters a_j, one column update each."""
+    out = model.identity_like(c[0]) if c else model.identity()
+    for a, ca in zip(letters, c):
+        out = model.mul_one_param(out, a, ca)
     return out
 
 
@@ -90,19 +95,14 @@ def toric_point(spec: ToricChartSpec, c) -> GroupElement:
         raise NonPositiveInput("toric parameters must be strictly positive")
     l0 = rs.l0
     w1, w2 = spec.words
-    neg = x_chain(model, w1, -1, c[:l0])
+    neg = [-i for i in w1]
     if spec.target == "G":
-        pos = x_chain(model, w2, +1, c[l0 : 2 * l0])
-        t = model.torus_element([c[2 * l0 + spec.omega_order.index(i)] for i in range(1, rs.rank + 1)])
-        return neg * pos * t
+        point = _chain(model, neg + list(w2), c[: 2 * l0])
+        return model.mul_torus(point, [c[2 * l0 + spec.omega_order.index(i)] for i in range(1, rs.rank + 1)])
     lv = len(w2)
-    pos = x_chain(model, tuple(reversed(w2)), +1, list(reversed(c[l0 : l0 + lv])))
-    point = neg * pos
+    point = _chain(model, neg + list(reversed(w2)), c[:l0] + list(reversed(c[l0 : l0 + lv])))
     if spec.target == "GmodNv":
-        t = model.torus_element(
-            [c[l0 + lv + spec.omega_order.index(i)] for i in range(1, rs.rank + 1)]
-        )
-        point = point * t
+        point = model.mul_torus(point, [c[l0 + lv + spec.omega_order.index(i)] for i in range(1, rs.rank + 1)])
     return point
 
 
@@ -210,14 +210,14 @@ def extract_negative_chain(model, m, word):
         wprime = rs.element_from_word(word[:j])
         ms = MinorSpec(wprime, rs.identity, a)
         f0 = model.generalized_minor(cur, ms)
-        peeled1 = cur * model.one_param(-a, Fraction(-1))
+        peeled1 = model.mul_one_param(cur, -a, Fraction(-1))
         f1 = model.generalized_minor(peeled1, ms)
         slope = f1 - f0
         if slope == 0:
             raise ArithmeticError("degenerate peel: minor not affine in the parameter")
         cj = f0 / (f0 - f1)
         out[j - 1] = cj
-        cur = cur * model.one_param(-a, -cj)
+        cur = model.mul_one_param(cur, -a, -cj)
     _assert_identity(cur)
     return out
 

@@ -11,6 +11,7 @@ length 2 (series A: all roots; series C_2: alpha_1).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import NonReducedWord, UnsupportedSeries
 from .linalg import rational_inverse
@@ -148,6 +149,12 @@ class RootSystem:
         self.cartan = tuple(tuple(row) for row in cartan)
         self._norms2 = tuple(norms2)
         self._cartan_inv = rational_inverse(self.cartan)
+        # simple-root coordinates of a weight: an integer matrix times its
+        # fundamental-weight coefficients, over one common denominator
+        self._root_den = lcm(*(x.denominator for row in self._cartan_inv for x in row))
+        self._root_num = tuple(
+            tuple(int(x * self._root_den) for x in row) for row in self._cartan_inv
+        )
         # form[i][j] = <alpha_i, alpha_j> = cartan[i][j] * norms2[i] / 2
         self.form = tuple(
             tuple(Fraction(self.cartan[i][j]) * self._norms2[i] / 2 for j in range(rank))
@@ -203,11 +210,11 @@ class RootSystem:
         return tuple(roots)
 
     def _root_coords(self, w):
-        """Coefficients of a weight in the simple-root basis."""
-        return tuple(
-            sum(Fraction(self._cartan_inv[j][i]) * w.coeffs[i] for i in range(self.rank))
-            for j in range(self.rank)
-        )
+        """Coefficients of a weight in the simple-root basis, in integer arithmetic."""
+        d = lcm(*(c.denominator for c in w.coeffs))
+        ints = [c.numerator * (d // c.denominator) for c in w.coeffs]
+        den = self._root_den * d
+        return tuple(Fraction(sum(a * c for a, c in zip(row, ints)), den) for row in self._root_num)
 
     def _is_positive_root_vec(self, w):
         return all(c >= 0 for c in self._root_coords(w))

@@ -84,6 +84,29 @@ def test_numeric_round_trip_is_exact_fractions(series, rank):
         assert got == z and all(type(x) is Fraction for x in got), spec.label()
 
 
+@pytest.mark.parametrize("series,rank,vword", [("A", 2, (1,)), ("A", 3, (2,)), ("C", 2, (1, 2, 1, 2))])
+def test_coordinates_make_no_matrix_product(series, rank, vword, monkeypatch):
+    import bsatlas.atlas
+    import bsatlas.groups
+    import bsatlas.linalg
+    from bsatlas.groups import MinorSpec
+
+    m = model(series, rank)
+    rs = m.rs
+    specs = enumerate_charts(SpaceSpec(m, "Nv", rs.element_from_word(vword)))[::7]
+    charts = [parametrize(spec) for spec in specs]
+    calls = []
+    for module in (bsatlas.atlas, bsatlas.groups, bsatlas.linalg):
+        real = module.mat_mul
+        monkeypatch.setattr(module, "mat_mul", lambda a, b, real=real: calls.append(1) or real(a, b))
+    for chart in charts:
+        got = eval_coordinates(chart, chart.param)
+        assert all((c - RatFunc.from_poly(MultiPoly.variable(z))).is_zero() for c, z in zip(got, chart.zvars))
+        for u in rs.all_elements():
+            m.generalized_minor(chart.param, MinorSpec(u, rs.w0, rank))
+    assert calls == []
+
+
 def test_sl2_parametrizations_match_reference():
     m = model("A", 1)
     space = SpaceSpec(m, "Nv", m.rs.w0)

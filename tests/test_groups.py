@@ -4,11 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsatlas.errors import NonReducedWord, NotInBigCell, ZeroTorusValue
-from bsatlas.groups import GroupElement, MinorSpec, build_model
+from bsatlas.groups import GroupElement, MinorSpec, SignedPerm, build_model
+from bsatlas.linalg import mat_mul, mat_transpose, minor
+from bsatlas.poisson import generic_element
 from bsatlas.rootdata import build_root_system
-from bsatlas.symbolic import MultiPoly, RatFunc, VarName, var
+from bsatlas.symbolic import Dual, MultiPoly, RatFunc, VarName, var
 
 
 def model(series, rank):
@@ -37,12 +41,79 @@ def test_one_param_sl2():
     assert [[e.text() for e in r] for r in m.one_param(-1, c).entries] == [["1", "0"], ["c", "1"]]
 
 
-def test_wbar_inverse_is_cached():
+def test_signed_perm_is_cached():
     for m in (model("A", 2), model("C", 2)):
+        g = entry_matrix(m).entries
         for word in ((), (1,), (2, 1), m.rs.w0.canonical):
-            inv = m.wbar_inverse(word)
-            assert inv is m.wbar_inverse(list(word))
-            assert (m.wbar(word) * inv).entries == m.identity().entries
+            sp = m.signed_perm(word)
+            assert sp is m.signed_perm(list(word))
+            assert GroupElement(m, sp.right(m.identity().entries)).entries == m.wbar(word).entries
+            assert sp.right_inv(sp.right(g)) == g
+            assert sp.left_inv(sp.left(g)) == g
+            assert sp.left(sp.left_inv(g)) == g
+    with pytest.raises(AssertionError):
+        SignedPerm([[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]])
+    with pytest.raises(AssertionError):
+        SignedPerm([[Fraction(0), Fraction(2)], [Fraction(1), Fraction(0)]])
+
+
+def _dense_minor(m, g, u, v, alpha):
+    """Delta^{omega_alpha}(ubar^T g vbar) with two dense products."""
+    shifted = mat_mul(mat_mul(mat_transpose(m.wbar_element(u).entries), g), m.wbar_element(v).entries)
+    k = m.minor_size(alpha)
+    return minor(shifted, range(k), range(k))
+
+
+@pytest.mark.parametrize("series,rank", [("A", 1), ("A", 2), ("A", 3), ("C", 2)])
+def test_signed_minor_matches_dense_minor(series, rank):
+    m = model(series, rank)
+    rng = random.Random(17)
+    g = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m.dim)] for _ in range(m.dim)]
+    symbolic = generic_element(m).entries if rank <= 2 else None
+    for u in m.rs.all_elements():
+        for v in m.rs.all_elements():
+            for alpha in range(1, rank + 1):
+                spec = MinorSpec(u, v, alpha)
+                assert m.generalized_minor(g, spec) == _dense_minor(m, g, u, v, alpha)
+                if symbolic is not None:
+                    got = m.generalized_minor(symbolic, spec)
+                    assert got.text() == _dense_minor(m, symbolic, u, v, alpha).text()
+
+
+def _same_entry(x, y):
+    if isinstance(x, Dual):
+        return isinstance(y, Dual) and x.a == y.a and x.b == y.b
+    return type(x) is type(y) and x == y
+
+
+_small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+def _entry(kind, draw, name):
+    if kind == "Fraction":
+        return draw(_small)
+    rf = RatFunc.coerce(draw(_small)) + draw(_small) * var(name)
+    if kind == "RatFunc":
+        return rf
+    return Dual(rf, (RatFunc.coerce(draw(_small)), draw(_small) * var(name)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_column_update_matches_dense_product(data):
+    series, rank = data.draw(st.sampled_from([("A", 1), ("A", 2), ("C", 2)]))
+    kind = data.draw(st.sampled_from(["Fraction", "RatFunc", "Dual"]))
+    m = model(series, rank)
+    i = data.draw(st.integers(1, rank)) * data.draw(st.sampled_from([1, -1]))
+    g = GroupElement(
+        m, [[_entry(kind, data.draw, f"g{r}{s}") for s in range(m.dim)] for r in range(m.dim)]
+    )
+    c = _entry(kind, data.draw, "c")
+    dense = mat_mul(g.entries, m._exp_nilpotent(m.root_vector(abs(i), 1 if i > 0 else -1), c).entries)
+    got = m.mul_one_param(g, i, c).entries
+    assert all(_same_entry(x, y) for rx, ry in zip(got, dense) for x, y in zip(rx, ry))
+    assert all(type(x).__name__ == kind for row in got for x in row)
+    assert all(type(x).__name__ == kind for row in m.one_param(i, c).entries for x in row)
 
 
 def test_sbar_and_gword_sl2():
@@ -100,6 +171,10 @@ def test_torus_element():
     assert tc.satisfies_group_constraint()
     with pytest.raises(ZeroTorusValue):
         m.torus_element([RatFunc.zero()])
+    for mm in (m3, mc):
+        g = entry_matrix(mm)
+        vals = [var("z", 7), var("z", 8)]
+        assert mm.mul_torus(g, vals).entries == (g * mm.torus_element(vals)).entries
 
 
 def test_c2_pinning_matches_reference():
@@ -148,6 +223,25 @@ def test_gauss_factor_roundtrip_random():
             for order in ("LTU", "UTL"):
                 f1, t, f2 = m.gauss_factor(g, order)
                 assert same(f1 * t * f2, g)
+
+
+def test_factors_keep_the_entry_type():
+    """No int fill of a unitriangular or diagonal factor leaks out of a factorization."""
+    m = model("A", 2)
+    a, b = var("a"), var("b")
+    n = (m.one_param(1, a) * m.one_param(2, b)).entries
+    points = {
+        Fraction: [[x.evaluate({VarName("a"): 2, VarName("b"): 3}) for x in row] for row in n],
+        RatFunc: n,
+        # a tangent along the strictly upper entries keeps the point unipotent
+        Dual: [[Dual(x, (x, b * x) if i < j else (0, 0)) for j, x in enumerate(row)] for i, row in enumerate(n)],
+    }
+    for kind, g in points.items():
+        for order in ("LTU", "UTL"):
+            for factor in m.gauss_factor(g, order):
+                assert all(type(x) is kind for row in factor.entries for x in row), (kind, order)
+        for part in m.split_unipotent_by_v(GroupElement(m, g), m.rs.simple(1)):
+            assert all(type(x) is kind for row in part.entries for x in row), kind
 
 
 def test_split_unipotent_by_v():

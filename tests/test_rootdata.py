@@ -1,12 +1,13 @@
 """Root systems and Weyl combinatorics, checked against permutation oracles."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from bsatlas.errors import UnsupportedSeries
-from bsatlas.rootdata import build_root_system
+from bsatlas.rootdata import Weight, build_root_system
 
 
 def _perm_mul(p, q):
@@ -209,3 +210,18 @@ def test_coweight_action_duality():
             lhs = rs.evaluate(lam, rs.act_coweight(w, h))
             rhs = rs.evaluate(rs.act(w.inverse(), lam), h)
             assert lhs == rhs
+
+
+def test_root_coords_solve_the_cartan_system():
+    rng = random.Random(11)
+    for series, rank in (("A", 1), ("A", 2), ("A", 3), ("A", 5), ("C", 2)):
+        rs = build_root_system(series, rank)
+        weights = list(rs.positive_roots) + [rs.fundamental_weight(i) for i in range(1, rank + 1)]
+        weights += [Weight(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rank)) for _ in range(5)]
+        for lam in weights:
+            coords = rs._root_coords(lam)
+            assert all(type(c) is Fraction for c in coords)
+            total = Weight([0] * rank)
+            for i, c in enumerate(coords, start=1):
+                total = total + Weight(c * x for x in rs.simple_root(i).coeffs)
+            assert total == lam

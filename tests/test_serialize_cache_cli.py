@@ -190,3 +190,40 @@ def test_cli_repro(capsys):
     assert main(["--json", "repro", "all"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["ok"] and len(data["cases"]) == 4
+
+
+def test_cli_refuses_atlas_over_chart_limit(capsys):
+    import time
+
+    for argv in (
+        ["charts", "list", "--series", "A", "--rank", "5"],
+        ["charts", "list", "--series", "A", "--rank", "5", "--q", "Bv", "--v", "e"],
+        ["chart", "show", "--series", "A", "--rank", "5", "--index", "0"],
+        ["positivity", "--series", "A", "--rank", "5", "--samples", "1"],
+        ["charts", "list", "--series", "A", "--rank", "7"],
+    ):
+        start = time.perf_counter()
+        assert main(["--json", *argv]) == 2
+        assert time.perf_counter() - start < 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "charts, over the limit of" in captured.err
+
+
+def test_chart_count_matches_enumeration():
+    from bsatlas.atlas import SpaceSpec, enumerate_charts
+    from bsatlas.cli import MAX_CHARTS, _chart_count
+    from bsatlas.groups import cached_model
+
+    for series, rank in (("A", 1), ("A", 2), ("C", 2)):
+        m = cached_model(series, rank)
+        for qkind in ("Bv", "Nv"):
+            for v in m.rs.all_elements():
+                space = SpaceSpec(m, qkind, v)
+                assert _chart_count(space) == len(enumerate_charts(space))
+    m = cached_model("A", 3)
+    for v in (m.rs.identity, m.rs.element_from_word((2, 1)), m.rs.w0):
+        space = SpaceSpec(m, "Nv", v)
+        assert _chart_count(space) == len(enumerate_charts(space))
+    # the largest atlas the CLI still lists
+    assert _chart_count(SpaceSpec(cached_model("A", 4), "Bv", cached_model("A", 4).rs.identity)) == 8448 <= MAX_CHARTS
