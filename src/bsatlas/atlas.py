@@ -182,7 +182,7 @@ def parametrize(spec: ChartSpec) -> Chart:
     g2 = model.g_word(w_word, zfuncs[k:l0])
     g3 = model.g_word(v_word, zfuncs[l0:l])
     x = mat_mul(g2.entries, model.signed_perm(rs.w0.canonical).left_inv(g1.entries))
-    lower, _, _ = model.triangular_factor(x, "LTU")
+    lower, _, _ = model.triangular_factor(x)
     lower_inv = adjugate_inverse(lower)
     rep = mat_mul(mat_mul(lower_inv, g2.entries), g3.entries)
     rep = model.signed_perm(v_word).right_inv(rep)
@@ -212,7 +212,7 @@ def eval_coordinates(chart: Chart, g):
     wp = model.signed_perm(spec.w.canonical)
     h = wp.left_inv(entries)
     try:
-        lower, tdiag, nfull = model.triangular_factor(h, "LTU")
+        lower, tdiag, nfull = model.triangular_factor(h)
     except NotInBigCell as e:
         raise NotInChartDomain(e.minor_index) from None
     v = spec.space.v

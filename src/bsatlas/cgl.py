@@ -171,7 +171,7 @@ def _support_range_ok(f: RatFunc, lo, hi):
     return True
 
 
-def verify_cgl(table: BracketTable, pres: CGLPresentation, embedding=None) -> CGLReport:
+def verify_cgl(table: BracketTable, pres: CGLPresentation) -> CGLReport:
     """Check the bracket table against the predicted presentation.
 
     (a) {z_i,z_j} = -chi_i(h_j) z_i z_j - f with f supported strictly between;
@@ -182,10 +182,6 @@ def verify_cgl(table: BracketTable, pres: CGLPresentation, embedding=None) -> CG
     """
     if table.n_vars != pres.n_vars():
         raise DimensionMismatch(f"table has {table.n_vars} vars, presentation {pres.n_vars()}")
-    if embedding is not None:
-        pres = CGLPresentation(
-            pres.rs, pres.torus_power, pres.chars, pres.hvecs, pres.hprimes, embedding, pres.cut, pres.laurent_vars
-        )
     report = CGLReport()
     n = table.n_vars
     rs = pres.rs

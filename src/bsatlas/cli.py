@@ -31,7 +31,7 @@ from .poisson import chart_bracket, jacobi_check
 from .positivity import ToricChartSpec, certify_chart_positivity
 from .cgl import predicted_cgl, verify_cgl
 from .repro import CASES, repro_case
-from .rootdata import Weight, build_root_system
+from .rootdata import build_root_system
 from .serialize import (
     SCHEMA_VERSION,
     bracket_table_to_json,
@@ -73,26 +73,8 @@ def _space(args):
 # SL(5)/B(e), with 8448 charts, still lists.
 MAX_CHARTS = 10_000
 
-
-def _reduced_word_counts(rs):
-    """Number of reduced words of every w in W, keyed by the weight w(rho).
-
-    s_i w is longer than w exactly when coefficient i of w(rho) is positive,
-    so one pass over the lengths pushes each count up to the elements one
-    letter longer; no word is listed.
-    """
-    layer = {Weight([1] * rs.rank): 1}
-    counts = dict(layer)
-    while layer:
-        longer = {}
-        for lam, c in layer.items():
-            for i in range(1, rs.rank + 1):
-                if lam.coeffs[i - 1] > 0:
-                    mu = rs.reflect(i, lam)
-                    longer[mu] = longer.get(mu, 0) + c
-        counts.update(longer)
-        layer = longer
-    return counts
+# root data of a larger rank is refused; the positive roots grow as rank^2
+MAX_ROOTS_RANK = 30
 
 
 def _chart_count(space):
@@ -100,19 +82,25 @@ def _chart_count(space):
 
     (w0 w^-1)^-1 = w w0 sends rho to -w(rho), and inverting reverses words.
     """
+    counts = space.model.rs.reduced_word_counts()
+    return sum(c * counts[tuple(-x for x in lam)] for lam, c in counts.items()) * counts[space.v.rho]
+
+
+def _check_weyl_order(space):
+    """Refuse a space whose Weyl group, from the rank alone, has over MAX_CHARTS elements.
+
+    Every w in W carries at least one chart, and a leaf label walks a Bruhat
+    interval that can be as large as W.
+    """
     rs = space.model.rs
-    counts = _reduced_word_counts(rs)
-    v_rho = rs.act(space.v, Weight([1] * rs.rank))
-    return sum(c * counts[-lam] for lam, c in counts.items()) * counts[v_rho]
+    order = factorial(rs.rank + 1) if rs.series == "A" else 2**rs.rank * factorial(rs.rank)
+    if order > MAX_CHARTS:
+        raise ValueError(f"{space!r} has |W| = {order}, so at least {order} charts, over the limit of {MAX_CHARTS}")
 
 
 def _charts(space):
     """``enumerate_charts``, refused with a usage error when the atlas is over MAX_CHARTS."""
-    rs = space.model.rs
-    # every w in W carries at least one chart
-    order = factorial(rs.rank + 1) if rs.series == "A" else 2**rs.rank * factorial(rs.rank)
-    if order > MAX_CHARTS:
-        raise ValueError(f"{space!r} has at least {order} charts, over the limit of {MAX_CHARTS}")
+    _check_weyl_order(space)
     count = _chart_count(space)
     if count > MAX_CHARTS:
         raise ValueError(f"{space!r} has {count} charts, over the limit of {MAX_CHARTS}")
@@ -154,6 +142,8 @@ def _add_chart_args(p):
 
 
 def cmd_roots(args):
+    if args.rank > MAX_ROOTS_RANK:
+        raise ValueError(f"rank {args.rank} is over the limit of {MAX_ROOTS_RANK}")
     rs = build_root_system(args.series, args.rank)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -322,6 +312,7 @@ def cmd_positivity(args):
 
 def cmd_tleaf(args):
     space = _space(args)
+    _check_weyl_order(space)
     model = space.model
     labels = []
     if args.point:

@@ -30,7 +30,6 @@ from .linalg import (
     adjugate_inverse,
     det,
     gauss_ltu,
-    gauss_utl,
     mat_add,
     mat_identity,
     mat_mul,
@@ -197,8 +196,8 @@ class GroupModel:
                     c[p - 1] += 1
                 if p - 2 >= 0 and p - 1 <= rs.rank:
                     c[p - 2] -= 1
-                tw.append(Weight(c))
-            self.torus_weights = tuple(tw)
+                tw.append(tuple(c))
+            self.slot_weights = tuple(tw)
         elif rs.series == "C":
             self.dim = 4
             self.name = "Sp(4)"
@@ -214,20 +213,15 @@ class GroupModel:
                 2: _elem(4, 4, 2),
             }
             # slots carry (x1, x2, -x1, -x2) with omega_1 = x1, omega_2 = x1 + x2
-            self.torus_weights = (
-                Weight((1, 0)),
-                Weight((-1, 1)),
-                Weight((-1, 0)),
-                Weight((1, -1)),
-            )
+            self.slot_weights = ((1, 0), (-1, 1), (-1, 0), (1, -1))
         else:
             raise UnsupportedSeries(f"series {rs.series!r} has no matrix model here")
-        # partial sums of slot weights must telescope to the fundamental weights,
-        # so the principal minor of size k computes Delta^{omega_k}
-        acc = Weight([0] * rs.rank)
+        # partial sums of slot weights (integer tuples in the fundamental-weight
+        # basis) must telescope to the fundamental weights, so the principal
+        # minor of size k computes Delta^{omega_k}
         for k in range(1, rs.rank + 1):
-            acc = acc + self.torus_weights[k - 1]
-            assert acc == rs.fundamental_weight(k), "slot weights do not telescope"
+            acc = tuple(map(sum, zip(*self.slot_weights[:k])))
+            assert acc == tuple(int(j == k - 1) for j in range(rs.rank)), "slot weights do not telescope"
         # basis order in which the unipotent radical is upper triangular;
         # the Sp(4) pinning ties slots 3 and 4 the other way around
         self._perm = tuple(range(self.dim)) if rs.series == "A" else (0, 1, 3, 2)
@@ -425,12 +419,12 @@ class GroupModel:
         entries = [[Fraction(0)] * n for _ in range(n)]
         for p in range(n):
             d = Fraction(1)
-            for v, c in zip(values, self.torus_weights[p].coeffs):
+            for v, c in zip(values, self.slot_weights[p]):
                 # dividing keeps an int value exact; int ** -1 is a float
                 if c > 0:
-                    d = d * v ** int(c)
+                    d = d * v ** c
                 elif c < 0:
-                    d = d / v ** int(-c)
+                    d = d / v ** -c
             entries[p][p] = d
         return GroupElement(self, entries)
 
@@ -475,41 +469,22 @@ class GroupModel:
                 out[p[i]][p[j]] = entries[i][j]
         return out
 
-    def triangular_factor(self, entries, order="LTU"):
-        """Group Gauss factorization, returned in the model's own basis.
+    def triangular_factor(self, entries):
+        """Group Gauss factorization a = lower * torus * upper, in the model's own basis.
 
-        Factors live in the unipotent radicals of the Borel pair (for Sp(4)
-        these are not matrix-triangular; the factorization is carried out in
-        the internally permuted basis where they are).
+        Factors live in N^-, T and N (for Sp(4) the unipotent radicals are not
+        matrix-triangular; the factorization is carried out in the internally
+        permuted basis where they are).  Raises NotInBigCell naming the
+        vanishing principal minor (indexed in the internal basis order).
         """
-        internal = self.to_internal(entries)
-        if order == "LTU":
-            a, t, b = gauss_ltu(internal)
-        elif order == "UTL":
-            a, t, b = gauss_utl(internal)
-        else:
-            raise ValueError("order must be 'LTU' or 'UTL'")
+        a, t, b = gauss_ltu(self.to_internal(entries))
         return self.from_internal(a), self.from_internal(t), self.from_internal(b)
-
-    def gauss_factor(self, g, order="LTU"):
-        """g = first * torus * last, factors in N^- , T, N (or N, T, N^- for UTL).
-
-        Raises NotInBigCell naming the vanishing principal minor (indexed in
-        the internal basis order).
-        """
-        entries = g.entries if isinstance(g, GroupElement) else g
-        a, t, b = self.triangular_factor(entries, order)
-        return (
-            GroupElement(self, a),
-            GroupElement(self, t),
-            GroupElement(self, b),
-        )
 
     def split_unipotent_by_v(self, n_el, v):
         """n = n1 * n2 with vbar^{-1} n1 vbar in N^- and vbar^{-1} n2 vbar in N."""
         vp = self.signed_perm(v.canonical)
         x = vp.right(vp.left_inv(n_el.entries))
-        lo, t, up = self.triangular_factor(x, "LTU")
+        lo, t, up = self.triangular_factor(x)
         for i in range(self.dim):
             if not _is_zero(t[i][i] - 1):
                 raise AssertionError("unipotent split produced a torus part")

@@ -55,30 +55,24 @@ def pivot_permutation_upper(mat):
 
 
 def _element_from_pattern(model, sigma):
-    """The Weyl element whose representative has internal pattern (sigma(j), j)."""
+    """The Weyl element whose representative has internal pattern (sigma(j), j).
+
+    The representative carries slot j to slot rows[j], so it sends the slot
+    character x_j to x_{rows[j]}; with rho = sum_{j <= rank} (rank + 1 - j) x_j
+    that gives w(rho) directly.
+    """
     rs = model.rs
-    if rs.series == "A":
-        word = []
-        perm = list(sigma)
-        while True:
-            for p in range(len(perm) - 1):
-                if perm[p] > perm[p + 1]:
-                    perm[p], perm[p + 1] = perm[p + 1], perm[p]
-                    word.append(p + 1)
-                    break
-            else:
-                break
-        el = rs.element_from_word(tuple(reversed(word)))
-    else:
-        el = None
-        for cand in rs.all_elements():
-            if _pattern_of(model, cand) == tuple(sigma):
-                el = cand
-                break
-        if el is None:
-            raise AssertionError("pivot pattern is not a Weyl-group pattern for this model")
+    p = model._perm
+    rows = [0] * model.dim
+    for j, s in enumerate(sigma):
+        rows[p[j]] = p[s - 1]
+    rho = [0] * rs.rank
+    for j in range(rs.rank):
+        for k, c in enumerate(model.slot_weights[rows[j]]):
+            rho[k] += (rs.rank - j) * c
+    el = rs.element_from_rho(tuple(rho))
     if _pattern_of(model, el) != tuple(sigma):
-        raise AssertionError("pattern reconstruction mismatch")
+        raise AssertionError("pivot pattern is not a Weyl-group pattern for this model")
     return el
 
 

@@ -169,13 +169,3 @@ def rational_inverse(m):
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return [row[n:] for row in a]
 
-
-def _flip(a):
-    n = len(a)
-    return [[a[n - 1 - i][n - 1 - j] for j in range(n)] for i in range(n)]
-
-
-def gauss_utl(a):
-    """Factor a = U*T*L (upper-uni, diagonal, lower-uni); trailing minors nonzero."""
-    lf, tf, uf = gauss_ltu(_flip(a))
-    return _flip(lf), _flip(tf), _flip(uf)

@@ -136,14 +136,14 @@ class BracketTable:
         return sorted(self.entries)
 
 
-def chart_bracket(chart: Chart, lam: LambdaData | None = None, map_fn=map) -> BracketTable:
+def chart_bracket(chart: Chart, lam: LambdaData | None = None) -> BracketTable:
     """Bracket table of a chart, computed from the group-level bivector.
 
     Coordinates are lifted to right-Q-invariant functions of the matrix
     entries; the bracket on G is evaluated at the parametrized point by
     pushing all 4|Delta+| left/right root-vector perturbations through one
     coordinate extraction with vector dual numbers, one tangent slot per
-    perturbation.  ``map_fn`` maps the pair assembly.
+    perturbation.
     """
     model = chart.spec.space.model
     if lam is None:
@@ -172,19 +172,15 @@ def chart_bracket(chart: Chart, lam: LambdaData | None = None, map_fn=map) -> Br
     ]
 
     laurent = chart.torus_block()
-    pairs = list(combinations(range(1, n + 1), 2))
-
-    def assemble(pair):
-        i, j = pair
+    entries = {}
+    for i, j in combinations(range(1, n + 1), 2):
         tot = RatFunc.zero()
         for coeff, dlm, dlp, drm, drp in per_term:
             lterm = dlm[i - 1] * dlp[j - 1] - dlp[i - 1] * dlm[j - 1]
             rterm = drm[i - 1] * drp[j - 1] - drp[i - 1] * drm[j - 1]
             tot = tot + coeff * (lterm - rterm)
         _require_polynomial(tot, laurent, (i, j))
-        return tot
-
-    entries = dict(zip(pairs, map_fn(assemble, pairs)))
+        entries[(i, j)] = tot
     return BracketTable(n, laurent, entries, chart=chart)
 
 

@@ -246,7 +246,7 @@ def toric_coordinates(spec: ToricChartSpec, point) -> list:
     model = spec.model
     rs = model.rs
     entries = point.entries if isinstance(point, GroupElement) else point
-    lower, tdiag, upper = model.triangular_factor(entries, "LTU")
+    lower, tdiag, upper = model.triangular_factor(entries)
     c1 = extract_negative_chain(model, GroupElement(model, lower), spec.words[0])
     # point = lower * t * upper = lower * (t upper t^{-1}) * t
     plus = diag_conjugate([tdiag[i][i] for i in range(model.dim)], upper)

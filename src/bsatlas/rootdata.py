@@ -6,6 +6,13 @@ Cartan matrix is stored with ``cartan[i][j] = alpha_j(alpha_i^vee)``, which
 makes the simple roots its columns.  Coweights live in the basis dual to the
 simple roots.  The invariant form is normalized so short roots have squared
 length 2 (series A: all roots; series C_2: alpha_1).
+
+A Weyl element w is stored as the integer tuple w(rho), the coefficients of
+w applied to rho = omega_1 + ... + omega_r.  rho is regular, so w(rho)
+determines w, and s_i w is shorter than w exactly when coefficient i of
+w(rho) is negative (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2005).
+Peeling the first negative coefficient, letter by letter, reads off the
+lexicographically least reduced word.
 """
 
 from __future__ import annotations
@@ -87,14 +94,19 @@ class Coweight:
 
 
 class WeylElement:
-    """Weyl group element: lexicographically least reduced word + lattice action."""
+    """Weyl group element: its weight w(rho) as an integer tuple, and its
+    lexicographically least reduced word.
 
-    __slots__ = ("rs", "canonical", "action", "_len")
+    ``rho`` is the equality and hash key; coefficient i of it is negative
+    exactly when s_i w is shorter than w.
+    """
 
-    def __init__(self, rs, canonical, action):
+    __slots__ = ("rs", "canonical", "rho", "_len")
+
+    def __init__(self, rs, canonical, rho):
         self.rs = rs
         self.canonical = canonical
-        self.action = action
+        self.rho = rho
         self._len = len(canonical)
 
     def length(self):
@@ -104,10 +116,10 @@ class WeylElement:
         return self._len == 0
 
     def __eq__(self, other):
-        return isinstance(other, WeylElement) and self.action == other.action and self.rs is other.rs
+        return isinstance(other, WeylElement) and self.rho == other.rho and self.rs is other.rs
 
     def __hash__(self):
-        return hash(self.action)
+        return hash(self.rho)
 
     def __mul__(self, other):
         return self.rs.multiply(self, other)
@@ -117,13 +129,6 @@ class WeylElement:
 
     def __repr__(self):
         return f"W[{'.'.join('s%d' % i for i in self.canonical) or 'e'}]"
-
-
-def _mat_mul_int(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-    )
 
 
 class RootSystem:
@@ -169,27 +174,19 @@ class RootSystem:
         self.simple_roots = tuple(
             Weight(self.cartan[i][j] for i in range(rank)) for j in range(rank)
         )
-        self._refl = tuple(self._reflection_matrix(j) for j in range(rank))
-        self._id_action = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
-        self.identity = WeylElement(self, (), self._id_action)
-        self._element_cache = {self._id_action: self.identity}
+        # alpha_i as an integer tuple, for reflecting weights and w(rho)
+        self._alpha_int = tuple(tuple(self.cartan[j][i] for j in range(rank)) for i in range(rank))
+        rho = (1,) * rank
+        self.identity = WeylElement(self, (), rho)
+        self._element_cache = {rho: self.identity}
         self._rw_cache = {}
         self.positive_roots = self._positive_roots()
         self.l0 = len(self.positive_roots)
-        w0 = self.longest_element()
-        self.w0 = w0
-        self.w0_word = w0.canonical
+        self.w0 = self.element_from_rho(tuple(-c for c in rho))
+        self.w0_word = self.w0.canonical
         self._star = tuple(self._compute_star(i) for i in range(1, rank + 1))
 
     # -- construction helpers ------------------------------------------------
-
-    def _reflection_matrix(self, j):
-        """Action of s_{j+1} on the weight lattice, fundamental-weight basis."""
-        n = self.rank
-        col = [self.cartan[i][j] for i in range(n)]
-        return tuple(
-            tuple(int(i == m) - (col[i] if m == j else 0) for m in range(n)) for i in range(n)
-        )
 
     def _positive_roots(self):
         found = {}
@@ -289,14 +286,16 @@ class RootSystem:
 
     # -- Weyl action ---------------------------------------------------------
 
+    def _reflect_coeffs(self, i, coeffs):
+        """s_i on a weight's coefficient tuple; integers stay integers."""
+        c = coeffs[i - 1]
+        return tuple(x - c * a for x, a in zip(coeffs, self._alpha_int[i - 1]))
+
     def reflect(self, i, lam):
         """Simple reflection s_i on a weight: lam - lam(alpha_i^vee) alpha_i."""
-        c = lam.coeffs[i - 1]
-        if c == 0:
+        if lam.coeffs[i - 1] == 0:
             return lam
-        return Weight(
-            lam.coeffs[j] - c * self.cartan[j][i - 1] for j in range(self.rank)
-        )
+        return Weight(self._reflect_coeffs(i, lam.coeffs))
 
     def reflect_coweight(self, i, h):
         """Simple reflection s_i on a coweight: h - alpha_i(h) alpha_i^vee."""
@@ -317,50 +316,47 @@ class RootSystem:
         return h
 
     def act(self, w, lam):
-        """Apply a WeylElement through its action matrix."""
-        m = w.action
-        return Weight(
-            sum(m[i][j] * lam.coeffs[j] for j in range(self.rank)) for i in range(self.rank)
-        )
+        """Apply a WeylElement through its canonical word."""
+        return self.act_word(w.canonical, lam)
 
     def act_coweight(self, w, h):
         return self.act_word_coweight(w.canonical, h)
 
     # -- elements ------------------------------------------------------------
 
-    def _element_from_action(self, action):
-        got = self._element_cache.get(action)
+    def element_from_rho(self, rho):
+        """The element w with weight w(rho) = ``rho``, an integer tuple.
+
+        Its canonical word peels the first negative coefficient, the smallest
+        left descent, until it reaches an element already known.  A tuple
+        outside the orbit of rho raises AssertionError.
+        """
+        got = self._element_cache.get(rho)
         if got is not None:
             return got
         word = []
-        m = action
-        while m != self._id_action:
-            i = self._first_left_descent(m)
+        lam = rho
+        while lam not in self._element_cache:
+            i = next((k for k, c in enumerate(lam, start=1) if c < 0), None)
+            if i is None:
+                raise AssertionError(f"{rho} is not the weight w(rho) of a Weyl element")
             word.append(i)
-            m = _mat_mul_int(self._refl[i - 1], m)
-        el = WeylElement(self, tuple(word), action)
-        self._element_cache[action] = el
+            lam = self._reflect_coeffs(i, lam)
+        el = WeylElement(self, tuple(word) + self._element_cache[lam].canonical, rho)
+        self._element_cache[rho] = el
         return el
 
-    def _first_left_descent(self, action):
-        """Smallest i with l(s_i w) < l(w), from the action matrix of w.
-
-        Row i of the matrix sums to <alpha_i^vee, w rho>, which is negative
-        exactly when w^{-1}(alpha_i) is a negative root, i.e. when s_i w is
-        shorter than w.
-        """
-        for i, row in enumerate(action, start=1):
-            if sum(row) < 0:
-                return i
-        raise AssertionError("identity reached without descent")
+    def _act_rho(self, word, rho):
+        """Apply a word right-to-left to an integer weight tuple."""
+        for i in reversed(word):
+            rho = self._reflect_coeffs(i, rho)
+        return rho
 
     def element_from_word(self, word):
-        m = self._id_action
         for i in word:
             if not 1 <= i <= self.rank:
                 raise ValueError(f"letter {i} out of range")
-            m = _mat_mul_int(m, self._refl[i - 1])
-        return self._element_from_action(m)
+        return self.element_from_rho(self._act_rho(word, self.identity.rho))
 
     def reduce(self, word):
         """Reduced word (canonical) and length of the element of ``word``."""
@@ -375,7 +371,7 @@ class RootSystem:
             raise NonReducedWord(f"word {word} is not reduced")
 
     def multiply(self, w1, w2):
-        return self._element_from_action(_mat_mul_int(w1.action, w2.action))
+        return self.element_from_rho(self._act_rho(w1.canonical, w2.rho))
 
     def inverse(self, w):
         return self.element_from_word(tuple(reversed(w.canonical)))
@@ -385,31 +381,31 @@ class RootSystem:
 
     # -- enumeration ----------------------------------------------------------
 
+    def reduced_word_counts(self):
+        """Number of reduced words of every w in W, keyed by the weight w(rho).
+
+        s_i w is longer than w exactly when coefficient i of w(rho) is
+        positive, so one pass over the lengths pushes each count up to the
+        elements one letter longer; no word is listed.  Keys come in order of
+        length.
+        """
+        layer = {self.identity.rho: 1}
+        counts = dict(layer)
+        while layer:
+            longer = {}
+            for lam, c in layer.items():
+                for i, x in enumerate(lam, start=1):
+                    if x > 0:
+                        mu = self._reflect_coeffs(i, lam)
+                        longer[mu] = longer.get(mu, 0) + c
+            counts.update(longer)
+            layer = longer
+        return counts
+
     def all_elements(self):
         """All Weyl group elements, sorted by (length, canonical word)."""
-        seen = {self.identity.action: self.identity}
-        frontier = [self.identity]
-        while frontier:
-            new = []
-            for w in frontier:
-                for i in range(1, self.rank + 1):
-                    nxt = self.multiply(w, self.simple(i))
-                    if nxt.action not in seen:
-                        seen[nxt.action] = nxt
-                        new.append(nxt)
-            frontier = new
-        return sorted(seen.values(), key=lambda w: (w.length(), w.canonical))
-
-    def longest_element(self):
-        w = self.identity
-        while True:
-            for i in range(1, self.rank + 1):
-                nxt = self.multiply(w, self.simple(i))
-                if nxt.length() > w.length():
-                    w = nxt
-                    break
-            else:
-                return w
+        elements = [self.element_from_rho(rho) for rho in self.reduced_word_counts()]
+        return sorted(elements, key=lambda w: (w.length(), w.canonical))
 
     def reduced_words(self, w):
         """All reduced words of w; the empty collection for the identity."""
@@ -418,20 +414,19 @@ class RootSystem:
         return list(self._reduced_words_memo(w))
 
     def _reduced_words_memo(self, w):
-        got = self._rw_cache.get(w.action)
+        got = self._rw_cache.get(w.rho)
         if got is not None:
             return got
         if w.is_identity():
             out = ((),)
         else:
             acc = []
-            for i in range(1, self.rank + 1):
-                sw = self.multiply(self.simple(i), w)
-                if sw.length() < w.length():
-                    for rest in self._reduced_words_memo(sw):
-                        acc.append((i,) + rest)
+            for i, c in enumerate(w.rho, start=1):
+                if c < 0:
+                    sw = self.element_from_rho(self._reflect_coeffs(i, w.rho))
+                    acc.extend((i,) + rest for rest in self._reduced_words_memo(sw))
             out = tuple(acc)
-        self._rw_cache[w.action] = out
+        self._rw_cache[w.rho] = out
         return out
 
     # -- orders and the Demazure product --------------------------------------
@@ -440,28 +435,21 @@ class RootSystem:
         """Bruhat order via the subword property on one reduced word of w."""
         if y.length() > w.length():
             return False
-        reachable = {self.identity.action: self.identity}
+        reachable = {self.identity.rho: self.identity}
         for i in w.canonical:
             si = self.simple(i)
             additions = {}
             for el in reachable.values():
                 nxt = self.multiply(el, si)
-                if nxt.length() > el.length() and nxt.action not in reachable:
-                    additions[nxt.action] = nxt
+                if nxt.length() > el.length() and nxt.rho not in reachable:
+                    additions[nxt.rho] = nxt
             reachable.update(additions)
-        return y.action in reachable
+        return y.rho in reachable
 
     def weak_leq(self, w1, w):
         """w1 precedes w in the weak order: w = w1 w2 with lengths adding."""
         w2 = self.multiply(w1.inverse(), w)
         return w1.length() + w2.length() == w.length()
-
-    def order_leq(self, kind, y, w):
-        if kind == "bruhat":
-            return self.bruhat_leq(y, w)
-        if kind == "weak":
-            return self.weak_leq(y, w)
-        raise ValueError(f"unknown order kind {kind!r}")
 
     def star_product(self, w, v):
         """Demazure (monoidal) product."""

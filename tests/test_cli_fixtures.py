@@ -1,8 +1,11 @@
 """`bsatlas --json` payloads compared byte for byte with recorded fixtures.
 
-The fixtures under tests/fixtures/ were recorded with the engine in which
-every Weyl representative and one-parameter factor was a dense matrix
-product, so they pin the outputs of the index-based engine to it.
+The fixtures under tests/fixtures/ were recorded with earlier engines, so
+they pin the current outputs to them: the positivity, chart and C2 leaf
+payloads to the engine in which every Weyl representative and one-parameter
+factor was a dense matrix product; the roots, chart-list and A3 leaf
+payloads (canonical words, chart order, the series-A leaf path) to the
+engine that stored each Weyl element as its integer action matrix.
 """
 
 from pathlib import Path
@@ -18,6 +21,9 @@ CASES = {
     "positivity_C2_s2": ["positivity", "--series", "C", "--rank", "2", "--samples", "2"],
     "tleaf_C2_s30": ["tleaf", "--series", "C", "--rank", "2", "--samples", "30"],
     "chart_show_C2_i7": ["chart", "show", "--series", "C", "--rank", "2", "--index", "7"],
+    "roots_A4": ["roots", "--series", "A", "--rank", "4"],
+    "charts_list_C2_Nv_s1": ["charts", "list", "--series", "C", "--rank", "2", "--q", "Nv", "--v", "s1"],
+    "tleaf_A3_s40": ["tleaf", "--series", "A", "--rank", "3", "--samples", "40"],
     "chart_change_C2_i3_to17": ["chart", "change", "--series", "C", "--rank", "2", "--index", "3", "--to-index", "17"],
 }
 

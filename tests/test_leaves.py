@@ -1,5 +1,6 @@
 """Torus-leaf classification against rank-pattern oracles."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from bsatlas.atlas import SpaceSpec
 from bsatlas.errors import SingularInput
 from bsatlas.groups import build_model
-from bsatlas.leaves import t_leaf_classify
+from bsatlas.leaves import _element_from_pattern, _pattern_of, t_leaf_classify
 from bsatlas.positivity import ToricChartSpec, toric_point
 from bsatlas.rootdata import build_root_system
 
@@ -195,3 +196,22 @@ def test_label_constant_along_flow():
         assert out["finite"]
         end = {i + 1: Fraction(v).limit_denominator(10**9) for i, v in enumerate(out["final"])}
         assert classify_at(end) == lbl0
+
+
+@pytest.mark.parametrize("series,rank", (("A", 1), ("A", 2), ("A", 3), ("C", 2)))
+def test_element_from_pattern_inverts_pattern_of(series, rank):
+    m = model(series, rank)
+    for w in m.rs.all_elements():
+        pattern = _pattern_of(m, w)
+        assert pattern == tuple(_pattern(w, m)[1:])
+        assert _element_from_pattern(m, pattern) == w
+
+
+def test_non_weyl_pattern_is_refused():
+    m = model("C", 2)
+    weyl = {_pattern_of(m, w) for w in m.rs.all_elements()}
+    others = [p for p in itertools.permutations(range(1, 5)) if p not in weyl]
+    assert len(weyl) == 8 and len(others) == 16
+    for p in others:
+        with pytest.raises(AssertionError):
+            _element_from_pattern(m, p)

@@ -204,15 +204,3 @@ def test_chart_bracket_round_trip_check(monkeypatch):
     with pytest.raises(AssertionError, match="chart round trip failed"):
         chart_bracket(chart)
 
-
-def test_chart_bracket_parallel_map():
-    from concurrent.futures import ThreadPoolExecutor
-
-    m = model("A", 1)
-    space = SpaceSpec(m, "Nv", m.rs.w0)
-    chart = parametrize(enumerate_charts(space)[0])
-    serial = chart_bracket(chart)
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        parallel = chart_bracket(chart, map_fn=pool.map)
-    for key in serial.entries:
-        assert (serial.entries[key] - parallel.entries[key]).is_zero()

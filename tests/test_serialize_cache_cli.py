@@ -195,19 +195,22 @@ def test_cli_repro(capsys):
 def test_cli_refuses_atlas_over_chart_limit(capsys):
     import time
 
-    for argv in (
-        ["charts", "list", "--series", "A", "--rank", "5"],
-        ["charts", "list", "--series", "A", "--rank", "5", "--q", "Bv", "--v", "e"],
-        ["chart", "show", "--series", "A", "--rank", "5", "--index", "0"],
-        ["positivity", "--series", "A", "--rank", "5", "--samples", "1"],
-        ["charts", "list", "--series", "A", "--rank", "7"],
+    charts = "charts, over the limit of"
+    for argv, message in (
+        (["charts", "list", "--series", "A", "--rank", "5"], charts),
+        (["charts", "list", "--series", "A", "--rank", "5", "--q", "Bv", "--v", "e"], charts),
+        (["chart", "show", "--series", "A", "--rank", "5", "--index", "0"], charts),
+        (["positivity", "--series", "A", "--rank", "5", "--samples", "1"], charts),
+        (["charts", "list", "--series", "A", "--rank", "7"], charts),
+        (["tleaf", "--series", "A", "--rank", "7", "--samples", "1"], charts),
+        (["roots", "--series", "A", "--rank", "31"], "rank 31 is over the limit of 30"),
     ):
         start = time.perf_counter()
         assert main(["--json", *argv]) == 2
         assert time.perf_counter() - start < 5
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "charts, over the limit of" in captured.err
+        assert message in captured.err
 
 
 def test_chart_count_matches_enumeration():
