@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import NotInBigCell, NotInChartDomain
 from .groups import GroupElement, GroupModel, MinorSpec
-from .linalg import adjugate_inverse, diag_conjugate, mat_mul
+from .linalg import adjugate_inverse, mat_mul
 from .symbolic import RatFunc, VarName, var
 
 _CHART_CACHE = {}
@@ -212,20 +212,18 @@ def eval_coordinates(chart: Chart, g):
     wp = model.signed_perm(spec.w.canonical)
     h = wp.left_inv(entries)
     try:
-        lower, tdiag, nfull = model.triangular_factor(h)
+        lower, nfull, tdiag = model.triangular_factor(h)
     except NotInBigCell as e:
         raise NotInChartDomain(e.minor_index) from None
     v = spec.space.v
     if v.is_identity():
-        p1 = None
+        n_el = None
     elif v == rs.w0:
-        p1 = nfull
+        n_el = nfull
     else:
-        n1, _ = model.split_unipotent_by_v(GroupElement(model, nfull), v)
-        p1 = n1.entries
-    n_el = None
-    if p1 is not None:
-        n_el = diag_conjugate([tdiag[i][i] for i in range(model.dim)], p1)
+        # T normalizes both factors of the unique v-splitting, so splitting
+        # n = t u t^{-1} gives the t-conjugate of the splitting of u
+        n_el = model.split_unipotent_by_v(GroupElement(model, nfull), v)[0].entries
     wmw = None
     out = []
     for tag, payload in chart.coord_formulas:

@@ -470,21 +470,21 @@ class GroupModel:
         return out
 
     def triangular_factor(self, entries):
-        """Group Gauss factorization a = lower * torus * upper, in the model's own basis.
+        """Group Gauss factorization a = lower * upper * torus, in the model's own basis.
 
-        Factors live in N^-, T and N (for Sp(4) the unipotent radicals are not
-        matrix-triangular; the factorization is carried out in the internally
-        permuted basis where they are).  Raises NotInBigCell naming the
-        vanishing principal minor (indexed in the internal basis order).
+        Factors live in N^-, N and T and come back in that product order (for
+        Sp(4) the unipotent radicals are not matrix-triangular; the
+        factorization is carried out in the internally permuted basis where
+        they are).  Raises NotInBigCell naming the vanishing principal minor
+        (indexed in the internal basis order).
         """
-        a, t, b = gauss_ltu(self.to_internal(entries))
-        return self.from_internal(a), self.from_internal(t), self.from_internal(b)
+        return tuple(self.from_internal(f) for f in gauss_ltu(self.to_internal(entries)))
 
     def split_unipotent_by_v(self, n_el, v):
         """n = n1 * n2 with vbar^{-1} n1 vbar in N^- and vbar^{-1} n2 vbar in N."""
         vp = self.signed_perm(v.canonical)
         x = vp.right(vp.left_inv(n_el.entries))
-        lo, t, up = self.triangular_factor(x)
+        lo, up, t = self.triangular_factor(x)
         for i in range(self.dim):
             if not _is_zero(t[i][i] - 1):
                 raise AssertionError("unipotent split produced a torus part")

@@ -6,6 +6,8 @@ commutative ring that coerces Python ints through its arithmetic operators:
 factorization of a Dual matrix differentiates along every tangent slot at
 once).  Determinants use
 division-free cofactor expansion so polynomial matrices stay polynomial.
+The Gauss factorization returns the big-cell normal form a = L*N*T
+(lower unitriangular, upper unitriangular, diagonal) in product order.
 """
 
 from __future__ import annotations
@@ -61,15 +63,6 @@ def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def diag_conjugate(tvals, m):
-    """t m t^{-1} for the diagonal matrix t = diag(tvals); a zero entry stays as it is."""
-    n = len(m)
-    return [
-        [m[i][j] if i == j or _is_zero(m[i][j]) else m[i][j] * exact_div(tvals[i], tvals[j]) for j in range(n)]
-        for i in range(n)
-    ]
-
-
 def mat_transpose(a):
     return [list(col) for col in zip(*a)]
 
@@ -122,10 +115,14 @@ def adjugate_inverse(a, d=None):
 
 
 def gauss_ltu(a):
-    """Factor a = L*T*U with L lower-unitriangular, T diagonal, U upper-unitriangular.
+    """Factor a = L*N*T with L lower-, N upper-unitriangular and T diagonal.
 
-    Exists iff all leading principal minors are nonzero; on failure raises
-    NotInBigCell carrying the 1-based index of the first vanishing minor.
+    This is the normal form m*n*t of the big cell.  After elimination row i
+    holds t_i times row i of the upper factor U of a = L*T*U, so
+    N = T*U*T^{-1} has the entries m_ij / t_j: one division per nonzero
+    entry.  Returns (L, N, T) in product order.  Exists iff all leading
+    principal minors are nonzero; on failure raises NotInBigCell carrying
+    the 1-based index of the first vanishing minor.
     """
     n = len(a)
     m = [list(row) for row in a]
@@ -147,9 +144,10 @@ def gauss_ltu(a):
     upper = [[one if i == j else zero for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            upper[i][j] = exact_div(m[i][j], t[i])
+            if not _is_zero(m[i][j]):
+                upper[i][j] = exact_div(m[i][j], t[j])
     tmat = [[t[i] if i == j else zero for j in range(n)] for i in range(n)]
-    return lower, tmat, upper
+    return lower, upper, tmat
 
 
 def rational_inverse(m):

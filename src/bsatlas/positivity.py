@@ -18,7 +18,6 @@ from .errors import (
     NotInChartDomain,
 )
 from .groups import GroupElement, MinorSpec
-from .linalg import diag_conjugate
 
 
 class ToricChartSpec:
@@ -246,10 +245,8 @@ def toric_coordinates(spec: ToricChartSpec, point) -> list:
     model = spec.model
     rs = model.rs
     entries = point.entries if isinstance(point, GroupElement) else point
-    lower, tdiag, upper = model.triangular_factor(entries)
+    lower, plus, tdiag = model.triangular_factor(entries)
     c1 = extract_negative_chain(model, GroupElement(model, lower), spec.words[0])
-    # point = lower * t * upper = lower * (t upper t^{-1}) * t
-    plus = diag_conjugate([tdiag[i][i] for i in range(model.dim)], upper)
     torus = [model.torus_value(tdiag, i) for i in spec.omega_order]
     if spec.target == "G":
         return c1 + extract_positive_chain(model, plus, spec.words[1]) + torus

@@ -204,13 +204,12 @@ def test_gauss_factor_sl2():
     m = model("A", 1)
     a, b, c, d = var("a"), var("b"), var("c"), var("d")
     g = GroupElement(m, [[a, b], [c, d]])
-    lo, t, up = _factor(m, g)
+    lo, n, t = _factor(m, g)
     assert lo.entries[1][0] == c / a
     assert t.entries[0][0] == a
     assert t.entries[1][1] == (a * d - b * c) / a
-    assert up.entries[0][1] == b / a
-    prod = lo * t * up
-    assert same(prod, g)
+    assert n.entries[0][1] == a * b / (a * d - b * c)
+    assert same(lo * n * t, g)
     with pytest.raises(NotInBigCell):
         _factor(m, m.sbar(1))
     assert same(_factor(m, m.identity())[0], m.identity())
@@ -225,8 +224,59 @@ def test_gauss_factor_roundtrip_random():
                 i = rng.randint(1, m.rs.rank)
                 g = g * m.one_param(i, Fraction(rng.randint(1, 5), rng.randint(1, 5)))
                 g = g * m.one_param(-i, Fraction(rng.randint(1, 5), rng.randint(1, 5)))
-            f1, t, f2 = _factor(m, g)
-            assert same(f1 * t * f2, g)
+            lo, n, t = _factor(m, g)
+            assert same(lo * n * t, g)
+
+
+def _ltu_upper(a):
+    """U of the L*T*U elimination, each row divided by its own pivot."""
+    m = [list(row) for row in a]
+    size = len(m)
+    for k in range(size):
+        for i in range(k + 1, size):
+            f = m[i][k] / m[k][k]
+            m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    return [[m[i][j] / m[i][i] if j > i else int(i == j) for j in range(size)] for i in range(size)]
+
+
+def _parts(x):
+    return (x.a, x.b) if isinstance(x, Dual) else x
+
+
+def _big_cell_points(m, rng):
+    """A Fraction, a RatFunc and a Dual point of the big cell, keyed by entry type."""
+    rank = m.rs.rank
+    g = m.identity()
+    for _ in range(2):
+        for i in range(1, rank + 1):
+            g = m.mul_one_param(g, -i, Fraction(rng.randint(1, 5), rng.randint(1, 5)))
+            g = m.mul_one_param(g, i, Fraction(rng.randint(1, 5), rng.randint(1, 5)))
+    g = m.mul_torus(g, [Fraction(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(rank)])
+    h = m.identity_like(var("a", 0))
+    for i in range(1, rank + 1):
+        h = m.mul_one_param(h, -i, var("a", i))
+        h = m.mul_one_param(h, i, var("b", i))
+    h = m.mul_torus(h, [var("c", i) for i in range(1, rank + 1)])
+    b1 = var("b", 1)
+    dual = [[Dual(x, (x * b1, x + j - i)) for j, x in enumerate(row)] for i, row in enumerate(h.entries)]
+    return {Fraction: g.entries, RatFunc: h.entries, Dual: dual}
+
+
+@pytest.mark.parametrize("series, rank", [("A", 1), ("A", 2), ("A", 3), ("C", 2)], ids=["A1", "A2", "A3", "C2"])
+def test_upper_factor_is_torus_conjugate_of_ltu_upper(series, rank):
+    """N of a = L*N*T is t U t^{-1} for U of a = L*T*U, entry by entry and in the point's type."""
+    m = model(series, rank)
+    for kind, g in _big_cell_points(m, random.Random(rank)).items():
+        factors = m.triangular_factor(g)
+        for factor in factors:
+            assert all(type(x) is kind for row in factor for x in row), kind
+        # compared in the internal basis, where N is matrix-triangular
+        n, t = m.to_internal(factors[1]), m.to_internal(factors[2])
+        u = _ltu_upper(m.to_internal(g))
+        for i in range(m.dim):
+            for j in range(m.dim):
+                want = u[i][j] * t[i][i] / t[j][j] if j > i else n[i][j] * 0 + int(i == j)
+                assert _parts(n[i][j]) == _parts(want), (kind, i, j)
 
 
 def test_factors_keep_the_entry_type():
@@ -259,6 +309,23 @@ def test_split_unipotent_by_v():
     assert same(n1, m.identity()) and same(n2, n)
     n1, n2 = m.split_unipotent_by_v(n, rs.w0)
     assert same(n1, n) and same(n2, m.identity())
+
+
+@pytest.mark.parametrize("series, rank", [("A", 2), ("A", 3), ("C", 2)], ids=["A2", "A3", "C2"])
+def test_split_commutes_with_torus_conjugation(series, rank):
+    """The first factor of the v-splitting of t n t^{-1} is t n1 t^{-1}, for every v in W."""
+    m = model(series, rank)
+    rs = m.rs
+    rng = random.Random(rank)
+    for v in rs.all_elements():
+        n = m.identity()
+        for _ in range(rs.l0 + 2):
+            n = m.mul_one_param(n, rng.randint(1, rank), Fraction(rng.randint(-5, 5), rng.randint(1, 5)))
+        t = m.torus_element([Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 7)) for _ in range(rank)])
+        t_inv = t.inverse()
+        n1, _ = m.split_unipotent_by_v(n, v)
+        tn1, _ = m.split_unipotent_by_v(t * n * t_inv, v)
+        assert tn1.entries == (t * n1 * t_inv).entries, v
 
 
 def test_generalized_minor_principal():

@@ -19,7 +19,7 @@ from bsatlas.poisson import (
     jacobi_check,
 )
 from bsatlas.rootdata import build_root_system
-from bsatlas.symbolic import MultiPoly, RatFunc, var
+from bsatlas.symbolic import MultiPoly, RatFunc, VarName, var
 
 _M = {}
 
@@ -170,6 +170,67 @@ def test_jacobi_exact_mode_sp4():
     chart = parametrize(ChartSpec(space, mc.rs.identity, ((1, 2, 1, 2), (), (2, 1, 2, 1))))
     rep = jacobi_check(chart_bracket(chart))
     assert rep["ok"] and rep["mode"] == "symbolic"
+
+
+def _jacobi_per_triple(table):
+    """Reference Jacobi check: the Leibniz rule, differentiating each entry once per triple."""
+
+    def bracket_with(i, f):
+        out = RatFunc.zero()
+        for m in range(1, table.n_vars + 1):
+            part = f.differentiate(VarName("z", m))
+            if not part.is_zero():
+                out = out + part * table.get(i, m)
+        return out
+
+    failures = []
+    for i, j, k in combinations(range(1, table.n_vars + 1), 3):
+        s = bracket_with(i, table.get(j, k)) + bracket_with(j, table.get(k, i)) + bracket_with(k, table.get(i, j))
+        if not s.is_zero():
+            failures.append({"triple": (i, j, k), "value": s.text()})
+    return {"ok": not failures, "mode": "symbolic", "failures": failures}
+
+
+def _nw0_charts(series, rank, count=None, seed=0):
+    m = model(series, rank)
+    charts = enumerate_charts(SpaceSpec(m, "Nv", m.rs.w0))
+    if count is not None:
+        charts = random.Random(seed).sample(charts, count)
+    return charts
+
+
+@pytest.mark.parametrize(
+    "series, rank, count",
+    [("A", 2, None), ("C", 2, 4), ("A", 3, 2)],
+    ids=["A2-all", "C2-seeded", "A3-seeded"],
+)
+def test_jacobi_check_matches_per_triple_reference(series, rank, count):
+    """Same report as the per-triple Leibniz rule, also on a table with one entry corrupted by +1."""
+    rng = random.Random(rank)
+    for spec in _nw0_charts(series, rank, count, seed=rank):
+        table = chart_bracket(parametrize(spec))
+        rep = jacobi_check(table)
+        assert rep["ok"] and rep == _jacobi_per_triple(table)
+        pair = rng.choice(table.pairs())
+        entries = dict(table.entries)
+        entries[pair] = entries[pair] + 1
+        bad = BracketTable(table.n_vars, table.laurent_vars, entries)
+        rep = jacobi_check(bad)
+        assert not rep["ok"] and rep == _jacobi_per_triple(bad)
+
+
+def test_jacobi_check_differentiates_each_entry_once_per_variable(monkeypatch):
+    table = chart_bracket(parametrize(_nw0_charts("A", 3, 1, seed=5)[0]))
+    calls = []
+    differentiate = RatFunc.differentiate
+
+    def counting(self, v):
+        calls.append(v)
+        return differentiate(self, v)
+
+    monkeypatch.setattr(RatFunc, "differentiate", counting)
+    assert jacobi_check(table)["ok"]
+    assert len(calls) == sum(len(f.variables()) for f in table.entries.values())
 
 
 @pytest.mark.parametrize("series, rank, index", [("A", 2, 5), ("C", 2, 7)])
