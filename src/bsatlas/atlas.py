@@ -200,30 +200,39 @@ def parametrize(spec: ChartSpec) -> Chart:
 def eval_coordinates(chart: Chart, g):
     """Coordinates of a point (GroupElement or raw matrix) of the shifted big cell.
 
-    Entries may be Fractions for numeric points, RatFuncs for symbolic ones,
-    or Duals for first-order perturbations.  Raises NotInChartDomain with the
-    index of the vanishing principal minor of wbar^{-1} g when the point is
-    outside the cell.
+    Entries may be Fractions for numeric points or RatFuncs for symbolic
+    ones.  Raises NotInChartDomain with the index of the vanishing principal
+    minor of wbar^{-1} g when the point is outside the cell.
     """
     spec = chart.spec
     model = spec.space.model
-    rs = model.rs
     entries = g.entries if isinstance(g, GroupElement) else g
-    wp = model.signed_perm(spec.w.canonical)
-    h = wp.left_inv(entries)
+    h = model.signed_perm(spec.w.canonical).left_inv(entries)
     try:
-        lower, nfull, tdiag = model.triangular_factor(h)
+        factors = model.triangular_factor(h)
     except NotInBigCell as e:
         raise NotInChartDomain(e.minor_index) from None
+    return coordinates_from_factors(chart, *factors)
+
+
+def coordinates_from_factors(chart: Chart, lower, nfull, tdiag):
+    """Coordinates of the point whose wbar^{-1} g has the normal form lower * nfull * tdiag.
+
+    The factors may carry any entry type, Duals included, so tangents lifted
+    from one factorization are read off the same way as the point.
+    """
+    spec = chart.spec
+    model = spec.space.model
     v = spec.space.v
     if v.is_identity():
         n_el = None
-    elif v == rs.w0:
+    elif v == model.rs.w0:
         n_el = nfull
     else:
         # T normalizes both factors of the unique v-splitting, so splitting
         # n = t u t^{-1} gives the t-conjugate of the splitting of u
         n_el = model.split_unipotent_by_v(GroupElement(model, nfull), v)[0].entries
+    wp = model.signed_perm(spec.w.canonical)
     wmw = None
     out = []
     for tag, payload in chart.coord_formulas:

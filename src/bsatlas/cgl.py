@@ -36,9 +36,7 @@ class CGLPresentation:
 
     def pair(self, char_tuple, h_tuple):
         """Evaluate a character tuple on a coweight tuple."""
-        return sum(
-            self.rs.evaluate(lam, h) for lam, h in zip(char_tuple, h_tuple)
-        ) or Fraction(0)
+        return self.rs.evaluate_tuples(char_tuple, h_tuple)
 
     def pulled_weight(self, j):
         """T-weight of z_j under the diagonal embedding (sum of twisted factors)."""
@@ -274,14 +272,11 @@ def mixed_product(e1: CGLData, e2: CGLData, nu) -> CGLData:
     zero1 = tuple(_zero_weight(rs) for _ in range(e1.torus_power))
     zero2 = tuple(_zero_weight(rs) for _ in range(e2.torus_power))
 
-    def ev(char_tuple, h_tuple):
-        return sum(rs.evaluate(l, h) for l, h in zip(char_tuple, h_tuple)) or Fraction(0)
-
     def nu_sharp(chi, side):
         """sum_q chi(nu_q[side]) nu_q[1 - side]: nu contracted on one side by chi."""
         out = None
         for pair in nu:
-            c = ev(chi, pair[side])
+            c = rs.evaluate_tuples(chi, pair[side])
             if c == 0:
                 continue
             part = tuple(h * c for h in pair[1 - side])
@@ -310,7 +305,7 @@ def mixed_product(e1: CGLData, e2: CGLData, nu) -> CGLData:
         for j in range(1, n2 + 1):
             c = Fraction(0)
             for a, b in nu:
-                c += ev(e1.chars[i - 1], a) * ev(e2.chars[j - 1], b)
+                c += rs.evaluate_tuples(e1.chars[i - 1], a) * rs.evaluate_tuples(e2.chars[j - 1], b)
             zz = RatFunc.from_poly(
                 MultiPoly.variable(VarName("z", i)) * MultiPoly.variable(VarName("z", j + shift))
             )

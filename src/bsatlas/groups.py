@@ -30,6 +30,7 @@ from .linalg import (
     adjugate_inverse,
     det,
     gauss_ltu,
+    gauss_ltu_lift,
     mat_add,
     mat_identity,
     mat_mul,
@@ -479,6 +480,17 @@ class GroupModel:
         (indexed in the internal basis order).
         """
         return tuple(self.from_internal(f) for f in gauss_ltu(self.to_internal(entries)))
+
+    def triangular_factor_lift(self, entries, fields):
+        """``triangular_factor`` with Dual entries, one tangent slot per (side, x) field.
+
+        A left field moves the point along g*x, a right field along x*g
+        (``linalg.gauss_ltu_lift``); the fields are reindexed with the point.
+        """
+        fields = [(side, self.to_internal(x)) for side, x in fields]
+        return tuple(
+            self.from_internal(f) for f in gauss_ltu_lift(self.to_internal(entries), fields)
+        )
 
     def split_unipotent_by_v(self, n_el, v):
         """n = n1 * n2 with vbar^{-1} n1 vbar in N^- and vbar^{-1} n2 vbar in N."""

@@ -2,12 +2,12 @@
 
 Matrices are lists of lists (or tuples) whose entries live in any
 commutative ring that coerces Python ints through its arithmetic operators:
-``fractions.Fraction``, ``RatFunc``, or ``Dual`` (a vector tangent: one
-factorization of a Dual matrix differentiates along every tangent slot at
-once).  Determinants use
-division-free cofactor expansion so polynomial matrices stay polynomial.
-The Gauss factorization returns the big-cell normal form a = L*N*T
-(lower unitriangular, upper unitriangular, diagonal) in product order.
+``fractions.Fraction``, ``RatFunc``, or ``Dual`` (a vector tangent).
+Determinants use division-free cofactor expansion so polynomial matrices
+stay polynomial.  The Gauss factorization returns the big-cell normal form
+a = L*N*T (lower unitriangular, upper unitriangular, diagonal) in product
+order; ``gauss_ltu_lift`` adds the tangents of the three factors along
+left and right fields a*x and x*a in closed form, from one factorization.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NotInBigCell
+from .symbolic import Dual
 
 
 def _is_zero(x):
@@ -124,30 +125,141 @@ def gauss_ltu(a):
     principal minors are nonzero; on failure raises NotInBigCell carrying
     the 1-based index of the first vanishing minor.
     """
+    lower, m = _eliminate(a)
+    return _normal_form(lower, m)
+
+
+def _eliminate(a):
+    """Elimination without pivoting: (L, m) with a = L*U, U the upper triangle of m.
+
+    Step k updates only the columns right of the pivot; the pivot column and
+    the columns left of it are never read again.
+    """
     n = len(a)
     m = [list(row) for row in a]
-    # the unitriangular and diagonal fill has the entries' own type, so no int leaks out
-    zero = a[0][0] * 0
-    one = zero + 1
-    lower = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    lower = _unit_fill(n, a[0][0] * 0)
     for k in range(n):
-        piv = m[k][k]
+        rk = m[k]
+        piv = rk[k]
         if _is_zero(piv):
             raise NotInBigCell(k + 1)
         for i in range(k + 1, n):
-            if _is_zero(m[i][k]):
+            ri = m[i]
+            if _is_zero(ri[k]):
                 continue
-            f = exact_div(m[i][k], piv)
+            f = exact_div(ri[k], piv)
             lower[i][k] = f
-            m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+            for j in range(k + 1, n):
+                ri[j] = ri[j] - f * rk[j]
+    return lower, m
+
+
+def _unit_fill(n, zero):
+    """Identity matrix whose entries have the type of ``zero``, so no int leaks out."""
+    one = zero + 1
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def _normal_form(lower, m):
+    """(L, N, T) from the elimination a = L*U: T = diag(U), N = U*T^{-1}."""
+    n = len(m)
+    zero = lower[0][0] * 0
     t = [row[i] for i, row in enumerate(m)]
-    upper = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    upper = _unit_fill(n, zero)
     for i in range(n):
         for j in range(i + 1, n):
             if not _is_zero(m[i][j]):
                 upper[i][j] = exact_div(m[i][j], t[j])
     tmat = [[t[i] if i == j else zero for j in range(n)] for i in range(n)]
     return lower, upper, tmat
+
+
+def gauss_ltu_lift(a, fields):
+    """``gauss_ltu(a)`` with Dual entries: one tangent slot per field of ``fields``.
+
+    A field is ("left", x), moving a along a*x, or ("right", x), moving it
+    along x*a.  With a = L*U, U = N*T, the factors move by dL = L*sl(Y),
+    dU = up(Y)*U for Y = L^{-1} da U^{-1}, sl and up the strictly lower and
+    the upper (diagonal included) parts (Giles, *Collected matrix derivative
+    results for forward and reverse mode AD*, 2008).  Y is U*x*U^{-1} for a
+    left field and L^{-1}*x*L for a right one, so a is factored once and no
+    elimination runs on Duals.  Then dT = diag(Y)*T and
+    dN = up(Y)*N - N*diag(Y), which is strictly upper.
+    """
+    n = len(a)
+    lower, m = _eliminate(a)
+    lo, up, tm = _normal_form(lower, m)
+    zero = a[0][0] * 0
+    u = [[m[i][j] if j >= i else zero for j in range(n)] for i in range(n)]
+    # U^{-1} = T^{-1} N^{-1}
+    u_inv = [
+        [x if _is_zero(x) else exact_div(x, m[i][i]) for x in row]
+        for i, row in enumerate(_unit_upper_inverse(up, zero))
+    ]
+    lo_inv = mat_transpose(_unit_upper_inverse(mat_transpose(lo), zero))
+    d_lo, d_up, d_t = [], [], []
+    for side, x in fields:
+        if side == "left":
+            y = _sparse_mul(_sparse_mul(u, x, zero), u_inv, zero)
+        elif side == "right":
+            y = _sparse_mul(_sparse_mul(lo_inv, x, zero), lo, zero)
+        else:
+            raise ValueError(f"unknown field side {side!r}")
+        dl, dn, dt = ([[zero] * n for _ in range(n)] for _ in range(3))
+        for i in range(n):
+            dt[i][i] = y[i][i] * m[i][i]
+            for j in range(i):
+                # (L sl(Y))_ij = Y_ij + sum_{j<k<i} L_ik Y_kj
+                dl[i][j] = _dot(y[i][j], ((lo[i][k], y[k][j]) for k in range(j + 1, i)))
+            for j in range(i + 1, n):
+                # (up(Y) N - N diag(Y))_ij = Y_ij + (Y_ii - Y_jj) N_ij + sum_{i<k<j} Y_ik N_kj
+                terms = [(y[i][k], up[k][j]) for k in range(i + 1, j)]
+                if not _is_zero(up[i][j]):
+                    terms.append((y[i][i] - y[j][j], up[i][j]))
+                dn[i][j] = _dot(y[i][j], terms)
+        d_lo.append(dl)
+        d_up.append(dn)
+        d_t.append(dt)
+    return tuple(
+        [[Dual(x, tuple(d[i][j] for d in slots)) for j, x in enumerate(row)] for i, row in enumerate(base)]
+        for base, slots in ((lo, d_lo), (up, d_up), (tm, d_t))
+    )
+
+
+def _dot(acc, pairs):
+    """acc + sum of x*y over pairs, skipping products with a zero factor."""
+    for x, y in pairs:
+        if _is_zero(x) or _is_zero(y):
+            continue
+        acc = acc + x * y
+    return acc
+
+
+def _unit_upper_inverse(a, zero):
+    """Inverse of an upper unitriangular matrix by back-substitution."""
+    n = len(a)
+    inv = _unit_fill(n, zero)
+    for j in range(n):
+        for i in range(j - 1, -1, -1):
+            inv[i][j] = -_dot(zero, ((a[i][k], inv[k][j]) for k in range(i + 1, j + 1)))
+    return inv
+
+
+def _sparse_mul(a, b, zero):
+    """Product of square matrices that skips the zero entries of both factors."""
+    n = len(a)
+    b_rows = [[(j, y) for j, y in enumerate(row) if not _is_zero(y)] for row in b]
+    out = []
+    for row in a:
+        acc = [None] * n
+        for k, x in enumerate(row):
+            if _is_zero(x):
+                continue
+            for j, y in b_rows[k]:
+                p = x * y
+                acc[j] = p if acc[j] is None else acc[j] + p
+        out.append([zero if s is None else s for s in acc])
+    return out
 
 
 def rational_inverse(m):

@@ -4,9 +4,10 @@ The multiplicative Poisson bivector on G is the difference of the left and
 right invariant extensions of the skew tensor with one term per positive
 root, weighted by half the squared root length.  Brackets of functions of
 matrix entries come from the four-term sum over those terms; brackets in a
-chart come from pushing the first-order perturbations of the parametrized
-point through coordinate extraction once, as one vector tangent: a matrix of
-dual numbers with one tangent slot per left/right root-vector direction.
+chart come from the first-order perturbations of the parametrized point
+along every left/right root-vector field.  The point is factored once, the
+factors are lifted to dual numbers in closed form, one tangent slot per
+field, and the coordinates are read off the lifted factors once.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .atlas import Chart, eval_coordinates
+from .atlas import Chart, coordinates_from_factors
 from .errors import NonPolynomialBracket, NormalizationMismatch
 from .groups import GroupElement, GroupModel
 from .linalg import _is_zero, mat_mul
-from .symbolic import Dual, MultiPoly, RatFunc, VarName
+from .symbolic import MultiPoly, RatFunc, VarName
 
 
 class LambdaData:
@@ -130,33 +131,34 @@ def chart_bracket(chart: Chart, lam: LambdaData | None = None) -> BracketTable:
     """Bracket table of a chart, computed from the group-level bivector.
 
     Coordinates are lifted to right-Q-invariant functions of the matrix
-    entries; the bracket on G is evaluated at the parametrized point by
-    pushing all 4|Delta+| left/right root-vector perturbations through one
-    coordinate extraction with vector dual numbers, one tangent slot per
-    perturbation.
+    entries; the bracket on G is evaluated at the parametrized point from
+    the derivatives of the coordinates along all 4|Delta+| left/right
+    root-vector fields.  wbar^{-1} rep is factored once, its factors are
+    lifted along every field at once (``GroupModel.triangular_factor_lift``),
+    and the coordinates are read off the lifted factors in one pass.
     """
     model = chart.spec.space.model
     if lam is None:
         lam = build_lambda(model)
     rep = chart.param.entries
     n = chart.dims
+    wp = model.signed_perm(chart.spec.w.canonical)
 
-    directions = []
+    # h = wbar^{-1} rep moves to h X along rep X, and to X' h along X rep
+    # with X' = wbar^{-1} X wbar
+    fields = []
     for _, e_minus, e_plus, _ in lam.terms:
-        directions.append(mat_mul(rep, e_minus))
-        directions.append(mat_mul(rep, e_plus))
-        directions.append(mat_mul(e_minus, rep))
-        directions.append(mat_mul(e_plus, rep))
-    dual = [
-        [Dual(rep[i][j], tuple(d[i][j] for d in directions)) for j in range(model.dim)]
-        for i in range(model.dim)
-    ]
-    coords = eval_coordinates(chart, GroupElement(model, dual))
+        fields.append(("left", e_minus))
+        fields.append(("left", e_plus))
+        fields.append(("right", wp.left_inv(wp.right(e_minus))))
+        fields.append(("right", wp.left_inv(wp.right(e_plus))))
+    factors = model.triangular_factor_lift(wp.left_inv(rep), fields)
+    coords = coordinates_from_factors(chart, *factors)
     for c, z in zip(coords, chart.zvars):
         if not (c.a - RatFunc.from_poly(MultiPoly.variable(z))).is_zero():
             raise AssertionError("chart round trip failed inside bracket engine")
-    # derivs[k][i]: derivative of z_{i+1} along direction k (order L-, L+, R-, R+ per term)
-    derivs = [[c.b[k] for c in coords] for k in range(len(directions))]
+    # derivs[k][i]: derivative of z_{i+1} along field k (order L-, L+, R-, R+ per term)
+    derivs = [[c.b[k] for c in coords] for k in range(len(fields))]
     per_term = [
         (coeff, *derivs[4 * t : 4 * t + 4]) for t, (_, _, _, coeff) in enumerate(lam.terms)
     ]

@@ -160,6 +160,7 @@ class RootSystem:
         self._root_num = tuple(
             tuple(int(x * self._root_den) for x in row) for row in self._cartan_inv
         )
+        self._root_coords_cache = {}
         # form[i][j] = <alpha_i, alpha_j> = cartan[i][j] * norms2[i] / 2
         self.form = tuple(
             tuple(Fraction(self.cartan[i][j]) * self._norms2[i] / 2 for j in range(rank))
@@ -207,11 +208,15 @@ class RootSystem:
         return tuple(roots)
 
     def _root_coords(self, w):
-        """Coefficients of a weight in the simple-root basis, in integer arithmetic."""
-        d = lcm(*(c.denominator for c in w.coeffs))
-        ints = [c.numerator * (d // c.denominator) for c in w.coeffs]
-        den = self._root_den * d
-        return tuple(Fraction(sum(a * c for a, c in zip(row, ints)), den) for row in self._root_num)
+        """Coefficients of a weight in the simple-root basis, in integer arithmetic (memoized)."""
+        got = self._root_coords_cache.get(w.coeffs)
+        if got is None:
+            d = lcm(*(c.denominator for c in w.coeffs))
+            ints = [c.numerator * (d // c.denominator) for c in w.coeffs]
+            den = self._root_den * d
+            got = tuple(Fraction(sum(a * c for a, c in zip(row, ints)), den) for row in self._root_num)
+            self._root_coords_cache[w.coeffs] = got
+        return got
 
     def _is_positive_root_vec(self, w):
         return all(c >= 0 for c in self._root_coords(w))
@@ -239,8 +244,11 @@ class RootSystem:
 
     def evaluate(self, lam, h):
         """Pairing lam(h) of a weight with a coweight."""
-        root_coords = self._root_coords(lam)
-        return sum(c * x for c, x in zip(root_coords, h.coeffs)) or _Q0
+        return sum(c * x for c, x in zip(self._root_coords(lam), h.coeffs)) or _Q0
+
+    def evaluate_tuples(self, lams, hs):
+        """Pairing of a tuple of weights with a tuple of coweights, factor by factor."""
+        return sum(self.evaluate(lam, h) for lam, h in zip(lams, hs)) or _Q0
 
     def coweight_of_root(self, i):
         """Simple coroot alpha_i^vee as a Coweight (alpha_i(.) = 2)."""
@@ -299,7 +307,8 @@ class RootSystem:
 
     def reflect_coweight(self, i, h):
         """Simple reflection s_i on a coweight: h - alpha_i(h) alpha_i^vee."""
-        c = self.evaluate(self.simple_root(i), h)
+        # coweights are written in the basis dual to the simple roots
+        c = h.coeffs[i - 1]
         if c == 0:
             return h
         return h - self.coweight_of_root(i) * c

@@ -4,11 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bsatlas.errors import NonReducedWord, NotInBigCell, ZeroTorusValue
-from bsatlas.groups import GroupElement, MinorSpec, SignedPerm, build_model
+from bsatlas.groups import GroupElement, MinorSpec, SignedPerm, build_model, cached_model
 from bsatlas.linalg import mat_mul, mat_transpose, minor
 from bsatlas.poisson import generic_element
 from bsatlas.rootdata import build_root_system
@@ -277,6 +277,33 @@ def test_upper_factor_is_torus_conjugate_of_ltu_upper(series, rank):
             for j in range(m.dim):
                 want = u[i][j] * t[i][i] / t[j][j] if j > i else n[i][j] * 0 + int(i == j)
                 assert _parts(n[i][j]) == _parts(want), (kind, i, j)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_lifted_factors_match_dual_elimination(data):
+    """The closed-form tangents of L, N, T equal a Dual elimination along h*X and X'*h."""
+    series, rank = data.draw(st.sampled_from([("A", 2), ("A", 3), ("C", 2)]))
+    m = cached_model(series, rank)
+    z = var("z", 1)
+    g = m.identity_like(z)
+    for _ in range(data.draw(st.integers(2, 2 * rank + 2))):
+        i = data.draw(st.integers(1, rank)) * data.draw(st.sampled_from([1, -1]))
+        g = m.mul_one_param(g, i, data.draw(_small) + data.draw(st.integers(0, 1)) * z)
+    torus = [data.draw(st.fractions(min_value=1, max_value=4, max_denominator=3)) for _ in range(rank)]
+    h = m.mul_torus(g, torus).entries
+    try:
+        m.triangular_factor(h)
+    except NotInBigCell:
+        assume(False)
+    vectors = [x for pair in m.pos_root_vectors.values() for x in pair]
+    x_left, x_right = data.draw(st.sampled_from(vectors)), data.draw(st.sampled_from(vectors))
+    hx, xh = mat_mul(h, x_left), mat_mul(x_right, h)
+    dual = [[Dual(h[i][j], (hx[i][j], xh[i][j])) for j in range(m.dim)] for i in range(m.dim)]
+    want = m.triangular_factor(dual)
+    got = m.triangular_factor_lift(h, [("left", x_left), ("right", x_right)])
+    for fw, fg in zip(want, got):
+        assert all(_parts(x) == _parts(y) for rw, rg in zip(fw, fg) for x, y in zip(rw, rg))
 
 
 def test_factors_keep_the_entry_type():

@@ -5,7 +5,14 @@ from itertools import combinations
 
 import pytest
 
-from bsatlas.atlas import ChartSpec, SpaceSpec, enumerate_charts, eval_coordinates, parametrize
+from bsatlas.atlas import (
+    ChartSpec,
+    SpaceSpec,
+    coordinates_from_factors,
+    enumerate_charts,
+    eval_coordinates,
+    parametrize,
+)
 from bsatlas.errors import NonPolynomialBracket
 from bsatlas.groups import GroupElement, build_model
 from bsatlas.poisson import (
@@ -19,7 +26,7 @@ from bsatlas.poisson import (
     jacobi_check,
 )
 from bsatlas.rootdata import build_root_system
-from bsatlas.symbolic import MultiPoly, RatFunc, VarName, var
+from bsatlas.symbolic import Dual, MultiPoly, RatFunc, VarName, var
 
 _M = {}
 
@@ -79,23 +86,36 @@ def test_det_is_casimir():
         assert entry_bracket(m, det, f, lam).is_zero()
 
 
-def test_chart_bracket_matches_entry_lift_sl2():
-    """Dual route: lift coordinates to entry functions, bracket, substitute."""
-    m = model("A", 1)
+def _assert_matches_entry_lift(m, space, indices=None):
+    """Lift coordinates to entry functions, bracket them with ``entry_bracket``, substitute."""
     lam = build_lambda(m)
-    space = SpaceSpec(m, "Nv", m.rs.w0)
-    for spec in enumerate_charts(space):
-        chart = parametrize(spec)
+    specs = enumerate_charts(space)
+    point = generic_element(m)
+    n = m.dim
+    for k in range(len(specs)) if indices is None else indices:
+        chart = parametrize(specs[k])
         table = chart_bracket(chart, lam)
-        lifted = eval_coordinates(chart, generic_element(m))
+        lifted = eval_coordinates(chart, point)
         binding = {
-            entry_var(i + 1, j + 1): chart.param.entries[i][j]
-            for i in range(2)
-            for j in range(2)
+            entry_var(i + 1, j + 1): chart.param.entries[i][j] for i in range(n) for j in range(n)
         }
         for (i, j), got in table.entries.items():
             expect = entry_bracket(m, lifted[i - 1], lifted[j - 1], lam).substitute(binding)
-            assert (got - expect).is_zero(), (spec.label(), i, j)
+            assert (got - expect).is_zero(), (specs[k].label(), i, j)
+
+
+def test_chart_bracket_matches_entry_lift_sl2():
+    m = model("A", 1)
+    _assert_matches_entry_lift(m, SpaceSpec(m, "Nv", m.rs.w0))
+
+
+@pytest.mark.parametrize(
+    "series, rank, indices", [("A", 2, None), ("C", 2, (0, 3))], ids=["A2-Be-all", "C2-Be-0-3"]
+)
+def test_chart_bracket_matches_entry_lift(series, rank, indices):
+    """Independent of the tangent lift; the Sp(4) charts exercise the internal basis order."""
+    m = model(series, rank)
+    _assert_matches_entry_lift(m, SpaceSpec(m, "Bv", m.rs.identity), indices)
 
 
 def test_chart_bracket_sl2_values():
@@ -243,9 +263,9 @@ def test_chart_bracket_evaluates_coordinates_once(monkeypatch, series, rank, ind
 
     def counting(*args):
         calls.append(args)
-        return eval_coordinates(*args)
+        return coordinates_from_factors(*args)
 
-    monkeypatch.setattr(poisson, "eval_coordinates", counting)
+    monkeypatch.setattr(poisson, "coordinates_from_factors", counting)
     chart_bracket(chart)
     assert len(calls) == 1
 
@@ -257,11 +277,40 @@ def test_chart_bracket_round_trip_check(monkeypatch):
     chart = parametrize(enumerate_charts(SpaceSpec(m, "Nv", m.rs.w0))[3])
 
     def shifted(*args):
-        coords = eval_coordinates(*args)
+        coords = coordinates_from_factors(*args)
         coords[-1] = coords[-1] + 1
         return coords
 
-    monkeypatch.setattr(poisson, "eval_coordinates", shifted)
+    monkeypatch.setattr(poisson, "coordinates_from_factors", shifted)
     with pytest.raises(AssertionError, match="chart round trip failed"):
         chart_bracket(chart)
 
+
+
+@pytest.mark.parametrize(
+    "series, rank, qkind, v, index, expect_dual",
+    [
+        ("A", 2, "Bv", (), 5, False),
+        ("A", 2, "Nv", None, 5, False),
+        ("C", 2, "Nv", None, 7, False),
+        ("A", 3, "Nv", None, 100, False),
+        # the split by an intermediate v still eliminates on Duals
+        ("A", 2, "Nv", (1,), 3, True),
+    ],
+)
+def test_chart_bracket_eliminates_no_dual_matrix(monkeypatch, series, rank, qkind, v, index, expect_dual):
+    import bsatlas.groups as groups
+
+    m = model(series, rank)
+    space = SpaceSpec(m, qkind, m.rs.w0 if v is None else m.rs.element_from_word(v))
+    chart = parametrize(enumerate_charts(space)[index])
+    dual_inputs = []
+    gauss_ltu = groups.gauss_ltu
+
+    def counting(a):
+        dual_inputs.append(any(isinstance(x, Dual) for row in a for x in row))
+        return gauss_ltu(a)
+
+    monkeypatch.setattr(groups, "gauss_ltu", counting)
+    chart_bracket(chart)
+    assert any(dual_inputs) == expect_dual
