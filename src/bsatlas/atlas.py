@@ -218,20 +218,15 @@ def eval_coordinates(chart: Chart, g):
 def coordinates_from_factors(chart: Chart, lower, nfull, tdiag):
     """Coordinates of the point whose wbar^{-1} g has the normal form lower * nfull * tdiag.
 
+    The N_v coordinates are minors of nfull itself, for every v: with
+    nfull = n1 n2 and n2 in N cap vbar N vbar^{-1}, each v' of a minor
+    D_{u omega, v' omega} is a left prefix of the word of v, so
+    v'bar^{-1} n2 v'bar lies in N, and principal minors are right-N-invariant.
     The factors may carry any entry type, Duals included, so tangents lifted
     from one factorization are read off the same way as the point.
     """
     spec = chart.spec
     model = spec.space.model
-    v = spec.space.v
-    if v.is_identity():
-        n_el = None
-    elif v == model.rs.w0:
-        n_el = nfull
-    else:
-        # T normalizes both factors of the unique v-splitting, so splitting
-        # n = t u t^{-1} gives the t-conjugate of the splitting of u
-        n_el = model.split_unipotent_by_v(GroupElement(model, nfull), v)[0].entries
     wp = model.signed_perm(spec.w.canonical)
     wmw = None
     out = []
@@ -243,7 +238,7 @@ def coordinates_from_factors(chart: Chart, lower, nfull, tdiag):
                 wmw = wp.right_inv(wp.left(lower))
             out.append(model.generalized_minor(wmw, payload))
         elif tag == "n":
-            out.append(model.generalized_minor(n_el, payload))
+            out.append(model.generalized_minor(nfull, payload))
         elif tag == "t":
             out.append(model.torus_value(tdiag, payload))
         else:

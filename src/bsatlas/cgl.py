@@ -362,6 +362,9 @@ def hamiltonian_report(table: BracketTable, pres: CGLPresentation, j, verified=N
     bracket {z_j, x_m} must be a_m x_m z_j + b_m with constant a_m and b_m a
     polynomial in the earlier coordinates of that order, and z_j must have
     log-canonical bracket with every localized (torus block) coordinate.
+    ``verified`` must be ``verify_cgl(table, pres)``.  By the Ore form, b_m
+    is -f for j < m and f for j > m, with f = ``verified.f_terms`` of the
+    pair, so both checks read those remainders.
     """
     if verified is None:
         verified = verify_cgl(table, pres)
@@ -375,13 +378,8 @@ def hamiltonian_report(table: BracketTable, pres: CGLPresentation, j, verified=N
         if m == j:
             seen.add(m)
             continue
-        entry = table.get(j, m)
-        i, jj = min(j, m), max(j, m)
-        c = pres.pair(pres.chars[i - 1], pres.hvecs[jj - 1])
-        sign = -1 if j == i else 1
-        a_m = sign * c
-        zz = RatFunc.from_poly(MultiPoly.variable(VarName("z", j)) * MultiPoly.variable(VarName("z", m)))
-        b_m = entry - a_m * zz
+        f = verified.f_terms[(min(j, m), max(j, m))]
+        b_m = -f if j < m else f
         ok = b_m.den.is_one() and all(
             v.symbol == "z" and v.index in seen for v in b_m.num.vars
         )
@@ -391,13 +389,8 @@ def hamiltonian_report(table: BracketTable, pres: CGLPresentation, j, verified=N
     for m in table.laurent_vars:
         if m == j:
             continue
-        entry = table.get(j, m)
-        zz = RatFunc.from_poly(MultiPoly.variable(VarName("z", j)) * MultiPoly.variable(VarName("z", m)))
-        i, jj = min(j, m), max(j, m)
-        c = pres.pair(pres.chars[i - 1], pres.hvecs[jj - 1])
-        sign = -1 if j == i else 1
-        if not (entry - sign * c * zz).is_zero():
-            failures.append({"localized": m, "entry": entry.text()})
+        if not verified.f_terms[(min(j, m), max(j, m))].is_zero():
+            failures.append({"localized": m, "entry": table.get(j, m).text()})
     return {"coordinate": j, "ok": not failures, "failures": failures}
 
 

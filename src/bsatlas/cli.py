@@ -63,6 +63,13 @@ def _resolve(rs, word):
 
 
 def _space(args):
+    """The space of args, refused before its model is built when the command walks all of W.
+
+    Only charts named by their words (--r, --to-r) are built without listing W.
+    """
+    by_words = hasattr(args, "r") and args.index is None and getattr(args, "to_index", None) is None
+    if not by_words:
+        _check_weyl_order(args.series, args.rank)
     model = cached_model(args.series, args.rank)
     rs = model.rs
     v = _resolve(rs, parse_word(args.v))
@@ -86,21 +93,21 @@ def _chart_count(space):
     return sum(c * counts[tuple(-x for x in lam)] for lam, c in counts.items()) * counts[space.v.rho]
 
 
-def _check_weyl_order(space):
-    """Refuse a space whose Weyl group, from the rank alone, has over MAX_CHARTS elements.
+def _check_weyl_order(series, rank):
+    """Refuse a Weyl group of over MAX_CHARTS elements, from the series and rank alone.
 
     Every w in W carries at least one chart, and a leaf label walks a Bruhat
     interval that can be as large as W.
     """
-    rs = space.model.rs
-    order = factorial(rs.rank + 1) if rs.series == "A" else 2**rs.rank * factorial(rs.rank)
+    order = factorial(rank + 1) if series == "A" else 2**rank * factorial(rank)
     if order > MAX_CHARTS:
-        raise ValueError(f"{space!r} has |W| = {order}, so at least {order} charts, over the limit of {MAX_CHARTS}")
+        raise ValueError(
+            f"{series}{rank} has |W| = {order}, so at least {order} charts, over the limit of {MAX_CHARTS}"
+        )
 
 
 def _charts(space):
     """``enumerate_charts``, refused with a usage error when the atlas is over MAX_CHARTS."""
-    _check_weyl_order(space)
     count = _chart_count(space)
     if count > MAX_CHARTS:
         raise ValueError(f"{space!r} has {count} charts, over the limit of {MAX_CHARTS}")
@@ -114,12 +121,15 @@ def _indexed_chart(space, index):
     return charts[index]
 
 
-def _chart_spec(args, space):
+def _chart_spec(space, index, w, r):
+    """The chart named by its index in the enumeration, or else by w and the triple r."""
     rs = space.model.rs
-    if getattr(args, "index", None) is not None:
-        return _indexed_chart(space, args.index)
-    w = _resolve(rs, parse_word(args.w))
-    parts = [parse_word(p) for p in args.r.split("|")]
+    if index is not None:
+        return _indexed_chart(space, index)
+    if r is None:
+        raise ValueError("name each chart by --index or --r (the target of a change by --to-index or --to-r)")
+    w = _resolve(rs, parse_word(w))
+    parts = [parse_word(p) for p in r.split("|")]
     if len(parts) != 3:
         raise ValueError("--r needs three dot-words separated by '|'")
     resolved = []
@@ -191,7 +201,7 @@ def cmd_charts_list(args):
 
 def cmd_chart_show(args):
     space = _space(args)
-    spec = _chart_spec(args, space)
+    spec = _chart_spec(space, args.index, args.w, args.r)
     chart = parametrize(spec)
     payload = chart_to_json(chart)
     if args.json:
@@ -209,14 +219,8 @@ def cmd_chart_show(args):
 
 def cmd_chart_change(args):
     space = _space(args)
-    src = parametrize(_chart_spec(args, space))
-
-    class _Dst:
-        w = args.to_w
-        r = args.to_r
-        index = args.to_index
-
-    dst = parametrize(_chart_spec(_Dst, space))
+    src = parametrize(_chart_spec(space, args.index, args.w, args.r))
+    dst = parametrize(_chart_spec(space, args.to_index, args.to_w, args.to_r))
     out = change_of_coordinates(src, dst)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -240,7 +244,7 @@ def _bracket_key(spec):
 
 def cmd_bracket(args):
     space = _space(args)
-    spec = _chart_spec(args, space)
+    spec = _chart_spec(space, args.index, args.w, args.r)
     key = _bracket_key(spec)
     payload = None
     if not args.no_cache:
@@ -263,7 +267,7 @@ def cmd_bracket(args):
 
 def cmd_cgl_verify(args):
     space = _space(args)
-    spec = _chart_spec(args, space)
+    spec = _chart_spec(space, args.index, args.w, args.r)
     chart = parametrize(spec)
     table = chart_bracket(chart)
     report = verify_cgl(table, predicted_cgl(chart))
@@ -312,7 +316,6 @@ def cmd_positivity(args):
 
 def cmd_tleaf(args):
     space = _space(args)
-    _check_weyl_order(space)
     model = space.model
     labels = []
     if args.point:

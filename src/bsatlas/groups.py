@@ -435,10 +435,12 @@ class GroupModel:
         return GroupElement(self, [[x * t[j][j] for j, x in enumerate(row)] for row in g.entries])
 
     def torus_value(self, tdiag, i):
-        """t^{omega_i} of a diagonal matrix: the product of its first minor_size(i) slots."""
-        slots = self._perm[: self.minor_size(i)]
-        out = tdiag[slots[0]][slots[0]]
-        for p in slots[1:]:
+        """t^{omega_i} of a diagonal matrix: the product of its leading minor_size(i) slots.
+
+        The slot weights telescope to omega_i (checked when the model is built).
+        """
+        out = tdiag[0][0]
+        for p in range(1, self.minor_size(i)):
             out = out * tdiag[p][p]
         return out
 
@@ -491,18 +493,6 @@ class GroupModel:
         return tuple(
             self.from_internal(f) for f in gauss_ltu_lift(self.to_internal(entries), fields)
         )
-
-    def split_unipotent_by_v(self, n_el, v):
-        """n = n1 * n2 with vbar^{-1} n1 vbar in N^- and vbar^{-1} n2 vbar in N."""
-        vp = self.signed_perm(v.canonical)
-        x = vp.right(vp.left_inv(n_el.entries))
-        lo, up, t = self.triangular_factor(x)
-        for i in range(self.dim):
-            if not _is_zero(t[i][i] - 1):
-                raise AssertionError("unipotent split produced a torus part")
-        n1 = GroupElement(self, vp.right_inv(vp.left(lo)))
-        n2 = GroupElement(self, vp.right_inv(vp.left(up)))
-        return n1, n2
 
     # -- generalized minors ---------------------------------------------------------
 

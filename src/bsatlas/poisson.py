@@ -7,7 +7,9 @@ matrix entries come from the four-term sum over those terms; brackets in a
 chart come from the first-order perturbations of the parametrized point
 along every left/right root-vector field.  The point is factored once, the
 factors are lifted to dual numbers in closed form, one tangent slot per
-field, and the coordinates are read off the lifted factors once.
+field, and the coordinates are read off the lifted factors once, the N_v
+coordinates as minors of the whole N factor for every v.  No Dual matrix is
+ever eliminated.
 """
 
 from __future__ import annotations
@@ -135,7 +137,9 @@ def chart_bracket(chart: Chart, lam: LambdaData | None = None) -> BracketTable:
     the derivatives of the coordinates along all 4|Delta+| left/right
     root-vector fields.  wbar^{-1} rep is factored once, its factors are
     lifted along every field at once (``GroupModel.triangular_factor_lift``),
-    and the coordinates are read off the lifted factors in one pass.
+    and the coordinates are read off the lifted factors in one pass
+    (``coordinates_from_factors``: for every v, the N_v coordinates are
+    minors of the lifted N factor, so no second factorization runs).
     """
     model = chart.spec.space.model
     if lam is None:

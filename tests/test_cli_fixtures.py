@@ -8,7 +8,9 @@ payloads (canonical words, chart order, the series-A leaf path) to the
 engine that stored each Weyl element as its integer action matrix; the
 bracket, CGL and A3/C2 intermediate-v chart-change payloads to the engine
 whose Gauss factorization returned L*T*U and whose Jacobi check
-differentiated each bracket entry once per triple.
+differentiated each bracket entry once per triple; the intermediate-v
+bracket and CGL payloads to the engine that read the N_v coordinates off
+the first factor of a second, v-splitting factorization.
 """
 
 from pathlib import Path
@@ -36,6 +38,8 @@ CASES = {
     "chart_change_C2_Bv_s1_i2_to9": [
         "chart", "change", "--series", "C", "--rank", "2", "--q", "Bv", "--v", "s1", "--index", "2", "--to-index", "9",
     ],
+    "bracket_A2_Nv_s1_i3": ["--no-cache", "bracket", "--series", "A", "--rank", "2", "--q", "Nv", "--v", "s1", "--index", "3"],
+    "cgl_verify_C2_Nv_s2_i4": ["cgl", "verify", "--series", "C", "--rank", "2", "--q", "Nv", "--v", "s2", "--index", "4"],
 }
 
 

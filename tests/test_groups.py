@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bsatlas.errors import NonReducedWord, NotInBigCell, ZeroTorusValue
 from bsatlas.groups import GroupElement, MinorSpec, SignedPerm, build_model, cached_model
-from bsatlas.linalg import mat_mul, mat_transpose, minor
+from bsatlas.linalg import _is_zero, mat_mul, mat_transpose, minor
 from bsatlas.poisson import generic_element
 from bsatlas.rootdata import build_root_system
 from bsatlas.symbolic import Dual, MultiPoly, RatFunc, VarName, var
@@ -28,6 +28,23 @@ def entry_matrix(m, symbol="a"):
             for i in range(n)
         ],
     )
+
+
+def split_unipotent_by_v(m, n_el, v):
+    """Reference v-splitting n = n1 * n2 with vbar^{-1} n1 vbar in N^- and vbar^{-1} n2 vbar in N.
+
+    The atlas reads its N_v coordinates off the whole N factor; the minors of
+    n1 are the reference they must equal.
+    """
+    vp = m.signed_perm(v.canonical)
+    x = vp.right(vp.left_inv(n_el.entries))
+    lo, up, t = m.triangular_factor(x)
+    for i in range(m.dim):
+        if not _is_zero(t[i][i] - 1):
+            raise AssertionError("unipotent split produced a torus part")
+    n1 = GroupElement(m, vp.right_inv(vp.left(lo)))
+    n2 = GroupElement(m, vp.right_inv(vp.left(up)))
+    return n1, n2
 
 
 def same(g, h):
@@ -320,7 +337,7 @@ def test_factors_keep_the_entry_type():
     for kind, g in points.items():
         for factor in m.triangular_factor(g):
             assert all(type(x) is kind for row in factor for x in row), kind
-        for part in m.split_unipotent_by_v(GroupElement(m, g), m.rs.simple(1)):
+        for part in split_unipotent_by_v(m, GroupElement(m, g), m.rs.simple(1)):
             assert all(type(x) is kind for row in part.entries for x in row), kind
 
 
@@ -329,12 +346,12 @@ def test_split_unipotent_by_v():
     rs = m.rs
     a, b = var("a"), var("b")
     n = m.one_param(1, a) * m.one_param(2, b)
-    n1, n2 = m.split_unipotent_by_v(n, rs.simple(1))
+    n1, n2 = split_unipotent_by_v(m, n, rs.simple(1))
     assert same(n1, m.one_param(1, a))
     assert same(n2, m.one_param(2, b))
-    n1, n2 = m.split_unipotent_by_v(n, rs.identity)
+    n1, n2 = split_unipotent_by_v(m, n, rs.identity)
     assert same(n1, m.identity()) and same(n2, n)
-    n1, n2 = m.split_unipotent_by_v(n, rs.w0)
+    n1, n2 = split_unipotent_by_v(m, n, rs.w0)
     assert same(n1, n) and same(n2, m.identity())
 
 
@@ -350,9 +367,52 @@ def test_split_commutes_with_torus_conjugation(series, rank):
             n = m.mul_one_param(n, rng.randint(1, rank), Fraction(rng.randint(-5, 5), rng.randint(1, 5)))
         t = m.torus_element([Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 7)) for _ in range(rank)])
         t_inv = t.inverse()
-        n1, _ = m.split_unipotent_by_v(n, v)
-        tn1, _ = m.split_unipotent_by_v(t * n * t_inv, v)
+        n1, _ = split_unipotent_by_v(m, n, v)
+        tn1, _ = split_unipotent_by_v(m, t * n * t_inv, v)
         assert tn1.entries == (t * n1 * t_inv).entries, v
+
+
+@pytest.mark.parametrize(
+    "series, rank, qkind, v, count",
+    [
+        ("A", 2, "Nv", (1,), None),
+        ("A", 2, "Bv", (2, 1), None),
+        ("C", 2, "Nv", (2,), None),
+        ("C", 2, "Bv", (1, 2), None),
+        ("A", 3, "Nv", (3, 2, 1), 3),
+    ],
+    ids=["A2-Nv-s1", "A2-Bv-s2s1", "C2-Nv-s2", "C2-Bv-s1s2", "A3-Nv-s3s2s1"],
+)
+def test_n_coordinates_are_minors_of_the_split_factor(series, rank, qkind, v, count):
+    """For an intermediate v, the N_v coordinates read off the whole N factor
+    equal the minors of n1 of the v-splitting, at chart-change and numeric points."""
+    from bsatlas.atlas import SpaceSpec, enumerate_charts, eval_coordinates, parametrize
+
+    m = cached_model(series, rank)
+    v_el = m.rs.element_from_word(v)
+    specs = enumerate_charts(SpaceSpec(m, qkind, v_el))
+    rng = random.Random(len(specs))
+    charts = [parametrize(s) for s in (specs if count is None else rng.sample(specs, count))]
+    checked = 0
+    for dst in charts:
+        points = []
+        for src in rng.sample(charts, 2):
+            points.append(src.param.entries)
+            for _ in range(2):
+                values = {z: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for z in src.zvars}
+                points.append([[x.evaluate(values) for x in row] for row in src.param.entries])
+        wp = m.signed_perm(dst.spec.w.canonical)
+        for g in points:
+            try:
+                _, nfull, _ = m.triangular_factor(wp.left_inv(g))
+            except NotInBigCell:
+                continue
+            n1, _ = split_unipotent_by_v(m, GroupElement(m, nfull), v_el)
+            for (tag, spec), c in zip(dst.coord_formulas, eval_coordinates(dst, g)):
+                if tag == "n":
+                    assert _is_zero(c - m.generalized_minor(n1, spec)), (dst.spec, spec)
+                    checked += 1
+    assert checked >= 4 * len(charts) * len(v)
 
 
 def test_generalized_minor_principal():

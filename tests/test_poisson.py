@@ -294,8 +294,9 @@ def test_chart_bracket_round_trip_check(monkeypatch):
         ("A", 2, "Nv", None, 5, False),
         ("C", 2, "Nv", None, 7, False),
         ("A", 3, "Nv", None, 100, False),
-        # the split by an intermediate v still eliminates on Duals
-        ("A", 2, "Nv", (1,), 3, True),
+        # intermediate v: the N_v coordinates are minors of the whole N factor
+        ("A", 2, "Nv", (1,), 3, False),
+        ("C", 2, "Bv", (1, 2), 5, False),
     ],
 )
 def test_chart_bracket_eliminates_no_dual_matrix(monkeypatch, series, rank, qkind, v, index, expect_dual):
@@ -314,3 +315,7 @@ def test_chart_bracket_eliminates_no_dual_matrix(monkeypatch, series, rank, qkin
     monkeypatch.setattr(groups, "gauss_ltu", counting)
     chart_bracket(chart)
     assert any(dual_inputs) == expect_dual
+    # positive control: the counter sees a Dual matrix factored directly
+    one = Dual(RatFunc.coerce(1), (RatFunc.coerce(1),))
+    m.triangular_factor([[one if i == j else one * 0 for j in range(m.dim)] for i in range(m.dim)])
+    assert dual_inputs[-1]

@@ -203,6 +203,9 @@ def test_cli_refuses_atlas_over_chart_limit(capsys):
         (["positivity", "--series", "A", "--rank", "5", "--samples", "1"], charts),
         (["charts", "list", "--series", "A", "--rank", "7"], charts),
         (["tleaf", "--series", "A", "--rank", "7", "--samples", "1"], charts),
+        # |W| is read off the series and rank before the model is built
+        (["charts", "list", "--series", "A", "--rank", "12"], charts),
+        (["charts", "list", "--series", "A", "--rank", "20"], charts),
         (["roots", "--series", "A", "--rank", "31"], "rank 31 is over the limit of 30"),
     ):
         start = time.perf_counter()
@@ -211,6 +214,28 @@ def test_cli_refuses_atlas_over_chart_limit(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+
+def test_cli_chart_needs_index_or_words(capsys):
+    for argv in (
+        ["chart", "show"],
+        ["bracket"],
+        ["cgl", "verify"],
+        ["chart", "change", "--index", "0"],
+        ["chart", "change", "--to-index", "0"],
+    ):
+        assert main(["--json", *argv[:2], "--series", "A", "--rank", "2", *argv[2:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "name each chart by --index or --r" in captured.err
+
+
+def test_cli_chart_by_words_matches_index(capsys):
+    space = ["--series", "A", "--rank", "2"]
+    assert main(["--json", "chart", "show", *space, "--w", "s1", "--r", "s1.s2|s1|w0"]) == 0
+    by_words = capsys.readouterr().out
+    assert main(["--json", "chart", "show", *space, "--index", "4"]) == 0
+    assert by_words == capsys.readouterr().out
 
 
 def test_chart_count_matches_enumeration():
