@@ -6,15 +6,16 @@ Run:  python demos/demo_tleaves_flows.py
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from bsatlas.atlas import SpaceSpec, enumerate_charts, parametrize
-from bsatlas.cgl import flow_sample
+from bsatlas.cgl import hamiltonian_flow
 from bsatlas.groups import build_model
 from bsatlas.leaves import t_leaf_classify
 from bsatlas.poisson import chart_bracket
 from bsatlas.positivity import ToricChartSpec, toric_point
 from bsatlas.rootdata import build_root_system
-from bsatlas.symbolic import VarName
+from bsatlas.symbolic import RatFunc, VarName, var
 
 model = build_model(build_root_system("A", 2))
 rs = model.rs
@@ -38,21 +39,40 @@ for _ in range(6):
     yn = ".".join(f"s{i}" for i in lbl.y.canonical) or "e"
     print(f"   w = {wn:10s} y = {yn}")
 
-# Hamiltonian flow of a chart coordinate, integrated numerically: the
-# trajectory stays finite (a sanity check, not a proof of completeness).
+# Hamiltonian flow of a chart coordinate, in closed form: every coordinate is
+# an exponential polynomial sum c t^p e^(lam t), entire in t, so the flow is
+# complete.
 chart = parametrize(enumerate_charts(space)[3])
 table = chart_bracket(chart)
 start = {i: Fraction(i + 1, i + 3) for i in range(1, 9)}
-out = flow_sample(table, 1, start, 10.0, rtol=1e-9)
-print(f"\nflow of z1 over [0, 10]: finite={out['finite']}, "
-      f"max |z| = {out['max_abs']:.4g}, steps = {out['n_steps']}")
+x = hamiltonian_flow(table, 1, start)
 
-# The leaf label is invariant along the flow (generic start).
+
+def show(e):
+    terms = [
+        f"({c})" + (f" t^{p}" if p else "") + (f" e^({lam} t)" if lam else "")
+        for (p, lam), c in sorted(e.items())
+    ]
+    return " + ".join(terms) or "0"
+
+
+print("\nflow of z1, exactly:")
+for m, e in enumerate(x, 1):
+    print(f"   z{m}(t) = {show(e)}")
+
+# The leaf label is invariant along the flow (generic start): classify the
+# representative at a formal t and E = e^(t/D), D the lcm of the rates'
+# denominators.
+d = lcm(*(lam.denominator for e in x for _, lam in e))
+t, big_e = var("t"), var("E")
+formal = {
+    m: sum((c * t**p * big_e ** int(lam * d) for (p, lam), c in e.items()), RatFunc.zero())
+    for m, e in enumerate(x, 1)
+}
 rep_at = lambda pt: [
-    [x.evaluate({VarName("z", i): pt[i] for i in pt}) for x in row]
+    [f.substitute({VarName("z", i): pt[i] for i in pt}) for f in row]
     for row in chart.param.entries
 ]
 lbl0 = t_leaf_classify(space, rep_at(start))
-end = {i + 1: Fraction(v).limit_denominator(10**9) for i, v in enumerate(out["final"])}
-lbl1 = t_leaf_classify(space, rep_at(end))
+lbl1 = t_leaf_classify(space, rep_at(formal))
 print("leaf label preserved along the flow:", lbl0 == lbl1)

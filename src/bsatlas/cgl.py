@@ -4,6 +4,8 @@ A presentation over a torus power carries, per coordinate, a character
 tuple and two coweight tuples; the verifier checks the two-sided Ore form
 of every bracket entry, the support and torus-homogeneity of the correction
 terms, and the purely log-canonical cut between the two word blocks.
+In such a chart every Hamiltonian flow is triangular, and
+``hamiltonian_flow`` solves it exactly, as exponential polynomials in t.
 """
 
 from __future__ import annotations
@@ -11,9 +13,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .atlas import Chart
-from .errors import DimensionMismatch, EvaluationPole, NotVerifiedCGL
+from .errors import DimensionMismatch, NotVerifiedCGL, ZeroTorusValue
 from .poisson import BracketTable
 from .symbolic import MultiPoly, RatFunc, VarName, var
+
+_Q0 = Fraction(0)
 
 
 class CGLPresentation:
@@ -60,6 +64,14 @@ def _zero_coweight(rs):
     return Coweight([0] * rs.rank)
 
 
+def _word_roots(rs, word):
+    """chi_j = s_{i_1} ... s_{i_{j-1}}(alpha_{i_j}) for each letter i_j of the word.
+
+    The coweight of chi_j is chi_j#: # is W-equivariant.
+    """
+    return [rs.act_word(word[:j], rs.simple_root(i)) for j, i in enumerate(word)]
+
+
 def predicted_cgl(chart: Chart) -> CGLPresentation:
     """The torus-power data the chart bracket must realize."""
     spec = chart.spec
@@ -68,18 +80,8 @@ def predicted_cgl(chart: Chart) -> CGLPresentation:
     w0_word, w_word, v_word = spec.r
     k = len(w0_word)
     l = rs.l0 + len(v_word)
-    word2 = w_word + v_word
-
-    chis = []
-    hs = []
-    for j in range(1, k + 1):
-        prefix = w0_word[: j - 1]
-        chis.append(rs.act_word(prefix, rs.simple_root(w0_word[j - 1])))
-        hs.append(rs.act_word_coweight(prefix, rs.sharp(rs.simple_root(w0_word[j - 1]))))
-    for j in range(1, len(word2) + 1):
-        prefix = word2[: j - 1]
-        chis.append(rs.act_word(prefix, rs.simple_root(word2[j - 1])))
-        hs.append(rs.act_word_coweight(prefix, rs.sharp(rs.simple_root(word2[j - 1]))))
+    chis = _word_roots(rs, w0_word) + _word_roots(rs, w_word + v_word)
+    hs = [rs.sharp(chi) for chi in chis]
 
     ww0 = rs.multiply(w, rs.w0)
     w0winv = rs.multiply(rs.w0, w.inverse())
@@ -328,19 +330,6 @@ def block_cgl(chart: Chart, table: BracketTable):
     l = rs.l0 + len(v_word)
     if spec.space.qkind != "Bv":
         raise ValueError("block split is defined for the Bv case")
-    word2 = w_word + v_word
-
-    def data_for(word):
-        chis = []
-        hs = []
-        for j in range(1, len(word) + 1):
-            prefix = word[: j - 1]
-            chis.append((rs.act_word(prefix, rs.simple_root(word[j - 1])),))
-            hs.append((rs.act_word_coweight(prefix, rs.sharp(rs.simple_root(word[j - 1]))),))
-        return chis, hs
-
-    chis1, hs1 = data_for(w0_word)
-    chis2, hs2 = data_for(word2)
     t1 = BracketTable(k, (), {p: table.entries[p] for p in table.entries if p[1] <= k})
     t2entries = {
         (i - k, j - k): _shift_z(table.entries[(i, j)], -k)
@@ -348,8 +337,13 @@ def block_cgl(chart: Chart, table: BracketTable):
         if i > k
     }
     t2 = BracketTable(l - k, (), t2entries)
-    e1 = CGLData(rs, 1, chis1, hs1, [tuple(-h for h in hv) for hv in hs1], t1)
-    e2 = CGLData(rs, 1, chis2, hs2, [tuple(-h for h in hv) for hv in hs2], t2)
+
+    def factor(word, t):
+        chis = _word_roots(rs, word)
+        hs = [(rs.sharp(c),) for c in chis]
+        return CGLData(rs, 1, [(c,) for c in chis], hs, [(-h,) for (h,) in hs], t)
+
+    e1, e2 = factor(w0_word, t1), factor(w_word + v_word, t2)
     w0winv = rs.multiply(rs.w0, spec.w.inverse())
     nu = [((-rs.act_coweight(w0winv, a),), (b,)) for a, b in rs.inv_gram_pairs()]
     return e1, e2, nu
@@ -358,78 +352,102 @@ def block_cgl(chart: Chart, table: BracketTable):
 def hamiltonian_report(table: BracketTable, pres: CGLPresentation, j, verified=None):
     """Check the completeness hypothesis for the coordinate z_j.
 
-    Under the reordering (z_{j-1},...,z_1, z_{j+1},...,z_n, z_j), every
-    bracket {z_j, x_m} must be a_m x_m z_j + b_m with constant a_m and b_m a
-    polynomial in the earlier coordinates of that order, and z_j must have
-    log-canonical bracket with every localized (torus block) coordinate.
-    ``verified`` must be ``verify_cgl(table, pres)``.  By the Ore form, b_m
-    is -f for j < m and f for j > m, with f = ``verified.f_terms`` of the
-    pair, so both checks read those remainders.
+    Under the order (z_{j-1},...,z_1, z_{j+1},...,z_n), ``hamiltonian_flow``
+    needs every {z_j, z_m} to be a_m z_j z_m + b_m with b_m a polynomial in
+    the coordinates before z_m.  Once the table passes ``verify_cgl`` that is
+    check (a): b_m is -f for j < m and f for j > m, and f is supported
+    strictly between j and m, so on coordinates already solved.  What is left
+    is that z_j be log-canonical with every localized (torus block)
+    coordinate.  ``verified`` must be ``verify_cgl(table, pres)``.
     """
     if verified is None:
         verified = verify_cgl(table, pres)
     if not verified.ok:
         raise NotVerifiedCGL("table failed CGL verification")
-    n = table.n_vars
-    order = list(range(j - 1, 0, -1)) + list(range(j + 1, n + 1)) + [j]
-    seen = set()
-    failures = []
-    for m in order:
-        if m == j:
-            seen.add(m)
-            continue
-        f = verified.f_terms[(min(j, m), max(j, m))]
-        b_m = -f if j < m else f
-        ok = b_m.den.is_one() and all(
-            v.symbol == "z" and v.index in seen for v in b_m.num.vars
-        )
-        if not ok:
-            failures.append({"coordinate": m, "b": b_m.text()})
-        seen.add(m)
-    for m in table.laurent_vars:
-        if m == j:
-            continue
-        if not verified.f_terms[(min(j, m), max(j, m))].is_zero():
-            failures.append({"localized": m, "entry": table.get(j, m).text()})
+    failures = [
+        {"localized": m, "entry": table.get(j, m).text()}
+        for m in table.laurent_vars
+        if m != j and not verified.f_terms[(min(j, m), max(j, m))].is_zero()
+    ]
     return {"coordinate": j, "ok": not failures, "failures": failures}
 
 
-def flow_sample(table: BracketTable, j, start, horizon, rtol=1e-9):
-    """Numerically integrate the Hamiltonian flow of z_j (heuristic evidence only).
+def _ep_collect(terms):
+    """The exponential polynomial {(p, lam): c} summing ((p, lam), c) pairs."""
+    out = {}
+    for key, c in terms:
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
 
-    The trajectory solves dz_p/dt = {z_j, z_p} from ``start`` (a map of
-    1-based indices or a sequence) over [0, horizon] with an adaptive
-    embedded Runge-Kutta scheme.  Reports finiteness; never a proof.
+
+def _ep_mul(x, y):
+    return _ep_collect(((p + q, lam + mu), c * d) for (p, lam), c in x.items() for (q, mu), d in y.items())
+
+
+def _ep_polynomial(poly, x):
+    """poly with each z_m replaced by the exponential polynomial x[m]."""
+    terms = []
+    for exp, c in poly.terms.items():
+        term = {(0, _Q0): Fraction(c)}
+        for v, e in zip(poly.vars, exp):
+            for _ in range(e):
+                term = _ep_mul(term, x[v.index])
+        terms.extend(term.items())
+    return _ep_collect(terms)
+
+
+def _ep_integral(b, mu, x0):
+    """e^{mu t} x0 + int_0^t e^{mu (t - s)} b(s) ds for an exponential polynomial b.
+
+    By parts, int_0^t s^p e^{k s} ds = e^{k t} sum_q c_q t^q - c_0 with
+    c_p = 1/k and c_{q-1} = -q c_q / k when k != 0, and t^{p+1}/(p+1) when k = 0.
     """
-    import numpy as np
-    from scipy.integrate import solve_ivp
+    terms = [((0, mu), x0)]
+    for (p, nu), c in b.items():
+        k = nu - mu
+        if k == 0:
+            terms.append(((p + 1, nu), c / (p + 1)))
+            continue
+        c /= k
+        terms.append(((p, nu), c))
+        for q in range(p, 0, -1):
+            c = -c * q / k
+            terms.append(((q - 1, nu), c))
+        terms.append(((0, mu), -c))
+    return _ep_collect(terms)
 
+
+def hamiltonian_flow(table: BracketTable, j, start):
+    """The Hamiltonian flow dx_m/dt = {z_j, z_m}(x) of z_j, in closed form.
+
+    ``start`` maps 1-based indices to rationals, or lists them.  Returns, per
+    coordinate in index order, the exponential polynomial
+    {(p, lam): c} = sum c t^p e^{lam t} with Fraction lam and c.  z_j is
+    constant; then, in the order (z_{j-1},...,z_1, z_{j+1},...,z_n), every
+    {z_j, z_m} must be a_m z_j z_m + b_m with b_m a polynomial in the
+    coordinates solved before it (``NotVerifiedCGL`` names the entry
+    otherwise), and x_m(t) = e^{mu t} x_m(0) + int_0^t e^{mu (t-s)} b_m(x(s)) ds
+    with mu = a_m z_j(0).  The solution is entire in t, so the flow is
+    complete.  A zero start on a localized coordinate is outside the chart
+    and raises ``ZeroTorusValue``.
+    """
     n = table.n_vars
     if not isinstance(start, dict):
         start = {i + 1: v for i, v in enumerate(start)}
-    y0 = [float(start[i]) for i in range(1, n + 1)]
-    rhs_funcs = [[table.get(j, p) for p in range(1, n + 1)]]
-
-    def rhs(_t, y):
-        point = {VarName("z", i + 1): y[i] for i in range(n)}
-        return [f.evaluate_float(point) for f in rhs_funcs[0]]
-
-    try:
-        sol = solve_ivp(rhs, (0.0, float(horizon)), y0, method="RK45", rtol=rtol, atol=1e-12, dense_output=False)
-    except EvaluationPole:
-        # the trajectory reached a pole of the Laurent block
-        ys, finite = np.empty((n, 0)), False
-    else:
-        ys = sol.y
-        finite = bool(sol.success) and bool(np.all(np.isfinite(ys)))
-    max_abs = float(np.max(np.abs(ys))) if ys.size else float("nan")
-    return {
-        "coordinate": j,
-        "horizon": float(horizon),
-        "finite": finite,
-        "status": "ok" if finite else "NumericBlowup",
-        "max_abs": max_abs,
-        "n_steps": int(ys.shape[1]),
-        "final": [float(v) for v in ys[:, -1]] if ys.size else [],
-        "note": "numeric sanity check only; not a completeness proof",
-    }
+    start = {m: Fraction(start[m]) for m in range(1, n + 1)}
+    zero = [m for m in table.laurent_vars if start[m] == 0]
+    if zero:
+        raise ZeroTorusValue(f"the start has z_{zero[0]} = 0 on a localized coordinate, outside the chart")
+    x = {j: _ep_collect([((0, _Q0), start[j])])}
+    for m in [*range(j - 1, 0, -1), *range(j + 1, n + 1)]:
+        entry = table.get(j, m)
+        key = tuple(int(v.symbol == "z" and v.index in (j, m)) for v in entry.num.vars)
+        a = entry.num.terms.get(key, 0) if entry.den.is_one() and sum(key) == 2 else 0
+        b = entry - a * var("z", j) * var("z", m)
+        if not b.den.is_one() or any(v.symbol != "z" or v.index not in x for v in b.num.vars):
+            raise NotVerifiedCGL(
+                f"{{z_{j}, z_{m}}} = {entry.text()} is not a z_{j} z_{m} plus a polynomial"
+                f" in the coordinates solved before z_{m}"
+            )
+        x[m] = _ep_integral(_ep_polynomial(b.num, x), a * start[j], start[m])
+    return [x[m] for m in range(1, n + 1)]

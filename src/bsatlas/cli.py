@@ -63,13 +63,8 @@ def _resolve(rs, word):
 
 
 def _space(args):
-    """The space of args, refused before its model is built when the command walks all of W.
-
-    Only charts named by their words (--r, --to-r) are built without listing W.
-    """
-    by_words = hasattr(args, "r") and args.index is None and getattr(args, "to_index", None) is None
-    if not by_words:
-        _check_weyl_order(args.series, args.rank)
+    """The space of args, refused before its model is built when its Weyl group is over MAX_CHARTS."""
+    _check_weyl_order(args.series, args.rank)
     model = cached_model(args.series, args.rank)
     rs = model.rs
     v = _resolve(rs, parse_word(args.v))
@@ -96,8 +91,9 @@ def _chart_count(space):
 def _check_weyl_order(series, rank):
     """Refuse a Weyl group of over MAX_CHARTS elements, from the series and rank alone.
 
-    Every w in W carries at least one chart, and a leaf label walks a Bruhat
-    interval that can be as large as W.
+    Every w in W carries at least one chart, a leaf label walks a Bruhat
+    interval that can be as large as W, and even a chart named by its words
+    needs the group model, whose cost grows with the rank.
     """
     order = factorial(rank + 1) if series == "A" else 2**rank * factorial(rank)
     if order > MAX_CHARTS:

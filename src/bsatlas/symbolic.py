@@ -775,14 +775,6 @@ class RatFunc:
             raise EvaluationPole("denominator vanishes at the evaluation point")
         return self.num.evaluate(point) / d
 
-    def evaluate_float(self, point):
-        """Float value; used only by the numeric flow sampler."""
-        fpoint = {v: float(x) for v, x in point.items()}
-        den = _evaluate_float(self.den, fpoint)
-        if den == 0.0:
-            raise EvaluationPole("denominator vanishes at the evaluation point")
-        return _evaluate_float(self.num, fpoint) / den
-
     # -- display -------------------------------------------------------------
 
     def text(self):
@@ -798,18 +790,6 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self.text()})"
-
-
-def _evaluate_float(poly, fpoint):
-    tot = 0.0
-    vals = [fpoint[v] for v in poly.vars]
-    for e, c in poly.terms.items():
-        t = float(c)
-        for b, k in zip(vals, e):
-            if k:
-                t *= b**k
-        tot += t
-    return tot
 
 
 _RF_ZERO = RatFunc.from_poly(MultiPoly.constant(0))

@@ -1,6 +1,6 @@
 """Predicted presentations, verification, mixed products, Hamiltonian flows."""
 
-import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,13 +9,13 @@ from bsatlas.atlas import ChartSpec, SpaceSpec, enumerate_charts, parametrize
 from bsatlas.cgl import (
     CGLData,
     block_cgl,
-    flow_sample,
+    hamiltonian_flow,
     hamiltonian_report,
     mixed_product,
     predicted_cgl,
     verify_cgl,
 )
-from bsatlas.errors import DimensionMismatch, NotVerifiedCGL
+from bsatlas.errors import DimensionMismatch, NotVerifiedCGL, ZeroTorusValue
 from bsatlas.groups import build_model
 from bsatlas.poisson import BracketTable, chart_bracket
 from bsatlas.rootdata import Coweight, Weight, build_root_system
@@ -199,20 +199,136 @@ def test_hamiltonian_requires_verified():
         hamiltonian_report(junk, pres, 1)
 
 
+def _old_triangular_failures(table, j, verified):
+    """The check hamiltonian_report made before it read the triangular flow off check (a)."""
+    order = list(range(j - 1, 0, -1)) + list(range(j + 1, table.n_vars + 1))
+    seen, failures = set(), []
+    for m in order:
+        f = verified.f_terms[(min(j, m), max(j, m))]
+        b_m = -f if j < m else f
+        if not (b_m.den.is_one() and all(v.symbol == "z" and v.index in seen for v in b_m.num.vars)):
+            failures.append(m)
+        seen.add(m)
+    return failures
+
+
+def test_non_triangular_flow_already_fails_ore_form():
+    """A table on which the removed check of hamiltonian_report fails is refused by check (a)."""
+    m = model("A", 2)
+    chart = parametrize(enumerate_charts(SpaceSpec(m, "Nv", m.rs.w0))[3])
+    table = chart_bracket(chart)
+    pres = predicted_cgl(chart)
+    n = table.n_vars
+    caught = passed = 0
+    for i, k in table.pairs():
+        mid = var("z", (i + k) // 2)
+        for extra in (var("z", k) ** 2, var("z", i) * mid, 1 / var("z", i), mid, 3 * mid * mid):
+            entries = dict(table.entries)
+            entries[(i, k)] = entries[(i, k)] + extra
+            bad = BracketTable(n, table.laurent_vars, entries)
+            rep = verify_cgl(bad, pres)
+            if any(_old_triangular_failures(bad, j, rep) for j in range(1, n + 1)):
+                caught += 1
+                assert not rep.checks["a_ore_form"]["ok"], ((i, k), extra.text())
+            else:
+                passed += 1
+    # z_k^2, z_i z_mid (z_i^2 when k = i + 1) and 1/z_i are caught for every pair
+    assert caught >= 3 * len(table.pairs()) and passed > 0
+
+
+def _ep_product(x, y):
+    out = {}
+    for (p, lam), c in x.items():
+        for (q, mu), d in y.items():
+            out[(p + q, lam + mu)] = out.get((p + q, lam + mu), 0) + c * d
+    return {key: c for key, c in out.items() if c}
+
+
+def _ep_at(f, x):
+    """A polynomial RatFunc f at the exponential polynomials x[0], x[1], ..."""
+    assert f.den.is_one()
+    total = {}
+    for exp, c in f.num.terms.items():
+        term = {(0, 0): c}
+        for v, e in zip(f.num.vars, exp):
+            for _ in range(e):
+                term = _ep_product(term, x[v.index - 1])
+        for key, d in term.items():
+            total[key] = total.get(key, 0) + d
+    return {key: c for key, c in total.items() if c}
+
+
+def _ep_derivative(x):
+    out = {}
+    for (p, lam), c in x.items():
+        if p:
+            out[(p - 1, lam)] = out.get((p - 1, lam), 0) + p * c
+        out[(p, lam)] = out.get((p, lam), 0) + lam * c
+    return {key: c for key, c in out.items() if c}
+
+
+def _assert_solves_flow(table, j, start):
+    x = hamiltonian_flow(table, j, start)
+    assert all(type(lam) is type(c) is Fraction for e in x for (_, lam), c in e.items())
+    for m in range(1, table.n_vars + 1):
+        assert _ep_derivative(x[m - 1]) == _ep_at(table.get(j, m), x), (j, m)
+        assert sum(c for (p, _), c in x[m - 1].items() if p == 0) == start[m], (j, m)
+    return x
+
+
+def test_every_flow_solves_its_ode():
+    """d/dt x_m = {z_j, z_m}(x(t)) identically, for every flow of every chart
+    of SL(3)/N(w0) and Sp(4)/N(w0) and of the criterion-9 chart."""
+    charts = []
+    for series, rank in (("A", 2), ("C", 2)):
+        mm = model(series, rank)
+        charts += enumerate_charts(SpaceSpec(mm, "Nv", mm.rs.w0))
+    m3 = model("A", 3)
+    charts.append(ChartSpec(SpaceSpec(m3, "Bv", m3.rs.identity), m3.rs.identity, ((3, 2, 1, 3, 2, 3), (), ())))
+    flows = 0
+    for spec in charts:
+        table = chart_bracket(parametrize(spec))
+        start = {i: Fraction(i, i + 1) for i in range(1, table.n_vars + 1)}
+        for j in range(1, table.n_vars + 1):
+            _assert_solves_flow(table, j, start)
+            flows += 1
+    assert flows == 128 + 200 + 6
+
+
+def test_flow_resonant_rates_give_polynomial_factors():
+    """Equal rates make t^p e^{lam t} terms, which the integral takes by parts."""
+    z1, z2, z3, z5 = var("z", 1), var("z", 2), var("z", 3), var("z", 5)
+    entries = {(i, k): RatFunc.zero() for i in range(1, 5) for k in range(i + 1, 6)}
+    entries.update({(1, 2): z1 * z2, (1, 3): z1 * z3 + z2, (1, 4): z3 + 2 * z2**2, (1, 5): z1 * z5 + z3})
+    table = BracketTable(5, (), entries)
+    x = _assert_solves_flow(table, 1, {1: 1, 2: 2, 3: 3, 4: 4, 5: 5})
+    assert x[2] == {(0, 1): 3, (1, 1): 2}
+    assert max(p for p, _ in x[3]) == 1
+    assert x[4] == {(0, 1): 5, (1, 1): 3, (2, 1): 1}
+
+
 def test_flow_log_canonical_exponential():
+    """{z1, z2} = z1 z2 from (1, 1): x2 = e^t exactly and x1 = 1."""
     z1, z2 = var("z", 1), var("z", 2)
     table = BracketTable(2, (), {(1, 2): z1 * z2})
-    rep = flow_sample(table, 1, {1: 1, 2: 1}, 1.0, rtol=1e-10)
-    assert rep["finite"]
-    assert abs(rep["final"][1] - math.e) < 1e-6
-    assert abs(rep["final"][0] - 1.0) < 1e-12
+    assert hamiltonian_flow(table, 1, {1: 1, 2: 1}) == [{(0, 0): 1}, {(0, 1): 1}]
 
 
-def test_flow_reaching_a_pole_is_a_numeric_blowup():
+def test_flow_from_a_zero_torus_start_is_refused():
+    """A zero start on a localized coordinate lies outside the chart."""
     z1, z2 = var("z", 1), var("z", 2)
     table = BracketTable(2, (2,), {(1, 2): z1 / z2})
-    rep = flow_sample(table, 1, [1, 0], 1.0)
-    assert not rep["finite"] and rep["status"] == "NumericBlowup"
+    with pytest.raises(ZeroTorusValue):
+        hamiltonian_flow(table, 1, [1, 0])
+
+
+def test_flow_refuses_a_non_triangular_entry():
+    """The entry whose remainder is not polynomial in solved coordinates is the witness."""
+    z1, z2, z3 = var("z", 1), var("z", 2), var("z", 3)
+    for entry in (z1 * z3 + z3**2, z2 / z1, z1 * z3 / z2):
+        table = BracketTable(3, (), {(1, 2): z1 * z2, (1, 3): entry, (2, 3): RatFunc.zero()})
+        with pytest.raises(NotVerifiedCGL, match=re.escape(f"{{z_1, z_3}} = {entry.text()}")):
+            hamiltonian_flow(table, 1, [1, 2, 3])
 
 
 def test_verify_cgl_both_qkinds_both_v():

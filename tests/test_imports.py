@@ -1,6 +1,10 @@
-"""Every imported name is used: an AST scan, since the project installs no linter."""
+"""Every imported name is used, and the package needs only the standard library.
+
+AST scans, since the project installs no linter.
+"""
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,3 +38,34 @@ def test_no_unused_imports():
             for line, name in unused_imports(path.read_text()):
                 found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def foreign_imports(source):
+    """(line, module) of each absolute import outside the standard library and bsatlas."""
+    allowed = sys.stdlib_module_names | {"bsatlas"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [(node.lineno, mod) for mod in modules if mod.split(".")[0] not in allowed]
+    return sorted(found)
+
+
+def test_scan_finds_a_third_party_import():
+    src = (
+        "import os\nimport pytest as pt\nfrom . import cache\nfrom bsatlas.cgl import verify_cgl\n"
+        "def f():\n    from hypothesis.strategies import integers\n    import fractions, sympy\n"
+    )
+    assert foreign_imports(src) == [(2, "pytest"), (6, "hypothesis.strategies"), (7, "sympy")]
+
+
+def test_package_imports_only_the_standard_library():
+    found = []
+    for path in sorted((ROOT / "src" / "bsatlas").rglob("*.py")):
+        for line, module in foreign_imports(path.read_text()):
+            found.append(f"{path.relative_to(ROOT)}:{line}: {module}")
+    assert not found, "imports outside the standard library:\n" + "\n".join(found)

@@ -165,15 +165,20 @@ def test_sp4_patterns():
 
 
 def test_label_constant_along_flow():
-    """Spot check: the label does not move along a short Hamiltonian flow.
+    """The label does not move along a Hamiltonian flow.
 
-    The start must be generic (all classifying minors nonzero); boundary
-    strata are not preserved by the float integration + rationalization.
+    The flow is exact, so the chart's representative at x(t) is a RatFunc
+    matrix in a formal t and E = e^{t/D}, D the lcm of the rates'
+    denominators; t and E are algebraically independent, so its label is the
+    label at all but isolated t.  The start must be generic (all
+    classifying minors nonzero).
     """
+    from math import lcm
+
     from bsatlas.atlas import enumerate_charts, parametrize
-    from bsatlas.cgl import flow_sample
+    from bsatlas.cgl import hamiltonian_flow
     from bsatlas.poisson import chart_bracket
-    from bsatlas.symbolic import VarName
+    from bsatlas.symbolic import RatFunc, VarName, var
 
     m = model("A", 2)
     rs = m.rs
@@ -183,19 +188,21 @@ def test_label_constant_along_flow():
     start = {i: Fraction(i + 1, i + 3) for i in range(1, 9)}
 
     def classify_at(point):
-        rep = [
-            [x.evaluate({VarName("z", i): point[i] for i in point}) for x in row]
-            for row in chart.param.entries
-        ]
-        return t_leaf_classify(sp, rep)
+        at = {VarName("z", i): point[i] for i in point}
+        return t_leaf_classify(sp, [[x.substitute(at) for x in row] for row in chart.param.entries])
 
     lbl0 = classify_at(start)
     assert lbl0.w == rs.w0 and lbl0.y.is_identity()
+    t, big_e = var("t"), var("E")
     for j in (1, 4):
-        out = flow_sample(table, j, start, 0.25, rtol=1e-11)
-        assert out["finite"]
-        end = {i + 1: Fraction(v).limit_denominator(10**9) for i, v in enumerate(out["final"])}
-        assert classify_at(end) == lbl0
+        x = hamiltonian_flow(table, j, start)
+        d = lcm(*(lam.denominator for e in x for _, lam in e))
+        formal = {
+            i + 1: sum((c * t**p * big_e ** int(lam * d) for (p, lam), c in e.items()), RatFunc.zero())
+            for i, e in enumerate(x)
+        }
+        assert any(not f.num.is_constant() for f in formal.values())
+        assert classify_at(formal) == lbl0
 
 
 @pytest.mark.parametrize("series,rank", (("A", 1), ("A", 2), ("A", 3), ("C", 2)))

@@ -206,6 +206,11 @@ def test_cli_refuses_atlas_over_chart_limit(capsys):
         # |W| is read off the series and rank before the model is built
         (["charts", "list", "--series", "A", "--rank", "12"], charts),
         (["charts", "list", "--series", "A", "--rank", "20"], charts),
+        # a chart named by its words needs the model too
+        (["chart", "show", "--series", "A", "--rank", "7", "--r", "w0|e|w0"], charts),
+        (["chart", "change", "--series", "A", "--rank", "7", "--r", "w0|e|w0", "--to-r", "e|w0|w0", "--to-w", "w0"], charts),
+        (["bracket", "--series", "A", "--rank", "7", "--r", "w0|e|w0"], charts),
+        (["cgl", "verify", "--series", "A", "--rank", "7", "--q", "Bv", "--v", "e", "--r", "w0|e|e"], charts),
         (["roots", "--series", "A", "--rank", "31"], "rank 31 is over the limit of 30"),
     ):
         start = time.perf_counter()
