@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import NotInBigCell, NotInChartDomain
 from .groups import GroupElement, GroupModel, MinorSpec
-from .linalg import adjugate_inverse, mat_mul
+from .linalg import mat_mul, unit_lower_inverse
 from .symbolic import RatFunc, VarName, var
 
 _CHART_CACHE = {}
@@ -183,7 +183,7 @@ def parametrize(spec: ChartSpec) -> Chart:
     g3 = model.g_word(v_word, zfuncs[l0:l])
     x = mat_mul(g2.entries, model.signed_perm(rs.w0.canonical).left_inv(g1.entries))
     lower, _, _ = model.triangular_factor(x)
-    lower_inv = adjugate_inverse(lower)
+    lower_inv = model.from_internal(unit_lower_inverse(model.to_internal(lower)))
     rep = mat_mul(mat_mul(lower_inv, g2.entries), g3.entries)
     rep = model.signed_perm(v_word).right_inv(rep)
     if spec.space.qkind == "Nv":

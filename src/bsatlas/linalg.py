@@ -6,16 +6,27 @@ commutative ring that coerces Python ints through its arithmetic operators:
 Determinants use division-free cofactor expansion so polynomial matrices
 stay polynomial.  The Gauss factorization returns the big-cell normal form
 a = L*N*T (lower unitriangular, upper unitriangular, diagonal) in product
-order; ``gauss_ltu_lift`` adds the tangents of the three factors along
-left and right fields a*x and x*a in closed form, from one factorization.
+order.  It is fraction-free: each column is written as numerators over the
+lcm c_j of its denominators (a RatFunc over polynomials, a Fraction over
+integers, any other entry over 1) and Bareiss elimination runs on the
+numerators with exact divisions only, so every intermediate entry is a
+minor of the input.  With p_k the leading principal minors of the
+numerators and M the entries before their elimination step, each factor
+entry is one quotient of two such minors: L_ik = M_ik/p_{k+1},
+N_kj = M_kj p_j/(p_k p_{j+1}), T_k = p_{k+1}/(p_k c_k).
+``gauss_ltu_lift`` adds the tangents of the three factors along left and
+right fields a*x and x*a in closed form, from the same pass.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
+from math import gcd as _int_gcd
+from operator import truediv
 
 from .errors import NotInBigCell
-from .symbolic import Dual
+from .symbolic import Dual, MultiPoly, RatFunc, poly_gcd, try_divide
 
 
 def _is_zero(x):
@@ -118,26 +129,88 @@ def adjugate_inverse(a, d=None):
 def gauss_ltu(a):
     """Factor a = L*N*T with L lower-, N upper-unitriangular and T diagonal.
 
-    This is the normal form m*n*t of the big cell.  After elimination row i
-    holds t_i times row i of the upper factor U of a = L*T*U, so
-    N = T*U*T^{-1} has the entries m_ij / t_j: one division per nonzero
-    entry.  Returns (L, N, T) in product order.  Exists iff all leading
-    principal minors are nonzero; on failure raises NotInBigCell carrying
-    the 1-based index of the first vanishing minor.
+    This is the normal form m*n*t of the big cell, read off one
+    fraction-free elimination (``_bareiss``).  With c_j the lcm of the
+    denominators of column j, p_k the k-th leading principal minor of the
+    column numerators (p_0 = 1) and M_ij the numerator entry (i, j) as it
+    stands before step min(i, j),
+
+        L_ik = M_ik / p_{k+1},   N_kj = M_kj p_j / (p_k p_{j+1}),   T_k = p_{k+1} / (p_k c_k),
+
+    each entry one quotient, built once, in the entry type of a.  Returns
+    (L, N, T) in product order.  Exists iff all leading principal minors
+    are nonzero; on failure raises NotInBigCell carrying the 1-based index
+    of the first vanishing minor.
     """
-    lower, m = _eliminate(a)
-    return _normal_form(lower, m)
+    ring, m, p, c = _bareiss(a)
+    return _normal_form(ring, m, p, c)
 
 
-def _eliminate(a):
-    """Elimination without pivoting: (L, m) with a = L*U, U the upper triangle of m.
+def _int_divide(x, y):
+    q, r = divmod(x, y)
+    return None if r else q
 
-    Step k updates only the columns right of the pivot; the pivot column and
-    the columns left of it are never read again.
+
+def _ratfunc_split(x):
+    x = RatFunc.coerce(x)
+    return x.num, x.den
+
+
+# How the entries of one matrix split into numerator over denominator: ints and
+# Fractions over integers, RatFuncs over polynomials, any other entry (a Dual)
+# over 1.  ``divide`` is the exact division of numerators (None if it is not
+# exact) and ``make`` turns a numerator and a denominator back into an entry.
+# try_divide is looked up per call, so a test can replace it.
+_Ring = namedtuple("_Ring", "one split gcd divide make")
+_RATIONALS = _Ring(1, lambda x: (x.numerator, x.denominator), _int_gcd, _int_divide, Fraction)
+_RATFUNCS = _Ring(MultiPoly.constant(1), _ratfunc_split, poly_gcd, lambda f, g: try_divide(f, g), RatFunc)
+_OVER_ONE = _Ring(1, lambda x: (x, 1), None, truediv, truediv)
+
+
+def _ring_of(a):
+    kinds = {type(x) for row in a for x in row}
+    if kinds <= {int, Fraction}:
+        return _RATIONALS
+    if kinds <= {int, Fraction, RatFunc}:
+        return _RATFUNCS
+    return _OVER_ONE
+
+
+def _quotient(ring, x, y, where):
+    """x / y, which the elimination knows to be exact; a remainder is an internal fault."""
+    q = ring.divide(x, y)
+    if q is None:
+        raise AssertionError(f"fraction-free elimination: {where} is not an exact division")
+    return q
+
+
+def _bareiss(a):
+    """Fraction-free elimination without pivoting: (ring, M, p, c) for ``_normal_form``.
+
+    Column j of a becomes numerators over c_j, the lcm of its denominators.
+    Step k sets M_ij = (p_{k+1} M_ij - M_ik M_kj) / p_k for i, j > k with
+    p_{k+1} = M_kk; by Sylvester's identity M_ij is then the minor of the
+    numerators on rows 0..k, i and columns 0..k, j, so the division is exact
+    (Bareiss 1968).  Row k and the column below the pivot are never written
+    again: M keeps each entry as it stood before step min(i, j).
     """
+    ring = _ring_of(a)
+    one = ring.one
     n = len(a)
-    m = [list(row) for row in a]
-    lower = _unit_fill(n, a[0][0] * 0)
+    m = [[None] * n for _ in range(n)]
+    c = []
+    for j in range(n):
+        parts = [ring.split(row[j]) for row in a]
+        cj = one
+        for _, den in parts:
+            if den != one and den != cj:
+                cj = cj * _quotient(ring, den, ring.gcd(cj, den), f"the lcm of column {j + 1}")
+        c.append(cj)
+        for i, (num, den) in enumerate(parts):
+            if den != cj and not _is_zero(num):
+                num = num * _quotient(ring, cj, den, f"scaling entry ({i + 1}, {j + 1})")
+            m[i][j] = num
+    p = [one]
     for k in range(n):
         rk = m[k]
         piv = rk[k]
@@ -145,33 +218,40 @@ def _eliminate(a):
             raise NotInBigCell(k + 1)
         for i in range(k + 1, n):
             ri = m[i]
-            if _is_zero(ri[k]):
-                continue
-            f = exact_div(ri[k], piv)
-            lower[i][k] = f
+            f = ri[k]
             for j in range(k + 1, n):
-                ri[j] = ri[j] - f * rk[j]
-    return lower, m
+                x = ri[j]
+                if not _is_zero(x):
+                    x = x * piv
+                if not (_is_zero(f) or _is_zero(rk[j])):
+                    x = x - f * rk[j]
+                if k and not _is_zero(x):
+                    x = _quotient(ring, x, p[k], f"step {k + 1} at entry ({i + 1}, {j + 1})")
+                ri[j] = x
+        p.append(piv)
+    return ring, m, p, c
+
+
+def _normal_form(ring, m, p, c):
+    """(L, N, T) of a = L*N*T from the pass of ``_bareiss``, by the formulas of ``gauss_ltu``."""
+    n = len(m)
+    zero = ring.make(m[0][0] * 0, ring.one)
+    lower, upper = _unit_fill(n, zero), _unit_fill(n, zero)
+    tmat = [[zero] * n for _ in range(n)]
+    for k in range(n):
+        tmat[k][k] = ring.make(p[k + 1], p[k] * c[k])
+        for i in range(k + 1, n):
+            if not _is_zero(m[i][k]):
+                lower[i][k] = ring.make(m[i][k], p[k + 1])
+            if not _is_zero(m[k][i]):
+                upper[k][i] = ring.make(m[k][i] * p[i], p[k] * p[i + 1])
+    return lower, upper, tmat
 
 
 def _unit_fill(n, zero):
     """Identity matrix whose entries have the type of ``zero``, so no int leaks out."""
     one = zero + 1
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def _normal_form(lower, m):
-    """(L, N, T) from the elimination a = L*U: T = diag(U), N = U*T^{-1}."""
-    n = len(m)
-    zero = lower[0][0] * 0
-    t = [row[i] for i, row in enumerate(m)]
-    upper = _unit_fill(n, zero)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not _is_zero(m[i][j]):
-                upper[i][j] = exact_div(m[i][j], t[j])
-    tmat = [[t[i] if i == j else zero for j in range(n)] for i in range(n)]
-    return lower, upper, tmat
 
 
 def gauss_ltu_lift(a, fields):
@@ -187,16 +267,22 @@ def gauss_ltu_lift(a, fields):
     dN = up(Y)*N - N*diag(Y), which is strictly upper.
     """
     n = len(a)
-    lower, m = _eliminate(a)
-    lo, up, tm = _normal_form(lower, m)
-    zero = a[0][0] * 0
-    u = [[m[i][j] if j >= i else zero for j in range(n)] for i in range(n)]
+    ring, m, p, c = _bareiss(a)
+    lo, up, tm = _normal_form(ring, m, p, c)
+    zero = lo[0][0] * 0
+    # U = N*T, read off the same pass: U_kj = M_kj / (p_k c_j)
+    u = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        u[i][i] = tm[i][i]
+        for j in range(i + 1, n):
+            if not _is_zero(m[i][j]):
+                u[i][j] = ring.make(m[i][j], p[i] * c[j])
     # U^{-1} = T^{-1} N^{-1}
     u_inv = [
-        [x if _is_zero(x) else exact_div(x, m[i][i]) for x in row]
+        [x if _is_zero(x) else x / tm[i][i] for x in row]
         for i, row in enumerate(_unit_upper_inverse(up, zero))
     ]
-    lo_inv = mat_transpose(_unit_upper_inverse(mat_transpose(lo), zero))
+    lo_inv = unit_lower_inverse(lo)
     d_lo, d_up, d_t = [], [], []
     for side, x in fields:
         if side == "left":
@@ -207,7 +293,7 @@ def gauss_ltu_lift(a, fields):
             raise ValueError(f"unknown field side {side!r}")
         dl, dn, dt = ([[zero] * n for _ in range(n)] for _ in range(3))
         for i in range(n):
-            dt[i][i] = y[i][i] * m[i][i]
+            dt[i][i] = y[i][i] * tm[i][i]
             for j in range(i):
                 # (L sl(Y))_ij = Y_ij + sum_{j<k<i} L_ik Y_kj
                 dl[i][j] = _dot(y[i][j], ((lo[i][k], y[k][j]) for k in range(j + 1, i)))
@@ -233,6 +319,11 @@ def _dot(acc, pairs):
             continue
         acc = acc + x * y
     return acc
+
+
+def unit_lower_inverse(a):
+    """Inverse of a lower unitriangular matrix, by back-substitution on its transpose."""
+    return mat_transpose(_unit_upper_inverse(mat_transpose(a), a[0][0] * 0))
 
 
 def _unit_upper_inverse(a, zero):

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bsatlas import linalg
+from bsatlas.cli import main
 from bsatlas.errors import NonReducedWord, NotInBigCell, ZeroTorusValue
 from bsatlas.groups import GroupElement, MinorSpec, SignedPerm, build_model, cached_model
 from bsatlas.linalg import _is_zero, mat_mul, mat_transpose, minor
@@ -245,15 +247,25 @@ def test_gauss_factor_roundtrip_random():
             assert same(lo * n * t, g)
 
 
-def _ltu_upper(a):
-    """U of the L*T*U elimination, each row divided by its own pivot."""
+def _ltu_reference(a):
+    """The division elimination a = L*T*U: (L, diagonal of T, U), each row of U divided by its own pivot.
+
+    Every multiplier and every update is a division or product in the entry
+    type of a, and a zero pivot raises NotInBigCell with its 1-based index.
+    """
     m = [list(row) for row in a]
     size = len(m)
+    zero = a[0][0] * 0
+    lower = [[zero + 1 if i == j else zero for j in range(size)] for i in range(size)]
     for k in range(size):
+        if _is_zero(m[k][k]):
+            raise NotInBigCell(k + 1)
         for i in range(k + 1, size):
             f = m[i][k] / m[k][k]
+            lower[i][k] = f
             m[i] = [x - f * y for x, y in zip(m[i], m[k])]
-    return [[m[i][j] / m[i][i] if j > i else int(i == j) for j in range(size)] for i in range(size)]
+    upper = [[m[i][j] / m[i][i] if j > i else int(i == j) for j in range(size)] for i in range(size)]
+    return lower, [m[i][i] for i in range(size)], upper
 
 
 def _parts(x):
@@ -289,7 +301,7 @@ def test_upper_factor_is_torus_conjugate_of_ltu_upper(series, rank):
             assert all(type(x) is kind for row in factor for x in row), kind
         # compared in the internal basis, where N is matrix-triangular
         n, t = m.to_internal(factors[1]), m.to_internal(factors[2])
-        u = _ltu_upper(m.to_internal(g))
+        _, _, u = _ltu_reference(m.to_internal(g))
         for i in range(m.dim):
             for j in range(m.dim):
                 want = u[i][j] * t[i][i] / t[j][j] if j > i else n[i][j] * 0 + int(i == j)
@@ -321,6 +333,89 @@ def test_lifted_factors_match_dual_elimination(data):
     got = m.triangular_factor_lift(h, [("left", x_left), ("right", x_right)])
     for fw, fg in zip(want, got):
         assert all(_parts(x) == _parts(y) for rw, rg in zip(fw, fg) for x, y in zip(rw, rg))
+
+
+_positive = st.fractions(min_value=Fraction(1, 3), max_value=4, max_denominator=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_factors_match_the_division_elimination(data):
+    """L, N, T of the fraction-free elimination equal a division elimination, entry by entry and in the point's type.
+
+    The points are Fraction points, RatFunc points whose one-parameter
+    factors carry a non-monomial denominator z + c (so columns are brought
+    over the lcm of their denominators), and Dual points with symbolic
+    tangents.  With sbar(2) between the lower and the upper unipotent part
+    the second leading minor vanishes and the first does not.
+    """
+    series, rank = data.draw(st.sampled_from([("A", 2), ("A", 3), ("C", 2)]), label="group")
+    kind = data.draw(st.sampled_from([Fraction, RatFunc, Dual]), label="kind")
+    singular = data.draw(st.booleans(), label="singular")
+    m = cached_model(series, rank)
+    z = var("z", 1)
+
+    def param():
+        q = data.draw(_positive)
+        return q + 1 / (z + data.draw(st.integers(1, 3))) if kind is RatFunc else q
+
+    def word():
+        return [data.draw(st.integers(1, rank)) for _ in range(data.draw(st.integers(1, 2 * rank)))]
+
+    g = m.identity_like(z if kind is RatFunc else Fraction(1))
+    if singular:
+        for i in word():
+            g = m.mul_one_param(g, -i, param())
+        g = GroupElement(m, m.signed_perm((2,)).right(g.entries))
+        for i in word():
+            g = m.mul_one_param(g, i, param())
+    else:
+        for i in word() + word():
+            g = m.mul_one_param(g, data.draw(st.sampled_from([1, -1])) * i, param())
+    point = m.mul_torus(g, [param() for _ in range(rank)]).entries
+    if kind is RatFunc:
+        assert any(not x.den.is_monomial() for row in point for x in row)
+    if kind is Dual:
+        # off the big cell, tangents along scaling and a diagonal conjugation keep the minor zero
+        point = [
+            [Dual(x, (x * z, x * (j - i) if singular else x + j - i)) for j, x in enumerate(row)]
+            for i, row in enumerate(point)
+        ]
+    try:
+        lo, t, u = _ltu_reference(m.to_internal(point))
+    except NotInBigCell as e:
+        assert e.minor_index == 2 or not singular
+        with pytest.raises(NotInBigCell) as got:
+            m.triangular_factor(point)
+        assert got.value.minor_index == e.minor_index
+        return
+    assert not singular
+    zero = t[0] * 0
+    n = [[u[i][j] * t[i] / t[j] if j > i else zero + int(i == j) for j in range(m.dim)] for i in range(m.dim)]
+    tm = [[t[i] if i == j else zero for j in range(m.dim)] for i in range(m.dim)]
+    for name, got, want in zip("LNT", m.triangular_factor(point), (lo, n, tm)):
+        got = m.to_internal(got)
+        for i in range(m.dim):
+            for j in range(m.dim):
+                assert type(got[i][j]) is kind, (name, i, j)
+                assert _parts(got[i][j]) == _parts(want[i][j]), (name, i, j)
+
+
+def test_inexact_bareiss_division_is_an_internal_fault(monkeypatch, capsys):
+    """A division of the elimination that leaves a remainder raises AssertionError naming the step; the CLI exits 1."""
+    m = model("A", 2)
+    g = entry_matrix(m).entries
+    m.triangular_factor(g)
+    monkeypatch.setattr(linalg, "try_divide", lambda f, g: None)
+    with pytest.raises(AssertionError, match=r"step 2 at entry \(3, 3\) is not an exact division"):
+        m.triangular_factor(g)
+    # a column over the lcm of its denominators divides too
+    with pytest.raises(AssertionError, match=r"column 1"):
+        m.triangular_factor([[x / (var("d") + 1) if j == 0 else x for j, x in enumerate(row)] for row in g])
+    args = ["--json", "chart", "change", "--series", "A", "--rank", "2", "--index", "3", "--to-index", "5"]
+    assert main(args) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "internal invariant failed" in out.err
 
 
 def test_factors_keep_the_entry_type():
