@@ -42,6 +42,10 @@ class CGLPresentation:
         """Evaluate a character tuple on a coweight tuple."""
         return self.rs.evaluate_tuples(char_tuple, h_tuple)
 
+    def pair_table(self, hs):
+        """table[i][j] = chi_{i+1}(hs[j]) for the character tuples chi of every coordinate, built at once."""
+        return self.rs.evaluate_table(self.chars, hs)
+
     def pulled_weight(self, j):
         """T-weight of z_j under the diagonal embedding (sum of twisted factors)."""
         rs = self.rs
@@ -186,17 +190,17 @@ def verify_cgl(table: BracketTable, pres: CGLPresentation) -> CGLReport:
     n = table.n_vars
     rs = pres.rs
 
+    # on_h[i-1][j-1] = chi_i(h_j) and on_hp[i-1][j-1] = chi_i(h'_j)
+    on_h, on_hp = pres.pair_table(pres.hvecs), pres.pair_table(pres.hprimes)
     bad_a, bad_b, bad_e = [], [], []
     for (i, j), entry in sorted(table.entries.items()):
         zz = RatFunc.from_poly(
             MultiPoly.variable(VarName("z", i)) * MultiPoly.variable(VarName("z", j))
         )
-        c_a = pres.pair(pres.chars[i - 1], pres.hvecs[j - 1])
-        f_a = -(entry + c_a * zz)
+        f_a = -(entry + on_h[i - 1][j - 1] * zz)
         if not _support_range_ok(f_a, i, j):
             bad_a.append({"pair": (i, j), "f": f_a.text()})
-        c_b = pres.pair(pres.chars[j - 1], pres.hprimes[i - 1])
-        f_b = c_b * zz - entry
+        f_b = on_hp[j - 1][i - 1] * zz - entry
         if not (f_b - f_a).is_zero():
             bad_b.append({"pair": (i, j), "f_a": f_a.text(), "f_b": f_b.text()})
         report.f_terms[(i, j)] = f_a
@@ -207,9 +211,9 @@ def verify_cgl(table: BracketTable, pres: CGLPresentation) -> CGLReport:
 
     bad_c = []
     for j in range(1, n + 1):
-        if pres.pair(pres.chars[j - 1], pres.hvecs[j - 1]) == 0:
+        if on_h[j - 1][j - 1] == 0:
             bad_c.append({"index": j, "side": "h"})
-        if pres.pair(pres.chars[j - 1], pres.hprimes[j - 1]) == 0:
+        if on_hp[j - 1][j - 1] == 0:
             bad_c.append({"index": j, "side": "h'"})
     report.record("c_nondegenerate", not bad_c, bad_c)
 

@@ -27,7 +27,6 @@ from itertools import combinations
 from .errors import NormalizationMismatch, UnsupportedSeries, ZeroTorusValue
 from .linalg import (
     _is_zero,
-    adjugate_inverse,
     det,
     gauss_ltu,
     gauss_ltu_lift,
@@ -77,9 +76,6 @@ class GroupElement:
         if isinstance(other, GroupElement):
             return GroupElement(self.model, mat_mul(self.entries, other.entries))
         return NotImplemented
-
-    def inverse(self):
-        return GroupElement(self.model, adjugate_inverse(self.entries, det(self.entries)))
 
     def transpose(self):
         return GroupElement(self.model, mat_transpose(self.entries))

@@ -106,26 +106,6 @@ def minor(a, rows, cols):
     return det(sub)
 
 
-def adjugate_inverse(a, d=None):
-    """Inverse via adjugate/determinant; raises on singular input."""
-    n = len(a)
-    if d is None:
-        d = det(a)
-    if _is_zero(d):
-        raise ZeroDivisionError("singular matrix")
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            sub = [
-                [a[r][c] for c in range(n) if c != i] for r in range(n) if r != j
-            ]
-            cof = det(sub) if n > 1 else 1
-            if (i + j) % 2:
-                cof = -cof
-            out[i][j] = exact_div(cof, d)
-    return out
-
-
 def gauss_ltu(a):
     """Factor a = L*N*T with L lower-, N upper-unitriangular and T diagonal.
 
@@ -214,7 +194,8 @@ def _bareiss(a):
     for k in range(n):
         rk = m[k]
         piv = rk[k]
-        if _is_zero(piv):
+        # a Dual point lies in the big cell when its base does
+        if _is_zero(piv.a if isinstance(piv, Dual) else piv):
             raise NotInBigCell(k + 1)
         for i in range(k + 1, n):
             ri = m[i]

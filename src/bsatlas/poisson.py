@@ -9,7 +9,10 @@ along every left/right root-vector field.  The point is factored once, the
 factors are lifted to dual numbers in closed form, one tangent slot per
 field, and the coordinates are read off the lifted factors once, the N_v
 coordinates as minors of the whole N factor for every v.  No Dual matrix is
-ever eliminated.
+ever eliminated.  Every tangent and every bracket entry of a chart lies in
+the chart's Laurent ring, so pair assembly and the Jacobi sums run on
+exponent tuples over that ring (``symbolic.to_laurent``) and build each
+RatFunc once.
 """
 
 from __future__ import annotations
@@ -21,7 +24,16 @@ from .atlas import Chart, coordinates_from_factors
 from .errors import NonPolynomialBracket, NormalizationMismatch
 from .groups import GroupElement, GroupModel
 from .linalg import _is_zero, mat_mul
-from .symbolic import MultiPoly, RatFunc, VarName
+from .symbolic import (
+    MultiPoly,
+    RatFunc,
+    VarName,
+    from_laurent,
+    laurent_derivative,
+    laurent_fma,
+    laurent_frame,
+    to_laurent,
+)
 
 
 class LambdaData:
@@ -161,22 +173,26 @@ def chart_bracket(chart: Chart, lam: LambdaData | None = None) -> BracketTable:
     for c, z in zip(coords, chart.zvars):
         if not (c.a - RatFunc.from_poly(MultiPoly.variable(z))).is_zero():
             raise AssertionError("chart round trip failed inside bracket engine")
-    # derivs[k][i]: derivative of z_{i+1} along field k (order L-, L+, R-, R+ per term)
-    derivs = [[c.b[k] for c in coords] for k in range(len(fields))]
+    # derivs[k][i]: derivative of z_{i+1} along field k (order L-, L+, R-, R+ per term),
+    # as a Laurent value over the variables the tangents contain
+    frame = laurent_frame(d for c in coords for d in c.b)
+    derivs = [[to_laurent(c.b[k], frame) for c in coords] for k in range(len(fields))]
     per_term = [
-        (coeff, *derivs[4 * t : 4 * t + 4]) for t, (_, _, _, coeff) in enumerate(lam.terms)
+        (coeff, -coeff, *derivs[4 * t : 4 * t + 4]) for t, (_, _, _, coeff) in enumerate(lam.terms)
     ]
 
     laurent = chart.torus_block()
     entries = {}
-    for i, j in combinations(range(1, n + 1), 2):
-        tot = RatFunc.zero()
-        for coeff, dlm, dlp, drm, drp in per_term:
-            lterm = dlm[i - 1] * dlp[j - 1] - dlp[i - 1] * dlm[j - 1]
-            rterm = drm[i - 1] * drp[j - 1] - drp[i - 1] * drm[j - 1]
-            tot = tot + coeff * (lterm - rterm)
-        _require_polynomial(tot, laurent, (i, j))
-        entries[(i, j)] = tot
+    for i, j in combinations(range(n), 2):
+        acc = {}
+        for plus, minus, dlm, dlp, drm, drp in per_term:
+            laurent_fma(acc, plus, dlm[i], dlp[j])
+            laurent_fma(acc, minus, dlp[i], dlm[j])
+            laurent_fma(acc, minus, drm[i], drp[j])
+            laurent_fma(acc, plus, drp[i], drm[j])
+        tot = from_laurent(acc, frame)
+        _require_polynomial(tot, laurent, (i + 1, j + 1))
+        entries[(i + 1, j + 1)] = tot
     return BracketTable(n, laurent, entries, chart=chart)
 
 
@@ -196,27 +212,33 @@ def _require_polynomial(f: RatFunc, laurent, where):
 def jacobi_check(table: BracketTable):
     """Exact Jacobi identity report, with the nonzero cyclic sum of each failing triple.
 
-    Each entry is differentiated once per variable it contains, into a
-    gradient table; {z_i, {z_j, z_k}} is then the Leibniz sum
-    sum_m d_m{z_j, z_k} * {z_i, z_m} over the table.
+    The entries are converted once to Laurent values over the variables
+    they contain, and each is differentiated once per variable z_m it
+    contains, into a gradient table; {z_i, {z_j, z_k}} is then the Leibniz
+    sum sum_m d_m{z_j, z_k} * {z_i, z_m}, and each cyclic sum accumulates in
+    one dict.  A failure's value is the text of the canonical RatFunc.
     """
     n = table.n_vars
-    zs = [VarName("z", m) for m in range(1, n + 1)]
+    frame = laurent_frame(table.entries.values())
+    # signed[(i, m)] = (s, x) with {z_i, z_m} = s * x, for i < m and for i > m
+    signed = {}
     grads = {}
-    for pair, f in table.entries.items():
-        occurring = set(f.variables())
-        grads[pair] = [(m, f.differentiate(z)) for m, z in enumerate(zs, 1) if z in occurring]
-
-    def bracket_with(i, pair):
-        out = RatFunc.zero()
-        for m, part in grads[pair]:
-            out = out + part * table.get(i, m)
-        return out
+    z_slots = [(v.index, slot) for v, slot in frame.items() if v.symbol == "z" and 1 <= v.index <= n]
+    for (i, j), f in table.entries.items():
+        x = to_laurent(f, frame)
+        signed[(i, j)] = (1, x)
+        signed[(j, i)] = (-1, x)
+        grads[(i, j)] = [(m, laurent_derivative(x, slot)) for m, slot in z_slots if any(e[slot] for e in x)]
 
     failures = []
     for i, j, k in combinations(range(1, n + 1), 3):
         # {z_k, z_i} = -{z_i, z_k}
-        s = bracket_with(i, (j, k)) - bracket_with(j, (i, k)) + bracket_with(k, (i, j))
-        if not s.is_zero():
-            failures.append({"triple": (i, j, k), "value": s.text()})
+        acc = {}
+        for sign, r, pair in ((1, i, (j, k)), (-1, j, (i, k)), (1, k, (i, j))):
+            for m, part in grads[pair]:
+                if m != r:
+                    s, x = signed[(r, m)]
+                    laurent_fma(acc, sign * s, part, x)
+        if acc:
+            failures.append({"triple": (i, j, k), "value": from_laurent(acc, frame).text()})
     return {"ok": not failures, "mode": "symbolic", "failures": failures}

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import NonReducedWord, UnsupportedSeries
 from .linalg import rational_inverse
@@ -175,6 +176,11 @@ class RootSystem:
         self.simple_roots = tuple(
             Weight(self.cartan[i][j] for i in range(rank)) for j in range(rank)
         )
+        # alpha_i^vee = 2 alpha_i# / <alpha_i, alpha_i>, for reflecting coweights
+        self._coroots = tuple(
+            self.sharp(alpha) * Fraction(2, 1) * (1 / n2)
+            for alpha, n2 in zip(self.simple_roots, self._norms2)
+        )
         # alpha_i as an integer tuple, for reflecting weights and w(rho)
         self._alpha_int = tuple(tuple(self.cartan[j][i] for j in range(rank)) for i in range(rank))
         rho = (1,) * rank
@@ -250,10 +256,25 @@ class RootSystem:
         """Pairing of a tuple of weights with a tuple of coweights, factor by factor."""
         return sum(self.evaluate(lam, h) for lam, h in zip(lams, hs)) or _Q0
 
+    def evaluate_table(self, lam_tuples, h_tuples):
+        """[[evaluate_tuples(lams, hs) for hs in h_tuples] for lams in lam_tuples], in integers.
+
+        The simple-root coordinates of the weights and the coefficients of
+        the coweights are each brought over the lcm of their denominators
+        once, so every entry is one integer dot product over d1 * d2.
+        """
+        roots = [[c for lam in lams for c in self._root_coords(lam)] for lams in lam_tuples]
+        cows = [[c for h in hs for c in h.coeffs] for hs in h_tuples]
+        d1 = lcm(*(c.denominator for row in roots for c in row))
+        d2 = lcm(*(c.denominator for row in cows for c in row))
+        a = [[c.numerator * (d1 // c.denominator) for c in row] for row in roots]
+        b = [[c.numerator * (d2 // c.denominator) for c in row] for row in cows]
+        den = d1 * d2
+        return [[Fraction(sum(map(mul, x, y)), den) for y in b] for x in a]
+
     def coweight_of_root(self, i):
         """Simple coroot alpha_i^vee as a Coweight (alpha_i(.) = 2)."""
-        sharp = self.sharp(self.simple_root(i))
-        return sharp * Fraction(2, 1) * (1 / self._norms2[i - 1])
+        return self._coroots[i - 1]
 
     def fundamental_coweight(self, i):
         """Dual basis to the simple roots: alpha_j(f_i) = delta_ij."""

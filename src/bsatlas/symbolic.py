@@ -8,6 +8,13 @@ parts.  Monomials are ordered graded-lexicographically with respect to the
 total order on variable names, which makes every normalized value canonical:
 equal rational functions have identical representations and identical text
 serializations.
+
+Inside one Bott-Samelson chart every coordinate tangent and every bracket
+entry is a Laurent polynomial in the chart's variables, and those run in a
+lighter format: a dict from an exponent tuple, aligned with a sorted frame
+of the variables that occur and allowing negative exponents, to a nonzero
+coefficient.  Products and sums there merge no variable tuples and take no
+gcd; ``from_laurent`` returns the canonical RatFunc.
 """
 
 from __future__ import annotations
@@ -17,8 +24,9 @@ from fractions import Fraction
 from functools import total_ordering
 from math import gcd as _int_gcd
 from math import lcm as _int_lcm
+from operator import add, sub
 
-from .errors import EvaluationPole, SubstitutionPole, ZeroDenominator
+from .errors import EvaluationPole, NonPolynomialBracket, SubstitutionPole, ZeroDenominator
 
 _ZERO = Fraction(0)
 
@@ -794,6 +802,79 @@ class RatFunc:
 
 _RF_ZERO = RatFunc.from_poly(MultiPoly.constant(0))
 _RF_ONE = RatFunc.from_poly(MultiPoly.constant(1))
+
+
+# -- chart-local Laurent polynomials ------------------------------------------
+
+
+def laurent_frame(fs):
+    """The frame of the RatFuncs fs: each variable that occurs in one, mapped to its slot in sorted order."""
+    occurring = set()
+    for f in fs:
+        occurring.update(f.num.vars)
+        occurring.update(f.den.vars)
+    return {v: slot for slot, v in enumerate(sorted(occurring))}
+
+
+def to_laurent(f, frame):
+    """f = num/m as {exponent tuple over ``frame``: coefficient}; m must be a monomial.
+
+    Any other denominator raises NonPolynomialBracket.
+    """
+    den = f.den
+    if len(den.terms) != 1:
+        raise NonPolynomialBracket(f"{f.text()} is not a Laurent polynomial: {den.text()} is not a monomial")
+    # a canonical monomial denominator has coefficient 1
+    base = [0] * len(frame)
+    for v, k in zip(den.vars, next(iter(den.terms))):
+        base[frame[v]] = -k
+    slots = [frame[v] for v in f.num.vars]
+    out = {}
+    for exp, c in f.num.terms.items():
+        e = base[:]
+        for slot, k in zip(slots, exp):
+            e[slot] += k
+        out[tuple(e)] = c
+    return out
+
+
+def laurent_fma(acc, s, a, b):
+    """acc += s*a*b in place, for Laurent values a and b over the frame of acc and a nonzero rational s."""
+    if type(s) is not int:
+        s = _exact(s)
+    for ea, ca in a.items():
+        sca = s * ca
+        for eb, cb in b.items():
+            e = tuple(map(add, ea, eb))
+            c = acc.get(e, 0) + sca * cb
+            if c:
+                acc[e] = c
+            else:
+                acc.pop(e, None)
+
+
+def laurent_derivative(a, slot):
+    """The derivative of the Laurent value a by the variable at ``slot`` of its frame."""
+    out = {}
+    for e, c in a.items():
+        k = e[slot]
+        if k:
+            out[e[:slot] + (k - 1,) + e[slot + 1 :]] = c * k
+    return out
+
+
+def from_laurent(a, frame):
+    """The canonical RatFunc of a Laurent value: its numerator over the least monomial that clears it."""
+    if not a:
+        return _RF_ZERO
+    variables = tuple(frame)
+    low = [min(k, 0) for k in map(min, zip(*a))]
+    if not any(low):
+        return RatFunc.from_poly(MultiPoly._make(variables, a))
+    # no variable of the denominator divides the numerator, so the two are coprime
+    num = MultiPoly._make(variables, {tuple(map(sub, e, low)): c for e, c in a.items()})
+    den = MultiPoly._pruned(variables, {tuple(-k for k in low): 1})
+    return RatFunc(num, den, _canonical=True)
 
 
 class Dual:

@@ -85,6 +85,22 @@ def test_verify_cgl_all_charts(series, rank, qkind, vname):
         assert report.ok, (spec.label(), report.to_dict())
 
 
+@pytest.mark.parametrize(
+    "series,rank,qkind,vname",
+    [("A", 2, "Nv", "w0"), ("C", 2, "Nv", "w0"), ("A", 3, "Bv", "e")],
+)
+def test_pair_table_matches_evaluate_tuples(series, rank, qkind, vname):
+    """Every entry of the integer pairing table is rs.evaluate_tuples of its character and coweight tuples."""
+    m = model(series, rank)
+    rs = m.rs
+    space = SpaceSpec(m, qkind, rs.w0 if vname == "w0" else rs.identity)
+    for spec in enumerate_charts(space):
+        pres = predicted_cgl(parametrize(spec))
+        for hs in (pres.hvecs, pres.hprimes):
+            want = [[rs.evaluate_tuples(chi, h) for h in hs] for chi in pres.chars]
+            assert pres.pair_table(hs) == want, spec.label()
+
+
 def test_log_canonical_coefficients_within_blocks():
     """Within each word block the coefficient is minus the pairing of the roots."""
     m = model("A", 2)

@@ -49,6 +49,18 @@ def split_unipotent_by_v(m, n_el, v):
     return n1, n2
 
 
+def _inverse(g):
+    """Reference g^{-1} by the adjugate formula: entry (i, j) is (-1)^(i+j) det g[rows != j, cols != i] / det g."""
+    a = g.entries
+    n = len(a)
+    d = linalg.det(a)
+
+    def cofactor(i, j):
+        return (-1) ** (i + j) * minor(a, [r for r in range(n) if r != j], [c for c in range(n) if c != i])
+
+    return GroupElement(g.model, [[linalg.exact_div(cofactor(i, j), d) for j in range(n)] for i in range(n)])
+
+
 def same(g, h):
     return all((RatFunc.coerce(x) - RatFunc.coerce(y)).is_zero() for r1, r2 in zip(g.entries, h.entries) for x, y in zip(r1, r2))
 
@@ -401,6 +413,25 @@ def test_factors_match_the_division_elimination(data):
                 assert _parts(got[i][j]) == _parts(want[i][j]), (name, i, j)
 
 
+def test_dual_point_off_the_big_cell_in_its_base_only():
+    """A Dual pivot whose base vanishes but whose tangent does not is outside the big cell: NotInBigCell(2)."""
+    m = model("A", 2)
+    z = var("z", 1)
+    g = m.identity_like(Fraction(1))
+    for i, c in ((1, 2), (2, 3)):
+        g = m.mul_one_param(g, -i, Fraction(c))
+    g = GroupElement(m, m.signed_perm((2,)).right(g.entries))
+    for i, c in ((2, 5), (1, 7)):
+        g = m.mul_one_param(g, i, Fraction(c))
+    point = m.mul_torus(g, [Fraction(2), Fraction(3)]).entries
+    point = [[Dual(x, (x * z, x + j - i)) for j, x in enumerate(row)] for i, row in enumerate(point)]
+    second = minor(m.to_internal(point), [0, 1], [0, 1])
+    assert second.a.is_zero() and not second.is_zero()
+    with pytest.raises(NotInBigCell) as got:
+        m.triangular_factor(point)
+    assert got.value.minor_index == 2
+
+
 def test_inexact_bareiss_division_is_an_internal_fault(monkeypatch, capsys):
     """A division of the elimination that leaves a remainder raises AssertionError naming the step; the CLI exits 1."""
     m = model("A", 2)
@@ -461,7 +492,7 @@ def test_split_commutes_with_torus_conjugation(series, rank):
         for _ in range(rs.l0 + 2):
             n = m.mul_one_param(n, rng.randint(1, rank), Fraction(rng.randint(-5, 5), rng.randint(1, 5)))
         t = m.torus_element([Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 7)) for _ in range(rank)])
-        t_inv = t.inverse()
+        t_inv = _inverse(t)
         n1, _ = split_unipotent_by_v(m, n, v)
         tn1, _ = split_unipotent_by_v(m, t * n * t_inv, v)
         assert tn1.entries == (t * n1 * t_inv).entries, v
@@ -634,7 +665,7 @@ def test_g_word_lands_in_shifted_unipotent():
             zf = [var("t", i) for i in range(1, len(word) + 1)]
             g = m.g_word(word, zf)
             ub = m.wbar(word)
-            x = m.to_internal((ub.inverse() * g).entries)
+            x = m.to_internal((_inverse(ub) * g).entries)
             n = m.dim
             for i in range(n):
                 for j in range(n):

@@ -6,8 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsatlas.errors import EvaluationPole, SubstitutionPole, ZeroDenominator
-from bsatlas.symbolic import Dual, MultiPoly, RatFunc, VarName, poly_gcd, var
+from bsatlas.errors import EvaluationPole, NonPolynomialBracket, SubstitutionPole, ZeroDenominator
+from bsatlas.symbolic import (
+    Dual,
+    MultiPoly,
+    RatFunc,
+    VarName,
+    from_laurent,
+    laurent_derivative,
+    laurent_fma,
+    laurent_frame,
+    poly_gcd,
+    to_laurent,
+    var,
+)
 
 x, y = var("x"), var("y")
 X, Y = VarName("x"), VarName("y")
@@ -174,6 +186,56 @@ def test_vector_dual_slots_match_single_slot_duals(parts, c):
                 want = per_slot[k][op]
                 assert got.a == want.a and got.b[k] == want.b[0]
                 assert got.b[k].text() == want.b[0].text()
+
+
+_LAURENT_VARS = (VarName("u", 1), VarName("z", 1), VarName("z", 2), VarName("z", 3))
+_nonzero = st.one_of(
+    st.integers(-6, 6).filter(bool),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool),
+)
+
+
+@st.composite
+def _laurent_ratfuncs(draw):
+    """A RatFunc with a monomial denominator: up to four terms, exponents -2..2 in u1, z1, z2, z3.
+
+    Half of the draws are polynomials (exponents 0..2), so values with and
+    without a denominator both occur.
+    """
+    low = draw(st.sampled_from([-2, 0]))
+    out = RatFunc.zero()
+    for _ in range(draw(st.integers(0, 4))):
+        term = RatFunc.constant(draw(_nonzero))
+        for v in _LAURENT_VARS:
+            term = term * RatFunc.from_poly(MultiPoly.variable(v)) ** draw(st.integers(low, 2))
+        out = out + term
+    return out
+
+
+def _assert_same(got, want):
+    """Equal num and den, variable tuples and coefficient types included, and equal text."""
+    for p, q in ((got.num, want.num), (got.den, want.den)):
+        assert p.vars == q.vars and p.terms == q.terms
+        assert all(type(c) is type(q.terms[e]) for e, c in p.terms.items())
+    assert got.text() == want.text()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_laurent_ratfuncs(), _laurent_ratfuncs(), _laurent_ratfuncs(), _nonzero)
+def test_laurent_format_matches_ratfunc(f, g, h, s):
+    """Round trip, derivative and fused multiply-add in the Laurent format agree with RatFunc arithmetic."""
+    frame = laurent_frame([f, g, h])
+    a, b, acc = (to_laurent(p, frame) for p in (f, g, h))
+    for p, x in ((f, a), (g, b), (h, acc)):
+        _assert_same(from_laurent(x, frame), p)
+    for v, slot in frame.items():
+        _assert_same(from_laurent(laurent_derivative(a, slot), frame), f.differentiate(v))
+    laurent_fma(acc, s, a, b)
+    _assert_same(from_laurent(acc, frame), h + s * f * g)
+    # f*f + 1 has no w, so nothing cancels the non-monomial denominator
+    off = (f * f + 1) / (var("w") + 1)
+    with pytest.raises(NonPolynomialBracket):
+        to_laurent(off, laurent_frame([off]))
 
 
 def test_add_zero_makes_no_gcd(monkeypatch):
