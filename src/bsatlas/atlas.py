@@ -4,14 +4,15 @@ A chart is indexed by w in W together with a triple of reduced words
 r = (w0_word, w_word, v_word) for (w0 w^{-1}, w, v).  The chart covers the
 shifted big cell w B^- B / Q; its parametrization composes one-parameter
 chains with a symbolic Gauss factorization, and its coordinates are
-generalized minors of the three factors of the normal form wbar * m * n * t.
+generalized minors of the three factors of the normal form wbar * m * n * t,
+each read as one signed minor of one factor (``Chart.minors``).
 """
 
 from __future__ import annotations
 
 from .errors import NotInBigCell, NotInChartDomain
-from .groups import GroupElement, GroupModel, MinorSpec
-from .linalg import mat_mul, unit_lower_inverse
+from .groups import GroupElement, GroupModel, MinorSpec, _signed
+from .linalg import mat_mul, minor, minor_tangents, unit_lower_inverse
 from .symbolic import RatFunc, VarName, var
 
 _CHART_CACHE = {}
@@ -84,9 +85,14 @@ class ChartSpec:
 
 
 class Chart:
-    """A chart with its symbolic parametrization and coordinate recipes."""
+    """A chart with its symbolic parametrization and coordinate recipes.
 
-    __slots__ = ("spec", "dims", "zvars", "param", "coord_formulas")
+    ``minors`` reads each coordinate as one signed minor (factor, rows, cols,
+    sign) of the normal form L*N*T of wbar^{-1} g, with factor 0, 1, 2 for
+    L, N, T (``signed_minors``).
+    """
+
+    __slots__ = ("spec", "dims", "zvars", "param", "coord_formulas", "minors")
 
     def __init__(self, spec, dims, zvars, param, coord_formulas):
         self.spec = spec
@@ -94,6 +100,7 @@ class Chart:
         self.zvars = zvars
         self.param = param
         self.coord_formulas = coord_formulas
+        self.minors = signed_minors(spec, coord_formulas)
 
     def torus_block(self):
         """Indices (1-based) of the Laurent coordinates (Nv torus block)."""
@@ -164,6 +171,33 @@ def coordinate_formulas(spec: ChartSpec):
     return out
 
 
+_FACTOR_OF_TAG = {"m": 0, "wmw": 0, "n": 1, "t": 2}
+
+
+def signed_minors(spec: ChartSpec, formulas):
+    """Each coordinate recipe as (factor, rows, cols, sign): sign * det factor[rows, cols].
+
+    A 'wmw' minor of wbar L wbar^{-1} reindexes L: with pi = W.cols and
+    s_r = W.signs[pi r], (W L W^{-1})[r][c] = s_r s_c L[pi r][pi c].
+    t^{omega_i} is the leading principal minor of T of size minor_size(i).
+    """
+    model = spec.space.model
+    wp = model.signed_perm(spec.w.canonical)
+    out = []
+    for tag, payload in formulas:
+        if tag == "t":
+            k = tuple(range(model.minor_size(payload)))
+            out.append((2, k, k, 1))
+            continue
+        rows, cols, sign = model.minor_indices(payload)
+        if tag == "wmw":
+            rows, cols = tuple(wp.cols[r] for r in rows), tuple(wp.cols[c] for c in cols)
+            for j in rows + cols:
+                sign *= wp.signs[j]
+        out.append((_FACTOR_OF_TAG[tag], rows, cols, sign))
+    return out
+
+
 def parametrize(spec: ChartSpec) -> Chart:
     """Build the chart: symbolic coset representative plus coordinate recipes."""
     got = _CHART_CACHE.get(spec.key())
@@ -215,35 +249,27 @@ def eval_coordinates(chart: Chart, g):
     return coordinates_from_factors(chart, *factors)
 
 
-def coordinates_from_factors(chart: Chart, lower, nfull, tdiag):
-    """Coordinates of the point whose wbar^{-1} g has the normal form lower * nfull * tdiag.
+def coordinates_from_factors(chart: Chart, *factors):
+    """Coordinates of the point whose wbar^{-1} g has the normal form L * N * T = factors.
 
-    The N_v coordinates are minors of nfull itself, for every v: with
-    nfull = n1 n2 and n2 in N cap vbar N vbar^{-1}, each v' of a minor
+    The N_v coordinates are minors of N itself, for every v: with
+    N = n1 n2 and n2 in N cap vbar N vbar^{-1}, each v' of a minor
     D_{u omega, v' omega} is a left prefix of the word of v, so
     v'bar^{-1} n2 v'bar lies in N, and principal minors are right-N-invariant.
-    The factors may carry any entry type, Duals included, so tangents lifted
-    from one factorization are read off the same way as the point.
     """
-    spec = chart.spec
-    model = spec.space.model
-    wp = model.signed_perm(spec.w.canonical)
-    wmw = None
-    out = []
-    for tag, payload in chart.coord_formulas:
-        if tag == "m":
-            out.append(model.generalized_minor(lower, payload))
-        elif tag == "wmw":
-            if wmw is None:
-                wmw = wp.right_inv(wp.left(lower))
-            out.append(model.generalized_minor(wmw, payload))
-        elif tag == "n":
-            out.append(model.generalized_minor(nfull, payload))
-        elif tag == "t":
-            out.append(model.torus_value(tdiag, payload))
-        else:
-            raise AssertionError(f"unknown tag {tag}")
-    return out
+    return [_signed(minor(factors[f], rows, cols), sign) for f, rows, cols, sign in chart.minors]
+
+
+def coordinate_tangents(chart: Chart, factors, tangents):
+    """dz[i][k]: the derivative of coordinate i along field k, by Jacobi's formula.
+
+    tangents[f][k] is the tangent of factors[f] along field k
+    (``GroupModel.triangular_factor_lift``).
+    """
+    return [
+        [_signed(d, sign) for d in minor_tangents(factors[f], tangents[f], rows, cols)]
+        for f, rows, cols, sign in chart.minors
+    ]
 
 
 def change_of_coordinates(src: Chart, dst: Chart):

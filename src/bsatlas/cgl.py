@@ -38,10 +38,6 @@ class CGLPresentation:
     def n_vars(self):
         return len(self.chars)
 
-    def pair(self, char_tuple, h_tuple):
-        """Evaluate a character tuple on a coweight tuple."""
-        return self.rs.evaluate_tuples(char_tuple, h_tuple)
-
     def pair_table(self, hs):
         """table[i][j] = chi_{i+1}(hs[j]) for the character tuples chi of every coordinate, built at once."""
         return self.rs.evaluate_table(self.chars, hs)

@@ -28,7 +28,7 @@ from .errors import BSAtlasError
 from .groups import GroupElement, cached_model
 from .leaves import t_leaf_classify
 from .poisson import chart_bracket, jacobi_check
-from .positivity import ToricChartSpec, certify_chart_positivity
+from .positivity import ToricChartSpec, _require_samples, certify_chart_positivity
 from .cgl import predicted_cgl, verify_cgl
 from .repro import CASES, repro_case
 from .rootdata import build_root_system
@@ -321,9 +321,12 @@ def cmd_tleaf(args):
         if not (shape_ok and all(isinstance(r, list) and len(r) == n for r in rows)):
             raise ValueError(f"--point must be a {n}x{n} matrix for {model.name}")
         mat = [[Fraction(str(x)) for x in row] for row in rows]
+        if not GroupElement(model, mat).satisfies_group_constraint():
+            raise ValueError(f"--point is not an element of {model.name}")
         lbl = t_leaf_classify(space, mat)
         labels.append((None, lbl))
     else:
+        _require_samples(args.samples)
         rng = random.Random(args.seed)
         for s in range(args.samples):
             g = _random_element(model, rng)

@@ -16,7 +16,7 @@ reorder and negate entries.  A simple root vector e has e^2 = 0, so right
 multiplication by x_{+-i}(c) = 1 + c e is one column update
 (``mul_one_param``), and by a torus element one column scaling
 (``mul_torus``).  Neither operation changes the type of an entry: a
-Fraction point gives Fractions, a RatFunc point RatFuncs, a Dual point Duals.
+Fraction point gives Fractions and a RatFunc point RatFuncs.
 """
 
 from __future__ import annotations
@@ -109,10 +109,11 @@ class GroupElement:
 class SignedPerm:
     """A signed permutation matrix W: column j is signs[j] times basis vector rows[j].
 
-    W^{-1} = W^T, so all four products with W only reorder and negate.
+    ``cols`` is the inverse permutation: row r is nonzero in column cols[r].
+    W^{-1} = W^T, so the products with W only reorder and negate.
     """
 
-    __slots__ = ("rows", "signs", "_cols", "_prefix_signs")
+    __slots__ = ("rows", "signs", "cols", "_prefix_signs")
 
     def __init__(self, entries):
         n = len(entries)
@@ -130,7 +131,7 @@ class SignedPerm:
         cols = [0] * n
         for j, r in enumerate(rows):
             cols[r] = j
-        self._cols = tuple(cols)
+        self.cols = tuple(cols)
         prefix = [1]
         for sg in signs:
             prefix.append(prefix[-1] * sg)
@@ -142,20 +143,11 @@ class SignedPerm:
 
     def right_inv(self, a):
         """a W^{-1} = a W^T: column rows[j] is signs[j] times column j of a."""
-        return [[_signed(row[j], self.signs[j]) for j in self._cols] for row in a]
-
-    def left(self, a):
-        """W a: row rows[j] is signs[j] times row j of a."""
-        return [[_signed(x, self.signs[j]) for x in a[j]] for j in self._cols]
+        return [[_signed(row[j], self.signs[j]) for j in self.cols] for row in a]
 
     def left_inv(self, a):
         """W^{-1} a = W^T a: row j is signs[j] times row rows[j] of a."""
         return [[_signed(x, sg) for x in a[r]] for r, sg in zip(self.rows, self.signs)]
-
-    def minor(self, a, other, k):
-        """Leading k x k minor of W^{-1} a V for V = other: +- det a[rows[:k], V.rows[:k]]."""
-        val = minor(a, self.rows[:k], other.rows[:k])
-        return val if self._prefix_signs[k] == other._prefix_signs[k] else -val
 
 
 def _signed(x, sign):
@@ -480,14 +472,16 @@ class GroupModel:
         return tuple(self.from_internal(f) for f in gauss_ltu(self.to_internal(entries)))
 
     def triangular_factor_lift(self, entries, fields):
-        """``triangular_factor`` with Dual entries, one tangent slot per (side, x) field.
+        """``triangular_factor`` and, per factor, its tangent along each (side, x) field.
 
         A left field moves the point along g*x, a right field along x*g
         (``linalg.gauss_ltu_lift``); the fields are reindexed with the point.
         """
         fields = [(side, self.to_internal(x)) for side, x in fields]
-        return tuple(
-            self.from_internal(f) for f in gauss_ltu_lift(self.to_internal(entries), fields)
+        factors, tangents = gauss_ltu_lift(self.to_internal(entries), fields)
+        return (
+            tuple(self.from_internal(f) for f in factors),
+            tuple([self.from_internal(d) for d in ds] for ds in tangents),
         )
 
     # -- generalized minors ---------------------------------------------------------
@@ -496,11 +490,20 @@ class GroupModel:
         """Delta^{omega_alpha} is the leading principal minor of this size."""
         return alpha
 
+    def minor_indices(self, spec: MinorSpec):
+        """(rows, cols, sign) with Delta_{u omega_a, v omega_a}(g) = sign * det g[rows, cols].
+
+        The leading k x k minor of ubar^{-1} g vbar is +- det g[ubar rows[:k], vbar rows[:k]].
+        """
+        up, vp = self.signed_perm(spec.u.canonical), self.signed_perm(spec.v.canonical)
+        k = self.minor_size(spec.alpha)
+        return up.rows[:k], vp.rows[:k], up._prefix_signs[k] * vp._prefix_signs[k]
+
     def generalized_minor(self, g, spec: MinorSpec):
         """Delta_{u omega_a, v omega_a}(g) = Delta^{omega_a}(ubar^{-1} g vbar), a signed minor of g."""
         entries = g.entries if isinstance(g, GroupElement) else g
-        up = self.signed_perm(spec.u.canonical)
-        return up.minor(entries, self.signed_perm(spec.v.canonical), self.minor_size(spec.alpha))
+        rows, cols, sign = self.minor_indices(spec)
+        return _signed(minor(entries, rows, cols), sign)
 
 
 def _elem(n, i, j):

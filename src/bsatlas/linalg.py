@@ -2,20 +2,20 @@
 
 Matrices are lists of lists (or tuples) whose entries live in any
 commutative ring that coerces Python ints through its arithmetic operators:
-``fractions.Fraction``, ``RatFunc``, or ``Dual`` (a vector tangent).
-Determinants use division-free cofactor expansion so polynomial matrices
-stay polynomial.  The Gauss factorization returns the big-cell normal form
-a = L*N*T (lower unitriangular, upper unitriangular, diagonal) in product
-order.  It is fraction-free: each column is written as numerators over the
-lcm c_j of its denominators (a RatFunc over polynomials, a Fraction over
-integers, any other entry over 1) and Bareiss elimination runs on the
-numerators with exact divisions only, so every intermediate entry is a
-minor of the input.  With p_k the leading principal minors of the
-numerators and M the entries before their elimination step, each factor
-entry is one quotient of two such minors: L_ik = M_ik/p_{k+1},
-N_kj = M_kj p_j/(p_k p_{j+1}), T_k = p_{k+1}/(p_k c_k).
+``fractions.Fraction`` or ``RatFunc``.  Determinants use division-free
+cofactor expansion so polynomial matrices stay polynomial.  The Gauss
+factorization returns the big-cell normal form a = L*N*T (lower
+unitriangular, upper unitriangular, diagonal) in product order.  It is
+fraction-free: each column is written as numerators over the lcm c_j of its
+denominators (a RatFunc over polynomials, a Fraction over integers) and
+Bareiss elimination runs on the numerators with exact divisions only, so
+every intermediate entry is a minor of the input.  With p_k the leading
+principal minors of the numerators and M the entries before their
+elimination step, each factor entry is one quotient of two such minors:
+L_ik = M_ik/p_{k+1}, N_kj = M_kj p_j/(p_k p_{j+1}), T_k = p_{k+1}/(p_k c_k).
 ``gauss_ltu_lift`` adds the tangents of the three factors along left and
-right fields a*x and x*a in closed form, from the same pass.
+right fields a*x and x*a in closed form, from the same pass, and
+``minor_tangents`` carries them to a minor by Jacobi's formula.
 """
 
 from __future__ import annotations
@@ -23,10 +23,9 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd as _int_gcd
-from operator import truediv
 
 from .errors import NotInBigCell
-from .symbolic import Dual, MultiPoly, RatFunc, poly_gcd, try_divide
+from .symbolic import MultiPoly, RatFunc, poly_gcd, try_divide
 
 
 def _is_zero(x):
@@ -106,6 +105,26 @@ def minor(a, rows, cols):
     return det(sub)
 
 
+def minor_tangents(a, das, rows, cols):
+    """Derivative of ``minor(a, rows, cols)`` along each tangent matrix da of ``das``.
+
+    Jacobi's formula d det S = sum_pq C_pq dS_pq, with the cofactors C of
+    S = a[rows, cols] computed once for every tangent (C = 1 for a 1x1
+    minor), and only where some tangent is nonzero.
+    """
+    k = len(rows)
+    cofactors = []
+    for p, r in enumerate(rows):
+        for q, c in enumerate(cols):
+            if all(_is_zero(da[r][c]) for da in das):
+                continue
+            cof = 1 if k == 1 else minor(a, rows[:p] + rows[p + 1 :], cols[:q] + cols[q + 1 :])
+            if not _is_zero(cof):
+                cofactors.append((r, c, -cof if (p + q) % 2 else cof))
+    zero = a[rows[0]][cols[0]] * 0
+    return [_dot(zero, ((cof, da[r][c]) for r, c, cof in cofactors)) for da in das]
+
+
 def gauss_ltu(a):
     """Factor a = L*N*T with L lower-, N upper-unitriangular and T diagonal.
 
@@ -137,23 +156,20 @@ def _ratfunc_split(x):
 
 
 # How the entries of one matrix split into numerator over denominator: ints and
-# Fractions over integers, RatFuncs over polynomials, any other entry (a Dual)
-# over 1.  ``divide`` is the exact division of numerators (None if it is not
-# exact) and ``make`` turns a numerator and a denominator back into an entry.
-# try_divide is looked up per call, so a test can replace it.
+# Fractions over integers, RatFuncs over polynomials.  ``divide`` is the exact
+# division of numerators (None if it is not exact) and ``make`` turns a
+# numerator and a denominator back into an entry.  try_divide is looked up per
+# call, so a test can replace it.
 _Ring = namedtuple("_Ring", "one split gcd divide make")
 _RATIONALS = _Ring(1, lambda x: (x.numerator, x.denominator), _int_gcd, _int_divide, Fraction)
 _RATFUNCS = _Ring(MultiPoly.constant(1), _ratfunc_split, poly_gcd, lambda f, g: try_divide(f, g), RatFunc)
-_OVER_ONE = _Ring(1, lambda x: (x, 1), None, truediv, truediv)
 
 
 def _ring_of(a):
     kinds = {type(x) for row in a for x in row}
     if kinds <= {int, Fraction}:
         return _RATIONALS
-    if kinds <= {int, Fraction, RatFunc}:
-        return _RATFUNCS
-    return _OVER_ONE
+    return _RATFUNCS
 
 
 def _quotient(ring, x, y, where):
@@ -194,8 +210,7 @@ def _bareiss(a):
     for k in range(n):
         rk = m[k]
         piv = rk[k]
-        # a Dual point lies in the big cell when its base does
-        if _is_zero(piv.a if isinstance(piv, Dual) else piv):
+        if _is_zero(piv):
             raise NotInBigCell(k + 1)
         for i in range(k + 1, n):
             ri = m[i]
@@ -236,15 +251,16 @@ def _unit_fill(n, zero):
 
 
 def gauss_ltu_lift(a, fields):
-    """``gauss_ltu(a)`` with Dual entries: one tangent slot per field of ``fields``.
+    """``gauss_ltu(a)`` and the tangents of its factors: ((L, N, T), (dLs, dNs, dTs)).
 
-    A field is ("left", x), moving a along a*x, or ("right", x), moving it
-    along x*a.  With a = L*U, U = N*T, the factors move by dL = L*sl(Y),
+    dLs[k], dNs[k] and dTs[k] are the tangents of L, N and T along field k
+    of ``fields``.  A field is ("left", x), moving a along a*x, or
+    ("right", x), moving it along x*a.  With a = L*U, U = N*T, the factors move by dL = L*sl(Y),
     dU = up(Y)*U for Y = L^{-1} da U^{-1}, sl and up the strictly lower and
     the upper (diagonal included) parts (Giles, *Collected matrix derivative
     results for forward and reverse mode AD*, 2008).  Y is U*x*U^{-1} for a
     left field and L^{-1}*x*L for a right one, so a is factored once and no
-    elimination runs on Duals.  Then dT = diag(Y)*T and
+    elimination runs on a tangent.  Then dT = diag(Y)*T and
     dN = up(Y)*N - N*diag(Y), which is strictly upper.
     """
     n = len(a)
@@ -287,10 +303,7 @@ def gauss_ltu_lift(a, fields):
         d_lo.append(dl)
         d_up.append(dn)
         d_t.append(dt)
-    return tuple(
-        [[Dual(x, tuple(d[i][j] for d in slots)) for j, x in enumerate(row)] for i, row in enumerate(base)]
-        for base, slots in ((lo, d_lo), (up, d_up), (tm, d_t))
-    )
+    return (lo, up, tm), (d_lo, d_up, d_t)
 
 
 def _dot(acc, pairs):

@@ -6,13 +6,13 @@ root, weighted by half the squared root length.  Brackets of functions of
 matrix entries come from the four-term sum over those terms; brackets in a
 chart come from the first-order perturbations of the parametrized point
 along every left/right root-vector field.  The point is factored once, the
-factors are lifted to dual numbers in closed form, one tangent slot per
-field, and the coordinates are read off the lifted factors once, the N_v
-coordinates as minors of the whole N factor for every v.  No Dual matrix is
-ever eliminated.  Every tangent and every bracket entry of a chart lies in
-the chart's Laurent ring, so pair assembly and the Jacobi sums run on
-exponent tuples over that ring (``symbolic.to_laurent``) and build each
-RatFunc once.
+tangents of its factors along every field come in closed form, and each
+coordinate, one signed minor of one factor (the N_v coordinates minors of
+the whole N factor for every v), takes its tangents by Jacobi's formula
+from cofactors computed once.  No tangent is ever eliminated.  Every
+tangent and every bracket entry of a chart lies in the chart's Laurent
+ring, so pair assembly and the Jacobi sums run on exponent tuples over that
+ring (``symbolic.to_laurent``) and build each RatFunc once.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .atlas import Chart, coordinates_from_factors
+from .atlas import Chart, coordinate_tangents, coordinates_from_factors
 from .errors import NonPolynomialBracket, NormalizationMismatch
 from .groups import GroupElement, GroupModel
 from .linalg import _is_zero, mat_mul
@@ -147,11 +147,13 @@ def chart_bracket(chart: Chart, lam: LambdaData | None = None) -> BracketTable:
     Coordinates are lifted to right-Q-invariant functions of the matrix
     entries; the bracket on G is evaluated at the parametrized point from
     the derivatives of the coordinates along all 4|Delta+| left/right
-    root-vector fields.  wbar^{-1} rep is factored once, its factors are
-    lifted along every field at once (``GroupModel.triangular_factor_lift``),
-    and the coordinates are read off the lifted factors in one pass
-    (``coordinates_from_factors``: for every v, the N_v coordinates are
-    minors of the lifted N factor, so no second factorization runs).
+    root-vector fields.  wbar^{-1} rep is factored once, the tangents of its
+    factors along every field come from the same pass
+    (``GroupModel.triangular_factor_lift``), and the coordinates and their
+    tangents are read off the factors through one table of signed minors
+    (``coordinates_from_factors``, ``coordinate_tangents``: for every v, the
+    N_v coordinates are minors of the N factor, so no second factorization
+    runs).
     """
     model = chart.spec.space.model
     if lam is None:
@@ -168,15 +170,15 @@ def chart_bracket(chart: Chart, lam: LambdaData | None = None) -> BracketTable:
         fields.append(("left", e_plus))
         fields.append(("right", wp.left_inv(wp.right(e_minus))))
         fields.append(("right", wp.left_inv(wp.right(e_plus))))
-    factors = model.triangular_factor_lift(wp.left_inv(rep), fields)
-    coords = coordinates_from_factors(chart, *factors)
-    for c, z in zip(coords, chart.zvars):
-        if not (c.a - RatFunc.from_poly(MultiPoly.variable(z))).is_zero():
+    factors, tangents = model.triangular_factor_lift(wp.left_inv(rep), fields)
+    for c, z in zip(coordinates_from_factors(chart, *factors), chart.zvars):
+        if not (c - RatFunc.from_poly(MultiPoly.variable(z))).is_zero():
             raise AssertionError("chart round trip failed inside bracket engine")
-    # derivs[k][i]: derivative of z_{i+1} along field k (order L-, L+, R-, R+ per term),
-    # as a Laurent value over the variables the tangents contain
-    frame = laurent_frame(d for c in coords for d in c.b)
-    derivs = [[to_laurent(c.b[k], frame) for c in coords] for k in range(len(fields))]
+    # dz[i][k]: derivative of z_{i+1} along field k (order L-, L+, R-, R+ per term);
+    # derivs[k][i] is its Laurent value over the variables the tangents contain
+    dz = coordinate_tangents(chart, factors, tangents)
+    frame = laurent_frame(d for row in dz for d in row)
+    derivs = [[to_laurent(row[k], frame) for row in dz] for k in range(len(fields))]
     per_term = [
         (coeff, -coeff, *derivs[4 * t : 4 * t + 4]) for t, (_, _, _, coeff) in enumerate(lam.terms)
     ]

@@ -875,106 +875,3 @@ def from_laurent(a, frame):
     num = MultiPoly._make(variables, {tuple(map(sub, e, low)): c for e, c in a.items()})
     den = MultiPoly._pruned(variables, {tuple(-k for k in low): 1})
     return RatFunc(num, den, _canonical=True)
-
-
-class Dual:
-    """Vector dual numbers a + sum_k b_k eps_k with eps_i eps_j = 0 over RatFunc.
-
-    ``a`` is a RatFunc and ``b`` a tuple of RatFuncs with one slot per
-    direction, so one evaluation pushes every first-order perturbation of a
-    point through a computation at once (vector forward mode).  Two Duals
-    combined must have the same number of slots; an int, Fraction or RatFunc
-    operand acts on the base and on each slot.  The base must be invertible
-    wherever a division happens.
-    """
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a = RatFunc.coerce(a)
-        self.b = tuple(RatFunc.coerce(x) for x in b)
-
-    def is_zero(self):
-        return self.a.is_zero() and all(x.is_zero() for x in self.b)
-
-    def __neg__(self):
-        return _dual(-self.a, tuple(-x for x in self.b))
-
-    def __add__(self, other):
-        if isinstance(other, Dual):
-            return _dual(self.a + other.a, tuple(x + y for x, y in zip(self.b, other.b, strict=True)))
-        if isinstance(other, _SCALARS):
-            return _dual(self.a + other, self.b)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Dual):
-            return _dual(self.a - other.a, tuple(x - y for x, y in zip(self.b, other.b, strict=True)))
-        if isinstance(other, _SCALARS):
-            return _dual(self.a - other, self.b)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        if isinstance(other, Dual):
-            a1, a2 = self.a, other.a
-            slots = []
-            for x, y in zip(self.b, other.b, strict=True):
-                # Leibniz a1 y + x a2, with no product of a zero factor
-                if x.is_zero() or a2.is_zero():
-                    slots.append(a1 * y)
-                elif y.is_zero() or a1.is_zero():
-                    slots.append(x * a2)
-                else:
-                    slots.append(a1 * y + x * a2)
-            return _dual(a1 * a2, tuple(slots))
-        if isinstance(other, _SCALARS):
-            return _dual(self.a * other, tuple(x * other for x in self.b))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, _SCALARS):
-            return self * RatFunc.coerce(other).inv()
-        if not isinstance(other, Dual):
-            return NotImplemented
-        if other.a.is_zero():
-            raise ZeroDenominator("dual division by an infinitesimal")
-        inv_a = other.a.inv()
-        base = self.a * inv_a
-        # (x - base y) / a2 per slot; a zero y leaves x / a2
-        return _dual(
-            base,
-            tuple(
-                x * inv_a if y.is_zero() else (x - base * y) * inv_a
-                for x, y in zip(self.b, other.b, strict=True)
-            ),
-        )
-
-    def __rtruediv__(self, other):
-        if not isinstance(other, _SCALARS):
-            return NotImplemented
-        if self.a.is_zero():
-            raise ZeroDenominator("dual division by an infinitesimal")
-        inv_a = self.a.inv()
-        base = inv_a * other
-        return _dual(base, tuple(-(base * y * inv_a) for y in self.b))
-
-    def __repr__(self):
-        return f"Dual({self.a.text()}, ({', '.join(x.text() for x in self.b)}))"
-
-
-_SCALARS = (int, Fraction, MultiPoly, RatFunc)
-
-
-def _dual(a, b):
-    """A Dual from a RatFunc base and a tuple of RatFunc slots, without coercion."""
-    d = object.__new__(Dual)
-    d.a = a
-    d.b = b
-    return d

@@ -48,7 +48,7 @@ def test_predicted_data_first_mixed_index():
     )
     # chi_j(h_j) = <chi_j, chi_j> != 0 for every j
     for idx in range(1, pres.n_vars() + 1):
-        assert pres.pair(pres.chars[idx - 1], pres.hvecs[idx - 1]) != 0
+        assert pres.rs.evaluate_tuples(pres.chars[idx - 1], pres.hvecs[idx - 1]) != 0
 
 
 def test_predicted_data_nv_torus_block():
@@ -122,7 +122,7 @@ def test_log_canonical_coefficients_within_blocks():
         if j > rs.l0 + rs.w0.length():
             continue
         if (i <= k) == (j <= k):
-            got = pres.pair(pres.chars[i - 1], pres.hvecs[j - 1])
+            got = pres.rs.evaluate_tuples(pres.chars[i - 1], pres.hvecs[j - 1])
             assert got == rs.pairing(chis[j], chis[i])
 
 

@@ -4,17 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bsatlas import linalg
 from bsatlas.cli import main
 from bsatlas.errors import NonReducedWord, NotInBigCell, ZeroTorusValue
 from bsatlas.groups import GroupElement, MinorSpec, SignedPerm, build_model, cached_model
-from bsatlas.linalg import _is_zero, mat_mul, mat_transpose, minor
+from bsatlas.linalg import _is_zero, mat_mul, mat_transpose, minor, minor_tangents
 from bsatlas.poisson import generic_element
 from bsatlas.rootdata import build_root_system
-from bsatlas.symbolic import Dual, MultiPoly, RatFunc, VarName, var
+from bsatlas.symbolic import MultiPoly, RatFunc, VarName, var
 
 
 def model(series, rank):
@@ -44,9 +44,13 @@ def split_unipotent_by_v(m, n_el, v):
     for i in range(m.dim):
         if not _is_zero(t[i][i] - 1):
             raise AssertionError("unipotent split produced a torus part")
-    n1 = GroupElement(m, vp.right_inv(vp.left(lo)))
-    n2 = GroupElement(m, vp.right_inv(vp.left(up)))
-    return n1, n2
+    vbar = m.wbar_element(v).entries
+    return GroupElement(m, _conjugate(vbar, lo)), GroupElement(m, _conjugate(vbar, up))
+
+
+def _conjugate(w, a):
+    """w a w^{-1} for a signed permutation matrix w (w^{-1} = w^T), as two dense products."""
+    return mat_mul(mat_mul(w, a), mat_transpose(w))
 
 
 def _inverse(g):
@@ -80,8 +84,7 @@ def test_signed_perm_is_cached():
             assert sp is m.signed_perm(list(word))
             assert GroupElement(m, sp.right(m.identity().entries)).entries == m.wbar(word).entries
             assert sp.right_inv(sp.right(g)) == g
-            assert sp.left_inv(sp.left(g)) == g
-            assert sp.left(sp.left_inv(g)) == g
+            assert sp.left_inv(g) == mat_mul(mat_transpose(m.wbar(word).entries), g)
     with pytest.raises(AssertionError):
         SignedPerm([[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]])
     with pytest.raises(AssertionError):
@@ -112,8 +115,6 @@ def test_signed_minor_matches_dense_minor(series, rank):
 
 
 def _same_entry(x, y):
-    if isinstance(x, Dual):
-        return isinstance(y, Dual) and x.a == y.a and x.b == y.b
     return type(x) is type(y) and x == y
 
 
@@ -123,17 +124,14 @@ _small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 def _entry(kind, draw, name):
     if kind == "Fraction":
         return draw(_small)
-    rf = RatFunc.coerce(draw(_small)) + draw(_small) * var(name)
-    if kind == "RatFunc":
-        return rf
-    return Dual(rf, (RatFunc.coerce(draw(_small)), draw(_small) * var(name)))
+    return RatFunc.coerce(draw(_small)) + draw(_small) * var(name)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_column_update_matches_dense_product(data):
     series, rank = data.draw(st.sampled_from([("A", 1), ("A", 2), ("C", 2)]))
-    kind = data.draw(st.sampled_from(["Fraction", "RatFunc", "Dual"]))
+    kind = data.draw(st.sampled_from(["Fraction", "RatFunc"]))
     m = model(series, rank)
     i = data.draw(st.integers(1, rank)) * data.draw(st.sampled_from([1, -1]))
     g = GroupElement(
@@ -280,12 +278,8 @@ def _ltu_reference(a):
     return lower, [m[i][i] for i in range(size)], upper
 
 
-def _parts(x):
-    return (x.a, x.b) if isinstance(x, Dual) else x
-
-
 def _big_cell_points(m, rng):
-    """A Fraction, a RatFunc and a Dual point of the big cell, keyed by entry type."""
+    """A Fraction and a RatFunc point of the big cell, keyed by entry type."""
     rank = m.rs.rank
     g = m.identity()
     for _ in range(2):
@@ -298,9 +292,7 @@ def _big_cell_points(m, rng):
         h = m.mul_one_param(h, -i, var("a", i))
         h = m.mul_one_param(h, i, var("b", i))
     h = m.mul_torus(h, [var("c", i) for i in range(1, rank + 1)])
-    b1 = var("b", 1)
-    dual = [[Dual(x, (x * b1, x + j - i)) for j, x in enumerate(row)] for i, row in enumerate(h.entries)]
-    return {Fraction: g.entries, RatFunc: h.entries, Dual: dual}
+    return {Fraction: g.entries, RatFunc: h.entries}
 
 
 @pytest.mark.parametrize("series, rank", [("A", 1), ("A", 2), ("A", 3), ("C", 2)], ids=["A1", "A2", "A3", "C2"])
@@ -317,13 +309,46 @@ def test_upper_factor_is_torus_conjugate_of_ltu_upper(series, rank):
         for i in range(m.dim):
             for j in range(m.dim):
                 want = u[i][j] * t[i][i] / t[j][j] if j > i else n[i][j] * 0 + int(i == j)
-                assert _parts(n[i][j]) == _parts(want), (kind, i, j)
+                assert n[i][j] == want, (kind, i, j)
+
+
+_EPS = VarName("eps")
+
+
+def _perturbed(a, da):
+    """a + eps * da, a matrix of RatFuncs in eps."""
+    eps = RatFunc.from_poly(MultiPoly.variable(_EPS))
+    return [[x + eps * d for x, d in zip(ra, rd)] for ra, rd in zip(a, da)]
+
+
+def _eps_derivative(entries):
+    """d/d eps at eps = 0 of a matrix of RatFuncs in eps.
+
+    The quotient rule (n/d)' = (n' d - n d') / d^2, with the numerator and
+    the denominator differentiated and taken at eps = 0 before any division,
+    so no gcd runs in eps.
+    """
+    at_zero = {_EPS: RatFunc.zero()}
+
+    def derivative(x):
+        n0, d0, dn, dd = (
+            p.substitute_ratfuncs(at_zero) for p in (x.num, x.den, x.num.derivative(_EPS), x.den.derivative(_EPS))
+        )
+        return (dn * d0 - n0 * dd) / (d0 * d0)
+
+    return [[derivative(x) for x in row] for row in entries]
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_lifted_factors_match_dual_elimination(data):
-    """The closed-form tangents of L, N, T equal a Dual elimination along h*X and X'*h."""
+    """The closed-form tangents of L, N, T equal the eps-derivatives of the factors of h + eps h X and h + eps X' h.
+
+    Each perturbed point is factored exactly as a RatFunc matrix in eps, and
+    each entry is differentiated in eps and taken at eps = 0, so the
+    reference is the elimination over the dual numbers, done in RatFunc.
+    One eps per field keeps the gcds of the reference in two variables.
+    """
     series, rank = data.draw(st.sampled_from([("A", 2), ("A", 3), ("C", 2)]))
     m = cached_model(series, rank)
     z = var("z", 1)
@@ -339,12 +364,52 @@ def test_lifted_factors_match_dual_elimination(data):
         assume(False)
     vectors = [x for pair in m.pos_root_vectors.values() for x in pair]
     x_left, x_right = data.draw(st.sampled_from(vectors)), data.draw(st.sampled_from(vectors))
-    hx, xh = mat_mul(h, x_left), mat_mul(x_right, h)
-    dual = [[Dual(h[i][j], (hx[i][j], xh[i][j])) for j in range(m.dim)] for i in range(m.dim)]
-    want = m.triangular_factor(dual)
-    got = m.triangular_factor_lift(h, [("left", x_left), ("right", x_right)])
-    for fw, fg in zip(want, got):
-        assert all(_parts(x) == _parts(y) for rw, rg in zip(fw, fg) for x, y in zip(rw, rg))
+    factors, tangents = m.triangular_factor_lift(h, [("left", x_left), ("right", x_right)])
+    assert [list(f) for f in factors] == [list(f) for f in m.triangular_factor(h)]
+    for k, da in enumerate((mat_mul(h, x_left), mat_mul(x_right, h))):
+        want = [_eps_derivative(f) for f in m.triangular_factor(_perturbed(h, da))]
+        assert [ds[k] for ds in tangents] == want
+
+
+_entries = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), -3])
+
+
+@st.composite
+def _minor_cases(draw):
+    """(a, das, rows, cols): a 3x3 matrix in x, two tangent matrices, and index lists of one size."""
+    x = var("x")
+
+    def matrix():
+        return [[RatFunc.coerce(draw(_entries)) + draw(_entries) * x for _ in range(3)] for _ in range(3)]
+
+    k = draw(st.integers(1, 3))
+    rows = draw(st.permutations(range(3)))[:k]
+    cols = draw(st.permutations(range(3)))[:k]
+    return matrix(), [matrix(), matrix()], list(rows), list(cols)
+
+
+def _rf_matrix(rows):
+    return [[RatFunc.coerce(v) for v in row] for row in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_minor_cases())
+@example(  # a 1x1 minor: its tangent is the entry of the tangent
+    (_rf_matrix([[2, 0, 0], [0, 1, 0], [0, 0, 1]]), [_rf_matrix([[5, 1, 0], [0, 0, 0], [0, 0, 0]])] * 2, [0], [1])
+)
+@example(  # row 0 of a is zero off column 0, so the cofactors of (1, 0) and (2, 0) vanish
+    (
+        _rf_matrix([[3, 0, 0], [1, 2, 4], [5, 6, 7]]),
+        [_rf_matrix([[1, 1, 1], [1, 1, 1], [1, 1, 1]]), _rf_matrix([[0, 0, 0], [0, 0, 0], [9, 0, 0]])],
+        [0, 1, 2],
+        [0, 1, 2],
+    )
+)
+def test_minor_tangents_match_eps_derivative_of_minor(case):
+    """Jacobi's formula equals d/d eps at eps = 0 of the minor of a + eps da, for each tangent da."""
+    a, das, rows, cols = case
+    want = [_eps_derivative([[minor(_perturbed(a, da), rows, cols)]])[0][0] for da in das]
+    assert minor_tangents(a, das, rows, cols) == want
 
 
 _positive = st.fractions(min_value=Fraction(1, 3), max_value=4, max_denominator=3)
@@ -355,14 +420,14 @@ _positive = st.fractions(min_value=Fraction(1, 3), max_value=4, max_denominator=
 def test_factors_match_the_division_elimination(data):
     """L, N, T of the fraction-free elimination equal a division elimination, entry by entry and in the point's type.
 
-    The points are Fraction points, RatFunc points whose one-parameter
+    The points are Fraction points and RatFunc points whose one-parameter
     factors carry a non-monomial denominator z + c (so columns are brought
-    over the lcm of their denominators), and Dual points with symbolic
-    tangents.  With sbar(2) between the lower and the upper unipotent part
-    the second leading minor vanishes and the first does not.
+    over the lcm of their denominators).  With sbar(2) between the lower and
+    the upper unipotent part the second leading minor vanishes and the first
+    does not.
     """
     series, rank = data.draw(st.sampled_from([("A", 2), ("A", 3), ("C", 2)]), label="group")
-    kind = data.draw(st.sampled_from([Fraction, RatFunc, Dual]), label="kind")
+    kind = data.draw(st.sampled_from([Fraction, RatFunc]), label="kind")
     singular = data.draw(st.booleans(), label="singular")
     m = cached_model(series, rank)
     z = var("z", 1)
@@ -387,12 +452,6 @@ def test_factors_match_the_division_elimination(data):
     point = m.mul_torus(g, [param() for _ in range(rank)]).entries
     if kind is RatFunc:
         assert any(not x.den.is_monomial() for row in point for x in row)
-    if kind is Dual:
-        # off the big cell, tangents along scaling and a diagonal conjugation keep the minor zero
-        point = [
-            [Dual(x, (x * z, x * (j - i) if singular else x + j - i)) for j, x in enumerate(row)]
-            for i, row in enumerate(point)
-        ]
     try:
         lo, t, u = _ltu_reference(m.to_internal(point))
     except NotInBigCell as e:
@@ -410,26 +469,7 @@ def test_factors_match_the_division_elimination(data):
         for i in range(m.dim):
             for j in range(m.dim):
                 assert type(got[i][j]) is kind, (name, i, j)
-                assert _parts(got[i][j]) == _parts(want[i][j]), (name, i, j)
-
-
-def test_dual_point_off_the_big_cell_in_its_base_only():
-    """A Dual pivot whose base vanishes but whose tangent does not is outside the big cell: NotInBigCell(2)."""
-    m = model("A", 2)
-    z = var("z", 1)
-    g = m.identity_like(Fraction(1))
-    for i, c in ((1, 2), (2, 3)):
-        g = m.mul_one_param(g, -i, Fraction(c))
-    g = GroupElement(m, m.signed_perm((2,)).right(g.entries))
-    for i, c in ((2, 5), (1, 7)):
-        g = m.mul_one_param(g, i, Fraction(c))
-    point = m.mul_torus(g, [Fraction(2), Fraction(3)]).entries
-    point = [[Dual(x, (x * z, x + j - i)) for j, x in enumerate(row)] for i, row in enumerate(point)]
-    second = minor(m.to_internal(point), [0, 1], [0, 1])
-    assert second.a.is_zero() and not second.is_zero()
-    with pytest.raises(NotInBigCell) as got:
-        m.triangular_factor(point)
-    assert got.value.minor_index == 2
+                assert got[i][j] == want[i][j], (name, i, j)
 
 
 def test_inexact_bareiss_division_is_an_internal_fault(monkeypatch, capsys):
@@ -457,8 +497,6 @@ def test_factors_keep_the_entry_type():
     points = {
         Fraction: [[x.evaluate({VarName("a"): 2, VarName("b"): 3}) for x in row] for row in n],
         RatFunc: n,
-        # a tangent along the strictly upper entries keeps the point unipotent
-        Dual: [[Dual(x, (x, b * x) if i < j else (0, 0)) for j, x in enumerate(row)] for i, row in enumerate(n)],
     }
     for kind, g in points.items():
         for factor in m.triangular_factor(g):
@@ -539,6 +577,54 @@ def test_n_coordinates_are_minors_of_the_split_factor(series, rank, qkind, v, co
                     assert _is_zero(c - m.generalized_minor(n1, spec)), (dst.spec, spec)
                     checked += 1
     assert checked >= 4 * len(charts) * len(v)
+
+
+def _reference_coordinates(chart, g):
+    """(tag, value) of each coordinate by the conjugated construction.
+
+    Minors of L, of wbar L wbar^{-1} (dense products) and of N by ``generalized_minor``, and
+    t^{omega_i} by ``torus_value``, from the factors of wbar^{-1} g.
+    """
+    m = chart.spec.space.model
+    wp = m.signed_perm(chart.spec.w.canonical)
+    lower, nfull, tdiag = m.triangular_factor(wp.left_inv(g))
+    read = {
+        "m": lambda spec: m.generalized_minor(lower, spec),
+        "wmw": lambda spec: m.generalized_minor(_conjugate(m.wbar_element(chart.spec.w).entries, lower), spec),
+        "n": lambda spec: m.generalized_minor(nfull, spec),
+        "t": lambda i: m.torus_value(tdiag, i),
+    }
+    return [(tag, read[tag](payload)) for tag, payload in chart.coord_formulas]
+
+
+@pytest.mark.parametrize(
+    "series, rank, qkind, v", [("A", 2, "Nv", "w0"), ("C", 2, "Nv", "w0"), ("A", 3, "Bv", "e")], ids=["A2-Nv-w0", "C2-Nv-w0", "A3-Bv-e"]
+)
+def test_signed_minor_table_matches_conjugated_reference(series, rank, qkind, v):
+    """On every chart, each coordinate read from the signed-minor table equals the conjugated
+    construction, in value and type, at a symbolic chart-change point and a rational point."""
+    from bsatlas.atlas import SpaceSpec, enumerate_charts, eval_coordinates, parametrize
+
+    m = cached_model(series, rank)
+    specs = enumerate_charts(SpaceSpec(m, qkind, m.rs.w0 if v == "w0" else m.rs.identity))
+    charts = [parametrize(s) for s in specs]
+    rng = random.Random(len(charts))
+    seen, checked = set(), 0
+    for chart in charts:
+        src = rng.choice(charts)
+        values = {z: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for z in src.zvars}
+        for g in (src.param.entries, [[x.evaluate(values) for x in row] for row in src.param.entries]):
+            try:
+                want = _reference_coordinates(chart, g)
+            except NotInBigCell:
+                continue
+            got = eval_coordinates(chart, g)
+            assert [(type(x), x) for x in got] == [(type(x), x) for _, x in want], chart.spec
+            seen.update(tag for tag, _ in want)
+            checked += 1
+    # a generic symbolic point lies in every chart
+    assert checked >= len(charts)
+    assert seen == ({"m", "wmw", "n", "t"} if qkind == "Nv" else {"m", "wmw"})
 
 
 def test_generalized_minor_principal():

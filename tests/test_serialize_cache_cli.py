@@ -184,6 +184,31 @@ def test_cli_tleaf_point_must_be_square(capsys):
         assert "--point must be a 2x2 matrix" in capsys.readouterr().err
 
 
+def test_cli_tleaf_refuses_a_point_outside_the_group(capsys):
+    """A matrix that is not in G is refused with exit 2 before it is classified."""
+    for series, rank, point, name in (
+        # a 3-cycle of the first three basis vectors: det 1, but not symplectic
+        ("C", 2, "[[0,1,0,0],[0,0,1,0],[1,0,0,0],[0,0,0,1]]", "Sp(4)"),
+        # a transposition: det -1
+        ("C", 2, "[[0,1,0,0],[1,0,0,0],[0,0,1,0],[0,0,0,1]]", "Sp(4)"),
+        ("A", 2, "[[2,0,0],[0,1,0],[0,0,1]]", "SL(3)"),
+    ):
+        rc = main(["--json", "tleaf", "--series", series, "--rank", str(rank), "--point", point])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--point is not an element of {name}" in captured.err
+
+
+def test_cli_tleaf_needs_samples(capsys):
+    for samples in ("0", "-3"):
+        rc = main(["--json", "tleaf", "--series", "A", "--rank", "1", "--samples", samples])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "need at least one sample" in captured.err
+
+
 def test_cli_repro(capsys):
     assert main(["repro", "sl2-remark"]) == 0
     capsys.readouterr()

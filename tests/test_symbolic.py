@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from bsatlas.errors import EvaluationPole, NonPolynomialBracket, SubstitutionPole, ZeroDenominator
 from bsatlas.symbolic import (
-    Dual,
     MultiPoly,
     RatFunc,
     VarName,
@@ -141,51 +140,6 @@ def test_scalar_product_is_canonical(a, c):
         want = f * RatFunc.constant(k)  # the RatFunc-by-RatFunc path cancels a gcd
         for got in (f * k, k * f):
             assert got == want and got.text() == want.text()
-    d = Dual(f, (f * f, RatFunc.zero())) * c
-    assert d.a == f * RatFunc.constant(c)
-    assert d.b == (f * f * RatFunc.constant(c), RatFunc.zero())
-
-
-def test_dual_arithmetic():
-    d = Dual(x, (RatFunc.one(), y, RatFunc.zero()))
-    sq = d * d
-    assert sq.a == x * x and sq.b == (2 * x, 2 * x * y, RatFunc.zero())
-    q = Dual(x * y, (y, x, RatFunc.one())) / Dual(x, (RatFunc.one(), RatFunc.zero(), y))
-    assert q.a == y and q.b == (RatFunc.zero(), x / x, (1 - y * y) / x)
-    with pytest.raises(ZeroDenominator):
-        Dual(RatFunc.zero(), (RatFunc.one(),)).__rtruediv__(1)
-    with pytest.raises(ZeroDenominator):
-        Dual(x, (x,)) / Dual(RatFunc.zero(), (RatFunc.one(),))
-    with pytest.raises(ValueError):
-        Dual(x, (x,)) + Dual(x, (x, y))
-
-
-def _ops(p, q):
-    return (p + q, p - q, p * q, p / q)
-
-
-@settings(max_examples=15, deadline=None)
-@given(st.lists(st.tuples(rationals, rationals, rationals, rationals), min_size=8, max_size=8), rationals)
-def test_vector_dual_slots_match_single_slot_duals(parts, c):
-    """Slot k of a vector-dual operation is that operation on slot-k duals."""
-    a1, a2, *rest = (_rf(t) for t in parts)
-    if a2.is_zero():
-        a2 = RatFunc.one()
-    b1, b2 = tuple(rest[:3]), tuple(rest[3:])
-    d1, d2 = Dual(a1, b1), Dual(a2, b2)
-    singles = [(Dual(a1, (b1[k],)), Dual(a2, (b2[k],))) for k in range(3)]
-    cases = [(_ops(d1, d2), [_ops(s1, s2) for s1, s2 in singles])]
-    for k in (c, int(c)):
-        if k != 0:
-            cases.append((_ops(d2, k), [_ops(s2, k) for _, s2 in singles]))
-        cases.append(((k + d2, k - d2, k * d2, k / d2), [(k + s2, k - s2, k * s2, k / s2) for _, s2 in singles]))
-    for vector, per_slot in cases:
-        for op, got in enumerate(vector):
-            assert len(got.b) == 3
-            for k in range(3):
-                want = per_slot[k][op]
-                assert got.a == want.a and got.b[k] == want.b[0]
-                assert got.b[k].text() == want.b[0].text()
 
 
 _LAURENT_VARS = (VarName("u", 1), VarName("z", 1), VarName("z", 2), VarName("z", 3))
