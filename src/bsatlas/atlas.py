@@ -260,14 +260,14 @@ def coordinates_from_factors(chart: Chart, *factors):
     return [_signed(minor(factors[f], rows, cols), sign) for f, rows, cols, sign in chart.minors]
 
 
-def coordinate_tangents(chart: Chart, factors, tangents):
-    """dz[i][k]: the derivative of coordinate i along field k, by Jacobi's formula.
+def coordinate_tangents(chart: Chart, lifted, frame):
+    """dz[i][k]: the derivative of coordinate i along field k, a Laurent value over ``frame``.
 
-    tangents[f][k] is the tangent of factors[f] along field k
-    (``GroupModel.triangular_factor_lift``).
+    lifted[f] is factor f and its tangent along each field, over ``frame``
+    (``GroupModel.triangular_factor_lift``); each minor moves by Jacobi's formula.
     """
     return [
-        [_signed(d, sign) for d in minor_tangents(factors[f], tangents[f], rows, cols)]
+        [d if sign == 1 else {e: -c for e, c in d.items()} for d in minor_tangents(*lifted[f], rows, cols, frame)]
         for f, rows, cols, sign in chart.minors
     ]
 

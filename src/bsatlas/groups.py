@@ -472,16 +472,17 @@ class GroupModel:
         return tuple(self.from_internal(f) for f in gauss_ltu(self.to_internal(entries)))
 
     def triangular_factor_lift(self, entries, fields):
-        """``triangular_factor`` and, per factor, its tangent along each (side, x) field.
+        """``triangular_factor``, its Laurent frame, and per factor its Laurent value and tangents.
 
         A left field moves the point along g*x, a right field along x*g
         (``linalg.gauss_ltu_lift``); the fields are reindexed with the point.
         """
         fields = [(side, self.to_internal(x)) for side, x in fields]
-        factors, tangents = gauss_ltu_lift(self.to_internal(entries), fields)
+        factors, frame, lifted = gauss_ltu_lift(self.to_internal(entries), fields)
         return (
             tuple(self.from_internal(f) for f in factors),
-            tuple([self.from_internal(d) for d in ds] for ds in tangents),
+            frame,
+            tuple((self.from_internal(f), [self.from_internal(d) for d in ds]) for f, ds in lifted),
         )
 
     # -- generalized minors ---------------------------------------------------------

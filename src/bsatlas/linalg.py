@@ -13,9 +13,11 @@ every intermediate entry is a minor of the input.  With p_k the leading
 principal minors of the numerators and M the entries before their
 elimination step, each factor entry is one quotient of two such minors:
 L_ik = M_ik/p_{k+1}, N_kj = M_kj p_j/(p_k p_{j+1}), T_k = p_{k+1}/(p_k c_k).
-``gauss_ltu_lift`` adds the tangents of the three factors along left and
-right fields a*x and x*a in closed form, from the same pass, and
-``minor_tangents`` carries them to a minor by Jacobi's formula.
+On a Bott-Samelson chart the factors are Laurent, so ``gauss_ltu_lift``
+converts them once into the chart's Laurent frame (``symbolic.to_laurent``)
+and forms there, in closed form, their tangents along left and right fields
+a*x and x*a; ``minor_tangents`` carries them to a minor by Jacobi's formula
+in the same frame.  No tangent takes a gcd.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from fractions import Fraction
 from math import gcd as _int_gcd
 
 from .errors import NotInBigCell
-from .symbolic import MultiPoly, RatFunc, poly_gcd, try_divide
+from .symbolic import MultiPoly, RatFunc, laurent_fma, laurent_frame, poly_gcd, to_laurent, try_divide
 
 
 def _is_zero(x):
@@ -105,24 +107,31 @@ def minor(a, rows, cols):
     return det(sub)
 
 
-def minor_tangents(a, das, rows, cols):
-    """Derivative of ``minor(a, rows, cols)`` along each tangent matrix da of ``das``.
+def minor_tangents(a, das, rows, cols, frame):
+    """Derivative of the minor of ``a`` on ``rows`` and ``cols`` along each tangent matrix da of ``das``.
 
+    a and das hold Laurent values over ``frame`` (``gauss_ltu_lift``).
     Jacobi's formula d det S = sum_pq C_pq dS_pq, with the cofactors C of
     S = a[rows, cols] computed once for every tangent (C = 1 for a 1x1
     minor), and only where some tangent is nonzero.
     """
-    k = len(rows)
+    one = to_laurent(RatFunc.one(), frame)
     cofactors = []
     for p, r in enumerate(rows):
         for q, c in enumerate(cols):
-            if all(_is_zero(da[r][c]) for da in das):
-                continue
-            cof = 1 if k == 1 else minor(a, rows[:p] + rows[p + 1 :], cols[:q] + cols[q + 1 :])
-            if not _is_zero(cof):
-                cofactors.append((r, c, -cof if (p + q) % 2 else cof))
-    zero = a[rows[0]][cols[0]] * 0
-    return [_dot(zero, ((cof, da[r][c]) for r, c, cof in cofactors)) for da in das]
+            if any(da[r][c] for da in das):
+                cof = _laurent_det([[a[i][j] for j in cols if j != c] for i in rows if i != r], one)
+                if cof:
+                    cofactors.append((-1 if (p + q) % 2 else 1, r, c, cof))
+    return [_dot({}, ((s, cof, da[r][c]) for s, r, c, cof in cofactors)) for da in das]
+
+
+def _laurent_det(a, one):
+    """Determinant of a square matrix of Laurent values, by cofactor expansion along its first row."""
+    if not a:
+        return one
+    minors = ((j, x, [row[:j] + row[j + 1 :] for row in a[1:]]) for j, x in enumerate(a[0]) if x)
+    return _dot({}, ((-1 if j % 2 else 1, x, _laurent_det(sub, one)) for j, x, sub in minors))
 
 
 def gauss_ltu(a):
@@ -251,100 +260,92 @@ def _unit_fill(n, zero):
 
 
 def gauss_ltu_lift(a, fields):
-    """``gauss_ltu(a)`` and the tangents of its factors: ((L, N, T), (dLs, dNs, dTs)).
+    """``gauss_ltu(a)`` and the tangents of its factors: ((L, N, T), frame, ((L, dLs), (N, dNs), (T, dTs))).
 
-    dLs[k], dNs[k] and dTs[k] are the tangents of L, N and T along field k
-    of ``fields``.  A field is ("left", x), moving a along a*x, or
-    ("right", x), moving it along x*a.  With a = L*U, U = N*T, the factors move by dL = L*sl(Y),
+    The first triple is ``gauss_ltu(a)``; the last holds the same factors
+    and their tangents as Laurent values over ``frame``
+    (``symbolic.to_laurent``), dLs[k], dNs[k] and dTs[k] being the tangents
+    along field k of ``fields``.  A field is ("left", x), moving a along
+    a*x, or ("right", x), moving it along x*a, for a constant matrix x.
+    With a = L*U, U = N*T, the factors move by dL = L*sl(Y),
     dU = up(Y)*U for Y = L^{-1} da U^{-1}, sl and up the strictly lower and
     the upper (diagonal included) parts (Giles, *Collected matrix derivative
     results for forward and reverse mode AD*, 2008).  Y is U*x*U^{-1} for a
     left field and L^{-1}*x*L for a right one, so a is factored once and no
     elimination runs on a tangent.  Then dT = diag(Y)*T and
-    dN = up(Y)*N - N*diag(Y), which is strictly upper.
+    dN = up(Y)*N - N*diag(Y), which is strictly upper.  The entries of L, N,
+    T and T^{-1} must be Laurent polynomials, as they are on a Bott-Samelson
+    chart; any other raises NonPolynomialBracket before a tangent is formed.
     """
     n = len(a)
-    ring, m, p, c = _bareiss(a)
-    lo, up, tm = _normal_form(ring, m, p, c)
-    zero = lo[0][0] * 0
-    # U = N*T, read off the same pass: U_kj = M_kj / (p_k c_j)
-    u = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        u[i][i] = tm[i][i]
-        for j in range(i + 1, n):
-            if not _is_zero(m[i][j]):
-                u[i][j] = ring.make(m[i][j], p[i] * c[j])
-    # U^{-1} = T^{-1} N^{-1}
-    u_inv = [
-        [x if _is_zero(x) else x / tm[i][i] for x in row]
-        for i, row in enumerate(_unit_upper_inverse(up, zero))
-    ]
-    lo_inv = unit_lower_inverse(lo)
+    factors = _normal_form(*_bareiss(a))
+    frame = laurent_frame(x for f in factors for row in f for x in row)
+    lo, up, tm = ([[to_laurent(x, frame) for x in row] for row in f] for f in factors)
+    t_inv = [to_laurent(factors[2][k][k].inv(), frame) for k in range(n)]
+    one = to_laurent(RatFunc.one(), frame)
+    # U = N*T and U^{-1} = T^{-1}*N^{-1}, with N^{-1} the transpose of (N^T)^{-1}
+    u = [[_dot({}, ((1, x, tm[j][j]),)) for j, x in enumerate(row)] for row in up]
+    n_inv = mat_transpose(_laurent_lower_inverse(mat_transpose(up), one))
+    u_inv = [[_dot({}, ((1, t_inv[i], x),)) for x in row] for i, row in enumerate(n_inv)]
+    lo_inv = _laurent_lower_inverse(lo, one)
     d_lo, d_up, d_t = [], [], []
     for side, x in fields:
         if side == "left":
-            y = _sparse_mul(_sparse_mul(u, x, zero), u_inv, zero)
+            p, q = u, u_inv
         elif side == "right":
-            y = _sparse_mul(_sparse_mul(lo_inv, x, zero), lo, zero)
+            p, q = lo_inv, lo
         else:
             raise ValueError(f"unknown field side {side!r}")
-        dl, dn, dt = ([[zero] * n for _ in range(n)] for _ in range(3))
+        # Y = p*x*q, each nonzero entry of the constant x one scaled outer product
+        y = [[{} for _ in range(n)] for _ in range(n)]
+        for k, l, c in ((k, l, c) for k, row in enumerate(x) for l, c in enumerate(row) if c):
+            for i in range(n):
+                for j in range(n):
+                    laurent_fma(y[i][j], c, p[i][k], q[l][j])
+        dl, dn, dt = ([[{} for _ in range(n)] for _ in range(n)] for _ in range(3))
         for i in range(n):
-            dt[i][i] = y[i][i] * tm[i][i]
+            dt[i][i] = _dot({}, ((1, y[i][i], tm[i][i]),))
             for j in range(i):
                 # (L sl(Y))_ij = Y_ij + sum_{j<k<i} L_ik Y_kj
-                dl[i][j] = _dot(y[i][j], ((lo[i][k], y[k][j]) for k in range(j + 1, i)))
+                dl[i][j] = _dot(y[i][j], ((1, lo[i][k], y[k][j]) for k in range(j + 1, i)))
             for j in range(i + 1, n):
-                # (up(Y) N - N diag(Y))_ij = Y_ij + (Y_ii - Y_jj) N_ij + sum_{i<k<j} Y_ik N_kj
-                terms = [(y[i][k], up[k][j]) for k in range(i + 1, j)]
-                if not _is_zero(up[i][j]):
-                    terms.append((y[i][i] - y[j][j], up[i][j]))
-                dn[i][j] = _dot(y[i][j], terms)
+                # (up(Y) N - N diag(Y))_ij = Y_ij + sum_{i<=k<j} Y_ik N_kj - N_ij Y_jj
+                terms = [(1, y[i][k], up[k][j]) for k in range(i, j)]
+                dn[i][j] = _dot(y[i][j], terms + [(-1, up[i][j], y[j][j])])
         d_lo.append(dl)
         d_up.append(dn)
         d_t.append(dt)
-    return (lo, up, tm), (d_lo, d_up, d_t)
+    return factors, frame, ((lo, d_lo), (up, d_up), (tm, d_t))
 
 
-def _dot(acc, pairs):
-    """acc + sum of x*y over pairs, skipping products with a zero factor."""
-    for x, y in pairs:
-        if _is_zero(x) or _is_zero(y):
-            continue
-        acc = acc + x * y
+def _dot(start, terms):
+    """start + sum of s*x*y over the (s, x, y) of terms, for Laurent values over one frame."""
+    acc = dict(start)
+    for s, x, y in terms:
+        laurent_fma(acc, s, x, y)
     return acc
 
 
-def unit_lower_inverse(a):
-    """Inverse of a lower unitriangular matrix, by back-substitution on its transpose."""
-    return mat_transpose(_unit_upper_inverse(mat_transpose(a), a[0][0] * 0))
-
-
-def _unit_upper_inverse(a, zero):
-    """Inverse of an upper unitriangular matrix by back-substitution."""
+def _laurent_lower_inverse(a, one):
+    """Inverse of a lower unitriangular matrix of Laurent values, by forward substitution."""
     n = len(a)
-    inv = _unit_fill(n, zero)
-    for j in range(n):
-        for i in range(j - 1, -1, -1):
-            inv[i][j] = -_dot(zero, ((a[i][k], inv[k][j]) for k in range(i + 1, j + 1)))
+    inv = [[one if i == j else {} for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i):
+            inv[i][j] = _dot({}, ((-1, a[i][k], inv[k][j]) for k in range(j, i)))
     return inv
 
 
-def _sparse_mul(a, b, zero):
-    """Product of square matrices that skips the zero entries of both factors."""
+def unit_lower_inverse(a):
+    """Inverse of a lower unitriangular matrix, by forward substitution."""
     n = len(a)
-    b_rows = [[(j, y) for j, y in enumerate(row) if not _is_zero(y)] for row in b]
-    out = []
-    for row in a:
-        acc = [None] * n
-        for k, x in enumerate(row):
-            if _is_zero(x):
-                continue
-            for j, y in b_rows[k]:
-                p = x * y
-                acc[j] = p if acc[j] is None else acc[j] + p
-        out.append([zero if s is None else s for s in acc])
-    return out
+    inv = _unit_fill(n, a[0][0] * 0)
+    for i in range(n):
+        for j in range(i):
+            for k in range(j, i):
+                if not (_is_zero(a[i][k]) or _is_zero(inv[k][j])):
+                    inv[i][j] = inv[i][j] - a[i][k] * inv[k][j]
+    return inv
 
 
 def rational_inverse(m):

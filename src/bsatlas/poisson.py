@@ -5,14 +5,14 @@ right invariant extensions of the skew tensor with one term per positive
 root, weighted by half the squared root length.  Brackets of functions of
 matrix entries come from the four-term sum over those terms; brackets in a
 chart come from the first-order perturbations of the parametrized point
-along every left/right root-vector field.  The point is factored once, the
-tangents of its factors along every field come in closed form, and each
-coordinate, one signed minor of one factor (the N_v coordinates minors of
-the whole N factor for every v), takes its tangents by Jacobi's formula
-from cofactors computed once.  No tangent is ever eliminated.  Every
-tangent and every bracket entry of a chart lies in the chart's Laurent
-ring, so pair assembly and the Jacobi sums run on exponent tuples over that
-ring (``symbolic.to_laurent``) and build each RatFunc once.
+along every left/right root-vector field.  The point is factored once, and
+its factors, regular on the chart, are converted once into the chart's
+Laurent ring (exponent tuples, ``symbolic.to_laurent``).  There the tangents
+of the factors along every field come in closed form, each coordinate, one
+signed minor of one factor (the N_v coordinates minors of the whole N
+factor for every v), takes its tangents by Jacobi's formula from cofactors
+computed once, and pair assembly and the Jacobi sums run too.  No tangent is
+ever eliminated or takes a gcd; each bracket entry becomes a RatFunc once.
 """
 
 from __future__ import annotations
@@ -170,15 +170,13 @@ def chart_bracket(chart: Chart, lam: LambdaData | None = None) -> BracketTable:
         fields.append(("left", e_plus))
         fields.append(("right", wp.left_inv(wp.right(e_minus))))
         fields.append(("right", wp.left_inv(wp.right(e_plus))))
-    factors, tangents = model.triangular_factor_lift(wp.left_inv(rep), fields)
+    factors, frame, lifted = model.triangular_factor_lift(wp.left_inv(rep), fields)
     for c, z in zip(coordinates_from_factors(chart, *factors), chart.zvars):
         if not (c - RatFunc.from_poly(MultiPoly.variable(z))).is_zero():
             raise AssertionError("chart round trip failed inside bracket engine")
-    # dz[i][k]: derivative of z_{i+1} along field k (order L-, L+, R-, R+ per term);
-    # derivs[k][i] is its Laurent value over the variables the tangents contain
-    dz = coordinate_tangents(chart, factors, tangents)
-    frame = laurent_frame(d for row in dz for d in row)
-    derivs = [[to_laurent(row[k], frame) for row in dz] for k in range(len(fields))]
+    # derivs[k][i]: the derivative of z_{i+1} along field k (order L-, L+, R-, R+ per term),
+    # a Laurent value over the frame of the factors
+    derivs = list(zip(*coordinate_tangents(chart, lifted, frame)))
     per_term = [
         (coeff, -coeff, *derivs[4 * t : 4 * t + 4]) for t, (_, _, _, coeff) in enumerate(lam.terms)
     ]

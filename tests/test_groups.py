@@ -4,17 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bsatlas import linalg
 from bsatlas.cli import main
-from bsatlas.errors import NonReducedWord, NotInBigCell, ZeroTorusValue
+from bsatlas.errors import NonPolynomialBracket, NonReducedWord, NotInBigCell, ZeroTorusValue
 from bsatlas.groups import GroupElement, MinorSpec, SignedPerm, build_model, cached_model
 from bsatlas.linalg import _is_zero, mat_mul, mat_transpose, minor, minor_tangents
 from bsatlas.poisson import generic_element
 from bsatlas.rootdata import build_root_system
-from bsatlas.symbolic import MultiPoly, RatFunc, VarName, var
+from bsatlas.symbolic import MultiPoly, RatFunc, VarName, from_laurent, laurent_frame, to_laurent, var
 
 
 def model(series, rank):
@@ -339,11 +339,17 @@ def _eps_derivative(entries):
     return [[derivative(x) for x in row] for row in entries]
 
 
+def _from_laurent_matrix(entries, frame):
+    return [[from_laurent(x, frame) for x in row] for row in entries]
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_lifted_factors_match_dual_elimination(data):
     """The closed-form tangents of L, N, T equal the eps-derivatives of the factors of h + eps h X and h + eps X' h.
 
+    h = L0 N0 T0 with L0 in N^- and N0 in N polynomial in z1 and T0 a torus
+    element of monomials c z1^k, so its factors are Laurent by construction.
     Each perturbed point is factored exactly as a RatFunc matrix in eps, and
     each entry is differentiated in eps and taken at eps = 0, so the
     reference is the elimination over the dual numbers, done in RatFunc.
@@ -352,23 +358,39 @@ def test_lifted_factors_match_dual_elimination(data):
     series, rank = data.draw(st.sampled_from([("A", 2), ("A", 3), ("C", 2)]))
     m = cached_model(series, rank)
     z = var("z", 1)
-    g = m.identity_like(z)
-    for _ in range(data.draw(st.integers(2, 2 * rank + 2))):
-        i = data.draw(st.integers(1, rank)) * data.draw(st.sampled_from([1, -1]))
-        g = m.mul_one_param(g, i, data.draw(_small) + data.draw(st.integers(0, 1)) * z)
-    torus = [data.draw(st.fractions(min_value=1, max_value=4, max_denominator=3)) for _ in range(rank)]
-    h = m.mul_torus(g, torus).entries
-    try:
-        m.triangular_factor(h)
-    except NotInBigCell:
-        assume(False)
+
+    def unipotent(sign):
+        g = m.identity_like(z)
+        for _ in range(data.draw(st.integers(1, 2 * rank))):
+            i = data.draw(st.integers(1, rank))
+            g = m.mul_one_param(g, sign * i, data.draw(_small) + data.draw(st.integers(0, 1)) * z)
+        return g.entries
+
+    lower, upper = unipotent(-1), unipotent(1)
+    torus = [data.draw(st.sampled_from([1, -1, Fraction(1, 2), 3])) * z ** data.draw(st.integers(-2, 2)) for _ in range(rank)]
+    h = m.mul_torus(GroupElement(m, mat_mul(lower, upper)), torus).entries
+    assert list(m.triangular_factor(h)) == [lower, upper, m.torus_element(torus).entries]
     vectors = [x for pair in m.pos_root_vectors.values() for x in pair]
     x_left, x_right = data.draw(st.sampled_from(vectors)), data.draw(st.sampled_from(vectors))
-    factors, tangents = m.triangular_factor_lift(h, [("left", x_left), ("right", x_right)])
+    factors, frame, lifted = m.triangular_factor_lift(h, [("left", x_left), ("right", x_right)])
     assert [list(f) for f in factors] == [list(f) for f in m.triangular_factor(h)]
+    assert [_from_laurent_matrix(f, frame) for f, _ in lifted] == [list(f) for f in factors]
     for k, da in enumerate((mat_mul(h, x_left), mat_mul(x_right, h))):
         want = [_eps_derivative(f) for f in m.triangular_factor(_perturbed(h, da))]
-        assert [ds[k] for ds in tangents] == want
+        assert [_from_laurent_matrix(ds[k], frame) for _, ds in lifted] == want
+
+
+def test_lift_refuses_a_point_whose_factors_are_not_laurent():
+    """h = x_1(z1) y_1(1) lies in the big cell, but its leading principal minor 1 + z1 is not a
+    monomial, so T^{-1} and L are not Laurent: the lift raises and hands back no tangents."""
+    m = cached_model("A", 2)
+    z = var("z", 1)
+    h = m.mul_one_param(m.mul_one_param(m.identity_like(z), 1, z), -1, Fraction(1)).entries
+    assert h[0][0] == 1 + z
+    m.triangular_factor(h)
+    x = m.pos_root_vectors[m.rs.simple_root(1)][0]
+    with pytest.raises(NonPolynomialBracket):
+        m.triangular_factor_lift(h, [("left", x), ("right", x)])
 
 
 _entries = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), -3])
@@ -409,7 +431,9 @@ def test_minor_tangents_match_eps_derivative_of_minor(case):
     """Jacobi's formula equals d/d eps at eps = 0 of the minor of a + eps da, for each tangent da."""
     a, das, rows, cols = case
     want = [_eps_derivative([[minor(_perturbed(a, da), rows, cols)]])[0][0] for da in das]
-    assert minor_tangents(a, das, rows, cols) == want
+    frame = laurent_frame(x for b in [a, *das] for row in b for x in row)
+    a, *das = ([[to_laurent(x, frame) for x in row] for row in b] for b in [a, *das])
+    assert [from_laurent(d, frame) for d in minor_tangents(a, das, rows, cols, frame)] == want
 
 
 _positive = st.fractions(min_value=Fraction(1, 3), max_value=4, max_denominator=3)

@@ -1,6 +1,7 @@
 """Bracket engine: entry brackets, chart brackets, Jacobi."""
 
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -13,10 +14,12 @@ from bsatlas.atlas import (
     eval_coordinates,
     parametrize,
 )
+from bsatlas import symbolic
 from bsatlas.errors import NonPolynomialBracket
 from bsatlas.groups import GroupElement, build_model
 from bsatlas.poisson import (
     BracketTable,
+    LambdaData,
     _require_polynomial,
     build_lambda,
     chart_bracket,
@@ -253,6 +256,41 @@ def test_jacobi_check_differentiates_each_entry_once_per_variable(monkeypatch):
     monkeypatch.setattr(poisson, "laurent_derivative", counting)
     assert jacobi_check(table)["ok"]
     assert len(calls) == sum(len(f.variables()) for f in table.entries.values())
+
+
+def _gcd_calls(fn, *args):
+    """The number of calls of symbolic.poly_gcd, recursive ones included, while fn(*args) runs."""
+    code, calls = symbolic.poly_gcd.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(frame)
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return len(calls)
+
+
+def test_chart_bracket_takes_no_gcd_per_field():
+    """chart_bracket takes no more gcds than factoring its point once, inverting the torus
+    factor and reading the coordinates back for the round trip: the 4|Delta+| tangent
+    fields add none, so a bivector with one term takes as many as the full one."""
+    m = model("A", 3)
+    chart = parametrize(_nw0_charts("A", 3, 1, seed=5)[0])
+    h = m.signed_perm(chart.spec.w.canonical).left_inv(chart.param.entries)
+    factors = m.triangular_factor(h)
+    bound = (
+        _gcd_calls(m.triangular_factor, h)
+        + _gcd_calls(lambda: [factors[2][k][k].inv() for k in range(m.dim)])
+        + _gcd_calls(coordinates_from_factors, chart, *factors)
+    )
+    lam = build_lambda(m)
+    calls = _gcd_calls(chart_bracket, chart, lam)
+    assert calls <= bound
+    assert _gcd_calls(chart_bracket, chart, LambdaData(m, lam.terms[:1])) == calls
 
 
 @pytest.mark.parametrize("series, rank, index", [("A", 2, 5), ("C", 2, 7)])
