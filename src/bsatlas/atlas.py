@@ -2,18 +2,20 @@
 
 A chart is indexed by w in W together with a triple of reduced words
 r = (w0_word, w_word, v_word) for (w0 w^{-1}, w, v).  The chart covers the
-shifted big cell w B^- B / Q; its parametrization composes one-parameter
-chains with a symbolic Gauss factorization, and its coordinates are
-generalized minors of the three factors of the normal form wbar * m * n * t,
-each read as one signed minor of one factor (``Chart.minors``).
+shifted big cell w B^- B / Q.  Its parametrization is built on Laurent
+exponent tuples: one-parameter chains, a Gauss elimination whose pivots are
+monomials, and a torus scaling, each entry converted to a canonical RatFunc
+once.  Its coordinates are generalized minors of the three factors of the
+normal form wbar * m * n * t, each read as one signed minor of one factor
+(``Chart.minors``).
 """
 
 from __future__ import annotations
 
 from .errors import NotInBigCell, NotInChartDomain
 from .groups import GroupElement, GroupModel, MinorSpec, _signed
-from .linalg import mat_mul, minor, minor_tangents, unit_lower_inverse
-from .symbolic import RatFunc, VarName, var
+from .linalg import laurent_lower_factor, laurent_lower_inverse, laurent_mat_mul, minor, minor_tangents
+from .symbolic import VarName, from_laurent, laurent_shift
 
 _CHART_CACHE = {}
 
@@ -199,7 +201,15 @@ def signed_minors(spec: ChartSpec, formulas):
 
 
 def parametrize(spec: ChartSpec) -> Chart:
-    """Build the chart: symbolic coset representative plus coordinate recipes."""
+    """Build the chart: symbolic coset representative plus coordinate recipes.
+
+    The representative is built on Laurent exponent tuples over the frame
+    z_1 .. z_dims: one-parameter chains g1, g2, g3 (``GroupModel.g_word``),
+    x = g2 w0bar^{-1} g1, the lower factor L of x by an elimination whose
+    pivots are monomials (``linalg.laurent_lower_factor``), then
+    rep = L^{-1} g2 g3 vbar^{-1} times the torus, a per-column monomial
+    shift.  Each entry becomes a canonical RatFunc once, at the end.
+    """
     got = _CHART_CACHE.get(spec.key())
     if got is not None:
         return got
@@ -211,21 +221,22 @@ def parametrize(spec: ChartSpec) -> Chart:
     l = l0 + len(v_word)
     dims = spec.space.dims()
     zvars = [zvar(j) for j in range(1, dims + 1)]
-    zfuncs = [var("z", j) for j in range(1, dims + 1)]
-    g1 = model.g_word(w0_word, zfuncs[:k])
-    g2 = model.g_word(w_word, zfuncs[k:l0])
-    g3 = model.g_word(v_word, zfuncs[l0:l])
-    x = mat_mul(g2.entries, model.signed_perm(rs.w0.canonical).left_inv(g1.entries))
-    lower, _, _ = model.triangular_factor(x)
-    lower_inv = model.from_internal(unit_lower_inverse(model.to_internal(lower)))
-    rep = mat_mul(mat_mul(lower_inv, g2.entries), g3.entries)
-    rep = model.signed_perm(v_word).right_inv(rep)
+    one = {(0,) * dims: 1}
+    g1 = model.g_word(w0_word, 0, dims)
+    g2 = model.g_word(w_word, k, dims)
+    g3 = model.g_word(v_word, l0, dims)
+    x = laurent_mat_mul(g2, model.signed_perm(rs.w0.canonical).left_inv(g1))
+    lower_inv = model.from_internal(laurent_lower_inverse(laurent_lower_factor(model.to_internal(x), one), one))
+    rep = model.signed_perm(v_word).right_inv(laurent_mat_mul(laurent_mat_mul(lower_inv, g2), g3))
     if spec.space.qkind == "Nv":
-        values = [None] * rs.rank
+        # column p times t^{x_p}, with t^{omega_i} the variable at slot l + pos for i = omega_order[pos]
+        shifts = [[0] * dims for _ in range(model.dim)]
         for pos, i in enumerate(spec.space.omega_order):
-            values[i - 1] = zfuncs[l + pos]
-        rep = model.mul_torus(GroupElement(model, rep), values).entries
-    param = GroupElement(model, [[RatFunc.coerce(x) for x in row] for row in rep])
+            for shift, weight in zip(shifts, model.slot_weights):
+                shift[l + pos] = weight[i - 1]
+        rep = [[laurent_shift(x, shift) for x, shift in zip(row, shifts)] for row in rep]
+    frame = {v: slot for slot, v in enumerate(zvars)}
+    param = GroupElement(model, [[from_laurent(x, frame) for x in row] for row in rep])
     chart = Chart(spec, dims, zvars, param, coordinate_formulas(spec))
     _CHART_CACHE[spec.key()] = chart
     return chart
@@ -267,7 +278,7 @@ def coordinate_tangents(chart: Chart, lifted, frame):
     (``GroupModel.triangular_factor_lift``); each minor moves by Jacobi's formula.
     """
     return [
-        [d if sign == 1 else {e: -c for e, c in d.items()} for d in minor_tangents(*lifted[f], rows, cols, frame)]
+        [_signed(d, sign) for d in minor_tangents(*lifted[f], rows, cols, frame)]
         for f, rows, cols, sign in chart.minors
     ]
 

@@ -16,7 +16,9 @@ reorder and negate entries.  A simple root vector e has e^2 = 0, so right
 multiplication by x_{+-i}(c) = 1 + c e is one column update
 (``mul_one_param``), and by a torus element one column scaling
 (``mul_torus``).  Neither operation changes the type of an entry: a
-Fraction point gives Fractions and a RatFunc point RatFuncs.
+Fraction point gives Fractions and a RatFunc point RatFuncs.  A chart's
+chains (``g_word``) are built on Laurent values, where each column update
+is a monomial shift and ``SignedPerm`` reorders and negates dicts.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .linalg import (
     rational_inverse,
 )
 from .rootdata import RootSystem, Weight, build_root_system
+from .symbolic import laurent_fma
 
 _QH = Fraction(1, 2)
 
@@ -151,7 +154,10 @@ class SignedPerm:
 
 
 def _signed(x, sign):
-    return x if sign == 1 else -x
+    """sign * x, for a ring element or a Laurent value (a dict of exponent tuples)."""
+    if sign == 1:
+        return x
+    return {e: -c for e, c in x.items()} if type(x) is dict else -x
 
 
 def _mat_eq(a, b):
@@ -394,9 +400,6 @@ class GroupModel:
             self._perm_cache[word] = got
         return got
 
-    def wbar_element(self, w):
-        return self.wbar(w.canonical)
-
     def torus_element(self, values):
         """Diagonal t with t^{omega_i} = values[i]; entries have the values' type."""
         rs = self.rs
@@ -432,17 +435,32 @@ class GroupModel:
             out = out * tdiag[p][p]
         return out
 
-    def g_word(self, word, vars):
-        """Product x_{a1}(z1) sbar_{a1} ... x_{ak}(zk) sbar_{ak} (word reduced)."""
+    def g_word(self, word, start, width):
+        """x_{a1}(z) sbar_{a1} ... x_{ak}(z) sbar_{ak} in Laurent values over a frame of ``width`` slots.
+
+        Letter j takes the variable at slot start + j, and the word must be
+        reduced.  Each x_{a}(z) is one column update g + z g e, a monomial
+        shift of the source column, and each sbar only reorders and negates
+        columns.
+        """
         word = tuple(word)
-        if len(word) != len(vars):
-            raise ValueError("need one variable per letter")
+        if start + len(word) > width:
+            raise ValueError("need one frame slot per letter")
         if word:
             self.rs.assert_reduced(word)
-        out = self.identity_like(vars[0]) if word else self.identity()
-        for i, z in zip(word, vars):
-            out = self.mul_one_param(out, i, z)
-            out = GroupElement(self, self.signed_perm((i,)).right(out.entries))
+        unit = (0,) * width
+        out = [[{unit: 1} if i == j else {} for j in range(self.dim)] for i in range(self.dim)]
+        for slot, i in enumerate(word, start):
+            z = {unit[:slot] + (1,) + unit[slot + 1 :]: 1}
+            updates = self._column_updates[i]
+            for row in out:
+                src = tuple(row)
+                for p, q, coef in updates:
+                    if src[p]:
+                        acc = dict(row[q])
+                        laurent_fma(acc, coef, z, src[p])
+                        row[q] = acc
+            out = self.signed_perm((i,)).right(out)
         return out
 
     # -- factorizations -----------------------------------------------------------

@@ -17,7 +17,10 @@ On a Bott-Samelson chart the factors are Laurent, so ``gauss_ltu_lift``
 converts them once into the chart's Laurent frame (``symbolic.to_laurent``)
 and forms there, in closed form, their tangents along left and right fields
 a*x and x*a; ``minor_tangents`` carries them to a minor by Jacobi's formula
-in the same frame.  No tangent takes a gcd.
+in the same frame.  No tangent takes a gcd.  A chart's parametrization is
+built on Laurent values too: ``laurent_lower_factor`` eliminates with
+monomial pivots, ``laurent_lower_inverse`` inverts by forward substitution
+and ``laurent_mat_mul`` multiplies, with no gcd either.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from fractions import Fraction
 from math import gcd as _int_gcd
 
 from .errors import NotInBigCell
-from .symbolic import MultiPoly, RatFunc, laurent_fma, laurent_frame, poly_gcd, to_laurent, try_divide
+from .symbolic import MultiPoly, RatFunc, laurent_fma, laurent_frame, laurent_shift, poly_gcd, to_laurent, try_divide
 
 
 def _is_zero(x):
@@ -285,9 +288,9 @@ def gauss_ltu_lift(a, fields):
     one = to_laurent(RatFunc.one(), frame)
     # U = N*T and U^{-1} = T^{-1}*N^{-1}, with N^{-1} the transpose of (N^T)^{-1}
     u = [[_dot({}, ((1, x, tm[j][j]),)) for j, x in enumerate(row)] for row in up]
-    n_inv = mat_transpose(_laurent_lower_inverse(mat_transpose(up), one))
+    n_inv = mat_transpose(laurent_lower_inverse(mat_transpose(up), one))
     u_inv = [[_dot({}, ((1, t_inv[i], x),)) for x in row] for i, row in enumerate(n_inv)]
-    lo_inv = _laurent_lower_inverse(lo, one)
+    lo_inv = laurent_lower_inverse(lo, one)
     d_lo, d_up, d_t = [], [], []
     for side, x in fields:
         if side == "left":
@@ -326,25 +329,51 @@ def _dot(start, terms):
     return acc
 
 
-def _laurent_lower_inverse(a, one):
+def laurent_mat_mul(a, b):
+    """The product of two matrices of Laurent values over one frame."""
+    bt = list(zip(*b))
+    return [[_dot({}, ((1, x, y) for x, y in zip(row, col) if x and y)) for col in bt] for row in a]
+
+
+def laurent_lower_factor(a, one):
+    """The lower unitriangular L of a = L*N*T, for a matrix of Laurent values whose pivots are monomials.
+
+    Gaussian elimination without pivoting.  Pivot k is p_{k+1}/p_k, p_k the
+    leading principal minors of a; on a Bott-Samelson chart every p_k is a
+    monomial, so each pivot step is an exponent shift and one rational
+    division, and L_ik is the entry below pivot k shifted by it.  A zero
+    pivot raises NotInBigCell(k + 1); a pivot of more than one term is an
+    internal fault.
+    """
+    n = len(a)
+    m = [list(row) for row in a]
+    for k in range(n):
+        piv = m[k][k]
+        if not piv:
+            raise NotInBigCell(k + 1)
+        if len(piv) != 1:
+            raise AssertionError(f"Laurent elimination: pivot {k + 1} has {len(piv)} terms, not one")
+        ((e, c),) = piv.items()
+        shift, inv_c = tuple(-x for x in e), c if c in (1, -1) else Fraction(1) / c
+        rk = m[k]
+        for i in range(k + 1, n):
+            ri = m[i]
+            if not ri[k]:
+                continue
+            ri[k] = lik = laurent_shift(ri[k], shift, inv_c)
+            for j in range(k + 1, n):
+                if rk[j]:
+                    ri[j] = _dot(ri[j], ((-1, lik, rk[j]),))
+    return [[one if i == j else m[i][j] if j < i else {} for j in range(n)] for i in range(n)]
+
+
+def laurent_lower_inverse(a, one):
     """Inverse of a lower unitriangular matrix of Laurent values, by forward substitution."""
     n = len(a)
     inv = [[one if i == j else {} for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i):
             inv[i][j] = _dot({}, ((-1, a[i][k], inv[k][j]) for k in range(j, i)))
-    return inv
-
-
-def unit_lower_inverse(a):
-    """Inverse of a lower unitriangular matrix, by forward substitution."""
-    n = len(a)
-    inv = _unit_fill(n, a[0][0] * 0)
-    for i in range(n):
-        for j in range(i):
-            for k in range(j, i):
-                if not (_is_zero(a[i][k]) or _is_zero(inv[k][j])):
-                    inv[i][j] = inv[i][j] - a[i][k] * inv[k][j]
     return inv
 
 

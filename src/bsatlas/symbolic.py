@@ -9,12 +9,13 @@ total order on variable names, which makes every normalized value canonical:
 equal rational functions have identical representations and identical text
 serializations.
 
-Inside one Bott-Samelson chart every coordinate tangent and every bracket
-entry is a Laurent polynomial in the chart's variables, and those run in a
-lighter format: a dict from an exponent tuple, aligned with a sorted frame
-of the variables that occur and allowing negative exponents, to a nonzero
-coefficient.  Products and sums there merge no variable tuples and take no
-gcd; ``from_laurent`` returns the canonical RatFunc.
+Inside one Bott-Samelson chart every parametrization entry, coordinate
+tangent and bracket entry is a Laurent polynomial in the chart's variables,
+and those run in a lighter format: a dict from an exponent tuple, aligned
+with a sorted frame of the variables that occur and allowing negative
+exponents, to a nonzero coefficient.  Products and sums there merge no
+variable tuples and take no gcd; ``from_laurent`` returns the canonical
+RatFunc.
 """
 
 from __future__ import annotations
@@ -851,6 +852,11 @@ def laurent_fma(acc, s, a, b):
                 acc[e] = c
             else:
                 acc.pop(e, None)
+
+
+def laurent_shift(a, exp, c=1):
+    """c * z^exp * a: the Laurent value a times one monomial, an exponent shift of every term."""
+    return {tuple(map(add, e, exp)): c * k for e, k in a.items()}
 
 
 def laurent_derivative(a, slot):

@@ -260,7 +260,7 @@ def test_criterion_8_t_leaf_stratification():
         return g.entries
 
     def pattern(el):
-        wb = m2.wbar_element(el).entries
+        wb = m2.wbar(el.canonical).entries
         return [0] + [next(i + 1 for i in range(3) if wb[i][j] != 0) for j in range(3)]
 
     bad = []

@@ -1,10 +1,12 @@
 """Chart enumeration, parametrization, coordinates, changes, torus weights."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from bsatlas import atlas, symbolic
 from bsatlas.atlas import (
     ChartSpec,
     SpaceSpec,
@@ -14,8 +16,9 @@ from bsatlas.atlas import (
     parametrize,
     t_weights,
 )
-from bsatlas.errors import NotInChartDomain
-from bsatlas.groups import build_model
+from bsatlas.errors import NotInBigCell, NotInChartDomain
+from bsatlas.groups import GroupElement, build_model
+from bsatlas.linalg import laurent_lower_factor, mat_mul, mat_transpose
 from bsatlas.rootdata import build_root_system
 from bsatlas.symbolic import MultiPoly, RatFunc, VarName, var
 
@@ -96,9 +99,11 @@ def test_coordinates_make_no_matrix_product(series, rank, vword, monkeypatch):
     specs = enumerate_charts(SpaceSpec(m, "Nv", rs.element_from_word(vword)))[::7]
     charts = [parametrize(spec) for spec in specs]
     calls = []
+    # a module that does not import mat_mul cannot call it
     for module in (bsatlas.atlas, bsatlas.groups, bsatlas.linalg):
-        real = module.mat_mul
-        monkeypatch.setattr(module, "mat_mul", lambda a, b, real=real: calls.append(1) or real(a, b))
+        real = getattr(module, "mat_mul", None)
+        if real is not None:
+            monkeypatch.setattr(module, "mat_mul", lambda a, b, real=real: calls.append(1) or real(a, b))
     for chart in charts:
         got = eval_coordinates(chart, chart.param)
         assert all((c - RatFunc.from_poly(MultiPoly.variable(z))).is_zero() for c, z in zip(got, chart.zvars))
@@ -132,6 +137,101 @@ def test_round_trip_all_charts(series, rank, qkind, vname):
     for spec in enumerate_charts(space):
         chart = parametrize(spec)
         assert is_identity_coords(chart, eval_coordinates(chart, chart.param)), spec.label()
+
+
+def _ratfunc_param(spec):
+    """Reference parametrization composed in RatFunc, as entry texts.
+
+    Chains by mul_one_param and a product with sbar per letter, the lower
+    factor of x = g2 w0bar^{-1} g1 by triangular_factor, its inverse by
+    forward substitution, then L^{-1} g2 g3 vbar^{-1} times the torus, all by
+    mat_mul on RatFunc entries.
+    """
+    model = spec.space.model
+    rs = model.rs
+    w0_word, w_word, v_word = spec.r
+    k, l0 = len(w0_word), rs.l0
+    l = l0 + len(v_word)
+    z = [var("z", j) for j in range(1, spec.space.dims() + 1)]
+
+    def chain(word, values):
+        g = model.identity_like(RatFunc.one())
+        for i, c in zip(word, values):
+            g = GroupElement(model, mat_mul(model.mul_one_param(g, i, c).entries, model.sbar(i).entries))
+        return g.entries
+
+    g1, g2, g3 = chain(w0_word, z[:k]), chain(w_word, z[k:l0]), chain(v_word, z[l0:l])
+    # a signed permutation matrix is orthogonal: wbar^{-1} = wbar^T
+    x = mat_mul(g2, mat_mul(mat_transpose(model.wbar(rs.w0.canonical).entries), g1))
+    lower = model.to_internal(model.triangular_factor(x)[0])
+    n = len(lower)
+    inv = [[RatFunc.one() if i == j else RatFunc.zero() for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i):
+            for c in range(j, i):
+                inv[i][j] = inv[i][j] - lower[i][c] * inv[c][j]
+    rep = mat_mul(mat_mul(model.from_internal(inv), g2), g3)
+    rep = mat_mul(rep, mat_transpose(model.wbar(v_word).entries))
+    if spec.space.qkind == "Nv":
+        values = [z[l + spec.space.omega_order.index(i)] for i in range(1, rs.rank + 1)]
+        rep = model.mul_torus(GroupElement(model, rep), values).entries
+    return [[RatFunc.coerce(x).text() for x in row] for row in rep]
+
+
+@pytest.mark.parametrize(
+    "series, rank, qkind, vname, sample",
+    [
+        ("A", 2, "Nv", "w0", None),
+        ("A", 2, "Bv", "e", None),
+        ("C", 2, "Nv", "w0", None),
+        ("A", 3, "Bv", "e", None),
+        ("A", 3, "Nv", "w0", 30),
+    ],
+)
+def test_parametrize_matches_ratfunc_composition(series, rank, qkind, vname, sample):
+    """The Laurent parametrization equals the RatFunc composition entry by entry, as text."""
+    m = model(series, rank)
+    space = SpaceSpec(m, qkind, m.rs.w0 if vname == "w0" else m.rs.identity)
+    specs = enumerate_charts(space)
+    if sample:
+        specs = random.Random(5).sample(specs, sample)
+    for spec in specs:
+        got = [[x.text() for x in row] for row in parametrize(spec).param.entries]
+        assert got == _ratfunc_param(spec), spec.label()
+
+
+def test_laurent_lower_factor_needs_monomial_pivots():
+    one, z1 = {(0,): 1}, {(1,): 1}
+    # a = [[2 z1, 1], [z1^2, 0]]: L_21 = z1/2, and the second pivot -z1/2 is a monomial too
+    lower = laurent_lower_factor([[{(1,): 2}, one], [{(2,): 1}, {}]], one)
+    assert lower == [[one, {}], [{(1,): Fraction(1, 2)}, one]]
+    with pytest.raises(AssertionError):
+        laurent_lower_factor([[{(1,): 1, (0,): 1}, one], [one, z1]], one)
+    with pytest.raises(NotInBigCell) as err:
+        laurent_lower_factor([[{}, one], [one, z1]], one)
+    assert err.value.minor_index == 1
+
+
+@pytest.mark.parametrize("series, rank", [("A", 2), ("C", 2)])
+def test_parametrize_takes_no_gcd(monkeypatch, series, rank):
+    """Over every chart of G/N(w0), parametrize calls neither poly_gcd nor RatFunc.__mul__."""
+    monkeypatch.setattr(atlas, "_CHART_CACHE", {})
+    m = model(series, rank)
+    specs = enumerate_charts(SpaceSpec(m, "Nv", m.rs.w0))
+    codes = {symbolic.poly_gcd.__code__, symbolic.RatFunc.__mul__.__code__}
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        charts = [parametrize(spec) for spec in specs]
+    finally:
+        sys.setprofile(None)
+    assert len(charts) == len(specs)
+    assert calls == []
 
 
 def test_round_trip_intermediate_v():

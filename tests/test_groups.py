@@ -44,7 +44,7 @@ def split_unipotent_by_v(m, n_el, v):
     for i in range(m.dim):
         if not _is_zero(t[i][i] - 1):
             raise AssertionError("unipotent split produced a torus part")
-    vbar = m.wbar_element(v).entries
+    vbar = m.wbar(v.canonical).entries
     return GroupElement(m, _conjugate(vbar, lo)), GroupElement(m, _conjugate(vbar, up))
 
 
@@ -93,7 +93,7 @@ def test_signed_perm_is_cached():
 
 def _dense_minor(m, g, u, v, alpha):
     """Delta^{omega_alpha}(ubar^T g vbar) with two dense products."""
-    shifted = mat_mul(mat_mul(mat_transpose(m.wbar_element(u).entries), g), m.wbar_element(v).entries)
+    shifted = mat_mul(mat_mul(mat_transpose(m.wbar(u.canonical).entries), g), m.wbar(v.canonical).entries)
     k = m.minor_size(alpha)
     return minor(shifted, range(k), range(k))
 
@@ -145,12 +145,19 @@ def test_column_update_matches_dense_product(data):
     assert all(type(x).__name__ == kind for row in m.one_param(i, c).entries for x in row)
 
 
+def _chain(m, word, symbol="z"):
+    """The Laurent chain g_word(word) over the frame of one variable per letter, as a RatFunc element."""
+    frame = {VarName(symbol, i): i - 1 for i in range(1, len(word) + 1)}
+    g = m.g_word(word, 0, len(word))
+    return GroupElement(m, [[from_laurent(x, frame) for x in row] for row in g])
+
+
 def test_sbar_and_gword_sl2():
     m = model("A", 1)
     assert m.sbar(1).entries == [[0, -1], [1, 0]]
-    g = m.g_word((1,), [var("z", 1)])
+    g = _chain(m, (1,))
     assert [[e.text() for e in r] for r in g.entries] == [["z1", "-1"], ["1", "0"]]
-    assert same(m.g_word((), []), m.identity())
+    assert same(_chain(m, ()), m.identity())
 
 
 def test_wbar_word_independence():
@@ -614,7 +621,7 @@ def _reference_coordinates(chart, g):
     lower, nfull, tdiag = m.triangular_factor(wp.left_inv(g))
     read = {
         "m": lambda spec: m.generalized_minor(lower, spec),
-        "wmw": lambda spec: m.generalized_minor(_conjugate(m.wbar_element(chart.spec.w).entries, lower), spec),
+        "wmw": lambda spec: m.generalized_minor(_conjugate(m.wbar(chart.spec.w.canonical).entries, lower), spec),
         "n": lambda spec: m.generalized_minor(nfull, spec),
         "t": lambda i: m.torus_value(tdiag, i),
     }
@@ -772,8 +779,7 @@ def test_g_word_lands_in_shifted_unipotent():
     for (series, rank), ws in words.items():
         m = model(series, rank)
         for word in ws:
-            zf = [var("t", i) for i in range(1, len(word) + 1)]
-            g = m.g_word(word, zf)
+            g = _chain(m, word, "t")
             ub = m.wbar(word)
             x = m.to_internal((_inverse(ub) * g).entries)
             n = m.dim

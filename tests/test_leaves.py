@@ -41,7 +41,7 @@ def _rank(mat):
 
 def _pattern(el, model):
     n = model.dim
-    wbar = model.to_internal(model.wbar_element(el).entries)
+    wbar = model.to_internal(model.wbar(el.canonical).entries)
     out = [0] * (n + 1)
     for j in range(n):
         i = next(i for i in range(n) if wbar[i][j] != 0)
@@ -100,7 +100,7 @@ def test_examples():
     # a representative matrix itself: w recovers the element, and for v = e
     # the mixed cell of wbar is labelled by w as well
     for w in rs.all_elements():
-        lbl = t_leaf_classify(sp_e, m.wbar_element(w))
+        lbl = t_leaf_classify(sp_e, m.wbar(w.canonical))
         assert lbl.w == w and lbl.y == w
 
 
@@ -118,7 +118,7 @@ def test_admissibility_and_oracle_agreement():
     rng = random.Random(11)
     from bsatlas.linalg import mat_mul
 
-    vbar = m.wbar_element(rs.w0).entries
+    vbar = m.wbar(rs.w0.canonical).entries
     for _ in range(60):
         mat = _random_point(m, rng)
         lbl = t_leaf_classify(sp, mat)
@@ -152,7 +152,7 @@ def test_sp4_patterns():
     rs = mc.rs
     sp = SpaceSpec(mc, "Nv", rs.w0)
     for w in rs.all_elements():
-        lbl = t_leaf_classify(sp, mc.wbar_element(w))
+        lbl = t_leaf_classify(sp, mc.wbar(w.canonical))
         assert lbl.w == w
     rng = random.Random(5)
     for _ in range(20):
