@@ -6,15 +6,16 @@ shifted big cell w B^- B / Q.  Its parametrization is built on Laurent
 exponent tuples: one-parameter chains, a Gauss elimination whose pivots are
 monomials, and a torus scaling, each entry converted to a canonical RatFunc
 once.  Its coordinates are generalized minors of the three factors of the
-normal form wbar * m * n * t, each read as one signed minor of one factor
-(``Chart.minors``).
+normal form wbar * m * n * t, each one signed minor of one factor
+(``Chart.minors``), read as one quotient straight off one fraction-free
+elimination without forming the factors.
 """
 
 from __future__ import annotations
 
 from .errors import NotInBigCell, NotInChartDomain
 from .groups import GroupElement, GroupModel, MinorSpec, _signed
-from .linalg import laurent_lower_factor, laurent_lower_inverse, laurent_mat_mul, minor, minor_tangents
+from .linalg import laurent_lower_factor, laurent_lower_inverse, laurent_mat_mul, ltu_minors, minor, minor_tangents
 from .symbolic import VarName, from_laurent, laurent_shift
 
 _CHART_CACHE = {}
@@ -246,25 +247,32 @@ def eval_coordinates(chart: Chart, g):
     """Coordinates of a point (GroupElement or raw matrix) of the shifted big cell.
 
     Entries may be Fractions for numeric points or RatFuncs for symbolic
-    ones.  Raises NotInChartDomain with the index of the vanishing principal
-    minor of wbar^{-1} g when the point is outside the cell.
+    ones.  ``Chart.minors`` is reindexed into the model's internal basis and
+    every coordinate is read as one quotient from one fraction-free
+    elimination of wbar^{-1} g (``linalg.ltu_minors``); no factor is formed.
+    Raises NotInChartDomain with the index of the vanishing principal minor
+    of wbar^{-1} g when the point is outside the cell.
     """
     spec = chart.spec
     model = spec.space.model
     entries = g.entries if isinstance(g, GroupElement) else g
-    h = model.signed_perm(spec.w.canonical).left_inv(entries)
+    h = model.to_internal(model.signed_perm(spec.w.canonical).left_inv(entries))
+    pos = {r: i for i, r in enumerate(model._perm)}
+    minors = [(f, [pos[r] for r in rows], [pos[c] for c in cols]) for f, rows, cols, _ in chart.minors]
     try:
-        factors = model.triangular_factor(h)
+        values = ltu_minors(h, minors)
     except NotInBigCell as e:
         raise NotInChartDomain(e.minor_index) from None
-    return coordinates_from_factors(chart, *factors)
+    return [_signed(x, minor[3]) for x, minor in zip(values, chart.minors)]
 
 
 def coordinates_from_factors(chart: Chart, *factors):
     """Coordinates of the point whose wbar^{-1} g has the normal form L * N * T = factors.
 
-    The N_v coordinates are minors of N itself, for every v: with
-    N = n1 n2 and n2 in N cap vbar N vbar^{-1}, each v' of a minor
+    This reads formed factors, for the bracket's round-trip check; a point's
+    coordinates come from ``eval_coordinates``.  The N_v coordinates are
+    minors of N itself, for every v: with N = n1 n2 and
+    n2 in N cap vbar N vbar^{-1}, each v' of a minor
     D_{u omega, v' omega} is a left prefix of the word of v, so
     v'bar^{-1} n2 v'bar lies in N, and principal minors are right-N-invariant.
     """

@@ -57,12 +57,3 @@ def load(key, cache_dir=None):
     except (OSError, ValueError, KeyError):
         return None
 
-
-def cached(key, compute, cache_dir=None):
-    """Load-or-compute-and-store."""
-    got = load(key, cache_dir)
-    if got is not None:
-        return got
-    payload = compute()
-    store(key, payload, cache_dir)
-    return payload

@@ -32,8 +32,6 @@ from .linalg import (
     det,
     gauss_ltu,
     gauss_ltu_lift,
-    mat_add,
-    mat_identity,
     mat_mul,
     mat_scale,
     mat_sub,
@@ -326,10 +324,6 @@ class GroupModel:
         e, f = self.pos_root_vectors[self.rs.simple_root(i)]
         return e if sign > 0 else f
 
-    def root_vector_for(self, beta, sign):
-        e, f = self.pos_root_vectors[beta]
-        return e if sign > 0 else f
-
     def one_param(self, signed_index, c):
         """x_{alpha_i}(c) = exp(c e_{alpha_i}); negative index uses e_{-alpha_i}."""
         return self.mul_one_param(self.identity_like(c), signed_index, c)
@@ -348,20 +342,6 @@ class GroupModel:
                 x = srow[p]
                 if not _is_zero(x):
                     row[q] = row[q] + cc * x
-        return GroupElement(self, out)
-
-    def _exp_nilpotent(self, x, c):
-        """exp(c x) for any nilpotent x; entries have the type of c (an int c gives Fractions)."""
-        n = self.dim
-        out = mat_identity(n)
-        term = mat_identity(n)
-        k = 1
-        while True:
-            term = mat_scale(mat_mul(term, x), c * Fraction(1, k))
-            if all(_is_zero(v) for row in term for v in row):
-                break
-            out = mat_add(out, term)
-            k += 1
         return GroupElement(self, out)
 
     def sbar(self, i):

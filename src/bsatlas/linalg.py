@@ -7,12 +7,14 @@ cofactor expansion so polynomial matrices stay polynomial.  The Gauss
 factorization returns the big-cell normal form a = L*N*T (lower
 unitriangular, upper unitriangular, diagonal) in product order.  It is
 fraction-free: each column is written as numerators over the lcm c_j of its
-denominators (a RatFunc over polynomials, a Fraction over integers) and
-Bareiss elimination runs on the numerators with exact divisions only, so
-every intermediate entry is a minor of the input.  With p_k the leading
-principal minors of the numerators and M the entries before their
-elimination step, each factor entry is one quotient of two such minors:
+denominators (ints for Fractions, Laurent exponent tuples over one frame for
+RatFuncs) and Bareiss elimination runs on the numerators with exact
+divisions only, so every intermediate entry is a minor of the input.  With
+p_k the leading principal minors of the numerators and M the entries before
+their elimination step, each factor entry is one quotient of two such minors:
 L_ik = M_ik/p_{k+1}, N_kj = M_kj p_j/(p_k p_{j+1}), T_k = p_{k+1}/(p_k c_k).
+``ltu_minors`` reads any minor of a factor as one quotient straight from the
+pass, so a chart's coordinates need no factor and take at most one gcd each.
 On a Bott-Samelson chart the factors are Laurent, so ``gauss_ltu_lift``
 converts them once into the chart's Laurent frame (``symbolic.to_laurent``)
 and forms there, in closed form, their tangents along left and right fields
@@ -27,10 +29,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import lcm as _int_lcm
+from operator import mul
 
 from .errors import NotInBigCell
-from .symbolic import MultiPoly, RatFunc, laurent_fma, laurent_frame, laurent_shift, poly_gcd, to_laurent, try_divide
+from .symbolic import MultiPoly, RatFunc, from_laurent, laurent_divide, laurent_fma, laurent_frame, laurent_shift
+from .symbolic import poly_gcd, to_laurent, try_divide
 
 
 def _is_zero(x):
@@ -63,20 +67,12 @@ def sum_entries(entries):
     return tot
 
 
-def mat_identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def mat_scale(a, c):
     return [[x * c for x in row] for row in a]
 
 
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_transpose(a):
@@ -148,13 +144,28 @@ def gauss_ltu(a):
 
         L_ik = M_ik / p_{k+1},   N_kj = M_kj p_j / (p_k p_{j+1}),   T_k = p_{k+1} / (p_k c_k),
 
-    each entry one quotient, built once, in the entry type of a.  Returns
-    (L, N, T) in product order.  Exists iff all leading principal minors
-    are nonzero; on failure raises NotInBigCell carrying the 1-based index
-    of the first vanishing minor.
+    each entry one quotient, built once by ``ring.make``, in the entry type of a.
+    Returns (L, N, T) in product order.  Exists iff all leading principal
+    minors are nonzero; on failure raises NotInBigCell carrying the 1-based
+    index of the first vanishing minor.
     """
     ring, m, p, c = _bareiss(a)
-    return _normal_form(ring, m, p, c)
+    n, zero, one = len(m), ring.make(ring.zero, ring.one), ring.make(ring.one, ring.one)
+    lower, upper, tmat = ([[one if i == j and f < 2 else zero for j in range(n)] for i in range(n)] for f in range(3))
+    for k in range(n):
+        tmat[k][k] = ring.make(p[k + 1], ring.mul(p[k], c[k]))
+        for i in range(k + 1, n):
+            if m[i][k]:
+                lower[i][k] = ring.make(m[i][k], p[k + 1])
+            if m[k][i]:
+                upper[k][i] = ring.make(ring.mul(m[k][i], p[i]), ring.mul(p[k], p[i + 1]))
+    return lower, upper, tmat
+
+
+def ltu_minors(a, minors):
+    """det F[rows, cols] for each (f, rows, cols) of minors, F = gauss_ltu(a)[f], each one quotient off one pass."""
+    ring, m, p, c = _bareiss(a)
+    return [_factor_minor(ring, m, p, c, f, rows, cols) for f, rows, cols in minors]
 
 
 def _int_divide(x, y):
@@ -162,104 +173,121 @@ def _int_divide(x, y):
     return None if r else q
 
 
-def _ratfunc_split(x):
-    x = RatFunc.coerce(x)
-    return x.num, x.den
+def _rational_column(col, j):
+    c = _int_lcm(*(x.denominator for x in col))
+    return [x.numerator * (c // x.denominator) for x in col], c
 
 
-# How the entries of one matrix split into numerator over denominator: ints and
-# Fractions over integers, RatFuncs over polynomials.  ``divide`` is the exact
-# division of numerators (None if it is not exact) and ``make`` turns a
-# numerator and a denominator back into an entry.  try_divide is looked up per
-# call, so a test can replace it.
-_Ring = namedtuple("_Ring", "one split gcd divide make")
-_RATIONALS = _Ring(1, lambda x: (x.numerator, x.denominator), _int_gcd, _int_divide, Fraction)
-_RATFUNCS = _Ring(MultiPoly.constant(1), _ratfunc_split, poly_gcd, lambda f, g: try_divide(f, g), RatFunc)
+# The ring of one elimination: a column as numerators over c_j, exact division (None if it is not exact),
+# x*piv - f*y, determinant, product, and ``make``, which turns a numerator and a denominator into an entry.
+_Ring = namedtuple("_Ring", "zero one column divide cross det mul make")
+_RATIONALS = _Ring(0, 1, _rational_column, _int_divide, lambda x, piv, f, y: x * piv - f * y, det, mul, Fraction)
 
 
 def _ring_of(a):
-    kinds = {type(x) for row in a for x in row}
-    if kinds <= {int, Fraction}:
+    """Ints for rational entries; else Laurent values over the frame of the entries.
+
+    A column whose denominators are monomials stays as it is (c_j = 1); any
+    other becomes polynomials over the lcm c_j of its denominators.
+    laurent_divide and try_divide are looked up per call, so a test can
+    replace them.
+    """
+    if all(type(x) in (int, Fraction) for row in a for x in row):
         return _RATIONALS
-    return _RATFUNCS
+    frame = laurent_frame(RatFunc.coerce(x) for row in a for x in row)
+    one = {(0,) * len(frame): 1}
+
+    def column(col, j):
+        col = [RatFunc.coerce(x) for x in col]
+        if all(len(x.den.terms) == 1 for x in col):
+            return [to_laurent(x, frame) for x in col], one
+        c = MultiPoly.constant(1)
+        for x in col:
+            if x.den != c:
+                c = c * _quotient(try_divide, x.den, poly_gcd(c, x.den), f"the lcm of column {j + 1}")
+        nums = [
+            x.num if x.den == c else x.num * _quotient(try_divide, c, x.den, f"scaling entry ({i + 1}, {j + 1})")
+            for i, x in enumerate(col)
+        ]
+        return [to_laurent(RatFunc.from_poly(x), frame) for x in nums], to_laurent(RatFunc.from_poly(c), frame)
+
+    return _Ring(
+        {},
+        one,
+        column,
+        laurent_divide,
+        lambda x, piv, f, y: _dot({}, ((1, x, piv), (-1, f, y))),
+        lambda sub: _laurent_det(sub, one),
+        lambda x, y: _dot({}, ((1, x, y),)),
+        lambda num, den: from_laurent(num, frame, den),
+    )
 
 
-def _quotient(ring, x, y, where):
+def _quotient(divide, x, y, where):
     """x / y, which the elimination knows to be exact; a remainder is an internal fault."""
-    q = ring.divide(x, y)
+    q = divide(x, y)
     if q is None:
         raise AssertionError(f"fraction-free elimination: {where} is not an exact division")
     return q
 
 
 def _bareiss(a):
-    """Fraction-free elimination without pivoting: (ring, M, p, c) for ``_normal_form``.
+    """Fraction-free elimination without pivoting: (ring, M, p, c) for ``_factor_minor``.
 
-    Column j of a becomes numerators over c_j, the lcm of its denominators.
-    Step k sets M_ij = (p_{k+1} M_ij - M_ik M_kj) / p_k for i, j > k with
-    p_{k+1} = M_kk; by Sylvester's identity M_ij is then the minor of the
-    numerators on rows 0..k, i and columns 0..k, j, so the division is exact
-    (Bareiss 1968).  Row k and the column below the pivot are never written
-    again: M keeps each entry as it stood before step min(i, j).
+    Column j of a becomes numerators over c_j (``_ring_of``).  Step k sets
+    M_ij = (p_{k+1} M_ij - M_ik M_kj) / p_k for i, j > k with p_{k+1} = M_kk;
+    by Sylvester's identity M_ij is then the minor of the numerators on rows
+    0..k, i and columns 0..k, j, so the division is exact (Bareiss 1968).
+    Row k and the column below the pivot are never written again: M keeps
+    each entry as it stood before step min(i, j).
     """
     ring = _ring_of(a)
-    one = ring.one
-    n = len(a)
-    m = [[None] * n for _ in range(n)]
-    c = []
-    for j in range(n):
-        parts = [ring.split(row[j]) for row in a]
-        cj = one
-        for _, den in parts:
-            if den != one and den != cj:
-                cj = cj * _quotient(ring, den, ring.gcd(cj, den), f"the lcm of column {j + 1}")
-        c.append(cj)
-        for i, (num, den) in enumerate(parts):
-            if den != cj and not _is_zero(num):
-                num = num * _quotient(ring, cj, den, f"scaling entry ({i + 1}, {j + 1})")
-            m[i][j] = num
-    p = [one]
-    for k in range(n):
-        rk = m[k]
+    columns = [ring.column(col, j) for j, col in enumerate(zip(*a))]
+    m = [list(row) for row in zip(*(nums for nums, _ in columns))]
+    p = [ring.one]
+    for k, rk in enumerate(m):
         piv = rk[k]
-        if _is_zero(piv):
+        if not piv:
             raise NotInBigCell(k + 1)
-        for i in range(k + 1, n):
+        for i in range(k + 1, len(m)):
             ri = m[i]
-            f = ri[k]
-            for j in range(k + 1, n):
-                x = ri[j]
-                if not _is_zero(x):
-                    x = x * piv
-                if not (_is_zero(f) or _is_zero(rk[j])):
-                    x = x - f * rk[j]
-                if k and not _is_zero(x):
-                    x = _quotient(ring, x, p[k], f"step {k + 1} at entry ({i + 1}, {j + 1})")
-                ri[j] = x
+            for j in range(k + 1, len(m)):
+                x = ring.cross(ri[j], piv, ri[k], rk[j])
+                ri[j] = _quotient(ring.divide, x, p[k], f"step {k + 1} at entry ({i + 1}, {j + 1})") if k and x else x
         p.append(piv)
-    return ring, m, p, c
+    return ring, m, p, [cj for _, cj in columns]
 
 
-def _normal_form(ring, m, p, c):
-    """(L, N, T) of a = L*N*T from the pass of ``_bareiss``, by the formulas of ``gauss_ltu``."""
-    n = len(m)
-    zero = ring.make(m[0][0] * 0, ring.one)
-    lower, upper = _unit_fill(n, zero), _unit_fill(n, zero)
-    tmat = [[zero] * n for _ in range(n)]
-    for k in range(n):
-        tmat[k][k] = ring.make(p[k + 1], p[k] * c[k])
-        for i in range(k + 1, n):
-            if not _is_zero(m[i][k]):
-                lower[i][k] = ring.make(m[i][k], p[k + 1])
-            if not _is_zero(m[k][i]):
-                upper[k][i] = ring.make(m[k][i] * p[i], p[k] * p[i + 1])
-    return lower, upper, tmat
+def _factor_minor(ring, m, p, c, f, rows, cols):
+    """det F[rows, cols] for F = (L, N, T)[f] of the ``_bareiss`` pass (ring, m, p, c), as one quotient.
 
+    Let M^L hold M below the diagonal, p_{k+1} on it and 0 above, and M^U
+    be its mirror image.  Then L = M^L diag(1/p_{k+1}) and
+    N = diag(1/p_k) M^U diag(p_j/p_{j+1}), so
 
-def _unit_fill(n, zero):
-    """Identity matrix whose entries have the type of ``zero``, so no int leaks out."""
-    one = zero + 1
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+        L[R,C] = det M^L[R,C] / prod_{k in C} p_{k+1},
+        N[R,C] = det M^U[R,C] prod_{j in C} p_j / (prod_{k in R} p_k prod_{j in C} p_{j+1}),
+
+    and the principal minor of T on R is prod_{i in R} p_{i+1} / (p_i c_i).
+    A pivot index on both sides cancels before any product is formed.
+    """
+    if f == 2:
+        num, up, down = ring.one, [i + 1 for i in rows], list(rows)
+    else:
+        sub = [[p[k + 1] if r == k else m[r][k] if (r > k) == (f == 0) else ring.zero for k in cols] for r in rows]
+        num, up, down = ring.det(sub), list(cols if f else ()), [k + 1 for k in cols] + list(rows if f else ())
+        if not num:
+            return ring.make(num, ring.one)
+    for k in list(up):
+        if k in down:
+            up.remove(k)
+            down.remove(k)
+    for k in up:
+        num = ring.mul(num, p[k]) if k else num
+    den = ring.one
+    for x in [p[k] for k in down if k] + ([c[i] for i in rows] if f == 2 else []):
+        den = ring.mul(den, x)
+    return ring.make(num, den)
 
 
 def gauss_ltu_lift(a, fields):
@@ -281,7 +309,7 @@ def gauss_ltu_lift(a, fields):
     chart; any other raises NonPolynomialBracket before a tangent is formed.
     """
     n = len(a)
-    factors = _normal_form(*_bareiss(a))
+    factors = gauss_ltu(a)
     frame = laurent_frame(x for f in factors for row in f for x in row)
     lo, up, tm = ([[to_laurent(x, frame) for x in row] for row in f] for f in factors)
     t_inv = [to_laurent(factors[2][k][k].inv(), frame) for k in range(n)]

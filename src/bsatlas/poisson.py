@@ -2,9 +2,8 @@
 
 The multiplicative Poisson bivector on G is the difference of the left and
 right invariant extensions of the skew tensor with one term per positive
-root, weighted by half the squared root length.  Brackets of functions of
-matrix entries come from the four-term sum over those terms; brackets in a
-chart come from the first-order perturbations of the parametrized point
+root, weighted by half the squared root length.  Brackets in a chart come
+from the first-order perturbations of the parametrized point
 along every left/right root-vector field.  The point is factored once, and
 its factors, regular on the chart, are converted once into the chart's
 Laurent ring (exponent tuples, ``symbolic.to_laurent``).  There the tangents
@@ -22,8 +21,8 @@ from itertools import combinations
 
 from .atlas import Chart, coordinate_tangents, coordinates_from_factors
 from .errors import NonPolynomialBracket, NormalizationMismatch
-from .groups import GroupElement, GroupModel
-from .linalg import _is_zero, mat_mul
+from .groups import GroupModel
+from .linalg import mat_mul
 from .symbolic import (
     MultiPoly,
     RatFunc,
@@ -58,64 +57,6 @@ def build_lambda(model: GroupModel) -> LambdaData:
             raise NormalizationMismatch(f"trace pairing fails for {beta}")
         terms.append((beta, e_minus, e_plus, coeff))
     return LambdaData(model, terms)
-
-
-def entry_var(i, j):
-    """Variable name of the (i, j) entry of a generic matrix (1-based)."""
-    return VarName("a", 10 * i + j)
-
-
-def generic_element(model: GroupModel) -> GroupElement:
-    """Matrix of free entry variables (no group constraint imposed)."""
-    n = model.dim
-    return GroupElement(
-        model,
-        [
-            [RatFunc.from_poly(MultiPoly.variable(entry_var(i + 1, j + 1))) for j in range(n)]
-            for i in range(n)
-        ],
-    )
-
-
-def _directional(model, f: RatFunc, direction_entries):
-    """Derivative of f(entries) along the field whose value at g is ``direction``.
-
-    ``direction_entries`` is an n x n matrix of polynomials in the entry
-    variables (g X for the left field, X g for the right one).
-    """
-    n = model.dim
-    out = RatFunc.zero()
-    for i in range(n):
-        for j in range(n):
-            d = direction_entries[i][j]
-            if _is_zero(d):
-                continue
-            part = f.differentiate(entry_var(i + 1, j + 1))
-            if part.is_zero():
-                continue
-            out = out + part * d
-    return out
-
-
-def entry_bracket(model: GroupModel, f1: RatFunc, f2: RatFunc, lam: LambdaData | None = None) -> RatFunc:
-    """Poisson bracket {f1, f2} of two functions of the n^2 entry variables."""
-    if lam is None:
-        lam = build_lambda(model)
-    g = generic_element(model).entries
-    total = RatFunc.zero()
-    for _, e_minus, e_plus, coeff in lam.terms:
-        gl_minus = mat_mul(g, e_minus)
-        gl_plus = mat_mul(g, e_plus)
-        gr_minus = mat_mul(e_minus, g)
-        gr_plus = mat_mul(e_plus, g)
-        lterm = _directional(model, f1, gl_minus) * _directional(model, f2, gl_plus) - _directional(
-            model, f1, gl_plus
-        ) * _directional(model, f2, gl_minus)
-        rterm = _directional(model, f1, gr_minus) * _directional(model, f2, gr_plus) - _directional(
-            model, f1, gr_plus
-        ) * _directional(model, f2, gr_minus)
-        total = total + coeff * (lterm - rterm)
-    return total
 
 
 class BracketTable:

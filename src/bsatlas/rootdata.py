@@ -388,11 +388,6 @@ class RootSystem:
                 raise ValueError(f"letter {i} out of range")
         return self.element_from_rho(self._act_rho(word, self.identity.rho))
 
-    def reduce(self, word):
-        """Reduced word (canonical) and length of the element of ``word``."""
-        el = self.element_from_word(word)
-        return el.canonical, el.length()
-
     def is_reduced(self, word):
         return self.element_from_word(word).length() == len(word)
 

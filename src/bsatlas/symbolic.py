@@ -869,15 +869,47 @@ def laurent_derivative(a, slot):
     return out
 
 
-def from_laurent(a, frame):
-    """The canonical RatFunc of a Laurent value: its numerator over the least monomial that clears it."""
+def laurent_divide(a, b):
+    """a/b for Laurent values over one frame, or None if b does not divide a.
+
+    Long division by graded-lex leading terms.  If a = b*q, the exponents of
+    q in each slot lie in [min a - min b, max a - max b], so a quotient term
+    outside that box means a remainder, and the division ends.
+    """
+    if not b:
+        return None
+    rem, quo = dict(a), {}
+    lo = [x - y for x, y in zip(map(min, zip(*a)), map(min, zip(*b)))]
+    hi = [x - y for x, y in zip(map(max, zip(*a)), map(max, zip(*b)))]
+    lead = max(b, key=_grlex_key)
+    while rem:
+        e = max(rem, key=_grlex_key)
+        q = tuple(map(sub, e, lead))
+        if not all(x <= k <= y for x, k, y in zip(lo, q, hi)):
+            return None
+        c, lc = rem[e], b[lead]
+        quo[q] = qc = c // lc if type(c) is int and type(lc) is int and not c % lc else _exact(Fraction(c, lc))
+        laurent_fma(rem, -qc, {q: 1}, b)
+    return quo
+
+
+def from_laurent(a, frame, den=None):
+    """The canonical RatFunc of the Laurent value a, or of a/den for a nonzero Laurent value den.
+
+    The common monomial goes first: a monomial den is an exponent shift and
+    takes no gcd; any other takes the one gcd of ``RatFunc(num, den)``.
+    """
     if not a:
         return _RF_ZERO
     variables = tuple(frame)
-    low = [min(k, 0) for k in map(min, zip(*a))]
-    if not any(low):
+    if den is not None:
+        shift, c = [-k for k in map(min, zip(*den))], next(iter(den.values())) if len(den) == 1 else 1
+        a, den = laurent_shift(a, shift, _exact(Fraction(1, c))), None if len(den) == 1 else laurent_shift(den, shift)
+    low = [-min(k, 0) for k in map(min, zip(*a))]
+    if den is None and not any(low):
         return RatFunc.from_poly(MultiPoly._make(variables, a))
+    num = MultiPoly._make(variables, laurent_shift(a, low))
+    if den is not None:
+        return RatFunc(num, MultiPoly._make(variables, laurent_shift(den, low)))
     # no variable of the denominator divides the numerator, so the two are coprime
-    num = MultiPoly._make(variables, {tuple(map(sub, e, low)): c for e, c in a.items()})
-    den = MultiPoly._pruned(variables, {tuple(-k for k in low): 1})
-    return RatFunc(num, den, _canonical=True)
+    return RatFunc(num, MultiPoly._pruned(variables, {tuple(low): 1}), _canonical=True)

@@ -406,3 +406,82 @@ def test_sl4_group_chart_round_trips():
     ):
         chart = parametrize(spec)
         assert is_identity_coords(chart, eval_coordinates(chart, chart.param))
+
+
+def _coordinates_by_factors(chart, g):
+    """The coordinates read from the formed factors L, N, T (the bracket's round trip), as an oracle."""
+    m = chart.spec.space.model
+    h = m.signed_perm(chart.spec.w.canonical).left_inv(g.entries if isinstance(g, GroupElement) else g)
+    try:
+        factors = m.triangular_factor(h)
+    except NotInBigCell as e:
+        return e.minor_index
+    return atlas.coordinates_from_factors(chart, *factors)
+
+
+def _change_pairs():
+    out = []
+    m = model("A", 2)
+    charts = [parametrize(s) for s in enumerate_charts(SpaceSpec(m, "Nv", m.rs.w0))]
+    out += [(a, b) for a in charts for b in charts if a is not b]
+    rng = random.Random(17)
+    for m, qkind, v in ((model("C", 2), "Nv", model("C", 2).rs.w0), (model("A", 3), "Bv", model("A", 3).rs.identity)):
+        specs = enumerate_charts(SpaceSpec(m, qkind, v))
+        out += [tuple(parametrize(specs[i]) for i in rng.sample(range(len(specs)), 2)) for _ in range(12)]
+    return out
+
+
+def test_eval_coordinates_matches_formed_factors():
+    """Every coordinate read straight from the elimination equals the minor of the formed factor:
+    all ordered SL(3)/N(w0) pairs and seeded Sp(4)/N(w0) and SL(4)/B(e) pairs, symbolically by
+    text and at a rational point, plus a point whose column denominator is not a monomial."""
+    d, pairs = var("d"), _change_pairs()
+    for src, dst in pairs:
+        got = eval_coordinates(dst, src.param)
+        assert [f.text() for f in got] == [f.text() for f in _coordinates_by_factors(dst, src.param)], dst
+        point = {z: Fraction(k + 2, 2 * k + 3) for k, z in enumerate(src.zvars)}
+        numeric = [[x.evaluate(point) for x in row] for row in src.param.entries]
+        got = eval_coordinates(dst, numeric)
+        assert got == _coordinates_by_factors(dst, numeric) and all(type(x) is Fraction for x in got)
+    for src, dst in pairs[::40]:
+        g = [[x / (d + 1) if j == 0 else x for j, x in enumerate(row)] for row in src.param.entries]
+        assert [f.text() for f in eval_coordinates(dst, g)] == [f.text() for f in _coordinates_by_factors(dst, g)]
+
+
+def test_eval_coordinates_outside_the_cell_names_the_minor_of_the_factorization():
+    m = model("A", 2)
+    charts = [parametrize(s) for s in enumerate_charts(SpaceSpec(m, "Nv", m.rs.w0))]
+    flip = [[Fraction(x) for x in row] for row in [[0, 1, 0], [-1, 0, 0], [0, 0, 1]]]
+    hollow = [[x * (i != j) for j, x in enumerate(row)] for i, row in enumerate(charts[0].param.entries)]
+    seen = set()
+    for chart in charts:
+        for g in (flip, m.wbar(m.rs.w0.canonical).entries, hollow):
+            want = _coordinates_by_factors(chart, g)
+            if isinstance(want, int):
+                with pytest.raises(NotInChartDomain) as exc:
+                    eval_coordinates(chart, g)
+                assert exc.value.minor_index == want
+                seen.add(want)
+    assert seen == {1, 2}
+
+
+def test_change_of_coordinates_takes_one_gcd_per_coordinate():
+    """A change of coordinates takes at most one top-level poly_gcd (one not nested in another) per coordinate."""
+    code, calls = symbolic.poly_gcd.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            outer = frame.f_back
+            while outer is not None and outer.f_code is not code:
+                outer = outer.f_back
+            if outer is None:
+                calls.append(frame)
+
+    for src, dst in _change_pairs()[::5]:
+        calls.clear()
+        sys.setprofile(profile)
+        try:
+            coords = change_of_coordinates(src, dst)
+        finally:
+            sys.setprofile(None)
+        assert len(calls) <= len(coords), (src, dst)

@@ -23,13 +23,11 @@ from bsatlas.poisson import (
     _require_polynomial,
     build_lambda,
     chart_bracket,
-    entry_bracket,
-    entry_var,
-    generic_element,
     jacobi_check,
 )
 from bsatlas.rootdata import build_root_system
 from bsatlas.symbolic import MultiPoly, RatFunc, VarName, var
+from oracles import entry_bracket, entry_var, generic_element
 
 _M = {}
 

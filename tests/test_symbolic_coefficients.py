@@ -13,7 +13,18 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bsatlas.serialize import poly_from_json, poly_to_json
-from bsatlas.symbolic import MultiPoly, RatFunc, VarName, poly_gcd, try_divide
+from bsatlas.symbolic import (
+    MultiPoly,
+    RatFunc,
+    VarName,
+    from_laurent,
+    laurent_divide,
+    laurent_frame,
+    laurent_shift,
+    poly_gcd,
+    to_laurent,
+    try_divide,
+)
 
 VARS = tuple(VarName("z", i) for i in range(1, 5))
 SYMS = sympy.symbols("z1:5")
@@ -160,6 +171,50 @@ def test_arithmetic_keeps_the_normal_form(triple):
         q = try_divide(a * c, c)
         assert q == a and _all_exact(q)
 
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_triples(), st.tuples(*[st.integers(-2, 2)] * 4))
+def test_laurent_divide_agrees_with_try_divide(triple, shift):
+    """Exact division on exponent tuples agrees with try_divide on polynomial pairs and their
+    products, up to the monomials that are units among Laurent polynomials, and stays exact
+    when both sides are shifted by Laurent monomials."""
+    n, (ta, tb, tc) = triple
+    a, b, c = _poly(n, ta), _poly(n, tb), _poly(n, tc)
+    assume(not c.is_zero())
+    polys = {"a": a, "b": b, "c": c, "ac": a * c, "bc": b * c}
+    frame = laurent_frame(RatFunc.from_poly(p) for p in polys.values())
+    lau = {k: to_laurent(RatFunc.from_poly(p), frame) for k, p in polys.items()}
+    for fk, gk in (("ac", "c"), ("a", "c"), ("bc", "c"), ("ac", "bc"), ("a", "b")):
+        f, g = polys[fk], polys[gk]
+        got = laurent_divide(lau[fk], lau[gk])
+        if g.is_zero():
+            assert got is None
+            continue
+        want = try_divide(f, g)
+        if want is not None:
+            assert got == to_laurent(RatFunc.from_poly(want), frame)
+        # f z^k / g is a polynomial for the k that clears the quotient, for no k if there is none
+        k = [-min(x, 0) for x in map(min, zip(*got))] if got else list(map(max, zip(*lau[gk])))
+        cleared = try_divide(from_laurent(laurent_shift(lau[fk], k), frame).num, g)
+        assert (got is None) == (cleared is None), (f, g)
+        if got is not None:
+            assert to_laurent(RatFunc.from_poly(cleared), frame) == laurent_shift(got, k)
+            assert all(type(x) is int or x.denominator != 1 for x in got.values())
+            e = shift[: len(frame)]
+            assert laurent_divide(laurent_shift(lau[fk], e), lau[gk]) == laurent_shift(got, e)
+            assert laurent_divide(lau[fk], laurent_shift(lau[gk], e)) == laurent_shift(got, [-x for x in e])
+
+
+def test_laurent_divide_stops_on_inexact_laurent_input():
+    """1/(1 + z1) and z1^-1/(1 + z1) leave a remainder at every step; the box of possible quotient
+    exponents ends the division with None."""
+    one_plus_z = {(1,): 1, (0,): 1}
+    assert laurent_divide({(0,): 1}, one_plus_z) is None
+    assert laurent_divide({(-1,): 1}, one_plus_z) is None
+    assert laurent_divide({(3, -1): 2}, {(1, 0): 1, (0, 1): -1}) is None
+    assert laurent_divide({(2,): 1, (-1,): -1}, {(1,): 1, (-2,): -1}) == {(1,): 1}
+    assert laurent_divide({(0,): 1}, {}) is None
 
 # -- sympy oracle ------------------------------------------------------------------
 
