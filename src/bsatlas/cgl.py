@@ -11,11 +11,12 @@ In such a chart every Hamiltonian flow is triangular, and
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, mul
 
 from .atlas import Chart
 from .errors import DimensionMismatch, NotVerifiedCGL, ZeroTorusValue
 from .poisson import BracketTable
-from .symbolic import MultiPoly, RatFunc, VarName, var
+from .symbolic import MultiPoly, RatFunc, VarName, _remap, from_laurent, laurent_fma, var
 
 _Q0 = Fraction(0)
 
@@ -171,6 +172,11 @@ def _support_range_ok(f: RatFunc, lo, hi):
     return True
 
 
+def _tuples(p, frame):
+    """The terms of the polynomial p as exponent tuples over ``frame``."""
+    return _remap(p.terms, len(p.vars), len(frame), [frame[v] for v in p.vars])
+
+
 def verify_cgl(table: BracketTable, pres: CGLPresentation) -> CGLReport:
     """Check the bracket table against the predicted presentation.
 
@@ -179,25 +185,41 @@ def verify_cgl(table: BracketTable, pres: CGLPresentation) -> CGLReport:
     (c) chi_j(h_j) and chi_j(h'_j) are nonzero;
     (d) every monomial of f has the torus weight of z_i z_j;
     (e) pairs straddling the word-block cut are exactly log-canonical.
+
+    Each entry num/den is read once, as exponent tuples over z_1..z_n and
+    any other variable of the table.  f = -(num + chi_i(h_j) z_i z_j den)/den
+    is canonical as it stands, since gcd(num + c z_i z_j den, den) =
+    gcd(num, den) = 1, so (a) changes one coefficient and takes no gcd for a
+    monomial den.  The two forms differ by (chi_j(h'_i) + chi_i(h_j)) z_i z_j,
+    so (b) tests one rational number and writes the second form out only for
+    a witness.  (d) sums the integral pulled weights over the exponents of f.
     """
     if table.n_vars != pres.n_vars():
         raise DimensionMismatch(f"table has {table.n_vars} vars, presentation {pres.n_vars()}")
     report = CGLReport()
     n = table.n_vars
-    rs = pres.rs
 
     # on_h[i-1][j-1] = chi_i(h_j) and on_hp[i-1][j-1] = chi_i(h'_j)
     on_h, on_hp = pres.pair_table(pres.hvecs), pres.pair_table(pres.hprimes)
+    zs = [VarName("z", m) for m in range(1, n + 1)]
+    occurring = set(zs)
+    for f in table.entries.values():
+        occurring.update(f.num.vars)
+        occurring.update(f.den.vars)
+    frame = {v: slot for slot, v in enumerate(sorted(occurring))}
+    unit = [tuple(int(slot == frame[z]) for slot in range(len(frame))) for z in zs]
     bad_a, bad_b, bad_e = [], [], []
     for (i, j), entry in sorted(table.entries.items()):
-        zz = RatFunc.from_poly(
-            MultiPoly.variable(VarName("z", i)) * MultiPoly.variable(VarName("z", j))
-        )
-        f_a = -(entry + on_h[i - 1][j - 1] * zz)
+        c = on_h[i - 1][j - 1]
+        den = _tuples(entry.den, frame)
+        f = {e: -k for e, k in _tuples(entry.num, frame).items()}
+        if c:
+            laurent_fma(f, -c, {tuple(map(add, unit[i - 1], unit[j - 1])): 1}, den)
+        f_a = from_laurent(f, frame, None if entry.den.is_one() else den)
         if not _support_range_ok(f_a, i, j):
             bad_a.append({"pair": (i, j), "f": f_a.text()})
-        f_b = on_hp[j - 1][i - 1] * zz - entry
-        if not (f_b - f_a).is_zero():
+        if on_hp[j - 1][i - 1] + c:
+            f_b = on_hp[j - 1][i - 1] * var("z", i) * var("z", j) - entry
             bad_b.append({"pair": (i, j), "f_a": f_a.text(), "f_b": f_b.text()})
         report.f_terms[(i, j)] = f_a
         if i <= pres.cut < j and j not in pres.laurent_vars and not f_a.is_zero():
@@ -213,24 +235,16 @@ def verify_cgl(table: BracketTable, pres: CGLPresentation) -> CGLReport:
             bad_c.append({"index": j, "side": "h'"})
     report.record("c_nondegenerate", not bad_c, bad_c)
 
-    weights = [pres.pulled_weight(j) for j in range(1, n + 1)]
+    weights = [pres.pulled_weight(j).coeffs for j in range(1, n + 1)]
     bad_d = []
     for (i, j), f in report.f_terms.items():
         if f.is_zero():
             continue
-        target = weights[i - 1] + weights[j - 1]
-        for exp, _ in f.num.terms.items():
-            wsum = None
-            for v, e in zip(f.num.vars, exp):
-                if not e:
-                    continue
-                part = weights[v.index - 1] * e
-                wsum = part if wsum is None else wsum + part
-            if wsum is None:
-                wsum = _zero_weight(rs)
-            if wsum != target:
-                bad_d.append({"pair": (i, j), "monomial_weight_mismatch": True})
-                break
+        target = tuple(map(add, weights[i - 1], weights[j - 1]))
+        # by_coeff[k][p]: coefficient k of the weight of the p-th variable of f
+        by_coeff = list(zip(*(weights[v.index - 1] for v in f.num.vars))) or [()] * pres.rs.rank
+        if any(tuple(sum(map(mul, exp, row)) for row in by_coeff) != target for exp in f.num.terms):
+            bad_d.append({"pair": (i, j), "monomial_weight_mismatch": True})
     report.record("d_homogeneous", not bad_d, bad_d)
     report.record("e_log_canonical_cut", not bad_e, bad_e)
     return report

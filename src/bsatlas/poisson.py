@@ -27,6 +27,7 @@ from .symbolic import (
     MultiPoly,
     RatFunc,
     VarName,
+    _exact,
     from_laurent,
     laurent_derivative,
     laurent_fma,
@@ -46,12 +47,12 @@ class LambdaData:
 
 
 def build_lambda(model: GroupModel) -> LambdaData:
-    """Validated skew tensor terms; coefficient <beta,beta>/2 per positive root."""
+    """Validated skew tensor terms; coefficient <beta,beta>/2 per positive root, an int where integral."""
     rs = model.rs
     terms = []
     for beta in rs.positive_roots:
         e_plus, e_minus = model.pos_root_vectors[beta]
-        coeff = rs.pairing(beta, beta) / 2
+        coeff = _exact(rs.pairing(beta, beta) / 2)
         tr = sum(mat_mul(e_plus, e_minus)[i][i] for i in range(model.dim)) * model._trace_scale
         if tr != Fraction(2) / rs.pairing(beta, beta):
             raise NormalizationMismatch(f"trace pairing fails for {beta}")

@@ -63,14 +63,6 @@ class ToricChartSpec:
         return f"ToricChartSpec({self.target}, {self.words})"
 
 
-def x_chain(model, word, sign, c):
-    """Ordered product of one-parameter factors x_{+-alpha_i}(c_i)."""
-    if len(word) != len(c):
-        raise LengthMismatch(f"{len(c)} parameters for a length-{len(word)} word")
-    s = 1 if sign in (1, "+", "+1") else -1
-    return _chain(model, [s * i for i in word], c)
-
-
 def _chain(model, letters, c):
     """x_{a_1}(c_1) ... x_{a_k}(c_k) for signed letters a_j, one column update each."""
     out = model.identity_like(c[0]) if c else model.identity()

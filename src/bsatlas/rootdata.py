@@ -7,6 +7,12 @@ makes the simple roots its columns.  Coweights live in the basis dual to the
 simple roots.  The invariant form is normalized so short roots have squared
 length 2 (series A: all roots; series C_2: alpha_1).
 
+Roots, fundamental weights, their Weyl images and the coweights a# of roots
+and weights are integral in these bases (Humphreys, Introduction to Lie
+Algebras and Representation Theory, 13), so Weight and Coweight keep each
+integral coefficient as an ``int`` and only a genuinely rational one, such
+as those of the inverse Gram tensor, as a ``Fraction``.
+
 A Weyl element w is stored as the integer tuple w(rho), the coefficients of
 w applied to rho = omega_1 + ... + omega_r.  rho is regular, so w(rho)
 determines w, and s_i w is shorter than w exactly when coefficient i of
@@ -19,79 +25,69 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import add, mul, sub
 
 from .errors import NonReducedWord, UnsupportedSeries
 from .linalg import rational_inverse
+from .symbolic import _exact
 
 _Q0 = Fraction(0)
 
 
-class Weight:
-    """Element of the weight lattice (rationalized), fundamental-weight basis."""
+def _ratio(num, den):
+    """num/den for ints, as an int when den divides num and a Fraction otherwise."""
+    return num // den if num % den == 0 else Fraction(num, den)
+
+
+class _Lattice:
+    """A coefficient tuple with the arithmetic that weights and coweights share.
+
+    Each coefficient is stored as ``symbolic._exact`` stores one: an ``int``
+    where it is integral and a ``Fraction`` only where it is not.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.coeffs = tuple(c if type(c) is int else _exact(Fraction(c)) for c in coeffs)
 
     def __eq__(self, other):
-        return isinstance(other, Weight) and self.coeffs == other.coeffs
+        return isinstance(other, type(self)) and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
 
     def __add__(self, other):
-        return Weight(a + b for a, b in zip(self.coeffs, other.coeffs))
+        return type(self)(map(add, self.coeffs, other.coeffs))
 
     def __sub__(self, other):
-        return Weight(a - b for a, b in zip(self.coeffs, other.coeffs))
+        return type(self)(map(sub, self.coeffs, other.coeffs))
 
     def __neg__(self):
-        return Weight(-a for a in self.coeffs)
+        return type(self)(-a for a in self.coeffs)
 
     def __mul__(self, c):
-        return Weight(a * c for a in self.coeffs)
+        return type(self)(a * c for a in self.coeffs)
 
     __rmul__ = __mul__
+
+    def __repr__(self):
+        return f"{type(self).__name__}({list(self.coeffs)})"
+
+
+class Weight(_Lattice):
+    """Element of the rational span of the weight lattice, fundamental-weight basis."""
+
+    __slots__ = ()
 
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
 
-    def __repr__(self):
-        return f"Weight({list(self.coeffs)})"
 
-
-class Coweight:
+class Coweight(_Lattice):
     """Element of the rational Cartan subalgebra, fundamental-coweight basis."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, Coweight) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        return Coweight(a + b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __sub__(self, other):
-        return Coweight(a - b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __neg__(self):
-        return Coweight(-a for a in self.coeffs)
-
-    def __mul__(self, c):
-        return Coweight(a * c for a in self.coeffs)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"Coweight({list(self.coeffs)})"
+    __slots__ = ()
 
 
 class WeylElement:
@@ -143,17 +139,17 @@ class RootSystem:
                 if i + 1 < rank:
                     cartan[i][i + 1] = -1
                     cartan[i + 1][i] = -1
-            norms2 = [Fraction(2)] * rank
+            norms2 = [2] * rank
         elif series == "C" and rank == 2:
             # cartan[i][j] = alpha_j(alpha_i^vee); alpha_1 short, alpha_2 long
             cartan = [[2, -2], [-1, 2]]
-            norms2 = [Fraction(2), Fraction(4)]
+            norms2 = [2, 4]
         else:
             raise UnsupportedSeries(f"series {series!r} rank {rank} not supported")
         self.series = series
         self.rank = rank
         self.cartan = tuple(tuple(row) for row in cartan)
-        self._norms2 = tuple(norms2)
+        self._half_norms2 = tuple(n // 2 for n in norms2)
         self._cartan_inv = rational_inverse(self.cartan)
         # simple-root coordinates of a weight: an integer matrix times its
         # fundamental-weight coefficients, over one common denominator
@@ -163,23 +159,21 @@ class RootSystem:
         )
         self._root_coords_cache = {}
         # form[i][j] = <alpha_i, alpha_j> = cartan[i][j] * norms2[i] / 2
-        self.form = tuple(
-            tuple(Fraction(self.cartan[i][j]) * self._norms2[i] / 2 for j in range(rank))
-            for i in range(rank)
-        )
+        d = self._half_norms2
+        self.form = tuple(tuple(self.cartan[i][j] * d[i] for j in range(rank)) for i in range(rank))
         # Gram matrix of fundamental weights: G = D * M^{-1} with D = diag(norms2/2),
         # M the matrix whose columns are the simple roots.
-        d = [n / 2 for n in self._norms2]
         self._gram_fw = tuple(
             tuple(d[i] * self._cartan_inv[i][j] for j in range(rank)) for i in range(rank)
         )
         self.simple_roots = tuple(
             Weight(self.cartan[i][j] for i in range(rank)) for j in range(rank)
         )
-        # alpha_i^vee = 2 alpha_i# / <alpha_i, alpha_i>, for reflecting coweights
+        # alpha_i^vee = 2 alpha_i# / <alpha_i, alpha_i>, for reflecting coweights;
+        # integral, since d_k cartan[k][i] = d_i cartan[i][k]
         self._coroots = tuple(
-            self.sharp(alpha) * Fraction(2, 1) * (1 / n2)
-            for alpha, n2 in zip(self.simple_roots, self._norms2)
+            Coweight(Fraction(c, di) for c in self.sharp(alpha).coeffs)
+            for alpha, di in zip(self.simple_roots, d)
         )
         # alpha_i as an integer tuple, for reflecting weights and w(rho)
         self._alpha_int = tuple(tuple(self.cartan[j][i] for j in range(rank)) for i in range(rank))
@@ -246,7 +240,7 @@ class RootSystem:
 
     def sharp(self, lam):
         """The coweight lam# with mu(lam#) = <lam, mu> for all weights mu."""
-        return Coweight(lam.coeffs[i] * self._norms2[i] / 2 for i in range(self.rank))
+        return Coweight(map(mul, lam.coeffs, self._half_norms2))
 
     def evaluate(self, lam, h):
         """Pairing lam(h) of a weight with a coweight."""
@@ -261,7 +255,8 @@ class RootSystem:
 
         The simple-root coordinates of the weights and the coefficients of
         the coweights are each brought over the lcm of their denominators
-        once, so every entry is one integer dot product over d1 * d2.
+        once, so every entry is one integer dot product over d1 * d2, kept
+        as an int when d1 * d2 divides it.
         """
         roots = [[c for lam in lams for c in self._root_coords(lam)] for lams in lam_tuples]
         cows = [[c for h in hs for c in h.coeffs] for hs in h_tuples]
@@ -270,7 +265,7 @@ class RootSystem:
         a = [[c.numerator * (d1 // c.denominator) for c in row] for row in roots]
         b = [[c.numerator * (d2 // c.denominator) for c in row] for row in cows]
         den = d1 * d2
-        return [[Fraction(sum(map(mul, x, y)), den) for y in b] for x in a]
+        return [[_ratio(sum(map(mul, x, y)), den) for y in b] for x in a]
 
     def coweight_of_root(self, i):
         """Simple coroot alpha_i^vee as a Coweight (alpha_i(.) = 2)."""
@@ -305,7 +300,7 @@ class RootSystem:
         """Form on the Cartan subalgebra transported through sharp."""
         # f_a = (omega_a)# / (norms2[a]/2), so <f_a, f_b> = G_ab / (d_a d_b)
         n = self.rank
-        d = [self._norms2[i] / 2 for i in range(n)]
+        d = self._half_norms2
         return sum(
             h1.coeffs[a] * h2.coeffs[b] * self._gram_fw[a][b] / (d[a] * d[b])
             for a in range(n)

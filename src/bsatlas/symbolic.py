@@ -281,19 +281,7 @@ class MultiPoly:
             n >>= 1
         return out
 
-    # -- calculus and evaluation -------------------------------------------
-
-    def derivative(self, v):
-        if v not in self.vars:
-            return MultiPoly((), {})
-        i = self.vars.index(v)
-        out = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                ne = list(e)
-                ne[i] -= 1
-                out[tuple(ne)] = c * e[i]
-        return MultiPoly._make(self.vars, out)
+    # -- evaluation and substitution ---------------------------------------
 
     def evaluate(self, point):
         """Exact value at a point mapping VarName -> Fraction."""
@@ -760,14 +748,7 @@ class RatFunc:
         den = self.den**n
         return RatFunc(num, den, _canonical=True)
 
-    # -- calculus, substitution, evaluation ----------------------------------
-
-    def differentiate(self, v):
-        dn = self.num.derivative(v)
-        dd = self.den.derivative(v)
-        if dd.is_zero():
-            return RatFunc(dn, self.den)
-        return RatFunc(dn * self.den - self.num * dd, self.den * self.den)
+    # -- substitution, evaluation --------------------------------------------
 
     def substitute(self, bindings):
         """Compose: variables in ``bindings`` map to RatFuncs, others pass through."""

@@ -2,9 +2,12 @@
 
 from fractions import Fraction
 
+from bsatlas.cgl import CGLPresentation, CGLReport, _support_range_ok, _zero_weight
+from bsatlas.errors import DimensionMismatch, LengthMismatch
 from bsatlas.groups import GroupElement
 from bsatlas.linalg import _is_zero, mat_mul
-from bsatlas.poisson import build_lambda
+from bsatlas.poisson import BracketTable, build_lambda
+from bsatlas.positivity import _chain
 from bsatlas.symbolic import MultiPoly, RatFunc, VarName
 
 
@@ -19,6 +22,37 @@ def exp_nilpotent(model, x, c):
             return GroupElement(model, out)
         out = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(out, term)]
         k += 1
+
+
+def x_chain(model, word, sign, c):
+    """Ordered product of one-parameter factors x_{+-alpha_i}(c_i)."""
+    if len(word) != len(c):
+        raise LengthMismatch(f"{len(c)} parameters for a length-{len(word)} word")
+    s = 1 if sign in (1, "+", "+1") else -1
+    return _chain(model, [s * i for i in word], c)
+
+
+def poly_derivative(p, v):
+    """The partial derivative of the MultiPoly p by the variable v."""
+    if v not in p.vars:
+        return MultiPoly((), {})
+    i = p.vars.index(v)
+    out = {}
+    for e, c in p.terms.items():
+        if e[i]:
+            ne = list(e)
+            ne[i] -= 1
+            out[tuple(ne)] = c * e[i]
+    return MultiPoly._make(p.vars, out)
+
+
+def differentiate(f, v):
+    """The partial derivative of the RatFunc f by the variable v, by the quotient rule."""
+    dn = poly_derivative(f.num, v)
+    dd = poly_derivative(f.den, v)
+    if dd.is_zero():
+        return RatFunc(dn, f.den)
+    return RatFunc(dn * f.den - f.num * dd, f.den * f.den)
 
 
 def entry_var(i, j):
@@ -51,7 +85,7 @@ def _directional(model, f, direction_entries):
             d = direction_entries[i][j]
             if _is_zero(d):
                 continue
-            part = f.differentiate(entry_var(i + 1, j + 1))
+            part = differentiate(f, entry_var(i + 1, j + 1))
             if part.is_zero():
                 continue
             out = out + part * d
@@ -82,3 +116,69 @@ def entry_bracket(model, f1, f2, lam=None):
         ) * _directional(model, f2, gr_minus)
         total = total + coeff * (lterm - rterm)
     return total
+
+
+# The RatFunc verifier that cgl.verify_cgl replaced, kept as its reference.
+def verify_cgl(table: BracketTable, pres: CGLPresentation) -> CGLReport:
+    """Check the bracket table against the predicted presentation.
+
+    (a) {z_i,z_j} = -chi_i(h_j) z_i z_j - f with f supported strictly between;
+    (b) the same with +chi_j(h'_i) and the same f;
+    (c) chi_j(h_j) and chi_j(h'_j) are nonzero;
+    (d) every monomial of f has the torus weight of z_i z_j;
+    (e) pairs straddling the word-block cut are exactly log-canonical.
+    """
+    if table.n_vars != pres.n_vars():
+        raise DimensionMismatch(f"table has {table.n_vars} vars, presentation {pres.n_vars()}")
+    report = CGLReport()
+    n = table.n_vars
+    rs = pres.rs
+
+    # on_h[i-1][j-1] = chi_i(h_j) and on_hp[i-1][j-1] = chi_i(h'_j)
+    on_h, on_hp = pres.pair_table(pres.hvecs), pres.pair_table(pres.hprimes)
+    bad_a, bad_b, bad_e = [], [], []
+    for (i, j), entry in sorted(table.entries.items()):
+        zz = RatFunc.from_poly(
+            MultiPoly.variable(VarName("z", i)) * MultiPoly.variable(VarName("z", j))
+        )
+        f_a = -(entry + on_h[i - 1][j - 1] * zz)
+        if not _support_range_ok(f_a, i, j):
+            bad_a.append({"pair": (i, j), "f": f_a.text()})
+        f_b = on_hp[j - 1][i - 1] * zz - entry
+        if not (f_b - f_a).is_zero():
+            bad_b.append({"pair": (i, j), "f_a": f_a.text(), "f_b": f_b.text()})
+        report.f_terms[(i, j)] = f_a
+        if i <= pres.cut < j and j not in pres.laurent_vars and not f_a.is_zero():
+            bad_e.append({"pair": (i, j), "f": f_a.text()})
+    report.record("a_ore_form", not bad_a, bad_a)
+    report.record("b_symmetric_form", not bad_b, bad_b)
+
+    bad_c = []
+    for j in range(1, n + 1):
+        if on_h[j - 1][j - 1] == 0:
+            bad_c.append({"index": j, "side": "h"})
+        if on_hp[j - 1][j - 1] == 0:
+            bad_c.append({"index": j, "side": "h'"})
+    report.record("c_nondegenerate", not bad_c, bad_c)
+
+    weights = [pres.pulled_weight(j) for j in range(1, n + 1)]
+    bad_d = []
+    for (i, j), f in report.f_terms.items():
+        if f.is_zero():
+            continue
+        target = weights[i - 1] + weights[j - 1]
+        for exp, _ in f.num.terms.items():
+            wsum = None
+            for v, e in zip(f.num.vars, exp):
+                if not e:
+                    continue
+                part = weights[v.index - 1] * e
+                wsum = part if wsum is None else wsum + part
+            if wsum is None:
+                wsum = _zero_weight(rs)
+            if wsum != target:
+                bad_d.append({"pair": (i, j), "monomial_weight_mismatch": True})
+                break
+    report.record("d_homogeneous", not bad_d, bad_d)
+    report.record("e_log_canonical_cut", not bad_e, bad_e)
+    return report

@@ -1,13 +1,17 @@
 """Predicted presentations, verification, mixed products, Hamiltonian flows."""
 
+import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 
 from bsatlas.atlas import ChartSpec, SpaceSpec, enumerate_charts, parametrize
+from bsatlas import symbolic
 from bsatlas.cgl import (
     CGLData,
+    CGLPresentation,
     block_cgl,
     hamiltonian_flow,
     hamiltonian_report,
@@ -17,9 +21,10 @@ from bsatlas.cgl import (
 )
 from bsatlas.errors import DimensionMismatch, NotVerifiedCGL, ZeroTorusValue
 from bsatlas.groups import build_model
-from bsatlas.poisson import BracketTable, chart_bracket
+from bsatlas.poisson import BracketTable, build_lambda, chart_bracket
 from bsatlas.rootdata import Coweight, Weight, build_root_system
 from bsatlas.symbolic import RatFunc, var
+from oracles import verify_cgl as ratfunc_verify_cgl
 
 _M = {}
 
@@ -435,3 +440,146 @@ def test_sl4_group_chart_full_verification():
     rep = verify_cgl(table, predicted_cgl(chart))
     assert rep.ok, rep.to_dict()["checks"]
     assert jacobi_check(table)["ok"]
+
+
+def _verify_like_oracle(table, pres):
+    """verify_cgl(table, pres), checked against the RatFunc verifier it replaced: same payload, same f texts."""
+    got, want = verify_cgl(table, pres), ratfunc_verify_cgl(table, pres)
+    assert got.to_dict() == want.to_dict()
+    assert [(p, f.text()) for p, f in got.f_terms.items()] == [(p, f.text()) for p, f in want.f_terms.items()]
+    return got
+
+
+def _charts(series, rank, qkind, count=None):
+    m = model(series, rank)
+    specs = enumerate_charts(SpaceSpec(m, qkind, m.rs.w0 if qkind == "Nv" else m.rs.identity))
+    if count is not None:
+        specs = random.Random(5).sample(specs, count)
+    return [parametrize(spec) for spec in specs]
+
+
+@pytest.mark.parametrize(
+    "series, rank, qkind, count",
+    [("A", 2, "Nv", None), ("A", 2, "Bv", None), ("C", 2, "Nv", None), ("C", 2, "Bv", None), ("A", 3, "Bv", None), ("A", 3, "Nv", 6)],
+)
+def test_verify_cgl_matches_ratfunc_oracle(series, rank, qkind, count):
+    """On every chart of the space (seeded ones of SL(4)/N(w0)) the exponent-tuple verifier agrees with the RatFunc one."""
+    lam = build_lambda(model(series, rank))
+    for chart in _charts(series, rank, qkind, count):
+        assert _verify_like_oracle(chart_bracket(chart, lam), predicted_cgl(chart)).ok, chart.spec.label()
+
+
+def _perturbed(table, pair, extra):
+    entries = dict(table.entries)
+    entries[pair] = entries[pair] + extra
+    return BracketTable(table.n_vars, table.laurent_vars, entries)
+
+
+def _broken_ore_support(table, pres):
+    return _perturbed(table, (1, 4), var("z", 5) + 3 * var("z", 1) ** 2), pres
+
+
+def _broken_symmetric_form(table, pres):
+    rs = pres.rs
+    hprimes = list(pres.hprimes)
+    hprimes[1] = (hprimes[1][0] + rs.fundamental_coweight(1) * Fraction(1, 2),) + hprimes[1][1:]
+    return table, CGLPresentation(rs, pres.torus_power, pres.chars, pres.hvecs, hprimes, pres.embedding, pres.cut, pres.laurent_vars)
+
+
+def _broken_homogeneity(table, pres):
+    return _perturbed(table, (1, 4), Fraction(1, 2) * var("z", 2) * var("z", 3) ** 2), pres
+
+
+def _broken_cut(table, pres):
+    k = pres.cut
+    return _perturbed(table, (k, k + 2), var("z", k + 1)), pres
+
+
+def _non_laurent(table, pres):
+    return _perturbed(table, (1, 3), var("z", 2) / (1 + var("z", 1))), pres
+
+
+def _foreign_variable(table, pres):
+    return _perturbed(table, (2, 5), var("y", 3) * var("z", 4)), pres
+
+
+@pytest.mark.parametrize(
+    "damage, broken",
+    [
+        (_broken_ore_support, "a_ore_form"),
+        (_broken_symmetric_form, "b_symmetric_form"),
+        (_broken_homogeneity, "d_homogeneous"),
+        (_broken_cut, "e_log_canonical_cut"),
+        (_non_laurent, "a_ore_form"),
+        (_foreign_variable, "a_ore_form"),
+    ],
+)
+def test_verify_cgl_failures_match_ratfunc_oracle(damage, broken):
+    """Hand-made tables that break one check give the oracle's verdicts and witness texts."""
+    rs = model("A", 3).rs
+    w = rs.element_from_word((1, 3))
+    u = rs.multiply(rs.w0, w.inverse())
+    chart = parametrize(ChartSpec(SpaceSpec(model("A", 3), "Bv", rs.identity), w, (u.canonical, w.canonical, ())))
+    table, pres = damage(chart_bracket(chart), predicted_cgl(chart))
+    report = _verify_like_oracle(table, pres)
+    assert not report.checks[broken]["ok"]
+    assert report.checks[broken]["witnesses"]
+
+
+def _symbolic_calls(fn, *args):
+    """Calls of poly_gcd, RatFunc.__add__ and MultiPoly.__mul__, recursive ones included, while fn(*args) runs."""
+    names = {
+        symbolic.poly_gcd.__code__: "poly_gcd",
+        symbolic.RatFunc.__add__.__code__: "RatFunc.__add__",
+        symbolic.MultiPoly.__mul__.__code__: "MultiPoly.__mul__",
+    }
+    counts = dict.fromkeys(names.values(), 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            counts[names[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
+def test_verify_cgl_takes_no_ratfunc_arithmetic():
+    """On a passing SL(4)/N(w0) chart, verify_cgl reads each entry's exponent tuples: no gcd, no RatFunc sum, no product."""
+    (chart,) = _charts("A", 3, "Nv", 1)
+    table, pres = chart_bracket(chart), predicted_cgl(chart)
+    assert _symbolic_calls(verify_cgl, table, pres) == {"poly_gcd": 0, "RatFunc.__add__": 0, "MultiPoly.__mul__": 0}
+    assert verify_cgl(table, pres).ok
+
+
+def _fraction_act(rs, word, coeffs):
+    """The word acting right to left on a weight's coefficients, in Fraction arithmetic."""
+    for i in reversed(word):
+        c = Fraction(coeffs[i - 1])
+        coeffs = tuple(Fraction(x) - c * a for x, a in zip(coeffs, rs.simple_root(i).coeffs))
+    return coeffs
+
+
+@pytest.mark.parametrize("series, rank", [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("C", 2)])
+def test_pulled_weights_are_ints(series, rank):
+    """Every pulled weight of a chart stores int coefficients, equal to the sum of its factors acted on in Fractions."""
+    m = model(series, rank)
+    rs = m.rs
+    charts = []
+    for qkind, v in (("Bv", rs.identity), ("Nv", rs.w0)):
+        space = SpaceSpec(m, qkind, v)
+        for w in {rs.identity, rs.simple(1), rs.w0}:
+            u = rs.multiply(rs.w0, w.inverse())
+            charts.append(parametrize(ChartSpec(space, w, (u.canonical, w.canonical, v.canonical))))
+    for chart in charts:
+        pres = predicted_cgl(chart)
+        for j in range(1, pres.n_vars() + 1):
+            want = [Fraction(0)] * rank
+            for twist, lam in zip(pres.embedding, pres.chars[j - 1]):
+                want = [a + b for a, b in zip(want, _fraction_act(rs, twist.canonical, lam.coeffs))]
+            got = pres.pulled_weight(j)
+            assert all(type(c) is int for c in got.coeffs), (chart.spec.label(), j, got)
+            assert got.coeffs == tuple(want), (chart.spec.label(), j)

@@ -14,7 +14,7 @@ from bsatlas.groups import GroupElement, MinorSpec, SignedPerm, build_model, cac
 from bsatlas.linalg import _is_zero, mat_mul, mat_transpose, minor, minor_tangents
 from bsatlas.rootdata import build_root_system
 from bsatlas.symbolic import MultiPoly, RatFunc, VarName, from_laurent, laurent_frame, to_laurent, var
-from oracles import exp_nilpotent, generic_element
+from oracles import exp_nilpotent, generic_element, poly_derivative
 
 
 def model(series, rank):
@@ -339,7 +339,8 @@ def _eps_derivative(entries):
 
     def derivative(x):
         n0, d0, dn, dd = (
-            p.substitute_ratfuncs(at_zero) for p in (x.num, x.den, x.num.derivative(_EPS), x.den.derivative(_EPS))
+            p.substitute_ratfuncs(at_zero)
+            for p in (x.num, x.den, poly_derivative(x.num, _EPS), poly_derivative(x.den, _EPS))
         )
         return (dn * d0 - n0 * dd) / (d0 * d0)
 

@@ -27,7 +27,7 @@ from bsatlas.poisson import (
 )
 from bsatlas.rootdata import build_root_system
 from bsatlas.symbolic import MultiPoly, RatFunc, VarName, var
-from oracles import entry_bracket, entry_var, generic_element
+from oracles import differentiate, entry_bracket, entry_var, generic_element
 
 _M = {}
 
@@ -199,7 +199,7 @@ def _jacobi_per_triple(table):
     def bracket_with(i, f):
         out = RatFunc.zero()
         for m in range(1, table.n_vars + 1):
-            part = f.differentiate(VarName("z", m))
+            part = differentiate(f, VarName("z", m))
             if not part.is_zero():
                 out = out + part * table.get(i, m)
         return out

@@ -22,9 +22,9 @@ from bsatlas.positivity import (
     extract_positive_chain,
     toric_coordinates,
     toric_point,
-    x_chain,
 )
 from bsatlas.rootdata import build_root_system
+from oracles import x_chain
 
 _M = {}
 

@@ -329,3 +329,50 @@ def test_root_coords_solve_the_cartan_system():
             for i, c in enumerate(coords, start=1):
                 total = total + Weight(c * x for x in rs.simple_root(i).coeffs)
             assert total == lam
+
+
+def _fraction_reflect(alpha, i, coeffs):
+    """s_i on a coefficient tuple in Fraction arithmetic: lam - lam(alpha_i^vee) alpha_i."""
+    c = Fraction(coeffs[i - 1])
+    return tuple(Fraction(x) - c * a for x, a in zip(coeffs, alpha[i - 1]))
+
+
+def _assert_int_coeffs(got, want):
+    assert all(type(c) is int for c in got.coeffs), got
+    assert got.coeffs == tuple(want), (got, want)
+
+
+@pytest.mark.parametrize("series, rank", [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("C", 2)])
+def test_root_and_coweight_coefficients_are_ints(series, rank):
+    """Roots, their reflections and the coweights of roots and fundamental weights store int coefficients.
+
+    Each equals the value the same formula gives in Fraction arithmetic,
+    with the Cartan columns as simple roots and half squared lengths 1
+    (series A) or 1, 2 (series C).
+    """
+    rs = build_root_system(series, rank)
+    alpha = [tuple(Fraction(rs.cartan[k][i]) for k in range(rank)) for i in range(rank)]
+    half = [Fraction(1)] * rank if series == "A" else [Fraction(1), Fraction(2)]
+    coroot = [[a * d / half[i] for a, d in zip(alpha[i], half)] for i in range(rank)]
+    roots = set(alpha)
+    frontier = list(alpha)
+    while frontier:
+        images = {_fraction_reflect(alpha, i, b) for b in frontier for i in range(1, rank + 1)}
+        frontier = [r for r in images if r not in roots]
+        roots.update(frontier)
+    assert len(rs.positive_roots) == len(roots) // 2
+    for i in range(1, rank + 1):
+        _assert_int_coeffs(rs.simple_root(i), alpha[i - 1])
+        _assert_int_coeffs(rs.coweight_of_root(i), coroot[i - 1])
+        _assert_int_coeffs(rs.omega_dual(i), [Fraction(x) for x in rs.cartan[i - 1]])
+        _assert_int_coeffs(rs.fundamental_coweight(i), [Fraction(int(j == i - 1)) for j in range(rank)])
+    for beta in rs.positive_roots:
+        assert beta.coeffs in roots
+        _assert_int_coeffs(beta, beta.coeffs)
+        sharp = [Fraction(b) * d for b, d in zip(beta.coeffs, half)]
+        _assert_int_coeffs(rs.sharp(beta), sharp)
+        for i in range(1, rank + 1):
+            _assert_int_coeffs(rs.reflect(i, beta), _fraction_reflect(alpha, i, beta.coeffs))
+            _assert_int_coeffs(
+                rs.reflect_coweight(i, rs.sharp(beta)), [h - sharp[i - 1] * c for h, c in zip(sharp, coroot[i - 1])]
+            )
