@@ -8,14 +8,15 @@ monomials, and a torus scaling, each entry converted to a canonical RatFunc
 once.  Its coordinates are generalized minors of the three factors of the
 normal form wbar * m * n * t, each one signed minor of one factor
 (``Chart.minors``), read as one quotient straight off one fraction-free
-elimination without forming the factors.
+elimination without forming the factors; the bracket engine reads them
+with their tangents off its Laurent factors (``coordinate_jets``).
 """
 
 from __future__ import annotations
 
 from .errors import NotInBigCell, NotInChartDomain
 from .groups import GroupElement, GroupModel, MinorSpec, _signed
-from .linalg import laurent_lower_factor, laurent_lower_inverse, laurent_mat_mul, ltu_minors, minor, minor_tangents
+from .linalg import laurent_lower_factor, laurent_lower_inverse, laurent_mat_mul, ltu_minors, minor_tangents
 from .symbolic import VarName, from_laurent, laurent_shift
 
 _CHART_CACHE = {}
@@ -266,29 +267,23 @@ def eval_coordinates(chart: Chart, g):
     return [_signed(x, minor[3]) for x, minor in zip(values, chart.minors)]
 
 
-def coordinates_from_factors(chart: Chart, *factors):
-    """Coordinates of the point whose wbar^{-1} g has the normal form L * N * T = factors.
+def coordinate_jets(chart: Chart, lifted, frame):
+    """(values, tangents): each coordinate and its derivative along each field, as Laurent values over ``frame``.
 
-    This reads formed factors, for the bracket's round-trip check; a point's
-    coordinates come from ``eval_coordinates``.  The N_v coordinates are
-    minors of N itself, for every v: with N = n1 n2 and
-    n2 in N cap vbar N vbar^{-1}, each v' of a minor
-    D_{u omega, v' omega} is a left prefix of the word of v, so
+    lifted[f] is factor f of the normal form and its tangent along each field
+    (``GroupModel.triangular_factor_lift``); coordinate i, the signed minor
+    ``Chart.minors[i]``, is read with its tangents tangents[i] by
+    ``linalg.minor_tangents``.  The N_v coordinates are minors of N itself,
+    for every v: with N = n1 n2 and n2 in N cap vbar N vbar^{-1}, each v' of
+    a minor D_{u omega, v' omega} is a left prefix of the word of v, so
     v'bar^{-1} n2 v'bar lies in N, and principal minors are right-N-invariant.
     """
-    return [_signed(minor(factors[f], rows, cols), sign) for f, rows, cols, sign in chart.minors]
-
-
-def coordinate_tangents(chart: Chart, lifted, frame):
-    """dz[i][k]: the derivative of coordinate i along field k, a Laurent value over ``frame``.
-
-    lifted[f] is factor f and its tangent along each field, over ``frame``
-    (``GroupModel.triangular_factor_lift``); each minor moves by Jacobi's formula.
-    """
-    return [
-        [_signed(d, sign) for d in minor_tangents(*lifted[f], rows, cols, frame)]
-        for f, rows, cols, sign in chart.minors
-    ]
+    values, tangents = [], []
+    for f, rows, cols, sign in chart.minors:
+        value, ds = minor_tangents(*lifted[f], rows, cols, frame)
+        values.append(_signed(value, sign))
+        tangents.append([_signed(d, sign) for d in ds])
+    return values, tangents
 
 
 def change_of_coordinates(src: Chart, dst: Chart):

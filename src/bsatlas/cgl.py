@@ -235,15 +235,17 @@ def verify_cgl(table: BracketTable, pres: CGLPresentation) -> CGLReport:
             bad_c.append({"index": j, "side": "h'"})
     report.record("c_nondegenerate", not bad_c, bad_c)
 
-    weights = [pres.pulled_weight(j).coeffs for j in range(1, n + 1)]
+    weights = {z: pres.pulled_weight(z.index).coeffs for z in zs}
     bad_d = []
     for (i, j), f in report.f_terms.items():
         if f.is_zero():
             continue
-        target = tuple(map(add, weights[i - 1], weights[j - 1]))
-        # by_coeff[k][p]: coefficient k of the weight of the p-th variable of f
-        by_coeff = list(zip(*(weights[v.index - 1] for v in f.num.vars))) or [()] * pres.rs.rank
-        if any(tuple(sum(map(mul, exp, row)) for row in by_coeff) != target for exp in f.num.terms):
+        target = tuple(map(add, weights[zs[i - 1]], weights[zs[j - 1]]))
+        # by_coeff[k][p]: coefficient k of the weight of the p-th variable of f; a variable
+        # outside z_1..z_n has no weight, so a monomial holding it is a witness
+        foreign = not weights.keys() >= set(f.num.vars)
+        by_coeff = list(zip(*(weights[v] for v in f.num.vars if v in weights))) or [()] * pres.rs.rank
+        if foreign or any(tuple(sum(map(mul, exp, row)) for row in by_coeff) != target for exp in f.num.terms):
             bad_d.append({"pair": (i, j), "monomial_weight_mismatch": True})
     report.record("d_homogeneous", not bad_d, bad_d)
     report.record("e_log_canonical_cut", not bad_e, bad_e)

@@ -470,18 +470,14 @@ class GroupModel:
         return tuple(self.from_internal(f) for f in gauss_ltu(self.to_internal(entries)))
 
     def triangular_factor_lift(self, entries, fields):
-        """``triangular_factor``, its Laurent frame, and per factor its Laurent value and tangents.
+        """(frame, lifted): per factor of ``triangular_factor``, its Laurent value over frame and its tangents.
 
         A left field moves the point along g*x, a right field along x*g
         (``linalg.gauss_ltu_lift``); the fields are reindexed with the point.
         """
         fields = [(side, self.to_internal(x)) for side, x in fields]
-        factors, frame, lifted = gauss_ltu_lift(self.to_internal(entries), fields)
-        return (
-            tuple(self.from_internal(f) for f in factors),
-            frame,
-            tuple((self.from_internal(f), [self.from_internal(d) for d in ds]) for f, ds in lifted),
-        )
+        frame, lifted = gauss_ltu_lift(self.to_internal(entries), fields)
+        return frame, tuple((self.from_internal(f), [self.from_internal(d) for d in ds]) for f, ds in lifted)
 
     # -- generalized minors ---------------------------------------------------------
 

@@ -15,11 +15,14 @@ their elimination step, each factor entry is one quotient of two such minors:
 L_ik = M_ik/p_{k+1}, N_kj = M_kj p_j/(p_k p_{j+1}), T_k = p_{k+1}/(p_k c_k).
 ``ltu_minors`` reads any minor of a factor as one quotient straight from the
 pass, so a chart's coordinates need no factor and take at most one gcd each.
-On a Bott-Samelson chart the factors are Laurent, so ``gauss_ltu_lift``
-converts them once into the chart's Laurent frame (``symbolic.to_laurent``)
-and forms there, in closed form, their tangents along left and right fields
-a*x and x*a; ``minor_tangents`` carries them to a minor by Jacobi's formula
-in the same frame.  No tangent takes a gcd.  A chart's parametrization is
+The formulas live in ``_normal_form``: ``gauss_ltu`` builds each quotient
+in the entry type of the input, and ``gauss_ltu_lift`` as an exact Laurent
+division, since on a Bott-Samelson chart the factors are Laurent and every
+pivot is a monomial, so each division is an exponent shift.  The lift then
+forms, in closed form, the tangents of the factors along left and right
+fields a*x and x*a; ``minor_tangents`` reads a minor of a factor and carries
+the tangents to it by Jacobi's formula, from one set of cofactors.  The
+lift takes no gcd.  A chart's parametrization is
 built on Laurent values too: ``laurent_lower_factor`` eliminates with
 monomial pivots, ``laurent_lower_inverse`` inverts by forward substitution
 and ``laurent_mat_mul`` multiplies, with no gcd either.
@@ -32,7 +35,7 @@ from fractions import Fraction
 from math import lcm as _int_lcm
 from operator import mul
 
-from .errors import NotInBigCell
+from .errors import NonPolynomialBracket, NotInBigCell
 from .symbolic import MultiPoly, RatFunc, from_laurent, laurent_divide, laurent_fma, laurent_frame, laurent_shift
 from .symbolic import poly_gcd, to_laurent, try_divide
 
@@ -51,20 +54,9 @@ def exact_div(x, y):
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    bt = [[b[r][c] for r in range(k)] for c in range(m)]
-    return [
-        [sum_entries([a[i][r] * bt[j][r] for r in range(k)]) for j in range(m)]
-        for i in range(n)
-    ]
-
-
-def sum_entries(entries):
-    it = iter(entries)
-    tot = next(it)
-    for e in it:
-        tot = tot + e
-    return tot
+    """The product of two matrices, each entry summed left to right from its first product."""
+    bt = list(zip(*b))
+    return [[sum((x * y for x, y in zip(row[1:], col[1:])), row[0] * col[0]) for col in bt] for row in a]
 
 
 def mat_scale(a, c):
@@ -107,22 +99,23 @@ def minor(a, rows, cols):
 
 
 def minor_tangents(a, das, rows, cols, frame):
-    """Derivative of the minor of ``a`` on ``rows`` and ``cols`` along each tangent matrix da of ``das``.
+    """(det S, [d det S along each da of das]) for the minor S = a[rows, cols].
 
-    a and das hold Laurent values over ``frame`` (``gauss_ltu_lift``).
-    Jacobi's formula d det S = sum_pq C_pq dS_pq, with the cofactors C of
-    S = a[rows, cols] computed once for every tangent (C = 1 for a 1x1
-    minor), and only where some tangent is nonzero.
+    a and das hold Laurent values over ``frame`` (``gauss_ltu_lift``).  One
+    set of cofactors C of S, each computed where the first row of S or some
+    tangent is nonzero, gives det S = sum_q S_0q C_0q and each tangent by
+    Jacobi's formula d det S = sum_pq C_pq dS_pq.
     """
-    one = to_laurent(RatFunc.one(), frame)
+    one = {(0,) * len(frame): 1}
     cofactors = []
     for p, r in enumerate(rows):
         for q, c in enumerate(cols):
-            if any(da[r][c] for da in das):
+            if (not p and a[r][c]) or any(da[r][c] for da in das):
                 cof = _laurent_det([[a[i][j] for j in cols if j != c] for i in rows if i != r], one)
                 if cof:
-                    cofactors.append((-1 if (p + q) % 2 else 1, r, c, cof))
-    return [_dot({}, ((s, cof, da[r][c]) for s, r, c, cof in cofactors)) for da in das]
+                    cofactors.append((-1 if (p + q) % 2 else 1, p, r, c, cof))
+    value = _dot({}, ((s, a[r][c], cof) for s, p, r, c, cof in cofactors if not p))
+    return value, [_dot({}, ((s, cof, da[r][c]) for s, _, r, c, cof in cofactors if da[r][c])) for da in das]
 
 
 def _laurent_det(a, one):
@@ -134,31 +127,36 @@ def _laurent_det(a, one):
 
 
 def gauss_ltu(a):
-    """Factor a = L*N*T with L lower-, N upper-unitriangular and T diagonal.
+    """Factor a = L*N*T with L lower-, N upper-unitriangular and T diagonal, in product order.
 
-    This is the normal form m*n*t of the big cell, read off one
-    fraction-free elimination (``_bareiss``).  With c_j the lcm of the
-    denominators of column j, p_k the k-th leading principal minor of the
-    column numerators (p_0 = 1) and M_ij the numerator entry (i, j) as it
-    stands before step min(i, j),
-
-        L_ik = M_ik / p_{k+1},   N_kj = M_kj p_j / (p_k p_{j+1}),   T_k = p_{k+1} / (p_k c_k),
-
-    each entry one quotient, built once by ``ring.make``, in the entry type of a.
-    Returns (L, N, T) in product order.  Exists iff all leading principal
+    This is the normal form m*n*t of the big cell: the quotients of
+    ``_normal_form`` off one ``_bareiss`` pass, each built once by
+    ``ring.make`` in the entry type of a.  Exists iff all leading principal
     minors are nonzero; on failure raises NotInBigCell carrying the 1-based
     index of the first vanishing minor.
     """
     ring, m, p, c = _bareiss(a)
-    n, zero, one = len(m), ring.make(ring.zero, ring.one), ring.make(ring.one, ring.one)
+    return _normal_form(ring, m, p, c, ring.make)
+
+
+def _normal_form(ring, m, p, c, make):
+    """(L, N, T) of the ``_bareiss`` pass (ring, m, p, c), each entry make(num, den).
+
+    With c_j the lcm of the denominators of column j, p_k the k-th leading
+    principal minor of the column numerators (p_0 = 1) and M_ij the
+    numerator entry (i, j) as it stands before step min(i, j),
+
+        L_ik = M_ik / p_{k+1},   N_kj = M_kj p_j / (p_k p_{j+1}),   T_k = p_{k+1} / (p_k c_k).
+    """
+    n, zero, one = len(m), make(ring.zero, ring.one), make(ring.one, ring.one)
     lower, upper, tmat = ([[one if i == j and f < 2 else zero for j in range(n)] for i in range(n)] for f in range(3))
     for k in range(n):
-        tmat[k][k] = ring.make(p[k + 1], ring.mul(p[k], c[k]))
+        tmat[k][k] = make(p[k + 1], ring.mul(p[k], c[k]))
         for i in range(k + 1, n):
             if m[i][k]:
-                lower[i][k] = ring.make(m[i][k], p[k + 1])
+                lower[i][k] = make(m[i][k], p[k + 1])
             if m[k][i]:
-                upper[k][i] = ring.make(ring.mul(m[k][i], p[i]), ring.mul(p[k], p[i + 1]))
+                upper[k][i] = make(ring.mul(m[k][i], p[i]), ring.mul(p[k], p[i + 1]))
     return lower, upper, tmat
 
 
@@ -179,9 +177,9 @@ def _rational_column(col, j):
 
 
 # The ring of one elimination: a column as numerators over c_j, exact division (None if it is not exact),
-# x*piv - f*y, determinant, product, and ``make``, which turns a numerator and a denominator into an entry.
-_Ring = namedtuple("_Ring", "zero one column divide cross det mul make")
-_RATIONALS = _Ring(0, 1, _rational_column, _int_divide, lambda x, piv, f, y: x * piv - f * y, det, mul, Fraction)
+# x*piv - f*y, determinant, product, ``make`` (a numerator over a denominator as an entry), Laurent frame.
+_Ring = namedtuple("_Ring", "zero one column divide cross det mul make frame")
+_RATIONALS = _Ring(0, 1, _rational_column, _int_divide, lambda x, piv, f, y: x * piv - f * y, det, mul, Fraction, None)
 
 
 def _ring_of(a):
@@ -220,6 +218,7 @@ def _ring_of(a):
         lambda sub: _laurent_det(sub, one),
         lambda x, y: _dot({}, ((1, x, y),)),
         lambda num, den: from_laurent(num, frame, den),
+        frame,
     )
 
 
@@ -291,34 +290,26 @@ def _factor_minor(ring, m, p, c, f, rows, cols):
 
 
 def gauss_ltu_lift(a, fields):
-    """``gauss_ltu(a)`` and the tangents of its factors: ((L, N, T), frame, ((L, dLs), (N, dNs), (T, dTs))).
+    """The factors of ``gauss_ltu(a)`` on Laurent values, with their tangents: (frame, ((L, dLs), (N, dNs), (T, dTs))).
 
-    The first triple is ``gauss_ltu(a)``; the last holds the same factors
-    and their tangents as Laurent values over ``frame``
-    (``symbolic.to_laurent``), dLs[k], dNs[k] and dTs[k] being the tangents
-    along field k of ``fields``.  A field is ("left", x), moving a along
-    a*x, or ("right", x), moving it along x*a, for a constant matrix x.
-    With a = L*U, U = N*T, the factors move by dL = L*sl(Y),
+    a is a matrix of RatFuncs and frame the frame of its entries.  Each
+    quotient of ``_normal_form`` is an exact Laurent division, a shift on a
+    chart; any other raises NonPolynomialBracket.  dLs[k], dNs[k] and dTs[k]
+    are the tangents along field k: ("left", x) moves a along a*x,
+    ("right", x) along x*a.  With a = L*U, U = N*T, dL = L*sl(Y) and
     dU = up(Y)*U for Y = L^{-1} da U^{-1}, sl and up the strictly lower and
-    the upper (diagonal included) parts (Giles, *Collected matrix derivative
-    results for forward and reverse mode AD*, 2008).  Y is U*x*U^{-1} for a
-    left field and L^{-1}*x*L for a right one, so a is factored once and no
-    elimination runs on a tangent.  Then dT = diag(Y)*T and
-    dN = up(Y)*N - N*diag(Y), which is strictly upper.  The entries of L, N,
-    T and T^{-1} must be Laurent polynomials, as they are on a Bott-Samelson
-    chart; any other raises NonPolynomialBracket before a tangent is formed.
+    the upper parts (Giles, *Collected matrix derivative results for forward
+    and reverse mode AD*, 2008), so dT = diag(Y)*T, dN = up(Y)*N - N*diag(Y),
+    and Y is U*x*U^{-1} (left) or L^{-1}*x*L (right): no tangent is eliminated.
     """
     n = len(a)
-    factors = gauss_ltu(a)
-    frame = laurent_frame(x for f in factors for row in f for x in row)
-    lo, up, tm = ([[to_laurent(x, frame) for x in row] for row in f] for f in factors)
-    t_inv = [to_laurent(factors[2][k][k].inv(), frame) for k in range(n)]
-    one = to_laurent(RatFunc.one(), frame)
+    ring, m, p, c = _bareiss(a)
+    lo, up, tm = _normal_form(ring, m, p, c, _laurent_quotient)
     # U = N*T and U^{-1} = T^{-1}*N^{-1}, with N^{-1} the transpose of (N^T)^{-1}
     u = [[_dot({}, ((1, x, tm[j][j]),)) for j, x in enumerate(row)] for row in up]
-    n_inv = mat_transpose(laurent_lower_inverse(mat_transpose(up), one))
-    u_inv = [[_dot({}, ((1, t_inv[i], x),)) for x in row] for i, row in enumerate(n_inv)]
-    lo_inv = laurent_lower_inverse(lo, one)
+    n_inv = mat_transpose(laurent_lower_inverse(mat_transpose(up), ring.one))
+    u_inv = [[_laurent_quotient(x, tm[i][i]) for x in row] for i, row in enumerate(n_inv)]
+    lo_inv = laurent_lower_inverse(lo, ring.one)
     d_lo, d_up, d_t = [], [], []
     for side, x in fields:
         if side == "left":
@@ -346,7 +337,15 @@ def gauss_ltu_lift(a, fields):
         d_lo.append(dl)
         d_up.append(dn)
         d_t.append(dt)
-    return factors, frame, ((lo, d_lo), (up, d_up), (tm, d_t))
+    return ring.frame, ((lo, d_lo), (up, d_up), (tm, d_t))
+
+
+def _laurent_quotient(num, den):
+    """num/den for Laurent values over one frame; a quotient that is not Laurent raises NonPolynomialBracket."""
+    q = laurent_divide(num, den)
+    if q is None:
+        raise NonPolynomialBracket("a factor of the normal form is not a Laurent polynomial on the chart")
+    return q
 
 
 def _dot(start, terms):

@@ -4,14 +4,14 @@ The multiplicative Poisson bivector on G is the difference of the left and
 right invariant extensions of the skew tensor with one term per positive
 root, weighted by half the squared root length.  Brackets in a chart come
 from the first-order perturbations of the parametrized point
-along every left/right root-vector field.  The point is factored once, and
-its factors, regular on the chart, are converted once into the chart's
-Laurent ring (exponent tuples, ``symbolic.to_laurent``).  There the tangents
-of the factors along every field come in closed form, each coordinate, one
-signed minor of one factor (the N_v coordinates minors of the whole N
-factor for every v), takes its tangents by Jacobi's formula from cofactors
-computed once, and pair assembly and the Jacobi sums run too.  No tangent is
-ever eliminated or takes a gcd; each bracket entry becomes a RatFunc once.
+along every left/right root-vector field.  The point is factored once, on
+Laurent exponent tuples: its factors, regular on the chart, are exact
+quotients off one fraction-free elimination whose pivots are monomials.
+There the tangents of the factors along every field come in closed form,
+each coordinate, one signed minor of one factor (the N_v coordinates minors
+of the whole N factor for every v), is read with its tangents from one set
+of cofactors, and pair assembly and the Jacobi sums run too.  No RatFunc
+factor is formed and no gcd is taken; each bracket entry becomes a RatFunc once.
 """
 
 from __future__ import annotations
@@ -19,12 +19,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .atlas import Chart, coordinate_tangents, coordinates_from_factors
+from .atlas import Chart, coordinate_jets
 from .errors import NonPolynomialBracket, NormalizationMismatch
 from .groups import GroupModel
 from .linalg import mat_mul
 from .symbolic import (
-    MultiPoly,
     RatFunc,
     VarName,
     _exact,
@@ -89,13 +88,13 @@ def chart_bracket(chart: Chart, lam: LambdaData | None = None) -> BracketTable:
     Coordinates are lifted to right-Q-invariant functions of the matrix
     entries; the bracket on G is evaluated at the parametrized point from
     the derivatives of the coordinates along all 4|Delta+| left/right
-    root-vector fields.  wbar^{-1} rep is factored once, the tangents of its
-    factors along every field come from the same pass
-    (``GroupModel.triangular_factor_lift``), and the coordinates and their
+    root-vector fields.  wbar^{-1} rep is factored once on Laurent values,
+    the tangents of its factors along every field come from the same pass
+    (``GroupModel.triangular_factor_lift``), and each coordinate and its
     tangents are read off the factors through one table of signed minors
-    (``coordinates_from_factors``, ``coordinate_tangents``: for every v, the
-    N_v coordinates are minors of the N factor, so no second factorization
-    runs).
+    (``atlas.coordinate_jets``: for every v, the N_v coordinates are minors
+    of the N factor, so no second factorization runs).  Each coordinate read
+    back must be the monomial z_i it names, or AssertionError is raised.
     """
     model = chart.spec.space.model
     if lam is None:
@@ -112,13 +111,14 @@ def chart_bracket(chart: Chart, lam: LambdaData | None = None) -> BracketTable:
         fields.append(("left", e_plus))
         fields.append(("right", wp.left_inv(wp.right(e_minus))))
         fields.append(("right", wp.left_inv(wp.right(e_plus))))
-    factors, frame, lifted = model.triangular_factor_lift(wp.left_inv(rep), fields)
-    for c, z in zip(coordinates_from_factors(chart, *factors), chart.zvars):
-        if not (c - RatFunc.from_poly(MultiPoly.variable(z))).is_zero():
+    frame, lifted = model.triangular_factor_lift(wp.left_inv(rep), fields)
+    # values[i]: z_{i+1} read back off the factors; derivs[k][i]: its derivative along
+    # field k (order L-, L+, R-, R+ per term), each a Laurent value over the frame
+    values, tangents = coordinate_jets(chart, lifted, frame)
+    for c, z in zip(values, chart.zvars):
+        if z not in frame or c != {tuple(int(slot == frame[z]) for slot in range(len(frame))): 1}:
             raise AssertionError("chart round trip failed inside bracket engine")
-    # derivs[k][i]: the derivative of z_{i+1} along field k (order L-, L+, R-, R+ per term),
-    # a Laurent value over the frame of the factors
-    derivs = list(zip(*coordinate_tangents(chart, lifted, frame)))
+    derivs = list(zip(*tangents))
     per_term = [
         (coeff, -coeff, *derivs[4 * t : 4 * t + 4]) for t, (_, _, _, coeff) in enumerate(lam.terms)
     ]

@@ -853,10 +853,14 @@ def laurent_derivative(a, slot):
 def laurent_divide(a, b):
     """a/b for Laurent values over one frame, or None if b does not divide a.
 
-    Long division by graded-lex leading terms.  If a = b*q, the exponents of
-    q in each slot lie in [min a - min b, max a - max b], so a quotient term
+    A monomial b is a unit, so a/b is an exponent shift; any other takes long
+    division by graded-lex leading terms.  If a = b*q, the exponents of q in
+    each slot lie in [min a - min b, max a - max b], so a quotient term
     outside that box means a remainder, and the division ends.
     """
+    if len(b) == 1:
+        ((eb, cb),) = b.items()
+        return {tuple(map(sub, e, eb)): _coeff_quotient(c, cb) for e, c in a.items()}
     if not b:
         return None
     rem, quo = dict(a), {}
@@ -868,10 +872,14 @@ def laurent_divide(a, b):
         q = tuple(map(sub, e, lead))
         if not all(x <= k <= y for x, k, y in zip(lo, q, hi)):
             return None
-        c, lc = rem[e], b[lead]
-        quo[q] = qc = c // lc if type(c) is int and type(lc) is int and not c % lc else _exact(Fraction(c, lc))
+        quo[q] = qc = _coeff_quotient(rem[e], b[lead])
         laurent_fma(rem, -qc, {q: 1}, b)
     return quo
+
+
+def _coeff_quotient(c, lc):
+    """c/lc for exact rationals, an int where integral."""
+    return c // lc if type(c) is int and type(lc) is int and not c % lc else _exact(Fraction(c, lc))
 
 
 def from_laurent(a, frame, den=None):

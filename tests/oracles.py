@@ -4,8 +4,8 @@ from fractions import Fraction
 
 from bsatlas.cgl import CGLPresentation, CGLReport, _support_range_ok, _zero_weight
 from bsatlas.errors import DimensionMismatch, LengthMismatch
-from bsatlas.groups import GroupElement
-from bsatlas.linalg import _is_zero, mat_mul
+from bsatlas.groups import GroupElement, _signed
+from bsatlas.linalg import _is_zero, mat_mul, minor
 from bsatlas.poisson import BracketTable, build_lambda
 from bsatlas.positivity import _chain
 from bsatlas.symbolic import MultiPoly, RatFunc, VarName
@@ -22,6 +22,11 @@ def exp_nilpotent(model, x, c):
             return GroupElement(model, out)
         out = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(out, term)]
         k += 1
+
+
+def coordinates_from_factors(chart, *factors):
+    """Coordinates of the point whose wbar^{-1} g has the normal form L * N * T = factors, as minors of formed factors."""
+    return [_signed(minor(factors[f], rows, cols), sign) for f, rows, cols, sign in chart.minors]
 
 
 def x_chain(model, word, sign, c):
@@ -161,18 +166,22 @@ def verify_cgl(table: BracketTable, pres: CGLPresentation) -> CGLReport:
             bad_c.append({"index": j, "side": "h'"})
     report.record("c_nondegenerate", not bad_c, bad_c)
 
-    weights = [pres.pulled_weight(j) for j in range(1, n + 1)]
+    weights = {VarName("z", m): pres.pulled_weight(m) for m in range(1, n + 1)}
     bad_d = []
     for (i, j), f in report.f_terms.items():
         if f.is_zero():
             continue
-        target = weights[i - 1] + weights[j - 1]
+        target = weights[VarName("z", i)] + weights[VarName("z", j)]
         for exp, _ in f.num.terms.items():
+            # a variable outside z_1..z_n has no weight
+            if any(e and v not in weights for v, e in zip(f.num.vars, exp)):
+                bad_d.append({"pair": (i, j), "monomial_weight_mismatch": True})
+                break
             wsum = None
             for v, e in zip(f.num.vars, exp):
                 if not e:
                     continue
-                part = weights[v.index - 1] * e
+                part = weights[v] * e
                 wsum = part if wsum is None else wsum + part
             if wsum is None:
                 wsum = _zero_weight(rs)

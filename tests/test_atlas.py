@@ -21,6 +21,7 @@ from bsatlas.groups import GroupElement, build_model
 from bsatlas.linalg import laurent_lower_factor, mat_mul, mat_transpose
 from bsatlas.rootdata import build_root_system
 from bsatlas.symbolic import MultiPoly, RatFunc, VarName, var
+from oracles import coordinates_from_factors
 
 _M = {}
 
@@ -409,14 +410,14 @@ def test_sl4_group_chart_round_trips():
 
 
 def _coordinates_by_factors(chart, g):
-    """The coordinates read from the formed factors L, N, T (the bracket's round trip), as an oracle."""
+    """The coordinates read from the formed RatFunc factors L, N, T, as an oracle."""
     m = chart.spec.space.model
     h = m.signed_perm(chart.spec.w.canonical).left_inv(g.entries if isinstance(g, GroupElement) else g)
     try:
         factors = m.triangular_factor(h)
     except NotInBigCell as e:
         return e.minor_index
-    return atlas.coordinates_from_factors(chart, *factors)
+    return coordinates_from_factors(chart, *factors)
 
 
 def _change_pairs():

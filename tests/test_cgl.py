@@ -503,6 +503,11 @@ def _foreign_variable(table, pres):
     return _perturbed(table, (2, 5), var("y", 3) * var("z", 4)), pres
 
 
+def _variable_past_the_chart(table, pres):
+    """z_{n+3} has no pulled weight: a witness of (d), not an IndexError."""
+    return _perturbed(table, (2, 5), var("z", table.n_vars + 3) * var("z", 4)), pres
+
+
 @pytest.mark.parametrize(
     "damage, broken",
     [
@@ -512,6 +517,7 @@ def _foreign_variable(table, pres):
         (_broken_cut, "e_log_canonical_cut"),
         (_non_laurent, "a_ore_form"),
         (_foreign_variable, "a_ore_form"),
+        (_variable_past_the_chart, "d_homogeneous"),
     ],
 )
 def test_verify_cgl_failures_match_ratfunc_oracle(damage, broken):

@@ -1,4 +1,4 @@
-"""Every imported name is used, and the package needs only the standard library.
+"""Every imported name is used, every def is reached outside the tests, and the package needs only the standard library.
 
 AST scans, since the project installs no linter.
 """
@@ -69,3 +69,48 @@ def test_package_imports_only_the_standard_library():
         for line, module in foreign_imports(path.read_text()):
             found.append(f"{path.relative_to(ROOT)}:{line}: {module}")
     assert not found, "imports outside the standard library:\n" + "\n".join(found)
+
+
+REACHING = ("src", "demos", "perfbench", "tools")
+
+
+def defined_names(source):
+    """(line, name) of each def and class a module defines, dunders aside."""
+    return sorted(
+        (node.lineno, node.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    )
+
+
+def referenced_names(source):
+    """Each name a module reads, reads as an attribute or imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.split(".")[-1])
+    return found
+
+
+def test_scan_finds_an_unreferenced_def():
+    lib = "class Used:\n    def __init__(self):\n        pass\n    def method(self):\n        pass\ndef helper():\n    pass\n"
+    caller = "from lib import Used\nUsed().method()\n"
+    assert defined_names(lib) == [(1, "Used"), (4, "method"), (6, "helper")]
+    assert [d for d in defined_names(lib) if d[1] not in referenced_names(caller)] == [(6, "helper")]
+
+
+def test_every_def_is_reached_outside_the_tests():
+    """Each def and class of the package is referenced somewhere in src, the demos, perfbench or the tools."""
+    used = set()
+    for top in REACHING:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            used |= referenced_names(path.read_text())
+    found = []
+    for path in sorted((ROOT / "src" / "bsatlas").rglob("*.py")):
+        found += [f"{path.relative_to(ROOT)}:{line}: {name}" for line, name in defined_names(path.read_text()) if name not in used]
+    assert not found, "defs no code outside the tests reaches:\n" + "\n".join(found)

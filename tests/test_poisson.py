@@ -9,7 +9,7 @@ import pytest
 from bsatlas.atlas import (
     ChartSpec,
     SpaceSpec,
-    coordinates_from_factors,
+    coordinate_jets,
     enumerate_charts,
     eval_coordinates,
     parametrize,
@@ -17,6 +17,7 @@ from bsatlas.atlas import (
 from bsatlas import symbolic
 from bsatlas.errors import NonPolynomialBracket
 from bsatlas.groups import GroupElement, build_model
+from bsatlas.linalg import minor_tangents
 from bsatlas.poisson import (
     BracketTable,
     LambdaData,
@@ -273,39 +274,44 @@ def _gcd_calls(fn, *args):
 
 
 def test_chart_bracket_takes_no_gcd_per_field():
-    """chart_bracket takes no more gcds than factoring its point once, inverting the torus
-    factor and reading the coordinates back for the round trip: the 4|Delta+| tangent
-    fields add none, so a bivector with one term takes as many as the full one."""
-    m = model("A", 3)
-    chart = parametrize(_nw0_charts("A", 3, 1, seed=5)[0])
-    h = m.signed_perm(chart.spec.w.canonical).left_inv(chart.param.entries)
-    factors = m.triangular_factor(h)
-    bound = (
-        _gcd_calls(m.triangular_factor, h)
-        + _gcd_calls(lambda: [factors[2][k][k].inv() for k in range(m.dim)])
-        + _gcd_calls(coordinates_from_factors, chart, *factors)
-    )
-    lam = build_lambda(m)
-    calls = _gcd_calls(chart_bracket, chart, lam)
-    assert calls <= bound
-    assert _gcd_calls(chart_bracket, chart, LambdaData(m, lam.terms[:1])) == calls
+    """chart_bracket takes no gcd at all: the factors, the round trip and the tangents along the
+    4|Delta+| fields all come from one Laurent elimination whose pivots are monomials, for the
+    full bivector and for one term of it."""
+    for series, rank, spec in (
+        ("A", 2, _nw0_charts("A", 2)[5]),
+        ("C", 2, _nw0_charts("C", 2)[7]),
+        ("A", 3, _nw0_charts("A", 3, 1, seed=5)[0]),
+    ):
+        m = model(series, rank)
+        chart = parametrize(spec)
+        lam = build_lambda(m)
+        assert _gcd_calls(chart_bracket, chart, lam) == 0, spec
+        assert _gcd_calls(chart_bracket, chart, LambdaData(m, lam.terms[:1])) == 0, spec
 
 
 @pytest.mark.parametrize("series, rank, index", [("A", 2, 5), ("C", 2, 7)])
 def test_chart_bracket_evaluates_coordinates_once(monkeypatch, series, rank, index):
+    """The round trip and the tangents read each coordinate's minor once, off one lift per chart."""
+    import bsatlas.atlas as atlas
     import bsatlas.poisson as poisson
 
     m = model(series, rank)
     chart = parametrize(enumerate_charts(SpaceSpec(m, "Nv", m.rs.w0))[index])
-    calls = []
+    calls, minors = [], []
 
     def counting(*args):
         calls.append(args)
-        return coordinates_from_factors(*args)
+        return coordinate_jets(*args)
 
-    monkeypatch.setattr(poisson, "coordinates_from_factors", counting)
+    def counting_minor(*args):
+        minors.append(args[2:4])
+        return minor_tangents(*args)
+
+    monkeypatch.setattr(poisson, "coordinate_jets", counting)
+    monkeypatch.setattr(atlas, "minor_tangents", counting_minor)
     chart_bracket(chart)
     assert len(calls) == 1
+    assert minors == [(rows, cols) for _, rows, cols, _ in chart.minors]
 
 
 def test_chart_bracket_round_trip_check(monkeypatch):
@@ -315,14 +321,15 @@ def test_chart_bracket_round_trip_check(monkeypatch):
     chart = parametrize(enumerate_charts(SpaceSpec(m, "Nv", m.rs.w0))[3])
 
     def shifted(*args):
-        coords = coordinates_from_factors(*args)
-        coords[-1] = coords[-1] + 1
-        return coords
+        values, tangents = coordinate_jets(*args)
+        last = values[-1] = dict(values[-1])
+        constant = (0,) * len(next(iter(last)))
+        last[constant] = last.get(constant, 0) + 1
+        return values, tangents
 
-    monkeypatch.setattr(poisson, "coordinates_from_factors", shifted)
+    monkeypatch.setattr(poisson, "coordinate_jets", shifted)
     with pytest.raises(AssertionError, match="chart round trip failed"):
         chart_bracket(chart)
-
 
 
 # no case eliminates anything but the point: tangent_eliminated is False throughout
