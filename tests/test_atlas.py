@@ -486,3 +486,33 @@ def test_change_of_coordinates_takes_one_gcd_per_coordinate():
         finally:
             sys.setprofile(None)
         assert len(calls) <= len(coords), (src, dst)
+
+
+def test_coprime_quotient_of_a_change_takes_no_nested_gcd():
+    """On every SL(3)/N(w0) change, a poly_gcd call that returns 1 makes no poly_gcd call of its own:
+    the degree bounds of its prime images prove the quotient coprime."""
+    m = model("A", 2)
+    charts = [parametrize(s) for s in enumerate_charts(SpaceSpec(m, "Nv", m.rs.w0))]
+    code, open_calls, seen = symbolic.poly_gcd.__code__, [], []
+
+    def profile(frame, event, arg):
+        if frame.f_code is code and event == "call":
+            if open_calls:
+                open_calls[-1] += 1
+            open_calls.append(0)
+        elif frame.f_code is code and event == "return":
+            nested = open_calls.pop()
+            if not open_calls:
+                seen.append((arg.is_one(), nested))
+
+    sys.setprofile(profile)
+    try:
+        for src in charts:
+            for dst in charts:
+                if src is not dst:
+                    change_of_coordinates(src, dst)
+    finally:
+        sys.setprofile(None)
+    coprime = [nested for one, nested in seen if one]
+    assert len(coprime) > 100 and not any(coprime)
+    assert len(coprime) < len(seen)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bsatlas import linalg
+from bsatlas import linalg, symbolic
 from bsatlas.cli import main
 from bsatlas.errors import NonPolynomialBracket, NonReducedWord, NotInBigCell, ZeroTorusValue
 from bsatlas.groups import GroupElement, MinorSpec, SignedPerm, build_model, cached_model
@@ -322,25 +322,25 @@ def test_upper_factor_is_torus_conjugate_of_ltu_upper(series, rank):
 _EPS = VarName("eps")
 
 
-def _perturbed(a, da):
+def _perturbed(a, da, eps=_EPS):
     """a + eps * da, a matrix of RatFuncs in eps."""
-    eps = RatFunc.from_poly(MultiPoly.variable(_EPS))
+    eps = RatFunc.from_poly(MultiPoly.variable(eps))
     return [[x + eps * d for x, d in zip(ra, rd)] for ra, rd in zip(a, da)]
 
 
-def _eps_derivative(entries):
-    """d/d eps at eps = 0 of a matrix of RatFuncs in eps.
+def _eps_derivative(entries, eps=_EPS, zero=(_EPS,)):
+    """d/d eps at zero (every variable of ``zero`` at 0) of a matrix of RatFuncs.
 
     The quotient rule (n/d)' = (n' d - n d') / d^2, with the numerator and
-    the denominator differentiated and taken at eps = 0 before any division,
+    the denominator differentiated and taken at zero before any division,
     so no gcd runs in eps.
     """
-    at_zero = {_EPS: RatFunc.zero()}
+    at_zero = {v: RatFunc.zero() for v in zero}
 
     def derivative(x):
         n0, d0, dn, dd = (
             p.substitute_ratfuncs(at_zero)
-            for p in (x.num, x.den, poly_derivative(x.num, _EPS), poly_derivative(x.den, _EPS))
+            for p in (x.num, x.den, poly_derivative(x.num, eps), poly_derivative(x.den, eps))
         )
         return (dn * d0 - n0 * dd) / (d0 * d0)
 
@@ -361,7 +361,8 @@ def test_lifted_factors_match_dual_elimination(data):
     Each perturbed point is factored exactly as a RatFunc matrix in eps, and
     each entry is differentiated in eps and taken at eps = 0, so the
     reference is the elimination over the dual numbers, done in RatFunc.
-    One eps per field keeps the gcds of the reference in two variables.
+    A draw perturbs along one field per point, or along both fields at once,
+    h + eps1 h X + eps2 X' h, whose reference gcds run in three variables.
     """
     series, rank = data.draw(st.sampled_from([("A", 2), ("A", 3), ("C", 2)]))
     m = cached_model(series, rank)
@@ -382,9 +383,63 @@ def test_lifted_factors_match_dual_elimination(data):
     x_left, x_right = data.draw(st.sampled_from(vectors)), data.draw(st.sampled_from(vectors))
     frame, lifted = m.triangular_factor_lift(h, [("left", x_left), ("right", x_right)])
     assert [_from_laurent_matrix(f, frame) for f, _ in lifted] == [list(f) for f in m.triangular_factor(h)]
-    for k, da in enumerate((mat_mul(h, x_left), mat_mul(x_right, h))):
-        want = [_eps_derivative(f) for f in m.triangular_factor(_perturbed(h, da))]
+    das, eps = (mat_mul(h, x_left), mat_mul(x_right, h)), (VarName("eps", 1), VarName("eps", 2))
+    if data.draw(st.booleans()):
+        both = m.triangular_factor(_perturbed(_perturbed(h, das[0], eps[0]), das[1], eps[1]))
+        wants = [[_eps_derivative(f, e, eps) for f in both] for e in eps]
+    else:
+        wants = [[_eps_derivative(f) for f in m.triangular_factor(_perturbed(h, da))] for da in das]
+    for k, want in enumerate(wants):
         assert [_from_laurent_matrix(ds[k], frame) for _, ds in lifted] == want
+
+
+def _two_eps_sp4_points(n=60, seed=3):
+    """(model, a) for Sp(4) points a = h + e1 h X + e2 X' h, drawn by random.Random(seed).
+
+    h is a product of 5-9 one-parameter factors at c + {0, 1} z1 times a
+    rational torus element, and X and X' are positive root vectors.
+    """
+    rng = random.Random(seed)
+    m = cached_model("C", 2)
+    z, e1, e2 = var("z", 1), var("e", 1), var("e", 2)
+    vectors = [x for pair in m.pos_root_vectors.values() for x in pair]
+    out = []
+    for _ in range(n):
+        h = m.identity_like(z)
+        for _ in range(rng.randint(5, 9)):
+            c = Fraction(rng.randint(-4, 4), rng.randint(1, 3)) + rng.randint(0, 1) * z
+            h = m.mul_one_param(h, rng.choice([-2, -1, 1, 2]), c)
+        h = m.mul_torus(h, [Fraction(rng.choice([1, -1, 2, -3]), rng.randint(1, 3)) for _ in range(2)]).entries
+        hx, xh = mat_mul(h, rng.choice(vectors)), mat_mul(rng.choice(vectors), h)
+        out.append((m, [[a + e1 * b + e2 * c for a, b, c in zip(*rows)] for rows in zip(h, hx, xh)]))
+    return out
+
+
+def test_two_eps_sp4_points_factor_within_counted_gcd_work(monkeypatch):
+    """With a primitive PRS behind poly_gcd, 8 of these 60 factorizations ran past 5 s each, stalled
+    in gcds of up to 40 terms in (e1, e2, z1), whose contents took nested gcds in turn.  Now each
+    takes at most 30 poly_gcd calls, nested ones included, and at most 1000 univariate images mod
+    a prime, and its factors multiply back to the point at a rational point."""
+    counts, gcd, image = {"gcd": 0, "images": 0}, symbolic.poly_gcd, symbolic._gcd_mod_1
+
+    def counting_gcd(f, g):
+        counts["gcd"] += 1
+        return gcd(f, g)
+
+    def counting_image(a, b, p):
+        counts["images"] += 1
+        return image(a, b, p)
+
+    for module in (symbolic, linalg):
+        monkeypatch.setattr(module, "poly_gcd", counting_gcd)
+    monkeypatch.setattr(symbolic, "_gcd_mod_1", counting_image)
+    point = {VarName("e", 1): Fraction(1, 3), VarName("e", 2): Fraction(-2, 5), VarName("z", 1): Fraction(3, 7)}
+    for m, a in _two_eps_sp4_points():
+        counts.update(gcd=0, images=0)
+        factors = m.triangular_factor(a)
+        assert counts["gcd"] <= 30 and counts["images"] <= 1000, counts
+        at = [[[x.evaluate(point) for x in row] for row in f] for f in factors]
+        assert mat_mul(mat_mul(at[0], at[1]), at[2]) == [[x.evaluate(point) for x in row] for row in a]
 
 
 def test_lift_refuses_a_point_whose_factors_are_not_laurent():

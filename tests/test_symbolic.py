@@ -186,11 +186,12 @@ def test_laurent_format_matches_ratfunc(f, g, h, s):
     for v, slot in frame.items():
         _assert_same(from_laurent(laurent_derivative(a, slot), frame), differentiate(f, v))
     if frame:
-        # a quotient over a monomial is an exponent shift; over any other value it takes one gcd,
-        # kept small here by a linear denominator (poly_gcd can stall on larger pairs)
+        # a quotient over a monomial is an exponent shift; over any other value it takes one gcd
         mono = {tuple(range(-1, len(frame) - 1)): Fraction(-3, 2)}
         lin = {tuple(int(k == 0) for k in range(len(frame))): 1, (0,) * len(frame): 2}
-        for den in (mono, lin):
+        square = {(0,) * len(frame): 1}
+        laurent_fma(square, 1, b, b)
+        for den in (mono, lin, square):
             _assert_same(from_laurent(a, frame, den), f / from_laurent(den, frame))
     laurent_fma(acc, s, a, b)
     _assert_same(from_laurent(acc, frame), h + s * f * g)

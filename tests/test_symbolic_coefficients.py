@@ -5,13 +5,16 @@ only where it is not.  The canonical forms built on that layout (the
 normalized gcd and the reduced rational function) are checked against sympy.
 """
 
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
+import pytest
 import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from bsatlas import symbolic
 from bsatlas.serialize import poly_from_json, poly_to_json
 from bsatlas.symbolic import (
     MultiPoly,
@@ -26,8 +29,8 @@ from bsatlas.symbolic import (
     try_divide,
 )
 
-VARS = tuple(VarName("z", i) for i in range(1, 5))
-SYMS = sympy.symbols("z1:5")
+VARS = tuple(VarName("z", i) for i in range(1, 10))
+SYMS = sympy.symbols("z1:10")
 
 coeffs = st.one_of(
     st.integers(-6, 6),
@@ -219,8 +222,7 @@ def test_laurent_divide_stops_on_inexact_laurent_input():
 # -- sympy oracle ------------------------------------------------------------------
 
 
-# c = (2 z2 + 1/2)(z1 + z2): with z1 the main variable of the PRS, the gcd is a
-# content times a primitive part
+# c = (2 z2 + 1/2)(z1 + z2): in z1, the gcd is a content times a primitive part
 CONTENT_CASE = (
     2,
     [
@@ -258,3 +260,105 @@ def test_ratfunc_canonical_form_matches_sympy_cancel(triple):
     num = {e: v / scale for e, v in _sympy_dict(snum, n).items()}
     assert _dict_of(f.den, n) == den
     assert _dict_of(f.num, n) == num
+
+
+class _Scripted(random.Random):
+    """A fixed-seed generator whose first randrange draws are given."""
+
+    def __init__(self, first):
+        super().__init__(0)
+        self.first = list(first)
+
+    def randrange(self, *args):
+        return self.first.pop(0) if self.first else super().randrange(*args)
+
+
+def _gcd_against_sympy(n, *factors):
+    """poly_gcd of the products g*a and g*b of three term lists equals sympy's gcd."""
+    g, a, b = (_sympy_expr(n, t) for t in factors)
+    f1, f2 = (sympy.expand(g * x) for x in (a, b))
+    got = _dict_of(poly_gcd(*(_poly(n, list(_sympy_dict(x, n).items())) for x in (f1, f2))), n)
+    want, _ = _primitive(_sympy_dict(sympy.gcd(f1, f2), n))
+    assert got == want
+
+
+Q = 10007
+# (Q z1 z2 + z3) times z1 + z2 + 1 and times z1 - z3 + 2: both lead in z1 with a multiple of Q,
+# and the gcd is z3 mod Q
+LEAD_MOD_Q = ([((1, 1, 0), Q), ((0, 0, 1), 1)], [((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 0), 1)], [((1, 0, 0), 1), ((0, 0, 1), -1), ((0, 0, 0), 2)])
+
+
+@pytest.mark.parametrize("primes", [[Q, 2**31 - 1], [2**31 - 1, Q, 2**31 - 19], [Q, 9973]])
+def test_gcd_survives_a_prime_that_kills_a_leading_coefficient(monkeypatch, primes):
+    """Q first for the degree bounds, where the images lose their leading coefficient, or first for
+    the interpolation, where the gcd loses its leading term: either costs a fresh draw, and the gcd
+    still equals sympy's."""
+    drawn, prime = [], symbolic._prime
+
+    def recording(i):
+        drawn.append(prime(i))
+        return drawn[-1]
+
+    monkeypatch.setattr(symbolic, "_PRIMES", list(primes))
+    monkeypatch.setattr(symbolic, "_prime", recording)
+    _gcd_against_sympy(3, *LEAD_MOD_Q)
+    assert Q in drawn
+
+
+@pytest.mark.parametrize(
+    "first, factors",
+    [
+        # z2 = 1 kills the leading coefficient z2 - 1 in z1 of ((z2 - 1) z1 + 1)(z1 + z2)
+        ([5, 1], ([((1, 1), 1), ((1, 0), -1), ((0, 0), 1)], [((1, 0), 1), ((0, 1), 1)], [((1, 0), 1), ((0, 0), 3)])),
+        # z2 = -1 gives (z1 + z2)(z1 - z2) and (z1 + z2)(z1 + 1) the common factor z1 - 1 too: an image gcd too large
+        ([5, 2**31 - 2], ([((1, 0), 1), ((0, 1), 1)], [((1, 0), 1), ((0, 1), -1)], [((1, 0), 1), ((0, 0), 1)])),
+    ],
+)
+def test_gcd_survives_an_unlucky_point(monkeypatch, first, factors):
+    """A bound point where a leading coefficient vanishes, or where the images share more than the
+    gcd, costs a fresh draw, and the gcd still equals sympy's."""
+    rng = _Scripted(first)
+    monkeypatch.setattr(symbolic, "_rng", lambda: rng)
+    _gcd_against_sympy(2, *factors)
+    assert not rng.first
+
+
+@settings(max_examples=40, deadline=None)
+@given(poly_triples())
+def test_gcd_with_small_primes_matches_sympy(triple):
+    """With primes below 1010, unlucky primes and points are common; every gcd still equals sympy's."""
+    n, (ta, tb, tc) = triple
+    saved, symbolic._PRIMES = symbolic._PRIMES, [1009]
+    try:
+        _gcd_against_sympy(n, tc, ta, tb)
+    finally:
+        symbolic._PRIMES = saved
+
+
+def test_gcd_primes_are_prime():
+    assert all(sympy.isprime(symbolic._prime(i)) for i in range(60))
+
+
+def test_gcd_with_variables_only_in_the_gcd(monkeypatch):
+    """A 3x3 determinant times two 2x2 minors: three of the nine variables are in neither cofactor, so
+    the gcd is f over a cofactor read off a gcd in the other six, at most 200 univariate images where
+    dense interpolation over all nine takes over 1000.  Then a gcd that vanishes at z9 = 1 and z9 = 2,
+    with z9 in neither cofactor.  Both gcds equal sympy's."""
+    z = SYMS
+    det = sympy.Matrix(3, 3, z).det()
+    images, image = [], symbolic._gcd_mod_1
+
+    def counting(a, b, p):
+        images.append(1)
+        return image(a, b, p)
+
+    monkeypatch.setattr(symbolic, "_gcd_mod_1", counting)
+    for g, x, y in (
+        (det, z[0] * z[4] - z[1] * z[3], z[0] * z[7] - z[1] * z[6]),
+        ((z[8] - 1) * (z[8] - 2) * z[0] + z[4], z[0] + z[1], z[0] - z[1] + 1),
+    ):
+        f1, f2 = sympy.expand(g * x), sympy.expand(g * y)
+        images.clear()
+        got = poly_gcd(*(_poly(9, list(_sympy_dict(t, 9).items())) for t in (f1, f2)))
+        assert _dict_of(got, 9) == _primitive(_sympy_dict(sympy.gcd(f1, f2), 9))[0]
+        assert len(images) <= 200
