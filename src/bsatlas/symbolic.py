@@ -5,7 +5,8 @@ is integral and a ``fractions.Fraction`` only where it is not, so the small
 integer coefficients of chart formulas never pay for ``Fraction`` arithmetic;
 no floating point enters any symbolic path.  Gcds run on integer-primitive
 parts by Brown's modular algorithm: prime images bound the degrees, prove
-coprime pairs, and give the others by interpolation and CRT, each checked by
+coprime pairs, and give the others by interpolation (on the support of a
+first image, after Zippel, in many variables) and CRT, each checked by
 exact division.  Monomials are ordered graded-lexicographically with respect
 to the total order on variable names, which makes every normalized value
 canonical: equal rational functions have identical representations and
@@ -22,14 +23,14 @@ RatFunc.
 
 from __future__ import annotations
 
-import random
 import re
 from fractions import Fraction
-from functools import reduce, total_ordering
+from functools import total_ordering
 from math import gcd as _int_gcd
 from math import lcm as _int_lcm
-from operator import add, sub
+from operator import add, le, sub
 
+from . import modgcd
 from .errors import EvaluationPole, NonPolynomialBracket, SubstitutionPole, ZeroDenominator
 
 _ZERO = Fraction(0)
@@ -369,28 +370,17 @@ def try_divide(f, g):
     """Return f/g if g divides f exactly, else None."""
     if g.is_zero():
         return None
+    if g.is_constant():
+        return f * (Fraction(1) / g.terms[()])
     vars, i1, i2 = _merge_vars(f.vars, g.vars)
     q = _poly_quotient(_remap(f.terms, len(f.vars), len(vars), i1), _remap(g.terms, len(g.vars), len(vars), i2))
     return None if q is None else MultiPoly._make(vars, q)
 
 
 def _poly_quotient(a, b):
-    """a/b for polynomial terms over one tuple of variables by long division on graded-lex leading terms, or None."""
-    rem, quo, lead = dict(a), {}, max(b, key=_grlex_key)
-    while rem:
-        e = max(rem, key=_grlex_key)
-        q = tuple(map(sub, e, lead))
-        if min(q, default=0) < 0:
-            return None
-        quo[q] = c = _coeff_quotient(rem[e], b[lead])
-        for x, k in b.items():
-            x = tuple(map(add, q, x))
-            s = rem.get(x, 0) - c * k
-            if s:
-                rem[x] = s
-            else:
-                del rem[x]
-    return quo
+    """a/b for polynomial terms over one tuple of variables, or None: ``laurent_divide`` with no negative exponent."""
+    q = laurent_divide(a, b, low=0)
+    return None if q is None or any(k < 0 for e in q for k in e) else q
 
 
 def _strip_mono(f):
@@ -424,9 +414,10 @@ def poly_gcd(f, g):
     """Gcd of two polynomials, integer-primitive with positive leading coefficient.
 
     Nonzero constants count as units: gcd(c, g) = 1.  The common monomial and
-    the integer contents go first; Brown's modular algorithm takes the rest
-    (``_poly_gcd_stripped``), and each gcd it returns is proved, 1 by degree
-    bounds and any other by exact division.
+    the integer contents go first; Brown's modular algorithm, with Zippel's
+    sparse images in many variables, takes the rest (``_poly_gcd_stripped``),
+    and each gcd it returns is proved, 1 by degree bounds and any other by
+    exact division.
     """
     if f.is_zero() or g.is_zero():
         return _normalize_primitive(g if f.is_zero() else f)
@@ -440,72 +431,41 @@ def poly_gcd(f, g):
     return mono * _poly_gcd_stripped(_normalize_primitive(f1), _normalize_primitive(g1))
 
 
-_PRIMES = [2**31 - 1]  # word-size primes, descending, found as the modular gcd needs them
-
-
-def _rng():
-    """The generator of one gcd's evaluation points: a fixed seed, so that each call repeats its work."""
-    return random.Random(0)
-
-
-def _prime(i):
-    """_PRIMES[i]; past the end, the next number down that passes the Fermat tests to bases 2, 3, 5 and 7."""
-    while len(_PRIMES) <= i:
-        p = _PRIMES[-1] - 2
-        while any(pow(a, p - 1, p) != 1 for a in (2, 3, 5, 7)):
-            p -= 2
-        _PRIMES.append(p)
-    return _PRIMES[i]
-
-
 def _poly_gcd_stripped(f, g):
     """The gcd of nonconstant ``_normalize_primitive`` f and g with no monomial content (Brown 1971).
 
-    A divisor of the other is the gcd.  Else ``_degree_bounds`` bounds the
-    degree of the gcd in each variable, and bounds of 0 prove it is 1.  When
-    some variable has all its degree in the gcd, the gcd is f over the
-    cofactor of f, read off a gcd in the other variables.  Else ``_gcd_mod``
-    gives images in the variables with a positive bound, the others at random
-    points mod a prime, scaled to lead with the gcd of the contents of the
-    integer leading coefficients, and CRT joins them.  A candidate that meets
-    the bounds and divides f and g is the gcd.  A failed one, past twice a
-    factor's coefficient bound (2^(sum of bounds) times the least 1-norm),
-    means an unlucky prime or point, and a fresh draw follows.
+    A divisor of the other is the gcd.  Else ``modgcd.degree_bounds`` bounds
+    the degree of the gcd in each variable, and bounds of 0 prove it is 1.
+    Else ``modgcd.gcd_mod`` gives images in the variables with a positive
+    bound, the others at random points mod a prime, scaled to lead with the
+    gcd of the contents of the integer leading coefficients, and CRT joins
+    them.  A candidate that meets the bounds and divides f and g is the gcd.
+    A failed one, past twice a factor's coefficient bound (2^(sum of bounds)
+    times the least 1-norm), means an unlucky prime or point, and a fresh
+    draw follows.
     """
     if f.vars == g.vars and f.terms == g.terms:
         return f
     vars, i1, i2 = _merge_vars(f.vars, g.vars)
     ft, gt = _remap(f.terms, len(f.vars), len(vars), i1), _remap(g.terms, len(g.vars), len(vars), i2)
-    degs = [[max(col) for col in zip(*t)] for t in (ft, gt)]
+    degs = [list(map(max, zip(*t))) for t in (ft, gt)]
     for h, q, dh, dq in ((g, f, *degs[::-1]), (f, g, *degs)):  # a divisor of the other is the gcd
         if all(map(int.__le__, dh, dq)) and try_divide(q, h) is not None:
             return h
-    shared, k, rng = [i for i, (a, b) in enumerate(zip(*degs)) if a and b], 0, _rng()
+    shared, k, rng = [i for i, (a, b) in enumerate(zip(*degs)) if a and b], 0, modgcd.new_rng()
     while True:
-        p, k = _prime(k), k + 1
-        bounds = _degree_bounds((ft, gt), degs, shared, p, rng)
+        p, k = modgcd.prime(k), k + 1
+        bounds = modgcd.degree_bounds((ft, gt), degs, shared, p, rng)
         if bounds is None:
             continue
         if not any(bounds.values()):
             return MultiPoly.constant(1)
-        order = [i for i in shared if bounds[i]]
-        # a variable with all its degree in the gcd is in no cofactor: at small integers there (more than
-        # twice its degree to draw from, so not all roots), f and g keep their cofactors
-        pure = [i for i in order if bounds[i] == degs[0][i] == degs[1][i]]
-        if pure and len(pure) < len(order):
-            at = [rng.randrange(1, 3 + 2 * bounds[i]) if i in pure else 1 for i in range(len(vars))]
-            drop = lambda e: tuple(0 if i in pure else d for i, d in enumerate(e))
-            fp, gp = (MultiPoly._make(vars, _image(t, at, 0, drop)) for t in (ft, gt))
-            h = try_divide(f, try_divide(fp, poly_gcd(fp, gp))) if fp.terms and gp.terms else None
-            if h is not None and dict(zip(h.vars, map(max, zip(*h.terms)))) == {vars[i]: bounds[i] for i in order}:
-                if try_divide(g, h) is not None:
-                    return _normalize_primitive(h)
-            continue
         # first a variable in which f or g leads alone: the gcd leads with an integer in it, and gamma stays 1
+        order = [i for i in shared if bounds[i]]
         lone = lambda i, t, d: not any(e[j] for e in t if e[i] == d[i] for j in order if j != i)
         alone = {i for i in order for t, d in zip((ft, gt), degs) if lone(i, t, d)}
         order.sort(key=lambda i: (i not in alone, -bounds[i]))
-        key = lambda e: tuple(e[i] for i in order)
+        key = lambda e: tuple(map(e.__getitem__, order))
         lead = 0
         for t in (ft, gt):
             top = max(map(key, t))
@@ -514,10 +474,10 @@ def _poly_gcd_stripped(f, g):
         m, acc = 1, {}
         slots = [order.index(i) if i in order else -1 for i in range(len(vars))]
         while m <= limit:
-            p, k = _prime(k), k + 1
+            p, k = modgcd.prime(k), k + 1
             point = [1 if i in order else rng.randrange(p) for i in range(len(vars))]
-            images = [_at({e: [c] for e, c in _image(t, point, p, key).items()}, 0, p) for t in (ft, gt)]
-            h = _gcd_mod(*images, p, [bounds[i] for i in order], rng)
+            images = [modgcd.at({e: [c] for e, c in modgcd.image(t, point, p, key).items()}, 0, p) for t in (ft, gt)]
+            h = modgcd.gcd_mod(*images, p, [bounds[i] for i in order], rng)
             if h is None or not lead % p or (acc and max(h) != max(acc)):
                 break
             s, inv = lead * pow(h[max(h)], -1, p) % p, pow(m, -1, p)
@@ -529,119 +489,6 @@ def _poly_gcd_stripped(f, g):
             if all(max(e[i] for e in cand) == bounds[i] for i in order):
                 if all(_poly_quotient(t, cand) is not None for t in (ft, gt)):
                     return _normalize_primitive(MultiPoly._make(vars, cand))
-
-
-def _degree_bounds(terms, degs, shared, p, rng):
-    """Bounds on the degree of the gcd of the terms in each shared slot, from images mod p at a random point.
-
-    The image in a variable bounds its degree when both leading coefficients
-    survive; None if one vanishes.  Each variable is scaled by its coordinate,
-    which moves no degree of a gcd, so one value per term serves every slot.
-    """
-    point = [rng.randrange(1, p) for _ in degs[0]]
-    images = [[[0] * (d[i] + 1) for i in shared] for d in degs]
-    for t, xs in zip(terms, images):
-        for e, c in _image(t, point, p, tuple).items():
-            for x, i in zip(xs, shared):
-                x[e[i]] += c
-    if not all(x[-1] % p for xs in images for x in xs):
-        return None
-    return {i: len(_gcd_mod_1([c % p for c in a], [c % p for c in b], p)) - 1 for i, a, b in zip(shared, *images)}
-
-
-def _image(terms, point, p, key):
-    """terms with every variable at point, summed by key(exponent): mod p, or exactly for p = 0."""
-    out = {}
-    for e, c in terms.items():
-        for a, d in zip(point, e):
-            if d and a != 1:
-                c = c * pow(a, d, p) % p if p else c * a**d
-        e = key(e)
-        out[e] = (out.get(e, 0) + c) % p if p else out.get(e, 0) + c
-    return out
-
-
-def _gcd_mod(fs, gs, p, bounds, rng):
-    """A gcd mod p of fs and gs in the ``_at`` form over x_1..x_k: exponents to residues, or None if unlucky.
-
-    bounds are its degrees, and rng draws the points.  Brown's recursion:
-    with c the gcd of the contents in x_k and gamma that of the leading
-    coefficients, each image at a random x_k = a, scaled to lead with
-    gamma(a), is one Newton step towards gamma/lc * gcd, whose primitive part
-    times c is the gcd.  An image of the wrong degree means an unlucky point.
-    """
-    if not fs or not gs:
-        return None
-    if len(bounds) == 1:
-        h = _gcd_mod_1(fs[()], gs[()], p)
-        return {(i,): c for i, c in enumerate(h) if c} if len(h) == bounds[0] + 1 else None
-    content = lambda xs: [1] if any(len(x) == 1 for x in xs) else reduce(lambda a, b: _gcd_mod_1(a, b, p), xs)
-    cont, gamma = content([*fs.values(), *gs.values()]), _gcd_mod_1(fs[max(fs)], gs[max(gs)], p)
-    acc, q = {}, [1]
-    while len(q) < len(gamma) + bounds[-1] - len(cont) + 2:
-        a = rng.randrange(p)
-        ga, qa = _horner(gamma, a, p), _horner(q, a, p)
-        if ga and qa:
-            h = _gcd_mod(_at(fs, a, p), _at(gs, a, p), p, bounds[:-1], rng)
-            if h is None:
-                return None
-            lc = h[max(h)]
-            inv = pow(lc * qa, -1, p)
-            for e in h.keys() | acc.keys():
-                x = acc.get(e, [])
-                u = (ga * h.get(e, 0) - lc * _horner(x, a, p)) * inv % p
-                if u:
-                    acc[e] = [(y + u * z) % p for y, z in zip(x + [0] * (len(q) - len(x)), q)]
-            q = [(y - a * z) % p for y, z in zip([0] + q, q + [0])]
-    unit, rem = _divmod_mod(content(list(acc.values())), cont, p)
-    if len(unit) > 1:
-        acc = {e: _divmod_mod(x, unit, p)[0] for e, x in acc.items()}
-    out = {e + (i,): y for e, x in acc.items() for i, y in enumerate(x) if y}
-    return out if not rem and max(e[-1] for e in out) == bounds[-1] else None
-
-
-def _at(fs, a, p):
-    """fs, from exponents in x_1..x_{k-1} to coefficient lists in x_k, at x_k = a, in the same form one level down."""
-    out = {}
-    for e, x in fs.items():
-        if c := _horner(x, a, p):
-            y = out.setdefault(e[:-1], [])
-            y.extend([0] * (e[-1] + 1 - len(y)))
-            y[e[-1]] = c
-    return out
-
-
-def _horner(a, x, p):
-    """The coefficient list a (lowest degree first) at x, mod p."""
-    v = a[-1] if a else 0
-    for c in a[-2::-1]:
-        v = (v * x + c) % p
-    return v
-
-
-def _divmod_mod(a, b, p):
-    """Quotient and remainder of coefficient lists (lowest degree first, b[-1] nonzero) mod p."""
-    r, n = list(a), len(b) - 1
-    q = [0] * max(len(r) - n, 0)
-    inv = pow(b[-1], -1, p) if q else 0
-    for i in reversed(range(len(q))):
-        q[i] = t = r[i + n] * inv % p
-        for j, x in enumerate(b):
-            r[i + j] = (r[i + j] - t * x) % p
-    del r[n:]
-    while r and not r[-1]:
-        r.pop()
-    return q, r
-
-
-def _gcd_mod_1(a, b, p):
-    """The monic gcd of nonzero coefficient lists (lowest degree first) mod p."""
-    while len(b) > 1:
-        a, b = b, _divmod_mod(a, b, p)[1]
-    if b:
-        return [1]
-    inv = pow(a[-1], -1, p)
-    return [x * inv % p for x in a]
 
 
 # -- rational functions ------------------------------------------------------
@@ -753,7 +600,17 @@ class RatFunc:
             return other
         if self.den.is_one() and other.den.is_one():
             return RatFunc.from_poly(self.num + other.num)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        g0 = poly_gcd(self.den, other.den)
+        if g0.is_one():
+            num = self.num * other.den + other.num * self.den
+            return RatFunc(num, self.den * other.den)
+        b1 = try_divide(self.den, g0)
+        d1 = try_divide(other.den, g0)
+        t = self.num * d1 + other.num * b1
+        g1 = poly_gcd(t, g0)
+        if g1.is_one():
+            return RatFunc(t, b1 * d1 * g0, _canonical=False)
+        return RatFunc(try_divide(t, g1), b1 * d1 * try_divide(g0, g1))
 
     __radd__ = __add__
 
@@ -780,7 +637,13 @@ class RatFunc:
             return _RF_ZERO
         if self.den.is_one() and other.den.is_one():
             return RatFunc.from_poly(self.num * other.num)
-        return RatFunc(self.num * other.num, self.den * other.den)
+        g1 = poly_gcd(self.num, other.den)
+        g2 = poly_gcd(other.num, self.den)
+        n1 = self.num if g1.is_one() else try_divide(self.num, g1)
+        d2 = other.den if g1.is_one() else try_divide(other.den, g1)
+        n2 = other.num if g2.is_one() else try_divide(other.num, g2)
+        d1 = self.den if g2.is_one() else try_divide(self.den, g2)
+        return RatFunc(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -910,30 +773,35 @@ def laurent_derivative(a, slot):
     return out
 
 
-def laurent_divide(a, b):
+def laurent_divide(a, b, low=None):
     """a/b for Laurent values over one frame, or None if b does not divide a.
 
     A monomial b is a unit, so a/b is an exponent shift; any other takes long
     division by graded-lex leading terms.  If a = b*q, the exponents of q in
     each slot lie in [min a - min b, max a - max b], so a quotient term
-    outside that box means a remainder, and the division ends.
+    outside that box means a remainder, and the division ends.  A ``low``
+    lower bound replaces min a - min b in every slot.
     """
     if len(b) == 1:
         ((eb, cb),) = b.items()
         return {tuple(map(sub, e, eb)): _coeff_quotient(c, cb) for e, c in a.items()}
     if not b:
         return None
-    rem, quo = dict(a), {}
-    lo = [x - y for x, y in zip(map(min, zip(*a)), map(min, zip(*b)))]
+    rem, quo, lead = dict(a), {}, max(b, key=_grlex_key)
+    lo = [x - y for x, y in zip(map(min, zip(*a)), map(min, zip(*b)))] if low is None else [low] * len(lead)
     hi = [x - y for x, y in zip(map(max, zip(*a)), map(max, zip(*b)))]
-    lead = max(b, key=_grlex_key)
     while rem:
         e = max(rem, key=_grlex_key)
         q = tuple(map(sub, e, lead))
-        if not all(x <= k <= y for x, k, y in zip(lo, q, hi)):
+        if not (all(map(le, lo, q)) and all(map(le, q, hi))):
             return None
-        quo[q] = qc = _coeff_quotient(rem[e], b[lead])
-        laurent_fma(rem, -qc, {q: 1}, b)
+        quo[q] = c = _coeff_quotient(rem[e], b[lead])
+        for x, k in b.items():
+            x = tuple(map(add, q, x))
+            if s := rem.get(x, 0) - c * k:
+                rem[x] = s
+            else:
+                del rem[x]
     return quo
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bsatlas import linalg, symbolic
+from bsatlas import linalg, modgcd, symbolic
 from bsatlas.cli import main
 from bsatlas.errors import NonPolynomialBracket, NonReducedWord, NotInBigCell, ZeroTorusValue
 from bsatlas.groups import GroupElement, MinorSpec, SignedPerm, build_model, cached_model
@@ -420,7 +420,7 @@ def test_two_eps_sp4_points_factor_within_counted_gcd_work(monkeypatch):
     in gcds of up to 40 terms in (e1, e2, z1), whose contents took nested gcds in turn.  Now each
     takes at most 30 poly_gcd calls, nested ones included, and at most 1000 univariate images mod
     a prime, and its factors multiply back to the point at a rational point."""
-    counts, gcd, image = {"gcd": 0, "images": 0}, symbolic.poly_gcd, symbolic._gcd_mod_1
+    counts, gcd, image = {"gcd": 0, "images": 0}, symbolic.poly_gcd, modgcd.gcd_mod_1
 
     def counting_gcd(f, g):
         counts["gcd"] += 1
@@ -432,7 +432,7 @@ def test_two_eps_sp4_points_factor_within_counted_gcd_work(monkeypatch):
 
     for module in (symbolic, linalg):
         monkeypatch.setattr(module, "poly_gcd", counting_gcd)
-    monkeypatch.setattr(symbolic, "_gcd_mod_1", counting_image)
+    monkeypatch.setattr(modgcd, "gcd_mod_1", counting_image)
     point = {VarName("e", 1): Fraction(1, 3), VarName("e", 2): Fraction(-2, 5), VarName("z", 1): Fraction(3, 7)}
     for m, a in _two_eps_sp4_points():
         counts.update(gcd=0, images=0)

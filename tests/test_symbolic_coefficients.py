@@ -14,7 +14,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bsatlas import symbolic
+from bsatlas import linalg, modgcd
 from bsatlas.serialize import poly_from_json, poly_to_json
 from bsatlas.symbolic import (
     MultiPoly,
@@ -293,14 +293,14 @@ def test_gcd_survives_a_prime_that_kills_a_leading_coefficient(monkeypatch, prim
     """Q first for the degree bounds, where the images lose their leading coefficient, or first for
     the interpolation, where the gcd loses its leading term: either costs a fresh draw, and the gcd
     still equals sympy's."""
-    drawn, prime = [], symbolic._prime
+    drawn, prime = [], modgcd.prime
 
     def recording(i):
         drawn.append(prime(i))
         return drawn[-1]
 
-    monkeypatch.setattr(symbolic, "_PRIMES", list(primes))
-    monkeypatch.setattr(symbolic, "_prime", recording)
+    monkeypatch.setattr(modgcd, "PRIMES", list(primes))
+    monkeypatch.setattr(modgcd, "prime", recording)
     _gcd_against_sympy(3, *LEAD_MOD_Q)
     assert Q in drawn
 
@@ -318,7 +318,7 @@ def test_gcd_survives_an_unlucky_point(monkeypatch, first, factors):
     """A bound point where a leading coefficient vanishes, or where the images share more than the
     gcd, costs a fresh draw, and the gcd still equals sympy's."""
     rng = _Scripted(first)
-    monkeypatch.setattr(symbolic, "_rng", lambda: rng)
+    monkeypatch.setattr(modgcd, "new_rng", lambda: rng)
     _gcd_against_sympy(2, *factors)
     assert not rng.first
 
@@ -328,37 +328,77 @@ def test_gcd_survives_an_unlucky_point(monkeypatch, first, factors):
 def test_gcd_with_small_primes_matches_sympy(triple):
     """With primes below 1010, unlucky primes and points are common; every gcd still equals sympy's."""
     n, (ta, tb, tc) = triple
-    saved, symbolic._PRIMES = symbolic._PRIMES, [1009]
+    saved, modgcd.PRIMES = modgcd.PRIMES, [1009]
     try:
         _gcd_against_sympy(n, tc, ta, tb)
     finally:
-        symbolic._PRIMES = saved
+        modgcd.PRIMES = saved
 
 
 def test_gcd_primes_are_prime():
-    assert all(sympy.isprime(symbolic._prime(i)) for i in range(60))
+    assert all(sympy.isprime(modgcd.prime(i)) for i in range(60))
 
 
-def test_gcd_with_variables_only_in_the_gcd(monkeypatch):
-    """A 3x3 determinant times two 2x2 minors: three of the nine variables are in neither cofactor, so
-    the gcd is f over a cofactor read off a gcd in the other six, at most 200 univariate images where
-    dense interpolation over all nine takes over 1000.  Then a gcd that vanishes at z9 = 1 and z9 = 2,
-    with z9 in neither cofactor.  Both gcds equal sympy's."""
-    z = SYMS
-    det = sympy.Matrix(3, 3, z).det()
-    images, image = [], symbolic._gcd_mod_1
+def _counting_images(monkeypatch):
+    """A list that gains one entry per univariate image gcd mod a prime."""
+    images, image = [], modgcd.gcd_mod_1
 
     def counting(a, b, p):
-        images.append(1)
+        images.append(p)
         return image(a, b, p)
 
-    monkeypatch.setattr(symbolic, "_gcd_mod_1", counting)
-    for g, x, y in (
-        (det, z[0] * z[4] - z[1] * z[3], z[0] * z[7] - z[1] * z[6]),
-        ((z[8] - 1) * (z[8] - 2) * z[0] + z[4], z[0] + z[1], z[0] - z[1] + 1),
-    ):
-        f1, f2 = sympy.expand(g * x), sympy.expand(g * y)
-        images.clear()
-        got = poly_gcd(*(_poly(9, list(_sympy_dict(t, 9).items())) for t in (f1, f2)))
+    monkeypatch.setattr(modgcd, "gcd_mod_1", counting)
+    return images
+
+
+def test_gcd_of_determinant_multiples_takes_few_images(monkeypatch):
+    """The generic 4x4 determinant times z1 + ... + z16 and times 2 z1 + ... + 17 z16 + 1: each of the
+    16 variables is in the gcd and in both cofactors.  Dense interpolation over all 16 took 218 846
+    univariate images; images on the support of the first take at most 1000."""
+    z = [MultiPoly.variable(VarName("z", i)) for i in range(1, 17)]
+    det = linalg.det([z[4 * i : 4 * i + 4] for i in range(4)])
+    a = sum(z[1:], z[0])
+    b = sum((k * x for k, x in enumerate(z[1:], 3)), 2 * z[0] + 1)
+    images = _counting_images(monkeypatch)
+    got = poly_gcd(det * a, det * b)
+    assert got in (det, -det)
+    assert len(images) <= 1000
+
+
+def _random_gcd_case(rng):
+    """sympy polynomials g, a, b in z1..z8: g of 2-6 terms of degree at most 2 in each variable, a and
+    b of 3 terms of degree at most 1."""
+    def poly(terms, deg):
+        monomials = (sympy.Mul(*(s ** rng.randint(0, deg) for s in rng.sample(SYMS[:8], rng.randint(1, 4)))) for _ in range(terms))
+        return sum((rng.choice([-3, -2, -1, 1, 2, 3]) * m for m in monomials), sympy.Integer(rng.randint(-2, 2)))
+
+    return poly(rng.randint(2, 6), 2), poly(3, 1), poly(3, 1)
+
+
+@pytest.mark.parametrize("prime", [2**31 - 1, 1009, 101])
+def test_gcd_on_the_support_of_one_image_matches_sympy(monkeypatch, prime):
+    """Gcds in four or more variables take later images on the support of the first.  With small
+    primes a wrong support, a vanishing coefficient or a singular system is common; a content in the
+    other variables (the first three cases) leaves the system singular every time.  Every gcd
+    still equals sympy's."""
+    z = SYMS
+    cases = [
+        ((z[1] + z[2]) * (z[0] + z[3]) * (z[4] + z[5]), z[0] + z[6] + 1, z[0] - z[7] + 2),
+        ((z[1] * z[2] + 1) * (z[0] * z[3] + z[4]) + z[5], z[0] + z[6] + 1, z[0] - z[7] + 2),
+        ((z[1] + z[2]) * (z[3] + z[4]) * (z[5] + z[6]) * (z[0] + z[7]), z[0] * z[8] + 1, z[0] - z[8] + 2),
+    ]
+    rng = random.Random(prime)
+    cases += [_random_gcd_case(rng) for _ in range(25)]
+    calls, sparse = [], modgcd._sparse_mod
+
+    def recording(*args):
+        calls.append(sparse(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(modgcd, "PRIMES", [prime])
+    monkeypatch.setattr(modgcd, "_sparse_mod", recording)
+    for g, a, b in cases:
+        f1, f2 = sympy.expand(g * a), sympy.expand(g * b)
+        got = poly_gcd(*(_poly(9, list(_sympy_dict(x, 9).items())) for x in (f1, f2)))
         assert _dict_of(got, 9) == _primitive(_sympy_dict(sympy.gcd(f1, f2), 9))[0]
-        assert len(images) <= 200
+    assert None in calls and any(calls)
