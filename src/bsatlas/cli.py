@@ -78,6 +78,10 @@ MAX_CHARTS = 10_000
 # root data of a larger rank is refused; the positive roots grow as rank^2
 MAX_ROOTS_RANK = 30
 
+# A request for more samples is refused before any is drawn; positivity
+# samples every chart of the atlas, about 7 s for SL(3)/N(w0) at the limit.
+MAX_SAMPLES = 1_000
+
 
 def _chart_count(space):
     """Sum over w of #rw(w0 w^-1) #rw(w) #rw(v), the size of enumerate_charts(space).
@@ -100,6 +104,13 @@ def _check_weyl_order(series, rank):
         raise ValueError(
             f"{series}{rank} has |W| = {order}, so at least {order} charts, over the limit of {MAX_CHARTS}"
         )
+
+
+def _check_samples(n_samples):
+    """Refuse a sampled run of fewer than one or over MAX_SAMPLES samples, before the model is built."""
+    _require_samples(n_samples)
+    if n_samples > MAX_SAMPLES:
+        raise ValueError(f"--samples {n_samples} is over the limit of {MAX_SAMPLES}")
 
 
 def _charts(space):
@@ -281,6 +292,7 @@ def cmd_cgl_verify(args):
 
 
 def cmd_positivity(args):
+    _check_samples(args.samples)
     space = _space(args)
     model = space.model
     rs = model.rs
@@ -311,6 +323,8 @@ def cmd_positivity(args):
 
 
 def cmd_tleaf(args):
+    if not args.point:
+        _check_samples(args.samples)
     space = _space(args)
     model = space.model
     labels = []
@@ -320,13 +334,14 @@ def cmd_tleaf(args):
         shape_ok = isinstance(rows, list) and len(rows) == n
         if not (shape_ok and all(isinstance(r, list) and len(r) == n for r in rows)):
             raise ValueError(f"--point must be a {n}x{n} matrix for {model.name}")
-        mat = [[Fraction(str(x)) for x in row] for row in rows]
+        if any(type(x) not in (int, str) for row in rows for x in row):
+            raise ValueError('--point entries must be integers or rational strings such as "1/3", not binary floats')
+        mat = [[Fraction(x) for x in row] for row in rows]
         if not GroupElement(model, mat).satisfies_group_constraint():
             raise ValueError(f"--point is not an element of {model.name}")
         lbl = t_leaf_classify(space, mat)
         labels.append((None, lbl))
     else:
-        _require_samples(args.samples)
         rng = random.Random(args.seed)
         for s in range(args.samples):
             g = _random_element(model, rng)

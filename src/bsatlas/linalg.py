@@ -310,20 +310,20 @@ def gauss_ltu_lift(a, fields):
     n_inv = mat_transpose(laurent_lower_inverse(mat_transpose(up), ring.one))
     u_inv = [[_laurent_quotient(x, tm[i][i]) for x in row] for i, row in enumerate(n_inv)]
     lo_inv = laurent_lower_inverse(lo, ring.one)
+    sides = {"left": (u, u_inv), "right": (lo_inv, lo)}
     d_lo, d_up, d_t = [], [], []
     for side, x in fields:
-        if side == "left":
-            p, q = u, u_inv
-        elif side == "right":
-            p, q = lo_inv, lo
-        else:
+        if side not in sides:
             raise ValueError(f"unknown field side {side!r}")
-        # Y = p*x*q, each nonzero entry of the constant x one scaled outer product
+        p, q = sides[side]
+        # Y = p*x*q, each nonzero entry c at (k, l) of the constant x the scaled outer
+        # product of the nonzero entries of column k of p and row l of q
         y = [[{} for _ in range(n)] for _ in range(n)]
         for k, l, c in ((k, l, c) for k, row in enumerate(x) for l, c in enumerate(row) if c):
-            for i in range(n):
-                for j in range(n):
-                    laurent_fma(y[i][j], c, p[i][k], q[l][j])
+            q_row = [(j, v) for j, v in enumerate(q[l]) if v]
+            for i, pik in ((i, p[i][k]) for i in range(n) if p[i][k]):
+                for j, qlj in q_row:
+                    laurent_fma(y[i][j], c, pik, qlj)
         dl, dn, dt = ([[{} for _ in range(n)] for _ in range(n)] for _ in range(3))
         for i in range(n):
             dt[i][i] = _dot({}, ((1, y[i][i], tm[i][i]),))
@@ -349,10 +349,11 @@ def _laurent_quotient(num, den):
 
 
 def _dot(start, terms):
-    """start + sum of s*x*y over the (s, x, y) of terms, for Laurent values over one frame."""
+    """start + sum of s*x*y over the (s, x, y) of terms, Laurent values over one frame; empty factors add nothing."""
     acc = dict(start)
     for s, x, y in terms:
-        laurent_fma(acc, s, x, y)
+        if x and y:
+            laurent_fma(acc, s, x, y)
     return acc
 
 

@@ -10,14 +10,16 @@ quotients off one fraction-free elimination whose pivots are monomials.
 There the tangents of the factors along every field come in closed form,
 each coordinate, one signed minor of one factor (the N_v coordinates minors
 of the whole N factor for every v), is read with its tangents from one set
-of cofactors, and pair assembly and the Jacobi sums run too.  No RatFunc
-factor is formed and no gcd is taken; each bracket entry becomes a RatFunc once.
+of cofactors, and pair assembly and the Jacobi sums run too, each only
+where its products can be nonzero.  No RatFunc factor is formed and no gcd
+is taken; each bracket entry becomes a RatFunc once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 
 from .atlas import Chart, coordinate_jets
 from .errors import NonPolynomialBracket, NormalizationMismatch
@@ -95,6 +97,9 @@ def chart_bracket(chart: Chart, lam: LambdaData | None = None) -> BracketTable:
     (``atlas.coordinate_jets``: for every v, the N_v coordinates are minors
     of the N factor, so no second factorization runs).  Each coordinate read
     back must be the monomial z_i it names, or AssertionError is raised.
+    Per term with coefficient c, {z_i, z_j} gains s*(a_i*b_j - b_i*a_j) for
+    (s, a, b) = (c, L-, L+) and (-c, R-, R+): each product of two nonzero
+    tangents a_x, b_y (x != y) is one fused multiply-add into pair {x, y}.
     """
     model = chart.spec.space.model
     if lam is None:
@@ -119,61 +124,71 @@ def chart_bracket(chart: Chart, lam: LambdaData | None = None) -> BracketTable:
         if z not in frame or c != {tuple(int(slot == frame[z]) for slot in range(len(frame))): 1}:
             raise AssertionError("chart round trip failed inside bracket engine")
     derivs = list(zip(*tangents))
-    per_term = [
-        (coeff, -coeff, *derivs[4 * t : 4 * t + 4]) for t, (_, _, _, coeff) in enumerate(lam.terms)
-    ]
+    # a_x*b_y adds to {z_x, z_y} for x < y and subtracts from {z_y, z_x} for x > y
+    accs = {pair: {} for pair in combinations(range(n), 2)}
+    for t, (_, _, _, coeff) in enumerate(lam.terms):
+        for s, a, b in ((coeff, *derivs[4 * t : 4 * t + 2]), (-coeff, *derivs[4 * t + 2 : 4 * t + 4])):
+            b_support = [(y, by) for y, by in enumerate(b) if by]
+            for x, ax in ((x, ax) for x, ax in enumerate(a) if ax):
+                for y, by in b_support:
+                    if x != y:
+                        laurent_fma(accs[(min(x, y), max(x, y))], s if x < y else -s, ax, by)
 
     laurent = chart.torus_block()
     entries = {}
     for i, j in combinations(range(n), 2):
-        acc = {}
-        for plus, minus, dlm, dlp, drm, drp in per_term:
-            laurent_fma(acc, plus, dlm[i], dlp[j])
-            laurent_fma(acc, minus, dlp[i], dlm[j])
-            laurent_fma(acc, minus, drm[i], drp[j])
-            laurent_fma(acc, plus, drp[i], drm[j])
-        tot = from_laurent(acc, frame)
+        tot = from_laurent(accs.pop((i, j)), frame)
         _require_polynomial(tot, laurent, (i + 1, j + 1))
         entries[(i + 1, j + 1)] = tot
     return BracketTable(n, laurent, entries, chart=chart)
 
 
 def _require_polynomial(f: RatFunc, laurent, where):
-    """Entries must be polynomial, allowing the Laurent block in denominators."""
-    if f.den.is_one():
-        return
-    if not f.den.is_monomial():
-        raise NonPolynomialBracket(f"bracket {where} has non-monomial denominator {f.den.text()}")
-    allowed = {VarName("z", m) for m in laurent}
-    if not set(f.den.vars) <= allowed:
-        raise NonPolynomialBracket(
-            f"bracket {where} has denominator outside the torus block: {f.den.text()}"
-        )
+    """Entries must be polynomial, allowing the Laurent block in denominators.
+
+    Each entry is ``from_laurent`` of a Laurent value, so its denominator is a
+    monomial; one in torus-block variables is allowed, and any other fails that test.
+    """
+    if f.den.vars and not set(f.den.vars) <= {VarName("z", m) for m in laurent}:
+        raise NonPolynomialBracket(f"bracket {where} has denominator outside the torus block: {f.den.text()}")
 
 
 def jacobi_check(table: BracketTable):
     """Exact Jacobi identity report, with the nonzero cyclic sum of each failing triple.
 
     The entries are converted once to Laurent values over the variables
-    they contain, and each is differentiated once per variable z_m it
-    contains, into a gradient table; {z_i, {z_j, z_k}} is then the Leibniz
-    sum sum_m d_m{z_j, z_k} * {z_i, z_m}, and each cyclic sum accumulates in
-    one dict.  A failure's value is the text of the canonical RatFunc.
+    they contain, and each is differentiated once per variable z_m of its
+    support, read once, into a gradient table.  An entry is log-canonical
+    when it is 0 or exactly c_ij*z_i*z_j.  A triple of three log-canonical
+    entries is skipped: its Jacobiator is z_i*z_j*z_k times
+    c_jk(c_ij + c_ik) + c_ki(c_jk + c_ji) + c_ij(c_ki + c_kj) = 0 for skew c.
+    On every other triple {z_i, {z_j, z_k}} is the Leibniz sum
+    sum_m d_m{z_j, z_k} * {z_i, z_m}, and each cyclic sum accumulates in one
+    dict.  A failure's value is the text of the canonical RatFunc.
     """
     n = table.n_vars
     frame = laurent_frame(table.entries.values())
     # signed[(i, m)] = (s, x) with {z_i, z_m} = s * x, for i < m and for i > m
     signed = {}
     grads = {}
+    # the pairs whose entry is not log-canonical
+    general = set()
     z_slots = [(v.index, slot) for v, slot in frame.items() if v.symbol == "z" and 1 <= v.index <= n]
+    # unit[m]: the exponent tuple of z_m alone
+    unit = {m: tuple(int(k == slot) for k in range(len(frame))) for m, slot in z_slots}
     for (i, j), f in table.entries.items():
         x = to_laurent(f, frame)
         signed[(i, j)] = (1, x)
         signed[(j, i)] = (-1, x)
-        grads[(i, j)] = [(m, laurent_derivative(x, slot)) for m, slot in z_slots if any(e[slot] for e in x)]
+        support = [any(col) for col in zip(*x)] if x else [False] * len(frame)
+        grads[(i, j)] = [(m, laurent_derivative(x, slot)) for m, slot in z_slots if support[slot]]
+        if x and not (len(x) == 1 and i in unit and j in unit and tuple(map(add, unit[i], unit[j])) in x):
+            general.add((i, j))
 
     failures = []
     for i, j, k in combinations(range(1, n + 1), 3):
+        if (i, j) not in general and (i, k) not in general and (j, k) not in general:
+            continue
         # {z_k, z_i} = -{z_i, z_k}
         acc = {}
         for sign, r, pair in ((1, i, (j, k)), (-1, j, (i, k)), (1, k, (i, j))):

@@ -173,9 +173,6 @@ class MultiPoly:
             raise ValueError("not a constant polynomial")
         return Fraction(self.terms.get((), 0))
 
-    def is_monomial(self):
-        return len(self.terms) <= 1
-
     # -- canonical order ---------------------------------------------------
 
     def leading(self):

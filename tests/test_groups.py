@@ -540,7 +540,7 @@ def test_factors_match_the_division_elimination(data):
             g = m.mul_one_param(g, data.draw(st.sampled_from([1, -1])) * i, param())
     point = m.mul_torus(g, [param() for _ in range(rank)]).entries
     if kind is RatFunc:
-        assert any(not x.den.is_monomial() for row in point for x in row)
+        assert any(len(x.den.terms) > 1 for row in point for x in row)
     try:
         lo, t, u = _ltu_reference(m.to_internal(point))
     except NotInBigCell as e:

@@ -257,6 +257,89 @@ def test_jacobi_check_differentiates_each_entry_once_per_variable(monkeypatch):
     assert len(calls) == sum(len(f.variables()) for f in table.entries.values())
 
 
+def _log_canonical(table, i, j):
+    """{z_i, z_j} is 0 or exactly c*z_i*z_j."""
+    f = table.entries[(i, j)]
+    return f.is_zero() or (
+        f.den.is_one()
+        and f.num.vars == (VarName("z", i), VarName("z", j))
+        and list(f.num.terms) == [(1, 1)]
+    )
+
+
+def test_jacobi_check_runs_leibniz_only_off_log_canonical_triples(monkeypatch):
+    """Triples whose three entries are all log-canonical make no product; every other triple
+    makes one per (entry, variable of it other than the outer index)."""
+    import bsatlas.poisson as poisson
+
+    table = chart_bracket(parametrize(_nw0_charts("A", 3, 1, seed=5)[0]))
+    n = table.n_vars
+    expected = skipped = 0
+    for i, j, k in combinations(range(1, n + 1), 3):
+        if _log_canonical(table, i, j) and _log_canonical(table, i, k) and _log_canonical(table, j, k):
+            skipped += 1
+            continue
+        for r, pair in ((i, (j, k)), (j, (i, k)), (k, (i, j))):
+            expected += sum(v.index != r for v in table.entries[pair].variables())
+    calls = []
+    fma = poisson.laurent_fma
+
+    def counting(acc, s, a, b):
+        calls.append(s)
+        return fma(acc, s, a, b)
+
+    monkeypatch.setattr(poisson, "laurent_fma", counting)
+    assert jacobi_check(table)["ok"]
+    assert 0 < skipped < 455 and len(calls) == expected
+
+
+def test_jacobi_check_corrupted_log_canonical_entry_fails_like_per_triple():
+    """Adding 1 or a foreign z_m to a log-canonical entry of a real table breaks Jacobi with the
+    same report as the per-triple Leibniz rule, although the entry's triples were skippable."""
+    table = chart_bracket(parametrize(_nw0_charts("A", 3, 1, seed=5)[0]))
+    nonzero = [p for p in table.pairs() if _log_canonical(table, *p) and not table.entries[p].is_zero()]
+    zero = [p for p in table.pairs() if table.entries[p].is_zero()]
+    assert nonzero and zero
+    (i, j), pair0 = nonzero[0], zero[0]
+    m = next(m for m in range(1, table.n_vars + 1) if m not in (i, j))
+    for pair, extra in (((i, j), RatFunc.one()), ((i, j), var("z", m)), (pair0, RatFunc.one())):
+        entries = dict(table.entries)
+        entries[pair] = entries[pair] + extra
+        bad = BracketTable(table.n_vars, table.laurent_vars, entries)
+        rep = jacobi_check(bad)
+        assert not rep["ok"] and rep == _jacobi_per_triple(bad), (pair, extra)
+
+
+def test_chart_bracket_multiplies_only_nonzero_tangents(monkeypatch):
+    """Pair assembly makes one product per ordered pair (x, y), x != y, of nonzero tangents
+    a_x, b_y of one term and side, far below 4|Delta+| products for each of the 105 pairs."""
+    import bsatlas.poisson as poisson
+
+    chart = parametrize(_nw0_charts("A", 3, 1, seed=5)[0])
+    jets, calls = [], []
+    coordinate_jets_, fma = poisson.coordinate_jets, poisson.laurent_fma
+
+    def recording(*args):
+        jets.append(coordinate_jets_(*args))
+        return jets[-1]
+
+    def counting(acc, s, a, b):
+        assert a and b
+        calls.append(s)
+        return fma(acc, s, a, b)
+
+    monkeypatch.setattr(poisson, "coordinate_jets", recording)
+    monkeypatch.setattr(poisson, "laurent_fma", counting)
+    chart_bracket(chart)
+    ((_, tangents),) = jets
+    supports = [{x for x, t in enumerate(col) if t} for col in zip(*tangents)]
+    expected = 0
+    for k in range(0, len(supports), 2):
+        a, b = supports[k], supports[k + 1]
+        expected += len(a) * len(b) - len(a & b)
+    assert len(calls) == expected < 2520 == 4 * 6 * 105
+
+
 def _gcd_calls(fn, *args):
     """The number of calls of symbolic.poly_gcd, recursive ones included, while fn(*args) runs."""
     code, calls = symbolic.poly_gcd.__code__, []

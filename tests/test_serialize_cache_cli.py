@@ -217,6 +217,37 @@ def test_cli_tleaf_needs_samples(capsys):
         assert "need at least one sample" in captured.err
 
 
+def test_cli_refuses_samples_over_limit(capsys):
+    """A sampled run over MAX_SAMPLES exits 2 at once with one stderr line; the limit itself runs."""
+    import time
+
+    from bsatlas.cli import MAX_SAMPLES
+
+    for command in ("positivity", "tleaf"):
+        start = time.perf_counter()
+        rc = main(["--json", command, "--series", "A", "--rank", "2", "--samples", "100000000"])
+        assert rc == 2 and time.perf_counter() - start < 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: ValueError: --samples 100000000 is over the limit of {MAX_SAMPLES}\n"
+    assert main(["--json", "tleaf", "--series", "A", "--rank", "1", "--samples", str(MAX_SAMPLES)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["labels"]) == MAX_SAMPLES
+
+
+def test_cli_tleaf_point_refuses_floats(capsys):
+    """A JSON float in --point is a binary fraction, refused with exit 2; integers and rational
+    strings are read exactly."""
+    for point in ("[[0.1,1],[-1,0]]", "[[1.0,1],[-1,0]]", "[[true,1],[-1,0]]"):
+        rc = main(["--json", "tleaf", "--series", "A", "--rank", "1", "--point", point])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--point entries must be integers or rational strings" in captured.err
+    for point in ("[[0,1],[-1,0]]", '[["1/3",0],[0,3]]', '[["1/3","-1"],[0,"3"]]'):
+        assert main(["--json", "tleaf", "--series", "A", "--rank", "1", "--point", point]) == 0
+        assert len(json.loads(capsys.readouterr().out)["labels"]) == 1
+
+
 def test_cli_repro(capsys):
     assert main(["repro", "sl2-remark"]) == 0
     capsys.readouterr()
