@@ -82,6 +82,10 @@ MAX_ROOTS_RANK = 30
 # samples every chart of the atlas, about 7 s for SL(3)/N(w0) at the limit.
 MAX_SAMPLES = 1_000
 
+# positivity over more charts x samples is refused before any chart is
+# parametrized: SL(3)/N(w0), 16 charts, at MAX_SAMPLES
+MAX_CHART_SAMPLES = 16_000
+
 
 def _chart_count(space):
     """Sum over w of #rw(w0 w^-1) #rw(w) #rw(v), the size of enumerate_charts(space).
@@ -304,6 +308,8 @@ def cmd_positivity(args):
         kind = "GmodBv" if space.qkind == "Bv" else "GmodNv"
         tspec = ToricChartSpec(model, kind, (rs.w0.canonical, space.v.canonical))
     charts = _charts(space) if args.index is None else [_indexed_chart(space, args.index)]
+    if len(charts) * args.samples > MAX_CHART_SAMPLES:
+        raise ValueError(f"{len(charts)} charts x {args.samples} samples, over the limit of {MAX_CHART_SAMPLES}")
     all_ok = True
     results = []
     for spec in charts:

@@ -5,7 +5,10 @@ The pinning fixes simple root vectors (elementary matrices for SL; the
 roots are generated by height-increasing left-bracketing with the
 smallest-index simple root and normalized so [e_b, e_{-b}] = h_b with
 b(h_b) = 2.  All constructions downstream (representatives, minors,
-brackets) are canonical given this data.
+brackets) are canonical given this data.  The root vectors form a Chevalley
+basis (Humphreys, Introduction to Lie Algebras and Representation Theory,
+25), so they and the coroot matrices are ``int`` matrices, with a Fraction
+only where an entry is not integral.
 
 The pinned constants act by index, never through a dense matrix product.
 A representative wbar is a signed permutation matrix, read once per word
@@ -33,14 +36,13 @@ from .linalg import (
     gauss_ltu,
     gauss_ltu_lift,
     mat_mul,
-    mat_scale,
     mat_sub,
     mat_transpose,
     minor,
     rational_inverse,
 )
-from .rootdata import RootSystem, Weight, build_root_system
-from .symbolic import laurent_fma
+from .rootdata import RootSystem, build_root_system
+from .symbolic import _exact, laurent_fma
 
 _QH = Fraction(1, 2)
 
@@ -176,11 +178,8 @@ class GroupModel:
             self.name = f"SL({self.dim})"
             self.symplectic_form = None
             self._trace_scale = Fraction(1)
-            simple_e = {}
-            simple_f = {}
-            for i in range(1, rs.rank + 1):
-                simple_e[i] = _elem(self.dim, i, i + 1)
-                simple_f[i] = _elem(self.dim, i + 1, i)
+            simple_e = {i: _elem(self.dim, i, i + 1) for i in range(1, rs.rank + 1)}
+            simple_f = {i: _elem(self.dim, i + 1, i) for i in range(1, rs.rank + 1)}
             # diagonal slot p carries character x_p = omega_p - omega_{p-1}
             tw = []
             for p in range(1, self.dim + 1):
@@ -237,26 +236,20 @@ class GroupModel:
 
     # -- construction ---------------------------------------------------------
 
-    def _root_coords_int(self, beta):
-        return tuple(int(c) for c in self.rs._root_coords(beta))
-
     def _build_root_vectors(self, simple_e, simple_f):
         rs = self.rs
-        by_height = sorted(
-            rs.positive_roots, key=lambda b: (sum(self._root_coords_int(b)), self._root_coords_int(b))
-        )
         vectors = {}
-        for beta in by_height:
-            coords = self._root_coords_int(beta)
-            if sum(coords) == 1:
-                i = coords.index(1) + 1
-                vectors[beta.coeffs] = (simple_e[i], simple_f[i])
+        # positive_roots come in order of height, so beta - alpha_i is built before beta
+        for beta in rs.positive_roots:
+            if beta in rs.simple_roots:
+                i = rs.simple_roots.index(beta) + 1
+                vectors[beta] = (simple_e[i], simple_f[i])
                 continue
             for i in range(1, rs.rank + 1):
                 gamma = beta - rs.simple_root(i)
-                if gamma.coeffs in vectors:
+                if gamma in vectors:
                     e_i, f_i = simple_e[i], simple_f[i]
-                    e_g, f_g = vectors[gamma.coeffs]
+                    e_g, f_g = vectors[gamma]
                     e_b = _bracket(e_i, e_g)
                     if all(x == 0 for row in e_b for x in row):
                         continue
@@ -265,12 +258,12 @@ class GroupModel:
                     lam = self._eval_weight_on_cartan(beta, h)
                     if lam == 0:
                         continue
-                    f_b = mat_scale(f_b, Fraction(2) / lam)
-                    vectors[beta.coeffs] = (e_b, f_b)
+                    f_b = [[_exact(x * 2 / lam) for x in row] for row in f_b]
+                    vectors[beta] = (e_b, f_b)
                     break
             else:
                 raise AssertionError(f"could not build root vector for {beta}")
-        return {Weight(k): v for k, v in vectors.items()}
+        return vectors
 
     def _independent_slots(self):
         """First rank diagonal slots on which the coroots are independent, and
@@ -502,8 +495,8 @@ class GroupModel:
 
 
 def _elem(n, i, j):
-    m = [[Fraction(0)] * n for _ in range(n)]
-    m[i - 1][j - 1] = Fraction(1)
+    m = [[0] * n for _ in range(n)]
+    m[i - 1][j - 1] = 1
     return m
 
 

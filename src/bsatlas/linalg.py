@@ -59,10 +59,6 @@ def mat_mul(a, b):
     return [[sum((x * y for x, y in zip(row[1:], col[1:])), row[0] * col[0]) for col in bt] for row in a]
 
 
-def mat_scale(a, c):
-    return [[x * c for x in row] for row in a]
-
-
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 

@@ -17,14 +17,12 @@ is taken; each bracket entry becomes a RatFunc once.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from operator import add
 
 from .atlas import Chart, coordinate_jets
-from .errors import NonPolynomialBracket, NormalizationMismatch
+from .errors import NonPolynomialBracket
 from .groups import GroupModel
-from .linalg import mat_mul
 from .symbolic import (
     RatFunc,
     VarName,
@@ -48,16 +46,14 @@ class LambdaData:
 
 
 def build_lambda(model: GroupModel) -> LambdaData:
-    """Validated skew tensor terms; coefficient <beta,beta>/2 per positive root, an int where integral."""
+    """Skew tensor terms; coefficient <beta,beta>/2 per positive root, an int where integral.
+
+    The root vectors' normalization is checked once, in ``GroupModel._validate``."""
     rs = model.rs
     terms = []
     for beta in rs.positive_roots:
         e_plus, e_minus = model.pos_root_vectors[beta]
-        coeff = _exact(rs.pairing(beta, beta) / 2)
-        tr = sum(mat_mul(e_plus, e_minus)[i][i] for i in range(model.dim)) * model._trace_scale
-        if tr != Fraction(2) / rs.pairing(beta, beta):
-            raise NormalizationMismatch(f"trace pairing fails for {beta}")
-        terms.append((beta, e_minus, e_plus, coeff))
+        terms.append((beta, e_minus, e_plus, _exact(rs.pairing(beta, beta) / 2)))
     return LambdaData(model, terms)
 
 

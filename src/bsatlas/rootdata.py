@@ -181,6 +181,7 @@ class RootSystem:
         self.identity = WeylElement(self, (), rho)
         self._element_cache = {rho: self.identity}
         self._rw_cache = {}
+        self._word_cache = {}
         self.positive_roots = self._positive_roots()
         self.l0 = len(self.positive_roots)
         self.w0 = self.element_from_rho(tuple(-c for c in rho))
@@ -378,10 +379,16 @@ class RootSystem:
         return rho
 
     def element_from_word(self, word):
-        for i in word:
-            if not 1 <= i <= self.rank:
-                raise ValueError(f"letter {i} out of range")
-        return self.element_from_rho(self._act_rho(word, self.identity.rho))
+        """The element of a sequence of letters, memoized by its tuple; a letter out of range is refused every time."""
+        word = tuple(word)
+        got = self._word_cache.get(word)
+        if got is None:
+            for i in word:
+                if not 1 <= i <= self.rank:
+                    raise ValueError(f"letter {i} out of range")
+            got = self.element_from_rho(self._act_rho(word, self.identity.rho))
+            self._word_cache[word] = got
+        return got
 
     def is_reduced(self, word):
         return self.element_from_word(word).length() == len(word)

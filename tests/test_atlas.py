@@ -1,5 +1,6 @@
 """Chart enumeration, parametrization, coordinates, changes, torus weights."""
 
+import hashlib
 import random
 import sys
 from fractions import Fraction
@@ -73,6 +74,55 @@ def test_chartspec_validation():
         ChartSpec(space, s2, ((1, 2), (2,), (1, 2, 1)))
     with pytest.raises(ValueError, match=r"word \(1, 2, 2\) is not"):
         ChartSpec(space, s1, ((1, 2), (1,), (1, 2, 2)))
+
+
+# SHA-256 of the reprs of ChartSpec.key(), one per line in enumeration order.
+# The chart indices of the CLI fixtures, the golden files and the benchmark
+# name charts by this order, so it must not move.
+_ENUMERATION_DIGESTS = {
+    ("A", 3, "Nv", "w0"): (1792, "9965066dc0f8edde09969f3f7bc5ccac19efbae46a6dadfe4638226ccb7432de"),
+    ("C", 2, "Nv", "w0"): (20, "48730bf7a7c04e5050bd242567e61fe674e2432f176e9d990502928b038d722b"),
+    ("C", 2, "Bv", "e"): (10, "ebbb2b35d80c5a16b7f52d6c923862355ffa56ddc86bd680c67b9c2dab8b0c09"),
+    ("A", 4, "Bv", "e"): (8448, "54de70fcbb5f310481a6dd0dac0928ffeee3c7fce11e2dbc732326812fd66723"),
+}
+
+
+@pytest.mark.parametrize("series, rank, qkind, v", list(_ENUMERATION_DIGESTS))
+def test_enumeration_order_is_pinned(series, rank, qkind, v):
+    m = model(series, rank)
+    charts = enumerate_charts(SpaceSpec(m, qkind, m.rs.w0 if v == "w0" else m.rs.identity))
+    digest = hashlib.sha256("\n".join(repr(c.key()) for c in charts).encode()).hexdigest()
+    assert (len(charts), digest) == _ENUMERATION_DIGESTS[(series, rank, qkind, v)]
+
+
+def test_word_memo_keeps_validation():
+    """Once enumerate_charts has filled the word memo, bad letters, non-reduced words and
+    words of the wrong element are still refused, and a list word is its tuple."""
+    rs = build_root_system("A", 3)
+    m = build_model(rs)
+    s1s2 = rs.element_from_word((1, 2))
+    space = SpaceSpec(m, "Nv", s1s2)
+    charts = enumerate_charts(space)
+    assert len(rs._word_cache) > 1
+    for word in ((0,), (rs.rank + 1,), (1, 0, 2), (2, 1, rs.rank + 1)):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="out of range"):
+                rs.element_from_word(word)
+        assert word not in rs._word_cache
+    # (1, 1) has the length of s1 s2, and its element, the identity, is memoized
+    assert rs.element_from_word((1, 1)) == rs.identity and (1, 1) in rs._word_cache
+    spec = next(c for c in charts if c.w.length() == 2)
+    with pytest.raises(ValueError, match=r"word \(1, 1\) is not a reduced word"):
+        ChartSpec(space, spec.w, (spec.r[0], spec.r[1], (1, 1)))
+    # every word below is memoized and reduced, but names another element
+    with pytest.raises(ValueError, match=r"word \(2, 1\) is not a reduced word"):
+        ChartSpec(space, spec.w, (spec.r[0], spec.r[1], (2, 1)))
+    other = next(c for c in charts if c.w != spec.w and c.w.length() == spec.w.length())
+    with pytest.raises(ValueError, match="is not a reduced word"):
+        ChartSpec(space, other.w, spec.r)
+    assert rs.element_from_word([3, 1, 2]) is rs.element_from_word((3, 1, 2))
+    assert rs.element_from_word([1, 2]) is rs.element_from_word((1, 2)) is s1s2
+    assert ChartSpec(space, spec.w, [list(x) for x in spec.r]).key() == spec.key()
 
 
 @pytest.mark.parametrize("series,rank", [("A", 2), ("C", 2)])

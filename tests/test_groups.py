@@ -8,10 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bsatlas import linalg, modgcd, symbolic
-from bsatlas.cli import main
-from bsatlas.errors import NonPolynomialBracket, NonReducedWord, NotInBigCell, ZeroTorusValue
+from bsatlas.cli import _random_element, main
+from bsatlas.errors import NonPolynomialBracket, NonReducedWord, NormalizationMismatch, NotInBigCell, ZeroTorusValue
 from bsatlas.groups import GroupElement, MinorSpec, SignedPerm, build_model, cached_model
 from bsatlas.linalg import _is_zero, mat_mul, mat_transpose, minor, minor_tangents
+from bsatlas.positivity import ToricChartSpec, toric_point
 from bsatlas.rootdata import build_root_system
 from bsatlas.symbolic import MultiPoly, RatFunc, VarName, from_laurent, laurent_frame, to_laurent, var
 from oracles import exp_nilpotent, generic_element, poly_derivative
@@ -229,6 +230,48 @@ def test_nonsimple_root_vector_a2():
     e, f = m.pos_root_vectors[beta]
     assert [[int(x) for x in row] for row in e] == [[0, 0, 1], [0, 0, 0], [0, 0, 0]]
     assert [[int(x) for x in row] for row in f] == [[0, 0, 0], [0, 0, 0], [1, 0, 0]]
+
+
+@pytest.mark.parametrize("series, rank", [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("C", 2)])
+def test_pinned_matrices_are_ints_wherever_integral(series, rank):
+    """Root vectors, coroot matrices and column updates hold an int wherever an entry is
+    integral, and a Fraction only where it is not (one entry of one Sp(4) f)."""
+    m = model(series, rank)
+    vectors = [x for pair in m.pos_root_vectors.values() for x in pair] + m._coroot_mats
+    entries = [x for a in vectors for row in a for x in row]
+    entries += [coef for updates in m._column_updates.values() for _, _, coef in updates]
+    assert all(type(x) is int or (type(x) is Fraction and x.denominator != 1) for x in entries)
+    assert sum(type(x) is Fraction for x in entries) == (1 if series == "C" else 0)
+
+
+@pytest.mark.parametrize("series, rank", [("A", 2), ("C", 2)])
+def test_validate_refuses_a_misnormalized_root_vector(series, rank):
+    """_validate is the one check of the root vectors' normalization: f scaled by 2, for a
+    simple and a non-simple root, or a wrong trace scale is refused."""
+    for beta in (build_root_system(series, rank).simple_root(1), None):
+        m = model(series, rank)
+        beta = beta if beta is not None else m.rs.positive_roots[-1]
+        e, f = m.pos_root_vectors[beta]
+        m.pos_root_vectors[beta] = (e, [[2 * x for x in row] for row in f])
+        with pytest.raises(NormalizationMismatch, match="fails beta"):
+            m._validate()
+    m = model(series, rank)
+    m._trace_scale *= 2
+    with pytest.raises(NormalizationMismatch, match="trace pairing"):
+        m._validate()
+
+
+@pytest.mark.parametrize("series, rank", [("A", 2), ("C", 2)])
+def test_numeric_points_stay_fraction_matrices(series, rank):
+    """Int root vectors do not leak into numeric points: wbar, toric points and random
+    group elements are Fraction matrices."""
+    m = model(series, rank)
+    rs = m.rs
+    points = [m.wbar(w.canonical) for w in rs.all_elements()]
+    points.append(toric_point(ToricChartSpec(m, "G", (rs.w0.canonical, rs.w0.canonical)), [1] * (2 * rs.l0 + rank)))
+    rng = random.Random(3)
+    points += [_random_element(m, rng) for _ in range(5)]
+    assert all(type(x) is Fraction for g in points for row in g.entries for x in row)
 
 
 def _factor(m, g):

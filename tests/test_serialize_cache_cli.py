@@ -234,6 +234,43 @@ def test_cli_refuses_samples_over_limit(capsys):
     assert len(json.loads(capsys.readouterr().out)["labels"]) == MAX_SAMPLES
 
 
+def test_cli_refuses_positivity_over_chart_samples(capsys, monkeypatch):
+    """positivity over MAX_CHART_SAMPLES charts x samples exits 2 with one stderr line before any chart
+    is parametrized; --index counts as one chart, and the limit itself runs."""
+    from bsatlas import cli
+
+    parametrized = []
+
+    def fake_parametrize(spec):
+        parametrized.append(spec)
+        return spec
+
+    def fake_certify(chart, tspec, n_samples, seed):
+        report = {"chart": chart.label(), "n_samples": n_samples, "seed": seed, "ok": True}
+        return {**report, "min_coordinate": "1", "violations": []}
+
+    monkeypatch.setattr(cli, "parametrize", fake_parametrize)
+    monkeypatch.setattr(cli, "certify_chart_positivity", fake_certify)
+    for argv, charts, samples in (
+        (["--series", "A", "--rank", "3"], 1792, 25),
+        (["--series", "A", "--rank", "3", "--samples", "9"], 1792, 9),
+        (["--series", "A", "--rank", "4", "--q", "Bv", "--v", "e", "--samples", "2"], 8448, 2),
+    ):
+        assert main(["--json", "positivity", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not parametrized
+        assert captured.err == f"error: ValueError: {charts} charts x {samples} samples, over the limit of 16000\n"
+    assert cli.MAX_CHART_SAMPLES == 16 * cli.MAX_SAMPLES
+    for argv, charts in (
+        (["--series", "A", "--rank", "2", "--samples", str(cli.MAX_SAMPLES)], 16),
+        (["--series", "A", "--rank", "3", "--samples", "8"], 1792),
+        (["--series", "A", "--rank", "3", "--index", "1000", "--samples", str(cli.MAX_SAMPLES)], 1),
+    ):
+        parametrized.clear()
+        assert main(["--json", "positivity", *argv]) == 0
+        assert len(json.loads(capsys.readouterr().out)["reports"]) == len(parametrized) == charts
+
+
 def test_cli_tleaf_point_refuses_floats(capsys):
     """A JSON float in --point is a binary fraction, refused with exit 2; integers and rational
     strings are read exactly."""
