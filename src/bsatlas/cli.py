@@ -302,8 +302,6 @@ def cmd_positivity(args):
     rs = model.rs
     if space.qkind == "Nv" and space.v == rs.w0:
         tspec = ToricChartSpec(model, "G", (rs.w0.canonical, rs.w0.canonical))
-    elif space.qkind == "Bv" and space.v.is_identity():
-        tspec = ToricChartSpec(model, "GmodBv", (rs.w0.canonical, ()))
     else:
         kind = "GmodBv" if space.qkind == "Bv" else "GmodNv"
         tspec = ToricChartSpec(model, kind, (rs.w0.canonical, space.v.canonical))
@@ -340,9 +338,13 @@ def cmd_tleaf(args):
         shape_ok = isinstance(rows, list) and len(rows) == n
         if not (shape_ok and all(isinstance(r, list) and len(r) == n for r in rows)):
             raise ValueError(f"--point must be a {n}x{n} matrix for {model.name}")
-        if any(type(x) not in (int, str) for row in rows for x in row):
-            raise ValueError('--point entries must be integers or rational strings such as "1/3", not binary floats')
-        mat = [[Fraction(x) for x in row] for row in rows]
+        # an exponent such as "1e999999999" would build its power of ten before any check
+        if any(type(x) is not int and not (type(x) is str and "e" not in x.lower()) for row in rows for x in row):
+            raise ValueError('--point entries must be integers or rational strings such as "1/3", not floats or exponents')
+        try:
+            mat = [[Fraction(x) for x in row] for row in rows]
+        except ZeroDivisionError:
+            raise ValueError("--point has an entry with a zero denominator") from None
         if not GroupElement(model, mat).satisfies_group_constraint():
             raise ValueError(f"--point is not an element of {model.name}")
         lbl = t_leaf_classify(space, mat)
@@ -375,17 +377,18 @@ def cmd_tleaf(args):
 
 
 def _random_element(model, rng):
-    """Random exact-rational group element spread across Bruhat cells."""
+    """Random exact-rational group element spread across Bruhat cells, built on integers."""
     rs = model.rs
-    g = model.identity()
+    point = None
     for _ in range(rng.randint(1, 2 * rs.l0)):
         i = rng.randint(1, rs.rank)
         c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        g = model.mul_one_param(g, i if rng.random() < 0.5 else -i, c)
+        m, d = model.scaled_chain(point, [i if rng.random() < 0.5 else -i], [c])
         if rng.random() < 0.3:
-            g = GroupElement(model, model.signed_perm((i,)).right(g.entries))
+            m = model.signed_perm((i,)).right(m)
+        point = (m, d)
     vals = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(rs.rank)]
-    return model.mul_torus(g, vals)
+    return model.rational_point(model.scaled_torus(point, vals))
 
 
 def cmd_repro(args):

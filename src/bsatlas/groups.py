@@ -17,9 +17,9 @@ entry), so wbar^{-1} g, g wbar and the generalized minor
 Delta^{omega_i}(ubar^{-1} g vbar) = +- det g[ubar rows, vbar cols] only
 reorder and negate entries.  A simple root vector e has e^2 = 0, so right
 multiplication by x_{+-i}(c) = 1 + c e is one column update
-(``mul_one_param``), and by a torus element one column scaling
-(``mul_torus``).  Neither operation changes the type of an entry: a
-Fraction point gives Fractions and a RatFunc point RatFuncs.  A chart's
+(``mul_one_param``), which keeps the type of an entry.  Numeric points are
+built on integers, as a scaled point (m, d) = m/d with one denominator
+(``scaled_chain``, ``scaled_torus``), so a chain takes no gcd.  A chart's
 chains (``g_word``) are built on Laurent values, where each column update
 is a monomial shift and ``SignedPerm`` reorders and negates dicts.
 """
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 from .errors import NormalizationMismatch, UnsupportedSeries, ZeroTorusValue
 from .linalg import (
@@ -83,17 +84,14 @@ class GroupElement:
     def transpose(self):
         return GroupElement(self.model, mat_transpose(self.entries))
 
-    def det(self):
-        return det(self.entries)
-
     def satisfies_group_constraint(self):
         """det = 1 for series A; additionally g^T J g = J for series C."""
-        if not _is_zero(self.det() - 1):
+        if not _is_zero(det(self.entries) - 1):
             return False
         if self.model.symplectic_form is not None:
             j = self.model.symplectic_form
             lhs = mat_mul(mat_mul(mat_transpose(self.entries), j), self.entries)
-            return _mat_eq(lhs, j)
+            return all(_is_zero(x - y) for ra, rb in zip(lhs, j) for x, y in zip(ra, rb))
         return True
 
     def __repr__(self):
@@ -158,10 +156,6 @@ def _signed(x, sign):
     if sign == 1:
         return x
     return {e: -c for e, c in x.items()} if type(x) is dict else -x
-
-
-def _mat_eq(a, b):
-    return all(_is_zero(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def _bracket(a, b):
@@ -340,10 +334,7 @@ class GroupModel:
     def sbar(self, i):
         got = self._sbar_cache.get(i)
         if got is None:
-            got = self.one_param(i, Fraction(-1))
-            got = self.mul_one_param(got, -i, Fraction(1))
-            got = self.mul_one_param(got, i, Fraction(-1))
-            self._sbar_cache[i] = got
+            got = self._sbar_cache[i] = self.rational_point(self.scaled_chain(None, (i, -i, i), (-1, 1, -1)))
         return got
 
     def wbar(self, word):
@@ -373,40 +364,48 @@ class GroupModel:
             self._perm_cache[word] = got
         return got
 
-    def torus_element(self, values):
-        """Diagonal t with t^{omega_i} = values[i]; entries have the values' type."""
-        rs = self.rs
-        if len(values) != rs.rank:
-            raise ValueError("need one value per fundamental weight")
-        if any(_is_zero(v) for v in values):
-            raise ZeroTorusValue("torus coordinates must be nonzero")
-        n = self.dim
-        entries = [[Fraction(0)] * n for _ in range(n)]
-        for p in range(n):
-            d = Fraction(1)
-            for v, c in zip(values, self.slot_weights[p]):
-                # dividing keeps an int value exact; int ** -1 is a float
-                if c > 0:
-                    d = d * v ** c
-                elif c < 0:
-                    d = d / v ** -c
-            entries[p][p] = d
-        return GroupElement(self, entries)
+    def scaled_chain(self, point, letters, params):
+        """(m', d') with m'/d' = (m/d) x_{a_1}(c_1) ... x_{a_k}(c_k) for point = (m, d); None is the identity.
 
-    def mul_torus(self, g, values):
-        """g t for the torus element t with t^{omega_i} = values[i], as a column scaling."""
-        t = self.torus_element(values).entries
-        return GroupElement(self, [[x * t[j][j] for j, x in enumerate(row)] for row in g.entries])
-
-    def torus_value(self, tdiag, i):
-        """t^{omega_i} of a diagonal matrix: the product of its leading minor_size(i) slots.
-
-        The slot weights telescope to omega_i (checked when the model is built).
+        With c = a/b (``_num_den``), each letter sets m <- b m + a m e and
+        d <- b d: column q gains a coef times column p of the old m for each
+        entry (p, q, coef) of e.  Nothing is divided, so m and d stay ints for
+        rational c, or ring elements for a ring element c = c/1.
         """
-        out = tdiag[0][0]
-        for p in range(1, self.minor_size(i)):
-            out = out * tdiag[p][p]
-        return out
+        m, d = point or ([[int(i == j) for j in range(self.dim)] for i in range(self.dim)], 1)
+        for letter, c in zip(letters, params):
+            a, b = _num_den(c)
+            out = [[b * x for x in row] for row in m]
+            for p, q, coef in self._column_updates[letter]:
+                for row, src in zip(out, m):
+                    if src[p]:
+                        row[q] = row[q] + a * coef * src[p]
+            m, d = out, b * d
+        return m, d
+
+    def scaled_torus(self, point, values):
+        """(m', d') with m'/d' = (m/d) t for the torus element t with t^{omega_i} = values[i].
+
+        Slot p of t is prod_i c_i^{k_i}, k = slot_weights[p].  With c_i = a_i/b_i
+        and u_i, l_i >= 0 the largest positive and negative k_i over the slots,
+        D = prod_i a_i^{l_i} b_i^{u_i} clears every slot, D t_p = prod_i
+        a_i^{l_i + k_i} b_i^{u_i - k_i}: column p of m takes that factor and d
+        takes D, with no division.  d stays positive when every value is.
+        """
+        parts = [_num_den(c) for c in values]
+        if len(parts) != self.rs.rank or any(_is_zero(a) for a, _ in parts):
+            raise ZeroTorusValue("need one nonzero value per fundamental weight")
+        ks = self.slot_weights + ((0,) * len(parts),)
+        up, low = [max(*col) for col in zip(*ks)], [-min(*col) for col in zip(*ks)]
+        # one factor per slot, then D itself at the zero weight that closes ks
+        scale = [prod(a ** (lo + k) * b ** (u - k) for (a, b), k, u, lo in zip(parts, kp, up, low)) for kp in ks]
+        m, d = point
+        return [[x * s for x, s in zip(row, scale)] for row in m], d * scale[-1]
+
+    def rational_point(self, point):
+        """The Fraction group element m/d of a scaled point (m, d) of ints."""
+        m, d = point
+        return GroupElement(self, [[Fraction(x, d) for x in row] for row in m])
 
     def g_word(self, word, start, width):
         """x_{a1}(z) sbar_{a1} ... x_{ak}(z) sbar_{ak} in Laurent values over a frame of ``width`` slots.
@@ -492,6 +491,11 @@ class GroupModel:
         entries = g.entries if isinstance(g, GroupElement) else g
         rows, cols, sign = self.minor_indices(spec)
         return _signed(minor(entries, rows, cols), sign)
+
+
+def _num_den(c):
+    """c as (a, b) with c = a/b: lowest terms for an int or Fraction, (c, 1) for any other ring element."""
+    return (c.numerator, c.denominator) if isinstance(c, (int, Fraction)) else (c, 1)
 
 
 def _elem(n, i, j):

@@ -7,50 +7,52 @@ order against the Demazure product) is asserted on every classification.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from fractions import Fraction
+from math import gcd
+
 from .errors import SingularInput
 from .groups import GroupElement
-from .linalg import det, exact_div
+from .linalg import _rational_column
 
 
-class TLeafLabel:
-    """Pair (w, y) with y <= w * v."""
-
-    __slots__ = ("w", "y")
-
-    def __init__(self, w, y):
-        self.w = w
-        self.y = y
-
-    def __eq__(self, other):
-        return isinstance(other, TLeafLabel) and self.w == other.w and self.y == other.y
-
-    def __repr__(self):
-        return f"TLeafLabel(w={self.w!r}, y={self.y!r})"
+# A leaf label: the pair (w, y), with y <= w * v.
+TLeafLabel = namedtuple("TLeafLabel", "w y")
 
 
 def pivot_permutation_upper(mat):
     """Permutation sigma with mat in B sigma B (B upper): column -> pivot row.
 
-    Left multiplication by B adds lower rows to upper ones, right
-    multiplication adds earlier columns to later ones; the invariant pivot of
-    each column is its bottom-most surviving nonzero row.
+    Left multiplication by B adds lower rows to upper ones and scales rows,
+    right multiplication adds earlier columns to later ones and scales
+    columns; neither moves a matrix out of its cell B sigma B.  The invariant
+    pivot of each column is its bottom-most surviving nonzero row.  Each step
+    stays fraction-free: a rational row is first cleared to ints by the lcm
+    of its denominators, a row above the pivot becomes piv * row - f * (pivot
+    row), a scaling by piv times a row addition, and an int row is then
+    divided by its content; other rings, such as RatFunc, skip both.  The
+    pivot is then the only nonzero entry of its column, so clearing the rest
+    of the pivot row by column additions only zeroes those entries.  Every
+    step is invertible, so a column with no nonzero entry left means mat is
+    singular: SingularInput.
     """
-    m = [list(row) for row in mat]
+    rational = all(type(x) in (int, Fraction) for row in mat for x in row)
+    m = [_rational_column(row, None)[0] if rational else list(row) for row in mat]
     n = len(m)
     sigma = [0] * (n + 1)
     for j in range(n):
-        i = max(r for r in range(n) if m[r][j] != 0)
+        i = max((r for r in range(n) if m[r][j] != 0), default=-1)
+        if i < 0:
+            raise SingularInput("matrix is singular")
         sigma[j + 1] = i + 1
-        piv = m[i][j]
+        piv, ri = m[i][j], m[i]
         for r in range(i):
-            if m[r][j] != 0:
-                f = exact_div(m[r][j], piv)
-                m[r] = [x - f * y for x, y in zip(m[r], m[i])]
-        for c in range(j + 1, n):
-            if m[i][c] != 0:
-                f = exact_div(m[i][c], piv)
-                for r in range(n):
-                    m[r][c] = m[r][c] - f * m[r][j]
+            f = m[r][j]
+            if f != 0:
+                row = [piv * x - f * y for x, y in zip(m[r], ri)]
+                g = gcd(*row) if rational else 1
+                m[r] = [x // g for x in row] if g > 1 else row
+        m[i] = ri[: j + 1] + [ri[j] * 0] * (n - j - 1)
     return tuple(sigma[1:])
 
 
@@ -87,15 +89,13 @@ def _pattern_of(model, el):
 
 
 def t_leaf_classify(space, g) -> TLeafLabel:
-    """Leaf label of an exact-rational group element (or coset representative).
+    """Leaf label of an exact group element (or coset representative); a singular one raises SingularInput.
 
     Pivot patterns are read in the model's internal basis order, where the
     Borel pair is genuinely triangular (this matters for Sp(4)).
     """
     model = space.model
     mat = g.entries if isinstance(g, GroupElement) else g
-    if det(mat) == 0:
-        raise SingularInput("group element is singular")
     rs = model.rs
     sigma_w = pivot_permutation_upper(model.to_internal(mat))
     w = _element_from_pattern(model, sigma_w)

@@ -46,13 +46,6 @@ def _is_zero(x):
     return x == 0
 
 
-def exact_div(x, y):
-    """Division that never goes through floats (int/int -> Fraction)."""
-    if isinstance(x, int) and isinstance(y, int):
-        return Fraction(x, y)
-    return x / y
-
-
 def mat_mul(a, b):
     """The product of two matrices, each entry summed left to right from its first product."""
     bt = list(zip(*b))

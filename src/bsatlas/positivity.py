@@ -1,7 +1,11 @@
 """Lusztig positive structures: toric charts, exact sampling, certification.
 
 Toric points are products of one-parameter chains at strictly positive
-rationals; every positivity verdict is an exact comparison of Fractions.
+rationals, built on integers as a scaled point (m, d): the matrix m/d with
+one denominator d > 0 (``GroupModel.scaled_chain``).  A flag minor of size
+k is read on m, where it is d^k times its value at the point, so its sign
+is the verdict, an exact comparison of ints.  The chart coordinates are
+read at the Fraction point m/d, each an exact rational.
 """
 
 from __future__ import annotations
@@ -63,22 +67,17 @@ class ToricChartSpec:
         return f"ToricChartSpec({self.target}, {self.words})"
 
 
-def _chain(model, letters, c):
-    """x_{a_1}(c_1) ... x_{a_k}(c_k) for signed letters a_j, one column update each."""
-    out = model.identity_like(c[0]) if c else model.identity()
-    for a, ca in zip(letters, c):
-        out = model.mul_one_param(out, a, ca)
-    return out
-
-
-def toric_point(spec: ToricChartSpec, c) -> GroupElement:
-    """The representative at a strictly positive exact parameter vector.
+def _toric_numerators(spec: ToricChartSpec, c):
+    """The toric point at c as a scaled point (m, d) of ints with d > 0.
 
     The plus-chain of the flag targets runs through the REVERSED v-word (it
     is a chain for v^{-1}); the G target uses both w0-words in plain order.
     """
     model = spec.model
     rs = model.rs
+    c = list(c)
+    if any(isinstance(x, float) for x in c):
+        raise TypeError("toric parameters must be exact (ints, Fractions or rational strings), not binary floats")
     c = [Fraction(x) for x in c]
     if len(c) != spec.n_params():
         raise LengthMismatch(f"expected {spec.n_params()} parameters, got {len(c)}")
@@ -88,13 +87,21 @@ def toric_point(spec: ToricChartSpec, c) -> GroupElement:
     w1, w2 = spec.words
     neg = [-i for i in w1]
     if spec.target == "G":
-        point = _chain(model, neg + list(w2), c[: 2 * l0])
-        return model.mul_torus(point, [c[2 * l0 + spec.omega_order.index(i)] for i in range(1, rs.rank + 1)])
+        point = model.scaled_chain(None, neg + list(w2), c[: 2 * l0])
+        return model.scaled_torus(point, [c[2 * l0 + spec.omega_order.index(i)] for i in range(1, rs.rank + 1)])
     lv = len(w2)
-    point = _chain(model, neg + list(reversed(w2)), c[:l0] + list(reversed(c[l0 : l0 + lv])))
+    point = model.scaled_chain(None, neg + list(reversed(w2)), c[:l0] + list(reversed(c[l0 : l0 + lv])))
     if spec.target == "GmodNv":
-        point = model.mul_torus(point, [c[l0 + lv + spec.omega_order.index(i)] for i in range(1, rs.rank + 1)])
+        point = model.scaled_torus(point, [c[l0 + lv + spec.omega_order.index(i)] for i in range(1, rs.rank + 1)])
     return point
+
+
+def toric_point(spec: ToricChartSpec, c) -> GroupElement:
+    """The representative at a strictly positive exact parameter vector, as Fractions.
+
+    Binary floats are refused: an exact verdict takes exact parameters.
+    """
+    return spec.model.rational_point(_toric_numerators(spec, c))
 
 
 def _require_samples(n_samples):
@@ -111,29 +118,28 @@ def certify_chart_positivity(chart: Chart, spec: ToricChartSpec, n_samples, seed
     """Exact positivity of every chart coordinate at toric-chart samples.
 
     Per sample: (i) the point lies in the chart's shifted big cell and in
-    every other shifted big cell (all flag minors D_{w omega, omega} nonzero);
-    (ii) every coordinate value is a strictly positive rational.
+    every other shifted big cell (all flag minors D_{w omega, omega}
+    positive, read on the integer numerators of the point); (ii) every
+    coordinate value is a strictly positive rational.
     """
     _require_samples(n_samples)
     model = chart.spec.space.model
     rs = model.rs
     rng = random.Random(seed)
-    all_w = rs.all_elements()
+    flags = [MinorSpec(w, rs.identity, alpha) for w in rs.all_elements() for alpha in range(1, rs.rank + 1)]
     violations = []
     min_seen = None
     per_sample = []
     for s in range(n_samples):
         c = _sample_positive(rng, spec.n_params())
-        point = toric_point(spec, c)
+        nums, d = _toric_numerators(spec, c)
         cell_ok = True
-        for w in all_w:
-            for alpha in range(1, rs.rank + 1):
-                m = model.generalized_minor(point, MinorSpec(w, rs.identity, alpha))
-                if m <= 0:
-                    cell_ok = False
-                    violations.append({"sample": s, "kind": "big_cell", "w": str(w), "alpha": alpha})
+        for ms in flags:
+            if model.generalized_minor(nums, ms) <= 0:
+                cell_ok = False
+                violations.append({"sample": s, "kind": "big_cell", "w": str(ms.u), "alpha": ms.alpha})
         try:
-            coords = eval_coordinates(chart, point)
+            coords = eval_coordinates(chart, model.rational_point((nums, d)))
         except NotInChartDomain as e:
             violations.append({"sample": s, "kind": "chart_domain", "minor": e.minor_index})
             per_sample.append({"sample": s, "params": [str(x) for x in c], "coords": None})
@@ -175,9 +181,8 @@ def certify_minor_positivity(space, w, v1, alpha, n_samples, seed=0):
     violations = []
     values = []
     for s in range(n_samples):
-        c = _sample_positive(rng, spec.n_params())
-        point = toric_point(spec, c)
-        val = model.generalized_minor(point, ms)
+        m, d = _toric_numerators(spec, _sample_positive(rng, spec.n_params()))
+        val = Fraction(model.generalized_minor(m, ms), d ** model.minor_size(alpha))
         values.append(str(val))
         if val <= 0:
             violations.append({"sample": s, "value": str(val)})
@@ -203,13 +208,13 @@ def extract_negative_chain(model, m, word):
         f0 = model.generalized_minor(cur, ms)
         peeled1 = model.mul_one_param(cur, -a, Fraction(-1))
         f1 = model.generalized_minor(peeled1, ms)
-        slope = f1 - f0
-        if slope == 0:
+        if f1 == f0:
             raise ArithmeticError("degenerate peel: minor not affine in the parameter")
         cj = f0 / (f0 - f1)
         out[j - 1] = cj
         cur = model.mul_one_param(cur, -a, -cj)
-    _assert_identity(cur)
+    if cur.entries != [[int(i == j) for j in range(model.dim)] for i in range(model.dim)]:
+        raise ArithmeticError("chain extraction did not exhaust the unipotent factor")
     return out
 
 
@@ -217,13 +222,6 @@ def extract_positive_chain(model, n, word):
     """Chain parameters of n = x_{a1}(c1) ... x_{ak}(ck) via transpose."""
     nt = (n if isinstance(n, GroupElement) else GroupElement(model, n)).transpose()
     return list(reversed(extract_negative_chain(model, nt, tuple(reversed(word)))))
-
-
-def _assert_identity(g):
-    for i, row in enumerate(g.entries):
-        for j, x in enumerate(row):
-            if x != (1 if i == j else 0):
-                raise ArithmeticError("chain extraction did not exhaust the unipotent factor")
 
 
 def toric_coordinates(spec: ToricChartSpec, point) -> list:
@@ -239,7 +237,7 @@ def toric_coordinates(spec: ToricChartSpec, point) -> list:
     entries = point.entries if isinstance(point, GroupElement) else point
     lower, plus, tdiag = model.triangular_factor(entries)
     c1 = extract_negative_chain(model, GroupElement(model, lower), spec.words[0])
-    torus = [model.torus_value(tdiag, i) for i in spec.omega_order]
+    torus = [model.generalized_minor(tdiag, MinorSpec(rs.identity, rs.identity, i)) for i in spec.omega_order]
     if spec.target == "G":
         return c1 + extract_positive_chain(model, plus, spec.words[1]) + torus
     v = spec.v_element()

@@ -3,11 +3,10 @@
 from fractions import Fraction
 
 from bsatlas.cgl import CGLPresentation, CGLReport, _support_range_ok, _zero_weight
-from bsatlas.errors import DimensionMismatch, LengthMismatch
+from bsatlas.errors import DimensionMismatch, LengthMismatch, ZeroTorusValue
 from bsatlas.groups import GroupElement, _signed
 from bsatlas.linalg import _is_zero, mat_mul, minor
 from bsatlas.poisson import BracketTable, build_lambda
-from bsatlas.positivity import _chain
 from bsatlas.symbolic import MultiPoly, RatFunc, VarName
 
 
@@ -29,12 +28,102 @@ def coordinates_from_factors(chart, *factors):
     return [_signed(minor(factors[f], rows, cols), sign) for f, rows, cols, sign in chart.minors]
 
 
+def fraction_chain(model, letters, c):
+    """x_{a_1}(c_1) ... x_{a_k}(c_k) for signed letters a_j, one column update each, in the type of c."""
+    out = model.identity_like(c[0]) if c else model.identity()
+    for a, ca in zip(letters, c):
+        out = model.mul_one_param(out, a, ca)
+    return out
+
+
+def torus_element(model, values):
+    """Diagonal t with t^{omega_i} = values[i]; entries have the values' type."""
+    if len(values) != model.rs.rank:
+        raise ValueError("need one value per fundamental weight")
+    if any(_is_zero(v) for v in values):
+        raise ZeroTorusValue("torus coordinates must be nonzero")
+    n = model.dim
+    entries = [[Fraction(0)] * n for _ in range(n)]
+    for p in range(n):
+        d = Fraction(1)
+        for v, c in zip(values, model.slot_weights[p]):
+            # dividing keeps an int value exact; int ** -1 is a float
+            if c > 0:
+                d = d * v**c
+            elif c < 0:
+                d = d / v**-c
+        entries[p][p] = d
+    return GroupElement(model, entries)
+
+
+def mul_torus(model, g, values):
+    """g t for the torus element t with t^{omega_i} = values[i], as a column scaling."""
+    t = torus_element(model, values).entries
+    return GroupElement(model, [[x * t[j][j] for j, x in enumerate(row)] for row in g.entries])
+
+
+def fraction_toric_point(spec, c):
+    """The toric point at c by the Fraction chain and torus column scaling, one Fraction product per update."""
+    model, rs = spec.model, spec.model.rs
+    c = [Fraction(x) for x in c]
+    l0, (w1, w2) = rs.l0, spec.words
+    neg = [-i for i in w1]
+
+    def torus(start):
+        return [c[start + spec.omega_order.index(i)] for i in range(1, rs.rank + 1)]
+
+    if spec.target == "G":
+        return mul_torus(model, fraction_chain(model, neg + list(w2), c[: 2 * l0]), torus(2 * l0))
+    lv = len(w2)
+    point = fraction_chain(model, neg + list(reversed(w2)), c[:l0] + list(reversed(c[l0 : l0 + lv])))
+    return mul_torus(model, point, torus(l0 + lv)) if spec.target == "GmodNv" else point
+
+
+def fraction_random_element(model, rng):
+    """A random group element by Fraction chains, signed permutations and the torus oracle, drawing
+    from rng in the order of ``cli._random_element``."""
+    rs = model.rs
+    g = model.identity()
+    for _ in range(rng.randint(1, 2 * rs.l0)):
+        i = rng.randint(1, rs.rank)
+        c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        g = model.mul_one_param(g, i if rng.random() < 0.5 else -i, c)
+        if rng.random() < 0.3:
+            g = GroupElement(model, model.signed_perm((i,)).right(g.entries))
+    return mul_torus(model, g, [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(rs.rank)])
+
+
+def fraction_pivot_permutation_upper(mat):
+    """Permutation sigma with mat in B sigma B (B upper), by elimination with exact field division.
+
+    Rows above the pivot lose multiples of the pivot row, then later columns
+    lose multiples of the pivot column; ints are read as Fractions.
+    """
+    m = [[Fraction(x) if type(x) is int else x for x in row] for row in mat]
+    n = len(m)
+    sigma = []
+    for j in range(n):
+        i = max(r for r in range(n) if m[r][j] != 0)
+        sigma.append(i + 1)
+        piv = m[i][j]
+        for r in range(i):
+            if m[r][j] != 0:
+                f = m[r][j] / piv
+                m[r] = [x - f * y for x, y in zip(m[r], m[i])]
+        for c in range(j + 1, n):
+            if m[i][c] != 0:
+                f = m[i][c] / piv
+                for r in range(n):
+                    m[r][c] = m[r][c] - f * m[r][j]
+    return tuple(sigma)
+
+
 def x_chain(model, word, sign, c):
     """Ordered product of one-parameter factors x_{+-alpha_i}(c_i)."""
     if len(word) != len(c):
         raise LengthMismatch(f"{len(c)} parameters for a length-{len(word)} word")
     s = 1 if sign in (1, "+", "+1") else -1
-    return _chain(model, [s * i for i in word], c)
+    return fraction_chain(model, [s * i for i in word], c)
 
 
 def poly_derivative(p, v):

@@ -28,7 +28,7 @@ from bsatlas.poisson import (
 )
 from bsatlas.rootdata import build_root_system
 from bsatlas.symbolic import MultiPoly, RatFunc, VarName, var
-from oracles import differentiate, entry_bracket, entry_var, generic_element
+from oracles import differentiate, entry_bracket, entry_var, generic_element, torus_element
 
 _M = {}
 
@@ -143,7 +143,7 @@ def test_chart_bracket_representative_independence():
     q = (
         m.one_param(1, var("u", 1))
         * m.one_param(2, var("u", 2))
-        * m.torus_element([var("u", 3), var("u", 4)])
+        * torus_element(m, [var("u", 3), var("u", 4)])
     )
     moved = GroupElement(m, (chart.param * q).entries)
     shifted_chart = type(chart)(chart.spec, chart.dims, chart.zvars, moved, chart.coord_formulas)

@@ -1,9 +1,13 @@
 """JSON round trips, the file cache, and the command-line surface."""
 
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsatlas import cache
 from bsatlas.cli import main, parse_word
@@ -283,6 +287,58 @@ def test_cli_tleaf_point_refuses_floats(capsys):
     for point in ("[[0,1],[-1,0]]", '[["1/3",0],[0,3]]', '[["1/3","-1"],[0,"3"]]'):
         assert main(["--json", "tleaf", "--series", "A", "--rank", "1", "--point", point]) == 0
         assert len(json.loads(capsys.readouterr().out)["labels"]) == 1
+
+
+def test_cli_tleaf_point_refuses_exponents_and_zero_denominators(capsys):
+    """An exponent would build its power of ten before any check, and "1/0" raised ZeroDivisionError."""
+    for point, message in (('[["1e999999999",0],[0,1]]', "not floats or exponents"), ('[["1/0",0],[0,1]]', "zero denominator")):
+        assert main(["--json", "tleaf", "--series", "A", "--rank", "1", "--point", point]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1 and message in captured.err
+
+
+_ENTRY = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from(["1/3", "-2", " 2/4 ", "0.5", "1/0", "x", "", "1e999999999", "1E-5"]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+)
+_POINT = st.one_of(
+    st.lists(st.lists(_ENTRY, max_size=5), max_size=5).map(json.dumps),
+    st.sampled_from(["[[1,0],[0,1]]", "[[0,1],[-1,0]]", '[["1/2",0],[0,2]]', "[[1,1],[0,1]]", '[["1/0",0],[0,1]]']),
+    st.sampled_from(['[["1e999999999",0],[0,1]]', "[[0.5,0],[0,2]]", "not json", '"ab"', "{}", "[]", "[[[1]]]"]),
+)
+
+
+@st.composite
+def _cli_args(draw):
+    """positivity or tleaf arguments over the CLI grammar, with half the ranks and samples drawn
+    where a run goes through.  positivity always names one chart: the whole A3 atlas, which the
+    limits allow at one or two samples, takes seconds."""
+    command = draw(st.sampled_from(["positivity", "tleaf"]))
+    rank = draw(st.one_of(st.integers(1, 2), st.integers(-1, 8)))
+    samples = draw(st.one_of(st.sampled_from([1, 2]), st.sampled_from([-3, 0, 1, 2, 1001, 10**9])))
+    argv = ["--json", command, "--series", draw(st.sampled_from(["A", "C"])), "--rank", str(rank), "--samples", str(samples)]
+    argv += ["--seed", str(draw(st.integers(-(2**70), 2**70)))]
+    if command == "positivity":
+        return argv + ["--index", str(draw(st.sampled_from([0, 1, 2, 15, 16, 19, 20, -1])))]
+    return argv + (["--point", draw(_POINT)] if draw(st.booleans()) else [])
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(_cli_args())
+def test_cli_exit_contract_property(argv):
+    """Every drawn positivity or tleaf run exits 0 or 2, an exit 2 prints one stderr line, and none prints a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if rc == 2:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: "), argv
+    else:
+        assert err.getvalue() == "" and json.loads(out.getvalue())
 
 
 def test_cli_repro(capsys):
