@@ -3,9 +3,9 @@
 A chart is indexed by w in W together with a triple of reduced words
 r = (w0_word, w_word, v_word) for (w0 w^{-1}, w, v).  The chart covers the
 shifted big cell w B^- B / Q.  Its parametrization is built on Laurent
-exponent tuples: one-parameter chains, a Gauss elimination whose pivots are
-monomials, and a torus scaling, each entry converted to a canonical RatFunc
-once.  Its coordinates are generalized minors of the three factors of the
+values, each monomial packed in one int key: one-parameter chains, a Gauss
+elimination whose pivots are monomials, and a torus scaling, each entry
+converted to a canonical RatFunc once.  Its coordinates are generalized minors of the three factors of the
 normal form wbar * m * n * t, each one signed minor of one factor
 (``Chart.minors``), read as one quotient straight off one fraction-free
 elimination without forming the factors; the bracket engine reads them
@@ -17,7 +17,7 @@ from __future__ import annotations
 from .errors import NotInBigCell, NotInChartDomain
 from .groups import GroupElement, GroupModel, MinorSpec, _signed
 from .linalg import laurent_lower_factor, laurent_lower_inverse, laurent_mat_mul, ltu_minors, minor_tangents
-from .symbolic import VarName, from_laurent, laurent_shift
+from .symbolic import VarName, from_laurent, laurent_shift, pack_exponent
 
 _CHART_CACHE = {}
 
@@ -205,8 +205,9 @@ def signed_minors(spec: ChartSpec, formulas):
 def parametrize(spec: ChartSpec) -> Chart:
     """Build the chart: symbolic coset representative plus coordinate recipes.
 
-    The representative is built on Laurent exponent tuples over the frame
-    z_1 .. z_dims: one-parameter chains g1, g2, g3 (``GroupModel.g_word``),
+    The representative is built on Laurent values over the frame z_1 ..
+    z_dims, each monomial one packed int key (``symbolic.unit_keys``):
+    one-parameter chains g1, g2, g3 (``GroupModel.g_word``),
     x = g2 w0bar^{-1} g1, the lower factor L of x by an elimination whose
     pivots are monomials (``linalg.laurent_lower_factor``), then
     rep = L^{-1} g2 g3 vbar^{-1} times the torus, a per-column monomial
@@ -223,7 +224,7 @@ def parametrize(spec: ChartSpec) -> Chart:
     l = l0 + len(v_word)
     dims = spec.space.dims()
     zvars = [zvar(j) for j in range(1, dims + 1)]
-    one = {(0,) * dims: 1}
+    one = {0: 1}
     g1 = model.g_word(w0_word, 0, dims)
     g2 = model.g_word(w_word, k, dims)
     g3 = model.g_word(v_word, l0, dims)
@@ -236,6 +237,7 @@ def parametrize(spec: ChartSpec) -> Chart:
         for pos, i in enumerate(spec.space.omega_order):
             for shift, weight in zip(shifts, model.slot_weights):
                 shift[l + pos] = weight[i - 1]
+        shifts = [pack_exponent(shift, dims) for shift in shifts]
         rep = [[laurent_shift(x, shift) for x, shift in zip(row, shifts)] for row in rep]
     frame = {v: slot for slot, v in enumerate(zvars)}
     param = GroupElement(model, [[from_laurent(x, frame) for x in row] for row in rep])

@@ -16,7 +16,7 @@ from operator import add, mul
 from .atlas import Chart
 from .errors import DimensionMismatch, NotVerifiedCGL, ZeroTorusValue
 from .poisson import BracketTable
-from .symbolic import MultiPoly, RatFunc, VarName, _remap, from_laurent, laurent_fma, var
+from .symbolic import MultiPoly, RatFunc, VarName, from_laurent, laurent_fma, pack_poly, unit_keys, var
 
 _Q0 = Fraction(0)
 
@@ -172,11 +172,6 @@ def _support_range_ok(f: RatFunc, lo, hi):
     return True
 
 
-def _tuples(p, frame):
-    """The terms of the polynomial p as exponent tuples over ``frame``."""
-    return _remap(p.terms, len(p.vars), len(frame), [frame[v] for v in p.vars])
-
-
 def verify_cgl(table: BracketTable, pres: CGLPresentation) -> CGLReport:
     """Check the bracket table against the predicted presentation.
 
@@ -186,9 +181,9 @@ def verify_cgl(table: BracketTable, pres: CGLPresentation) -> CGLReport:
     (d) every monomial of f has the torus weight of z_i z_j;
     (e) pairs straddling the word-block cut are exactly log-canonical.
 
-    Each entry num/den is read once, as exponent tuples over z_1..z_n and
-    any other variable of the table.  f = -(num + chi_i(h_j) z_i z_j den)/den
-    is canonical as it stands, since gcd(num + c z_i z_j den, den) =
+    Each entry num/den is read once, as Laurent values (``pack_poly``) over
+    z_1..z_n and any other variable of the table.
+    f = -(num + chi_i(h_j) z_i z_j den)/den is canonical as it stands, since gcd(num + c z_i z_j den, den) =
     gcd(num, den) = 1, so (a) changes one coefficient and takes no gcd for a
     monomial den.  The two forms differ by (chi_j(h'_i) + chi_i(h_j)) z_i z_j,
     so (b) tests one rational number and writes the second form out only for
@@ -207,14 +202,15 @@ def verify_cgl(table: BracketTable, pres: CGLPresentation) -> CGLReport:
         occurring.update(f.num.vars)
         occurring.update(f.den.vars)
     frame = {v: slot for slot, v in enumerate(sorted(occurring))}
-    unit = [tuple(int(slot == frame[z]) for slot in range(len(frame))) for z in zs]
+    units = unit_keys(len(frame))
+    unit = [units[frame[z]] for z in zs]
     bad_a, bad_b, bad_e = [], [], []
     for (i, j), entry in sorted(table.entries.items()):
         c = on_h[i - 1][j - 1]
-        den = _tuples(entry.den, frame)
-        f = {e: -k for e, k in _tuples(entry.num, frame).items()}
+        den = pack_poly(entry.den, frame)
+        f = {e: -k for e, k in pack_poly(entry.num, frame).items()}
         if c:
-            laurent_fma(f, -c, {tuple(map(add, unit[i - 1], unit[j - 1])): 1}, den)
+            laurent_fma(f, -c, {unit[i - 1] + unit[j - 1]: 1}, den)
         f_a = from_laurent(f, frame, None if entry.den.is_one() else den)
         if not _support_range_ok(f_a, i, j):
             bad_a.append({"pair": (i, j), "f": f_a.text()})

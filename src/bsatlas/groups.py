@@ -43,7 +43,7 @@ from .linalg import (
     rational_inverse,
 )
 from .rootdata import RootSystem, build_root_system
-from .symbolic import _exact, laurent_fma
+from .symbolic import _exact, laurent_fma, unit_keys
 
 _QH = Fraction(1, 2)
 
@@ -152,7 +152,7 @@ class SignedPerm:
 
 
 def _signed(x, sign):
-    """sign * x, for a ring element or a Laurent value (a dict of exponent tuples)."""
+    """sign * x, for a ring element or a Laurent value (a dict from packed exponent keys)."""
     if sign == 1:
         return x
     return {e: -c for e, c in x.items()} if type(x) is dict else -x
@@ -420,10 +420,10 @@ class GroupModel:
             raise ValueError("need one frame slot per letter")
         if word:
             self.rs.assert_reduced(word)
-        unit = (0,) * width
-        out = [[{unit: 1} if i == j else {} for j in range(self.dim)] for i in range(self.dim)]
+        units = unit_keys(width)
+        out = [[{0: 1} if i == j else {} for j in range(self.dim)] for i in range(self.dim)]
         for slot, i in enumerate(word, start):
-            z = {unit[:slot] + (1,) + unit[slot + 1 :]: 1}
+            z = {units[slot]: 1}
             updates = self._column_updates[i]
             for row in out:
                 src = tuple(row)

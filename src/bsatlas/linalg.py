@@ -7,9 +7,9 @@ cofactor expansion so polynomial matrices stay polynomial.  The Gauss
 factorization returns the big-cell normal form a = L*N*T (lower
 unitriangular, upper unitriangular, diagonal) in product order.  It is
 fraction-free: each column is written as numerators over the lcm c_j of its
-denominators (ints for Fractions, Laurent exponent tuples over one frame for
-RatFuncs) and Bareiss elimination runs on the numerators with exact
-divisions only, so every intermediate entry is a minor of the input.  With
+denominators (ints for Fractions, Laurent values over one frame for
+RatFuncs, each monomial one packed int key) and Bareiss elimination runs on
+the numerators with exact divisions only, so every intermediate entry is a minor of the input.  With
 p_k the leading principal minors of the numerators and M the entries before
 their elimination step, each factor entry is one quotient of two such minors:
 L_ik = M_ik/p_{k+1}, N_kj = M_kj p_j/(p_k p_{j+1}), T_k = p_{k+1}/(p_k c_k).
@@ -95,7 +95,7 @@ def minor_tangents(a, das, rows, cols, frame):
     tangent is nonzero, gives det S = sum_q S_0q C_0q and each tangent by
     Jacobi's formula d det S = sum_pq C_pq dS_pq.
     """
-    one = {(0,) * len(frame): 1}
+    one = {0: 1}
     cofactors = []
     for p, r in enumerate(rows):
         for q, c in enumerate(cols):
@@ -182,7 +182,7 @@ def _ring_of(a):
     if all(type(x) in (int, Fraction) for row in a for x in row):
         return _RATIONALS
     frame = laurent_frame(RatFunc.coerce(x) for row in a for x in row)
-    one = {(0,) * len(frame): 1}
+    one = {0: 1}
 
     def column(col, j):
         col = [RatFunc.coerce(x) for x in col]
@@ -371,13 +371,13 @@ def laurent_lower_factor(a, one):
         if len(piv) != 1:
             raise AssertionError(f"Laurent elimination: pivot {k + 1} has {len(piv)} terms, not one")
         ((e, c),) = piv.items()
-        shift, inv_c = tuple(-x for x in e), c if c in (1, -1) else Fraction(1) / c
+        inv_c = c if c in (1, -1) else Fraction(1) / c
         rk = m[k]
         for i in range(k + 1, n):
             ri = m[i]
             if not ri[k]:
                 continue
-            ri[k] = lik = laurent_shift(ri[k], shift, inv_c)
+            ri[k] = lik = laurent_shift(ri[k], -e, inv_c)
             for j in range(k + 1, n):
                 if rk[j]:
                     ri[j] = _dot(ri[j], ((-1, lik, rk[j]),))

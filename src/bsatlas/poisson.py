@@ -5,8 +5,8 @@ right invariant extensions of the skew tensor with one term per positive
 root, weighted by half the squared root length.  Brackets in a chart come
 from the first-order perturbations of the parametrized point
 along every left/right root-vector field.  The point is factored once, on
-Laurent exponent tuples: its factors, regular on the chart, are exact
-quotients off one fraction-free elimination whose pivots are monomials.
+Laurent values keyed by packed monomials: its factors, regular on the
+chart, are exact quotients off one fraction-free elimination whose pivots are monomials.
 There the tangents of the factors along every field come in closed form,
 each coordinate, one signed minor of one factor (the N_v coordinates minors
 of the whole N factor for every v), is read with its tangents from one set
@@ -18,7 +18,6 @@ is taken; each bracket entry becomes a RatFunc once.
 from __future__ import annotations
 
 from itertools import combinations
-from operator import add
 
 from .atlas import Chart, coordinate_jets
 from .errors import NonPolynomialBracket
@@ -32,6 +31,8 @@ from .symbolic import (
     laurent_fma,
     laurent_frame,
     to_laurent,
+    unit_keys,
+    unpack_columns,
 )
 
 
@@ -116,8 +117,9 @@ def chart_bracket(chart: Chart, lam: LambdaData | None = None) -> BracketTable:
     # values[i]: z_{i+1} read back off the factors; derivs[k][i]: its derivative along
     # field k (order L-, L+, R-, R+ per term), each a Laurent value over the frame
     values, tangents = coordinate_jets(chart, lifted, frame)
+    units = unit_keys(len(frame))
     for c, z in zip(values, chart.zvars):
-        if z not in frame or c != {tuple(int(slot == frame[z]) for slot in range(len(frame))): 1}:
+        if z not in frame or c != {units[frame[z]]: 1}:
             raise AssertionError("chart round trip failed inside bracket engine")
     derivs = list(zip(*tangents))
     # a_x*b_y adds to {z_x, z_y} for x < y and subtracts from {z_y, z_x} for x > y
@@ -169,16 +171,17 @@ def jacobi_check(table: BracketTable):
     grads = {}
     # the pairs whose entry is not log-canonical
     general = set()
+    units = unit_keys(len(frame))
     z_slots = [(v.index, slot) for v, slot in frame.items() if v.symbol == "z" and 1 <= v.index <= n]
-    # unit[m]: the exponent tuple of z_m alone
-    unit = {m: tuple(int(k == slot) for k in range(len(frame))) for m, slot in z_slots}
+    # unit[m]: the key of z_m alone
+    unit = {m: units[slot] for m, slot in z_slots}
     for (i, j), f in table.entries.items():
         x = to_laurent(f, frame)
         signed[(i, j)] = (1, x)
         signed[(j, i)] = (-1, x)
-        support = [any(col) for col in zip(*x)] if x else [False] * len(frame)
-        grads[(i, j)] = [(m, laurent_derivative(x, slot)) for m, slot in z_slots if support[slot]]
-        if x and not (len(x) == 1 and i in unit and j in unit and tuple(map(add, unit[i], unit[j])) in x):
+        support = [any(col) for col in unpack_columns(x, len(frame))] if x else [False] * len(frame)
+        grads[(i, j)] = [(m, laurent_derivative(x, unit[m])) for m, slot in z_slots if support[slot]]
+        if x and not (len(x) == 1 and i in unit and j in unit and unit[i] + unit[j] in x):
             general.add((i, j))
 
     failures = []

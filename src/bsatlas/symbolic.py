@@ -14,21 +14,30 @@ identical text serializations.
 
 Inside one Bott-Samelson chart every parametrization entry, coordinate
 tangent and bracket entry is a Laurent polynomial in the chart's variables,
-and those run in a lighter format: a dict from an exponent tuple, aligned
-with a sorted frame of the variables that occur and allowing negative
-exponents, to a nonzero coefficient.  Products and sums there merge no
-variable tuples and take no gcd; ``from_laurent`` returns the canonical
-RatFunc.
+and those run in a lighter format: a dict from a monomial over a sorted frame
+of the variables that occur, negative exponents allowed, to a nonzero
+coefficient.  Each monomial is one int key (Monagan-Pearce, *Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors*, 2007):
+over n slots, e has the key sum_i e_i (R^n + R^(n-1-i)) with
+R = 2^EXP_BITS = 2^16, its degree in the top field and e_0 .. e_{n-1} below
+in balanced digits, so a product of monomials is one add and integer order
+is graded-lex order.  Every exponent and degree lies within
++-EXP_CAP = +-(2^15 - 1); packing refuses more and unpacking refuses a key
+that carried out of a field, each as an internal fault.  Products and sums
+there merge no variable tuples and take no gcd; ``from_laurent`` returns the
+canonical RatFunc.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import total_ordering
+from functools import cache, total_ordering
 from math import gcd as _int_gcd
 from math import lcm as _int_lcm
-from operator import add, le, sub
+from itertools import chain, compress
+from operator import add, le, mul, ne, sub
+from struct import Struct
 
 from . import modgcd
 from .errors import EvaluationPole, NonPolynomialBracket, SubstitutionPole, ZeroDenominator
@@ -369,15 +378,18 @@ def try_divide(f, g):
         return None
     if g.is_constant():
         return f * (Fraction(1) / g.terms[()])
-    vars, i1, i2 = _merge_vars(f.vars, g.vars)
-    q = _poly_quotient(_remap(f.terms, len(f.vars), len(vars), i1), _remap(g.terms, len(g.vars), len(vars), i2))
-    return None if q is None else MultiPoly._make(vars, q)
+    vars = _merge_vars(f.vars, g.vars)[0]
+    frame = dict(zip(vars, range(len(vars))))
+    return _poly_quotient(pack_poly(f, frame), pack_poly(g, frame), vars)
 
 
-def _poly_quotient(a, b):
-    """a/b for polynomial terms over one tuple of variables, or None: ``laurent_divide`` with no negative exponent."""
+def _poly_quotient(a, b, vars):
+    """The MultiPoly a/b for polynomial Laurent values over ``vars``, or None: ``laurent_divide`` with no negative exponent."""
     q = laurent_divide(a, b, low=0)
-    return None if q is None or any(k < 0 for e in q for k in e) else q
+    if not q:
+        return None if q is None else MultiPoly((), {})
+    cols = unpack_columns(q, len(vars))
+    return None if any(min(c) < 0 for c in cols) else _poly_of(vars, cols, q.values(), [0] * len(vars))
 
 
 def _strip_mono(f):
@@ -407,48 +419,70 @@ def _normalize_primitive(f):
     return _divide_content(f, _signed_content(f))
 
 
-def poly_gcd(f, g):
+def _times_monomial(p, exps, c):
+    """c * z^exps * p, for exps a dict from variables in sorted order to exponents."""
+    if any(exps.values()):
+        p = MultiPoly._pruned(tuple(exps), {tuple(exps.values()): 1}) * p
+    return p if c == 1 else p * c
+
+
+def poly_gcd(f, g, cofactors=False):
     """Gcd of two polynomials, integer-primitive with positive leading coefficient.
 
     Nonzero constants count as units: gcd(c, g) = 1.  The common monomial and
     the integer contents go first; Brown's modular algorithm, with Zippel's
     sparse images in many variables, takes the rest (``_poly_gcd_stripped``),
     and each gcd it returns is proved, 1 by degree bounds and any other by
-    exact division.
+    exact division.  With ``cofactors`` the result is (h, f/h, g/h), the
+    quotients those divisions left.
     """
     if f.is_zero() or g.is_zero():
-        return _normalize_primitive(g if f.is_zero() else f)
+        h = _normalize_primitive(g if f.is_zero() else f)
+        return (h, try_divide(f, h), try_divide(g, h)) if cofactors else h
     if f.is_constant() or g.is_constant():
-        return MultiPoly.constant(1)
+        h = MultiPoly.constant(1)
+        return (h, f, g) if cofactors else h
     (ef, f1), (eg, g1) = _strip_mono(f), _strip_mono(g)
-    g_exps = dict(zip(g.vars, eg))
-    mono = MultiPoly._pruned(f.vars, {tuple(min(k, g_exps.get(v, 0)) for v, k in zip(f.vars, ef)): 1})
+    ef, eg = dict(zip(f.vars, ef)), dict(zip(g.vars, eg))
+    m = {v: min(k, eg.get(v, 0)) for v, k in ef.items()}
+    mono = MultiPoly._pruned(tuple(m), {tuple(m.values()): 1})
     if f1.is_constant() or g1.is_constant():
-        return mono
-    return mono * _poly_gcd_stripped(_normalize_primitive(f1), _normalize_primitive(g1))
+        h, (a, cf), (b, cg) = mono, (f1, 1), (g1, 1)
+    else:
+        cf, cg = _signed_content(f1), _signed_content(g1)
+        hs, a, b = _poly_gcd_stripped(_divide_content(f1, cf), _divide_content(g1, cg))
+        h = mono * hs
+    if not cofactors:
+        return h
+    if h.is_one():
+        return h, f, g
+    # f = z^ef cf (f1/cf) and h = z^m hs, so f/h = z^(ef - m) cf a; likewise g/h
+    return h, *(_times_monomial(q, {v: k - m.get(v, 0) for v, k in e.items()}, c) for e, q, c in ((ef, a, cf), (eg, b, cg)))
 
 
 def _poly_gcd_stripped(f, g):
-    """The gcd of nonconstant ``_normalize_primitive`` f and g with no monomial content (Brown 1971).
+    """(h, f/h, g/h), h the gcd of nonconstant ``_normalize_primitive`` f and g with no monomial content (Brown 1971).
 
     A divisor of the other is the gcd.  Else ``modgcd.degree_bounds`` bounds
     the degree of the gcd in each variable, and bounds of 0 prove it is 1.
     Else ``modgcd.gcd_mod`` gives images in the variables with a positive
     bound, the others at random points mod a prime, scaled to lead with the
     gcd of the contents of the integer leading coefficients, and CRT joins
-    them.  A candidate that meets the bounds and divides f and g is the gcd.
+    them.  A candidate that meets the bounds and divides f and g is the gcd,
+    and the two quotients, scaled by its content, are the cofactors.
     A failed one, past twice a factor's coefficient bound (2^(sum of bounds)
     times the least 1-norm), means an unlucky prime or point, and a fresh
     draw follows.
     """
+    one = MultiPoly.constant(1)
     if f.vars == g.vars and f.terms == g.terms:
-        return f
+        return f, one, one
     vars, i1, i2 = _merge_vars(f.vars, g.vars)
     ft, gt = _remap(f.terms, len(f.vars), len(vars), i1), _remap(g.terms, len(g.vars), len(vars), i2)
     degs = [list(map(max, zip(*t))) for t in (ft, gt)]
     for h, q, dh, dq in ((g, f, *degs[::-1]), (f, g, *degs)):  # a divisor of the other is the gcd
-        if all(map(int.__le__, dh, dq)) and try_divide(q, h) is not None:
-            return h
+        if all(map(int.__le__, dh, dq)) and (quo := try_divide(q, h)) is not None:
+            return (h, quo, one) if h is g else (h, one, quo)
     shared, k, rng = [i for i, (a, b) in enumerate(zip(*degs)) if a and b], 0, modgcd.new_rng()
     while True:
         p, k = modgcd.prime(k), k + 1
@@ -456,7 +490,7 @@ def _poly_gcd_stripped(f, g):
         if bounds is None:
             continue
         if not any(bounds.values()):
-            return MultiPoly.constant(1)
+            return one, f, g
         # first a variable in which f or g leads alone: the gcd leads with an integer in it, and gamma stays 1
         order = [i for i in shared if bounds[i]]
         lone = lambda i, t, d: not any(e[j] for e in t if e[i] == d[i] for j in order if j != i)
@@ -484,8 +518,13 @@ def _poly_gcd_stripped(f, g):
             m *= p
             cand = {tuple((*e, 0)[j] for j in slots): x - m * (2 * x > m) for e, x in acc.items() if x}
             if all(max(e[i] for e in cand) == bounds[i] for i in order):
-                if all(_poly_quotient(t, cand) is not None for t in (ft, gt)):
-                    return _normalize_primitive(MultiPoly._make(vars, cand))
+                units = unit_keys(len(vars))
+                pc = _packed(cand, units)
+                qf = _poly_quotient(_packed(ft, units), pc, vars)
+                if qf is not None and (qg := _poly_quotient(_packed(gt, units), pc, vars)) is not None:
+                    h = MultiPoly._make(vars, cand)
+                    c = _signed_content(h)
+                    return _divide_content(h, c), qf * c, qg * c
 
 
 # -- rational functions ------------------------------------------------------
@@ -512,10 +551,7 @@ class RatFunc:
             self.den = MultiPoly.constant(1)
             return
         if not den.is_one():
-            g = poly_gcd(num, den)
-            if not g.is_one():
-                num = try_divide(num, g)
-                den = try_divide(den, g)
+            _, num, den = poly_gcd(num, den, cofactors=True)
         c = _signed_content(den)
         if c != 1:
             num = num * (Fraction(1) / c)
@@ -597,17 +633,14 @@ class RatFunc:
             return other
         if self.den.is_one() and other.den.is_one():
             return RatFunc.from_poly(self.num + other.num)
-        g0 = poly_gcd(self.den, other.den)
+        g0, b1, d1 = poly_gcd(self.den, other.den, cofactors=True)
         if g0.is_one():
-            num = self.num * other.den + other.num * self.den
-            return RatFunc(num, self.den * other.den)
-        b1 = try_divide(self.den, g0)
-        d1 = try_divide(other.den, g0)
+            return RatFunc(self.num * d1 + other.num * b1, b1 * d1)
         t = self.num * d1 + other.num * b1
-        g1 = poly_gcd(t, g0)
+        g1, t1, g2 = poly_gcd(t, g0, cofactors=True)
         if g1.is_one():
             return RatFunc(t, b1 * d1 * g0, _canonical=False)
-        return RatFunc(try_divide(t, g1), b1 * d1 * try_divide(g0, g1))
+        return RatFunc(t1, b1 * d1 * g2)
 
     __radd__ = __add__
 
@@ -634,12 +667,8 @@ class RatFunc:
             return _RF_ZERO
         if self.den.is_one() and other.den.is_one():
             return RatFunc.from_poly(self.num * other.num)
-        g1 = poly_gcd(self.num, other.den)
-        g2 = poly_gcd(other.num, self.den)
-        n1 = self.num if g1.is_one() else try_divide(self.num, g1)
-        d2 = other.den if g1.is_one() else try_divide(other.den, g1)
-        n2 = other.num if g2.is_one() else try_divide(other.num, g2)
-        d1 = self.den if g2.is_one() else try_divide(self.den, g2)
+        _, n1, d2 = poly_gcd(self.num, other.den, cofactors=True)
+        _, n2, d1 = poly_gcd(other.num, self.den, cofactors=True)
         return RatFunc(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
@@ -708,6 +737,83 @@ _RF_ONE = RatFunc.from_poly(MultiPoly.constant(1))
 
 # -- chart-local Laurent polynomials ------------------------------------------
 
+# Each exponent vector e over a frame of n slots is one int key: P(e) = sum_i e_i (R^n + R^(n-1-i)),
+# R = 2^EXP_BITS, in balanced digits: the degree sum(e) in the top field, then e_0 .. e_{n-1}.
+EXP_BITS = 16
+EXP_CAP = (1 << EXP_BITS - 1) - 1
+_HALF = EXP_CAP + 1
+_FIELD = {8: "b", 16: "h", 32: "i", 64: "q"}[EXP_BITS]
+
+
+@cache
+def _layout(n):
+    """(unit keys, bias, struct) of an n-slot frame: the bias holds R/2 in each of the n + 1 fields."""
+    units = tuple((1 << EXP_BITS * n) + (1 << EXP_BITS * (n - 1 - i)) for i in range(n))
+    bias = sum(_HALF << EXP_BITS * k for k in range(n + 1))
+    return units, bias, Struct(f">{n + 1}{_FIELD}")
+
+
+def unit_keys(n):
+    """The key of each slot's variable alone in an n-slot frame: unit_keys(n)[i] = R^n + R^(n-1-i)."""
+    return _layout(n)[0]
+
+
+def _past_cap(e):
+    return AssertionError(f"packed monomials: exponent {tuple(e)} is past the cap {EXP_CAP}")
+
+
+def pack_exponent(e, n):
+    """The key of the exponent vector e over n slots; an exponent or degree past EXP_CAP is an internal fault."""
+    if max(map(abs, e), default=0) > EXP_CAP or abs(sum(e)) > EXP_CAP:
+        raise _past_cap(e)
+    return sum(map(mul, e, unit_keys(n)))
+
+
+def _packed(terms, units, low=0):
+    """Polynomial terms {exponent tuple: c} over the key ``low`` as a Laurent value, units[p] the key of position p.
+
+    Exponents are at least 0, so a degree within EXP_CAP bounds each of them:
+    with no ``low``, a term of a larger degree is an internal fault.
+    """
+    if not low and terms and max(map(sum, terms)) > EXP_CAP:
+        raise _past_cap(max(terms, key=sum))
+    return {sum(map(mul, e, units)) - low: c for e, c in terms.items()}
+
+
+def pack_poly(p, frame):
+    """The MultiPoly p as a Laurent value over ``frame``; a degree past EXP_CAP is an internal fault."""
+    units = unit_keys(len(frame))
+    return _packed(p.terms, [units[frame[v]] for v in p.vars])
+
+
+def unpack_columns(a, n):
+    """The exponent columns of the nonzero Laurent value a over n slots: column i lists slot i of each term, in order.
+
+    Each key is read back in its n + 1 fields by one struct.  Arithmetic adds
+    keys unchecked, and an exponent that left the cap carries into the next
+    field, after which the exponents read back no longer sum to the degree
+    field (a carry moves that sum by R - 1, or R + 1 out of the top slot): a
+    key that reads so, or needs more fields, is an internal fault.
+    """
+    _, bias, fields = _layout(n)
+    try:
+        rows = [fields.unpack(((k + bias) ^ bias).to_bytes(fields.size, "big")) for k in a]
+    except OverflowError:
+        rows = None
+    cols = list(zip(*rows or [()]))
+    if rows is None or any(map(ne, map(sum, rows), map((2).__mul__, cols[0]))):
+        raise AssertionError(f"packed monomials: a key of {sorted(a)} is past the cap {EXP_CAP}")
+    return cols[1:]
+
+
+def _poly_of(variables, cols, coeffs, offsets):
+    """The MultiPoly whose term t has coefficient coeffs[t] and exponent cols[i][t] + offsets.get(i, 0) in variables[i]."""
+    if offsets:
+        cols = [tuple(map(offsets[i].__add__, c)) if i in offsets else c for i, c in enumerate(cols)]
+    used = list(compress(range(len(cols)), map(any, cols)))
+    keys = zip(*map(cols.__getitem__, used)) if used else [()]
+    return MultiPoly(tuple(map(variables.__getitem__, used)), dict(zip(keys, map(_exact, coeffs))))
+
 
 def laurent_frame(fs):
     """The frame of the RatFuncs fs: each variable that occurs in one, mapped to its slot in sorted order."""
@@ -719,25 +825,27 @@ def laurent_frame(fs):
 
 
 def to_laurent(f, frame):
-    """f = num/m as {exponent tuple over ``frame``: coefficient}; m must be a monomial.
+    """f = num/m as {packed exponent key over ``frame``: coefficient}; m must be a monomial.
 
-    Any other denominator raises NonPolynomialBracket.
+    Any other denominator raises NonPolynomialBracket.  An exponent or degree
+    of num/m past EXP_CAP is an internal fault.
     """
-    den = f.den
+    num, den = f.num, f.den
     if len(den.terms) != 1:
         raise NonPolynomialBracket(f"{f.text()} is not a Laurent polynomial: {den.text()} is not a monomial")
+    if den.is_one():
+        return pack_poly(num, frame)
     # a canonical monomial denominator has coefficient 1
-    base = [0] * len(frame)
-    for v, k in zip(den.vars, next(iter(den.terms))):
-        base[frame[v]] = -k
-    slots = [frame[v] for v in f.num.vars]
-    out = {}
-    for exp, c in f.num.terms.items():
-        e = base[:]
-        for slot, k in zip(slots, exp):
-            e[slot] += k
-        out[tuple(e)] = c
-    return out
+    (m,) = den.terms
+    if max(map(sum, num.terms)) > EXP_CAP or sum(m) > EXP_CAP:
+        # num/m is within the cap when num and m are, and else each of its exponents is checked
+        d = dict(zip(den.vars, m))
+        for exp in num.terms:
+            e = dict(zip(num.vars, exp))
+            pack_exponent([e.get(v, 0) - d.get(v, 0) for v in frame], len(frame))
+    units = unit_keys(len(frame))
+    low = sum(k * units[frame[v]] for v, k in zip(den.vars, m))
+    return _packed(num.terms, [units[frame[v]] for v in num.vars], low)
 
 
 def laurent_fma(acc, s, a, b):
@@ -747,54 +855,73 @@ def laurent_fma(acc, s, a, b):
     for ea, ca in a.items():
         sca = s * ca
         for eb, cb in b.items():
-            e = tuple(map(add, ea, eb))
-            c = acc.get(e, 0) + sca * cb
-            if c:
+            e = ea + eb
+            if c := acc.get(e, 0) + sca * cb:
                 acc[e] = c
             else:
-                acc.pop(e, None)
+                # sca * cb is nonzero, so a zero sum cancels a term of acc
+                del acc[e]
 
 
-def laurent_shift(a, exp, c=1):
-    """c * z^exp * a: the Laurent value a times one monomial, an exponent shift of every term."""
-    return {tuple(map(add, e, exp)): c * k for e, k in a.items()}
+def laurent_shift(a, key, c=1):
+    """c * z^e * a for the packed key of e: the Laurent value a times one monomial, a shift of every key."""
+    return {e + key: c * k for e, k in a.items()}
 
 
-def laurent_derivative(a, slot):
-    """The derivative of the Laurent value a by the variable at ``slot`` of its frame."""
+def laurent_derivative(a, unit):
+    """The derivative of the Laurent value a by the variable whose key is ``unit`` (``unit_keys``).
+
+    The variable's field starts at the lowest set bit of ``unit``.  With R/2
+    added to it and to every field below, no borrow reaches it, so it reads
+    the exponent plus R/2.
+    """
+    pos = (unit & -unit).bit_length() - 1
+    bias = _HALF * (((1 << EXP_BITS) << pos) - 1) // ((1 << EXP_BITS) - 1)
+    mask = (1 << EXP_BITS) - 1
     out = {}
     for e, c in a.items():
-        k = e[slot]
-        if k:
-            out[e[:slot] + (k - 1,) + e[slot + 1 :]] = c * k
+        if k := ((e + bias) >> pos & mask) - _HALF:
+            out[e - unit] = c * k
     return out
 
 
 def laurent_divide(a, b, low=None):
     """a/b for Laurent values over one frame, or None if b does not divide a.
 
-    A monomial b is a unit, so a/b is an exponent shift; any other takes long
-    division by graded-lex leading terms.  If a = b*q, the exponents of q in
-    each slot lie in [min a - min b, max a - max b], so a quotient term
-    outside that box means a remainder, and the division ends.  A ``low``
-    lower bound replaces min a - min b in every slot.
+    A monomial b is a unit, so a/b is a shift; any other takes long division
+    by graded-lex leading terms, the largest keys.  If a = b*q, the exponents
+    of q in each slot lie in [min a - min b, max a - max b], so a quotient
+    term outside that box means a remainder, and the division ends.  A
+    ``low`` lower bound replaces min a - min b in every slot.  The box is read
+    without the frame: over more fields than a key needs, its balanced digits
+    are zeros, its degree and its exponents, and each is bounded alike.
     """
     if len(b) == 1:
         ((eb, cb),) = b.items()
-        return {tuple(map(sub, e, eb)): _coeff_quotient(c, cb) for e, c in a.items()}
+        return {e - eb: _coeff_quotient(c, cb) for e, c in a.items()}
     if not b:
         return None
-    rem, quo, lead = dict(a), {}, max(b, key=_grlex_key)
-    lo = [x - y for x, y in zip(map(min, zip(*a)), map(min, zip(*b)))] if low is None else [low] * len(lead)
-    hi = [x - y for x, y in zip(map(max, zip(*a)), map(max, zip(*b)))]
+    if not a:
+        return {}
+    # fields enough for twice the largest key, so each quotient key fits as well
+    _, bias, fields = _layout((2 * max(map(abs, chain(a, b)))).bit_length() // EXP_BITS)
+
+    def digits(k):
+        return fields.unpack(((k + bias) ^ bias).to_bytes(fields.size, "big"))
+
+    ca, cb = (list(zip(*map(digits, x))) for x in (a, b))
+    lo = [x - y for x, y in zip(map(min, ca), map(min, cb))] if low is None else [low] * len(ca)
+    hi = [x - y for x, y in zip(map(max, ca), map(max, cb))]
+    rem, quo, lead = dict(a), {}, max(b)
     while rem:
-        e = max(rem, key=_grlex_key)
-        q = tuple(map(sub, e, lead))
-        if not (all(map(le, lo, q)) and all(map(le, q, hi))):
+        e = max(rem)
+        q = e - lead
+        d = digits(q)
+        if not (all(map(le, lo, d)) and all(map(le, d, hi))):
             return None
         quo[q] = c = _coeff_quotient(rem[e], b[lead])
         for x, k in b.items():
-            x = tuple(map(add, q, x))
+            x += q
             if s := rem.get(x, 0) - c * k:
                 rem[x] = s
             else:
@@ -810,22 +937,26 @@ def _coeff_quotient(c, lc):
 def from_laurent(a, frame, den=None):
     """The canonical RatFunc of the Laurent value a, or of a/den for a nonzero Laurent value den.
 
-    The common monomial goes first: a monomial den is an exponent shift and
-    takes no gcd; any other takes the one gcd of ``RatFunc(num, den)``.
+    The common monomial goes first: a monomial den is a shift and takes no
+    gcd; any other loses its monomial part, num and den gain the monomial
+    that clears the negative exponents of a, and ``RatFunc(num, den)`` takes
+    one gcd.  Each key is unpacked once (``unpack_columns``).
     """
     if not a:
         return _RF_ZERO
-    variables = tuple(frame)
     if den is not None and len(den) == 1:
         a, den = laurent_divide(a, den), None
-    elif den is not None:
-        shift = [-k for k in map(min, zip(*den))]
-        a, den = laurent_shift(a, shift), laurent_shift(den, shift)
-    low = [-min(k, 0) for k in map(min, zip(*a))]
-    if den is None and not any(low):
-        return RatFunc.from_poly(MultiPoly._make(variables, a))
-    num = MultiPoly._make(variables, laurent_shift(a, low))
-    if den is not None:
-        return RatFunc(num, MultiPoly._make(variables, laurent_shift(den, low)))
-    # no variable of the denominator divides the numerator, so the two are coprime
-    return RatFunc(num, MultiPoly._pruned(variables, {tuple(low): 1}), _canonical=True)
+    variables, n = tuple(frame), len(frame)
+    cols = unpack_columns(a, n)
+    if den is None:
+        # the exponent that clears each negative column
+        low = {i: -m for i, c in enumerate(cols) if (m := min(c)) < 0} if min(map(min, cols), default=0) < 0 else {}
+        num = _poly_of(variables, cols, a.values(), low)
+        if not low:
+            return RatFunc.from_poly(num)
+        # no variable of the denominator divides the numerator, so the two are coprime
+        return RatFunc(num, MultiPoly(tuple(variables[i] for i in low), {tuple(low.values()): 1}), _canonical=True)
+    den_cols = unpack_columns(den, n)
+    # den loses its monomial part and both gain the monomial that clears a: slot i moves by -min(a_i, den_i)
+    low = {i: -m for i, m in enumerate(map(min, map(add, cols, den_cols))) if m}
+    return RatFunc(_poly_of(variables, cols, a.values(), low), _poly_of(variables, den_cols, den.values(), low))

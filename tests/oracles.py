@@ -1,13 +1,14 @@
 """Reference constructions that only the tests use, as oracles for the library's fast paths."""
 
 from fractions import Fraction
+from operator import add, le, sub
 
 from bsatlas.cgl import CGLPresentation, CGLReport, _support_range_ok, _zero_weight
 from bsatlas.errors import DimensionMismatch, LengthMismatch, ZeroTorusValue
 from bsatlas.groups import GroupElement, _signed
 from bsatlas.linalg import _is_zero, mat_mul, minor
 from bsatlas.poisson import BracketTable, build_lambda
-from bsatlas.symbolic import MultiPoly, RatFunc, VarName
+from bsatlas.symbolic import EXP_BITS, _RF_ZERO, MultiPoly, RatFunc, VarName, _coeff_quotient, _exact, _grlex_key
 
 
 def exp_nilpotent(model, x, c):
@@ -280,3 +281,115 @@ def verify_cgl(table: BracketTable, pres: CGLPresentation) -> CGLReport:
     report.record("d_homogeneous", not bad_d, bad_d)
     report.record("e_log_canonical_cut", not bad_e, bad_e)
     return report
+
+
+# The Laurent kernels on exponent tuples that the packed-key kernels of bsatlas.symbolic replaced,
+# kept as their reference: a value is {exponent tuple over the frame: nonzero coefficient}.
+
+
+def packed(value, n):
+    """The tuple-keyed Laurent value over n slots with each exponent tuple e packed into its key
+    sum_i e_i (R^n + R^(n-1-i)), R = 2^EXP_BITS."""
+    r = 1 << EXP_BITS
+    return {sum(k * (r**n + r ** (n - 1 - i)) for i, k in enumerate(e)): c for e, c in value.items()}
+
+
+def unpacked(value, n):
+    """The packed Laurent value over n slots with each key read back, digit by balanced digit, as its exponent tuple."""
+    r, out = 1 << EXP_BITS, {}
+    for key, c in value.items():
+        e = []
+        for _ in range(n):
+            e.append((key + r // 2) % r - r // 2)
+            key = (key - e[-1]) // r
+        assert key == sum(e), "the top field holds the degree"
+        out[tuple(reversed(e))] = c
+    return out
+
+
+def tuple_to_laurent(f, frame):
+    """f = num/m as {exponent tuple over ``frame``: coefficient}; m must be a monomial."""
+    den = f.den
+    assert len(den.terms) == 1
+    base = [0] * len(frame)
+    for v, k in zip(den.vars, next(iter(den.terms))):
+        base[frame[v]] = -k
+    slots = [frame[v] for v in f.num.vars]
+    out = {}
+    for exp, c in f.num.terms.items():
+        e = base[:]
+        for slot, k in zip(slots, exp):
+            e[slot] += k
+        out[tuple(e)] = c
+    return out
+
+
+def tuple_fma(acc, s, a, b):
+    """acc += s*a*b in place, for tuple-keyed Laurent values a and b over the frame of acc."""
+    if type(s) is not int:
+        s = _exact(s)
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(add, ea, eb))
+            c = acc.get(e, 0) + s * ca * cb
+            if c:
+                acc[e] = c
+            else:
+                acc.pop(e, None)
+
+
+def tuple_shift(a, exp, c=1):
+    """c * z^exp * a on exponent tuples."""
+    return {tuple(map(add, e, exp)): c * k for e, k in a.items()}
+
+
+def tuple_derivative(a, slot):
+    """The derivative of the tuple-keyed Laurent value a by the variable at ``slot``."""
+    out = {}
+    for e, c in a.items():
+        if k := e[slot]:
+            out[e[:slot] + (k - 1,) + e[slot + 1 :]] = c * k
+    return out
+
+
+def tuple_divide(a, b, low=None):
+    """a/b for tuple-keyed Laurent values, or None: long division by graded-lex leading terms inside the box
+    [min a - min b, max a - max b] (or [low, max a - max b]) of possible quotient exponents."""
+    if len(b) == 1:
+        ((eb, cb),) = b.items()
+        return {tuple(map(sub, e, eb)): _coeff_quotient(c, cb) for e, c in a.items()}
+    if not b:
+        return None
+    rem, quo, lead = dict(a), {}, max(b, key=_grlex_key)
+    lo = [x - y for x, y in zip(map(min, zip(*a)), map(min, zip(*b)))] if low is None else [low] * len(lead)
+    hi = [x - y for x, y in zip(map(max, zip(*a)), map(max, zip(*b)))]
+    while rem:
+        e = max(rem, key=_grlex_key)
+        q = tuple(map(sub, e, lead))
+        if not (all(map(le, lo, q)) and all(map(le, q, hi))):
+            return None
+        quo[q] = c = _coeff_quotient(rem[e], b[lead])
+        for x, k in b.items():
+            x = tuple(map(add, q, x))
+            if s := rem.get(x, 0) - c * k:
+                rem[x] = s
+            else:
+                del rem[x]
+    return quo
+
+
+def tuple_from_laurent(a, frame, den=None):
+    """The canonical RatFunc of the tuple-keyed Laurent value a, or of a/den."""
+    if not a:
+        return _RF_ZERO
+    variables = tuple(frame)
+    if den is not None and len(den) == 1:
+        a, den = tuple_divide(a, den), None
+    elif den is not None:
+        shift = [-k for k in map(min, zip(*den))]
+        a, den = tuple_shift(a, shift), tuple_shift(den, shift)
+    low = [-min(k, 0) for k in map(min, zip(*a))]
+    num = MultiPoly._make(variables, tuple_shift(a, low))
+    if den is not None:
+        return RatFunc(num, MultiPoly._make(variables, tuple_shift(den, low)))
+    return RatFunc(num, MultiPoly._make(variables, {tuple(low): 1}))

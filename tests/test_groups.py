@@ -466,9 +466,9 @@ def test_two_eps_sp4_points_factor_within_counted_gcd_work(monkeypatch):
     a prime, and its factors multiply back to the point at a rational point."""
     counts, gcd, image = {"gcd": 0, "images": 0}, symbolic.poly_gcd, modgcd.gcd_mod_1
 
-    def counting_gcd(f, g):
+    def counting_gcd(f, g, **kwargs):
         counts["gcd"] += 1
-        return gcd(f, g)
+        return gcd(f, g, **kwargs)
 
     def counting_image(a, b, p):
         counts["images"] += 1

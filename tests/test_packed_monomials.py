@@ -1,0 +1,159 @@
+"""Packed monomial keys: the Laurent kernels against their tuple-keyed oracles, and the cap guard."""
+
+import contextlib
+import io
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bsatlas import symbolic
+from bsatlas.cli import main
+from bsatlas.symbolic import (
+    EXP_CAP,
+    VarName,
+    _grlex_key,
+    from_laurent,
+    laurent_derivative,
+    laurent_divide,
+    laurent_fma,
+    laurent_shift,
+    pack_exponent,
+    to_laurent,
+    unit_keys,
+    var,
+)
+from oracles import (
+    packed,
+    tuple_derivative,
+    tuple_divide,
+    tuple_fma,
+    tuple_from_laurent,
+    tuple_shift,
+    tuple_to_laurent,
+    unpacked,
+)
+
+# operands of a product stay within half the cap, so every product is within it
+_HALF_CAP = EXP_CAP // 2 - 30
+_coeff = st.one_of(st.integers(-9, 9).filter(bool), st.fractions(-5, 5, max_denominator=7).filter(bool))
+
+
+@st.composite
+def _exponent(draw, n, big, low=-2):
+    """An exponent tuple over n slots: entries in [low, 2], and with ``big`` one slot near half the cap."""
+    e = draw(st.lists(st.integers(low, 2), min_size=n, max_size=n))
+    if big:
+        sign = draw(st.sampled_from([1, -1] if low < 0 else [1]))
+        e[draw(st.integers(0, n - 1))] = sign * (_HALF_CAP - draw(st.integers(0, 3)))
+    return tuple(e)
+
+
+@st.composite
+def _case(draw):
+    """(n, big, [a, b, c]): three tuple-keyed Laurent values over n slots with up to four terms each."""
+    n, big = draw(st.integers(1, 24)), draw(st.booleans())
+    values = [
+        draw(st.dictionaries(_exponent(n, big and draw(st.booleans())), _coeff, min_size=1, max_size=4))
+        for _ in range(3)
+    ]
+    return n, big, values
+
+
+def _frame(n):
+    return {VarName("z", i + 1): i for i in range(n)}
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_case())
+def test_packed_kernels_agree_with_tuple_oracles(case):
+    """Each packed kernel, unpacked, equals its tuple-keyed oracle on frames of 1 to 24 slots,
+    with negative exponents, int and Fraction coefficients and exponents near half the cap; and
+    the largest packed key is the graded-lex leading term."""
+    n, big, (a, b, c) = case
+    frame = _frame(n)
+    pa, pb, pc = (packed(x, n) for x in (a, b, c))
+    for x, px in ((a, pa), (b, pb)):
+        assert unpacked(px, n) == x
+        assert max(px) == pack_exponent(max(x, key=_grlex_key), n)
+        f = tuple_from_laurent(x, frame)
+        assert to_laurent(f, frame) == packed(tuple_to_laurent(f, frame), n)
+        got = from_laurent(px, frame)
+        assert got == f and got.text() == f.text()
+    acc, pacc = dict(c), dict(pc)
+    tuple_fma(acc, Fraction(-3, 2), a, b)
+    laurent_fma(pacc, Fraction(-3, 2), pa, pb)
+    assert unpacked(pacc, n) == acc
+    e = next(iter(b))
+    assert unpacked(laurent_shift(pa, pack_exponent(e, n), 3), n) == tuple_shift(a, e, 3)
+    for slot, unit in enumerate(unit_keys(n)):
+        assert unpacked(laurent_derivative(pa, unit), n) == tuple_derivative(a, slot)
+    # an exact quotient comes back whole; near the cap only the exact case runs, as a long
+    # division over a wide box of quotient exponents takes a step per candidate
+    ab = {}
+    tuple_fma(ab, 1, a, b)
+    for num, den in ((ab, a), (ab, b)) + (() if big else ((a, b), (c, a))):
+        want = tuple_divide(num, den)
+        got = laurent_divide(packed(num, n), packed(den, n))
+        assert (got is None) == (want is None) and (want is None or unpacked(got, n) == want)
+    if not big:
+        for den in (b, c):
+            f = tuple_from_laurent(a, frame, den)
+            got = from_laurent(pa, frame, packed(den, n))
+            assert got == f and got.text() == f.text()
+
+
+@st.composite
+def _poly_case(draw):
+    n = draw(st.integers(1, 6))
+    return n, [draw(st.dictionaries(_exponent(n, False, low=0), _coeff, min_size=1, max_size=3)) for _ in range(2)]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_poly_case())
+def test_packed_polynomial_division_agrees_with_tuple_oracle(case):
+    """With ``low`` = 0, division of polynomials agrees with the tuple oracle, exact or not."""
+    n, (a, b) = case
+    ab = {}
+    tuple_fma(ab, 1, a, b)
+    for num, den in ((ab, a), (ab, b), (a, b), (b, a)):
+        want = tuple_divide(num, den, low=0)
+        got = laurent_divide(packed(num, n), packed(den, n), low=0)
+        assert (got is None) == (want is None) and (want is None or unpacked(got, n) == want)
+
+
+def test_pack_refuses_an_exponent_past_the_cap():
+    """An exponent or degree at the cap packs and unpacks; one past it is an internal fault that names it."""
+    for e in ((EXP_CAP,), (-EXP_CAP,), (0, EXP_CAP, 0), (EXP_CAP, -EXP_CAP)):
+        assert unpacked({pack_exponent(e, len(e)): 1}, len(e)) == {e: 1}
+    for e in ((EXP_CAP + 1,), (0, -EXP_CAP - 1), (EXP_CAP, 1)):
+        with pytest.raises(AssertionError, match=rf"exponent \({e[0]}, .*past the cap|exponent \({e[0]},\) is past"):
+            pack_exponent(e, len(e))
+    z = var("z", 1)
+    frame = {VarName("z", 1): 0}
+    assert to_laurent(z**EXP_CAP, frame) == {EXP_CAP * unit_keys(1)[0]: 1}
+    for f in (z ** (EXP_CAP + 1), 1 / z ** (EXP_CAP + 1)):
+        with pytest.raises(AssertionError, match=rf"exponent \(-?{EXP_CAP + 1},\) is past the cap"):
+            to_laurent(f, frame)
+
+
+def test_unpack_refuses_a_key_that_left_the_cap_in_arithmetic():
+    """A product past the cap carries out of its field; unpacking refuses the key rather than alias it."""
+    frame = {VarName("z", 1): 0, VarName("z", 2): 1}
+    a = to_laurent(var("z", 1) ** EXP_CAP, frame)
+    acc = {}
+    laurent_fma(acc, 1, a, to_laurent(var("z", 1) * var("z", 2) ** 3, frame))
+    with pytest.raises(AssertionError, match="past the cap"):
+        from_laurent(acc, frame)
+
+
+def test_cli_exits_1_when_the_packer_fails(monkeypatch):
+    """With every exponent past a cap of 0, the bracket engine's first pack fails: exit 1, one stderr line."""
+    monkeypatch.setattr(symbolic, "EXP_CAP", 0)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["--json", "--no-cache", "bracket", "--series", "A", "--rank", "2", "--index", "3"])
+    assert rc == 1 and out.getvalue() == ""
+    assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()
+    assert err.getvalue().startswith("error: internal invariant failed: packed monomials: exponent (")

@@ -326,10 +326,30 @@ def _cli_args(draw):
     return argv + (["--point", draw(_POINT)] if draw(st.booleans()) else [])
 
 
-@settings(max_examples=250, derandomize=True, deadline=None)
-@given(_cli_args())
-def test_cli_exit_contract_property(argv):
-    """Every drawn positivity or tleaf run exits 0 or 2, an exit 2 prints one stderr line, and none prints a traceback."""
+# Weyl words for --r, --v and --w on A1, A2 and C2: reduced ones, repeated letters, letters out of
+# range, bare digits and empty blocks
+_WORD = st.sampled_from(
+    ["e", "w0", "", "s1", "s2", "s1.s2", "s2.s1", "s1.s2.s1", "s2.s1.s2", "s1.s2.s1.s2", "s2.s1.s2.s1"]
+    + ["s1.s1", "s0", "s3", "s-1", "s99999999999999999999", "1.2", "s1..s2", "s", "x1"]
+)
+
+
+@st.composite
+def _chart_cli_args(draw):
+    """bracket, cgl verify or chart show on A1, A2 or C2, the chart named by --index or by drawn words."""
+    command = draw(st.sampled_from([["bracket"], ["cgl", "verify"], ["chart", "show"]]))
+    series, rank = draw(st.sampled_from([("A", 1), ("A", 2), ("C", 2)]))
+    argv = ["--json", "--no-cache", *command, "--series", series, "--rank", str(rank)]
+    # half the draws of --v and --index name a chart that exists, so the packed pipeline runs
+    v = draw(st.one_of(st.sampled_from(["w0", "e"]), _WORD))
+    argv += ["--q", draw(st.sampled_from(["Nv", "Bv"])), "--v", v, "--w", draw(_WORD)]
+    if draw(st.booleans()):
+        return argv + ["--index", str(draw(st.one_of(st.sampled_from([0, 1, 3]), st.sampled_from([5, 19, -1]))))]
+    blocks = draw(st.one_of(st.lists(_WORD, min_size=3, max_size=3).map("|".join), st.sampled_from(["||", "|", "a|b|c|d"])))
+    return argv + ["--r", blocks]
+
+
+def _assert_exit_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
@@ -339,6 +359,20 @@ def test_cli_exit_contract_property(argv):
         assert out.getvalue() == "" and err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: "), argv
     else:
         assert err.getvalue() == "" and json.loads(out.getvalue())
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(_cli_args())
+def test_cli_exit_contract_property(argv):
+    """Every drawn positivity or tleaf run exits 0 or 2, an exit 2 prints one stderr line, and none prints a traceback."""
+    _assert_exit_contract(argv)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_chart_cli_args())
+def test_cli_exit_contract_property_chart_commands(argv):
+    """The same contract for bracket, cgl verify and chart show, which run the packed Laurent pipeline."""
+    _assert_exit_contract(argv)
 
 
 def test_cli_repro(capsys):

@@ -24,10 +24,12 @@ from bsatlas.symbolic import (
     laurent_divide,
     laurent_frame,
     laurent_shift,
+    pack_exponent,
     poly_gcd,
     to_laurent,
     try_divide,
 )
+from oracles import packed, unpacked
 
 VARS = tuple(VarName("z", i) for i in range(1, 10))
 SYMS = sympy.symbols("z1:10")
@@ -187,6 +189,7 @@ def test_laurent_divide_agrees_with_try_divide(triple, shift):
     assume(not c.is_zero())
     polys = {"a": a, "b": b, "c": c, "ac": a * c, "bc": b * c}
     frame = laurent_frame(RatFunc.from_poly(p) for p in polys.values())
+    n = len(frame)
     lau = {k: to_laurent(RatFunc.from_poly(p), frame) for k, p in polys.items()}
     for fk, gk in (("ac", "c"), ("a", "c"), ("bc", "c"), ("ac", "bc"), ("a", "b")):
         f, g = polys[fk], polys[gk]
@@ -198,26 +201,26 @@ def test_laurent_divide_agrees_with_try_divide(triple, shift):
         if want is not None:
             assert got == to_laurent(RatFunc.from_poly(want), frame)
         # f z^k / g is a polynomial for the k that clears the quotient, for no k if there is none
-        k = [-min(x, 0) for x in map(min, zip(*got))] if got else list(map(max, zip(*lau[gk])))
-        cleared = try_divide(from_laurent(laurent_shift(lau[fk], k), frame).num, g)
+        k = [-min(x, 0) for x in map(min, zip(*unpacked(got, n)))] if got else list(map(max, zip(*unpacked(lau[gk], n))))
+        cleared = try_divide(from_laurent(laurent_shift(lau[fk], pack_exponent(k, n)), frame).num, g)
         assert (got is None) == (cleared is None), (f, g)
         if got is not None:
-            assert to_laurent(RatFunc.from_poly(cleared), frame) == laurent_shift(got, k)
+            assert to_laurent(RatFunc.from_poly(cleared), frame) == laurent_shift(got, pack_exponent(k, n))
             assert all(type(x) is int or x.denominator != 1 for x in got.values())
-            e = shift[: len(frame)]
+            e = pack_exponent(shift[:n], n)
             assert laurent_divide(laurent_shift(lau[fk], e), lau[gk]) == laurent_shift(got, e)
-            assert laurent_divide(lau[fk], laurent_shift(lau[gk], e)) == laurent_shift(got, [-x for x in e])
+            assert laurent_divide(lau[fk], laurent_shift(lau[gk], e)) == laurent_shift(got, -e)
 
 
 def test_laurent_divide_stops_on_inexact_laurent_input():
     """1/(1 + z1) and z1^-1/(1 + z1) leave a remainder at every step; the box of possible quotient
     exponents ends the division with None."""
-    one_plus_z = {(1,): 1, (0,): 1}
-    assert laurent_divide({(0,): 1}, one_plus_z) is None
-    assert laurent_divide({(-1,): 1}, one_plus_z) is None
-    assert laurent_divide({(3, -1): 2}, {(1, 0): 1, (0, 1): -1}) is None
-    assert laurent_divide({(2,): 1, (-1,): -1}, {(1,): 1, (-2,): -1}) == {(1,): 1}
-    assert laurent_divide({(0,): 1}, {}) is None
+    one_plus_z = packed({(1,): 1, (0,): 1}, 1)
+    assert laurent_divide(packed({(0,): 1}, 1), one_plus_z) is None
+    assert laurent_divide(packed({(-1,): 1}, 1), one_plus_z) is None
+    assert laurent_divide(packed({(3, -1): 2}, 2), packed({(1, 0): 1, (0, 1): -1}, 2)) is None
+    assert laurent_divide(packed({(2,): 1, (-1,): -1}, 1), packed({(1,): 1, (-2,): -1}, 1)) == packed({(1,): 1}, 1)
+    assert laurent_divide(packed({(0,): 1}, 1), {}) is None
 
 # -- sympy oracle ------------------------------------------------------------------
 
