@@ -2,21 +2,25 @@
 
 A chart is indexed by w in W together with a triple of reduced words
 r = (w0_word, w_word, v_word) for (w0 w^{-1}, w, v).  The chart covers the
-shifted big cell w B^- B / Q.  Its parametrization is built on Laurent
-values, each monomial packed in one int key: one-parameter chains, a Gauss
-elimination whose pivots are monomials, and a torus scaling, each entry
-converted to a canonical RatFunc once.  Its coordinates are generalized minors of the three factors of the
-normal form wbar * m * n * t, each one signed minor of one factor
-(``Chart.minors``), read as one quotient straight off one fraction-free
-elimination without forming the factors; the bracket engine reads them
-with their tangents off its Laurent factors (``coordinate_jets``).
+shifted big cell w B^- B / Q.  Its representative is built and stored on
+Laurent values, each monomial packed in one int key: one-parameter chains, a
+Gauss elimination whose pivots are monomials, and a torus scaling.  The
+RatFunc form (``Chart.param``) is formed only when it is read.  Its
+coordinates are generalized minors of the three factors of the normal form
+wbar * m * n * t, each one signed minor of one factor (``Chart.minors``),
+read as one quotient straight off one fraction-free elimination without
+forming the factors; a coordinate change feeds the stored Laurent
+representative to that elimination, and the bracket engine reads the
+coordinates with their tangents off its Laurent factors
+(``coordinate_jets``).
 """
 
 from __future__ import annotations
 
 from .errors import NotInBigCell, NotInChartDomain
 from .groups import GroupElement, GroupModel, MinorSpec, _signed
-from .linalg import laurent_lower_factor, laurent_lower_inverse, laurent_mat_mul, ltu_minors, minor_tangents
+from .linalg import laurent_lower_factor, laurent_lower_inverse, laurent_mat_mul, laurent_matrix, ltu_minors
+from .linalg import minor_tangents
 from .symbolic import VarName, from_laurent, laurent_shift, pack_exponent
 
 _CHART_CACHE = {}
@@ -67,9 +71,10 @@ class ChartSpec:
     def __init__(self, space: SpaceSpec, w, r):
         rs = space.model.rs
         w0_word, w_word, v_word = (tuple(x) for x in r)
-        # a prefix of a reduced word of w0 is reduced, so w0_word is one of w0 w^{-1}
+        # a prefix of a reduced word of w0 is reduced, so w0_word is one of w0 w^{-1}; a root system makes
+        # one object per element (element_from_rho), so identity is equality
         for word, el in ((w0_word + w_word, rs.w0), (w_word, w), (v_word, space.v)):
-            if len(word) != el.length() or rs.element_from_word(word) != el:
+            if len(word) != el.length() or rs.element_from_word(word) is not el:
                 raise ValueError(f"word {word} is not a reduced word of {el!r}")
         self.space = space
         self.w = w
@@ -89,22 +94,42 @@ class ChartSpec:
 
 
 class Chart:
-    """A chart with its symbolic parametrization and coordinate recipes.
+    """A chart with its symbolic representative and coordinate recipes.
 
-    ``minors`` reads each coordinate as one signed minor (factor, rows, cols,
-    sign) of the normal form L*N*T of wbar^{-1} g, with factor 0, 1, 2 for
-    L, N, T (``signed_minors``).
+    The representative is stored once, as Laurent values: ``rep[i][j]`` is a
+    dict from packed monomial keys over ``frame`` (each variable to its slot)
+    to coefficients.  ``param``, the same matrix as a GroupElement of
+    canonical RatFuncs, is formed when it is first read.  A chart built from
+    a GroupElement keeps it as ``param`` and converts it once, when it is
+    built, to Laurent values over the frame of its entries
+    (``linalg.laurent_matrix``).  ``minors`` reads each coordinate as one
+    signed minor (factor, rows, cols, sign) of the normal form L*N*T of
+    wbar^{-1} g, with factor 0, 1, 2 for L, N, T (``signed_minors``).
     """
 
-    __slots__ = ("spec", "dims", "zvars", "param", "coord_formulas", "minors")
+    __slots__ = ("spec", "dims", "zvars", "frame", "rep", "_param", "coord_formulas", "minors")
 
-    def __init__(self, spec, dims, zvars, param, coord_formulas):
+    def __init__(self, spec, dims, zvars, rep, coord_formulas):
+        """rep is a GroupElement, or (frame, Laurent matrix) as ``parametrize`` builds it."""
         self.spec = spec
         self.dims = dims
         self.zvars = zvars
-        self.param = param
+        if isinstance(rep, GroupElement):
+            self._param = rep
+            self.frame, self.rep = laurent_matrix(rep.entries)
+        else:
+            self._param = None
+            self.frame, self.rep = rep
         self.coord_formulas = coord_formulas
         self.minors = signed_minors(spec, coord_formulas)
+
+    @property
+    def param(self):
+        """The representative as a GroupElement of canonical RatFuncs, formed on first access."""
+        if self._param is None:
+            entries = [[from_laurent(x, self.frame) for x in row] for row in self.rep]
+            self._param = GroupElement(self.spec.space.model, entries)
+        return self._param
 
     def torus_block(self):
         """Indices (1-based) of the Laurent coordinates (Nv torus block)."""
@@ -211,7 +236,7 @@ def parametrize(spec: ChartSpec) -> Chart:
     x = g2 w0bar^{-1} g1, the lower factor L of x by an elimination whose
     pivots are monomials (``linalg.laurent_lower_factor``), then
     rep = L^{-1} g2 g3 vbar^{-1} times the torus, a per-column monomial
-    shift.  Each entry becomes a canonical RatFunc once, at the end.
+    shift.  The chart stores rep as it is; no RatFunc is formed here.
     """
     got = _CHART_CACHE.get(spec.key())
     if got is not None:
@@ -240,30 +265,37 @@ def parametrize(spec: ChartSpec) -> Chart:
         shifts = [pack_exponent(shift, dims) for shift in shifts]
         rep = [[laurent_shift(x, shift) for x, shift in zip(row, shifts)] for row in rep]
     frame = {v: slot for slot, v in enumerate(zvars)}
-    param = GroupElement(model, [[from_laurent(x, frame) for x in row] for row in rep])
-    chart = Chart(spec, dims, zvars, param, coordinate_formulas(spec))
+    chart = Chart(spec, dims, zvars, (frame, rep), coordinate_formulas(spec))
     _CHART_CACHE[spec.key()] = chart
     return chart
 
 
 def eval_coordinates(chart: Chart, g):
-    """Coordinates of a point (GroupElement or raw matrix) of the shifted big cell.
+    """Coordinates of a point g of the shifted big cell, as RatFuncs or Fractions.
 
-    Entries may be Fractions for numeric points or RatFuncs for symbolic
-    ones.  ``Chart.minors`` is reindexed into the model's internal basis and
-    every coordinate is read as one quotient from one fraction-free
-    elimination of wbar^{-1} g (``linalg.ltu_minors``); no factor is formed.
-    Raises NotInChartDomain with the index of the vanishing principal minor
-    of wbar^{-1} g when the point is outside the cell.
+    g is a Chart, read at its stored Laurent representative; a scaled point
+    (m, d) of an int matrix m and an int d, the point m/d; or a GroupElement
+    or a list of rows, of Fractions or RatFuncs.  ``Chart.minors`` is
+    reindexed into the model's internal basis and every coordinate is read
+    as one quotient from one fraction-free elimination of wbar^{-1} g
+    (``linalg.ltu_minors``); no factor is formed.  Raises NotInChartDomain
+    with the index of the vanishing principal minor of wbar^{-1} g when the
+    point is outside the cell.
     """
     spec = chart.spec
     model = spec.space.model
-    entries = g.entries if isinstance(g, GroupElement) else g
+    frame = den = None
+    if isinstance(g, Chart):
+        frame, entries = g.frame, g.rep
+    elif isinstance(g, tuple):
+        entries, den = g
+    else:
+        entries = g.entries if isinstance(g, GroupElement) else g
     h = model.to_internal(model.signed_perm(spec.w.canonical).left_inv(entries))
     pos = {r: i for i, r in enumerate(model._perm)}
     minors = [(f, [pos[r] for r in rows], [pos[c] for c in cols]) for f, rows, cols, _ in chart.minors]
     try:
-        values = ltu_minors(h, minors)
+        values = ltu_minors(h, minors, frame, den)
     except NotInBigCell as e:
         raise NotInChartDomain(e.minor_index) from None
     return [_signed(x, minor[3]) for x, minor in zip(values, chart.minors)]
@@ -289,10 +321,10 @@ def coordinate_jets(chart: Chart, lifted, frame):
 
 
 def change_of_coordinates(src: Chart, dst: Chart):
-    """Coordinates of dst expressed in the variables of src (birational)."""
+    """Coordinates of dst expressed in the variables of src (birational), read at src's Laurent representative."""
     if not src.spec.space.same_space(dst.spec.space):
         raise ValueError("charts live on different spaces")
-    return eval_coordinates(dst, src.param)
+    return eval_coordinates(dst, src)
 
 
 def t_weights(chart: Chart):

@@ -16,7 +16,7 @@ from operator import add, mul
 from .atlas import Chart
 from .errors import DimensionMismatch, NotVerifiedCGL, ZeroTorusValue
 from .poisson import BracketTable
-from .symbolic import MultiPoly, RatFunc, VarName, from_laurent, laurent_fma, pack_poly, unit_keys, var
+from .symbolic import MultiPoly, RatFunc, VarName, from_laurent, laurent_fma, unit_keys, var
 
 _Q0 = Fraction(0)
 
@@ -181,11 +181,11 @@ def verify_cgl(table: BracketTable, pres: CGLPresentation) -> CGLReport:
     (d) every monomial of f has the torus weight of z_i z_j;
     (e) pairs straddling the word-block cut are exactly log-canonical.
 
-    Each entry num/den is read once, as Laurent values (``pack_poly``) over
-    z_1..z_n and any other variable of the table.
-    f = -(num + chi_i(h_j) z_i z_j den)/den is canonical as it stands, since gcd(num + c z_i z_j den, den) =
+    Each entry num/den is read as the table's Laurent values
+    (``BracketTable.laurent_entries``).  f = -(num + chi_i(h_j) z_i z_j den)/den
+    is canonical as it stands, since gcd(num + c z_i z_j den, den) =
     gcd(num, den) = 1, so (a) changes one coefficient and takes no gcd for a
-    monomial den.  The two forms differ by (chi_j(h'_i) + chi_i(h_j)) z_i z_j,
+    Laurent entry.  The two forms differ by (chi_j(h'_i) + chi_i(h_j)) z_i z_j,
     so (b) tests one rational number and writes the second form out only for
     a witness.  (d) sums the integral pulled weights over the exponents of f.
     """
@@ -197,21 +197,17 @@ def verify_cgl(table: BracketTable, pres: CGLPresentation) -> CGLReport:
     # on_h[i-1][j-1] = chi_i(h_j) and on_hp[i-1][j-1] = chi_i(h'_j)
     on_h, on_hp = pres.pair_table(pres.hvecs), pres.pair_table(pres.hprimes)
     zs = [VarName("z", m) for m in range(1, n + 1)]
-    occurring = set(zs)
-    for f in table.entries.values():
-        occurring.update(f.num.vars)
-        occurring.update(f.den.vars)
-    frame = {v: slot for slot, v in enumerate(sorted(occurring))}
+    frame, values = table.laurent_entries()
     units = unit_keys(len(frame))
     unit = [units[frame[z]] for z in zs]
     bad_a, bad_b, bad_e = [], [], []
     for (i, j), entry in sorted(table.entries.items()):
         c = on_h[i - 1][j - 1]
-        den = pack_poly(entry.den, frame)
-        f = {e: -k for e, k in pack_poly(entry.num, frame).items()}
+        num, den = values[(i, j)]
+        f = {e: -k for e, k in num.items()}
         if c:
-            laurent_fma(f, -c, {unit[i - 1] + unit[j - 1]: 1}, den)
-        f_a = from_laurent(f, frame, None if entry.den.is_one() else den)
+            laurent_fma(f, -c, {unit[i - 1] + unit[j - 1]: 1}, den or {0: 1})
+        f_a = from_laurent(f, frame, den)
         if not _support_range_ok(f_a, i, j):
             bad_a.append({"pair": (i, j), "f": f_a.text()})
         if on_hp[j - 1][i - 1] + c:

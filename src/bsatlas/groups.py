@@ -461,14 +461,15 @@ class GroupModel:
         """
         return tuple(self.from_internal(f) for f in gauss_ltu(self.to_internal(entries)))
 
-    def triangular_factor_lift(self, entries, fields):
+    def triangular_factor_lift(self, entries, fields, frame=None):
         """(frame, lifted): per factor of ``triangular_factor``, its Laurent value over frame and its tangents.
 
-        A left field moves the point along g*x, a right field along x*g
+        entries are Laurent values over ``frame``, or RatFuncs.  A left field
+        moves the point along g*x, a right field along x*g
         (``linalg.gauss_ltu_lift``); the fields are reindexed with the point.
         """
         fields = [(side, self.to_internal(x)) for side, x in fields]
-        frame, lifted = gauss_ltu_lift(self.to_internal(entries), fields)
+        frame, lifted = gauss_ltu_lift(self.to_internal(entries), fields, frame)
         return frame, tuple((self.from_internal(f), [self.from_internal(d) for d in ds]) for f, ds in lifted)
 
     # -- generalized minors ---------------------------------------------------------

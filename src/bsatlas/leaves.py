@@ -37,7 +37,7 @@ def pivot_permutation_upper(mat):
     singular: SingularInput.
     """
     rational = all(type(x) in (int, Fraction) for row in mat for x in row)
-    m = [_rational_column(row, None)[0] if rational else list(row) for row in mat]
+    m = [_rational_column(row)[0] if rational else list(row) for row in mat]
     n = len(m)
     sigma = [0] * (n + 1)
     for j in range(n):

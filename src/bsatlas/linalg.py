@@ -6,10 +6,16 @@ commutative ring that coerces Python ints through its arithmetic operators:
 cofactor expansion so polynomial matrices stay polynomial.  The Gauss
 factorization returns the big-cell normal form a = L*N*T (lower
 unitriangular, upper unitriangular, diagonal) in product order.  It is
-fraction-free: each column is written as numerators over the lcm c_j of its
-denominators (ints for Fractions, Laurent values over one frame for
-RatFuncs, each monomial one packed int key) and Bareiss elimination runs on
-the numerators with exact divisions only, so every intermediate entry is a minor of the input.  With
+fraction-free: each column is written as numerators over a denominator c_j
+and Bareiss elimination runs on the numerators with exact divisions only,
+so every intermediate entry is a minor of the input.  One elimination reads
+three inputs (``_ring_of``).  A chart's representative is stored as Laurent
+values over the chart's frame, each monomial one packed int key, and goes in
+as it is, with c_j = 1.  A numeric point becomes ints, each column over the
+lcm of its denominators, or over d for a scaled point m/d.  A RatFunc matrix
+is converted once, as a front end, to Laurent values over the frame of its
+entries, a column with a denominator that is not a monomial to polynomials
+over the lcm c_j of its denominators.  With
 p_k the leading principal minors of the numerators and M the entries before
 their elimination step, each factor entry is one quotient of two such minors:
 L_ik = M_ik/p_{k+1}, N_kj = M_kj p_j/(p_k p_{j+1}), T_k = p_{k+1}/(p_k c_k).
@@ -22,7 +28,7 @@ pivot is a monomial, so each division is an exponent shift.  The lift then
 forms, in closed form, the tangents of the factors along left and right
 fields a*x and x*a; ``minor_tangents`` reads a minor of a factor and carries
 the tangents to it by Jacobi's formula, from one set of cofactors.  The
-lift takes no gcd.  A chart's parametrization is
+lift takes no gcd.  A chart's representative is
 built on Laurent values too: ``laurent_lower_factor`` eliminates with
 monomial pivots, ``laurent_lower_inverse`` inverts by forward substitution
 and ``laurent_mat_mul`` multiplies, with no gcd either.
@@ -149,9 +155,13 @@ def _normal_form(ring, m, p, c, make):
     return lower, upper, tmat
 
 
-def ltu_minors(a, minors):
-    """det F[rows, cols] for each (f, rows, cols) of minors, F = gauss_ltu(a)[f], each one quotient off one pass."""
-    ring, m, p, c = _bareiss(a)
+def ltu_minors(a, minors, frame=None, den=None):
+    """det F[rows, cols] for each (f, rows, cols) of minors, F = gauss_ltu(a)[f], each one quotient off one pass.
+
+    a is read as ``_ring_of`` reads it: Laurent values over ``frame``, the
+    scaled point a/den of an int matrix a, or Fraction or RatFunc entries.
+    """
+    ring, m, p, c = _bareiss(a, frame, den)
     return [_factor_minor(ring, m, p, c, f, rows, cols) for f, rows, cols in minors]
 
 
@@ -160,55 +170,76 @@ def _int_divide(x, y):
     return None if r else q
 
 
-def _rational_column(col, j):
+def _rational_column(col):
     c = _int_lcm(*(x.denominator for x in col))
     return [x.numerator * (c // x.denominator) for x in col], c
 
 
-# The ring of one elimination: a column as numerators over c_j, exact division (None if it is not exact),
-# x*piv - f*y, determinant, product, ``make`` (a numerator over a denominator as an entry), Laurent frame.
-_Ring = namedtuple("_Ring", "zero one column divide cross det mul make frame")
-_RATIONALS = _Ring(0, 1, _rational_column, _int_divide, lambda x, piv, f, y: x * piv - f * y, det, mul, Fraction, None)
+# The ring of one elimination: exact division (None if it is not exact), x*piv - f*y, determinant, product,
+# ``make`` (a numerator over a denominator as an entry), Laurent frame.
+_Ring = namedtuple("_Ring", "zero one divide cross det mul make frame")
+_RATIONALS = _Ring(0, 1, _int_divide, lambda x, piv, f, y: x * piv - f * y, det, mul, Fraction, None)
 
 
-def _ring_of(a):
-    """Ints for rational entries; else Laurent values over the frame of the entries.
+def _ring_of(a, frame=None, den=None):
+    """(ring, columns): the ring of one elimination of a, and each column j of a as (numerators, c_j) in it.
 
-    A column whose denominators are monomials stays as it is (c_j = 1); any
-    other becomes polynomials over the lcm c_j of its denominators.
-    laurent_divide and try_divide are looked up per call, so a test can
-    replace them.
+    With ``frame``, the entries are Laurent values over it and stay as they
+    are (c_j = 1).  Else an int matrix a with ``den`` is the scaled point
+    a/den, each column over den, and other int and Fraction entries are ints
+    over the lcm c_j of each column's denominators.  Any other entries are
+    RatFuncs, converted once to Laurent values over the frame of the entries:
+    a column whose denominators are monomials as it is (c_j = 1), any other
+    as polynomials over the lcm c_j of its denominators.  laurent_divide and
+    try_divide are looked up per call, so a test can replace them.
     """
-    if all(type(x) in (int, Fraction) for row in a for x in row):
-        return _RATIONALS
-    frame = laurent_frame(RatFunc.coerce(x) for row in a for x in row)
+    cols = list(zip(*a))
     one = {0: 1}
-
-    def column(col, j):
-        col = [RatFunc.coerce(x) for x in col]
-        if all(len(x.den.terms) == 1 for x in col):
-            return [to_laurent(x, frame) for x in col], one
-        c = MultiPoly.constant(1)
-        for x in col:
-            if x.den != c:
-                c = c * _quotient(try_divide, x.den, poly_gcd(c, x.den), f"the lcm of column {j + 1}")
-        nums = [
-            x.num if x.den == c else x.num * _quotient(try_divide, c, x.den, f"scaling entry ({i + 1}, {j + 1})")
-            for i, x in enumerate(col)
-        ]
-        return [to_laurent(RatFunc.from_poly(x), frame) for x in nums], to_laurent(RatFunc.from_poly(c), frame)
-
-    return _Ring(
+    if frame is not None:
+        columns = [(list(col), one) for col in cols]
+    elif den is not None:
+        return _RATIONALS, [(list(col), den) for col in cols]
+    elif all(type(x) in (int, Fraction) for col in cols for x in col):
+        return _RATIONALS, [_rational_column(col) for col in cols]
+    else:
+        frame = laurent_frame(RatFunc.coerce(x) for col in cols for x in col)
+        columns = [_laurent_column([RatFunc.coerce(x) for x in col], j, frame) for j, col in enumerate(cols)]
+    ring = _Ring(
         {},
         one,
-        column,
         laurent_divide,
         lambda x, piv, f, y: _dot({}, ((1, x, piv), (-1, f, y))),
         lambda sub: _laurent_det(sub, one),
         lambda x, y: _dot({}, ((1, x, y),)),
-        lambda num, den: from_laurent(num, frame, den),
+        lambda num, d: from_laurent(num, frame, d),
         frame,
     )
+    return ring, columns
+
+
+def _laurent_column(col, j, frame):
+    """The RatFunc column j as (Laurent numerators over ``frame``, c_j): c_j = 1 if every denominator is a monomial."""
+    if all(len(x.den.terms) == 1 for x in col):
+        return [to_laurent(x, frame) for x in col], {0: 1}
+    c = MultiPoly.constant(1)
+    for x in col:
+        if x.den != c:
+            c = c * _quotient(try_divide, x.den, poly_gcd(c, x.den), f"the lcm of column {j + 1}")
+    nums = [
+        x.num if x.den == c else x.num * _quotient(try_divide, c, x.den, f"scaling entry ({i + 1}, {j + 1})")
+        for i, x in enumerate(col)
+    ]
+    return [to_laurent(RatFunc.from_poly(x), frame) for x in nums], to_laurent(RatFunc.from_poly(c), frame)
+
+
+def laurent_matrix(a):
+    """(frame, rep): the RatFunc matrix a as Laurent values over the frame of its entries, each converted once.
+
+    This is ``_ring_of``'s conversion of a matrix whose denominators are
+    monomials; any other denominator raises NonPolynomialBracket.
+    """
+    frame = laurent_frame(RatFunc.coerce(x) for row in a for x in row)
+    return frame, [[to_laurent(RatFunc.coerce(x), frame) for x in row] for row in a]
 
 
 def _quotient(divide, x, y, where):
@@ -219,7 +250,7 @@ def _quotient(divide, x, y, where):
     return q
 
 
-def _bareiss(a):
+def _bareiss(a, frame=None, den=None):
     """Fraction-free elimination without pivoting: (ring, M, p, c) for ``_factor_minor``.
 
     Column j of a becomes numerators over c_j (``_ring_of``).  Step k sets
@@ -229,8 +260,7 @@ def _bareiss(a):
     Row k and the column below the pivot are never written again: M keeps
     each entry as it stood before step min(i, j).
     """
-    ring = _ring_of(a)
-    columns = [ring.column(col, j) for j, col in enumerate(zip(*a))]
+    ring, columns = _ring_of(a, frame, den)
     m = [list(row) for row in zip(*(nums for nums, _ in columns))]
     p = [ring.one]
     for k, rk in enumerate(m):
@@ -278,10 +308,11 @@ def _factor_minor(ring, m, p, c, f, rows, cols):
     return ring.make(num, den)
 
 
-def gauss_ltu_lift(a, fields):
+def gauss_ltu_lift(a, fields, frame=None):
     """The factors of ``gauss_ltu(a)`` on Laurent values, with their tangents: (frame, ((L, dLs), (N, dNs), (T, dTs))).
 
-    a is a matrix of RatFuncs and frame the frame of its entries.  Each
+    a holds Laurent values over ``frame``, or RatFuncs, read over the frame
+    of their entries (``_ring_of``), which is the frame returned.  Each
     quotient of ``_normal_form`` is an exact Laurent division, a shift on a
     chart; any other raises NonPolynomialBracket.  dLs[k], dNs[k] and dTs[k]
     are the tangents along field k: ("left", x) moves a along a*x,
@@ -292,7 +323,7 @@ def gauss_ltu_lift(a, fields):
     and Y is U*x*U^{-1} (left) or L^{-1}*x*L (right): no tangent is eliminated.
     """
     n = len(a)
-    ring, m, p, c = _bareiss(a)
+    ring, m, p, c = _bareiss(a, frame)
     lo, up, tm = _normal_form(ring, m, p, c, _laurent_quotient)
     # U = N*T and U^{-1} = T^{-1}*N^{-1}, with N^{-1} the transpose of (N^T)^{-1}
     u = [[_dot({}, ((1, x, tm[j][j]),)) for j, x in enumerate(row)] for row in up]

@@ -4,15 +4,18 @@ The multiplicative Poisson bivector on G is the difference of the left and
 right invariant extensions of the skew tensor with one term per positive
 root, weighted by half the squared root length.  Brackets in a chart come
 from the first-order perturbations of the parametrized point
-along every left/right root-vector field.  The point is factored once, on
-Laurent values keyed by packed monomials: its factors, regular on the
+along every left/right root-vector field.  The point is the chart's stored
+representative, Laurent values keyed by packed monomials, and is factored
+once as it is: its factors, regular on the
 chart, are exact quotients off one fraction-free elimination whose pivots are monomials.
 There the tangents of the factors along every field come in closed form,
 each coordinate, one signed minor of one factor (the N_v coordinates minors
 of the whole N factor for every v), is read with its tangents from one set
 of cofactors, and pair assembly and the Jacobi sums run too, each only
 where its products can be nonzero.  No RatFunc factor is formed and no gcd
-is taken; each bracket entry becomes a RatFunc once.
+is taken.  Each bracket entry becomes a RatFunc once, and the table keeps
+its Laurent value as well, which ``jacobi_check`` and ``cgl.verify_cgl``
+read.
 """
 
 from __future__ import annotations
@@ -22,18 +25,8 @@ from itertools import combinations
 from .atlas import Chart, coordinate_jets
 from .errors import NonPolynomialBracket
 from .groups import GroupModel
-from .symbolic import (
-    RatFunc,
-    VarName,
-    _exact,
-    from_laurent,
-    laurent_derivative,
-    laurent_fma,
-    laurent_frame,
-    to_laurent,
-    unit_keys,
-    unpack_columns,
-)
+from .symbolic import RatFunc, VarName, _exact, from_laurent, laurent_derivative, laurent_fma, laurent_frame
+from .symbolic import pack_poly, to_laurent, unit_keys, var
 
 
 class LambdaData:
@@ -59,15 +52,34 @@ def build_lambda(model: GroupModel) -> LambdaData:
 
 
 class BracketTable:
-    """Pairwise brackets {z_i, z_j} (i < j) of chart coordinates."""
+    """Pairwise brackets {z_i, z_j} (i < j) of chart coordinates.
 
-    __slots__ = ("n_vars", "laurent_vars", "entries", "chart")
+    ``entries`` holds each bracket as a canonical RatFunc.  ``laurent``, if
+    given, holds them as (frame, {pair: (num, den)}) with num/den the entry
+    in Laurent values over a frame that holds z_1 .. z_n_vars, and den None
+    where the entry is Laurent itself, as ``chart_bracket`` sums it.
+    """
 
-    def __init__(self, n_vars, laurent_vars, entries, chart=None):
+    __slots__ = ("n_vars", "laurent_vars", "entries", "chart", "_laurent")
+
+    def __init__(self, n_vars, laurent_vars, entries, chart=None, laurent=None):
         self.n_vars = n_vars
         self.laurent_vars = tuple(laurent_vars)
         self.entries = entries
         self.chart = chart
+        self._laurent = laurent
+
+    def laurent_entries(self):
+        """(frame, values) as ``laurent`` holds them, converted once from the entries if the table was built without."""
+        if self._laurent is None:
+            frame = laurent_frame([*self.entries.values(), *(var("z", m) for m in range(1, self.n_vars + 1))])
+            self._laurent = frame, {
+                pair: (to_laurent(f, frame), None)
+                if len(f.den.terms) == 1
+                else (pack_poly(f.num, frame), pack_poly(f.den, frame))
+                for pair, f in self.entries.items()
+            }
+        return self._laurent
 
     def get(self, i, j):
         """Signed lookup: {z_i, z_j} for any i, j (1-based)."""
@@ -101,7 +113,6 @@ def chart_bracket(chart: Chart, lam: LambdaData | None = None) -> BracketTable:
     model = chart.spec.space.model
     if lam is None:
         lam = build_lambda(model)
-    rep = chart.param.entries
     n = chart.dims
     wp = model.signed_perm(chart.spec.w.canonical)
 
@@ -113,7 +124,7 @@ def chart_bracket(chart: Chart, lam: LambdaData | None = None) -> BracketTable:
         fields.append(("left", e_plus))
         fields.append(("right", wp.left_inv(wp.right(e_minus))))
         fields.append(("right", wp.left_inv(wp.right(e_plus))))
-    frame, lifted = model.triangular_factor_lift(wp.left_inv(rep), fields)
+    frame, lifted = model.triangular_factor_lift(wp.left_inv(chart.rep), fields, chart.frame)
     # values[i]: z_{i+1} read back off the factors; derivs[k][i]: its derivative along
     # field k (order L-, L+, R-, R+ per term), each a Laurent value over the frame
     values, tangents = coordinate_jets(chart, lifted, frame)
@@ -132,13 +143,15 @@ def chart_bracket(chart: Chart, lam: LambdaData | None = None) -> BracketTable:
                     if x != y:
                         laurent_fma(accs[(min(x, y), max(x, y))], s if x < y else -s, ax, by)
 
-    laurent = chart.torus_block()
-    entries = {}
+    torus = chart.torus_block()
+    entries, values = {}, {}
     for i, j in combinations(range(n), 2):
-        tot = from_laurent(accs.pop((i, j)), frame)
-        _require_polynomial(tot, laurent, (i + 1, j + 1))
+        acc = accs.pop((i, j))
+        values[(i + 1, j + 1)] = acc, None
+        tot = from_laurent(acc, frame)
+        _require_polynomial(tot, torus, (i + 1, j + 1))
         entries[(i + 1, j + 1)] = tot
-    return BracketTable(n, laurent, entries, chart=chart)
+    return BracketTable(n, torus, entries, chart=chart, laurent=(frame, values))
 
 
 def _require_polynomial(f: RatFunc, laurent, where):
@@ -154,10 +167,10 @@ def _require_polynomial(f: RatFunc, laurent, where):
 def jacobi_check(table: BracketTable):
     """Exact Jacobi identity report, with the nonzero cyclic sum of each failing triple.
 
-    The entries are converted once to Laurent values over the variables
-    they contain, and each is differentiated once per variable z_m of its
-    support, read once, into a gradient table.  An entry is log-canonical
-    when it is 0 or exactly c_ij*z_i*z_j.  A triple of three log-canonical
+    The table's Laurent values (``BracketTable.laurent_entries``) are
+    differentiated once per variable z_m of each entry, into a gradient
+    table; an entry that is not Laurent raises NonPolynomialBracket.  An
+    entry is log-canonical when it is 0 or exactly c_ij*z_i*z_j.  A triple of three log-canonical
     entries is skipped: its Jacobiator is z_i*z_j*z_k times
     c_jk(c_ij + c_ik) + c_ki(c_jk + c_ji) + c_ij(c_ki + c_kj) = 0 for skew c.
     On every other triple {z_i, {z_j, z_k}} is the Leibniz sum
@@ -165,23 +178,25 @@ def jacobi_check(table: BracketTable):
     dict.  A failure's value is the text of the canonical RatFunc.
     """
     n = table.n_vars
-    frame = laurent_frame(table.entries.values())
+    frame, values = table.laurent_entries()
     # signed[(i, m)] = (s, x) with {z_i, z_m} = s * x, for i < m and for i > m
     signed = {}
     grads = {}
     # the pairs whose entry is not log-canonical
     general = set()
     units = unit_keys(len(frame))
-    z_slots = [(v.index, slot) for v, slot in frame.items() if v.symbol == "z" and 1 <= v.index <= n]
-    # unit[m]: the key of z_m alone
-    unit = {m: units[slot] for m, slot in z_slots}
-    for (i, j), f in table.entries.items():
-        x = to_laurent(f, frame)
+    # unit[m]: the key of z_m alone; the frame holds z_1 .. z_n
+    unit = {v.index: units[slot] for v, slot in frame.items() if v.symbol == "z" and 1 <= v.index <= n}
+    for (i, j), (x, den) in values.items():
+        f = table.entries[(i, j)]
+        if den is not None:
+            raise NonPolynomialBracket(f"bracket ({i}, {j}) is not a Laurent polynomial: {f.text()}")
         signed[(i, j)] = (1, x)
         signed[(j, i)] = (-1, x)
-        support = [any(col) for col in unpack_columns(x, len(frame))] if x else [False] * len(frame)
-        grads[(i, j)] = [(m, laurent_derivative(x, unit[m])) for m, slot in z_slots if support[slot]]
-        if x and not (len(x) == 1 and i in unit and j in unit and unit[i] + unit[j] in x):
+        # the variables of the canonical entry are the support of x
+        support = [v.index for v in f.variables() if v.symbol == "z" and v.index in unit]
+        grads[(i, j)] = [(m, laurent_derivative(x, unit[m])) for m in support]
+        if x and not (len(x) == 1 and unit[i] + unit[j] in x):
             general.add((i, j))
 
     failures = []

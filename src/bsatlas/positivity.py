@@ -139,7 +139,7 @@ def certify_chart_positivity(chart: Chart, spec: ToricChartSpec, n_samples, seed
                 cell_ok = False
                 violations.append({"sample": s, "kind": "big_cell", "w": str(ms.u), "alpha": ms.alpha})
         try:
-            coords = eval_coordinates(chart, model.rational_point((nums, d)))
+            coords = eval_coordinates(chart, (nums, d))
         except NotInChartDomain as e:
             violations.append({"sample": s, "kind": "chart_domain", "minor": e.minor_index})
             per_sample.append({"sample": s, "params": [str(x) for x in c], "coords": None})

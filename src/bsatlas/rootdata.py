@@ -379,8 +379,13 @@ class RootSystem:
         return rho
 
     def element_from_word(self, word):
-        """The element of a sequence of letters, memoized by its tuple; a letter out of range is refused every time."""
+        """The element of a sequence of letters, memoized by its tuple; a letter that is not an int in range is refused every time.
+
+        The type test comes before the memo, where (1.0,) and (True,) would find the entry of (1,).
+        """
         word = tuple(word)
+        if set(map(type, word)) - {int}:
+            raise TypeError(f"letters of {word} must be ints")
         got = self._word_cache.get(word)
         if got is None:
             for i in word:

@@ -35,14 +35,13 @@ from fractions import Fraction
 from functools import cache, total_ordering
 from math import gcd as _int_gcd
 from math import lcm as _int_lcm
+from math import prod
 from itertools import chain, compress
-from operator import add, le, mul, ne, sub
+from operator import add, getitem, le, mul, ne, sub
 from struct import Struct
 
 from . import modgcd
 from .errors import EvaluationPole, NonPolynomialBracket, SubstitutionPole, ZeroDenominator
-
-_ZERO = Fraction(0)
 
 
 def _exact(c):
@@ -289,19 +288,23 @@ class MultiPoly:
 
     def evaluate(self, point):
         """Exact value at a point mapping VarName -> Fraction."""
-        vals = []
-        for v in self.vars:
+        return Fraction(*self.scaled_value(point))
+
+    def scaled_value(self, point):
+        """(n, d), ints with d > 0 and n/d the value at ``point``: every term over one denominator.
+
+        A variable of degree k at a/b scales a term's z^e by b^k, and a^e b^(k-e) comes from one table.
+        """
+        lc = den = _int_lcm(*(c.denominator for c in self.terms.values()))
+        tables = []
+        for v, k in zip(self.vars, map(max, zip(*self.terms))):
             if v not in point:
                 raise KeyError(f"no value for variable {v}")
-            vals.append(Fraction(point[v]))
-        total = _ZERO
-        for e, c in self.terms.items():
-            term = c
-            for b, k in zip(vals, e):
-                if k:
-                    term *= b**k
-            total += term
-        return total
+            a, b = Fraction(point[v]).as_integer_ratio()
+            tables.append([a**e * b ** (k - e) for e in range(k + 1)])
+            den *= b**k
+        terms = self.terms.items()
+        return sum(c.numerator * (lc // c.denominator) * prod(map(getitem, tables, e)) for e, c in terms), den
 
     def substitute_ratfuncs(self, images):
         """Compose with RatFunc images (variables absent from ``images`` pass through)."""
@@ -709,10 +712,11 @@ class RatFunc:
         return num / den
 
     def evaluate(self, point):
-        d = self.den.evaluate(point)
-        if d == 0:
+        dn, dd = self.den.scaled_value(point)
+        if not dn:
             raise EvaluationPole("denominator vanishes at the evaluation point")
-        return self.num.evaluate(point) / d
+        n, d = self.num.scaled_value(point)
+        return Fraction(n * dd, d * dn)
 
     # -- display -------------------------------------------------------------
 

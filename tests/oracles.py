@@ -141,6 +141,23 @@ def poly_derivative(p, v):
     return MultiPoly._make(p.vars, out)
 
 
+def fraction_evaluate(p, point):
+    """The MultiPoly p at a point mapping VarName -> Fraction, summed term by term in Fractions."""
+    vals = []
+    for v in p.vars:
+        if v not in point:
+            raise KeyError(f"no value for variable {v}")
+        vals.append(Fraction(point[v]))
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        term = c
+        for b, k in zip(vals, e):
+            if k:
+                term *= b**k
+        total += term
+    return total
+
+
 def differentiate(f, v):
     """The partial derivative of the RatFunc f by the variable v, by the quotient rule."""
     dn = poly_derivative(f.num, v)

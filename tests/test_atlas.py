@@ -95,6 +95,19 @@ def test_enumeration_order_is_pinned(series, rank, qkind, v):
     assert (len(charts), digest) == _ENUMERATION_DIGESTS[(series, rank, qkind, v)]
 
 
+def test_word_memo_refuses_letters_that_are_not_ints():
+    """(1.0,) and (True,) equal (1,) as memo keys; each is refused, before and after (1,) is memoized."""
+    rs = build_root_system("A", 2)
+    for word in ((1.0,), (True,), (2, 1.0)):
+        with pytest.raises(TypeError, match="must be ints"):
+            rs.element_from_word(word)
+    assert rs.element_from_word((1,)) == rs.simple(1)
+    for word in ((1.0,), (True,), [True]):
+        for _ in range(2):
+            with pytest.raises(TypeError, match="must be ints"):
+                rs.element_from_word(word)
+
+
 def test_word_memo_keeps_validation():
     """Once enumerate_charts has filled the word memo, bad letters, non-reduced words and
     words of the wrong element are still refused, and a list word is its tuple."""

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsatlas import symbolic
+from bsatlas import atlas, symbolic
 from bsatlas.cli import main
 from bsatlas.symbolic import (
     EXP_CAP,
@@ -149,8 +149,11 @@ def test_unpack_refuses_a_key_that_left_the_cap_in_arithmetic():
 
 
 def test_cli_exits_1_when_the_packer_fails(monkeypatch):
-    """With every exponent past a cap of 0, the bracket engine's first pack fails: exit 1, one stderr line."""
+    """With every exponent past a cap of 0, the chart's first pack fails: exit 1, one stderr line.
+
+    The chart memo starts empty, so the chart is built under the cap."""
     monkeypatch.setattr(symbolic, "EXP_CAP", 0)
+    monkeypatch.setattr(atlas, "_CHART_CACHE", {})
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(["--json", "--no-cache", "bracket", "--series", "A", "--rank", "2", "--index", "3"])

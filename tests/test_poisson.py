@@ -429,20 +429,21 @@ def test_chart_bracket_round_trip_check(monkeypatch):
     ],
 )
 def test_chart_bracket_eliminates_no_dual_matrix(monkeypatch, series, rank, qkind, v, index, tangent_eliminated):
-    """chart_bracket runs the fraction-free elimination exactly once, on wbar^{-1} rep itself:
-    the tangents come in closed form, and no perturbed (dual) matrix is ever eliminated."""
+    """chart_bracket runs the fraction-free elimination exactly once, on wbar^{-1} rep itself, as
+    the chart stores it in Laurent values: the tangents come in closed form, and no perturbed (dual)
+    matrix is ever eliminated."""
     import bsatlas.linalg as linalg
 
     m = model(series, rank)
     space = SpaceSpec(m, qkind, m.rs.w0 if v is None else m.rs.element_from_word(v))
     chart = parametrize(enumerate_charts(space)[index])
-    point = m.to_internal(m.signed_perm(chart.spec.w.canonical).left_inv(chart.param.entries))
+    point = m.to_internal(m.signed_perm(chart.spec.w.canonical).left_inv(chart.rep))
     inputs = []
     bareiss = linalg._bareiss
 
-    def counting(a):
+    def counting(a, *args):
         inputs.append([list(row) for row in a])
-        return bareiss(a)
+        return bareiss(a, *args)
 
     monkeypatch.setattr(linalg, "_bareiss", counting)
     chart_bracket(chart)

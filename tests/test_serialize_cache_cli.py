@@ -335,18 +335,24 @@ _WORD = st.sampled_from(
 
 
 @st.composite
-def _chart_cli_args(draw):
-    """bracket, cgl verify or chart show on A1, A2 or C2, the chart named by --index or by drawn words."""
-    command = draw(st.sampled_from([["bracket"], ["cgl", "verify"], ["chart", "show"]]))
+def _chart_cli_args(draw, commands=(["bracket"], ["cgl", "verify"], ["chart", "show"])):
+    """One of commands on A1, A2 or C2, each chart named by --index or by drawn words (a change names two)."""
+    command = draw(st.sampled_from(commands))
     series, rank = draw(st.sampled_from([("A", 1), ("A", 2), ("C", 2)]))
     argv = ["--json", "--no-cache", *command, "--series", series, "--rank", str(rank)]
     # half the draws of --v and --index name a chart that exists, so the packed pipeline runs
     v = draw(st.one_of(st.sampled_from(["w0", "e"]), _WORD))
-    argv += ["--q", draw(st.sampled_from(["Nv", "Bv"])), "--v", v, "--w", draw(_WORD)]
-    if draw(st.booleans()):
-        return argv + ["--index", str(draw(st.one_of(st.sampled_from([0, 1, 3]), st.sampled_from([5, 19, -1]))))]
-    blocks = draw(st.one_of(st.lists(_WORD, min_size=3, max_size=3).map("|".join), st.sampled_from(["||", "|", "a|b|c|d"])))
-    return argv + ["--r", blocks]
+    argv += ["--q", draw(st.sampled_from(["Nv", "Bv"])), "--v", v]
+    if command == ["charts", "list"]:
+        return argv
+    for prefix in ("--", "--to-") if command == ["chart", "change"] else ("--",):
+        argv += [f"{prefix}w", draw(_WORD)]
+        if draw(st.booleans()):
+            argv += [f"{prefix}index", str(draw(st.one_of(st.sampled_from([0, 1, 3]), st.sampled_from([5, 19, -1]))))]
+            continue
+        blocks = st.one_of(st.lists(_WORD, min_size=3, max_size=3).map("|".join), st.sampled_from(["||", "|", "a|b|c|d"]))
+        argv += [f"{prefix}r", draw(blocks)]
+    return argv
 
 
 def _assert_exit_contract(argv):
@@ -372,6 +378,13 @@ def test_cli_exit_contract_property(argv):
 @given(_chart_cli_args())
 def test_cli_exit_contract_property_chart_commands(argv):
     """The same contract for bracket, cgl verify and chart show, which run the packed Laurent pipeline."""
+    _assert_exit_contract(argv)
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(_chart_cli_args(commands=(["chart", "change"], ["charts", "list"])))
+def test_cli_exit_contract_property_change_and_list(argv):
+    """The same contract for chart change, which eliminates the source chart's Laurent representative, and charts list."""
     _assert_exit_contract(argv)
 
 

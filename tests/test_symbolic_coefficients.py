@@ -15,6 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bsatlas import linalg, modgcd
+from bsatlas.errors import EvaluationPole
 from bsatlas.serialize import poly_from_json, poly_to_json
 from bsatlas.symbolic import (
     MultiPoly,
@@ -29,7 +30,7 @@ from bsatlas.symbolic import (
     to_laurent,
     try_divide,
 )
-from oracles import packed, unpacked
+from oracles import fraction_evaluate, packed, unpacked
 
 VARS = tuple(VarName("z", i) for i in range(1, 10))
 SYMS = sympy.symbols("z1:10")
@@ -146,6 +147,32 @@ def test_boundary_values_are_fractions():
     f = RatFunc(X * X + 1, X + 1)
     assert type(f.evaluate({VARS[0]: 1})) is Fraction
     assert type(RatFunc.from_poly(X + 1).evaluate({VARS[0]: 2})) is Fraction
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(poly_triples(), st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12), min_size=4, max_size=4))
+@example((2, [[], [((0, 0), 3)], [((1, 0), Fraction(-1, 2))]]), [Fraction(-3, 4), Fraction(5)] * 2)
+def test_integer_evaluation_agrees_with_fraction_evaluation(triple, values):
+    """MultiPoly and RatFunc values, summed over one int denominator, equal the term-by-term Fraction sums:
+    int and Fraction coefficients, constants, the zero polynomial, negative and zero values."""
+    n, term_lists = triple
+    point = dict(zip(VARS, values))
+    polys = [_poly(n, terms) for terms in term_lists]
+    for p in polys:
+        got = p.evaluate(point)
+        assert type(got) is Fraction and got == fraction_evaluate(p, point)
+    num, den = polys[0], polys[1]
+    if den.is_zero():
+        return
+    f = RatFunc(num, den)
+    want_den = fraction_evaluate(f.den, point)
+    if want_den == 0:
+        with pytest.raises(EvaluationPole):
+            f.evaluate(point)
+    else:
+        assert f.evaluate(point) == fraction_evaluate(f.num, point) / want_den
+        with pytest.raises(KeyError, match="no value for variable y1"):
+            (f + MultiPoly.variable(VarName("y", 1))).evaluate(point)
 
 
 def test_text_and_json_do_not_depend_on_coefficient_type():
