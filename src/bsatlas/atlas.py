@@ -2,9 +2,11 @@
 
 A chart is indexed by w in W together with a triple of reduced words
 r = (w0_word, w_word, v_word) for (w0 w^{-1}, w, v).  The chart covers the
-shifted big cell w B^- B / Q.  Its representative is built and stored on
-Laurent values, each monomial packed in one int key: one-parameter chains, a
-Gauss elimination whose pivots are monomials, and a torus scaling.  The
+shifted big cell w B^- B / Q.  Its representative is built on Laurent
+values, each monomial packed in one int key, when first read: column
+updates of a partial product by the letters of each word, a Gauss
+elimination whose pivots are monomials, and a torus scaling, with one head
+L(x)^{-1} g2 per (w0_word, w_word).  The
 RatFunc form (``Chart.param``) is formed only when it is read.  Its
 coordinates are generalized minors of the three factors of the normal form
 wbar * m * n * t, each one signed minor of one factor (``Chart.minors``),
@@ -19,11 +21,12 @@ from __future__ import annotations
 
 from .errors import NotInBigCell, NotInChartDomain
 from .groups import GroupElement, GroupModel, MinorSpec, _signed
-from .linalg import laurent_lower_factor, laurent_lower_inverse, laurent_mat_mul, laurent_matrix, ltu_minors
-from .linalg import minor_tangents
+from .linalg import laurent_lower_factor, laurent_lower_inverse, laurent_matrix, ltu_minors, minor_tangents
 from .symbolic import VarName, from_laurent, laurent_shift, pack_exponent
 
 _CHART_CACHE = {}
+# L(x)^{-1} g2 by (model name, w0_word, w_word, frame width), shared by the charts of every v word (``_head``)
+_HEAD_CACHE = {}
 
 
 class SpaceSpec:
@@ -98,30 +101,35 @@ class Chart:
 
     The representative is stored once, as Laurent values: ``rep[i][j]`` is a
     dict from packed monomial keys over ``frame`` (each variable to its slot)
-    to coefficients.  ``param``, the same matrix as a GroupElement of
-    canonical RatFuncs, is formed when it is first read.  A chart built from
-    a GroupElement keeps it as ``param`` and converts it once, when it is
-    built, to Laurent values over the frame of its entries
+    to coefficients, built from the spec when first read (``representative``).
+    ``param``, the same matrix as a GroupElement of canonical RatFuncs, is
+    formed when it is first read.  A chart built from a GroupElement keeps
+    it as ``param`` and converts it once, when it is built, to Laurent
+    values over the frame of its entries
     (``linalg.laurent_matrix``).  ``minors`` reads each coordinate as one
     signed minor (factor, rows, cols, sign) of the normal form L*N*T of
     wbar^{-1} g, with factor 0, 1, 2 for L, N, T (``signed_minors``).
     """
 
-    __slots__ = ("spec", "dims", "zvars", "frame", "rep", "_param", "coord_formulas", "minors")
+    __slots__ = ("spec", "dims", "zvars", "_frame", "_rep", "_param", "coord_formulas", "minors")
 
-    def __init__(self, spec, dims, zvars, rep, coord_formulas):
-        """rep is a GroupElement, or (frame, Laurent matrix) as ``parametrize`` builds it."""
+    def __init__(self, spec, dims, zvars, param, coord_formulas):
+        """param is a GroupElement, or None for the representative ``representative(spec)``."""
         self.spec = spec
         self.dims = dims
         self.zvars = zvars
-        if isinstance(rep, GroupElement):
-            self._param = rep
-            self.frame, self.rep = laurent_matrix(rep.entries)
-        else:
-            self._param = None
-            self.frame, self.rep = rep
+        self._param = param
+        self._frame, self._rep = (None, None) if param is None else laurent_matrix(param.entries)
         self.coord_formulas = coord_formulas
         self.minors = signed_minors(spec, coord_formulas)
+
+    frame = property(lambda self: self._laurent()[0])
+    rep = property(lambda self: self._laurent()[1])
+
+    def _laurent(self):
+        if self._rep is None:
+            self._frame, self._rep = representative(self.spec)
+        return self._frame, self._rep
 
     @property
     def param(self):
@@ -228,46 +236,52 @@ def signed_minors(spec: ChartSpec, formulas):
 
 
 def parametrize(spec: ChartSpec) -> Chart:
-    """Build the chart: symbolic coset representative plus coordinate recipes.
-
-    The representative is built on Laurent values over the frame z_1 ..
-    z_dims, each monomial one packed int key (``symbolic.unit_keys``):
-    one-parameter chains g1, g2, g3 (``GroupModel.g_word``),
-    x = g2 w0bar^{-1} g1, the lower factor L of x by an elimination whose
-    pivots are monomials (``linalg.laurent_lower_factor``), then
-    rep = L^{-1} g2 g3 vbar^{-1} times the torus, a per-column monomial
-    shift.  The chart stores rep as it is; no RatFunc is formed here.
-    """
+    """Build the chart: its coordinate recipes, with the representative built when first read (``representative``)."""
     got = _CHART_CACHE.get(spec.key())
-    if got is not None:
-        return got
-    model = spec.space.model
-    rs = model.rs
+    if got is None:
+        dims = spec.space.dims()
+        got = Chart(spec, dims, [zvar(j) for j in range(1, dims + 1)], None, coordinate_formulas(spec))
+        _CHART_CACHE[spec.key()] = got
+    return got
+
+
+def representative(spec: ChartSpec):
+    """(frame, rep): the symbolic coset representative, on Laurent values over the frame z_1 .. z_dims.
+
+    With g1, g2, g3 the one-parameter chains of the three words and
+    x = g2 w0bar^{-1} g1, rep = L(x)^{-1} g2 g3 vbar^{-1} times the torus: the
+    letters of the v word update a copy of the shared head L(x)^{-1} g2
+    (``_head``, ``GroupModel.mul_word``), and the torus shifts each column.
+    """
+    space = spec.space
+    model = space.model
     w0_word, w_word, v_word = spec.r
-    k = len(w0_word)
-    l0 = rs.l0
-    l = l0 + len(v_word)
-    dims = spec.space.dims()
-    zvars = [zvar(j) for j in range(1, dims + 1)]
-    one = {0: 1}
-    g1 = model.g_word(w0_word, 0, dims)
-    g2 = model.g_word(w_word, k, dims)
-    g3 = model.g_word(v_word, l0, dims)
-    x = laurent_mat_mul(g2, model.signed_perm(rs.w0.canonical).left_inv(g1))
-    lower_inv = model.from_internal(laurent_lower_inverse(laurent_lower_factor(model.to_internal(x), one), one))
-    rep = model.signed_perm(v_word).right_inv(laurent_mat_mul(laurent_mat_mul(lower_inv, g2), g3))
-    if spec.space.qkind == "Nv":
+    l0, dims = model.rs.l0, space.dims()
+    rep = model.signed_perm(v_word).right_inv(model.mul_word(_head(model, w0_word, w_word, dims), v_word, l0, dims))
+    if space.qkind == "Nv":
         # column p times t^{x_p}, with t^{omega_i} the variable at slot l + pos for i = omega_order[pos]
+        l = l0 + len(v_word)
         shifts = [[0] * dims for _ in range(model.dim)]
-        for pos, i in enumerate(spec.space.omega_order):
+        for pos, i in enumerate(space.omega_order):
             for shift, weight in zip(shifts, model.slot_weights):
                 shift[l + pos] = weight[i - 1]
         shifts = [pack_exponent(shift, dims) for shift in shifts]
         rep = [[laurent_shift(x, shift) for x, shift in zip(row, shifts)] for row in rep]
-    frame = {v: slot for slot, v in enumerate(zvars)}
-    chart = Chart(spec, dims, zvars, (frame, rep), coordinate_formulas(spec))
-    _CHART_CACHE[spec.key()] = chart
-    return chart
+    return {zvar(j): j - 1 for j in range(1, dims + 1)}, rep
+
+
+def _head(model, w0_word, w_word, width):
+    """L(x)^{-1} g2 over ``width`` slots, built once: the letters of w0_word update g2 w0bar^{-1} into x, and
+    those of w_word update L^{-1}, L by an elimination whose pivots are monomials (``laurent_lower_factor``)."""
+    key = (model.name, w0_word, w_word, width)
+    got = _HEAD_CACHE.get(key)
+    if got is None:
+        one, k = {0: 1}, len(w0_word)
+        g2w0 = model.signed_perm(model.rs.w0.canonical).right_inv(model.mul_word(None, w_word, k, width))
+        lower = laurent_lower_factor(model.to_internal(model.mul_word(g2w0, w0_word, 0, width)), one)
+        lower_inv = model.from_internal(laurent_lower_inverse(lower, one))
+        got = _HEAD_CACHE[key] = model.mul_word(lower_inv, w_word, k, width)
+    return got
 
 
 def eval_coordinates(chart: Chart, g):

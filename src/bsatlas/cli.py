@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -475,11 +476,18 @@ def build_parser():
 
 
 def main(argv=None):
-    """Run one command; exit code 0 ok, 1 failed verification or internal invariant, 2 usage."""
+    """Run one command; exit code 0 ok, 1 failed verification, internal invariant or closed stdout, 2 usage."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        rc = args.fn(args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # stdout was closed early, as by `| head`: point it at devnull so that the flush at exit
+        # cannot raise again (the Python documentation's note on SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (BSAtlasError, ValueError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2

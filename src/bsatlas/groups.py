@@ -20,8 +20,9 @@ multiplication by x_{+-i}(c) = 1 + c e is one column update
 (``mul_one_param``), which keeps the type of an entry.  Numeric points are
 built on integers, as a scaled point (m, d) = m/d with one denominator
 (``scaled_chain``, ``scaled_torus``), so a chain takes no gcd.  A chart's
-chains (``g_word``) are built on Laurent values, where each column update
-is a monomial shift and ``SignedPerm`` reorders and negates dicts.
+products are column updates of a partial product by the chain of a word
+(``mul_word``) on Laurent values, each a monomial shift, and ``SignedPerm``
+reorders and negates dicts.
 """
 
 from __future__ import annotations
@@ -407,21 +408,22 @@ class GroupModel:
         m, d = point
         return GroupElement(self, [[Fraction(x, d) for x in row] for row in m])
 
-    def g_word(self, word, start, width):
-        """x_{a1}(z) sbar_{a1} ... x_{ak}(z) sbar_{ak} in Laurent values over a frame of ``width`` slots.
+    def mul_word(self, g, word, start, width):
+        """g x_{a1}(z) sbar_{a1} ... x_{ak}(z) sbar_{ak} for g of Laurent values over a frame of ``width`` slots.
 
-        Letter j takes the variable at slot start + j, and the word must be
-        reduced.  Each x_{a}(z) is one column update g + z g e, a monomial
-        shift of the source column, and each sbar only reorders and negates
-        columns.
+        None is the identity.  Letter j takes the variable at slot start + j;
+        a chart's spec has checked the word.  Each x_{a}(z) is one column
+        update g + z g e, a monomial shift of the source column, and each sbar
+        only reorders and negates columns.  g is left as it is: its rows are
+        copied and every updated entry is a new dict.
         """
-        word = tuple(word)
         if start + len(word) > width:
             raise ValueError("need one frame slot per letter")
-        if word:
-            self.rs.assert_reduced(word)
         units = unit_keys(width)
-        out = [[{0: 1} if i == j else {} for j in range(self.dim)] for i in range(self.dim)]
+        if g is None:
+            out = [[{0: 1} if i == j else {} for j in range(self.dim)] for i in range(self.dim)]
+        else:
+            out = [list(row) for row in g]
         for slot, i in enumerate(word, start):
             z = {units[slot]: 1}
             updates = self._column_updates[i]

@@ -30,8 +30,10 @@ fields a*x and x*a; ``minor_tangents`` reads a minor of a factor and carries
 the tangents to it by Jacobi's formula, from one set of cofactors.  The
 lift takes no gcd.  A chart's representative is
 built on Laurent values too: ``laurent_lower_factor`` eliminates with
-monomial pivots, ``laurent_lower_inverse`` inverts by forward substitution
-and ``laurent_mat_mul`` multiplies, with no gcd either.
+monomial pivots and ``laurent_lower_inverse`` inverts by forward
+substitution, with no gcd either; each product in that build is a column
+update by one letter of a word (``GroupModel.mul_word``), so no two
+Laurent matrices are multiplied.
 """
 
 from __future__ import annotations
@@ -375,12 +377,6 @@ def _dot(start, terms):
         if x and y:
             laurent_fma(acc, s, x, y)
     return acc
-
-
-def laurent_mat_mul(a, b):
-    """The product of two matrices of Laurent values over one frame."""
-    bt = list(zip(*b))
-    return [[_dot({}, ((1, x, y) for x, y in zip(row, col) if x and y)) for col in bt] for row in a]
 
 
 def laurent_lower_factor(a, one):

@@ -6,9 +6,10 @@ from operator import add, le, sub
 from bsatlas.cgl import CGLPresentation, CGLReport, _support_range_ok, _zero_weight
 from bsatlas.errors import DimensionMismatch, LengthMismatch, ZeroTorusValue
 from bsatlas.groups import GroupElement, _signed
-from bsatlas.linalg import _is_zero, mat_mul, minor
+from bsatlas.linalg import _dot, _is_zero, laurent_lower_factor, laurent_lower_inverse, mat_mul, minor
 from bsatlas.poisson import BracketTable, build_lambda
 from bsatlas.symbolic import EXP_BITS, _RF_ZERO, MultiPoly, RatFunc, VarName, _coeff_quotient, _exact, _grlex_key
+from bsatlas.symbolic import laurent_shift, pack_exponent
 
 
 def exp_nilpotent(model, x, c):
@@ -410,3 +411,36 @@ def tuple_from_laurent(a, frame, den=None):
     if den is not None:
         return RatFunc(num, MultiPoly._make(variables, tuple_shift(den, low)))
     return RatFunc(num, MultiPoly._make(variables, {tuple(low): 1}))
+
+
+# The chart representative as built before it became column updates of a partial product: three chains and
+# three Laurent matrix products.
+
+
+def laurent_mat_mul(a, b):
+    """The product of two matrices of Laurent values over one frame."""
+    bt = list(zip(*b))
+    return [[_dot({}, ((1, x, y) for x, y in zip(row, col) if x and y)) for col in bt] for row in a]
+
+
+def matrix_product_representative(spec):
+    """(frame, rep) by the chains g1, g2, g3 (``GroupModel.mul_word`` on the identity), x = g2 (w0bar^{-1} g1),
+    its lower factor L and rep = ((L^{-1} g2) g3) vbar^{-1} times the torus, each product a Laurent matrix product."""
+    model = spec.space.model
+    rs = model.rs
+    w0_word, w_word, v_word = spec.r
+    k, l0 = len(w0_word), rs.l0
+    l, dims = l0 + len(v_word), spec.space.dims()
+    one = {0: 1}
+    g1, g2, g3 = (model.mul_word(None, word, start, dims) for word, start in ((w0_word, 0), (w_word, k), (v_word, l0)))
+    x = laurent_mat_mul(g2, model.signed_perm(rs.w0.canonical).left_inv(g1))
+    lower_inv = model.from_internal(laurent_lower_inverse(laurent_lower_factor(model.to_internal(x), one), one))
+    rep = model.signed_perm(v_word).right_inv(laurent_mat_mul(laurent_mat_mul(lower_inv, g2), g3))
+    if spec.space.qkind == "Nv":
+        shifts = [[0] * dims for _ in range(model.dim)]
+        for pos, i in enumerate(spec.space.omega_order):
+            for shift, weight in zip(shifts, model.slot_weights):
+                shift[l + pos] = weight[i - 1]
+        shifts = [pack_exponent(shift, dims) for shift in shifts]
+        rep = [[laurent_shift(x, shift) for x, shift in zip(row, shifts)] for row in rep]
+    return {VarName("z", j): j - 1 for j in range(1, dims + 1)}, rep

@@ -1,5 +1,6 @@
 """Chart enumeration, parametrization, coordinates, changes, torus weights."""
 
+import copy
 import hashlib
 import random
 import sys
@@ -17,12 +18,15 @@ from bsatlas.atlas import (
     parametrize,
     t_weights,
 )
+from bsatlas.cgl import predicted_cgl
 from bsatlas.errors import NotInBigCell, NotInChartDomain
-from bsatlas.groups import GroupElement, build_model
+from bsatlas.groups import GroupElement, build_model, cached_model
 from bsatlas.linalg import laurent_lower_factor, mat_mul, mat_transpose
+from bsatlas.poisson import chart_bracket
+from bsatlas.positivity import ToricChartSpec, certify_chart_positivity
 from bsatlas.rootdata import build_root_system
 from bsatlas.symbolic import MultiPoly, RatFunc, VarName, var
-from oracles import coordinates_from_factors, mul_torus, packed, torus_element
+from oracles import coordinates_from_factors, matrix_product_representative, mul_torus, packed, torus_element
 
 _M = {}
 
@@ -264,6 +268,87 @@ def test_parametrize_matches_ratfunc_composition(series, rank, qkind, vname, sam
         assert got == _ratfunc_param(spec), spec.label()
 
 
+@pytest.mark.parametrize(
+    "series, rank, qkind, vname, sample",
+    [
+        ("A", 1, "Nv", "w0", None),
+        ("A", 2, "Nv", "w0", None),
+        ("A", 2, "Bv", "e", None),
+        ("C", 2, "Nv", "w0", None),
+        ("C", 2, "Bv", "e", None),
+        ("A", 3, "Bv", "e", None),
+        ("A", 3, "Nv", "w0", 32),
+    ],
+)
+def test_representative_matches_matrix_product_build(monkeypatch, series, rank, qkind, vname, sample):
+    """The column-update build with shared heads equals the three Laurent matrix products, key for key."""
+    monkeypatch.setattr(atlas, "_HEAD_CACHE", {})
+    m = model(series, rank)
+    specs = enumerate_charts(SpaceSpec(m, qkind, m.rs.w0 if vname == "w0" else m.rs.identity))
+    if sample:
+        specs = random.Random(7).sample(specs, sample)
+    for spec in specs:
+        assert atlas.representative(spec) == matrix_product_representative(spec), spec.label()
+
+
+@pytest.mark.parametrize("series, rank", [("A", 2), ("C", 2)])
+def test_charts_sharing_a_head_leave_it_unchanged(monkeypatch, series, rank):
+    """Two charts that differ only in the v word share one head; either build order gives the same
+    representatives, and neither build changes the cached head."""
+    m = model(series, rank)
+    specs = enumerate_charts(SpaceSpec(m, "Nv", m.rs.w0))
+    first = specs[0]
+    pair = [first, next(s for s in specs if s.r[:2] == first.r[:2] and s.r[2] != first.r[2])]
+    key = (m.name, *first.r[:2], first.space.dims())
+    reps = []
+    for order in (pair, pair[::-1]):
+        monkeypatch.setattr(atlas, "_CHART_CACHE", {})
+        monkeypatch.setattr(atlas, "_HEAD_CACHE", {})
+        charts = [parametrize(spec) for spec in order]
+        charts[0].rep
+        head = copy.deepcopy(atlas._HEAD_CACHE[key])
+        charts[1].rep
+        assert atlas._HEAD_CACHE[key] == head and list(atlas._HEAD_CACHE) == [key]
+        reps.append({chart.spec: copy.deepcopy((chart.frame, chart.rep)) for chart in charts})
+    assert reps[0] == reps[1] == {spec: matrix_product_representative(spec) for spec in pair}
+
+
+def test_charts_read_at_points_build_no_representative(monkeypatch):
+    """Positivity, predicted CGL data and T-weights read no representative; the bracket builds it on first
+    read, and a chart built from a GroupElement converts it when it is built."""
+    m = cached_model("A", 2)
+    specs = enumerate_charts(SpaceSpec(m, "Nv", m.rs.w0))
+    tspec = ToricChartSpec(m, "G", (m.rs.w0.canonical, m.rs.w0.canonical))
+
+    def run():
+        charts = [parametrize(spec) for spec in specs]
+        for chart in charts:
+            predicted_cgl(chart)
+            t_weights(chart)
+        return charts, [certify_chart_positivity(chart, tspec, 2, 3) for chart in charts]
+
+    monkeypatch.setattr(atlas, "_CHART_CACHE", {})
+    expected = run()[1]
+
+    def refuse(spec):
+        raise AssertionError(f"representative of {spec.label()} built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(atlas, "_CHART_CACHE", {})
+        patch.setattr(atlas, "representative", refuse)
+        charts, reports = run()
+    assert reports == expected and all(r["ok"] for r in reports)
+    for chart in charts:
+        assert chart._rep is None
+        assert chart_bracket(chart).entries
+        assert (chart.frame, chart.rep) == matrix_product_representative(chart.spec)
+    monkeypatch.setattr(atlas, "representative", refuse)
+    param = charts[5].param
+    chart = atlas.Chart(specs[5], charts[5].dims, charts[5].zvars, param, charts[5].coord_formulas)
+    assert chart._rep is not None and chart.param is param
+    assert [[symbolic.from_laurent(x, chart._frame) for x in row] for row in chart._rep] == param.entries
+
+
 def test_laurent_lower_factor_needs_monomial_pivots():
     one, z1 = packed({(0,): 1}, 1), packed({(1,): 1}, 1)
     # a = [[2 z1, 1], [z1^2, 0]]: L_21 = z1/2, and the second pivot -z1/2 is a monomial too
@@ -278,8 +363,10 @@ def test_laurent_lower_factor_needs_monomial_pivots():
 
 @pytest.mark.parametrize("series, rank", [("A", 2), ("C", 2)])
 def test_parametrize_takes_no_gcd(monkeypatch, series, rank):
-    """Over every chart of G/N(w0), parametrize calls neither poly_gcd nor RatFunc.__mul__."""
+    """Over every chart of G/N(w0), parametrize and the representative's build call neither poly_gcd nor
+    RatFunc.__mul__."""
     monkeypatch.setattr(atlas, "_CHART_CACHE", {})
+    monkeypatch.setattr(atlas, "_HEAD_CACHE", {})
     m = model(series, rank)
     specs = enumerate_charts(SpaceSpec(m, "Nv", m.rs.w0))
     codes = {symbolic.poly_gcd.__code__, symbolic.RatFunc.__mul__.__code__}
@@ -291,7 +378,7 @@ def test_parametrize_takes_no_gcd(monkeypatch, series, rank):
 
     sys.setprofile(profile)
     try:
-        charts = [parametrize(spec) for spec in specs]
+        charts = [parametrize(spec).rep for spec in specs]
     finally:
         sys.setprofile(None)
     assert len(charts) == len(specs)

@@ -148,9 +148,9 @@ def test_column_update_matches_dense_product(data):
 
 
 def _chain(m, word, symbol="z"):
-    """The Laurent chain g_word(word) over the frame of one variable per letter, as a RatFunc element."""
+    """The Laurent chain of word (``mul_word`` on the identity) over the frame of one variable per letter, as a RatFunc element."""
     frame = {VarName(symbol, i): i - 1 for i in range(1, len(word) + 1)}
-    g = m.g_word(word, 0, len(word))
+    g = m.mul_word(None, word, 0, len(word))
     return GroupElement(m, [[from_laurent(x, frame) for x in row] for row in g])
 
 
@@ -874,7 +874,7 @@ def test_group_constraints_on_parametrizations():
 
 
 def test_g_word_lands_in_shifted_unipotent():
-    """ubar^{-1} g_word(u) is in N^- (internal-basis lower-unitriangular)."""
+    """ubar^{-1} times the Laurent chain of u is in N^- (internal-basis lower-unitriangular)."""
     words = {
         ("A", 2): [(1,), (1, 2), (2, 1, 2)],
         ("A", 3): [(1, 2, 3), (1, 2, 1, 3, 2, 1)],

@@ -4,6 +4,9 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 
 from bsatlas import cache
 from bsatlas.cli import main, parse_word
+from bsatlas.repro import CASES
 from bsatlas.serialize import (
     content_hash,
     poly_from_json,
@@ -386,6 +390,38 @@ def test_cli_exit_contract_property_chart_commands(argv):
 def test_cli_exit_contract_property_change_and_list(argv):
     """The same contract for chart change, which eliminates the source chart's Laurent representative, and charts list."""
     _assert_exit_contract(argv)
+
+
+@st.composite
+def _roots_repro_args(draw):
+    """roots over drawn series and ranks, those over MAX_ROOTS_RANK among them, or one repro case."""
+    if draw(st.booleans()):
+        return ["--json", "repro", draw(st.sampled_from([*CASES, "all"]))]
+    rank = draw(st.one_of(st.integers(-2, 8), st.sampled_from([31, 10**9, -(10**9)])))
+    return ["--json", "roots", "--series", draw(st.sampled_from(["A", "C"])), "--rank", str(rank)]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_roots_repro_args())
+def test_cli_exit_contract_property_roots_and_repro(argv):
+    """The same contract for roots, whose root data is refused for an unsupported series or rank, and repro."""
+    _assert_exit_contract(argv)
+
+
+def test_cli_closed_stdout_exits_1_without_traceback():
+    """A run whose stdout is closed before it writes, as in `bsatlas ... | head -c 10`, exits 1 and prints nothing."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).parents[1] / "src"), env.get("PYTHONPATH")]))
+    argv = ["--json", "--no-cache", "positivity", "--series", "C", "--rank", "2", "--samples", "3"]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bsatlas.cli", *argv], stdout=write, stderr=subprocess.PIPE, env=env, timeout=120
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def test_cli_repro(capsys):
