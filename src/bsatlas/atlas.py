@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .errors import NotInBigCell, NotInChartDomain
 from .groups import GroupElement, GroupModel, MinorSpec, _signed
-from .linalg import laurent_lower_factor, laurent_lower_inverse, laurent_matrix, ltu_minors, minor_tangents
+from .linalg import laurent_lower_factor, laurent_lower_inverse, ltu_minors, minor_tangents
 from .symbolic import VarName, from_laurent, laurent_shift, pack_exponent
 
 _CHART_CACHE = {}
@@ -103,23 +103,18 @@ class Chart:
     dict from packed monomial keys over ``frame`` (each variable to its slot)
     to coefficients, built from the spec when first read (``representative``).
     ``param``, the same matrix as a GroupElement of canonical RatFuncs, is
-    formed when it is first read.  A chart built from a GroupElement keeps
-    it as ``param`` and converts it once, when it is built, to Laurent
-    values over the frame of its entries
-    (``linalg.laurent_matrix``).  ``minors`` reads each coordinate as one
+    formed when it is first read.  ``minors`` reads each coordinate as one
     signed minor (factor, rows, cols, sign) of the normal form L*N*T of
     wbar^{-1} g, with factor 0, 1, 2 for L, N, T (``signed_minors``).
     """
 
     __slots__ = ("spec", "dims", "zvars", "_frame", "_rep", "_param", "coord_formulas", "minors")
 
-    def __init__(self, spec, dims, zvars, param, coord_formulas):
-        """param is a GroupElement, or None for the representative ``representative(spec)``."""
+    def __init__(self, spec, dims, zvars, coord_formulas):
         self.spec = spec
         self.dims = dims
         self.zvars = zvars
-        self._param = param
-        self._frame, self._rep = (None, None) if param is None else laurent_matrix(param.entries)
+        self._frame = self._rep = self._param = None
         self.coord_formulas = coord_formulas
         self.minors = signed_minors(spec, coord_formulas)
 
@@ -240,7 +235,7 @@ def parametrize(spec: ChartSpec) -> Chart:
     got = _CHART_CACHE.get(spec.key())
     if got is None:
         dims = spec.space.dims()
-        got = Chart(spec, dims, [zvar(j) for j in range(1, dims + 1)], None, coordinate_formulas(spec))
+        got = Chart(spec, dims, [zvar(j) for j in range(1, dims + 1)], coordinate_formulas(spec))
         _CHART_CACHE[spec.key()] = got
     return got
 
@@ -289,7 +284,8 @@ def eval_coordinates(chart: Chart, g):
 
     g is a Chart, read at its stored Laurent representative; a scaled point
     (m, d) of an int matrix m and an int d, the point m/d; or a GroupElement
-    or a list of rows, of Fractions or RatFuncs.  ``Chart.minors`` is
+    or a list of rows, of Fractions or of RatFuncs whose denominators are
+    monomials (any other raises NonPolynomialBracket).  ``Chart.minors`` is
     reindexed into the model's internal basis and every coordinate is read
     as one quotient from one fraction-free elimination of wbar^{-1} g
     (``linalg.ltu_minors``); no factor is formed.  Raises NotInChartDomain

@@ -16,7 +16,6 @@ import sys
 from fractions import Fraction
 from math import factorial
 
-from . import __version__, cache
 from .atlas import (
     ChartSpec,
     SpaceSpec,
@@ -38,7 +37,6 @@ from .serialize import (
     bracket_table_to_json,
     cgl_report_to_json,
     chart_to_json,
-    content_hash,
     dumps,
 )
 
@@ -249,24 +247,10 @@ def cmd_chart_change(args):
     return 0
 
 
-def _bracket_key(spec):
-    """Cache key of a chart's bracket table; a new engine or schema version misses."""
-    return content_hash(["bracket", __version__, SCHEMA_VERSION, spec.key()])
-
-
 def cmd_bracket(args):
     space = _space(args)
     spec = _chart_spec(space, args.index, args.w, args.r)
-    key = _bracket_key(spec)
-    payload = None
-    if not args.no_cache:
-        payload = cache.load(key, args.cache_dir)
-    if payload is None:
-        chart = parametrize(spec)
-        table = chart_bracket(chart)
-        payload = bracket_table_to_json(table)
-        if not args.no_cache:
-            cache.store(key, payload, args.cache_dir)
+    payload = bracket_table_to_json(chart_bracket(parametrize(spec)))
     if args.json:
         print(dumps(payload))
     else:
@@ -414,8 +398,6 @@ def cmd_repro(args):
 def build_parser():
     p = argparse.ArgumentParser(prog="bsatlas", description=__doc__)
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--cache-dir", default=None, help="result cache directory")
-    p.add_argument("--no-cache", action="store_true")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("roots", help="root system data")

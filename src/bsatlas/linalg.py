@@ -14,8 +14,8 @@ values over the chart's frame, each monomial one packed int key, and goes in
 as it is, with c_j = 1.  A numeric point becomes ints, each column over the
 lcm of its denominators, or over d for a scaled point m/d.  A RatFunc matrix
 is converted once, as a front end, to Laurent values over the frame of its
-entries, a column with a denominator that is not a monomial to polynomials
-over the lcm c_j of its denominators.  With
+entries (c_j = 1); a denominator that is not a monomial raises
+NonPolynomialBracket, naming the entry.  With
 p_k the leading principal minors of the numerators and M the entries before
 their elimination step, each factor entry is one quotient of two such minors:
 L_ik = M_ik/p_{k+1}, N_kj = M_kj p_j/(p_k p_{j+1}), T_k = p_{k+1}/(p_k c_k).
@@ -44,8 +44,7 @@ from math import lcm as _int_lcm
 from operator import mul
 
 from .errors import NonPolynomialBracket, NotInBigCell
-from .symbolic import MultiPoly, RatFunc, from_laurent, laurent_divide, laurent_fma, laurent_frame, laurent_shift
-from .symbolic import poly_gcd, to_laurent, try_divide
+from .symbolic import RatFunc, from_laurent, laurent_divide, laurent_fma, laurent_frame, laurent_shift, to_laurent
 
 
 def _is_zero(x):
@@ -190,22 +189,17 @@ def _ring_of(a, frame=None, den=None):
     are (c_j = 1).  Else an int matrix a with ``den`` is the scaled point
     a/den, each column over den, and other int and Fraction entries are ints
     over the lcm c_j of each column's denominators.  Any other entries are
-    RatFuncs, converted once to Laurent values over the frame of the entries:
-    a column whose denominators are monomials as it is (c_j = 1), any other
-    as polynomials over the lcm c_j of its denominators.  laurent_divide and
-    try_divide are looked up per call, so a test can replace them.
+    RatFuncs whose denominators are monomials, converted once to Laurent
+    values over the frame of the entries (``laurent_matrix``, c_j = 1).
+    laurent_divide is looked up per call, so a test can replace it.
     """
-    cols = list(zip(*a))
     one = {0: 1}
-    if frame is not None:
-        columns = [(list(col), one) for col in cols]
-    elif den is not None:
-        return _RATIONALS, [(list(col), den) for col in cols]
-    elif all(type(x) in (int, Fraction) for col in cols for x in col):
-        return _RATIONALS, [_rational_column(col) for col in cols]
-    else:
-        frame = laurent_frame(RatFunc.coerce(x) for col in cols for x in col)
-        columns = [_laurent_column([RatFunc.coerce(x) for x in col], j, frame) for j, col in enumerate(cols)]
+    if frame is None:
+        if den is not None:
+            return _RATIONALS, [(list(col), den) for col in zip(*a)]
+        if all(type(x) in (int, Fraction) for row in a for x in row):
+            return _RATIONALS, [_rational_column(col) for col in zip(*a)]
+        frame, a = laurent_matrix(a)
     ring = _Ring(
         {},
         one,
@@ -216,22 +210,7 @@ def _ring_of(a, frame=None, den=None):
         lambda num, d: from_laurent(num, frame, d),
         frame,
     )
-    return ring, columns
-
-
-def _laurent_column(col, j, frame):
-    """The RatFunc column j as (Laurent numerators over ``frame``, c_j): c_j = 1 if every denominator is a monomial."""
-    if all(len(x.den.terms) == 1 for x in col):
-        return [to_laurent(x, frame) for x in col], {0: 1}
-    c = MultiPoly.constant(1)
-    for x in col:
-        if x.den != c:
-            c = c * _quotient(try_divide, x.den, poly_gcd(c, x.den), f"the lcm of column {j + 1}")
-    nums = [
-        x.num if x.den == c else x.num * _quotient(try_divide, c, x.den, f"scaling entry ({i + 1}, {j + 1})")
-        for i, x in enumerate(col)
-    ]
-    return [to_laurent(RatFunc.from_poly(x), frame) for x in nums], to_laurent(RatFunc.from_poly(c), frame)
+    return ring, [(list(col), one) for col in zip(*a)]
 
 
 def laurent_matrix(a):

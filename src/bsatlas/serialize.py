@@ -7,7 +7,6 @@ as structured term lists (loadable without a parser) and as canonical text
 
 from __future__ import annotations
 
-import hashlib
 import json
 from fractions import Fraction
 
@@ -86,7 +85,3 @@ def cgl_report_to_json(report):
 
 def dumps(obj):
     return json.dumps(obj, indent=2, sort_keys=True)
-
-
-def content_hash(obj) -> str:
-    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()

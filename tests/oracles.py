@@ -4,7 +4,7 @@ from fractions import Fraction
 from operator import add, le, sub
 
 from bsatlas.cgl import CGLPresentation, CGLReport, _support_range_ok, _zero_weight
-from bsatlas.errors import DimensionMismatch, LengthMismatch, ZeroTorusValue
+from bsatlas.errors import DimensionMismatch, LengthMismatch, NotInBigCell, ZeroTorusValue
 from bsatlas.groups import GroupElement, _signed
 from bsatlas.linalg import _dot, _is_zero, laurent_lower_factor, laurent_lower_inverse, mat_mul, minor
 from bsatlas.poisson import BracketTable, build_lambda
@@ -118,6 +118,28 @@ def fraction_pivot_permutation_upper(mat):
                 for r in range(n):
                     m[r][c] = m[r][c] - f * m[r][j]
     return tuple(sigma)
+
+
+def ltu_reference(a):
+    """The division elimination a = L*T*U: (L, diagonal of T, U), each row of U divided by its own pivot.
+
+    Every multiplier and every update is a division or product in the entry
+    type of a, so it factors RatFunc matrices of any denominators, and a zero
+    pivot raises NotInBigCell with its 1-based index.
+    """
+    m = [list(row) for row in a]
+    size = len(m)
+    zero = a[0][0] * 0
+    lower = [[zero + 1 if i == j else zero for j in range(size)] for i in range(size)]
+    for k in range(size):
+        if _is_zero(m[k][k]):
+            raise NotInBigCell(k + 1)
+        for i in range(k + 1, size):
+            f = m[i][k] / m[k][k]
+            lower[i][k] = f
+            m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    upper = [[m[i][j] / m[i][i] if j > i else zero + int(i == j) for j in range(size)] for i in range(size)]
+    return lower, [m[i][i] for i in range(size)], upper
 
 
 def x_chain(model, word, sign, c):

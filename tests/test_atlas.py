@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -19,14 +20,14 @@ from bsatlas.atlas import (
     t_weights,
 )
 from bsatlas.cgl import predicted_cgl
-from bsatlas.errors import NotInBigCell, NotInChartDomain
+from bsatlas.errors import NonPolynomialBracket, NotInBigCell, NotInChartDomain
 from bsatlas.groups import GroupElement, build_model, cached_model
 from bsatlas.linalg import laurent_lower_factor, mat_mul, mat_transpose
 from bsatlas.poisson import chart_bracket
 from bsatlas.positivity import ToricChartSpec, certify_chart_positivity
 from bsatlas.rootdata import build_root_system
 from bsatlas.symbolic import MultiPoly, RatFunc, VarName, var
-from oracles import coordinates_from_factors, matrix_product_representative, mul_torus, packed, torus_element
+from oracles import coordinates_from_factors, ltu_reference, matrix_product_representative, mul_torus, packed, torus_element
 
 _M = {}
 
@@ -314,8 +315,7 @@ def test_charts_sharing_a_head_leave_it_unchanged(monkeypatch, series, rank):
 
 
 def test_charts_read_at_points_build_no_representative(monkeypatch):
-    """Positivity, predicted CGL data and T-weights read no representative; the bracket builds it on first
-    read, and a chart built from a GroupElement converts it when it is built."""
+    """Positivity, predicted CGL data and T-weights read no representative; the bracket builds it on first read."""
     m = cached_model("A", 2)
     specs = enumerate_charts(SpaceSpec(m, "Nv", m.rs.w0))
     tspec = ToricChartSpec(m, "G", (m.rs.w0.canonical, m.rs.w0.canonical))
@@ -342,11 +342,6 @@ def test_charts_read_at_points_build_no_representative(monkeypatch):
         assert chart._rep is None
         assert chart_bracket(chart).entries
         assert (chart.frame, chart.rep) == matrix_product_representative(chart.spec)
-    monkeypatch.setattr(atlas, "representative", refuse)
-    param = charts[5].param
-    chart = atlas.Chart(specs[5], charts[5].dims, charts[5].zvars, param, charts[5].coord_formulas)
-    assert chart._rep is not None and chart.param is param
-    assert [[symbolic.from_laurent(x, chart._frame) for x in row] for row in chart._rep] == param.entries
 
 
 def test_laurent_lower_factor_needs_monomial_pivots():
@@ -560,14 +555,20 @@ def test_sl4_group_chart_round_trips():
 
 
 def _coordinates_by_factors(chart, g):
-    """The coordinates read from the formed RatFunc factors L, N, T, as an oracle."""
+    """The coordinates read from the factors L, N, T of the division elimination (``ltu_reference``), as an oracle.
+
+    With wbar^{-1} g = L*T*U in the internal basis, N = T U T^{-1}; an int entry is read as a Fraction.
+    """
     m = chart.spec.space.model
     h = m.signed_perm(chart.spec.w.canonical).left_inv(g.entries if isinstance(g, GroupElement) else g)
     try:
-        factors = m.triangular_factor(h)
+        lower, t, upper = ltu_reference(m.to_internal([[Fraction(x) if type(x) is int else x for x in row] for row in h]))
     except NotInBigCell as e:
         return e.minor_index
-    return coordinates_from_factors(chart, *factors)
+    zero, n = t[0] * 0, len(t)
+    upper = [[upper[i][j] * t[i] / t[j] if j > i else upper[i][j] for j in range(n)] for i in range(n)]
+    tmat = [[t[i] if i == j else zero for j in range(n)] for i in range(n)]
+    return coordinates_from_factors(chart, *(m.from_internal(f) for f in (lower, upper, tmat)))
 
 
 def _change_pairs():
@@ -585,7 +586,7 @@ def _change_pairs():
 def test_eval_coordinates_matches_formed_factors():
     """Every coordinate read straight from the elimination equals the minor of the formed factor:
     all ordered SL(3)/N(w0) pairs and seeded Sp(4)/N(w0) and SL(4)/B(e) pairs, symbolically by
-    text and at a rational point, plus a point whose column denominator is not a monomial."""
+    text and at a rational point; a point whose column denominator is not a monomial is refused, naming the entry."""
     d, pairs = var("d"), _change_pairs()
     for src, dst in pairs:
         got = eval_coordinates(dst, src.param)
@@ -596,7 +597,11 @@ def test_eval_coordinates_matches_formed_factors():
         assert got == _coordinates_by_factors(dst, numeric) and all(type(x) is Fraction for x in got)
     for src, dst in pairs[::40]:
         g = [[x / (d + 1) if j == 0 else x for j, x in enumerate(row)] for row in src.param.entries]
-        assert [f.text() for f in eval_coordinates(dst, g)] == [f.text() for f in _coordinates_by_factors(dst, g)]
+        m = dst.spec.space.model
+        h = m.to_internal(m.signed_perm(dst.spec.w.canonical).left_inv(g))
+        entry = next(x for row in h for x in row if len(x.den.terms) > 1)
+        with pytest.raises(NonPolynomialBracket, match=rf"^{re.escape(entry.text())} is not a Laurent polynomial"):
+            eval_coordinates(dst, g)
 
 
 def test_eval_coordinates_outside_the_cell_names_the_minor_of_the_factorization():

@@ -181,13 +181,15 @@ def test_mixed_product_zero_and_one_var():
 
 
 def test_mixed_product_rebuilds_chart_presentation():
-    m = model("A", 2)
-    rs = m.rs
-    space = SpaceSpec(m, "Bv", rs.identity)
-    for spec in enumerate_charts(space)[:4]:
+    """The mixed product of the two word blocks rebuilds every chart table of SL(3)/B(e) and Sp(4)/B(e)."""
+    specs = [spec for m in (model("A", 2), model("C", 2)) for spec in enumerate_charts(SpaceSpec(m, "Bv", m.rs.identity))]
+    assert len(specs) == 18
+    second_block = 0
+    for spec in specs:
         chart = parametrize(spec)
         table = chart_bracket(chart)
         e1, e2, nu = block_cgl(chart, table)
+        second_block += bool(e2.table.entries)
         combined = mixed_product(e1, e2, nu)
         pres = predicted_cgl(chart)
         assert combined.chars == [tuple(c) for c in pres.chars]
@@ -195,6 +197,8 @@ def test_mixed_product_rebuilds_chart_presentation():
         assert combined.hprimes == [tuple(h) for h in pres.hprimes]
         for key, val in table.entries.items():
             assert (combined.table.entries[key] - val).is_zero(), (spec.label(), key)
+    # the second block's entries are renamed into its own variables (``cgl._shift_z``)
+    assert second_block >= 1
 
 
 def test_hamiltonian_report_all_coordinates():

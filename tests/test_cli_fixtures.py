@@ -30,7 +30,7 @@ CASES = {
     "charts_list_C2_Nv_s1": ["charts", "list", "--series", "C", "--rank", "2", "--q", "Nv", "--v", "s1"],
     "tleaf_A3_s40": ["tleaf", "--series", "A", "--rank", "3", "--samples", "40"],
     "chart_change_C2_i3_to17": ["chart", "change", "--series", "C", "--rank", "2", "--index", "3", "--to-index", "17"],
-    "bracket_A3_i1000": ["--no-cache", "bracket", "--series", "A", "--rank", "3", "--index", "1000"],
+    "bracket_A3_i1000": ["bracket", "--series", "A", "--rank", "3", "--index", "1000"],
     "cgl_verify_A3_i1000": ["cgl", "verify", "--series", "A", "--rank", "3", "--index", "1000"],
     "chart_change_A3_Nv_s2_i5_to100": [
         "chart", "change", "--series", "A", "--rank", "3", "--q", "Nv", "--v", "s2", "--index", "5", "--to-index", "100",
@@ -38,7 +38,7 @@ CASES = {
     "chart_change_C2_Bv_s1_i2_to9": [
         "chart", "change", "--series", "C", "--rank", "2", "--q", "Bv", "--v", "s1", "--index", "2", "--to-index", "9",
     ],
-    "bracket_A2_Nv_s1_i3": ["--no-cache", "bracket", "--series", "A", "--rank", "2", "--q", "Nv", "--v", "s1", "--index", "3"],
+    "bracket_A2_Nv_s1_i3": ["bracket", "--series", "A", "--rank", "2", "--q", "Nv", "--v", "s1", "--index", "3"],
     "cgl_verify_C2_Nv_s2_i4": ["cgl", "verify", "--series", "C", "--rank", "2", "--q", "Nv", "--v", "s2", "--index", "4"],
 }
 

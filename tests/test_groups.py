@@ -16,7 +16,7 @@ from bsatlas.linalg import _is_zero, mat_mul, mat_transpose, minor, minor_tangen
 from bsatlas.positivity import ToricChartSpec, toric_point
 from bsatlas.rootdata import build_root_system
 from bsatlas.symbolic import MultiPoly, RatFunc, VarName, from_laurent, laurent_frame, to_laurent, var
-from oracles import exp_nilpotent, generic_element, mul_torus, poly_derivative, torus_element
+from oracles import exp_nilpotent, generic_element, ltu_reference, mul_torus, poly_derivative, torus_element
 
 
 def model(series, rank):
@@ -42,10 +42,11 @@ def split_unipotent_by_v(m, n_el, v):
     """
     vp = m.signed_perm(v.canonical)
     x = vp.right(vp.left_inv(n_el.entries))
-    lo, up, t = m.triangular_factor(x)
-    for i in range(m.dim):
-        if not _is_zero(t[i][i] - 1):
-            raise AssertionError("unipotent split produced a torus part")
+    # by the division elimination, since the entries of n need not be Laurent; with T = 1, N = U
+    lo, t, up = ltu_reference(m.to_internal(x))
+    if not all(_is_zero(d - 1) for d in t):
+        raise AssertionError("unipotent split produced a torus part")
+    lo, up = m.from_internal(lo), m.from_internal(up)
     vbar = m.wbar(v.canonical).entries
     return GroupElement(m, _conjugate(vbar, lo)), GroupElement(m, _conjugate(vbar, up))
 
@@ -308,27 +309,6 @@ def test_gauss_factor_roundtrip_random():
             assert same(lo * n * t, g)
 
 
-def _ltu_reference(a):
-    """The division elimination a = L*T*U: (L, diagonal of T, U), each row of U divided by its own pivot.
-
-    Every multiplier and every update is a division or product in the entry
-    type of a, and a zero pivot raises NotInBigCell with its 1-based index.
-    """
-    m = [list(row) for row in a]
-    size = len(m)
-    zero = a[0][0] * 0
-    lower = [[zero + 1 if i == j else zero for j in range(size)] for i in range(size)]
-    for k in range(size):
-        if _is_zero(m[k][k]):
-            raise NotInBigCell(k + 1)
-        for i in range(k + 1, size):
-            f = m[i][k] / m[k][k]
-            lower[i][k] = f
-            m[i] = [x - f * y for x, y in zip(m[i], m[k])]
-    upper = [[m[i][j] / m[i][i] if j > i else int(i == j) for j in range(size)] for i in range(size)]
-    return lower, [m[i][i] for i in range(size)], upper
-
-
 def _big_cell_points(m, rng):
     """A Fraction and a RatFunc point of the big cell, keyed by entry type."""
     rank = m.rs.rank
@@ -356,7 +336,7 @@ def test_upper_factor_is_torus_conjugate_of_ltu_upper(series, rank):
             assert all(type(x) is kind for row in factor for x in row), kind
         # compared in the internal basis, where N is matrix-triangular
         n, t = m.to_internal(factors[1]), m.to_internal(factors[2])
-        _, _, u = _ltu_reference(m.to_internal(g))
+        _, _, u = ltu_reference(m.to_internal(g))
         for i in range(m.dim):
             for j in range(m.dim):
                 want = u[i][j] * t[i][i] / t[j][j] if j > i else n[i][j] * 0 + int(i == j)
@@ -474,8 +454,7 @@ def test_two_eps_sp4_points_factor_within_counted_gcd_work(monkeypatch):
         counts["images"] += 1
         return image(a, b, p)
 
-    for module in (symbolic, linalg):
-        monkeypatch.setattr(module, "poly_gcd", counting_gcd)
+    monkeypatch.setattr(symbolic, "poly_gcd", counting_gcd)
     monkeypatch.setattr(modgcd, "gcd_mod_1", counting_image)
     point = {VarName("e", 1): Fraction(1, 3), VarName("e", 2): Fraction(-2, 5), VarName("z", 1): Fraction(3, 7)}
     for m, a in _two_eps_sp4_points():
@@ -553,11 +532,12 @@ _positive = st.fractions(min_value=Fraction(1, 3), max_value=4, max_denominator=
 def test_factors_match_the_division_elimination(data):
     """L, N, T of the fraction-free elimination equal a division elimination, entry by entry and in the point's type.
 
-    The points are Fraction points and RatFunc points whose one-parameter
-    factors carry a non-monomial denominator z + c (so columns are brought
-    over the lcm of their denominators).  With sbar(2) between the lower and
-    the upper unipotent part the second leading minor vanishes and the first
-    does not.
+    The points are Fraction points and Laurent RatFunc points, whose
+    one-parameter factors carry q + c*s and whose torus values are q*s, for s
+    in z and 1/z, so every denominator is a monomial (a point with any other
+    denominator is refused, ``test_inexact_bareiss_division_is_an_internal_fault``).
+    With sbar(2) between the lower and the upper unipotent part the second
+    leading minor vanishes and the first does not.
     """
     series, rank = data.draw(st.sampled_from([("A", 2), ("A", 3), ("C", 2)]), label="group")
     kind = data.draw(st.sampled_from([Fraction, RatFunc]), label="kind")
@@ -565,9 +545,12 @@ def test_factors_match_the_division_elimination(data):
     m = cached_model(series, rank)
     z = var("z", 1)
 
-    def param():
+    def param(torus=False):
         q = data.draw(_positive)
-        return q + 1 / (z + data.draw(st.integers(1, 3))) if kind is RatFunc else q
+        if kind is not RatFunc:
+            return q
+        s = data.draw(st.sampled_from([z, 1 / z]))
+        return q * s if torus else q + data.draw(st.integers(1, 3)) * s
 
     def word():
         return [data.draw(st.integers(1, rank)) for _ in range(data.draw(st.integers(1, 2 * rank)))]
@@ -582,11 +565,11 @@ def test_factors_match_the_division_elimination(data):
     else:
         for i in word() + word():
             g = m.mul_one_param(g, data.draw(st.sampled_from([1, -1])) * i, param())
-    point = mul_torus(m, g, [param() for _ in range(rank)]).entries
+    point = mul_torus(m, g, [param(torus=True) for _ in range(rank)]).entries
     if kind is RatFunc:
-        assert any(len(x.den.terms) > 1 for row in point for x in row)
+        assert all(len(x.den.terms) == 1 for row in point for x in row)
     try:
-        lo, t, u = _ltu_reference(m.to_internal(point))
+        lo, t, u = ltu_reference(m.to_internal(point))
     except NotInBigCell as e:
         assert e.minor_index == 2 or not singular
         with pytest.raises(NotInBigCell) as got:
@@ -606,18 +589,18 @@ def test_factors_match_the_division_elimination(data):
 
 
 def test_inexact_bareiss_division_is_an_internal_fault(monkeypatch, capsys):
-    """A division of the elimination that leaves a remainder raises AssertionError naming the step; the CLI exits 1."""
+    """A division of the elimination that leaves a remainder raises AssertionError naming the step; the CLI exits 1.
+    A RatFunc entry whose denominator is not a monomial raises NonPolynomialBracket naming the entry."""
     m = model("A", 2)
     g = entry_matrix(m).entries
     m.triangular_factor(g)
-    # the elimination divides Laurent values; a column's lcm divides polynomials
+    # a denominator that is not a monomial is refused before any division, naming the entry
+    with pytest.raises(NonPolynomialBracket, match=r"^a11/\(d \+ 1\) is not a Laurent polynomial: d \+ 1 is not"):
+        m.triangular_factor([[x / (var("d") + 1) if j == 0 else x for j, x in enumerate(row)] for row in g])
+    # the elimination divides Laurent values
     monkeypatch.setattr(linalg, "laurent_divide", lambda a, b: None)
-    monkeypatch.setattr(linalg, "try_divide", lambda f, g: None)
     with pytest.raises(AssertionError, match=r"step 2 at entry \(3, 3\) is not an exact division"):
         m.triangular_factor(g)
-    # a column over the lcm of its denominators divides too
-    with pytest.raises(AssertionError, match=r"column 1"):
-        m.triangular_factor([[x / (var("d") + 1) if j == 0 else x for j, x in enumerate(row)] for row in g])
     args = ["--json", "chart", "change", "--series", "A", "--rank", "2", "--index", "3", "--to-index", "5"]
     assert main(args) == 1
     out = capsys.readouterr()

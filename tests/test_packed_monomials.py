@@ -157,7 +157,7 @@ def test_cli_exits_1_when_the_packer_fails(monkeypatch):
     monkeypatch.setattr(atlas, "_HEAD_CACHE", {})
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(["--json", "--no-cache", "bracket", "--series", "A", "--rank", "2", "--index", "3"])
+        rc = main(["--json", "bracket", "--series", "A", "--rank", "2", "--index", "3"])
     assert rc == 1 and out.getvalue() == ""
     assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()
     assert err.getvalue().startswith("error: internal invariant failed: packed monomials: exponent (")

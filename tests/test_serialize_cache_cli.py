@@ -1,4 +1,4 @@
-"""JSON round trips, the file cache, and the command-line surface."""
+"""JSON round trips and the command-line surface."""
 
 import contextlib
 import io
@@ -12,11 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsatlas import cache
 from bsatlas.cli import main, parse_word
 from bsatlas.repro import CASES
 from bsatlas.serialize import (
-    content_hash,
     poly_from_json,
     poly_to_json,
     ratfunc_from_json,
@@ -31,41 +29,6 @@ def test_ratfunc_json_roundtrip():
     assert f == g and f.text() == g.text()
     p = (var("x") * var("y") - 1).num
     assert poly_from_json(poly_to_json(p)) == p
-
-
-def test_default_cache_dir_is_per_user(tmp_path, monkeypatch):
-    monkeypatch.delenv(cache.ENV_CACHE_DIR, raising=False)
-    monkeypatch.setenv("HOME", str(tmp_path))
-    assert cache.default_cache_dir() == os.path.join(str(tmp_path), ".cache", "bsatlas")
-    monkeypatch.setenv(cache.ENV_CACHE_DIR, str(tmp_path / "elsewhere"))
-    assert cache.default_cache_dir() == str(tmp_path / "elsewhere")
-
-
-def test_cache_roundtrip(tmp_path):
-    key = content_hash(["k", 1])
-    payload = {"a": [1, 2, 3], "b": "text"}
-    cache.store(key, payload, str(tmp_path))
-    assert cache.load(key, str(tmp_path)) == payload
-    assert cache.load("missing", str(tmp_path)) is None
-    # tampering is detected
-    path = os.path.join(str(tmp_path), f"{key}.json")
-    body = json.load(open(path))
-    body["payload"]["a"] = [9]
-    json.dump(body, open(path, "w"))
-    assert cache.load(key, str(tmp_path)) is None
-    calls = []
-
-    def load_or_compute(compute):
-        got = cache.load(key, str(tmp_path))
-        if got is None:
-            got = compute()
-            cache.store(key, got, str(tmp_path))
-        return got
-
-    got = load_or_compute(lambda: calls.append(1) or {"v": 5})
-    assert got == {"v": 5} and calls == [1]
-    got2 = load_or_compute(lambda: calls.append(1) or {"v": 6})
-    assert got2 == {"v": 5} and calls == [1]
 
 
 def test_parse_word():
@@ -108,39 +71,23 @@ def test_cli_chart_show_and_change(capsys):
     assert data["formulas"][1] == "z1^2*z2 - z1"
 
 
-def test_cli_bracket_cached(tmp_path, capsys):
-    args = [
-        "--json", "--cache-dir", str(tmp_path), "bracket",
-        "--series", "A", "--rank", "1", "--q", "Nv", "--v", "w0", "--index", "0",
-    ]
+def test_cli_bracket_writes_no_file(tmp_path, monkeypatch, capsys):
+    """bracket recomputes its table on every run and leaves nothing on disk, under HOME or the cwd."""
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    args = ["--json", "bracket", "--series", "A", "--rank", "1", "--q", "Nv", "--v", "w0", "--index", "0"]
     assert main(args) == 0
     first = capsys.readouterr().out
     assert main(args) == 0
     assert capsys.readouterr().out == first
     assert json.loads(first)["entries"]["1,2"]["text"] == "-2*z1*z2"
-
-
-def test_cli_bracket_cache_misses_other_engine_version(tmp_path, monkeypatch, capsys):
-    from bsatlas import cli
-    from bsatlas.atlas import SpaceSpec, enumerate_charts
-    from bsatlas.groups import cached_model
-
-    m = cached_model("A", 1)
-    spec = enumerate_charts(SpaceSpec(m, "Nv", m.rs.w0))[0]
-    stale = {"schema_version": 1, "n_vars": 0, "laurent_vars": [], "entries": {}}
-    with monkeypatch.context() as patch:
-        patch.setattr(cli, "__version__", "0.0.0-older-engine")
-        cache.store(cli._bracket_key(spec), stale, str(tmp_path))
-    args = [
-        "--json", "--cache-dir", str(tmp_path), "bracket",
-        "--series", "A", "--rank", "1", "--q", "Nv", "--v", "w0", "--index", "0",
-    ]
-    assert main(args) == 0
-    assert json.loads(capsys.readouterr().out)["entries"]["1,2"]["text"] == "-2*z1*z2"
-    # the same stale payload under the current key would be served
-    cache.store(cli._bracket_key(spec), stale, str(tmp_path))
-    assert main(args) == 0
-    assert json.loads(capsys.readouterr().out) == stale
+    assert list(tmp_path.iterdir()) == []
+    # the removed cache options are usage errors
+    for flags in (["--no-cache"], ["--cache-dir", str(tmp_path / "cache")]):
+        with pytest.raises(SystemExit) as exc:
+            main([*flags, *args])
+        assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_internal_invariant_exit_code(monkeypatch, capsys):
@@ -343,7 +290,7 @@ def _chart_cli_args(draw, commands=(["bracket"], ["cgl", "verify"], ["chart", "s
     """One of commands on A1, A2 or C2, each chart named by --index or by drawn words (a change names two)."""
     command = draw(st.sampled_from(commands))
     series, rank = draw(st.sampled_from([("A", 1), ("A", 2), ("C", 2)]))
-    argv = ["--json", "--no-cache", *command, "--series", series, "--rank", str(rank)]
+    argv = ["--json", *command, "--series", series, "--rank", str(rank)]
     # half the draws of --v and --index name a chart that exists, so the packed pipeline runs
     v = draw(st.one_of(st.sampled_from(["w0", "e"]), _WORD))
     argv += ["--q", draw(st.sampled_from(["Nv", "Bv"])), "--v", v]
@@ -412,7 +359,7 @@ def test_cli_closed_stdout_exits_1_without_traceback():
     """A run whose stdout is closed before it writes, as in `bsatlas ... | head -c 10`, exits 1 and prints nothing."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).parents[1] / "src"), env.get("PYTHONPATH")]))
-    argv = ["--json", "--no-cache", "positivity", "--series", "C", "--rank", "2", "--samples", "3"]
+    argv = ["--json", "positivity", "--series", "C", "--rank", "2", "--samples", "3"]
     read, write = os.pipe()
     os.close(read)
     try:
