@@ -20,7 +20,10 @@ p_k the leading principal minors of the numerators and M the entries before
 their elimination step, each factor entry is one quotient of two such minors:
 L_ik = M_ik/p_{k+1}, N_kj = M_kj p_j/(p_k p_{j+1}), T_k = p_{k+1}/(p_k c_k).
 ``ltu_minors`` reads any minor of a factor as one quotient straight from the
-pass, so a chart's coordinates need no factor and take at most one gcd each.
+pass, so a chart's coordinates need no factor.  On Laurent values a quotient
+first divides out each pivot's non-monomial factor that divides it exactly;
+the gcd a denominator then takes, if not a monomial, finds 1 on every change
+of each space of SL(3) and Sp(4) and of SL(4)/B(e).
 The formulas live in ``_normal_form``: ``gauss_ltu`` builds each quotient
 in the entry type of the input, and ``gauss_ltu_lift`` as an exact Laurent
 division, since on a Bott-Samelson chart the factors are Laurent and every
@@ -44,7 +47,8 @@ from math import lcm as _int_lcm
 from operator import mul
 
 from .errors import NonPolynomialBracket, NotInBigCell
-from .symbolic import RatFunc, from_laurent, laurent_divide, laurent_fma, laurent_frame, laurent_shift, to_laurent
+from .symbolic import RatFunc, from_laurent, laurent_divide, laurent_fma, laurent_frame, laurent_shift, pack_exponent
+from .symbolic import to_laurent, unpack_columns
 
 
 def _is_zero(x):
@@ -161,9 +165,20 @@ def ltu_minors(a, minors, frame=None, den=None):
 
     a is read as ``_ring_of`` reads it: Laurent values over ``frame``, the
     scaled point a/den of an int matrix a, or Fraction or RatFunc entries.
+    Each Laurent pivot is split once, p_k = z^e_k q_k (``_pivot_split``), for
+    the divisions of ``_factor_minor``.
     """
     ring, m, p, c = _bareiss(a, frame, den)
-    return [_factor_minor(ring, m, p, c, f, rows, cols) for f, rows, cols in minors]
+    split = [_pivot_split(x, ring.frame) for x in p]
+    return [_factor_minor(ring, m, p, c, split, f, rows, cols) for f, rows, cols in minors]
+
+
+def _pivot_split(piv, frame):
+    """(z^e, q) with piv = z^e q for a Laurent pivot, q with no monomial factor; (piv, None) for a monomial or an int."""
+    if frame is None or len(piv) == 1:
+        return piv, None
+    e = pack_exponent([min(col) for col in unpack_columns(piv, len(frame))], len(frame))
+    return {e: 1}, laurent_shift(piv, -e)
 
 
 def _int_divide(x, y):
@@ -257,7 +272,7 @@ def _bareiss(a, frame=None, den=None):
     return ring, m, p, [cj for _, cj in columns]
 
 
-def _factor_minor(ring, m, p, c, f, rows, cols):
+def _factor_minor(ring, m, p, c, split, f, rows, cols):
     """det F[rows, cols] for F = (L, N, T)[f] of the ``_bareiss`` pass (ring, m, p, c), as one quotient.
 
     Let M^L hold M below the diagonal, p_{k+1} on it and 0 above, and M^U
@@ -268,7 +283,10 @@ def _factor_minor(ring, m, p, c, f, rows, cols):
         N[R,C] = det M^U[R,C] prod_{j in C} p_j / (prod_{k in R} p_k prod_{j in C} p_{j+1}),
 
     and the principal minor of T on R is prod_{i in R} p_{i+1} / (p_i c_i).
-    A pivot index on both sides cancels before any product is formed.
+    A pivot index on both sides cancels before any product is formed.  A
+    Laurent p_k = z^e_k q_k (split[k]) left below goes out as z^e_k where q_k
+    divides the numerator exactly, which keeps the quotient; else p_k stays,
+    and the gcd of ``ring.make`` cancels only what those divisions left.
     """
     if f == 2:
         num, up, down = ring.one, [i + 1 for i in rows], list(rows)
@@ -284,7 +302,13 @@ def _factor_minor(ring, m, p, c, f, rows, cols):
     for k in up:
         num = ring.mul(num, p[k]) if k else num
     den = ring.one
-    for x in [p[k] for k in down if k] + ([c[i] for i in rows] if f == 2 else []):
+    for k in down:
+        mono, q = split[k]
+        if q is not None and (quo := ring.divide(num, q)) is not None:
+            num, den = quo, ring.mul(den, mono)
+        elif k:
+            den = ring.mul(den, p[k])
+    for x in [c[i] for i in rows] if f == 2 else []:
         den = ring.mul(den, x)
     return ring.make(num, den)
 

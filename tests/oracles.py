@@ -1,15 +1,17 @@
 """Reference constructions that only the tests use, as oracles for the library's fast paths."""
 
+from collections import Counter
 from fractions import Fraction
 from operator import add, le, sub
 
+from bsatlas.atlas import Chart
 from bsatlas.cgl import CGLPresentation, CGLReport, _support_range_ok, _zero_weight
 from bsatlas.errors import DimensionMismatch, LengthMismatch, NotInBigCell, ZeroTorusValue
 from bsatlas.groups import GroupElement, _signed
-from bsatlas.linalg import _dot, _is_zero, laurent_lower_factor, laurent_lower_inverse, mat_mul, minor
+from bsatlas.linalg import _bareiss, _dot, _is_zero, laurent_lower_factor, laurent_lower_inverse, mat_mul, minor
 from bsatlas.poisson import BracketTable, build_lambda
 from bsatlas.symbolic import EXP_BITS, _RF_ZERO, MultiPoly, RatFunc, VarName, _coeff_quotient, _exact, _grlex_key
-from bsatlas.symbolic import laurent_shift, pack_exponent
+from bsatlas.symbolic import from_laurent, laurent_shift, pack_exponent
 
 
 def exp_nilpotent(model, x, c):
@@ -466,3 +468,34 @@ def matrix_product_representative(spec):
         shifts = [pack_exponent(shift, dims) for shift in shifts]
         rep = [[laurent_shift(x, shift) for x, shift in zip(row, shifts)] for row in rep]
     return {VarName("z", j): j - 1 for j in range(1, dims + 1)}, rep
+
+
+# A coordinate as read before each quotient divided out its pivots' factors: one from_laurent of whole pivots.
+
+
+def undivided_coordinates(chart, g):
+    """The coordinates of chart at g, a Chart or a matrix of Laurent RatFuncs, each from_laurent(num, frame, den).
+
+    num and den are the products of ``linalg._factor_minor``'s pivots p_k, whole: a pivot index on both sides
+    cancels and nothing else is divided, so every pivot factor that is not a monomial is left to the gcd.
+    """
+    model = chart.spec.space.model
+    frame, entries = (g.frame, g.rep) if isinstance(g, Chart) else (None, getattr(g, "entries", g))
+    h = model.to_internal(model.signed_perm(chart.spec.w.canonical).left_inv(entries))
+    ring, m, p, _ = _bareiss(h, frame)
+    pos = {r: i for i, r in enumerate(model._perm)}
+    out = []
+    for f, rows, cols, sign in chart.minors:
+        rows, cols = [pos[r] for r in rows], [pos[k] for k in cols]
+        if f == 2:
+            num, up, down = ring.one, [i + 1 for i in rows], rows
+        else:
+            sub = [[p[k + 1] if r == k else m[r][k] if (r > k) == (f == 0) else {} for k in cols] for r in rows]
+            num, up, down = ring.det(sub), cols if f else [], [k + 1 for k in cols] + (rows if f else [])
+        den = ring.one
+        for k in (Counter(up) - Counter(down)).elements():
+            num = ring.mul(num, p[k])
+        for k in (Counter(down) - Counter(up)).elements():
+            den = ring.mul(den, p[k])
+        out.append(_signed(from_laurent(num, ring.frame, den), sign))
+    return out

@@ -22,12 +22,13 @@ from bsatlas.atlas import (
 from bsatlas.cgl import predicted_cgl
 from bsatlas.errors import NonPolynomialBracket, NotInBigCell, NotInChartDomain
 from bsatlas.groups import GroupElement, build_model, cached_model
-from bsatlas.linalg import laurent_lower_factor, mat_mul, mat_transpose
+from bsatlas.linalg import laurent_lower_factor, ltu_minors, mat_mul, mat_transpose
 from bsatlas.poisson import chart_bracket
 from bsatlas.positivity import ToricChartSpec, certify_chart_positivity
 from bsatlas.rootdata import build_root_system
 from bsatlas.symbolic import MultiPoly, RatFunc, VarName, var
 from oracles import coordinates_from_factors, ltu_reference, matrix_product_representative, mul_torus, packed, torus_element
+from oracles import undivided_coordinates
 
 _M = {}
 
@@ -644,31 +645,133 @@ def test_change_of_coordinates_takes_one_gcd_per_coordinate():
 
 
 def test_coprime_quotient_of_a_change_takes_no_nested_gcd():
-    """On every SL(3)/N(w0) change, a poly_gcd call that returns 1 makes no poly_gcd call of its own:
-    the degree bounds of its prime images prove the quotient coprime."""
-    m = model("A", 2)
-    charts = [parametrize(s) for s in enumerate_charts(SpaceSpec(m, "Nv", m.rs.w0))]
-    code, open_calls, seen = symbolic.poly_gcd.__code__, [], []
+    """On every ordered pair of SL(3)/N(w0) and of Sp(4)/N(w0), each poly_gcd call of a change returns 1 and
+    makes no poly_gcd call of its own: the pivots' factors are divided out before it, so it only proves the
+    quotient coprime, and the degree bounds of its prime images do that."""
+    code = symbolic.poly_gcd.__code__
+    for series in ("A", "C"):
+        m = model(series, 2)
+        charts = [parametrize(s) for s in enumerate_charts(SpaceSpec(m, "Nv", m.rs.w0))]
+        open_calls, seen = [], []
 
-    def profile(frame, event, arg):
-        if frame.f_code is code and event == "call":
-            if open_calls:
-                open_calls[-1] += 1
-            open_calls.append(0)
-        elif frame.f_code is code and event == "return":
-            nested = open_calls.pop()
-            if not open_calls:
-                # with cofactors=True the call returns (gcd, f/gcd, g/gcd)
-                seen.append(((arg[0] if isinstance(arg, tuple) else arg).is_one(), nested))
+        def profile(frame, event, arg):
+            if frame.f_code is code and event == "call":
+                if open_calls:
+                    open_calls[-1] += 1
+                open_calls.append(0)
+            elif frame.f_code is code and event == "return":
+                nested = open_calls.pop()
+                if not open_calls:
+                    # with cofactors=True the call returns (gcd, f/gcd, g/gcd)
+                    seen.append(((arg[0] if isinstance(arg, tuple) else arg).is_one(), nested))
 
-    sys.setprofile(profile)
-    try:
+        sys.setprofile(profile)
+        try:
+            for src in charts:
+                for dst in charts:
+                    if src is not dst:
+                        change_of_coordinates(src, dst)
+        finally:
+            sys.setprofile(None)
+        coprime = [nested for one, nested in seen if one]
+        assert len(coprime) > 100 and not any(coprime), series
+        assert len(coprime) == len(seen), series
+
+
+def test_a_pivot_factor_that_divides_nothing_is_left_to_the_gcd(monkeypatch):
+    """p_1 = (1 + z1)(1 + z2) divides neither M_10 = (1 + z1) z2 below it nor p_1 over p_2 = (1 + z1)(z1 z2 + z1 + 1),
+    so L_10 = M_10/p_1 and N_01 = p_1/p_2 keep their pivots whole, and the gcd cancels the shared 1 + z1: each equals
+    the canonical quotient of its undivided numerator and denominator."""
+    z1, z2 = var("z", 1), var("z", 2)
+    a = [[(1 + z1) * (1 + z2), 1], [(1 + z1) * z2, 1 + z1]]
+    gcds, poly_gcd = [], symbolic.poly_gcd
+
+    def recording(f, g, cofactors=False):
+        got = poly_gcd(f, g, cofactors)
+        gcds.append((got[0] if cofactors else got).text())
+        return got
+
+    monkeypatch.setattr(symbolic, "poly_gcd", recording)
+    lo, up = ltu_minors(a, [(0, [1], [0]), (1, [0], [1])])
+    monkeypatch.undo()
+    assert (lo.text(), up.text()) == ("z2/(z2 + 1)", "(z2 + 1)/(z1*z2 + z1 + 1)")
+    assert gcds == ["z1 + 1", "z1 + 1"]
+    p1, p2 = a[0][0], a[0][0] * a[1][1] - a[1][0] * a[0][1]
+    assert [lo.text(), up.text()] == [RatFunc(a[1][0].num, p1.num).text(), RatFunc(p1.num, p2.num).text()]
+
+
+def test_change_of_coordinates_matches_the_undivided_quotients():
+    """Dividing out the pivots' factors before the gcd leaves every coordinate's text as it was, with whole
+    pivots over the gcd (``oracles.undivided_coordinates``): every ordered pair of SL(3)/B(e), Sp(4)/B(e) and
+    Sp(4)/N(w0), and RatFunc points t * g for g a chart's parametrization and t a torus element."""
+    rng = random.Random(5)
+    for series, rank, qkind, v in (("A", 2, "Bv", "e"), ("C", 2, "Bv", "e"), ("C", 2, "Nv", "w0")):
+        m = model(series, rank)
+        charts = [parametrize(s) for s in enumerate_charts(SpaceSpec(m, qkind, m.rs.w0 if v == "w0" else m.rs.identity))]
         for src in charts:
+            t = torus_element(m, [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(rank)])
+            point = t * src.param
             for dst in charts:
                 if src is not dst:
-                    change_of_coordinates(src, dst)
-    finally:
-        sys.setprofile(None)
-    coprime = [nested for one, nested in seen if one]
-    assert len(coprime) > 100 and not any(coprime)
-    assert len(coprime) < len(seen)
+                    got = [x.text() for x in change_of_coordinates(src, dst)]
+                    assert got == [x.text() for x in undivided_coordinates(dst, src)], (src.spec.label(), dst.spec.label())
+            for dst in charts[:: max(1, len(charts) // 4)]:
+                got = [x.text() for x in eval_coordinates(dst, point)]
+                assert got == [x.text() for x in undivided_coordinates(dst, point)], (src.spec.label(), dst.spec.label())
+
+
+def _braid_window(src, dst):
+    """(first slot, source letters) of the window in which the words of the chart specs src and dst, w the same,
+    differ by one braid move in one block, or None if they do not.  The slots of a block follow those of the
+    blocks before it, one per letter."""
+    if src.w.canonical != dst.w.canonical:
+        return None
+    start, found = 0, None
+    for a, b in zip(src.r, dst.r):
+        if a != b:
+            diff = [i for i, (x, y) in enumerate(zip(a, b)) if x != y]
+            window, other = a[diff[0] : diff[-1] + 1], b[diff[0] : diff[-1] + 1]
+            s, t = window[0], other[0]
+            swap = {s: t, t: s}
+            if found or len(window) < 2 or any(x != (s, t)[i % 2] for i, x in enumerate(window)):
+                return None
+            if tuple(swap[x] for x in window) != other:
+                return None
+            found = (start + diff[0], window)
+        start += len(a)
+    return found
+
+
+def _braid_move(x, window):
+    """The source window's variables x in the target chart, one universal formula per move."""
+    if len(window) == 2:
+        return [x[1], x[0]]
+    if len(window) == 3:
+        return [x[2], x[0] * x[2] - x[1], x[0]]
+    if window == (1, 2, 1, 2):
+        return [x[3], x[0] * x[3] - x[2], x[0] ** 2 * x[3] - 2 * x[0] * x[2] + x[1], x[0]]
+    assert window == (2, 1, 2, 1), window
+    return [x[3], x[0] * x[3] ** 2 - 2 * x[1] * x[3] + x[2], x[0] * x[3] - x[1], x[0]]
+
+
+def test_a_braid_edge_changes_only_its_window_by_the_universal_formula():
+    """On every braid edge of SL(3)/N(w0), Sp(4)/N(w0) and SL(4)/B(e) (24, 28 and 200 ordered pairs), the change
+    keeps each variable outside the move's window and maps the window by the move's formula, read from the
+    source window: an oracle that takes neither a gcd nor a pivot division."""
+    for series, rank, qkind, v, edges in (("A", 2, "Nv", "w0", 24), ("C", 2, "Nv", "w0", 28), ("A", 3, "Bv", "e", 200)):
+        m = model(series, rank)
+        charts = [parametrize(s) for s in enumerate_charts(SpaceSpec(m, qkind, m.rs.w0 if v == "w0" else m.rs.identity))]
+        seen = 0
+        for src in charts:
+            z = [zrf(j) for j in range(1, src.dims + 1)]
+            for dst in charts:
+                found = _braid_window(src.spec, dst.spec)
+                if found is None:
+                    continue
+                lo, window = found
+                hi = lo + len(window)
+                want = z[:lo] + _braid_move(z[lo:hi], window) + z[hi:]
+                got = change_of_coordinates(src, dst)
+                assert [x.text() for x in got] == [x.text() for x in want], (src.spec.label(), dst.spec.label())
+                seen += 1
+        assert seen == edges, (series, rank, qkind)
