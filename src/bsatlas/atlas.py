@@ -5,8 +5,8 @@ r = (w0_word, w_word, v_word) for (w0 w^{-1}, w, v).  The chart covers the
 shifted big cell w B^- B / Q.  Its representative is built on Laurent
 values, each monomial packed in one int key, when first read: column
 updates of a partial product by the letters of each word, a Gauss
-elimination whose pivots are monomials, and a torus scaling, with one head
-L(x)^{-1} g2 per (w0_word, w_word).  The
+elimination whose pivots are monomials, and a torus scaling.  Charts are
+values, never cached; a space keeps the heads its charts share.  The
 RatFunc form (``Chart.param``) is formed only when it is read.  Its
 coordinates are generalized minors of the three factors of the normal form
 wbar * m * n * t, each one signed minor of one factor (``Chart.minors``),
@@ -24,15 +24,14 @@ from .groups import GroupElement, GroupModel, MinorSpec, _signed
 from .linalg import laurent_lower_factor, laurent_lower_inverse, ltu_minors, minor_tangents
 from .symbolic import VarName, from_laurent, laurent_shift, pack_exponent
 
-_CHART_CACHE = {}
-# L(x)^{-1} g2 by (model name, w0_word, w_word, frame width), shared by the charts of every v word (``_head``)
-_HEAD_CACHE = {}
-
 
 class SpaceSpec:
-    """A homogeneous space G/B(v) or G/N(v) with a fundamental-weight listing."""
+    """A homogeneous space G/B(v) or G/N(v) with a fundamental-weight listing.
 
-    __slots__ = ("model", "qkind", "v", "omega_order")
+    ``heads`` keeps L(x)^{-1} g2 by (w0_word, w_word) for the charts of every v word (``_head``), or is None
+    where v has one reduced word; the words are counted, never listed (w0 of SL(7) has over 10^9)."""
+
+    __slots__ = ("model", "qkind", "v", "omega_order", "heads")
 
     def __init__(self, model: GroupModel, qkind, v, omega_order=None):
         if qkind not in ("Bv", "Nv"):
@@ -44,6 +43,7 @@ class SpaceSpec:
         self.omega_order = tuple(omega_order) if omega_order else tuple(range(1, d + 1))
         if sorted(self.omega_order) != list(range(1, d + 1)):
             raise ValueError("omega_order must list every fundamental weight once")
+        self.heads = {} if model.rs.reduced_word_counts()[v.rho] > 1 else None
 
     def dims(self):
         rs = self.model.rs
@@ -231,13 +231,9 @@ def signed_minors(spec: ChartSpec, formulas):
 
 
 def parametrize(spec: ChartSpec) -> Chart:
-    """Build the chart: its coordinate recipes, with the representative built when first read (``representative``)."""
-    got = _CHART_CACHE.get(spec.key())
-    if got is None:
-        dims = spec.space.dims()
-        got = Chart(spec, dims, [zvar(j) for j in range(1, dims + 1)], coordinate_formulas(spec))
-        _CHART_CACHE[spec.key()] = got
-    return got
+    """A new chart of spec: its coordinate recipes, with the representative built when first read (``representative``)."""
+    dims = spec.space.dims()
+    return Chart(spec, dims, [zvar(j) for j in range(1, dims + 1)], coordinate_formulas(spec))
 
 
 def representative(spec: ChartSpec):
@@ -245,14 +241,14 @@ def representative(spec: ChartSpec):
 
     With g1, g2, g3 the one-parameter chains of the three words and
     x = g2 w0bar^{-1} g1, rep = L(x)^{-1} g2 g3 vbar^{-1} times the torus: the
-    letters of the v word update a copy of the shared head L(x)^{-1} g2
-    (``_head``, ``GroupModel.mul_word``), and the torus shifts each column.
+    letters of the v word update a copy of the head L(x)^{-1} g2 (``_head``,
+    ``GroupModel.mul_word``), and the torus shifts each column.
     """
     space = spec.space
     model = space.model
     w0_word, w_word, v_word = spec.r
     l0, dims = model.rs.l0, space.dims()
-    rep = model.signed_perm(v_word).right_inv(model.mul_word(_head(model, w0_word, w_word, dims), v_word, l0, dims))
+    rep = model.signed_perm(v_word).right_inv(model.mul_word(_head(space, w0_word, w_word), v_word, l0, dims))
     if space.qkind == "Nv":
         # column p times t^{x_p}, with t^{omega_i} the variable at slot l + pos for i = omega_order[pos]
         l = l0 + len(v_word)
@@ -265,17 +261,18 @@ def representative(spec: ChartSpec):
     return {zvar(j): j - 1 for j in range(1, dims + 1)}, rep
 
 
-def _head(model, w0_word, w_word, width):
-    """L(x)^{-1} g2 over ``width`` slots, built once: the letters of w0_word update g2 w0bar^{-1} into x, and
-    those of w_word update L^{-1}, L by an elimination whose pivots are monomials (``laurent_lower_factor``)."""
-    key = (model.name, w0_word, w_word, width)
-    got = _HEAD_CACHE.get(key)
+def _head(space, w0_word, w_word):
+    """L(x)^{-1} g2 over the space's frame, kept in ``space.heads`` if it has them: the letters of w0_word update
+    g2 w0bar^{-1} into x, and those of w_word update L^{-1}, L by an elimination whose pivots are monomials."""
+    heads = {} if space.heads is None else space.heads
+    got = heads.get((w0_word, w_word))
     if got is None:
+        model, width = space.model, space.dims()
         one, k = {0: 1}, len(w0_word)
         g2w0 = model.signed_perm(model.rs.w0.canonical).right_inv(model.mul_word(None, w_word, k, width))
         lower = laurent_lower_factor(model.to_internal(model.mul_word(g2w0, w0_word, 0, width)), one)
         lower_inv = model.from_internal(laurent_lower_inverse(lower, one))
-        got = _HEAD_CACHE[key] = model.mul_word(lower_inv, w_word, k, width)
+        got = heads[(w0_word, w_word)] = model.mul_word(lower_inv, w_word, k, width)
     return got
 
 

@@ -13,9 +13,9 @@ only where an entry is not integral.
 The pinned constants act by index, never through a dense matrix product.
 A representative wbar is a signed permutation matrix, read once per word
 into a ``SignedPerm`` (the row and the sign of each column's one nonzero
-entry), so wbar^{-1} g, g wbar and the generalized minor
-Delta^{omega_i}(ubar^{-1} g vbar) = +- det g[ubar rows, vbar cols] only
-reorder and negate entries.  A simple root vector e has e^2 = 0, so right
+entry), the one memo of representatives, so wbar^{-1} g, g wbar and the
+minor Delta^{omega_i}(ubar^{-1} g vbar) = +- det g[ubar rows, vbar cols]
+only reorder and negate entries.  A simple root vector e has e^2 = 0, so right
 multiplication by x_{+-i}(c) = 1 + c e is one column update
 (``mul_one_param``), which keeps the type of an entry.  Numeric points are
 built on integers, as a scaled point (m, d) = m/d with one denominator
@@ -224,8 +224,6 @@ class GroupModel:
                 self._column_updates[signed] = tuple(
                     (p, q, x[p][q]) for p in range(self.dim) for q in range(self.dim) if x[p][q] != 0
                 )
-        self._sbar_cache = {}
-        self._wbar_cache = {}
         self._perm_cache = {}
         self._validate()
 
@@ -332,37 +330,20 @@ class GroupModel:
                     row[q] = row[q] + cc * x
         return GroupElement(self, out)
 
-    def sbar(self, i):
-        got = self._sbar_cache.get(i)
-        if got is None:
-            got = self._sbar_cache[i] = self.rational_point(self.scaled_chain(None, (i, -i, i), (-1, 1, -1)))
-        return got
-
-    def wbar(self, word):
-        """Representative of the element of ``word``; the word must be reduced."""
-        word = tuple(word)
-        got = self._wbar_cache.get(word)
-        if got is not None:
-            return got
-        if len(word) > 1:
-            self.rs.assert_reduced(word)
-        # signed_perm((i,)) reads sbar(i), so a longer word reindexes letter by letter
-        if len(word) == 1:
-            out = self.sbar(word[0])
-        else:
-            out = self.identity()
-            for i in word:
-                out = GroupElement(self, self.signed_perm((i,)).right(out.entries))
-        self._wbar_cache[word] = out
-        return out
-
     def signed_perm(self, word):
-        """``wbar(word)`` as a SignedPerm, read once per word."""
+        """wbar for a reduced ``word`` as a SignedPerm, read once per word: letter i off the int matrix
+        sbar_i = x_i(-1) x_{-i}(1) x_i(-1), any other word by its letters applied to the int identity."""
         word = tuple(word)
         got = self._perm_cache.get(word)
         if got is None:
-            got = SignedPerm(self.wbar(word).entries)
-            self._perm_cache[word] = got
+            if len(word) == 1:
+                entries = self.scaled_chain(None, (word[0], -word[0], word[0]), (-1, 1, -1))[0]
+            else:
+                self.rs.assert_reduced(word)
+                entries = [[int(i == j) for j in range(self.dim)] for i in range(self.dim)]
+                for i in word:
+                    entries = self.signed_perm((i,)).right(entries)
+            got = self._perm_cache[word] = SignedPerm(entries)
         return got
 
     def scaled_chain(self, point, letters, params):

@@ -40,6 +40,16 @@ def fraction_chain(model, letters, c):
     return out
 
 
+def wbar(model, word):
+    """The representative of the element of a reduced ``word`` as a Fraction matrix, formed from its SignedPerm."""
+    return GroupElement(model, model.signed_perm(word).right(model.identity().entries))
+
+
+def sbar(model, i):
+    """The representative of the simple reflection s_i as a Fraction matrix."""
+    return wbar(model, (i,))
+
+
 def torus_element(model, values):
     """Diagonal t with t^{omega_i} = values[i]; entries have the values' type."""
     if len(values) != model.rs.rank:

@@ -20,22 +20,13 @@ from bsatlas.atlas import (
     t_weights,
 )
 from bsatlas.cgl import hamiltonian_flow, hamiltonian_report, predicted_cgl, verify_cgl
-from bsatlas.groups import build_model
+from bsatlas.groups import cached_model
 from bsatlas.leaves import t_leaf_classify
 from bsatlas.poisson import build_lambda, chart_bracket, jacobi_check
 from bsatlas.positivity import ToricChartSpec, certify_chart_positivity
 from bsatlas.repro import CASES, repro_case
-from bsatlas.rootdata import build_root_system
 from bsatlas.symbolic import MultiPoly, RatFunc, VarName, var
-from oracles import differentiate, exp_nilpotent, torus_element
-
-_M = {}
-
-
-def model(series, rank):
-    if (series, rank) not in _M:
-        _M[(series, rank)] = build_model(build_root_system(series, rank))
-    return _M[(series, rank)]
+from oracles import differentiate, exp_nilpotent, sbar, torus_element, wbar
 
 
 def report(criterion, ok, detail):
@@ -48,14 +39,14 @@ def _zrf(i):
 
 
 def _spaces_for_cgl():
-    m1 = model("A", 1)
-    m2 = model("A", 2)
+    m1 = cached_model("A", 1)
+    m2 = cached_model("A", 2)
     out = [
         ("SL(2) G", SpaceSpec(m1, "Nv", m1.rs.w0), None),
         ("SL(3) G", SpaceSpec(m2, "Nv", m2.rs.w0), None),
         ("SL(3)/B", SpaceSpec(m2, "Bv", m2.rs.identity), None),
     ]
-    m3 = model("A", 3)
+    m3 = cached_model("A", 3)
     spb4 = SpaceSpec(m3, "Bv", m3.rs.identity)
     picked = [
         ChartSpec(spb4, m3.rs.identity, ((3, 2, 1, 3, 2, 3), (), ())),
@@ -89,9 +80,9 @@ def all_tables():
 
 def test_criterion_1_chart_census():
     t0 = time.time()
-    m2 = model("A", 2)
+    m2 = cached_model("A", 2)
     n_sl3 = len(enumerate_charts(SpaceSpec(m2, "Nv", m2.rs.w0)))
-    m1 = model("A", 1)
+    m1 = cached_model("A", 1)
     n_sl2 = len(enumerate_charts(SpaceSpec(m1, "Nv", m1.rs.w0)))
     dt = time.time() - t0
     report(1, n_sl3 == 16 and n_sl2 == 2 and dt < 1.0, f"census SL(3)={n_sl3}, SL(2)={n_sl2} in {dt:.3f}s")
@@ -144,12 +135,12 @@ def _naturality_holds(chart_a, table_a, chart_b, table_b):
 
 
 def test_criterion_4_poisson_naturality():
-    m1 = model("A", 1)
+    m1 = cached_model("A", 1)
     sp2 = SpaceSpec(m1, "Nv", m1.rs.w0)
     charts2 = [parametrize(s) for s in enumerate_charts(sp2)]
     tables2 = [chart_bracket(c) for c in charts2]
     pairs2 = [(0, 1), (1, 0), (0, 0)]
-    m2 = model("A", 2)
+    m2 = cached_model("A", 2)
     spb = SpaceSpec(m2, "Bv", m2.rs.identity)
     charts3 = [parametrize(s) for s in enumerate_charts(spb)]
     lam = build_lambda(m2)
@@ -180,8 +171,8 @@ def test_criterion_5_jacobi_everywhere():
 
 def test_criterion_6_positivity():
     t0 = time.time()
-    m1 = model("A", 1)
-    m2 = model("A", 2)
+    m1 = cached_model("A", 1)
+    m2 = cached_model("A", 2)
     jobs = [
         (SpaceSpec(m1, "Nv", m1.rs.w0), ToricChartSpec(m1, "G", ((1,), (1,)))),
         (SpaceSpec(m2, "Nv", m2.rs.w0), ToricChartSpec(m2, "G", ((1, 2, 1), (1, 2, 1)))),
@@ -205,7 +196,7 @@ def test_criterion_6_positivity():
 
 def test_criterion_7_t_weights():
     rng = random.Random(0)
-    m2 = model("A", 2)
+    m2 = cached_model("A", 2)
     bad = []
     n = 0
     for space in (SpaceSpec(m2, "Nv", m2.rs.w0), SpaceSpec(m2, "Bv", m2.rs.identity)):
@@ -245,7 +236,7 @@ def _rank(mat):
 
 
 def test_criterion_8_t_leaf_stratification():
-    m2 = model("A", 2)
+    m2 = cached_model("A", 2)
     rs = m2.rs
     space = SpaceSpec(m2, "Nv", rs.w0)
     rng = random.Random(0)
@@ -257,11 +248,11 @@ def test_criterion_8_t_leaf_stratification():
             c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             g = g * m2.one_param(i if rng.random() < 0.5 else -i, c)
             if rng.random() < 0.3:
-                g = g * m2.sbar(i)
+                g = g * sbar(m2, i)
         return g.entries
 
     def pattern(el):
-        wb = m2.wbar(el.canonical).entries
+        wb = wbar(m2, el.canonical).entries
         return [0] + [next(i + 1 for i in range(3) if wb[i][j] != 0) for j in range(3)]
 
     bad = []
@@ -299,7 +290,7 @@ def test_criterion_9_hamiltonian_completeness():
             h = hamiltonian_report(table, pres, j, verified=rep)
             if not h["ok"]:
                 failures.append((name, chart.spec.label(), j, h["failures"][:1]))
-    m3 = model("A", 3)
+    m3 = cached_model("A", 3)
     spb4 = SpaceSpec(m3, "Bv", m3.rs.identity)
     chart_r1 = parametrize(ChartSpec(spb4, m3.rs.identity, ((3, 2, 1, 3, 2, 3), (), ())))
     table_r1 = chart_bracket(chart_r1)
@@ -342,7 +333,7 @@ def test_criterion_10_roundtrip_and_representative_independence():
             coords = eval_coordinates(chart, chart.param)
             if not all((RatFunc.coerce(c) - _zrf(i + 1)).is_zero() for i, c in enumerate(coords)):
                 bad.append(("roundtrip", spec.label()))
-    mc = model("C", 2)
+    mc = cached_model("C", 2)
     spacec = SpaceSpec(mc, "Nv", mc.rs.w0)
     chartc = parametrize(ChartSpec(spacec, mc.rs.identity, ((1, 2, 1, 2), (), (2, 1, 2, 1))))
     n_charts += 1
@@ -350,7 +341,7 @@ def test_criterion_10_roundtrip_and_representative_independence():
     if not all((RatFunc.coerce(c) - _zrf(i + 1)).is_zero() for i, c in enumerate(coords)):
         bad.append(("roundtrip", "sp4"))
     # representative independence: multiply by symbolic Q-valued elements
-    m2 = model("A", 2)
+    m2 = cached_model("A", 2)
     spb = SpaceSpec(m2, "Bv", m2.rs.identity)
     chart = parametrize(enumerate_charts(spb)[0])
     q = (

@@ -5,6 +5,7 @@ import hashlib
 import random
 import re
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -28,15 +29,7 @@ from bsatlas.positivity import ToricChartSpec, certify_chart_positivity
 from bsatlas.rootdata import build_root_system
 from bsatlas.symbolic import MultiPoly, RatFunc, VarName, var
 from oracles import coordinates_from_factors, ltu_reference, matrix_product_representative, mul_torus, packed, torus_element
-from oracles import undivided_coordinates
-
-_M = {}
-
-
-def model(series, rank):
-    if (series, rank) not in _M:
-        _M[(series, rank)] = build_model(build_root_system(series, rank))
-    return _M[(series, rank)]
+from oracles import sbar, undivided_coordinates, wbar
 
 
 def zrf(i):
@@ -48,11 +41,11 @@ def is_identity_coords(chart, coords):
 
 
 def test_chart_census():
-    m = model("A", 2)
+    m = cached_model("A", 2)
     space = SpaceSpec(m, "Nv", m.rs.w0)
     charts = enumerate_charts(space)
     assert len(charts) == 16
-    m1 = model("A", 1)
+    m1 = cached_model("A", 1)
     assert len(enumerate_charts(SpaceSpec(m1, "Nv", m1.rs.w0))) == 2
     # census formula
     rs = m.rs
@@ -65,7 +58,7 @@ def test_chart_census():
 
 
 def test_chartspec_validation():
-    m = model("A", 2)
+    m = cached_model("A", 2)
     rs = m.rs
     space = SpaceSpec(m, "Nv", rs.w0)
     s1, s2 = rs.element_from_word((1,)), rs.element_from_word((2,))
@@ -95,7 +88,7 @@ _ENUMERATION_DIGESTS = {
 
 @pytest.mark.parametrize("series, rank, qkind, v", list(_ENUMERATION_DIGESTS))
 def test_enumeration_order_is_pinned(series, rank, qkind, v):
-    m = model(series, rank)
+    m = cached_model(series, rank)
     charts = enumerate_charts(SpaceSpec(m, qkind, m.rs.w0 if v == "w0" else m.rs.identity))
     digest = hashlib.sha256("\n".join(repr(c.key()) for c in charts).encode()).hexdigest()
     assert (len(charts), digest) == _ENUMERATION_DIGESTS[(series, rank, qkind, v)]
@@ -146,7 +139,7 @@ def test_word_memo_keeps_validation():
 
 @pytest.mark.parametrize("series,rank", [("A", 2), ("C", 2)])
 def test_numeric_round_trip_is_exact_fractions(series, rank):
-    m = model(series, rank)
+    m = cached_model(series, rank)
     rng = random.Random(3)
     for spec in enumerate_charts(SpaceSpec(m, "Nv", m.rs.w0)):
         chart = parametrize(spec)
@@ -164,7 +157,7 @@ def test_coordinates_make_no_matrix_product(series, rank, vword, monkeypatch):
     import bsatlas.linalg
     from bsatlas.groups import MinorSpec
 
-    m = model(series, rank)
+    m = cached_model(series, rank)
     rs = m.rs
     specs = enumerate_charts(SpaceSpec(m, "Nv", rs.element_from_word(vword)))[::7]
     charts = [parametrize(spec) for spec in specs]
@@ -183,7 +176,7 @@ def test_coordinates_make_no_matrix_product(series, rank, vword, monkeypatch):
 
 
 def test_sl2_parametrizations_match_reference():
-    m = model("A", 1)
+    m = cached_model("A", 1)
     space = SpaceSpec(m, "Nv", m.rs.w0)
     chart_e, chart_s = (parametrize(s) for s in enumerate_charts(space))
     z1, z2, z3 = (var("z", i) for i in (1, 2, 3))
@@ -200,7 +193,7 @@ def test_sl2_parametrizations_match_reference():
     [("A", 1, "Nv", "w0"), ("A", 2, "Nv", "w0"), ("A", 2, "Bv", "e"), ("A", 2, "Bv", "w0"), ("A", 2, "Nv", "e")],
 )
 def test_round_trip_all_charts(series, rank, qkind, vname):
-    m = model(series, rank)
+    m = cached_model(series, rank)
     rs = m.rs
     v = rs.w0 if vname == "w0" else rs.identity
     space = SpaceSpec(m, qkind, v)
@@ -227,12 +220,12 @@ def _ratfunc_param(spec):
     def chain(word, values):
         g = model.identity_like(RatFunc.one())
         for i, c in zip(word, values):
-            g = GroupElement(model, mat_mul(model.mul_one_param(g, i, c).entries, model.sbar(i).entries))
+            g = GroupElement(model, mat_mul(model.mul_one_param(g, i, c).entries, sbar(model, i).entries))
         return g.entries
 
     g1, g2, g3 = chain(w0_word, z[:k]), chain(w_word, z[k:l0]), chain(v_word, z[l0:l])
     # a signed permutation matrix is orthogonal: wbar^{-1} = wbar^T
-    x = mat_mul(g2, mat_mul(mat_transpose(model.wbar(rs.w0.canonical).entries), g1))
+    x = mat_mul(g2, mat_mul(mat_transpose(wbar(model, rs.w0.canonical).entries), g1))
     lower = model.to_internal(model.triangular_factor(x)[0])
     n = len(lower)
     inv = [[RatFunc.one() if i == j else RatFunc.zero() for j in range(n)] for i in range(n)]
@@ -241,7 +234,7 @@ def _ratfunc_param(spec):
             for c in range(j, i):
                 inv[i][j] = inv[i][j] - lower[i][c] * inv[c][j]
     rep = mat_mul(mat_mul(model.from_internal(inv), g2), g3)
-    rep = mat_mul(rep, mat_transpose(model.wbar(v_word).entries))
+    rep = mat_mul(rep, mat_transpose(wbar(model, v_word).entries))
     if spec.space.qkind == "Nv":
         values = [z[l + spec.space.omega_order.index(i)] for i in range(1, rs.rank + 1)]
         rep = mul_torus(model, GroupElement(model, rep), values).entries
@@ -260,7 +253,7 @@ def _ratfunc_param(spec):
 )
 def test_parametrize_matches_ratfunc_composition(series, rank, qkind, vname, sample):
     """The Laurent parametrization equals the RatFunc composition entry by entry, as text."""
-    m = model(series, rank)
+    m = cached_model(series, rank)
     space = SpaceSpec(m, qkind, m.rs.w0 if vname == "w0" else m.rs.identity)
     specs = enumerate_charts(space)
     if sample:
@@ -282,10 +275,9 @@ def test_parametrize_matches_ratfunc_composition(series, rank, qkind, vname, sam
         ("A", 3, "Nv", "w0", 32),
     ],
 )
-def test_representative_matches_matrix_product_build(monkeypatch, series, rank, qkind, vname, sample):
+def test_representative_matches_matrix_product_build(series, rank, qkind, vname, sample):
     """The column-update build with shared heads equals the three Laurent matrix products, key for key."""
-    monkeypatch.setattr(atlas, "_HEAD_CACHE", {})
-    m = model(series, rank)
+    m = cached_model(series, rank)
     specs = enumerate_charts(SpaceSpec(m, qkind, m.rs.w0 if vname == "w0" else m.rs.identity))
     if sample:
         specs = random.Random(7).sample(specs, sample)
@@ -294,23 +286,23 @@ def test_representative_matches_matrix_product_build(monkeypatch, series, rank, 
 
 
 @pytest.mark.parametrize("series, rank", [("A", 2), ("C", 2)])
-def test_charts_sharing_a_head_leave_it_unchanged(monkeypatch, series, rank):
+def test_charts_sharing_a_head_leave_it_unchanged(series, rank):
     """Two charts that differ only in the v word share one head; either build order gives the same
-    representatives, and neither build changes the cached head."""
-    m = model(series, rank)
-    specs = enumerate_charts(SpaceSpec(m, "Nv", m.rs.w0))
+    representatives, and neither build changes the head their space keeps."""
+    m = cached_model(series, rank)
+    space = SpaceSpec(m, "Nv", m.rs.w0)
+    specs = enumerate_charts(space)
     first = specs[0]
     pair = [first, next(s for s in specs if s.r[:2] == first.r[:2] and s.r[2] != first.r[2])]
-    key = (m.name, *first.r[:2], first.space.dims())
+    key = first.r[:2]
     reps = []
     for order in (pair, pair[::-1]):
-        monkeypatch.setattr(atlas, "_CHART_CACHE", {})
-        monkeypatch.setattr(atlas, "_HEAD_CACHE", {})
+        space.heads.clear()
         charts = [parametrize(spec) for spec in order]
         charts[0].rep
-        head = copy.deepcopy(atlas._HEAD_CACHE[key])
+        head = copy.deepcopy(space.heads[key])
         charts[1].rep
-        assert atlas._HEAD_CACHE[key] == head and list(atlas._HEAD_CACHE) == [key]
+        assert space.heads[key] == head and list(space.heads) == [key]
         reps.append({chart.spec: copy.deepcopy((chart.frame, chart.rep)) for chart in charts})
     assert reps[0] == reps[1] == {spec: matrix_product_representative(spec) for spec in pair}
 
@@ -328,14 +320,12 @@ def test_charts_read_at_points_build_no_representative(monkeypatch):
             t_weights(chart)
         return charts, [certify_chart_positivity(chart, tspec, 2, 3) for chart in charts]
 
-    monkeypatch.setattr(atlas, "_CHART_CACHE", {})
     expected = run()[1]
 
     def refuse(spec):
         raise AssertionError(f"representative of {spec.label()} built")
 
     with monkeypatch.context() as patch:
-        patch.setattr(atlas, "_CHART_CACHE", {})
         patch.setattr(atlas, "representative", refuse)
         charts, reports = run()
     assert reports == expected and all(r["ok"] for r in reports)
@@ -358,12 +348,10 @@ def test_laurent_lower_factor_needs_monomial_pivots():
 
 
 @pytest.mark.parametrize("series, rank", [("A", 2), ("C", 2)])
-def test_parametrize_takes_no_gcd(monkeypatch, series, rank):
+def test_parametrize_takes_no_gcd(series, rank):
     """Over every chart of G/N(w0), parametrize and the representative's build call neither poly_gcd nor
     RatFunc.__mul__."""
-    monkeypatch.setattr(atlas, "_CHART_CACHE", {})
-    monkeypatch.setattr(atlas, "_HEAD_CACHE", {})
-    m = model(series, rank)
+    m = cached_model(series, rank)
     specs = enumerate_charts(SpaceSpec(m, "Nv", m.rs.w0))
     codes = {symbolic.poly_gcd.__code__, symbolic.RatFunc.__mul__.__code__}
     calls = []
@@ -381,8 +369,38 @@ def test_parametrize_takes_no_gcd(monkeypatch, series, rank):
     assert calls == []
 
 
+def test_parametrize_returns_a_chart_of_the_spec_it_is_given():
+    """Charts are values: a chart built through one model instance is not returned for the same chart of
+    another, whose spec and Weyl elements belong to the second instance."""
+    m1, m2 = (build_model(build_root_system("A", 2)) for _ in range(2))
+    spec1, spec2 = (enumerate_charts(SpaceSpec(m, "Nv", m.rs.w0))[5] for m in (m1, m2))
+    assert spec1.key() == spec2.key()
+    assert parametrize(spec1).spec is spec1
+    chart = parametrize(spec2)
+    assert chart.spec is spec2 and chart.spec.space.model is m2
+    assert m2.rs.element_from_rho(spec2.w.rho) is spec2.w is not m1.rs.element_from_rho(spec2.w.rho)
+    assert chart.rep == parametrize(spec1).rep
+
+
+def test_space_counts_the_words_of_v_and_keeps_heads_only_where_v_has_two():
+    """SpaceSpec counts the reduced words of v, never lists them (w0 of SL(7) has 1 100 742 656), and keeps
+    a head memo only where a second v word could read a head."""
+    m = cached_model("A", 6)
+    start = time.perf_counter()
+    space = SpaceSpec(m, "Nv", m.rs.w0)
+    assert time.perf_counter() - start < 1
+    assert space.heads == {}
+    assert SpaceSpec(m, "Bv", m.rs.simple(3)).heads is None
+    m3 = cached_model("A", 3)
+    for v, heads in ((m3.rs.identity, None), (m3.rs.element_from_word((1, 2)), None), (m3.rs.w0, 112)):
+        space = SpaceSpec(m3, "Bv", v)
+        for spec in enumerate_charts(space):
+            parametrize(spec).rep
+        assert (space.heads if heads is None else len(space.heads)) == heads
+
+
 def test_round_trip_intermediate_v():
-    m = model("A", 2)
+    m = cached_model("A", 2)
     rs = m.rs
     space = SpaceSpec(m, "Nv", rs.element_from_word((1, 2)))
     charts = enumerate_charts(space)
@@ -392,13 +410,13 @@ def test_round_trip_intermediate_v():
 
 
 def test_round_trip_sl4_and_sp4_samples():
-    m = model("A", 3)
+    m = cached_model("A", 3)
     space = SpaceSpec(m, "Bv", m.rs.identity)
     for r in (((3, 2, 1, 3, 2, 3), (), ()), ((), (1, 3, 2, 3, 1, 2), ())):
         w = m.rs.identity if r[1] == () else m.rs.element_from_word(r[1])
         chart = parametrize(ChartSpec(space, w, r))
         assert is_identity_coords(chart, eval_coordinates(chart, chart.param))
-    mc = model("C", 2)
+    mc = cached_model("C", 2)
     spacec = SpaceSpec(mc, "Nv", mc.rs.w0)
     chart = parametrize(ChartSpec(spacec, mc.rs.identity, ((1, 2, 1, 2), (), (2, 1, 2, 1))))
     assert is_identity_coords(chart, eval_coordinates(chart, chart.param))
@@ -406,7 +424,7 @@ def test_round_trip_sl4_and_sp4_samples():
 
 def test_eval_coordinates_sl3_printed_formulas():
     """The first chart's coordinates as functions of the matrix entries."""
-    m = model("A", 2)
+    m = cached_model("A", 2)
     space = SpaceSpec(m, "Nv", m.rs.w0)
     chart = parametrize(ChartSpec(space, m.rs.identity, ((1, 2, 1), (), (1, 2, 1))))
     g = chart.param
@@ -432,7 +450,7 @@ def test_eval_coordinates_sl3_printed_formulas():
 
 
 def test_not_in_chart_domain():
-    m = model("A", 2)
+    m = cached_model("A", 2)
     space = SpaceSpec(m, "Nv", m.rs.w0)
     chart = parametrize(ChartSpec(space, m.rs.identity, ((1, 2, 1), (), (1, 2, 1))))
     g = [[Fraction(x) for x in row] for row in [[0, 1, 0], [-1, 0, 0], [0, 0, 1]]]
@@ -442,7 +460,7 @@ def test_not_in_chart_domain():
 
 
 def test_change_of_coordinates_identity_and_composition():
-    m = model("A", 2)
+    m = cached_model("A", 2)
     space = SpaceSpec(m, "Nv", m.rs.w0)
     charts = [parametrize(s) for s in enumerate_charts(space)[:3]]
     ca, cb, cc = charts
@@ -457,7 +475,7 @@ def test_change_of_coordinates_identity_and_composition():
 
 
 def test_change_of_coordinates_sl2_values():
-    m = model("A", 1)
+    m = cached_model("A", 1)
     space = SpaceSpec(m, "Nv", m.rs.w0)
     chart_e, chart_s = (parametrize(s) for s in enumerate_charts(space))
     z1, z2, z3 = (var("z", i) for i in (1, 2, 3))
@@ -469,7 +487,7 @@ def test_change_of_coordinates_sl2_values():
 
 def test_torus_equivariance_random():
     rng = random.Random(0)
-    m = model("A", 2)
+    m = cached_model("A", 2)
     space = SpaceSpec(m, "Nv", m.rs.w0)
     for spec in enumerate_charts(space)[:4]:
         chart = parametrize(spec)
@@ -486,7 +504,7 @@ def test_torus_equivariance_random():
 
 
 def test_representative_independence():
-    m = model("A", 2)
+    m = cached_model("A", 2)
     rs = m.rs
     space = SpaceSpec(m, "Nv", rs.w0)
     chart = parametrize(enumerate_charts(space)[5])
@@ -503,7 +521,7 @@ def test_representative_independence():
 
 
 def test_t_weights_blocks():
-    m = model("A", 2)
+    m = cached_model("A", 2)
     rs = m.rs
     space = SpaceSpec(m, "Nv", rs.w0)
     chart = parametrize(ChartSpec(space, rs.identity, ((1, 2, 1), (), (1, 2, 1))))
@@ -518,7 +536,7 @@ def test_t_weights_blocks():
 
 
 def test_nonnatural_omega_order():
-    m = model("A", 2)
+    m = cached_model("A", 2)
     rs = m.rs
     space = SpaceSpec(m, "Nv", rs.w0, omega_order=(2, 1))
     spec = enumerate_charts(space)[0]
@@ -532,7 +550,7 @@ def test_nonnatural_omega_order():
 
 
 def test_sl2_composition_coherence():
-    m = model("A", 1)
+    m = cached_model("A", 1)
     space = SpaceSpec(m, "Nv", m.rs.w0)
     ca, cb = (parametrize(s) for s in enumerate_charts(space))
     ab = change_of_coordinates(ca, cb)
@@ -543,7 +561,7 @@ def test_sl2_composition_coherence():
 
 
 def test_sl4_group_chart_round_trips():
-    m = model("A", 3)
+    m = cached_model("A", 3)
     rs = m.rs
     space = SpaceSpec(m, "Nv", rs.w0)
     w0w = rs.w0.canonical
@@ -574,11 +592,11 @@ def _coordinates_by_factors(chart, g):
 
 def _change_pairs():
     out = []
-    m = model("A", 2)
+    m = cached_model("A", 2)
     charts = [parametrize(s) for s in enumerate_charts(SpaceSpec(m, "Nv", m.rs.w0))]
     out += [(a, b) for a in charts for b in charts if a is not b]
     rng = random.Random(17)
-    for m, qkind, v in ((model("C", 2), "Nv", model("C", 2).rs.w0), (model("A", 3), "Bv", model("A", 3).rs.identity)):
+    for m, qkind, v in ((cached_model("C", 2), "Nv", cached_model("C", 2).rs.w0), (cached_model("A", 3), "Bv", cached_model("A", 3).rs.identity)):
         specs = enumerate_charts(SpaceSpec(m, qkind, v))
         out += [tuple(parametrize(specs[i]) for i in rng.sample(range(len(specs)), 2)) for _ in range(12)]
     return out
@@ -606,13 +624,13 @@ def test_eval_coordinates_matches_formed_factors():
 
 
 def test_eval_coordinates_outside_the_cell_names_the_minor_of_the_factorization():
-    m = model("A", 2)
+    m = cached_model("A", 2)
     charts = [parametrize(s) for s in enumerate_charts(SpaceSpec(m, "Nv", m.rs.w0))]
     flip = [[Fraction(x) for x in row] for row in [[0, 1, 0], [-1, 0, 0], [0, 0, 1]]]
     hollow = [[x * (i != j) for j, x in enumerate(row)] for i, row in enumerate(charts[0].param.entries)]
     seen = set()
     for chart in charts:
-        for g in (flip, m.wbar(m.rs.w0.canonical).entries, hollow):
+        for g in (flip, wbar(m, m.rs.w0.canonical).entries, hollow):
             want = _coordinates_by_factors(chart, g)
             if isinstance(want, int):
                 with pytest.raises(NotInChartDomain) as exc:
@@ -650,7 +668,7 @@ def test_coprime_quotient_of_a_change_takes_no_nested_gcd():
     quotient coprime, and the degree bounds of its prime images do that."""
     code = symbolic.poly_gcd.__code__
     for series in ("A", "C"):
-        m = model(series, 2)
+        m = cached_model(series, 2)
         charts = [parametrize(s) for s in enumerate_charts(SpaceSpec(m, "Nv", m.rs.w0))]
         open_calls, seen = [], []
 
@@ -706,7 +724,7 @@ def test_change_of_coordinates_matches_the_undivided_quotients():
     Sp(4)/N(w0), and RatFunc points t * g for g a chart's parametrization and t a torus element."""
     rng = random.Random(5)
     for series, rank, qkind, v in (("A", 2, "Bv", "e"), ("C", 2, "Bv", "e"), ("C", 2, "Nv", "w0")):
-        m = model(series, rank)
+        m = cached_model(series, rank)
         charts = [parametrize(s) for s in enumerate_charts(SpaceSpec(m, qkind, m.rs.w0 if v == "w0" else m.rs.identity))]
         for src in charts:
             t = torus_element(m, [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(rank)])
@@ -759,7 +777,7 @@ def test_a_braid_edge_changes_only_its_window_by_the_universal_formula():
     keeps each variable outside the move's window and maps the window by the move's formula, read from the
     source window: an oracle that takes neither a gcd nor a pivot division."""
     for series, rank, qkind, v, edges in (("A", 2, "Nv", "w0", 24), ("C", 2, "Nv", "w0", 28), ("A", 3, "Bv", "e", 200)):
-        m = model(series, rank)
+        m = cached_model(series, rank)
         charts = [parametrize(s) for s in enumerate_charts(SpaceSpec(m, qkind, m.rs.w0 if v == "w0" else m.rs.identity))]
         seen = 0
         for src in charts:

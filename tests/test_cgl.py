@@ -20,24 +20,16 @@ from bsatlas.cgl import (
     verify_cgl,
 )
 from bsatlas.errors import DimensionMismatch, NotVerifiedCGL, ZeroTorusValue
-from bsatlas.groups import build_model
+from bsatlas.groups import cached_model
 from bsatlas.poisson import BracketTable, build_lambda, chart_bracket
 from bsatlas.rootdata import Coweight, Weight, build_root_system
 from bsatlas.symbolic import RatFunc, var
 from oracles import verify_cgl as ratfunc_verify_cgl
 
-_M = {}
-
-
-def model(series, rank):
-    if (series, rank) not in _M:
-        _M[(series, rank)] = build_model(build_root_system(series, rank))
-    return _M[(series, rank)]
-
 
 def test_predicted_data_first_mixed_index():
     """Just past the cut: char (0, alpha_{k+1}), h = (-w0 w^{-1}(a#), a#)."""
-    m = model("A", 2)
+    m = cached_model("A", 2)
     rs = m.rs
     space = SpaceSpec(m, "Bv", rs.identity)
     spec = ChartSpec(space, rs.simple(1), ((1, 2), (1,), ()))
@@ -57,7 +49,7 @@ def test_predicted_data_first_mixed_index():
 
 
 def test_predicted_data_nv_torus_block():
-    m = model("A", 2)
+    m = cached_model("A", 2)
     rs = m.rs
     space = SpaceSpec(m, "Nv", rs.w0)
     spec = enumerate_charts(space)[0]
@@ -81,7 +73,7 @@ def test_predicted_data_nv_torus_block():
     [("A", 1, "Nv", "w0"), ("A", 2, "Nv", "w0"), ("A", 2, "Bv", "e")],
 )
 def test_verify_cgl_all_charts(series, rank, qkind, vname):
-    m = model(series, rank)
+    m = cached_model(series, rank)
     rs = m.rs
     space = SpaceSpec(m, qkind, rs.w0 if vname == "w0" else rs.identity)
     for spec in enumerate_charts(space):
@@ -96,7 +88,7 @@ def test_verify_cgl_all_charts(series, rank, qkind, vname):
 )
 def test_pair_table_matches_evaluate_tuples(series, rank, qkind, vname):
     """Every entry of the integer pairing table is rs.evaluate_tuples of its character and coweight tuples."""
-    m = model(series, rank)
+    m = cached_model(series, rank)
     rs = m.rs
     space = SpaceSpec(m, qkind, rs.w0 if vname == "w0" else rs.identity)
     for spec in enumerate_charts(space):
@@ -108,7 +100,7 @@ def test_pair_table_matches_evaluate_tuples(series, rank, qkind, vname):
 
 def test_log_canonical_coefficients_within_blocks():
     """Within each word block the coefficient is minus the pairing of the roots."""
-    m = model("A", 2)
+    m = cached_model("A", 2)
     rs = m.rs
     space = SpaceSpec(m, "Nv", rs.w0)
     spec = enumerate_charts(space)[3]
@@ -132,7 +124,7 @@ def test_log_canonical_coefficients_within_blocks():
 
 
 def test_verify_cgl_negative_perturbation():
-    m = model("A", 3)
+    m = cached_model("A", 3)
     rs = m.rs
     space = SpaceSpec(m, "Bv", rs.identity)
     chart = parametrize(ChartSpec(space, rs.identity, ((3, 2, 1, 3, 2, 3), (), ())))
@@ -148,7 +140,7 @@ def test_verify_cgl_negative_perturbation():
 
 
 def test_verify_cgl_dimension_mismatch():
-    m = model("A", 1)
+    m = cached_model("A", 1)
     space = SpaceSpec(m, "Nv", m.rs.w0)
     chart = parametrize(enumerate_charts(space)[0])
     pres = predicted_cgl(chart)
@@ -182,7 +174,7 @@ def test_mixed_product_zero_and_one_var():
 
 def test_mixed_product_rebuilds_chart_presentation():
     """The mixed product of the two word blocks rebuilds every chart table of SL(3)/B(e) and Sp(4)/B(e)."""
-    specs = [spec for m in (model("A", 2), model("C", 2)) for spec in enumerate_charts(SpaceSpec(m, "Bv", m.rs.identity))]
+    specs = [spec for m in (cached_model("A", 2), cached_model("C", 2)) for spec in enumerate_charts(SpaceSpec(m, "Bv", m.rs.identity))]
     assert len(specs) == 18
     second_block = 0
     for spec in specs:
@@ -202,7 +194,7 @@ def test_mixed_product_rebuilds_chart_presentation():
 
 
 def test_hamiltonian_report_all_coordinates():
-    m = model("A", 1)
+    m = cached_model("A", 1)
     space = SpaceSpec(m, "Nv", m.rs.w0)
     for spec in enumerate_charts(space):
         chart = parametrize(spec)
@@ -214,7 +206,7 @@ def test_hamiltonian_report_all_coordinates():
 
 
 def test_hamiltonian_requires_verified():
-    m = model("A", 1)
+    m = cached_model("A", 1)
     space = SpaceSpec(m, "Nv", m.rs.w0)
     chart = parametrize(enumerate_charts(space)[0])
     pres = predicted_cgl(chart)
@@ -239,7 +231,7 @@ def _old_triangular_failures(table, j, verified):
 
 def test_non_triangular_flow_already_fails_ore_form():
     """A table on which the removed check of hamiltonian_report fails is refused by check (a)."""
-    m = model("A", 2)
+    m = cached_model("A", 2)
     chart = parametrize(enumerate_charts(SpaceSpec(m, "Nv", m.rs.w0))[3])
     table = chart_bracket(chart)
     pres = predicted_cgl(chart)
@@ -306,9 +298,9 @@ def test_every_flow_solves_its_ode():
     of SL(3)/N(w0) and Sp(4)/N(w0) and of the criterion-9 chart."""
     charts = []
     for series, rank in (("A", 2), ("C", 2)):
-        mm = model(series, rank)
+        mm = cached_model(series, rank)
         charts += enumerate_charts(SpaceSpec(mm, "Nv", mm.rs.w0))
-    m3 = model("A", 3)
+    m3 = cached_model("A", 3)
     charts.append(ChartSpec(SpaceSpec(m3, "Bv", m3.rs.identity), m3.rs.identity, ((3, 2, 1, 3, 2, 3), (), ())))
     flows = 0
     for spec in charts:
@@ -359,7 +351,7 @@ def test_flow_refuses_a_non_triangular_entry():
 def test_verify_cgl_both_qkinds_both_v():
     """SL(2) and SL(3), Q-kinds Bv and Nv, v identity and longest."""
     for series, rank in (("A", 1), ("A", 2)):
-        m = model(series, rank)
+        m = cached_model(series, rank)
         rs = m.rs
         from bsatlas.poisson import build_lambda
 
@@ -375,7 +367,7 @@ def test_verify_cgl_both_qkinds_both_v():
 
 def test_verify_cgl_intermediate_v():
     """Nontrivial N(v): charts on SL(3) spaces with v of length 1 and 2."""
-    m = model("A", 2)
+    m = cached_model("A", 2)
     rs = m.rs
     from bsatlas.poisson import build_lambda
 
@@ -395,7 +387,7 @@ def test_sp4_full_atlas_verification():
     from bsatlas.poisson import build_lambda, jacobi_check
     from bsatlas.symbolic import MultiPoly
 
-    mc = model("C", 2)
+    mc = cached_model("C", 2)
     rs = mc.rs
     lam = build_lambda(mc)
     space = SpaceSpec(mc, "Nv", rs.w0)
@@ -415,7 +407,7 @@ def test_sp4_full_atlas_verification():
 
 def test_sl4_mixed_block_charts():
     """Rank-3 charts with both word blocks nonempty."""
-    m = model("A", 3)
+    m = cached_model("A", 3)
     rs = m.rs
     space = SpaceSpec(m, "Bv", rs.identity)
     for w in (rs.simple(2), rs.element_from_word((1, 3, 2))):
@@ -434,7 +426,7 @@ def test_sl4_group_chart_full_verification():
     """Largest SL case: a 15-coordinate chart on SL(4) itself."""
     from bsatlas.poisson import jacobi_check
 
-    m = model("A", 3)
+    m = cached_model("A", 3)
     rs = m.rs
     space = SpaceSpec(m, "Nv", rs.w0)
     w0w = rs.w0.canonical
@@ -455,7 +447,7 @@ def _verify_like_oracle(table, pres):
 
 
 def _charts(series, rank, qkind, count=None):
-    m = model(series, rank)
+    m = cached_model(series, rank)
     specs = enumerate_charts(SpaceSpec(m, qkind, m.rs.w0 if qkind == "Nv" else m.rs.identity))
     if count is not None:
         specs = random.Random(5).sample(specs, count)
@@ -468,7 +460,7 @@ def _charts(series, rank, qkind, count=None):
 )
 def test_verify_cgl_matches_ratfunc_oracle(series, rank, qkind, count):
     """On every chart of the space (seeded ones of SL(4)/N(w0)) the exponent-tuple verifier agrees with the RatFunc one."""
-    lam = build_lambda(model(series, rank))
+    lam = build_lambda(cached_model(series, rank))
     for chart in _charts(series, rank, qkind, count):
         assert _verify_like_oracle(chart_bracket(chart, lam), predicted_cgl(chart)).ok, chart.spec.label()
 
@@ -526,10 +518,10 @@ def _variable_past_the_chart(table, pres):
 )
 def test_verify_cgl_failures_match_ratfunc_oracle(damage, broken):
     """Hand-made tables that break one check give the oracle's verdicts and witness texts."""
-    rs = model("A", 3).rs
+    rs = cached_model("A", 3).rs
     w = rs.element_from_word((1, 3))
     u = rs.multiply(rs.w0, w.inverse())
-    chart = parametrize(ChartSpec(SpaceSpec(model("A", 3), "Bv", rs.identity), w, (u.canonical, w.canonical, ())))
+    chart = parametrize(ChartSpec(SpaceSpec(cached_model("A", 3), "Bv", rs.identity), w, (u.canonical, w.canonical, ())))
     table, pres = damage(chart_bracket(chart), predicted_cgl(chart))
     report = _verify_like_oracle(table, pres)
     assert not report.checks[broken]["ok"]
@@ -576,7 +568,7 @@ def _fraction_act(rs, word, coeffs):
 @pytest.mark.parametrize("series, rank", [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("C", 2)])
 def test_pulled_weights_are_ints(series, rank):
     """Every pulled weight of a chart stores int coefficients, equal to the sum of its factors acted on in Fractions."""
-    m = model(series, rank)
+    m = cached_model(series, rank)
     rs = m.rs
     charts = []
     for qkind, v in (("Bv", rs.identity), ("Nv", rs.w0)):

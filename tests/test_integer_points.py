@@ -20,6 +20,8 @@ from oracles import (
     fraction_random_element,
     fraction_toric_point,
     mul_torus,
+    sbar,
+    wbar,
 )
 
 MODELS = [("A", 1), ("A", 2), ("A", 3), ("C", 2)]
@@ -110,14 +112,14 @@ def test_random_element_matches_fraction_oracle(series, rank):
 def _leaf_points(m, rng):
     """Rational points, most of them not generic: every wbar, chains with zero parameters and sbar factors, and toric points."""
     rs = m.rs
-    points = [m.wbar(w.canonical).entries for w in rs.all_elements()]
+    points = [wbar(m, w.canonical).entries for w in rs.all_elements()]
     for _ in range(25):
         g = m.identity()
         for _ in range(rng.randint(1, 2 * rs.l0)):
             i = rng.randint(1, rs.rank)
             g = m.mul_one_param(g, i if rng.random() < 0.5 else -i, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
             if rng.random() < 0.3:
-                g = g * m.sbar(i)
+                g = g * sbar(m, i)
         points.append(g.entries)
     spec = ToricChartSpec(m, "G", (rs.w0.canonical, rs.w0.canonical))
     points += [toric_point(spec, _params(rng, spec.n_params())).entries for _ in range(5)]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsatlas import atlas, symbolic
+from bsatlas import symbolic
 from bsatlas.cli import main
 from bsatlas.symbolic import (
     EXP_CAP,
@@ -151,10 +151,8 @@ def test_unpack_refuses_a_key_that_left_the_cap_in_arithmetic():
 def test_cli_exits_1_when_the_packer_fails(monkeypatch):
     """With every exponent past a cap of 0, the chart's first pack fails: exit 1, one stderr line.
 
-    The chart and head memos start empty, so the chart is built under the cap."""
+    The command builds its own space, chart and heads, so the chart is built under the cap."""
     monkeypatch.setattr(symbolic, "EXP_CAP", 0)
-    monkeypatch.setattr(atlas, "_CHART_CACHE", {})
-    monkeypatch.setattr(atlas, "_HEAD_CACHE", {})
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(["--json", "bracket", "--series", "A", "--rank", "2", "--index", "3"])

@@ -16,7 +16,7 @@ from bsatlas.atlas import (
 )
 from bsatlas import symbolic
 from bsatlas.errors import NonPolynomialBracket
-from bsatlas.groups import GroupElement, build_model
+from bsatlas.groups import GroupElement, cached_model
 from bsatlas.linalg import laurent_matrix, minor_tangents
 from bsatlas.poisson import (
     BracketTable,
@@ -26,17 +26,8 @@ from bsatlas.poisson import (
     chart_bracket,
     jacobi_check,
 )
-from bsatlas.rootdata import build_root_system
 from bsatlas.symbolic import MultiPoly, RatFunc, VarName, var
 from oracles import differentiate, entry_bracket, entry_var, generic_element, torus_element
-
-_M = {}
-
-
-def model(series, rank):
-    if (series, rank) not in _M:
-        _M[(series, rank)] = build_model(build_root_system(series, rank))
-    return _M[(series, rank)]
 
 
 def av(i, j):
@@ -44,14 +35,14 @@ def av(i, j):
 
 
 def test_lambda_terms():
-    assert [t[3] for t in build_lambda(model("A", 1)).terms] == [1]
-    assert [t[3] for t in build_lambda(model("A", 2)).terms] == [1, 1, 1]
-    coeffs = sorted(t[3] for t in build_lambda(model("C", 2)).terms)
+    assert [t[3] for t in build_lambda(cached_model("A", 1)).terms] == [1]
+    assert [t[3] for t in build_lambda(cached_model("A", 2)).terms] == [1, 1, 1]
+    coeffs = sorted(t[3] for t in build_lambda(cached_model("C", 2)).terms)
     assert coeffs == [1, 1, 2, 2]
 
 
 def test_entry_bracket_sl2():
-    m = model("A", 1)
+    m = cached_model("A", 1)
     lam = build_lambda(m)
     assert entry_bracket(m, av(1, 1), av(1, 2), lam) == av(1, 1) * av(1, 2)
     assert entry_bracket(m, av(1, 1), av(2, 2), lam) == 2 * av(1, 2) * av(2, 1)
@@ -60,7 +51,7 @@ def test_entry_bracket_sl2():
 
 
 def test_entry_bracket_antisymmetry_leibniz_random():
-    m = model("A", 1)
+    m = cached_model("A", 1)
     lam = build_lambda(m)
     rng = random.Random(7)
     vars_ = [av(i, j) for i in (1, 2) for j in (1, 2)]
@@ -81,7 +72,7 @@ def test_entry_bracket_antisymmetry_leibniz_random():
 
 
 def test_det_is_casimir():
-    m = model("A", 1)
+    m = cached_model("A", 1)
     lam = build_lambda(m)
     det = av(1, 1) * av(2, 2) - av(1, 2) * av(2, 1)
     for f in (av(1, 1), av(2, 1), av(1, 2) * av(2, 2)):
@@ -107,7 +98,7 @@ def _assert_matches_entry_lift(m, space, indices=None):
 
 
 def test_chart_bracket_matches_entry_lift_sl2():
-    m = model("A", 1)
+    m = cached_model("A", 1)
     _assert_matches_entry_lift(m, SpaceSpec(m, "Nv", m.rs.w0))
 
 
@@ -116,12 +107,12 @@ def test_chart_bracket_matches_entry_lift_sl2():
 )
 def test_chart_bracket_matches_entry_lift(series, rank, indices):
     """Independent of the tangent lift; the Sp(4) charts exercise the internal basis order."""
-    m = model(series, rank)
+    m = cached_model(series, rank)
     _assert_matches_entry_lift(m, SpaceSpec(m, "Bv", m.rs.identity), indices)
 
 
 def test_chart_bracket_sl2_values():
-    m = model("A", 1)
+    m = cached_model("A", 1)
     space = SpaceSpec(m, "Nv", m.rs.w0)
     chart_e, chart_s = (parametrize(s) for s in enumerate_charts(space))
     z1, z2, z3 = (var("z", i) for i in (1, 2, 3))
@@ -134,7 +125,7 @@ def test_chart_bracket_sl2_values():
 
 
 def test_chart_bracket_representative_independence():
-    m = model("A", 2)
+    m = cached_model("A", 2)
     rs = m.rs
     space = SpaceSpec(m, "Bv", rs.identity)
     spec = enumerate_charts(space)[1]
@@ -154,7 +145,7 @@ def test_chart_bracket_representative_independence():
 
 
 def test_laurent_block_nv():
-    m = model("A", 1)
+    m = cached_model("A", 1)
     space = SpaceSpec(m, "Nv", m.rs.w0)
     chart = parametrize(enumerate_charts(space)[0])
     table = chart_bracket(chart)
@@ -171,7 +162,7 @@ def test_require_polynomial_guard():
 
 
 def test_jacobi_sl2_and_toy_failure():
-    m = model("A", 1)
+    m = cached_model("A", 1)
     space = SpaceSpec(m, "Nv", m.rs.w0)
     for spec in enumerate_charts(space):
         assert jacobi_check(chart_bracket(parametrize(spec)))["ok"]
@@ -188,7 +179,7 @@ def test_jacobi_sl2_and_toy_failure():
 
 
 def test_jacobi_exact_mode_sp4():
-    mc = model("C", 2)
+    mc = cached_model("C", 2)
     space = SpaceSpec(mc, "Nv", mc.rs.w0)
     chart = parametrize(ChartSpec(space, mc.rs.identity, ((1, 2, 1, 2), (), (2, 1, 2, 1))))
     rep = jacobi_check(chart_bracket(chart))
@@ -215,7 +206,7 @@ def _jacobi_per_triple(table):
 
 
 def _nw0_charts(series, rank, count=None, seed=0):
-    m = model(series, rank)
+    m = cached_model(series, rank)
     charts = enumerate_charts(SpaceSpec(m, "Nv", m.rs.w0))
     if count is not None:
         charts = random.Random(seed).sample(charts, count)
@@ -366,7 +357,7 @@ def test_chart_bracket_takes_no_gcd_per_field():
         ("C", 2, _nw0_charts("C", 2)[7]),
         ("A", 3, _nw0_charts("A", 3, 1, seed=5)[0]),
     ):
-        m = model(series, rank)
+        m = cached_model(series, rank)
         chart = parametrize(spec)
         lam = build_lambda(m)
         assert _gcd_calls(chart_bracket, chart, lam) == 0, spec
@@ -379,7 +370,7 @@ def test_chart_bracket_evaluates_coordinates_once(monkeypatch, series, rank, ind
     import bsatlas.atlas as atlas
     import bsatlas.poisson as poisson
 
-    m = model(series, rank)
+    m = cached_model(series, rank)
     chart = parametrize(enumerate_charts(SpaceSpec(m, "Nv", m.rs.w0))[index])
     calls, minors = [], []
 
@@ -401,7 +392,7 @@ def test_chart_bracket_evaluates_coordinates_once(monkeypatch, series, rank, ind
 def test_chart_bracket_round_trip_check(monkeypatch):
     import bsatlas.poisson as poisson
 
-    m = model("A", 2)
+    m = cached_model("A", 2)
     chart = parametrize(enumerate_charts(SpaceSpec(m, "Nv", m.rs.w0))[3])
 
     def shifted(*args):
@@ -435,7 +426,7 @@ def test_chart_bracket_eliminates_no_dual_matrix(monkeypatch, series, rank, qkin
     matrix is ever eliminated."""
     import bsatlas.linalg as linalg
 
-    m = model(series, rank)
+    m = cached_model(series, rank)
     space = SpaceSpec(m, qkind, m.rs.w0 if v is None else m.rs.element_from_word(v))
     chart = parametrize(enumerate_charts(space)[index])
     point = m.to_internal(m.signed_perm(chart.spec.w.canonical).left_inv(chart.rep))

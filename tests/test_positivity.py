@@ -12,9 +12,11 @@ from bsatlas.errors import (
     LengthMismatch,
     NonPositiveInput,
 )
-from bsatlas.groups import build_model
+from bsatlas import positivity
+from bsatlas.groups import MinorSpec, cached_model
 from bsatlas.positivity import (
     ToricChartSpec,
+    _flag_minors,
     certify_chart_positivity,
     certify_minor_positivity,
     certify_toric_equivalence,
@@ -23,20 +25,11 @@ from bsatlas.positivity import (
     toric_coordinates,
     toric_point,
 )
-from bsatlas.rootdata import build_root_system
 from oracles import x_chain
-
-_M = {}
-
-
-def model(series, rank):
-    if (series, rank) not in _M:
-        _M[(series, rank)] = build_model(build_root_system(series, rank))
-    return _M[(series, rank)]
 
 
 def test_x_chain():
-    m = model("A", 1)
+    m = cached_model("A", 1)
     c = Fraction(3, 2)
     g = x_chain(m, (1,), -1, [c])
     assert g.entries == [[1, 0], [c, 1]]
@@ -48,7 +41,7 @@ def test_x_chain():
 def test_x_chain_cell_membership():
     from bsatlas.leaves import t_leaf_classify
 
-    m = model("A", 2)
+    m = cached_model("A", 2)
     rs = m.rs
     g = x_chain(m, (1, 2, 1), -1, [Fraction(1)] * 3)
     sp = SpaceSpec(m, "Nv", rs.identity)
@@ -57,7 +50,7 @@ def test_x_chain_cell_membership():
 
 
 def test_toric_point_g():
-    m = model("A", 1)
+    m = cached_model("A", 1)
     spec = ToricChartSpec(m, "G", ((1,), (1,)))
     p = toric_point(spec, [1, 1, 1])
     assert p.entries == [[1, 1], [1, 2]]
@@ -68,7 +61,7 @@ def test_toric_point_g():
 
 
 def test_toric_point_flag_targets():
-    m = model("A", 2)
+    m = cached_model("A", 2)
     rs = m.rs
     specb = ToricChartSpec(m, "GmodBv", (rs.w0.canonical, ()))
     p = toric_point(specb, [1, 2, 3])
@@ -78,7 +71,7 @@ def test_toric_point_flag_targets():
 
 
 def test_certify_chart_positivity_sl2():
-    m = model("A", 1)
+    m = cached_model("A", 1)
     space = SpaceSpec(m, "Nv", m.rs.w0)
     tspec = ToricChartSpec(m, "G", ((1,), (1,)))
     for spec in enumerate_charts(space):
@@ -89,7 +82,7 @@ def test_certify_chart_positivity_sl2():
 
 
 def test_certify_determinism():
-    m = model("A", 1)
+    m = cached_model("A", 1)
     space = SpaceSpec(m, "Nv", m.rs.w0)
     chart = parametrize(enumerate_charts(space)[0])
     tspec = ToricChartSpec(m, "G", ((1,), (1,)))
@@ -102,7 +95,7 @@ def test_certify_determinism():
 
 def test_boundary_probe_not_flagged():
     """A non-toric point with a vanishing coordinate is not a counterexample."""
-    m = model("A", 1)
+    m = cached_model("A", 1)
     rs = m.rs
     space = SpaceSpec(m, "Nv", rs.w0)
     chart_e, chart_s = (parametrize(s) for s in enumerate_charts(space))
@@ -121,7 +114,7 @@ def test_boundary_probe_not_flagged():
 
 
 def test_flag_minor_positivity():
-    m = model("A", 2)
+    m = cached_model("A", 2)
     rs = m.rs
     space = SpaceSpec(m, "Nv", rs.w0)
     for w in rs.all_elements():
@@ -134,10 +127,30 @@ def test_flag_minor_positivity():
         certify_minor_positivity(space_small, rs.w0, rs.element_from_word((2,)), 1, 5)
 
 
+@pytest.mark.parametrize(
+    "series, rank, row_sets", [("A", 1, 2), ("A", 2, 6), ("A", 3, 14), ("A", 4, 30), ("C", 2, 8)]
+)
+def test_flag_minors_share_one_determinant_per_row_set(monkeypatch, series, rank, row_sets):
+    """Every flag minor D_{w omega_a, omega_a}, read off one determinant per distinct row set, equals
+    generalized_minor, in the order of W and then a, at seeded integer points."""
+    m = cached_model(series, rank)
+    rs = m.rs
+    labels, read = _flag_minors(m)
+    assert labels == [(w, a) for w in rs.all_elements() for a in range(1, rs.rank + 1)]
+    dets = []
+    monkeypatch.setattr(positivity, "minor", lambda *args, real=positivity.minor: dets.append(1) or real(*args))
+    rng = random.Random(rank)
+    for _ in range(5):
+        g = [[rng.randint(-4, 4) for _ in range(m.dim)] for _ in range(m.dim)]
+        dets.clear()
+        assert read(g) == [m.generalized_minor(g, MinorSpec(w, rs.identity, a)) for w, a in labels]
+        assert len(dets) == row_sets
+
+
 def test_chain_extraction_roundtrip():
     rng = random.Random(2)
     for series, rank, word in (("A", 2, (1, 2, 1)), ("C", 2, (1, 2, 1, 2))):
-        m = model(series, rank)
+        m = cached_model(series, rank)
         cs = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in word]
         g = x_chain(m, word, -1, cs)
         assert extract_negative_chain(m, g, word) == cs
@@ -146,7 +159,7 @@ def test_chain_extraction_roundtrip():
 
 
 def test_toric_coordinates_inverts_chart():
-    m = model("A", 2)
+    m = cached_model("A", 2)
     rs = m.rs
     rng = random.Random(9)
     for spec in (
@@ -161,7 +174,7 @@ def test_toric_coordinates_inverts_chart():
 
 
 def test_toric_equivalence():
-    m = model("A", 2)
+    m = cached_model("A", 2)
     a = ToricChartSpec(m, "G", ((1, 2, 1), (2, 1, 2)))
     b = ToricChartSpec(m, "G", ((2, 1, 2), (1, 2, 1)))
     assert certify_toric_equivalence(a, b, 50, seed=0)["ok"]
@@ -173,7 +186,7 @@ def test_toric_equivalence():
 
 
 def test_sampled_verdicts_need_a_sample():
-    m = model("A", 2)
+    m = cached_model("A", 2)
     rs = m.rs
     space = SpaceSpec(m, "Nv", rs.w0)
     chart = parametrize(enumerate_charts(space)[0])
@@ -188,7 +201,7 @@ def test_sampled_verdicts_need_a_sample():
 
 
 def test_sp4_positivity_smoke():
-    mc = model("C", 2)
+    mc = cached_model("C", 2)
     rs = mc.rs
     space = SpaceSpec(mc, "Nv", rs.w0)
     chart = parametrize(ChartSpec(space, rs.identity, ((1, 2, 1, 2), (), (2, 1, 2, 1))))
