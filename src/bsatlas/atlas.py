@@ -26,24 +26,21 @@ from .symbolic import VarName, from_laurent, laurent_shift, pack_exponent
 
 
 class SpaceSpec:
-    """A homogeneous space G/B(v) or G/N(v) with a fundamental-weight listing.
+    """A homogeneous space G/B(v) or G/N(v).
 
     ``heads`` keeps L(x)^{-1} g2 by (w0_word, w_word) for the charts of every v word (``_head``), or is None
-    where v has one reduced word; the words are counted, never listed (w0 of SL(7) has over 10^9)."""
+    where v has one reduced word; that is read off v's left descents, and no word is listed or counted
+    (w0 of SL(7) has over 10^9)."""
 
-    __slots__ = ("model", "qkind", "v", "omega_order", "heads")
+    __slots__ = ("model", "qkind", "v", "heads")
 
-    def __init__(self, model: GroupModel, qkind, v, omega_order=None):
+    def __init__(self, model: GroupModel, qkind, v):
         if qkind not in ("Bv", "Nv"):
             raise ValueError("qkind must be 'Bv' or 'Nv'")
         self.model = model
         self.qkind = qkind
         self.v = v
-        d = model.rs.rank
-        self.omega_order = tuple(omega_order) if omega_order else tuple(range(1, d + 1))
-        if sorted(self.omega_order) != list(range(1, d + 1)):
-            raise ValueError("omega_order must list every fundamental weight once")
-        self.heads = {} if model.rs.reduced_word_counts()[v.rho] > 1 else None
+        self.heads = None if model.rs.has_one_reduced_word(v) else {}
 
     def dims(self):
         rs = self.model.rs
@@ -51,12 +48,7 @@ class SpaceSpec:
         return l + (rs.rank if self.qkind == "Nv" else 0)
 
     def key(self):
-        return (
-            self.model.name,
-            self.qkind,
-            self.v.canonical,
-            self.omega_order,
-        )
+        return (self.model.name, self.qkind, self.v.canonical)
 
     def same_space(self, other):
         return self.key() == other.key()
@@ -198,7 +190,7 @@ def coordinate_formulas(spec: ChartSpec):
         v = rs.element_from_word(word)
         out.append(("n", MinorSpec(u, v, word[-1])))
     if spec.space.qkind == "Nv":
-        for i in spec.space.omega_order:
+        for i in range(1, rs.rank + 1):
             out.append(("t", i))
     return out
 
@@ -211,14 +203,14 @@ def signed_minors(spec: ChartSpec, formulas):
 
     A 'wmw' minor of wbar L wbar^{-1} reindexes L: with pi = W.cols and
     s_r = W.signs[pi r], (W L W^{-1})[r][c] = s_r s_c L[pi r][pi c].
-    t^{omega_i} is the leading principal minor of T of size minor_size(i).
+    t^{omega_i} is the leading principal minor of T of size i.
     """
     model = spec.space.model
     wp = model.signed_perm(spec.w.canonical)
     out = []
     for tag, payload in formulas:
         if tag == "t":
-            k = tuple(range(model.minor_size(payload)))
+            k = tuple(range(payload))
             out.append((2, k, k, 1))
             continue
         rows, cols, sign = model.minor_indices(payload)
@@ -250,13 +242,9 @@ def representative(spec: ChartSpec):
     l0, dims = model.rs.l0, space.dims()
     rep = model.signed_perm(v_word).right_inv(model.mul_word(_head(space, w0_word, w_word), v_word, l0, dims))
     if space.qkind == "Nv":
-        # column p times t^{x_p}, with t^{omega_i} the variable at slot l + pos for i = omega_order[pos]
+        # column p times t^{x_p}, with t^{omega_i} the variable at slot l + i - 1
         l = l0 + len(v_word)
-        shifts = [[0] * dims for _ in range(model.dim)]
-        for pos, i in enumerate(space.omega_order):
-            for shift, weight in zip(shifts, model.slot_weights):
-                shift[l + pos] = weight[i - 1]
-        shifts = [pack_exponent(shift, dims) for shift in shifts]
+        shifts = [pack_exponent([0] * l + list(weight), dims) for weight in model.slot_weights]
         rep = [[laurent_shift(x, shift) for x, shift in zip(row, shifts)] for row in rep]
     return {zvar(j): j - 1 for j in range(1, dims + 1)}, rep
 
@@ -349,6 +337,6 @@ def t_weights(chart: Chart):
         prefix = word2[: j - 1]
         out.append(rs.act_word(prefix, rs.simple_root(word2[j - 1])))
     if spec.space.qkind == "Nv":
-        for i in spec.space.omega_order:
+        for i in range(1, rs.rank + 1):
             out.append(rs.act(spec.w, rs.fundamental_weight(i)))
     return out

@@ -124,7 +124,7 @@ def predicted_cgl(chart: Chart) -> CGLPresentation:
                     rs.act_coweight(winv, hs[j - 1]),
                 )
             )
-    for i in spec.space.omega_order:
+    for i in range(1, rs.rank + 1):
         om = rs.fundamental_weight(i)
         om_sharp = rs.sharp(om)
         chars.append((zero_w, zero_w, om))

@@ -1,10 +1,15 @@
 """Matrix models of SL(n) and Sp(4) with a fixed pinning.
 
-The pinning fixes simple root vectors (elementary matrices for SL; the
-4x4 pair printed below for Sp(4)); root vectors for non-simple positive
-roots are generated by height-increasing left-bracketing with the
-smallest-index simple root and normalized so [e_b, e_{-b}] = h_b with
-b(h_b) = 2.  All constructions downstream (representatives, minors,
+Only the pinning is written per series: the simple root vectors e_i, f_i
+(elementary matrices for SL; the 4x4 pair printed below for Sp(4)) and the
+symplectic form J.  The rest is read off it: diagonal slot p carries the
+weight with coefficient h_j[p][p] on omega_j, h_j = [e_j, f_j] the coroot
+matrices; the internal basis order, where the unipotent radical is upper
+triangular, lists the slots by decreasing height of their weight; and the
+trace form is scaled to the invariant form on alpha_1.  Root vectors for
+non-simple positive roots are generated by height-increasing left-bracketing
+with the smallest-index simple root and normalized so [e_b, e_{-b}] = h_b
+with b(h_b) = 2.  All constructions downstream (representatives, minors,
 brackets) are canonical given this data.  The root vectors form a Chevalley
 basis (Humphreys, Introduction to Lie Algebras and Representation Theory,
 25), so they and the coroot matrices are ``int`` matrices, with a Fraction
@@ -16,19 +21,18 @@ into a ``SignedPerm`` (the row and the sign of each column's one nonzero
 entry), the one memo of representatives, so wbar^{-1} g, g wbar and the
 minor Delta^{omega_i}(ubar^{-1} g vbar) = +- det g[ubar rows, vbar cols]
 only reorder and negate entries.  A simple root vector e has e^2 = 0, so right
-multiplication by x_{+-i}(c) = 1 + c e is one column update
-(``mul_one_param``), which keeps the type of an entry.  Numeric points are
-built on integers, as a scaled point (m, d) = m/d with one denominator
-(``scaled_chain``, ``scaled_torus``), so a chain takes no gcd.  A chart's
-products are column updates of a partial product by the chain of a word
-(``mul_word``) on Laurent values, each a monomial shift, and ``SignedPerm``
+multiplication by x_{+-i}(c) = 1 + c e is one column update.  Two functions
+run it, and only they read the updates: ``scaled_chain`` builds numeric
+points on integers, as a scaled point (m, d) = m/d with one denominator (with
+``scaled_torus``), so a chain takes no gcd, and runs the same update for a
+ring-element parameter; ``mul_word`` updates a chart's partial product by the
+chain of a word on Laurent values, each a monomial shift, and ``SignedPerm``
 reorders and negates dicts.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import prod
 
 from .errors import NormalizationMismatch, UnsupportedSeries, ZeroTorusValue
@@ -41,12 +45,9 @@ from .linalg import (
     mat_sub,
     mat_transpose,
     minor,
-    rational_inverse,
 )
-from .rootdata import RootSystem, build_root_system
+from .rootdata import Coweight, RootSystem, Weight, build_root_system
 from .symbolic import _exact, laurent_fma, unit_keys
-
-_QH = Fraction(1, 2)
 
 
 class MinorSpec:
@@ -76,14 +77,6 @@ class GroupElement:
     def __init__(self, model, entries):
         self.model = model
         self.entries = [list(row) for row in entries]
-
-    def __mul__(self, other):
-        if isinstance(other, GroupElement):
-            return GroupElement(self.model, mat_mul(self.entries, other.entries))
-        return NotImplemented
-
-    def transpose(self):
-        return GroupElement(self.model, mat_transpose(self.entries))
 
     def satisfies_group_constraint(self):
         """det = 1 for series A; additionally g^T J g = J for series C."""
@@ -164,58 +157,32 @@ def _bracket(a, b):
 
 
 class GroupModel:
-    """SL(rank+1) or Sp(4) with root vectors for every positive root."""
+    """SL(rank+1) or Sp(4) with root vectors for every positive root.
+
+    Only the pinning is written per series (``_pinning``); the slot weights,
+    the internal basis order and the trace scale are read off it.
+    """
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        if rs.series == "A":
-            self.dim = rs.rank + 1
-            self.name = f"SL({self.dim})"
-            self.symplectic_form = None
-            self._trace_scale = Fraction(1)
-            simple_e = {i: _elem(self.dim, i, i + 1) for i in range(1, rs.rank + 1)}
-            simple_f = {i: _elem(self.dim, i + 1, i) for i in range(1, rs.rank + 1)}
-            # diagonal slot p carries character x_p = omega_p - omega_{p-1}
-            tw = []
-            for p in range(1, self.dim + 1):
-                c = [0] * rs.rank
-                if p <= rs.rank:
-                    c[p - 1] += 1
-                if p - 2 >= 0 and p - 1 <= rs.rank:
-                    c[p - 2] -= 1
-                tw.append(tuple(c))
-            self.slot_weights = tuple(tw)
-        elif rs.series == "C":
-            self.dim = 4
-            self.name = "Sp(4)"
-            j = [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
-            self.symplectic_form = [[Fraction(x) for x in row] for row in j]
-            self._trace_scale = _QH
-            simple_e = {
-                1: mat_sub(_elem(4, 1, 2), _elem(4, 4, 3)),
-                2: _elem(4, 2, 4),
-            }
-            simple_f = {
-                1: mat_sub(_elem(4, 2, 1), _elem(4, 3, 4)),
-                2: _elem(4, 4, 2),
-            }
-            # slots carry (x1, x2, -x1, -x2) with omega_1 = x1, omega_2 = x1 + x2
-            self.slot_weights = ((1, 0), (-1, 1), (-1, 0), (1, -1))
-        else:
-            raise UnsupportedSeries(f"series {rs.series!r} has no matrix model here")
-        # partial sums of slot weights (integer tuples in the fundamental-weight
-        # basis) must telescope to the fundamental weights, so the principal
-        # minor of size k computes Delta^{omega_k}
-        for k in range(1, rs.rank + 1):
-            acc = tuple(map(sum, zip(*self.slot_weights[:k])))
-            assert acc == tuple(int(j == k - 1) for j in range(rs.rank)), "slot weights do not telescope"
-        # basis order in which the unipotent radical is upper triangular;
-        # the Sp(4) pinning ties slots 3 and 4 the other way around
-        self._perm = tuple(range(self.dim)) if rs.series == "A" else (0, 1, 3, 2)
+        self.name, simple_e, simple_f, self.symplectic_form = _pinning(rs)
+        self.dim = len(simple_e[1])
         self._coroot_mats = [
             _bracket(simple_e[i], simple_f[i]) for i in range(1, rs.rank + 1)
         ]
-        self._cartan_slots, self._cartan_slots_inv = self._independent_slots()
+        # diagonal slot p carries the weight x_p with x_p(h_j) = h_j[p][p], its coefficient on omega_j
+        self.slot_weights = tuple(tuple(h[p][p] for h in self._coroot_mats) for p in range(self.dim))
+        # partial sums of slot weights must telescope to the fundamental weights,
+        # so the principal minor of size k computes Delta^{omega_k}
+        for k in range(1, rs.rank + 1):
+            acc = tuple(map(sum, zip(*self.slot_weights[:k])))
+            assert acc == tuple(int(j == k - 1) for j in range(rs.rank)), "slot weights do not telescope"
+        # basis order in which the unipotent radical is upper triangular: slots by decreasing height
+        height = Coweight((1,) * rs.rank)
+        self._perm = tuple(sorted(range(self.dim), key=lambda p: -rs.evaluate(Weight(self.slot_weights[p]), height)))
+        # tr(e_1 f_1) times this scale is 2/<alpha_1, alpha_1>
+        a1 = rs.simple_root(1)
+        self._trace_scale = Fraction(2) / (rs.pairing(a1, a1) * _trace(mat_mul(simple_e[1], simple_f[1])))
         self.pos_root_vectors = self._build_root_vectors(simple_e, simple_f)
         # g x_{+-i}(c) = g + c g e: the (source column, target column, coefficient) of e
         self._column_updates = {}
@@ -251,31 +218,16 @@ class GroupModel:
                     lam = self._eval_weight_on_cartan(beta, h)
                     if lam == 0:
                         continue
-                    f_b = [[_exact(x * 2 / lam) for x in row] for row in f_b]
+                    f_b = [[_exact(2 * x / Fraction(lam)) for x in row] for row in f_b]
                     vectors[beta] = (e_b, f_b)
                     break
             else:
                 raise AssertionError(f"could not build root vector for {beta}")
         return vectors
 
-    def _independent_slots(self):
-        """First rank diagonal slots on which the coroots are independent, and
-        the inverse of the coroots' values there."""
-        rank = self.rs.rank
-        for combo in combinations(range(self.dim), rank):
-            a = [[self._coroot_mats[i][p][p] for i in range(rank)] for p in combo]
-            try:
-                return combo, rational_inverse(a)
-            except ZeroDivisionError:
-                continue
-        raise AssertionError("coroots do not span the diagonal")
-
     def _eval_weight_on_cartan(self, lam, h):
-        """lam(h) for h a diagonal matrix in the Cartan subalgebra."""
-        # h = sum t_i coroot_i, solved on the independent slots
-        rhs = [h[p][p] for p in self._cartan_slots]
-        ts = [sum(c * r for c, r in zip(row, rhs)) for row in self._cartan_slots_inv]
-        return sum(t * lam.coeffs[i] for i, t in enumerate(ts))
+        """lam(h) for h a diagonal matrix in the Cartan subalgebra: omega_k(h) is the sum of its first k slots."""
+        return sum(c * sum(h[p][p] for p in range(k)) for k, c in enumerate(lam.coeffs, start=1))
 
     def _validate(self):
         rs = self.rs
@@ -285,10 +237,13 @@ class GroupModel:
                 if any(v != 0 for row in mat_mul(x, x) for v in row):
                     raise AssertionError(f"simple root vector {sign * i} does not square to zero")
         for beta, (e_b, f_b) in self.pos_root_vectors.items():
+            x = self.to_internal(e_b)
+            if any(x[p][q] != 0 for p in range(self.dim) for q in range(p + 1)):
+                raise AssertionError(f"root vector {beta} is not strictly upper triangular in the internal order")
             h = _bracket(e_b, f_b)
             if self._eval_weight_on_cartan(beta, h) != 2:
                 raise NormalizationMismatch(f"[e,f] fails beta(h)=2 for root {beta}")
-            tr = sum(mat_mul(e_b, f_b)[i][i] for i in range(self.dim)) * self._trace_scale
+            tr = _trace(mat_mul(e_b, f_b)) * self._trace_scale
             expect = Fraction(2) / rs.pairing(beta, beta)
             if tr != expect:
                 raise NormalizationMismatch(
@@ -297,38 +252,9 @@ class GroupModel:
 
     # -- basic elements ---------------------------------------------------------
 
-    def identity(self):
-        return self.identity_like(0)
-
-    def identity_like(self, c):
-        """Identity with entries of the type of c (an int or Fraction c gives Fractions)."""
-        zero = c * 0 + Fraction(0)
-        one = zero + 1
-        return GroupElement(self, [[one if i == j else zero for j in range(self.dim)] for i in range(self.dim)])
-
     def root_vector(self, i, sign):
         e, f = self.pos_root_vectors[self.rs.simple_root(i)]
         return e if sign > 0 else f
-
-    def one_param(self, signed_index, c):
-        """x_{alpha_i}(c) = exp(c e_{alpha_i}); negative index uses e_{-alpha_i}."""
-        return self.mul_one_param(self.identity_like(c), signed_index, c)
-
-    def mul_one_param(self, g, signed_index, c):
-        """g x_{+-alpha_i}(c) = g + c g e, one column update since e^2 = 0.
-
-        Entries the update does not reach keep their type, so g should already
-        carry the type of c (``identity_like``).
-        """
-        src = g.entries
-        out = [list(row) for row in src]
-        for p, q, coef in self._column_updates[signed_index]:
-            cc = c if coef == 1 else c * coef
-            for row, srow in zip(out, src):
-                x = srow[p]
-                if not _is_zero(x):
-                    row[q] = row[q] + cc * x
-        return GroupElement(self, out)
 
     def signed_perm(self, word):
         """wbar for a reduced ``word`` as a SignedPerm, read once per word: letter i off the int matrix
@@ -457,17 +383,13 @@ class GroupModel:
 
     # -- generalized minors ---------------------------------------------------------
 
-    def minor_size(self, alpha):
-        """Delta^{omega_alpha} is the leading principal minor of this size."""
-        return alpha
-
     def minor_indices(self, spec: MinorSpec):
         """(rows, cols, sign) with Delta_{u omega_a, v omega_a}(g) = sign * det g[rows, cols].
 
         The leading k x k minor of ubar^{-1} g vbar is +- det g[ubar rows[:k], vbar rows[:k]].
         """
         up, vp = self.signed_perm(spec.u.canonical), self.signed_perm(spec.v.canonical)
-        k = self.minor_size(spec.alpha)
+        k = spec.alpha
         return up.rows[:k], vp.rows[:k], up._prefix_signs[k] * vp._prefix_signs[k]
 
     def generalized_minor(self, g, spec: MinorSpec):
@@ -480,6 +402,25 @@ class GroupModel:
 def _num_den(c):
     """c as (a, b) with c = a/b: lowest terms for an int or Fraction, (c, 1) for any other ring element."""
     return (c.numerator, c.denominator) if isinstance(c, (int, Fraction)) else (c, 1)
+
+
+def _pinning(rs):
+    """(name, e, f, J): the simple root vectors e_i and f_i by index and the symplectic form J (None for SL)."""
+    if rs.series == "A":
+        n = rs.rank + 1
+        e = {i: _elem(n, i, i + 1) for i in range(1, n)}
+        f = {i: _elem(n, i + 1, i) for i in range(1, n)}
+        return f"SL({n})", e, f, None
+    if rs.series == "C":
+        j = [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
+        e = {1: mat_sub(_elem(4, 1, 2), _elem(4, 4, 3)), 2: _elem(4, 2, 4)}
+        f = {1: mat_sub(_elem(4, 2, 1), _elem(4, 3, 4)), 2: _elem(4, 4, 2)}
+        return "Sp(4)", e, f, [[Fraction(x) for x in row] for row in j]
+    raise UnsupportedSeries(f"series {rs.series!r} has no matrix model here")
+
+
+def _trace(a):
+    return sum(a[p][p] for p in range(len(a)))
 
 
 def _elem(n, i, j):

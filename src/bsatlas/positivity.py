@@ -23,7 +23,7 @@ from .errors import (
     NotInChartDomain,
 )
 from .groups import GroupElement, MinorSpec
-from .linalg import minor
+from .linalg import mat_transpose, minor
 
 
 class ToricChartSpec:
@@ -34,9 +34,9 @@ class ToricChartSpec:
     target 'GmodNv': same words, plus d torus parameters.
     """
 
-    __slots__ = ("model", "target", "words", "omega_order")
+    __slots__ = ("model", "target", "words")
 
-    def __init__(self, model, target, words, omega_order=None):
+    def __init__(self, model, target, words):
         if target not in ("G", "GmodBv", "GmodNv"):
             raise ValueError("target must be 'G', 'GmodBv', or 'GmodNv'")
         rs = model.rs
@@ -50,8 +50,6 @@ class ToricChartSpec:
         self.model = model
         self.target = target
         self.words = (w1, w2)
-        d = rs.rank
-        self.omega_order = tuple(omega_order) if omega_order else tuple(range(1, d + 1))
 
     def n_params(self):
         rs = self.model.rs
@@ -90,11 +88,11 @@ def _toric_numerators(spec: ToricChartSpec, c):
     neg = [-i for i in w1]
     if spec.target == "G":
         point = model.scaled_chain(None, neg + list(w2), c[: 2 * l0])
-        return model.scaled_torus(point, [c[2 * l0 + spec.omega_order.index(i)] for i in range(1, rs.rank + 1)])
+        return model.scaled_torus(point, c[2 * l0 :])
     lv = len(w2)
     point = model.scaled_chain(None, neg + list(reversed(w2)), c[:l0] + list(reversed(c[l0 : l0 + lv])))
     if spec.target == "GmodNv":
-        point = model.scaled_torus(point, [c[l0 + lv + spec.omega_order.index(i)] for i in range(1, rs.rank + 1)])
+        point = model.scaled_torus(point, c[l0 + lv :])
     return point
 
 
@@ -194,14 +192,14 @@ def certify_minor_positivity(space, w, v1, alpha, n_samples, seed=0):
     if not rs.weak_leq(v1, space.v):
         raise HypothesisViolated("v1 must precede v in the weak order")
     v_word = space.v.canonical
-    spec = ToricChartSpec(model, "GmodNv", (rs.w0.canonical, v_word), space.omega_order)
+    spec = ToricChartSpec(model, "GmodNv", (rs.w0.canonical, v_word))
     rng = random.Random(seed)
     ms = MinorSpec(w, v1, alpha)
     violations = []
     values = []
     for s in range(n_samples):
         m, d = _toric_numerators(spec, _sample_positive(rng, spec.n_params()))
-        val = Fraction(model.generalized_minor(m, ms), d ** model.minor_size(alpha))
+        val = Fraction(model.generalized_minor(m, ms), d**alpha)
         values.append(str(val))
         if val <= 0:
             violations.append({"sample": s, "value": str(val)})
@@ -211,35 +209,35 @@ def certify_minor_positivity(space, w, v1, alpha, n_samples, seed=0):
 def extract_negative_chain(model, m, word):
     """Exact chain parameters of m = x_{-a1}(c1) ... x_{-ak}(ck) (word reduced).
 
-    Peels letters from the right: with w' the product of the first j letters,
-    the flag minor D_{w' omega_a, omega_a} of m x_{-a}(-c) is affine in c and
-    vanishes exactly at the true parameter.
+    Peels letters from the right off a scaled point (m, d) (``GroupModel.scaled_chain``):
+    with w' the product of the first j letters, the flag minor
+    D_{w' omega_a, omega_a} of (m/d) x_{-a}(-c) is affine in c and vanishes
+    exactly at the true parameter.  Its values at c = 0 and c = 1 are read on
+    m, where d^k and the sign of the minor cancel from the quotient.
     """
     rs = model.rs
     word = tuple(word)
     rs.assert_reduced(word)
-    cur = m if isinstance(m, GroupElement) else GroupElement(model, m)
+    point = (m.entries if isinstance(m, GroupElement) else m, 1)
     out = [None] * len(word)
     for j in range(len(word), 0, -1):
         a = word[j - 1]
-        wprime = rs.element_from_word(word[:j])
-        ms = MinorSpec(wprime, rs.identity, a)
-        f0 = model.generalized_minor(cur, ms)
-        peeled1 = model.mul_one_param(cur, -a, Fraction(-1))
-        f1 = model.generalized_minor(peeled1, ms)
+        rows, cols, _ = model.minor_indices(MinorSpec(rs.element_from_word(word[:j]), rs.identity, a))
+        f0 = minor(point[0], rows, cols)
+        f1 = minor(model.scaled_chain(point, (-a,), (-1,))[0], rows, cols)
         if f1 == f0:
             raise ArithmeticError("degenerate peel: minor not affine in the parameter")
-        cj = f0 / (f0 - f1)
-        out[j - 1] = cj
-        cur = model.mul_one_param(cur, -a, -cj)
-    if cur.entries != [[int(i == j) for j in range(model.dim)] for i in range(model.dim)]:
+        out[j - 1] = Fraction(f0, f0 - f1)
+        point = model.scaled_chain(point, (-a,), (-out[j - 1],))
+    m, d = point
+    if m != [[d * (i == j) for j in range(model.dim)] for i in range(model.dim)]:
         raise ArithmeticError("chain extraction did not exhaust the unipotent factor")
     return out
 
 
 def extract_positive_chain(model, n, word):
     """Chain parameters of n = x_{a1}(c1) ... x_{ak}(ck) via transpose."""
-    nt = (n if isinstance(n, GroupElement) else GroupElement(model, n)).transpose()
+    nt = mat_transpose(n.entries if isinstance(n, GroupElement) else n)
     return list(reversed(extract_negative_chain(model, nt, tuple(reversed(word)))))
 
 
@@ -255,8 +253,8 @@ def toric_coordinates(spec: ToricChartSpec, point) -> list:
     rs = model.rs
     entries = point.entries if isinstance(point, GroupElement) else point
     lower, plus, tdiag = model.triangular_factor(entries)
-    c1 = extract_negative_chain(model, GroupElement(model, lower), spec.words[0])
-    torus = [model.generalized_minor(tdiag, MinorSpec(rs.identity, rs.identity, i)) for i in spec.omega_order]
+    c1 = extract_negative_chain(model, lower, spec.words[0])
+    torus = [model.generalized_minor(tdiag, MinorSpec(rs.identity, rs.identity, i)) for i in range(1, rs.rank + 1)]
     if spec.target == "G":
         return c1 + extract_positive_chain(model, plus, spec.words[1]) + torus
     v = spec.v_element()
@@ -288,7 +286,7 @@ def certify_toric_equivalence(spec_a, spec_b, n_samples, seed=0):
         raise ValueError("toric charts must share the same target space")
     if spec_a.target != "G" and spec_a.v_element() != spec_b.v_element():
         raise ValueError("flag-target charts must share v")
-    identical = spec_a.words == spec_b.words and spec_a.omega_order == spec_b.omega_order
+    identical = spec_a.words == spec_b.words
     rng = random.Random(seed)
     violations = []
     for s in range(n_samples):

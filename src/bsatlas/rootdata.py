@@ -80,9 +80,6 @@ class Weight(_Lattice):
 
     __slots__ = ()
 
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
 
 class Coweight(_Lattice):
     """Element of the rational Cartan subalgebra, fundamental-coweight basis."""
@@ -117,9 +114,6 @@ class WeylElement:
 
     def __hash__(self):
         return hash(self.rho)
-
-    def __mul__(self, other):
-        return self.rs.multiply(self, other)
 
     def inverse(self):
         return self.rs.inverse(self)
@@ -433,6 +427,16 @@ class RootSystem:
             counts.update(longer)
             layer = longer
         return counts
+
+    def has_one_reduced_word(self, w):
+        """Whether w has a single reduced word, by walking its left descents (the negative coefficients of
+        w(rho)): two at any step start two words, and one is peeled, since every word of w starts with it."""
+        lam = w.rho
+        while True:
+            descents = [i for i, c in enumerate(lam, start=1) if c < 0]
+            if len(descents) != 1:
+                return not descents
+            lam = self._reflect_coeffs(descents[0], lam)
 
     def all_elements(self):
         """All Weyl group elements, sorted by (length, canonical word)."""

@@ -52,7 +52,7 @@ def chart_to_json(chart):
             "model": spec.space.model.name,
             "qkind": spec.space.qkind,
             "v": list(spec.space.v.canonical),
-            "omega_order": list(spec.space.omega_order),
+            "omega_order": list(range(1, spec.space.model.rs.rank + 1)),
         },
         "w": list(spec.w.canonical),
         "r": [list(word) for word in spec.r],

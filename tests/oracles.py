@@ -32,17 +32,32 @@ def coordinates_from_factors(chart, *factors):
     return [_signed(minor(factors[f], rows, cols), sign) for f, rows, cols, sign in chart.minors]
 
 
+def identity(model):
+    """The identity as a Fraction matrix."""
+    return GroupElement(model, [[Fraction(int(i == j)) for j in range(model.dim)] for i in range(model.dim)])
+
+
+def one_param(model, signed_index, c):
+    """x_{+-i}(c) = exp(c e_{+-i}) by the series (``exp_nilpotent``), not the column update; in the type of c."""
+    return exp_nilpotent(model, model.root_vector(abs(signed_index), signed_index), c)
+
+
+def product(g, *factors):
+    """g times each factor in turn, as dense products (``linalg.mat_mul``)."""
+    entries = g.entries
+    for h in factors:
+        entries = mat_mul(entries, h.entries)
+    return GroupElement(g.model, entries)
+
+
 def fraction_chain(model, letters, c):
-    """x_{a_1}(c_1) ... x_{a_k}(c_k) for signed letters a_j, one column update each, in the type of c."""
-    out = model.identity_like(c[0]) if c else model.identity()
-    for a, ca in zip(letters, c):
-        out = model.mul_one_param(out, a, ca)
-    return out
+    """x_{a_1}(c_1) ... x_{a_k}(c_k) for signed letters a_j, a dense product of ``one_param`` factors, in the type of c."""
+    return product(identity(model), *(one_param(model, a, ca) for a, ca in zip(letters, c)))
 
 
 def wbar(model, word):
     """The representative of the element of a reduced ``word`` as a Fraction matrix, formed from its SignedPerm."""
-    return GroupElement(model, model.signed_perm(word).right(model.identity().entries))
+    return GroupElement(model, model.signed_perm(word).right(identity(model).entries))
 
 
 def sbar(model, i):
@@ -83,25 +98,22 @@ def fraction_toric_point(spec, c):
     l0, (w1, w2) = rs.l0, spec.words
     neg = [-i for i in w1]
 
-    def torus(start):
-        return [c[start + spec.omega_order.index(i)] for i in range(1, rs.rank + 1)]
-
     if spec.target == "G":
-        return mul_torus(model, fraction_chain(model, neg + list(w2), c[: 2 * l0]), torus(2 * l0))
+        return mul_torus(model, fraction_chain(model, neg + list(w2), c[: 2 * l0]), c[2 * l0 :])
     lv = len(w2)
     point = fraction_chain(model, neg + list(reversed(w2)), c[:l0] + list(reversed(c[l0 : l0 + lv])))
-    return mul_torus(model, point, torus(l0 + lv)) if spec.target == "GmodNv" else point
+    return mul_torus(model, point, c[l0 + lv :]) if spec.target == "GmodNv" else point
 
 
 def fraction_random_element(model, rng):
     """A random group element by Fraction chains, signed permutations and the torus oracle, drawing
     from rng in the order of ``cli._random_element``."""
     rs = model.rs
-    g = model.identity()
+    g = identity(model)
     for _ in range(rng.randint(1, 2 * rs.l0)):
         i = rng.randint(1, rs.rank)
         c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        g = model.mul_one_param(g, i if rng.random() < 0.5 else -i, c)
+        g = product(g, one_param(model, i if rng.random() < 0.5 else -i, c))
         if rng.random() < 0.3:
             g = GroupElement(model, model.signed_perm((i,)).right(g.entries))
     return mul_torus(model, g, [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(rs.rank)])
@@ -472,9 +484,8 @@ def matrix_product_representative(spec):
     rep = model.signed_perm(v_word).right_inv(laurent_mat_mul(laurent_mat_mul(lower_inv, g2), g3))
     if spec.space.qkind == "Nv":
         shifts = [[0] * dims for _ in range(model.dim)]
-        for pos, i in enumerate(spec.space.omega_order):
-            for shift, weight in zip(shifts, model.slot_weights):
-                shift[l + pos] = weight[i - 1]
+        for shift, weight in zip(shifts, model.slot_weights):
+            shift[l : l + rs.rank] = weight
         shifts = [pack_exponent(shift, dims) for shift in shifts]
         rep = [[laurent_shift(x, shift) for x, shift in zip(row, shifts)] for row in rep]
     return {VarName("z", j): j - 1 for j in range(1, dims + 1)}, rep

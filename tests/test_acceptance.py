@@ -26,7 +26,7 @@ from bsatlas.poisson import build_lambda, chart_bracket, jacobi_check
 from bsatlas.positivity import ToricChartSpec, certify_chart_positivity
 from bsatlas.repro import CASES, repro_case
 from bsatlas.symbolic import MultiPoly, RatFunc, VarName, var
-from oracles import differentiate, exp_nilpotent, sbar, torus_element, wbar
+from oracles import differentiate, exp_nilpotent, fraction_chain, identity, one_param, product, sbar, torus_element, wbar
 
 
 def report(criterion, ok, detail):
@@ -207,7 +207,7 @@ def test_criterion_7_t_weights():
                 n += 1
                 tv = [Fraction(rng.randint(1, 50), rng.randint(1, 50)) for _ in range(2)]
                 t = torus_element(space.model, tv)
-                shifted = eval_coordinates(chart, t * chart.param)
+                shifted = eval_coordinates(chart, product(t, chart.param))
                 for j, (val, wt) in enumerate(zip(shifted, weights), start=1):
                     scale = Fraction(1)
                     for i, c in enumerate(wt.coeffs):
@@ -242,13 +242,13 @@ def test_criterion_8_t_leaf_stratification():
     rng = random.Random(0)
 
     def random_point():
-        g = m2.identity()
+        g = identity(m2)
         for _ in range(rng.randint(1, 6)):
             i = rng.randint(1, 2)
             c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            g = g * m2.one_param(i if rng.random() < 0.5 else -i, c)
+            g = product(g, one_param(m2, i if rng.random() < 0.5 else -i, c))
             if rng.random() < 0.3:
-                g = g * sbar(m2, i)
+                g = product(g, sbar(m2, i))
         return g.entries
 
     def pattern(el):
@@ -344,12 +344,8 @@ def test_criterion_10_roundtrip_and_representative_independence():
     m2 = cached_model("A", 2)
     spb = SpaceSpec(m2, "Bv", m2.rs.identity)
     chart = parametrize(enumerate_charts(spb)[0])
-    q = (
-        m2.one_param(1, var("u", 1))
-        * m2.one_param(2, var("u", 2))
-        * torus_element(m2, [var("u", 3), var("u", 4)])
-    )
-    moved = chart.param * q
+    q = product(fraction_chain(m2, (1, 2), (var("u", 1), var("u", 2))), torus_element(m2, [var("u", 3), var("u", 4)]))
+    moved = product(chart.param, q)
     got = eval_coordinates(chart, moved)
     if not all((RatFunc.coerce(c) - _zrf(i + 1)).is_zero() for i, c in enumerate(got)):
         bad.append(("representative-independence", "Bv"))
@@ -359,8 +355,8 @@ def test_criterion_10_roundtrip_and_representative_independence():
     # alpha_2 and alpha_1 + alpha_2
     qn = exp_nilpotent(m2, m2.pos_root_vectors[m2.rs.simple_root(2)][0], var("u", 5))
     beta = m2.rs.simple_root(1) + m2.rs.simple_root(2)
-    qn = qn * exp_nilpotent(m2, m2.pos_root_vectors[beta][0], var("u", 6))
-    got = eval_coordinates(chartn, chartn.param * qn)
+    qn = product(qn, exp_nilpotent(m2, m2.pos_root_vectors[beta][0], var("u", 6)))
+    got = eval_coordinates(chartn, product(chartn.param, qn))
     if not all((RatFunc.coerce(c) - _zrf(i + 1)).is_zero() for i, c in enumerate(got)):
         bad.append(("representative-independence", "Nv"))
     report(10, not bad, f"round trips on {n_charts} charts; representative independence on Bv and Nv {bad or ''}")

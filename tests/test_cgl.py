@@ -139,6 +139,35 @@ def test_verify_cgl_negative_perturbation():
     assert report.checks["a_ore_form"]["witnesses"][0]["pair"] == (1, 4)
 
 
+def test_verify_cgl_witnesses_a_degenerate_character():
+    """A presentation with h_1 = 0 and h'_n = 0 fails check (c) alone, with one witness per side; h_1 and
+    h'_n enter no off-diagonal pair."""
+    m = cached_model("A", 2)
+    chart = parametrize(enumerate_charts(SpaceSpec(m, "Nv", m.rs.w0))[3])
+    table, pres = chart_bracket(chart), predicted_cgl(chart)
+    n = table.n_vars
+    hvecs, hprimes = list(pres.hvecs), list(pres.hprimes)
+    hvecs[0], hprimes[-1] = tuple(h * 0 for h in hvecs[0]), tuple(h * 0 for h in hprimes[-1])
+    bad = CGLPresentation(pres.rs, pres.torus_power, pres.chars, hvecs, hprimes, pres.embedding, pres.cut, pres.laurent_vars)
+    report = verify_cgl(table, bad)
+    assert report.ok is False
+    assert [name for name, check in report.checks.items() if not check["ok"]] == ["c_nondegenerate"]
+    assert report.checks["c_nondegenerate"]["witnesses"] == [{"index": 1, "side": "h"}, {"index": n, "side": "h'"}]
+
+
+def test_hamiltonian_report_witnesses_a_localized_partner_that_is_not_log_canonical():
+    """A table that declares z_3 localized still passes verify_cgl, but {z_1, z_3} = z1 z3 - 2 z2 is not
+    log-canonical, so the flow of z_1 is refused with that entry as its witness."""
+    m = cached_model("A", 2)
+    chart = parametrize(enumerate_charts(SpaceSpec(m, "Nv", m.rs.w0))[3])
+    table, pres = chart_bracket(chart), predicted_cgl(chart)
+    bad = BracketTable(table.n_vars, (3,), table.entries)
+    rep = verify_cgl(bad, pres)
+    assert rep.ok
+    got = hamiltonian_report(bad, pres, 1, verified=rep)
+    assert got == {"coordinate": 1, "ok": False, "failures": [{"localized": 3, "entry": "z1*z3 - 2*z2"}]}
+
+
 def test_verify_cgl_dimension_mismatch():
     m = cached_model("A", 1)
     space = SpaceSpec(m, "Nv", m.rs.w0)

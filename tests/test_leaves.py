@@ -11,7 +11,7 @@ from bsatlas.errors import SingularInput
 from bsatlas.groups import cached_model
 from bsatlas.leaves import _element_from_pattern, _pattern_of, t_leaf_classify
 from bsatlas.positivity import ToricChartSpec, toric_point
-from oracles import sbar, wbar
+from oracles import identity, one_param, product, sbar, wbar
 
 
 def _rank(mat):
@@ -67,13 +67,13 @@ def _in_mixed_cell(mat, sigma):
 
 def _random_point(model, rng):
     rs = model.rs
-    g = model.identity()
+    g = identity(model)
     for _ in range(rng.randint(1, 2 * rs.l0)):
         i = rng.randint(1, rs.rank)
         c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        g = g * model.one_param(i if rng.random() < 0.5 else -i, c)
+        g = product(g, one_param(model, i if rng.random() < 0.5 else -i, c))
         if rng.random() < 0.3:
-            g = g * sbar(model, i)
+            g = product(g, sbar(model, i))
     return g.entries
 
 
@@ -82,7 +82,7 @@ def test_examples():
     rs = m.rs
     # v = e: the identity sits in (e, e)
     sp_e = SpaceSpec(m, "Nv", rs.identity)
-    lbl = t_leaf_classify(sp_e, m.identity())
+    lbl = t_leaf_classify(sp_e, identity(m))
     assert lbl.w.is_identity() and lbl.y.is_identity()
     # v = w0, totally positive point: (w0, e), the open double Bruhat cell
     sp = SpaceSpec(m, "Nv", rs.w0)
@@ -148,10 +148,10 @@ def test_sp4_patterns():
         assert lbl.w == w
     rng = random.Random(5)
     for _ in range(20):
-        g = mc.identity()
+        g = identity(mc)
         for _ in range(rng.randint(1, 6)):
             i = rng.randint(1, 2)
-            g = g * mc.one_param(i if rng.random() < 0.5 else -i, Fraction(rng.randint(1, 5), rng.randint(1, 5)))
+            g = product(g, one_param(mc, i if rng.random() < 0.5 else -i, Fraction(rng.randint(1, 5), rng.randint(1, 5))))
         lbl = t_leaf_classify(sp, g)
         assert rs.bruhat_leq(lbl.y, rs.star_product(lbl.w, rs.w0))
 

@@ -16,7 +16,7 @@ from bsatlas.atlas import (
 )
 from bsatlas import symbolic
 from bsatlas.errors import NonPolynomialBracket
-from bsatlas.groups import GroupElement, cached_model
+from bsatlas.groups import cached_model
 from bsatlas.linalg import laurent_matrix, minor_tangents
 from bsatlas.poisson import (
     BracketTable,
@@ -27,7 +27,7 @@ from bsatlas.poisson import (
     jacobi_check,
 )
 from bsatlas.symbolic import MultiPoly, RatFunc, VarName, var
-from oracles import differentiate, entry_bracket, entry_var, generic_element, torus_element
+from oracles import differentiate, entry_bracket, entry_var, fraction_chain, generic_element, product, torus_element
 
 
 def av(i, j):
@@ -131,12 +131,8 @@ def test_chart_bracket_representative_independence():
     spec = enumerate_charts(space)[1]
     chart = parametrize(spec)
     table = chart_bracket(chart)
-    q = (
-        m.one_param(1, var("u", 1))
-        * m.one_param(2, var("u", 2))
-        * torus_element(m, [var("u", 3), var("u", 4)])
-    )
-    moved = GroupElement(m, (chart.param * q).entries)
+    q = product(fraction_chain(m, (1, 2), (var("u", 1), var("u", 2))), torus_element(m, [var("u", 3), var("u", 4)]))
+    moved = product(chart.param, q)
     shifted_chart = type(chart)(chart.spec, chart.dims, chart.zvars, chart.coord_formulas)
     shifted_chart._frame, shifted_chart._rep = laurent_matrix(moved.entries)
     table2 = chart_bracket(shifted_chart)

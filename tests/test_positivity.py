@@ -208,3 +208,61 @@ def test_sp4_positivity_smoke():
     tspec = ToricChartSpec(mc, "G", (rs.w0.canonical, rs.w0.canonical))
     rep = certify_chart_positivity(chart, tspec, 15, seed=0)
     assert rep["ok"], rep["violations"][:2]
+
+
+# Negative controls: each verdict below is False, with its witnesses, on a point no positive chart reaches.
+
+
+def _identity_point(spec, c):
+    """The identity as a scaled point, in place of the toric point at c."""
+    n = spec.model.dim
+    return [[int(i == j) for j in range(n)] for i in range(n)], 1
+
+
+@pytest.mark.parametrize(
+    "chart_index, kind, want",
+    [
+        (0, "big_cell", [{"sample": 0, "kind": "big_cell", "w": "W[s1]", "alpha": 1}]),
+        (0, "nonpositive", [{"sample": 0, "kind": "nonpositive", "coordinate": k, "value": "0"} for k in (1, 2)]),
+        (1, "chart_domain", [{"sample": 0, "kind": "chart_domain", "minor": 1}]),
+    ],
+)
+def test_chart_positivity_fails_at_the_identity(monkeypatch, chart_index, kind, want):
+    """At the identity of SL(2) the flag minor of s1 vanishes, the chart of w = e reads zero in its first two
+    coordinates, and the identity lies outside the shifted big cell of the chart of w = s1."""
+    m = cached_model("A", 1)
+    rs = m.rs
+    monkeypatch.setattr(positivity, "_toric_numerators", _identity_point)
+    chart = parametrize(enumerate_charts(SpaceSpec(m, "Nv", rs.w0))[chart_index])
+    rep = certify_chart_positivity(chart, ToricChartSpec(m, "GmodNv", (rs.w0.canonical, rs.w0.canonical)), 1, seed=0)
+    assert rep["ok"] is False
+    assert [v for v in rep["violations"] if v["kind"] == kind] == want
+    assert rep["samples"][0]["coords"] is None if kind == "chart_domain" else rep["samples"][0]["cell_ok"] is False
+
+
+def test_minor_positivity_fails_at_the_identity(monkeypatch):
+    m = cached_model("A", 1)
+    rs = m.rs
+    monkeypatch.setattr(positivity, "_toric_numerators", _identity_point)
+    rep = certify_minor_positivity(SpaceSpec(m, "Nv", rs.w0), rs.w0, rs.identity, 1, 2, seed=0)
+    assert rep["ok"] is False
+    assert rep["violations"] == [{"sample": 0, "value": "0"}, {"sample": 1, "value": "0"}]
+
+
+def test_toric_equivalence_fails_on_a_chain_with_a_negative_parameter(monkeypatch):
+    """Chart A's point with its first parameter negated has a negative third coordinate in chart B."""
+    m = cached_model("A", 2)
+    a = ToricChartSpec(m, "G", ((1, 2, 1), (2, 1, 2)))
+    b = ToricChartSpec(m, "G", ((2, 1, 2), (1, 2, 1)))
+
+    def negated_first(spec, c):
+        l0 = spec.model.rs.l0
+        letters = [-i for i in spec.words[0]] + list(spec.words[1])
+        point = spec.model.scaled_chain(None, letters, [-c[0]] + list(c[1 : 2 * l0]))
+        return spec.model.rational_point(spec.model.scaled_torus(point, c[2 * l0 :]))
+
+    monkeypatch.setattr(positivity, "toric_point", negated_first)
+    rep = certify_toric_equivalence(a, b, 3, seed=0)
+    assert rep["ok"] is False
+    assert [(v["sample"], v["coordinate"]) for v in rep["violations"]] == [(0, 3), (1, 3), (2, 3)]
+    assert all(Fraction(v["value"]) < 0 for v in rep["violations"])

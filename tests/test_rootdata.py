@@ -147,6 +147,13 @@ def test_reduced_word_counts(series, rank):
         assert counts[w.rho] == len(rs.reduced_words(w) or [()])
 
 
+@pytest.mark.parametrize("series,rank", [("A", k) for k in range(1, 6)] + [("C", 2)])
+def test_one_reduced_word_by_descents_matches_the_counts(series, rank):
+    rs = build_root_system(series, rank)
+    counts = rs.reduced_word_counts()
+    assert [rs.has_one_reduced_word(w) for w in rs.all_elements()] == [counts[w.rho] == 1 for w in rs.all_elements()]
+
+
 def test_build_root_system_examples():
     rs = build_root_system("A", 2)
     assert rs.cartan == ((2, -1), (-1, 2))
