@@ -59,9 +59,19 @@ class SpaceSpec:
 
 
 class ChartSpec:
-    """Discrete chart data: w plus the triple of reduced words."""
+    """Discrete chart data: w plus the triple of reduced words.
+
+    ``ChartSpec(space, w, r)`` takes its words from outside the program (the CLI's ``--r``, repro cases, callers)
+    and refuses any that is not a reduced word of its element; ``enumerate_charts`` lists words that are reduced
+    by construction and stores them through ``_listed`` with no lookup."""
 
     __slots__ = ("space", "w", "r")
+
+    @classmethod
+    def _listed(cls, space, w, r):
+        spec = cls.__new__(cls)
+        spec.space, spec.w, spec.r = space, w, r
+        return spec
 
     def __init__(self, space: SpaceSpec, w, r):
         rs = space.model.rs
@@ -143,7 +153,11 @@ def zvar(j):
 
 
 def enumerate_charts(space: SpaceSpec):
-    """All chart specs of the atlas, in deterministic order."""
+    """All chart specs of the atlas, in deterministic order: w by (length, canonical word), then the sorted words.
+
+    No word is looked up again: each comes from ``RootSystem.reduced_words`` of its own element, and since
+    l(w0 w^{-1}) + l(w) = l(w0), a reduced word of w0 w^{-1} followed by one of w is a reduced word of w0.
+    """
     rs = space.model.rs
     v_words = _words_or_empty(rs, space.v)
     out = []
@@ -152,7 +166,7 @@ def enumerate_charts(space: SpaceSpec):
         for w0_word in _words_or_empty(rs, u):
             for w_word in _words_or_empty(rs, w):
                 for v_word in v_words:
-                    out.append(ChartSpec(space, w, (w0_word, w_word, v_word)))
+                    out.append(ChartSpec._listed(space, w, (w0_word, w_word, v_word)))
     return out
 
 

@@ -192,6 +192,8 @@ class GroupModel:
                     (p, q, x[p][q]) for p in range(self.dim) for q in range(self.dim) if x[p][q] != 0
                 )
         self._perm_cache = {}
+        # (labels, read) of the flag minors, filled by positivity._flag_minors on first use
+        self._flag_minor_table = None
         self._validate()
 
     # -- construction ---------------------------------------------------------

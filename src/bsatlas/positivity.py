@@ -117,7 +117,10 @@ def _sample_positive(rng, n):
 def _flag_minors(model):
     """(labels, read): the flag minors D_{w omega_a, omega_a} as (w, a), w in W and a = 1 .. rank, and their
     values on a matrix, one determinant per sorted row set: sorting the rows of sign * det m[rows, cols]
-    (``GroupModel.minor_indices``) multiplies it by the sign of the sort."""
+    (``GroupModel.minor_indices``) multiplies it by the sign of the sort.  Built once per model, on first use,
+    and kept as ``model._flag_minor_table``."""
+    if model._flag_minor_table is not None:
+        return model._flag_minor_table
     rs = model.rs
     labels = [(w, a) for w in rs.all_elements() for a in range(1, rs.rank + 1)]
     row_sets, signed = {}, []
@@ -130,6 +133,7 @@ def _flag_minors(model):
         dets = [minor(m, rows, cols) for rows, cols in row_sets]
         return [sign * dets[k] for k, sign in signed]
 
+    model._flag_minor_table = labels, read
     return labels, read
 
 

@@ -94,6 +94,42 @@ def test_enumeration_order_is_pinned(series, rank, qkind, v):
     assert (len(charts), digest) == _ENUMERATION_DIGESTS[(series, rank, qkind, v)]
 
 
+@pytest.mark.parametrize(
+    "series, rank, v, n_charts",
+    [("A", 2, None, 112), ("C", 2, None, 180), ("A", 3, "w0", 1792), ("A", 3, (1, 2, 1), 224)],
+    ids=["SL3-every-space", "Sp4-every-space", "SL4-Nw0", "SL4-Ns1s2s1"],
+)
+def test_enumerated_specs_pass_the_validated_constructor(series, rank, v, n_charts):
+    """enumerate_charts stores its words with no lookup; each spec it lists is one that ChartSpec accepts, with
+    the same key.  v = None takes every space of the model; s1 s2 s1 has two reduced words, so the v-word loop runs."""
+    m = cached_model(series, rank)
+    rs = m.rs
+    if v is None:
+        spaces = [SpaceSpec(m, qkind, x) for x in rs.all_elements() for qkind in ("Bv", "Nv")]
+    else:
+        spaces = [SpaceSpec(m, "Nv", rs.w0 if v == "w0" else rs.element_from_word(v))]
+    count = 0
+    for space in spaces:
+        specs = enumerate_charts(space)
+        assert {spec.r[2] for spec in specs} == set(rs.reduced_words(space.v) or [()])
+        for spec in specs:
+            assert ChartSpec(space, spec.w, spec.r).key() == spec.key()
+        count += len(specs)
+    assert count == n_charts
+
+
+def test_enumeration_looks_up_no_listed_word(monkeypatch):
+    """Enumerating SL(4)/N(w0) calls element_from_word at most once per element of W (for w^{-1}), not once
+    per listed word (5400 calls when every chart's words were looked up again)."""
+    m = cached_model("A", 3)
+    rs = m.rs
+    space = SpaceSpec(m, "Nv", rs.w0)
+    calls = []
+    monkeypatch.setattr(rs, "element_from_word", lambda word, real=rs.element_from_word: calls.append(1) or real(word))
+    assert len(enumerate_charts(space)) == 1792
+    assert len(calls) <= len(rs.all_elements()) == 24
+
+
 def test_word_memo_refuses_letters_that_are_not_ints():
     """(1.0,) and (True,) equal (1,) as memo keys; each is refused, before and after (1,) is memoized."""
     rs = build_root_system("A", 2)
@@ -108,13 +144,14 @@ def test_word_memo_refuses_letters_that_are_not_ints():
 
 
 def test_word_memo_keeps_validation():
-    """Once enumerate_charts has filled the word memo, bad letters, non-reduced words and
-    words of the wrong element are still refused, and a list word is its tuple."""
+    """Once ChartSpec has filled the word memo with every word enumerate_charts lists, bad letters,
+    non-reduced words and words of the wrong element are still refused, and a list word is its tuple."""
     rs = build_root_system("A", 3)
     m = build_model(rs)
     s1s2 = rs.element_from_word((1, 2))
     space = SpaceSpec(m, "Nv", s1s2)
-    charts = enumerate_charts(space)
+    charts = [ChartSpec(space, c.w, c.r) for c in enumerate_charts(space)]
+    assert all(word in rs._word_cache for c in charts for word in (c.r[0] + c.r[1], c.r[1], c.r[2]))
     assert len(rs._word_cache) > 1
     for word in ((0,), (rs.rank + 1,), (1, 0, 2), (2, 1, rs.rank + 1)):
         for _ in range(2):

@@ -13,7 +13,7 @@ from bsatlas.errors import (
     NonPositiveInput,
 )
 from bsatlas import positivity
-from bsatlas.groups import MinorSpec, cached_model
+from bsatlas.groups import MinorSpec, build_model, cached_model
 from bsatlas.positivity import (
     ToricChartSpec,
     _flag_minors,
@@ -145,6 +145,15 @@ def test_flag_minors_share_one_determinant_per_row_set(monkeypatch, series, rank
         dets.clear()
         assert read(g) == [m.generalized_minor(g, MinorSpec(w, rs.identity, a)) for w, a in labels]
         assert len(dets) == row_sets
+
+
+def test_flag_minors_are_built_once_per_model():
+    """Every chart certified on one model reads the same flag-minor table; a second model builds its own."""
+    m = cached_model("A", 2)
+    first = _flag_minors(m)
+    assert _flag_minors(m) is first
+    other = build_model(m.rs)
+    assert _flag_minors(other) is not first and _flag_minors(other) is _flag_minors(other)
 
 
 def test_chain_extraction_roundtrip():
