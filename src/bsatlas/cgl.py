@@ -1,9 +1,12 @@
 """Symmetric Poisson CGL presentations: prediction, verification, products, flows.
 
 A presentation over a torus power carries, per coordinate, a character
-tuple and two coweight tuples; the verifier checks the two-sided Ore form
-of every bracket entry, the support and torus-homogeneity of the correction
-terms, and the purely log-canonical cut between the two word blocks.
+tuple, two coweight tuples and the coordinate's T-weight (``atlas.t_weights``).
+Every coweight is the # of a character acted on by a Weyl element, so the
+layer uses only the weight action of ``RootSystem``.  The verifier checks the
+two-sided Ore form of every bracket entry, the support and torus-homogeneity
+of the correction terms, and the purely log-canonical cut between the two
+word blocks.
 In such a chart every Hamiltonian flow is triangular, and
 ``hamiltonian_flow`` solves it exactly, as exponential polynomials in t.
 """
@@ -13,26 +16,27 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add, mul
 
-from .atlas import Chart
+from .atlas import Chart, t_weights
 from .errors import DimensionMismatch, NotVerifiedCGL, ZeroTorusValue
 from .poisson import BracketTable
+from .rootdata import Coweight, Weight
 from .symbolic import MultiPoly, RatFunc, VarName, from_laurent, laurent_fma, unit_keys, var
 
 _Q0 = Fraction(0)
 
 
 class CGLPresentation:
-    """Predicted torus-power data for one chart."""
+    """Predicted torus-power data for one chart; ``weights[j - 1]`` is the T-weight of z_j."""
 
-    __slots__ = ("rs", "torus_power", "chars", "hvecs", "hprimes", "embedding", "cut", "laurent_vars")
+    __slots__ = ("rs", "torus_power", "chars", "hvecs", "hprimes", "weights", "cut", "laurent_vars")
 
-    def __init__(self, rs, torus_power, chars, hvecs, hprimes, embedding, cut, laurent_vars=()):
+    def __init__(self, rs, torus_power, chars, hvecs, hprimes, weights, cut, laurent_vars=()):
         self.rs = rs
         self.torus_power = torus_power
         self.chars = chars
         self.hvecs = hvecs
         self.hprimes = hprimes
-        self.embedding = embedding
+        self.weights = weights
         self.cut = cut
         self.laurent_vars = tuple(laurent_vars)
 
@@ -43,25 +47,12 @@ class CGLPresentation:
         """table[i][j] = chi_{i+1}(hs[j]) for the character tuples chi of every coordinate, built at once."""
         return self.rs.evaluate_table(self.chars, hs)
 
-    def pulled_weight(self, j):
-        """T-weight of z_j under the diagonal embedding (sum of twisted factors)."""
-        rs = self.rs
-        total = None
-        for twist, lam in zip(self.embedding, self.chars[j - 1]):
-            part = rs.act(twist, lam)
-            total = part if total is None else total + part
-        return total
-
 
 def _zero_weight(rs):
-    from .rootdata import Weight
-
     return Weight([0] * rs.rank)
 
 
 def _zero_coweight(rs):
-    from .rootdata import Coweight
-
     return Coweight([0] * rs.rank)
 
 
@@ -74,71 +65,45 @@ def _word_roots(rs, word):
 
 
 def predicted_cgl(chart: Chart) -> CGLPresentation:
-    """The torus-power data the chart bracket must realize."""
+    """The torus-power data the chart bracket must realize.
+
+    A coordinate of word block b (0 for the w0 w^{-1} word, 1 for the w and v
+    words) has the character chi_j in factor b and zero elsewhere.  Its
+    coweight in each factor is chi_j acted on by a Weyl element, taken to #
+    and signed: (chi#, -(w w0 chi)#) for block 0 and (-(w0 w^{-1} chi)#, chi#)
+    for block 1.  N(v) adds a third factor, -(w0 chi)# or (w^{-1} chi)#, and
+    the torus rows: the character omega_i in the third factor, with the
+    coweights (-(w0 omega_i)#, (w omega_i)#, alpha_i^vee).
+    """
     spec = chart.spec
     rs = spec.space.model.rs
     w = spec.w
     w0_word, w_word, v_word = spec.r
-    k = len(w0_word)
-    l = rs.l0 + len(v_word)
-    chis = _word_roots(rs, w0_word) + _word_roots(rs, w_word + v_word)
-    hs = [rs.sharp(chi) for chi in chis]
-
-    ww0 = rs.multiply(w, rs.w0)
-    w0winv = rs.multiply(rs.w0, w.inverse())
-    zero_w = _zero_weight(rs)
-
-    if spec.space.qkind == "Bv":
-        chars = []
-        hvecs = []
-        for j in range(1, l + 1):
-            if j <= k:
-                chars.append((chis[j - 1], zero_w))
-                hvecs.append((hs[j - 1], -rs.act_coweight(ww0, hs[j - 1])))
-            else:
-                chars.append((zero_w, chis[j - 1]))
-                hvecs.append((-rs.act_coweight(w0winv, hs[j - 1]), hs[j - 1]))
-        hprimes = [tuple(-h for h in hv) for hv in hvecs]
-        embedding = (ww0, rs.identity)
-        return CGLPresentation(rs, 2, chars, hvecs, hprimes, embedding, cut=k)
+    nv = spec.space.qkind == "Nv"
+    # (sign, Weyl element) per factor, for each block
+    twists0 = [(1, rs.identity), (-1, rs.multiply(w, rs.w0))]
+    twists1 = [(-1, rs.multiply(rs.w0, w.inverse())), (1, rs.identity)]
+    if nv:
+        twists0.append((-1, rs.w0))
+        twists1.append((1, w.inverse()))
+    power = len(twists0)
+    zero = _zero_weight(rs)
 
     chars = []
     hvecs = []
-    winv = w.inverse()
-    for j in range(1, l + 1):
-        if j <= k:
-            chars.append((chis[j - 1], zero_w, zero_w))
-            hvecs.append(
-                (
-                    hs[j - 1],
-                    -rs.act_coweight(ww0, hs[j - 1]),
-                    -rs.act_coweight(rs.w0, hs[j - 1]),
-                )
-            )
-        else:
-            chars.append((zero_w, chis[j - 1], zero_w))
-            hvecs.append(
-                (
-                    -rs.act_coweight(w0winv, hs[j - 1]),
-                    hs[j - 1],
-                    rs.act_coweight(winv, hs[j - 1]),
-                )
-            )
-    for i in range(1, rs.rank + 1):
-        om = rs.fundamental_weight(i)
-        om_sharp = rs.sharp(om)
-        chars.append((zero_w, zero_w, om))
-        hvecs.append(
-            (
-                -rs.act_coweight(rs.w0, om_sharp),
-                rs.act_coweight(w, om_sharp),
-                rs.omega_dual(i),
-            )
-        )
+    for b, (word, twists) in enumerate(((w0_word, twists0), (w_word + v_word, twists1))):
+        for chi in _word_roots(rs, word):
+            chars.append(tuple(chi if f == b else zero for f in range(power)))
+            hvecs.append(tuple(rs.sharp(rs.act(x, chi)) * sign for sign, x in twists))
+    if nv:
+        for i in range(1, rs.rank + 1):
+            om = rs.fundamental_weight(i)
+            chars.append((zero, zero, om))
+            hvecs.append((-rs.sharp(rs.act(rs.w0, om)), rs.sharp(rs.act(w, om)), rs.omega_dual(i)))
     hprimes = [tuple(-h for h in hv) for hv in hvecs]
-    embedding = (ww0, rs.identity, w)
-    laurent = tuple(range(l + 1, l + rs.rank + 1))
-    return CGLPresentation(rs, 3, chars, hvecs, hprimes, embedding, cut=k, laurent_vars=laurent)
+    return CGLPresentation(
+        rs, power, chars, hvecs, hprimes, t_weights(chart), cut=len(w0_word), laurent_vars=chart.torus_block()
+    )
 
 
 class CGLReport:
@@ -187,7 +152,8 @@ def verify_cgl(table: BracketTable, pres: CGLPresentation) -> CGLReport:
     gcd(num, den) = 1, so (a) changes one coefficient and takes no gcd for a
     Laurent entry.  The two forms differ by (chi_j(h'_i) + chi_i(h_j)) z_i z_j,
     so (b) tests one rational number and writes the second form out only for
-    a witness.  (d) sums the integral pulled weights over the exponents of f.
+    a witness.  (d) sums the integral T-weights ``pres.weights`` over the
+    exponents of f.
     """
     if table.n_vars != pres.n_vars():
         raise DimensionMismatch(f"table has {table.n_vars} vars, presentation {pres.n_vars()}")
@@ -227,7 +193,7 @@ def verify_cgl(table: BracketTable, pres: CGLPresentation) -> CGLReport:
             bad_c.append({"index": j, "side": "h'"})
     report.record("c_nondegenerate", not bad_c, bad_c)
 
-    weights = {z: pres.pulled_weight(z.index).coeffs for z in zs}
+    weights = {z: lam.coeffs for z, lam in zip(zs, pres.weights)}
     bad_d = []
     for (i, j), f in report.f_terms.items():
         if f.is_zero():
@@ -357,7 +323,7 @@ def block_cgl(chart: Chart, table: BracketTable):
     return e1, e2, nu
 
 
-def hamiltonian_report(table: BracketTable, pres: CGLPresentation, j, verified=None):
+def hamiltonian_report(table: BracketTable, pres: CGLPresentation, j, verified):
     """Check the completeness hypothesis for the coordinate z_j.
 
     Under the order (z_{j-1},...,z_1, z_{j+1},...,z_n), ``hamiltonian_flow``
@@ -368,8 +334,6 @@ def hamiltonian_report(table: BracketTable, pres: CGLPresentation, j, verified=N
     is that z_j be log-canonical with every localized (torus block)
     coordinate.  ``verified`` must be ``verify_cgl(table, pres)``.
     """
-    if verified is None:
-        verified = verify_cgl(table, pres)
     if not verified.ok:
         raise NotVerifiedCGL("table failed CGL verification")
     failures = [

@@ -32,20 +32,17 @@ class ZeroTorusValue(BSAtlasError):
 class NotInBigCell(BSAtlasError):
     """Gauss factorization failed; carries the index of the vanishing minor."""
 
-    def __init__(self, minor_index, message=None):
+    def __init__(self, minor_index):
         self.minor_index = minor_index
-        super().__init__(message or f"leading principal minor {minor_index} vanishes")
+        super().__init__(f"leading principal minor {minor_index} vanishes")
 
 
 class NotInChartDomain(BSAtlasError):
     """A point is outside a chart's shifted big cell."""
 
-    def __init__(self, minor_index, message=None):
+    def __init__(self, minor_index):
         self.minor_index = minor_index
-        super().__init__(
-            message
-            or f"point outside chart domain: principal minor {minor_index} of the shifted element vanishes"
-        )
+        super().__init__(f"point outside chart domain: principal minor {minor_index} of the shifted element vanishes")
 
 
 class NormalizationMismatch(BSAtlasError):

@@ -11,7 +11,11 @@ Roots, fundamental weights, their Weyl images and the coweights a# of roots
 and weights are integral in these bases (Humphreys, Introduction to Lie
 Algebras and Representation Theory, 13), so Weight and Coweight keep each
 integral coefficient as an ``int`` and only a genuinely rational one, such
-as those of the inverse Gram tensor, as a ``Fraction``.
+as that of a coweight's preimage under #, as a ``Fraction``.
+
+There is one Weyl action, on weights.  # is W-equivariant, w(lam#) = (w lam)#,
+so a coweight is acted on through the weight it is the # of
+(``act_coweight``), and the simple coroot alpha_i^vee is ``omega_dual(i)``.
 
 A Weyl element w is stored as the integer tuple w(rho), the coefficients of
 w applied to rho = omega_1 + ... + omega_r.  rho is regular, so w(rho)
@@ -163,12 +167,6 @@ class RootSystem:
         self.simple_roots = tuple(
             Weight(self.cartan[i][j] for i in range(rank)) for j in range(rank)
         )
-        # alpha_i^vee = 2 alpha_i# / <alpha_i, alpha_i>, for reflecting coweights;
-        # integral, since d_k cartan[k][i] = d_i cartan[i][k]
-        self._coroots = tuple(
-            Coweight(Fraction(c, di) for c in self.sharp(alpha).coeffs)
-            for alpha, di in zip(self.simple_roots, d)
-        )
         # alpha_i as an integer tuple, for reflecting weights and w(rho)
         self._alpha_int = tuple(tuple(self.cartan[j][i] for j in range(rank)) for i in range(rank))
         rho = (1,) * rank
@@ -262,46 +260,23 @@ class RootSystem:
         den = d1 * d2
         return [[_ratio(sum(map(mul, x, y)), den) for y in b] for x in a]
 
-    def coweight_of_root(self, i):
-        """Simple coroot alpha_i^vee as a Coweight (alpha_i(.) = 2)."""
-        return self._coroots[i - 1]
-
     def fundamental_coweight(self, i):
         """Dual basis to the simple roots: alpha_j(f_i) = delta_ij."""
         return Coweight(int(j == i - 1) for j in range(self.rank))
 
     def omega_dual(self, i):
-        """Dual basis to the fundamental weights: omega_j(omega_i*) = delta_ij."""
+        """Dual basis to the fundamental weights, omega_j(omega_i*) = delta_ij: the simple coroot alpha_i^vee."""
         return Coweight(self.cartan[i - 1][j] for j in range(self.rank))
 
     def inv_gram_pairs(self):
         """The form tensor sum_q H_q (x) H_q as exact (Coweight, Coweight) pairs.
 
-        Basis independent: in any basis u_a of the Cartan subalgebra it is
-        sum_ab (Gram^-1)_ab u_a (x) u_b for Gram_ab = <u_a, u_b>.
+        The fundamental coweights f_a are the basis dual to the simple roots,
+        so alpha_a# = sum_b <alpha_a, alpha_b> f_b and the tensor
+        sum_a f_a (x) alpha_a# is sum_ab form[a][b] f_a (x) f_b.
         """
-        n = self.rank
-        f = [self.fundamental_coweight(i + 1) for i in range(n)]
-        gram = [[self.pairing_coweights(f[a], f[b]) for b in range(n)] for a in range(n)]
-        inv = rational_inverse(gram)
-        pairs = []
-        for a in range(n):
-            for b in range(n):
-                if inv[a][b] != 0:
-                    pairs.append((f[a] * inv[a][b], f[b]))
-        return pairs
-
-    def pairing_coweights(self, h1, h2):
-        """Form on the Cartan subalgebra transported through sharp."""
-        # f_a = (omega_a)# / (norms2[a]/2), so <f_a, f_b> = G_ab / (d_a d_b)
-        n = self.rank
-        d = self._half_norms2
-        return sum(
-            h1.coeffs[a] * h2.coeffs[b] * self._gram_fw[a][b] / (d[a] * d[b])
-            for a in range(n)
-            for b in range(n)
-            if h1.coeffs[a] and h2.coeffs[b]
-        ) or _Q0
+        f = [self.fundamental_coweight(a + 1) for a in range(self.rank)]
+        return [(f[a] * x, f[b]) for a, row in enumerate(self.form) for b, x in enumerate(row) if x]
 
     # -- Weyl action ---------------------------------------------------------
 
@@ -316,31 +291,19 @@ class RootSystem:
             return lam
         return Weight(self._reflect_coeffs(i, lam.coeffs))
 
-    def reflect_coweight(self, i, h):
-        """Simple reflection s_i on a coweight: h - alpha_i(h) alpha_i^vee."""
-        # coweights are written in the basis dual to the simple roots
-        c = h.coeffs[i - 1]
-        if c == 0:
-            return h
-        return h - self.coweight_of_root(i) * c
-
     def act_word(self, word, lam):
         """Apply a word right-to-left: act((i,j), lam) = s_i(s_j(lam))."""
         for i in reversed(word):
             lam = self.reflect(i, lam)
         return lam
 
-    def act_word_coweight(self, word, h):
-        for i in reversed(word):
-            h = self.reflect_coweight(i, h)
-        return h
-
     def act(self, w, lam):
         """Apply a WeylElement through its canonical word."""
         return self.act_word(w.canonical, lam)
 
     def act_coweight(self, w, h):
-        return self.act_word_coweight(w.canonical, h)
+        """w on a coweight, through the weight action: w(lam#) = (w lam)#, since # is W-equivariant."""
+        return self.sharp(self.act(w, Weight(map(Fraction, h.coeffs, self._half_norms2))))
 
     # -- elements ------------------------------------------------------------
 

@@ -320,7 +320,7 @@ def verify_cgl(table: BracketTable, pres: CGLPresentation) -> CGLReport:
             bad_c.append({"index": j, "side": "h'"})
     report.record("c_nondegenerate", not bad_c, bad_c)
 
-    weights = {VarName("z", m): pres.pulled_weight(m) for m in range(1, n + 1)}
+    weights = {VarName("z", m): lam for m, lam in enumerate(pres.weights, start=1)}
     bad_d = []
     for (i, j), f in report.f_terms.items():
         if f.is_zero():

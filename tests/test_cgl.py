@@ -1,5 +1,6 @@
 """Predicted presentations, verification, mixed products, Hamiltonian flows."""
 
+import hashlib
 import random
 import re
 import sys
@@ -148,7 +149,7 @@ def test_verify_cgl_witnesses_a_degenerate_character():
     n = table.n_vars
     hvecs, hprimes = list(pres.hvecs), list(pres.hprimes)
     hvecs[0], hprimes[-1] = tuple(h * 0 for h in hvecs[0]), tuple(h * 0 for h in hprimes[-1])
-    bad = CGLPresentation(pres.rs, pres.torus_power, pres.chars, hvecs, hprimes, pres.embedding, pres.cut, pres.laurent_vars)
+    bad = CGLPresentation(pres.rs, pres.torus_power, pres.chars, hvecs, hprimes, pres.weights, pres.cut, pres.laurent_vars)
     report = verify_cgl(table, bad)
     assert report.ok is False
     assert [name for name, check in report.checks.items() if not check["ok"]] == ["c_nondegenerate"]
@@ -242,7 +243,7 @@ def test_hamiltonian_requires_verified():
     z1, z2 = var("z", 1), var("z", 2)
     junk = BracketTable(3, (3,), {(1, 2): z1 + z2, (1, 3): RatFunc.zero(), (2, 3): RatFunc.zero()})
     with pytest.raises(NotVerifiedCGL):
-        hamiltonian_report(junk, pres, 1)
+        hamiltonian_report(junk, pres, 1, verify_cgl(junk, pres))
 
 
 def _old_triangular_failures(table, j, verified):
@@ -508,7 +509,7 @@ def _broken_symmetric_form(table, pres):
     rs = pres.rs
     hprimes = list(pres.hprimes)
     hprimes[1] = (hprimes[1][0] + rs.fundamental_coweight(1) * Fraction(1, 2),) + hprimes[1][1:]
-    return table, CGLPresentation(rs, pres.torus_power, pres.chars, pres.hvecs, hprimes, pres.embedding, pres.cut, pres.laurent_vars)
+    return table, CGLPresentation(rs, pres.torus_power, pres.chars, pres.hvecs, hprimes, pres.weights, pres.cut, pres.laurent_vars)
 
 
 def _broken_homogeneity(table, pres):
@@ -596,7 +597,9 @@ def _fraction_act(rs, word, coeffs):
 
 @pytest.mark.parametrize("series, rank", [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("C", 2)])
 def test_pulled_weights_are_ints(series, rank):
-    """Every pulled weight of a chart stores int coefficients, equal to the sum of its factors acted on in Fractions."""
+    """The T-weight ``pres.weights[j - 1]`` of every coordinate stores int coefficients, equal to its pulled weight:
+    the sum of its character factors twisted by the diagonal embedding (w w0, e) of B(v), or (w w0, e, w) of N(v),
+    acted on in Fractions."""
     m = cached_model(series, rank)
     rs = m.rs
     charts = []
@@ -607,10 +610,46 @@ def test_pulled_weights_are_ints(series, rank):
             charts.append(parametrize(ChartSpec(space, w, (u.canonical, w.canonical, v.canonical))))
     for chart in charts:
         pres = predicted_cgl(chart)
-        for j in range(1, pres.n_vars() + 1):
+        w = chart.spec.w
+        embedding = (rs.multiply(w, rs.w0), rs.identity, w)[: pres.torus_power]
+        assert len(pres.weights) == pres.n_vars()
+        for j, got in enumerate(pres.weights, start=1):
             want = [Fraction(0)] * rank
-            for twist, lam in zip(pres.embedding, pres.chars[j - 1]):
+            for twist, lam in zip(embedding, pres.chars[j - 1]):
                 want = [a + b for a, b in zip(want, _fraction_act(rs, twist.canonical, lam.coeffs))]
-            got = pres.pulled_weight(j)
             assert all(type(c) is int for c in got.coeffs), (chart.spec.label(), j, got)
             assert got.coeffs == tuple(want), (chart.spec.label(), j)
+
+
+# sha256 of every chart's presentation text (``_presentation_text``), charts in enumeration order; None takes
+# every space of the model.  Recorded before the presentation carried its T-weights, from the sum of twisted
+# character factors that stood in for them.
+_PRESENTATION_DIGESTS = {
+    ("A", 2, None, None): (112, "2ec6141ec410500bae6883b1b7e946ea15e492184455754ceb3dacad969316ff"),
+    ("C", 2, None, None): (180, "d21cc60433378de7173b03f4c62e011230d2582f4b868e33bff5dd6be9b6777b"),
+    ("A", 3, "Nv", "w0"): (1792, "204b3606091fc4de958d3ec1a8d8aa5c384e5d1acc1137d60015e235b2516f5c"),
+    ("A", 3, "Bv", "e"): (112, "a43acc4a9a0cb20e928d8d0c777c51ef46f5802c8fd1de01c864921f8820fa94"),
+}
+
+
+def _presentation_text(pres):
+    """The data of a presentation as text: every coefficient, with its type (int or Fraction), in order."""
+
+    def rows(xs):
+        return [[x.coeffs for x in row] for row in xs]
+
+    fields = (pres.torus_power, rows(pres.chars), rows(pres.hvecs), rows(pres.hprimes))
+    return repr(fields + ([lam.coeffs for lam in pres.weights], pres.cut, tuple(pres.laurent_vars)))
+
+
+@pytest.mark.parametrize("series, rank, qkind, v", list(_PRESENTATION_DIGESTS))
+def test_presentation_is_pinned(series, rank, qkind, v):
+    m = cached_model(series, rank)
+    rs = m.rs
+    if qkind is None:
+        spaces = [SpaceSpec(m, q, x) for x in rs.all_elements() for q in ("Bv", "Nv")]
+    else:
+        spaces = [SpaceSpec(m, qkind, rs.w0 if v == "w0" else rs.identity)]
+    texts = [_presentation_text(predicted_cgl(parametrize(spec))) for space in spaces for spec in enumerate_charts(space)]
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert (len(texts), digest) == _PRESENTATION_DIGESTS[(series, rank, qkind, v)]

@@ -1,4 +1,5 @@
-"""Every imported name is used, every def is reached outside the tests, and the package needs only the standard library.
+"""Every imported name is used, every def is reached outside the tests, and the package needs only the standard library,
+imported at module level.
 
 AST scans, since the project installs no linter.
 """
@@ -69,6 +70,33 @@ def test_package_imports_only_the_standard_library():
         for line, module in foreign_imports(path.read_text()):
             found.append(f"{path.relative_to(ROOT)}:{line}: {module}")
     assert not found, "imports outside the standard library:\n" + "\n".join(found)
+
+
+def imports_in_defs(source):
+    """(line, def name) of each import statement inside a function body, by its innermost def."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for sub in ast.walk(node):
+                if isinstance(sub, (ast.Import, ast.ImportFrom)):
+                    found.add((sub.lineno, node.name))
+    innermost = {}
+    for line, name in sorted(found):
+        innermost[line] = name
+    return sorted(innermost.items())
+
+
+def test_scan_finds_an_import_in_a_def():
+    src = "import os\ndef f():\n    from . import cache\n    def g():\n        import sys\n    return os\nclass C:\n    pass\n"
+    assert imports_in_defs(src) == [(3, "f"), (5, "g")]
+
+
+def test_package_imports_only_at_module_level():
+    """No def of the package imports: every dependency of a module is read at its top."""
+    found = []
+    for path in sorted((ROOT / "src" / "bsatlas").rglob("*.py")):
+        found += [f"{path.relative_to(ROOT)}:{line}: {name}" for line, name in imports_in_defs(path.read_text())]
+    assert not found, "imports inside a def:\n" + "\n".join(found)
 
 
 REACHING = ("src", "demos", "perfbench", "tools")

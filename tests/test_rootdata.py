@@ -254,7 +254,7 @@ def test_weight_calculus():
     a1 = rs.simple_root(1)
     assert rs.pairing(a1, a1) == 2
     assert rs.evaluate(a1, rs.sharp(a1)) == 2
-    assert rs.evaluate(a1, rs.coweight_of_root(1)) == 2
+    assert rs.evaluate(a1, rs.omega_dual(1)) == 2
     # sharp defining identity on all basis weights
     for i in range(1, 3):
         for j in range(1, 3):
@@ -314,13 +314,68 @@ def test_pairing_invariance_exhaustive():
 
 def test_coweight_action_duality():
     rs = build_root_system("C", 2)
-    h = rs.sharp(rs.fundamental_weight(1)) + rs.coweight_of_root(2) * Fraction(1, 3)
+    h = rs.sharp(rs.fundamental_weight(1)) + rs.omega_dual(2) * Fraction(1, 3)
     for w in rs.all_elements():
         for i in range(1, 3):
             lam = rs.fundamental_weight(i)
             lhs = rs.evaluate(lam, rs.act_coweight(w, h))
             rhs = rs.evaluate(rs.act(w.inverse(), lam), h)
             assert lhs == rhs
+
+
+_SERIES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("C", 2)]
+
+
+@pytest.mark.parametrize("series, rank", _SERIES)
+def test_coweight_action_is_the_sharp_of_the_weight_action(series, rank):
+    """w(lam#) = (w lam)# for every w and every positive root and fundamental weight lam: # is W-equivariant,
+    which is what lets RootSystem keep one Weyl action."""
+    rs = build_root_system(series, rank)
+    weights = list(rs.positive_roots) + [rs.fundamental_weight(i) for i in range(1, rank + 1)]
+    for w in rs.all_elements():
+        for lam in weights:
+            assert rs.act_coweight(w, rs.sharp(lam)) == rs.sharp(rs.act(w, lam)), (w, lam)
+
+
+@pytest.mark.parametrize("series, rank", _SERIES)
+def test_omega_dual_is_the_simple_coroot(series, rank):
+    """omega_dual(i) takes alpha_i to 2 and omega_j to delta_ij, so it is the simple coroot alpha_i^vee."""
+    rs = build_root_system(series, rank)
+    for i in range(1, rank + 1):
+        h = rs.omega_dual(i)
+        assert rs.evaluate(rs.simple_root(i), h) == 2
+        for j in range(1, rank + 1):
+            assert rs.evaluate(rs.fundamental_weight(j), h) == int(i == j)
+
+
+def _fraction_inverse(m):
+    """Inverse of a square matrix by Gauss-Jordan elimination in Fractions."""
+    n = len(m)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if rows[r][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c]:
+                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+    return [row[n:] for row in rows]
+
+
+@pytest.mark.parametrize("series, rank", _SERIES + [("A", 6)])
+def test_inv_gram_pairs_inverts_the_coweight_gram_matrix(series, rank):
+    """inv_gram_pairs is sum_ab (Gram^-1)_ab f_a (x) f_b for the Gram matrix of the fundamental coweights f_a,
+    pair for pair.  f_a = (omega_a / d_a)# with d_a = <alpha_a, alpha_a> / 2, so
+    <f_a, f_b> = <omega_a, omega_b> / (d_a d_b)."""
+    rs = build_root_system(series, rank)
+    omega = [rs.fundamental_weight(a) for a in range(1, rank + 1)]
+    f = [rs.fundamental_coweight(a) for a in range(1, rank + 1)]
+    d = [rs.pairing(rs.simple_root(a), rs.simple_root(a)) / 2 for a in range(1, rank + 1)]
+    assert all(rs.sharp(om) * (1 / da) == fa for om, da, fa in zip(omega, d, f))
+    gram = [[rs.pairing(omega[a], omega[b]) / (d[a] * d[b]) for b in range(rank)] for a in range(rank)]
+    inv = _fraction_inverse(gram)
+    want = [(f[a] * inv[a][b], f[b]) for a in range(rank) for b in range(rank) if inv[a][b]]
+    assert rs.inv_gram_pairs() == want
 
 
 def test_root_coords_solve_the_cartan_system():
@@ -370,7 +425,7 @@ def test_root_and_coweight_coefficients_are_ints(series, rank):
     assert len(rs.positive_roots) == len(roots) // 2
     for i in range(1, rank + 1):
         _assert_int_coeffs(rs.simple_root(i), alpha[i - 1])
-        _assert_int_coeffs(rs.coweight_of_root(i), coroot[i - 1])
+        _assert_int_coeffs(rs.omega_dual(i), coroot[i - 1])
         _assert_int_coeffs(rs.omega_dual(i), [Fraction(x) for x in rs.cartan[i - 1]])
         _assert_int_coeffs(rs.fundamental_coweight(i), [Fraction(int(j == i - 1)) for j in range(rank)])
     for beta in rs.positive_roots:
@@ -381,5 +436,6 @@ def test_root_and_coweight_coefficients_are_ints(series, rank):
         for i in range(1, rank + 1):
             _assert_int_coeffs(rs.reflect(i, beta), _fraction_reflect(alpha, i, beta.coeffs))
             _assert_int_coeffs(
-                rs.reflect_coweight(i, rs.sharp(beta)), [h - sharp[i - 1] * c for h, c in zip(sharp, coroot[i - 1])]
+                rs.act_coweight(rs.simple(i), rs.sharp(beta)),
+                [h - sharp[i - 1] * c for h, c in zip(sharp, coroot[i - 1])],
             )
