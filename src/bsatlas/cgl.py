@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add, mul
 
-from .atlas import Chart, t_weights
+from .atlas import Chart
 from .errors import DimensionMismatch, NotVerifiedCGL, ZeroTorusValue
 from .poisson import BracketTable
 from .rootdata import Coweight, Weight
@@ -89,20 +89,23 @@ def predicted_cgl(chart: Chart) -> CGLPresentation:
     power = len(twists0)
     zero = _zero_weight(rs)
 
-    chars = []
-    hvecs = []
+    # the T-weight of each coordinate (``atlas.t_weights``) is its image in factor 1: w w0 chi_j, chi_j or w omega_i
+    chars, hvecs, weights = [], [], []
     for b, (word, twists) in enumerate(((w0_word, twists0), (w_word + v_word, twists1))):
         for chi in _word_roots(rs, word):
+            images = [rs.act(x, chi) for _, x in twists]
             chars.append(tuple(chi if f == b else zero for f in range(power)))
-            hvecs.append(tuple(rs.sharp(rs.act(x, chi)) * sign for sign, x in twists))
+            hvecs.append(tuple(rs.sharp(y) * sign for (sign, _), y in zip(twists, images)))
+            weights.append(images[1])
     if nv:
         for i in range(1, rs.rank + 1):
             om = rs.fundamental_weight(i)
+            weights.append(rs.act(w, om))
             chars.append((zero, zero, om))
-            hvecs.append((-rs.sharp(rs.act(rs.w0, om)), rs.sharp(rs.act(w, om)), rs.omega_dual(i)))
+            hvecs.append((-rs.sharp(rs.act(rs.w0, om)), rs.sharp(weights[-1]), rs.omega_dual(i)))
     hprimes = [tuple(-h for h in hv) for hv in hvecs]
     return CGLPresentation(
-        rs, power, chars, hvecs, hprimes, t_weights(chart), cut=len(w0_word), laurent_vars=chart.torus_block()
+        rs, power, chars, hvecs, hprimes, weights, cut=len(w0_word), laurent_vars=chart.torus_block()
     )
 
 

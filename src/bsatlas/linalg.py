@@ -22,8 +22,9 @@ L_ik = M_ik/p_{k+1}, N_kj = M_kj p_j/(p_k p_{j+1}), T_k = p_{k+1}/(p_k c_k).
 ``ltu_minors`` reads any minor of a factor as one quotient straight from the
 pass, so a chart's coordinates need no factor.  On Laurent values a quotient
 first divides out each pivot's non-monomial factor that divides it exactly;
-the gcd a denominator then takes, if not a monomial, finds 1 on every change
-of each space of SL(3) and Sp(4) and of SL(4)/B(e).
+a factor left below that is certified prime (``_pivot_split``) proves the
+quotient coprime without a gcd, and on every change of each space of SL(3)
+and Sp(4) and of seeded SL(4) pairs every factor is, so those take none.
 The formulas live in ``_normal_form``: ``gauss_ltu`` builds each quotient
 in the entry type of the input, and ``gauss_ltu_lift`` as an exact Laurent
 division, since on a Bott-Samelson chart the factors are Laurent and every
@@ -174,11 +175,18 @@ def ltu_minors(a, minors, frame=None, den=None):
 
 
 def _pivot_split(piv, frame):
-    """(z^e, q) with piv = z^e q for a Laurent pivot, q with no monomial factor; (piv, None) for a monomial or an int."""
+    """(z^e, q, prime) with piv = z^e q for a Laurent pivot, q with no monomial factor; (piv, None, True) for a monomial
+    or an int.
+
+    prime certifies q irreducible: some variable z occurs in exactly one term of q, to the first power.  Then
+    q = c m z + b with z in neither m nor b, and a factor of q free of z divides c m, so it is a monomial, of
+    which q has none.
+    """
     if frame is None or len(piv) == 1:
-        return piv, None
-    e = pack_exponent([min(col) for col in unpack_columns(piv, len(frame))], len(frame))
-    return {e: 1}, laurent_shift(piv, -e)
+        return piv, None, True
+    cols = unpack_columns(piv, len(frame))
+    e = pack_exponent([min(col) for col in cols], len(frame))
+    return {e: 1}, laurent_shift(piv, -e), any(sum(col) - len(col) * min(col) == 1 for col in cols)
 
 
 def _int_divide(x, y):
@@ -192,7 +200,8 @@ def _rational_column(col):
 
 
 # The ring of one elimination: exact division (None if it is not exact), x*piv - f*y, determinant, product,
-# ``make`` (a numerator over a denominator as an entry), Laurent frame.
+# ``make`` (a numerator over a denominator as an entry; on Laurent values, a third argument True tells it the two are
+# coprime past their monomials), Laurent frame.
 _Ring = namedtuple("_Ring", "zero one divide cross det mul make frame")
 _RATIONALS = _Ring(0, 1, _int_divide, lambda x, piv, f, y: x * piv - f * y, det, mul, Fraction, None)
 
@@ -222,7 +231,7 @@ def _ring_of(a, frame=None, den=None):
         lambda x, piv, f, y: _dot({}, ((1, x, piv), (-1, f, y))),
         lambda sub: _laurent_det(sub, one),
         lambda x, y: _dot({}, ((1, x, y),)),
-        lambda num, d: from_laurent(num, frame, d),
+        lambda num, d, coprime=False: from_laurent(num, frame, d, coprime),
         frame,
     )
     return ring, [(list(col), one) for col in zip(*a)]
@@ -285,8 +294,11 @@ def _factor_minor(ring, m, p, c, split, f, rows, cols):
     and the principal minor of T on R is prod_{i in R} p_{i+1} / (p_i c_i).
     A pivot index on both sides cancels before any product is formed.  A
     Laurent p_k = z^e_k q_k (split[k]) left below goes out as z^e_k where q_k
-    divides the numerator exactly, which keeps the quotient; else p_k stays,
-    and the gcd of ``ring.make`` cancels only what those divisions left.
+    divides the numerator exactly, which keeps the quotient; else p_k stays.
+    A q_k that stays divides neither that numerator nor any exact quotient
+    of it, so where every such q_k is certified prime the quotient is
+    coprime past its monomials, and ``ring.make`` is told so and takes no
+    gcd; else its gcd cancels only what those divisions left.
     """
     if f == 2:
         num, up, down = ring.one, [i + 1 for i in rows], list(rows)
@@ -301,16 +313,16 @@ def _factor_minor(ring, m, p, c, split, f, rows, cols):
             down.remove(k)
     for k in up:
         num = ring.mul(num, p[k]) if k else num
-    den = ring.one
+    den, coprime = ring.one, True
     for k in down:
-        mono, q = split[k]
+        mono, q, prime = split[k]
         if q is not None and (quo := ring.divide(num, q)) is not None:
             num, den = quo, ring.mul(den, mono)
         elif k:
-            den = ring.mul(den, p[k])
+            den, coprime = ring.mul(den, p[k]), coprime and prime
     for x in [c[i] for i in rows] if f == 2 else []:
         den = ring.mul(den, x)
-    return ring.make(num, den)
+    return ring.make(num, den) if ring.frame is None else ring.make(num, den, coprime)
 
 
 def gauss_ltu_lift(a, fields, frame=None):

@@ -292,10 +292,13 @@ class RootSystem:
         return Weight(self._reflect_coeffs(i, lam.coeffs))
 
     def act_word(self, word, lam):
-        """Apply a word right-to-left: act((i,j), lam) = s_i(s_j(lam))."""
+        """Apply a word right-to-left: act((i,j), lam) = s_i(s_j(lam)), on the coefficient tuple; lam itself if no
+        letter moves it."""
+        coeffs = lam.coeffs
         for i in reversed(word):
-            lam = self.reflect(i, lam)
-        return lam
+            if coeffs[i - 1]:
+                coeffs = self._reflect_coeffs(i, coeffs)
+        return lam if coeffs is lam.coeffs else Weight(coeffs)
 
     def act(self, w, lam):
         """Apply a WeylElement through its canonical word."""

@@ -537,12 +537,13 @@ class RatFunc:
     """Rational function in canonical form.
 
     Invariants: den != 0, gcd(num, den) = 1, den integer-primitive with
-    positive graded-lex leading coefficient.
+    positive graded-lex leading coefficient.  ``_coprime`` says gcd(num, den) = 1
+    is known, so only the sign and content of den are normalized.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den, _canonical=False):
+    def __init__(self, num, den, _canonical=False, _coprime=False):
         if _canonical:
             self.num = num
             self.den = den
@@ -553,7 +554,7 @@ class RatFunc:
             self.num = num
             self.den = MultiPoly.constant(1)
             return
-        if not den.is_one():
+        if not (den.is_one() or _coprime):
             _, num, den = poly_gcd(num, den, cofactors=True)
         c = _signed_content(den)
         if c != 1:
@@ -938,13 +939,14 @@ def _coeff_quotient(c, lc):
     return c // lc if type(c) is int and type(lc) is int and not c % lc else _exact(Fraction(c, lc))
 
 
-def from_laurent(a, frame, den=None):
+def from_laurent(a, frame, den=None, _coprime=False):
     """The canonical RatFunc of the Laurent value a, or of a/den for a nonzero Laurent value den.
 
     The common monomial goes first: a monomial den is a shift and takes no
     gcd; any other loses its monomial part, num and den gain the monomial
     that clears the negative exponents of a, and ``RatFunc(num, den)`` takes
-    one gcd.  Each key is unpacked once (``unpack_columns``).
+    one gcd, unless ``_coprime`` says a and den share no factor but a monomial.
+    Each key is unpacked once (``unpack_columns``).
     """
     if not a:
         return _RF_ZERO
@@ -963,4 +965,6 @@ def from_laurent(a, frame, den=None):
     den_cols = unpack_columns(den, n)
     # den loses its monomial part and both gain the monomial that clears a: slot i moves by -min(a_i, den_i)
     low = {i: -m for i, m in enumerate(map(min, map(add, cols, den_cols))) if m}
-    return RatFunc(_poly_of(variables, cols, a.values(), low), _poly_of(variables, den_cols, den.values(), low))
+    return RatFunc(
+        _poly_of(variables, cols, a.values(), low), _poly_of(variables, den_cols, den.values(), low), _coprime=_coprime
+    )

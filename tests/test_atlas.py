@@ -9,8 +9,9 @@ import time
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from bsatlas import atlas, symbolic
+from bsatlas import atlas, linalg, symbolic
 from bsatlas.atlas import (
     ChartSpec,
     SpaceSpec,
@@ -685,38 +686,59 @@ def test_change_of_coordinates_takes_one_gcd_per_coordinate():
         assert len(calls) <= len(coords), (src, dst)
 
 
-def test_coprime_quotient_of_a_change_takes_no_nested_gcd():
-    """On every ordered pair of SL(3)/N(w0) and of Sp(4)/N(w0), each poly_gcd call of a change returns 1 and
-    makes no poly_gcd call of its own: the pivots' factors are divided out before it, so it only proves the
-    quotient coprime, and the degree bounds of its prime images do that."""
-    code = symbolic.poly_gcd.__code__
-    for series in ("A", "C"):
-        m = cached_model(series, 2)
-        charts = [parametrize(s) for s in enumerate_charts(SpaceSpec(m, "Nv", m.rs.w0))]
-        open_calls, seen = [], []
+def _recording_changes(series, qkind, v):
+    """(gcds, certified): run every ordered pair of the rank-2 space, listing the poly_gcd calls and, for each pivot
+    split with a factor q_k that is not a monomial, whether q_k is certified prime."""
+    gcds, certified, split, poly_gcd = [], [], linalg._pivot_split, symbolic.poly_gcd
 
-        def profile(frame, event, arg):
-            if frame.f_code is code and event == "call":
-                if open_calls:
-                    open_calls[-1] += 1
-                open_calls.append(0)
-            elif frame.f_code is code and event == "return":
-                nested = open_calls.pop()
-                if not open_calls:
-                    # with cofactors=True the call returns (gcd, f/gcd, g/gcd)
-                    seen.append(((arg[0] if isinstance(arg, tuple) else arg).is_one(), nested))
+    def recording_split(piv, frame):
+        got = split(piv, frame)
+        if got[1] is not None:
+            certified.append(got[2])
+        return got
 
-        sys.setprofile(profile)
-        try:
-            for src in charts:
-                for dst in charts:
-                    if src is not dst:
-                        change_of_coordinates(src, dst)
-        finally:
-            sys.setprofile(None)
-        coprime = [nested for one, nested in seen if one]
-        assert len(coprime) > 100 and not any(coprime), series
-        assert len(coprime) == len(seen), series
+    m = cached_model(series, 2)
+    charts = [parametrize(s) for s in enumerate_charts(SpaceSpec(m, qkind, m.rs.w0 if v == "w0" else m.rs.identity))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_pivot_split", recording_split)
+        mp.setattr(symbolic, "poly_gcd", lambda *args, **kwargs: gcds.append(args) or poly_gcd(*args, **kwargs))
+        for src in charts:
+            for dst in charts:
+                if src is not dst:
+                    change_of_coordinates(src, dst)
+    return gcds, certified
+
+
+def test_a_change_takes_no_gcd_and_every_pivot_factor_is_certified():
+    """On every ordered pair of SL(3)/N(w0), Sp(4)/N(w0) and Sp(4)/B(e), each pivot's factor q_k that is not a
+    monomial is certified prime (``linalg._pivot_split``), so every quotient a change leaves is known coprime past
+    its monomials and no change calls poly_gcd."""
+    for space in (("A", "Nv", "w0"), ("C", "Nv", "w0"), ("C", "Bv", "e")):
+        gcds, certified = _recording_changes(*space)
+        assert certified and all(certified), space
+        assert gcds == [], space
+
+
+def _sympy_of(p):
+    return sympy.Add(*(c * sympy.Mul(*(sympy.Symbol(str(v)) ** k for v, k in zip(p.vars, e))) for e, c in p.terms.items()))
+
+
+def test_a_quotient_passed_on_as_coprime_is_coprime(monkeypatch):
+    """Every quotient of an SL(3)/N(w0) change that ``linalg._factor_minor`` passes to ``from_laurent`` as coprime
+    has sympy.gcd(num, den) = 1."""
+    passed, convert = [], linalg.from_laurent
+
+    def recording(a, frame, den=None, _coprime=False):
+        got = convert(a, frame, den, _coprime)
+        if _coprime and len(den) > 1:
+            passed.append(got)
+        return got
+
+    monkeypatch.setattr(linalg, "from_laurent", recording)
+    _recording_changes("A", "Nv", "w0")
+    assert len(passed) > 50
+    for x in passed:
+        assert sympy.gcd(_sympy_of(x.num), _sympy_of(x.den)) == 1, x.text()
 
 
 def test_a_pivot_factor_that_divides_nothing_is_left_to_the_gcd(monkeypatch):

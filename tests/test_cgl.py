@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from bsatlas.atlas import ChartSpec, SpaceSpec, enumerate_charts, parametrize
+from bsatlas.atlas import ChartSpec, SpaceSpec, enumerate_charts, parametrize, t_weights
 from bsatlas import symbolic
 from bsatlas.cgl import (
     CGLData,
@@ -653,3 +653,14 @@ def test_presentation_is_pinned(series, rank, qkind, v):
     texts = [_presentation_text(predicted_cgl(parametrize(spec))) for space in spaces for spec in enumerate_charts(space)]
     digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
     assert (len(texts), digest) == _PRESENTATION_DIGESTS[(series, rank, qkind, v)]
+
+
+@pytest.mark.parametrize("series", ["A", "C"])
+def test_presentation_weights_are_the_t_weights(series):
+    """``predicted_cgl`` reads each T-weight off the Weyl images it builds; they equal ``atlas.t_weights`` on every
+    chart of every space of SL(3) and Sp(4)."""
+    m = cached_model(series, 2)
+    for space in (SpaceSpec(m, q, x) for x in m.rs.all_elements() for q in ("Bv", "Nv")):
+        for spec in enumerate_charts(space):
+            chart = parametrize(spec)
+            assert predicted_cgl(chart).weights == t_weights(chart), spec.label()

@@ -7,7 +7,9 @@ normalized gcd and the reduced rational function) are checked against sympy.
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
+from operator import add, sub
 
 import pytest
 import sympy
@@ -432,3 +434,75 @@ def test_gcd_on_the_support_of_one_image_matches_sympy(monkeypatch, prime):
         got = poly_gcd(*(_poly(9, list(_sympy_dict(x, 9).items())) for x in (f1, f2)))
         assert _dict_of(got, 9) == _primitive(_sympy_dict(sympy.gcd(f1, f2), 9))[0]
     assert None in calls and any(calls)
+
+
+# -- the pivot certificate of linalg._pivot_split ----------------------------------
+
+
+def _split(n, terms):
+    """``linalg._pivot_split`` of the Laurent value with the {exponents: coeff} terms over n slots."""
+    return linalg._pivot_split(packed(terms, n), {v: i for i, v in enumerate(VARS[:n])})
+
+
+CERTIFIED = [
+    (3, {(1, 0, 1): 1, (0, 1, 0): -1}),  # z1 z3 - z2
+    (4, {(2, 0, 0, 2): 1, (1, 0, 1, 1): 2, (0, 1, 0, 1): 1, (0, 0, 2, 0): 1}),  # z1^2 z4^2 + 2 z1 z3 z4 + z2 z4 + z3^2
+]
+UNCERTIFIED = [
+    (2, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}),  # (1 + z1)(1 + z2)
+    (2, {(2, 0): 1, (1, 1): 2, (0, 2): 1}),  # (z1 + z2)^2
+    (3, {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1}),  # z1 z2 + z1 z3 + z2 z3, irreducible but not certified
+]
+
+
+@pytest.mark.parametrize("case,want", [(c, True) for c in CERTIFIED] + [(c, False) for c in UNCERTIFIED])
+def test_pivot_certificate_cases(case, want):
+    """A pivot z^e q is certified prime iff some variable occurs in one term of q only, to the first power; the
+    verdict and q do not depend on the monomial z^e split off, here z1^-1 z2^2."""
+    n, terms = case
+    shift = (-1, 2) + (0,) * (n - 2)
+    for e in ((0,) * n, shift):
+        mono, q, prime = _split(n, {tuple(map(add, x, e)): c for x, c in terms.items()})
+        assert (mono, q, prime) == (packed({e: 1}, n), packed(terms, n), want)
+
+
+@st.composite
+def laurent_values(draw):
+    """A Laurent value in 2-4 variables, exponents -1 to 2 and nonzero int coefficients: one of 2-5 terms; a
+    product of two of 2-3 terms; or z^k (c m z + b) with z in neither m nor b, which the certificate accepts."""
+    n = draw(st.integers(2, 4))
+    exps, coeff = st.tuples(*[st.integers(-1, 2)] * n), st.sampled_from((-4, -3, -2, -1, 1, 2, 3, 4))
+    kind = draw(st.sampled_from(("sum", "product", "linear")))
+    if kind == "sum":
+        return n, draw(st.dictionaries(exps, coeff, min_size=2, max_size=5))
+    if kind == "linear":
+        z, k = draw(st.integers(0, n - 1)), draw(st.integers(-1, 1))
+
+        def at(e, x):
+            return e[:z] + (x,) + e[z + 1 :]
+
+        out = {at(e, k): c for e, c in draw(st.dictionaries(exps, coeff, min_size=1, max_size=4)).items()}
+        return n, {**out, at(draw(exps), k + 1): draw(coeff)}
+    a, b = (draw(st.dictionaries(exps, coeff, min_size=2, max_size=3)) for _ in range(2))
+    out = {}
+    for (x, c), (y, d) in product(a.items(), b.items()):
+        e = tuple(map(add, x, y))
+        out[e] = out.get(e, 0) + c * d
+    out = {e: c for e, c in out.items() if c}
+    assume(len(out) > 1)
+    return n, out
+
+
+@settings(max_examples=80, deadline=None)
+@given(laurent_values())
+def test_a_certified_pivot_factor_is_irreducible(value):
+    """_pivot_split(z^e q) splits off the largest monomial z^e; where it certifies q, sympy factors q, which has
+    no monomial factor, into exactly one irreducible factor, of multiplicity 1."""
+    n, terms = value
+    low = tuple(map(min, zip(*terms)))
+    q_terms = {tuple(map(sub, x, low)): c for x, c in terms.items()}
+    mono, q, prime = _split(n, terms)
+    assert (mono, q) == (packed({low: 1}, n), packed(q_terms, n))
+    if prime:
+        _, factors = sympy.factor_list(_sympy_expr(n, q_terms.items()))
+        assert [k for _, k in factors] == [1], factors
