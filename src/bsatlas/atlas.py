@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from .errors import NotInBigCell, NotInChartDomain
 from .groups import GroupElement, GroupModel, MinorSpec, _signed
+from .laurent import laurent_shift, pack_exponent
 from .linalg import laurent_lower_factor, laurent_lower_inverse, ltu_minors, minor_tangents
-from .symbolic import VarName, from_laurent, laurent_shift, pack_exponent
+from .symbolic import VarName, from_laurent
 
 
 class SpaceSpec:
@@ -301,28 +302,33 @@ def eval_coordinates(chart: Chart, g):
     else:
         entries = g.entries if isinstance(g, GroupElement) else g
     h = model.to_internal(model.signed_perm(spec.w.canonical).left_inv(entries))
-    pos = {r: i for i, r in enumerate(model._perm)}
-    minors = [(f, [pos[r] for r in rows], [pos[c] for c in cols]) for f, rows, cols, _ in chart.minors]
     try:
-        values = ltu_minors(h, minors, frame, den)
+        values = ltu_minors(h, _internal_minors(chart), frame, den)
     except NotInBigCell as e:
         raise NotInChartDomain(e.minor_index) from None
     return [_signed(x, minor[3]) for x, minor in zip(values, chart.minors)]
 
 
+def _internal_minors(chart: Chart):
+    """``Chart.minors`` as (factor, rows, cols) in the model's internal basis (``GroupModel.to_internal``)."""
+    pos = {r: i for i, r in enumerate(chart.spec.space.model._perm)}
+    return [(f, [pos[r] for r in rows], [pos[c] for c in cols]) for f, rows, cols, _ in chart.minors]
+
+
 def coordinate_jets(chart: Chart, lifted, frame):
     """(values, tangents): each coordinate and its derivative along each field, as Laurent values over ``frame``.
 
-    lifted[f] is factor f of the normal form and its tangent along each field
-    (``GroupModel.triangular_factor_lift``); coordinate i, the signed minor
-    ``Chart.minors[i]``, is read with its tangents tangents[i] by
+    lifted[f] is factor f of the normal form of wbar^{-1} g in the model's
+    internal basis and its tangent along each field (``linalg.gauss_ltu_lift``);
+    coordinate i, the signed minor ``Chart.minors[i]``, is read there
+    (``_internal_minors``) with its tangents tangents[i] by
     ``linalg.minor_tangents``.  The N_v coordinates are minors of N itself,
     for every v: with N = n1 n2 and n2 in N cap vbar N vbar^{-1}, each v' of
     a minor D_{u omega, v' omega} is a left prefix of the word of v, so
     v'bar^{-1} n2 v'bar lies in N, and principal minors are right-N-invariant.
     """
     values, tangents = [], []
-    for f, rows, cols, sign in chart.minors:
+    for (f, rows, cols), (*_, sign) in zip(_internal_minors(chart), chart.minors):
         value, ds = minor_tangents(*lifted[f], rows, cols, frame)
         values.append(_signed(value, sign))
         tangents.append([_signed(d, sign) for d in ds])

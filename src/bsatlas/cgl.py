@@ -18,9 +18,10 @@ from operator import add, mul
 
 from .atlas import Chart
 from .errors import DimensionMismatch, NotVerifiedCGL, ZeroTorusValue
+from .laurent import laurent_fma, unit_keys
 from .poisson import BracketTable
 from .rootdata import Coweight, Weight
-from .symbolic import MultiPoly, RatFunc, VarName, from_laurent, laurent_fma, unit_keys, var
+from .symbolic import MultiPoly, RatFunc, VarName, from_laurent, var
 
 _Q0 = Fraction(0)
 

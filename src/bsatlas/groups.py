@@ -36,18 +36,17 @@ from fractions import Fraction
 from math import prod
 
 from .errors import NormalizationMismatch, UnsupportedSeries, ZeroTorusValue
+from .laurent import _exact, laurent_fma, unit_keys
 from .linalg import (
     _is_zero,
     det,
     gauss_ltu,
-    gauss_ltu_lift,
     mat_mul,
     mat_sub,
     mat_transpose,
     minor,
 )
 from .rootdata import Coweight, RootSystem, Weight, build_root_system
-from .symbolic import _exact, laurent_fma, unit_keys
 
 
 class MinorSpec:
@@ -371,17 +370,6 @@ class GroupModel:
         (indexed in the internal basis order).
         """
         return tuple(self.from_internal(f) for f in gauss_ltu(self.to_internal(entries)))
-
-    def triangular_factor_lift(self, entries, fields, frame=None):
-        """(frame, lifted): per factor of ``triangular_factor``, its Laurent value over frame and its tangents.
-
-        entries are Laurent values over ``frame``, or RatFuncs.  A left field
-        moves the point along g*x, a right field along x*g
-        (``linalg.gauss_ltu_lift``); the fields are reindexed with the point.
-        """
-        fields = [(side, self.to_internal(x)) for side, x in fields]
-        frame, lifted = gauss_ltu_lift(self.to_internal(entries), fields, frame)
-        return frame, tuple((self.from_internal(f), [self.from_internal(d) for d in ds]) for f, ds in lifted)
 
     # -- generalized minors ---------------------------------------------------------
 

@@ -10,8 +10,8 @@ fraction-free: each column is written as numerators over a denominator c_j
 and Bareiss elimination runs on the numerators with exact divisions only,
 so every intermediate entry is a minor of the input.  One elimination reads
 three inputs (``_ring_of``).  A chart's representative is stored as Laurent
-values over the chart's frame, each monomial one packed int key, and goes in
-as it is, with c_j = 1.  A numeric point becomes ints, each column over the
+values over the chart's frame, each monomial one packed int key (``laurent``),
+and goes in as it is, with c_j = 1.  A numeric point becomes ints, each column over the
 lcm of its denominators, or over d for a scaled point m/d.  A RatFunc matrix
 is converted once, as a front end, to Laurent values over the frame of its
 entries (c_j = 1); a denominator that is not a monomial raises
@@ -48,8 +48,8 @@ from math import lcm as _int_lcm
 from operator import mul
 
 from .errors import NonPolynomialBracket, NotInBigCell
-from .symbolic import RatFunc, from_laurent, laurent_divide, laurent_fma, laurent_frame, laurent_shift, pack_exponent
-from .symbolic import to_laurent, unpack_columns
+from .laurent import laurent_divide, laurent_fma, laurent_frame, laurent_shift, pack_exponent, to_laurent, unpack_columns
+from .symbolic import RatFunc, from_laurent
 
 
 def _is_zero(x):

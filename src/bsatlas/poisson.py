@@ -25,8 +25,9 @@ from itertools import combinations
 from .atlas import Chart, coordinate_jets
 from .errors import NonPolynomialBracket
 from .groups import GroupModel
-from .symbolic import RatFunc, VarName, _exact, from_laurent, laurent_derivative, laurent_fma, laurent_frame
-from .symbolic import pack_poly, to_laurent, unit_keys, var
+from .laurent import _exact, laurent_derivative, laurent_fma, laurent_frame, pack_poly, to_laurent, unit_keys
+from .linalg import gauss_ltu_lift
+from .symbolic import RatFunc, VarName, from_laurent, var
 
 
 class LambdaData:
@@ -99,13 +100,14 @@ def chart_bracket(chart: Chart, lam: LambdaData | None = None) -> BracketTable:
     Coordinates are lifted to right-Q-invariant functions of the matrix
     entries; the bracket on G is evaluated at the parametrized point from
     the derivatives of the coordinates along all 4|Delta+| left/right
-    root-vector fields.  wbar^{-1} rep is factored once on Laurent values,
-    the tangents of its factors along every field come from the same pass
-    (``GroupModel.triangular_factor_lift``), and each coordinate and its
-    tangents are read off the factors through one table of signed minors
-    (``atlas.coordinate_jets``: for every v, the N_v coordinates are minors
-    of the N factor, so no second factorization runs).  Each coordinate read
-    back must be the monomial z_i it names, or AssertionError is raised.
+    root-vector fields.  wbar^{-1} rep is factored once on Laurent values in
+    the model's internal basis, the tangents of its factors along every
+    field come from the same pass (``linalg.gauss_ltu_lift``), and each
+    coordinate and its tangents are read off those factors through one table
+    of signed minors (``atlas.coordinate_jets``: for every v, the N_v
+    coordinates are minors of the N factor, so no second factorization
+    runs).  Each coordinate read back must be the monomial z_i it names, or
+    AssertionError is raised.
     Per term with coefficient c, {z_i, z_j} gains s*(a_i*b_j - b_i*a_j) for
     (s, a, b) = (c, L-, L+) and (-c, R-, R+): each product of two nonzero
     tangents a_x, b_y (x != y) is one fused multiply-add into pair {x, y}.
@@ -124,7 +126,9 @@ def chart_bracket(chart: Chart, lam: LambdaData | None = None) -> BracketTable:
         fields.append(("left", e_plus))
         fields.append(("right", wp.left_inv(wp.right(e_minus))))
         fields.append(("right", wp.left_inv(wp.right(e_plus))))
-    frame, lifted = model.triangular_factor_lift(wp.left_inv(chart.rep), fields, chart.frame)
+    # point and fields go to the internal basis once; no factor or tangent comes back from it
+    fields = [(side, model.to_internal(x)) for side, x in fields]
+    frame, lifted = gauss_ltu_lift(model.to_internal(wp.left_inv(chart.rep)), fields, chart.frame)
     # values[i]: z_{i+1} read back off the factors; derivs[k][i]: its derivative along
     # field k (order L-, L+, R-, R+ per term), each a Laurent value over the frame
     values, tangents = coordinate_jets(chart, lifted, frame)

@@ -32,8 +32,8 @@ from math import lcm
 from operator import add, mul, sub
 
 from .errors import NonReducedWord, UnsupportedSeries
+from .laurent import _exact
 from .linalg import rational_inverse
-from .symbolic import _exact
 
 _Q0 = Fraction(0)
 
@@ -46,7 +46,7 @@ def _ratio(num, den):
 class _Lattice:
     """A coefficient tuple with the arithmetic that weights and coweights share.
 
-    Each coefficient is stored as ``symbolic._exact`` stores one: an ``int``
+    Each coefficient is stored as ``laurent._exact`` stores one: an ``int``
     where it is integral and a ``Fraction`` only where it is not.
     """
 

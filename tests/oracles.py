@@ -8,10 +8,10 @@ from bsatlas.atlas import Chart
 from bsatlas.cgl import CGLPresentation, CGLReport, _support_range_ok, _zero_weight
 from bsatlas.errors import DimensionMismatch, LengthMismatch, NotInBigCell, ZeroTorusValue
 from bsatlas.groups import GroupElement, _signed
+from bsatlas.laurent import EXP_BITS, _coeff_quotient, _exact, laurent_shift, pack_exponent
 from bsatlas.linalg import _bareiss, _dot, _is_zero, laurent_lower_factor, laurent_lower_inverse, mat_mul, minor
 from bsatlas.poisson import BracketTable, build_lambda
-from bsatlas.symbolic import EXP_BITS, _RF_ZERO, MultiPoly, RatFunc, VarName, _coeff_quotient, _exact, _grlex_key
-from bsatlas.symbolic import from_laurent, laurent_shift, pack_exponent
+from bsatlas.symbolic import _RF_ZERO, MultiPoly, RatFunc, VarName, _grlex_key, from_laurent
 
 
 def exp_nilpotent(model, x, c):

@@ -142,3 +142,26 @@ def test_every_def_is_reached_outside_the_tests():
     for path in sorted((ROOT / "src" / "bsatlas").rglob("*.py")):
         found += [f"{path.relative_to(ROOT)}:{line}: {name}" for line, name in defined_names(path.read_text()) if name not in used]
     assert not found, "defs no code outside the tests reaches:\n" + "\n".join(found)
+
+
+def package_imports(source):
+    """Each module of the package a module imports, relatively or as ``bsatlas.<module>``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module.split(".")[0]} if node.module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "bsatlas":
+            found |= {node.module.split(".")[1]} if "." in node.module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names if alias.name.startswith("bsatlas.")}
+    return found
+
+
+def test_scan_finds_package_imports():
+    src = "import os\nfrom .errors import E\nfrom . import symbolic\nimport bsatlas.linalg\nfrom bsatlas import atlas\n"
+    assert package_imports(src) == {"errors", "symbolic", "linalg", "atlas"}
+
+
+def test_laurent_imports_only_errors_from_the_package():
+    """The packed-key layer sits below the symbolic core: it reads no module of the package but ``errors``."""
+    assert package_imports((ROOT / "src" / "bsatlas" / "laurent.py").read_text()) == {"errors"}

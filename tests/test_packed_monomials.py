@@ -8,13 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsatlas import symbolic
+from bsatlas import laurent
 from bsatlas.cli import main
-from bsatlas.symbolic import (
+from bsatlas.laurent import (
     EXP_CAP,
-    VarName,
-    _grlex_key,
-    from_laurent,
     laurent_derivative,
     laurent_divide,
     laurent_fma,
@@ -22,8 +19,9 @@ from bsatlas.symbolic import (
     pack_exponent,
     to_laurent,
     unit_keys,
-    var,
+    unpack_columns,
 )
+from bsatlas.symbolic import MultiPoly, RatFunc, VarName, _grlex_key, _poly_of, from_laurent, var
 from oracles import (
     packed,
     tuple_derivative,
@@ -104,6 +102,58 @@ def test_packed_kernels_agree_with_tuple_oracles(case):
             assert got == f and got.text() == f.text()
 
 
+def _column_path(a, frame):
+    """from_laurent's path for a value of several terms, run on any nonzero value: one ``unpack_columns``, then
+    ``_poly_of`` over the monomial that clears the negative columns."""
+    cols = unpack_columns(a, len(frame))
+    low = {i: -min(c) for i, c in enumerate(cols) if min(c) < 0}
+    den = MultiPoly(tuple(v for v, i in frame.items() if i in low), {tuple(low.values()): 1})
+    return RatFunc(_poly_of(tuple(frame), cols, a.values(), low), den, _canonical=True)
+
+
+@st.composite
+def _term_case(draw):
+    """(n, e, c, den): one term c*z^e over 0 to 24 slots, with or without an exponent near half the cap,
+    and den None or one term (exponent, coefficient) of small exponents."""
+    n = draw(st.integers(0, 24))
+    e = draw(_exponent(n, n > 0 and draw(st.booleans()), low=-3))
+    den = draw(st.one_of(st.none(), st.tuples(_exponent(n, False), _coeff)))
+    return n, e, draw(_coeff), den
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(_term_case())
+def test_one_term_exit_agrees_with_the_column_path(case):
+    """A one-term value, alone or over a monomial den, leaves from_laurent as the canonical RatFunc the
+    column path and the tuple oracle build: the same key() and text(), with int coefficients where integral."""
+    n, e, c, den = case
+    frame = _frame(n)
+    a = {pack_exponent(e, n): c}
+    d = None if den is None else {pack_exponent(den[0], n): den[1]}
+    got = from_laurent(a, frame, d)
+    want = _column_path(a if d is None else laurent_divide(a, d), frame)
+    oracle = tuple_from_laurent({e: c}, frame, None if den is None else dict([den]))
+    assert got.key() == want.key() == oracle.key() and got.text() == want.text() == oracle.text()
+    assert all(type(x) is int or x.denominator != 1 for x in got.num.terms.values())
+    if d is None:
+        assert got.den.terms == {tuple(-k for k in e if k < 0): 1}
+
+
+def test_one_term_exit_refuses_a_key_past_the_cap():
+    """A one-term key that carried out of a field, or needs more fields than its frame has, alone or after
+    the shift by a monomial den, is the same packed-monomials internal fault as on the column path."""
+    frame, units = _frame(2), unit_keys(2)
+    top, low = {pack_exponent((EXP_CAP, 0), 2): 1}, {pack_exponent((EXP_CAP, -5), 2): 1}
+    # z1 * low carries out of slot 0 only, into a degree field that stays in range; z1 * top carries
+    # out of the degree field too, and 2^60 needs more fields than two slots have
+    cases = ((laurent_shift(low, units[0]), None), (low, {-units[0]: 3}), (laurent_shift(top, units[0]), None))
+    for a, den in cases + (({1 << 60: 1}, None), (top, {-units[0]: 2})):
+        with pytest.raises(AssertionError, match=r"packed monomials: a key of \[-?\d+\] is past the cap"):
+            from_laurent(a, frame, den)
+        with pytest.raises(AssertionError, match=r"packed monomials: a key of \[-?\d+\] is past the cap"):
+            _column_path(a if den is None else laurent_divide(a, den), frame)
+
+
 @st.composite
 def _poly_case(draw):
     n = draw(st.integers(1, 6))
@@ -152,7 +202,7 @@ def test_cli_exits_1_when_the_packer_fails(monkeypatch):
     """With every exponent past a cap of 0, the chart's first pack fails: exit 1, one stderr line.
 
     The command builds its own space, chart and heads, so the chart is built under the cap."""
-    monkeypatch.setattr(symbolic, "EXP_CAP", 0)
+    monkeypatch.setattr(laurent, "EXP_CAP", 0)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(["--json", "bracket", "--series", "A", "--rank", "2", "--index", "3"])

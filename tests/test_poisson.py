@@ -362,7 +362,8 @@ def test_chart_bracket_takes_no_gcd_per_field():
 
 @pytest.mark.parametrize("series, rank, index", [("A", 2, 5), ("C", 2, 7)])
 def test_chart_bracket_evaluates_coordinates_once(monkeypatch, series, rank, index):
-    """The round trip and the tangents read each coordinate's minor once, off one lift per chart."""
+    """The round trip and the tangents read each coordinate's minor once, off one lift per chart,
+    at the minor's rows and columns in the model's internal basis."""
     import bsatlas.atlas as atlas
     import bsatlas.poisson as poisson
 
@@ -382,7 +383,8 @@ def test_chart_bracket_evaluates_coordinates_once(monkeypatch, series, rank, ind
     monkeypatch.setattr(atlas, "minor_tangents", counting_minor)
     chart_bracket(chart)
     assert len(calls) == 1
-    assert minors == [(rows, cols) for _, rows, cols, _ in chart.minors]
+    pos = {r: i for i, r in enumerate(m._perm)}
+    assert minors == [([pos[r] for r in rows], [pos[c] for c in cols]) for _, rows, cols, _ in chart.minors]
 
 
 def test_chart_bracket_round_trip_check(monkeypatch):

@@ -7,19 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsatlas.errors import EvaluationPole, NonPolynomialBracket, SubstitutionPole, ZeroDenominator
-from bsatlas.symbolic import (
-    MultiPoly,
-    RatFunc,
-    VarName,
-    from_laurent,
-    laurent_derivative,
-    laurent_fma,
-    laurent_frame,
-    poly_gcd,
-    to_laurent,
-    unit_keys,
-    var,
-)
+from bsatlas.laurent import laurent_derivative, laurent_fma, laurent_frame, to_laurent, unit_keys
+from bsatlas.symbolic import MultiPoly, RatFunc, VarName, from_laurent, poly_gcd, var
 from oracles import differentiate, packed
 
 x, y = var("x"), var("y")

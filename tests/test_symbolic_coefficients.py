@@ -19,19 +19,8 @@ from hypothesis import strategies as st
 from bsatlas import linalg, modgcd
 from bsatlas.errors import EvaluationPole
 from bsatlas.serialize import poly_from_json, poly_to_json
-from bsatlas.symbolic import (
-    MultiPoly,
-    RatFunc,
-    VarName,
-    from_laurent,
-    laurent_divide,
-    laurent_frame,
-    laurent_shift,
-    pack_exponent,
-    poly_gcd,
-    to_laurent,
-    try_divide,
-)
+from bsatlas.laurent import laurent_divide, laurent_frame, laurent_shift, pack_exponent, to_laurent
+from bsatlas.symbolic import MultiPoly, RatFunc, VarName, from_laurent, poly_gcd, try_divide
 from oracles import fraction_evaluate, packed, unpacked
 
 VARS = tuple(VarName("z", i) for i in range(1, 10))
