@@ -315,21 +315,22 @@ def _internal_minors(chart: Chart):
     return [(f, [pos[r] for r in rows], [pos[c] for c in cols]) for f, rows, cols, _ in chart.minors]
 
 
-def coordinate_jets(chart: Chart, lifted, frame):
-    """(values, tangents): each coordinate and its derivative along each field, as Laurent values over ``frame``.
+def coordinate_jets(chart: Chart, lifted, fields):
+    """(values, tangents): each coordinate and its derivative along each of ``fields`` fields, as Laurent values.
 
     lifted[f] is factor f of the normal form of wbar^{-1} g in the model's
-    internal basis and its tangent along each field (``linalg.gauss_ltu_lift``);
-    coordinate i, the signed minor ``Chart.minors[i]``, is read there
-    (``_internal_minors``) with its tangents tangents[i] by
-    ``linalg.minor_tangents``.  The N_v coordinates are minors of N itself,
+    internal basis with the nonzero (field, tangent) pairs of each of its
+    entries (``linalg.gauss_ltu_lift``); coordinate i, the signed minor
+    ``Chart.minors[i]``, is read there (``_internal_minors``) with its
+    tangents tangents[i], one per field, by ``linalg.minor_tangents``.  The
+    N_v coordinates are minors of N itself,
     for every v: with N = n1 n2 and n2 in N cap vbar N vbar^{-1}, each v' of
     a minor D_{u omega, v' omega} is a left prefix of the word of v, so
     v'bar^{-1} n2 v'bar lies in N, and principal minors are right-N-invariant.
     """
     values, tangents = [], []
     for (f, rows, cols), (*_, sign) in zip(_internal_minors(chart), chart.minors):
-        value, ds = minor_tangents(*lifted[f], rows, cols, frame)
+        value, ds = minor_tangents(*lifted[f], rows, cols, fields)
         values.append(_signed(value, sign))
         tangents.append([_signed(d, sign) for d in ds])
     return values, tangents

@@ -30,9 +30,12 @@ in the entry type of the input, and ``gauss_ltu_lift`` as an exact Laurent
 division, since on a Bott-Samelson chart the factors are Laurent and every
 pivot is a monomial, so each division is an exponent shift.  The lift then
 forms, in closed form, the tangents of the factors along left and right
-fields a*x and x*a; ``minor_tangents`` reads a minor of a factor and carries
-the tangents to it by Jacobi's formula, from one set of cofactors.  The
-lift takes no gcd.  A chart's representative is
+fields a*x and x*a, each x given by its nonzero entries: one entry makes a
+rank-one update of each factor, with running partial sums, and the
+tangents come back as one list per factor entry of the fields that move it;
+``minor_tangents`` reads a minor of a factor and carries the tangents to it
+by Jacobi's formula, from one set of cofactors, each run over the list of
+its entry.  The lift takes no gcd.  A chart's representative is
 built on Laurent values too: ``laurent_lower_factor`` eliminates with
 monomial pivots and ``laurent_lower_inverse`` inverts by forward
 substitution, with no gcd either; each product in that build is a column
@@ -99,24 +102,28 @@ def minor(a, rows, cols):
     return det(sub)
 
 
-def minor_tangents(a, das, rows, cols, frame):
-    """(det S, [d det S along each da of das]) for the minor S = a[rows, cols].
+def minor_tangents(a, da, rows, cols, fields):
+    """(det S, [d det S along each of ``fields`` fields]) for the minor S = a[rows, cols].
 
-    a and das hold Laurent values over ``frame`` (``gauss_ltu_lift``).  One
-    set of cofactors C of S, each computed where the first row of S or some
-    tangent is nonzero, gives det S = sum_q S_0q C_0q and each tangent by
-    Jacobi's formula d det S = sum_pq C_pq dS_pq.
+    a holds Laurent values and da[r][c] the nonzero (field, tangent) pairs of
+    entry (r, c), as ``gauss_ltu_lift`` returns them.  One set of cofactors C
+    of S, each computed where the first row of S or some tangent is nonzero,
+    gives det S = sum_q S_0q C_0q and each tangent by Jacobi's formula
+    d det S = sum_pq C_pq dS_pq, each cofactor run over the list of its entry.
     """
-    one = {0: 1}
-    cofactors = []
+    one, value, tangents = {0: 1}, {}, [{} for _ in range(fields)]
     for p, r in enumerate(rows):
         for q, c in enumerate(cols):
-            if (not p and a[r][c]) or any(da[r][c] for da in das):
+            first = not p and a[r][c]
+            if first or da[r][c]:
                 cof = _laurent_det([[a[i][j] for j in cols if j != c] for i in rows if i != r], one)
                 if cof:
-                    cofactors.append((-1 if (p + q) % 2 else 1, p, r, c, cof))
-    value = _dot({}, ((s, a[r][c], cof) for s, p, r, c, cof in cofactors if not p))
-    return value, [_dot({}, ((s, cof, da[r][c]) for s, _, r, c, cof in cofactors if da[r][c])) for da in das]
+                    s = -1 if (p + q) % 2 else 1
+                    if first:
+                        laurent_fma(value, s, a[r][c], cof)
+                    for k, t in da[r][c]:
+                        laurent_fma(tangents[k], s, cof, t)
+    return value, tangents
 
 
 def _laurent_det(a, one):
@@ -326,18 +333,26 @@ def _factor_minor(ring, m, p, c, split, f, rows, cols):
 
 
 def gauss_ltu_lift(a, fields, frame=None):
-    """The factors of ``gauss_ltu(a)`` on Laurent values, with their tangents: (frame, ((L, dLs), (N, dNs), (T, dTs))).
+    """The factors of ``gauss_ltu(a)`` on Laurent values, with their tangents: (frame, ((L, dL), (N, dN), (T, dT))).
 
     a holds Laurent values over ``frame``, or RatFuncs, read over the frame
     of their entries (``_ring_of``), which is the frame returned.  Each
     quotient of ``_normal_form`` is an exact Laurent division, a shift on a
-    chart; any other raises NonPolynomialBracket.  dLs[k], dNs[k] and dTs[k]
-    are the tangents along field k: ("left", x) moves a along a*x,
-    ("right", x) along x*a.  With a = L*U, U = N*T, dL = L*sl(Y) and
-    dU = up(Y)*U for Y = L^{-1} da U^{-1}, sl and up the strictly lower and
-    the upper parts (Giles, *Collected matrix derivative results for forward
-    and reverse mode AD*, 2008), so dT = diag(Y)*T, dN = up(Y)*N - N*diag(Y),
-    and Y is U*x*U^{-1} (left) or L^{-1}*x*L (right): no tangent is eliminated.
+    chart; any other raises NonPolynomialBracket.  A field is (side, entries),
+    x = sum c*E_kl over its nonzero entries (k, l, c): ("left", x) moves a
+    along a*x, ("right", x) along x*a.  dL[r][c] lists the nonzero (field
+    index, tangent) pairs of L_rc in field order, and so do dN and dT.  With
+    a = L*U, U = N*T, dL = L*sl(Y) and dU = up(Y)*U for Y = L^{-1} da U^{-1},
+    sl and up the strictly lower and the upper parts (Giles, *Collected
+    matrix derivative results for forward and reverse mode AD*, 2008), so
+    dT = diag(Y)*T, dN = up(Y)*N - N*diag(Y), and Y = P*x*Q with
+    (P, Q) = (U, U^{-1}) (left) or (L^{-1}, L) (right): no tangent is
+    eliminated.  Each entry adds Y = c*u*v^T of rank one, u column k of P and
+    v row l of Q, so Y is never formed; each inner sum is a running sum:
+
+        dL_ij += c v_j sum_{j<k'<=i} L_ik' u_k',
+        dN_ij += c (u_i sum_{i<=k'<=j} v_k' N_k'j - N_ij u_j v_j),
+        dT_ii += c u_i v_i T_ii.
     """
     n = len(a)
     ring, m, p, c = _bareiss(a, frame)
@@ -348,33 +363,42 @@ def gauss_ltu_lift(a, fields, frame=None):
     u_inv = [[_laurent_quotient(x, tm[i][i]) for x in row] for i, row in enumerate(n_inv)]
     lo_inv = laurent_lower_inverse(lo, ring.one)
     sides = {"left": (u, u_inv), "right": (lo_inv, lo)}
-    d_lo, d_up, d_t = [], [], []
-    for side, x in fields:
+    lists = [[[[] for _ in range(n)] for _ in range(n)] for _ in range(3)]
+    for index, (side, entries) in enumerate(fields):
         if side not in sides:
             raise ValueError(f"unknown field side {side!r}")
         p, q = sides[side]
-        # Y = p*x*q, each nonzero entry c at (k, l) of the constant x the scaled outer
-        # product of the nonzero entries of column k of p and row l of q
-        y = [[{} for _ in range(n)] for _ in range(n)]
-        for k, l, c in ((k, l, c) for k, row in enumerate(x) for l, c in enumerate(row) if c):
-            q_row = [(j, v) for j, v in enumerate(q[l]) if v]
-            for i, pik in ((i, p[i][k]) for i in range(n) if p[i][k]):
-                for j, qlj in q_row:
-                    laurent_fma(y[i][j], c, pik, qlj)
-        dl, dn, dt = ([[{} for _ in range(n)] for _ in range(n)] for _ in range(3))
-        for i in range(n):
-            dt[i][i] = _dot({}, ((1, y[i][i], tm[i][i]),))
-            for j in range(i):
-                # (L sl(Y))_ij = Y_ij + sum_{j<k<i} L_ik Y_kj
-                dl[i][j] = _dot(y[i][j], ((1, lo[i][k], y[k][j]) for k in range(j + 1, i)))
-            for j in range(i + 1, n):
-                # (up(Y) N - N diag(Y))_ij = Y_ij + sum_{i<=k<j} Y_ik N_kj - N_ij Y_jj
-                terms = [(1, y[i][k], up[k][j]) for k in range(i, j)]
-                dn[i][j] = _dot(y[i][j], terms + [(-1, up[i][j], y[j][j])])
-        d_lo.append(dl)
-        d_up.append(dn)
-        d_t.append(dt)
-    return ring.frame, ((lo, d_lo), (up, d_up), (tm, d_t))
+        # acc[(f, i, j)]: the tangent of entry (i, j) of factor f along this field
+        acc = {}
+        for k, l, c in entries:
+            col, row = [r[k] for r in p], q[l]
+            uv = [_dot({}, ((1, x, y),)) for x, y in zip(col, row)]
+            # a running sum is read only down to the first nonzero v_j (for dL) or u_j (for dN)
+            first_v, first_u = (next((j for j, x in enumerate(w) if x), n) for w in (row, col))
+            for i in range(n):
+                if uv[i]:
+                    laurent_fma(acc.setdefault((2, i, i), {}), c, uv[i], tm[i][i])
+                # part = sum_{j<k'<=i} L_ik' u_k', from u_i down
+                part = dict(col[i])
+                for j in range(i - 1, first_v - 1, -1):
+                    if part and row[j]:
+                        laurent_fma(acc.setdefault((0, i, j), {}), c, row[j], part)
+                    if j > first_v and lo[i][j] and col[j]:
+                        laurent_fma(part, 1, lo[i][j], col[j])
+                # part = sum_{j<=k'<=i} v_k' N_k'i, from v_i up, for dN_ji
+                part = dict(row[i])
+                for j in range(i - 1, -1, -1):
+                    if j >= first_u:
+                        if up[j][i] and row[j]:
+                            laurent_fma(part, 1, row[j], up[j][i])
+                        if part and col[j]:
+                            laurent_fma(acc.setdefault((1, j, i), {}), c, col[j], part)
+                    if up[j][i] and uv[i]:
+                        laurent_fma(acc.setdefault((1, j, i), {}), -c, up[j][i], uv[i])
+        for (f, i, j), t in acc.items():
+            if t:
+                lists[f][i][j].append((index, t))
+    return ring.frame, ((lo, lists[0]), (up, lists[1]), (tm, lists[2]))
 
 
 def _laurent_quotient(num, den):

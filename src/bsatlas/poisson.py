@@ -4,15 +4,18 @@ The multiplicative Poisson bivector on G is the difference of the left and
 right invariant extensions of the skew tensor with one term per positive
 root, weighted by half the squared root length.  Brackets in a chart come
 from the first-order perturbations of the parametrized point
-along every left/right root-vector field.  The point is the chart's stored
-representative, Laurent values keyed by packed monomials, and is factored
-once as it is: its factors, regular on the
+along every left/right root-vector field, each given by the nonzero entries
+of its constant.  The point is the chart's stored representative, Laurent
+values keyed by packed monomials, and is factored once as it is: its
+factors, regular on the
 chart, are exact quotients off one fraction-free elimination whose pivots are monomials.
 There the tangents of the factors along every field come in closed form,
-each coordinate, one signed minor of one factor (the N_v coordinates minors
-of the whole N factor for every v), is read with its tangents from one set
-of cofactors, and pair assembly and the Jacobi sums run too, each only
-where its products can be nonzero.  No RatFunc factor is formed and no gcd
+by rank-one updates, and each coordinate, one signed minor of one factor
+(the N_v coordinates minors of the whole N factor for every v), is read
+with its tangents from one set of cofactors.  Pair assembly and the Jacobi
+sums form only products that can be nonzero: the Jacobi sums none of two
+log-canonical parts c_ij*z_i*z_j, which cancel for any skew c.  No RatFunc
+factor is formed and no gcd
 is taken.  Each bracket entry becomes a RatFunc once, and the table keeps
 its Laurent value as well, which ``jacobi_check`` and ``cgl.verify_cgl``
 read.
@@ -25,7 +28,7 @@ from itertools import combinations
 from .atlas import Chart, coordinate_jets
 from .errors import NonPolynomialBracket
 from .groups import GroupModel
-from .laurent import _exact, laurent_derivative, laurent_fma, laurent_frame, pack_poly, to_laurent, unit_keys
+from .laurent import _exact, laurent_derivative, laurent_fma, laurent_frame, pack_poly, to_laurent, unit_keys, unpack_columns
 from .linalg import gauss_ltu_lift
 from .symbolic import RatFunc, VarName, from_laurent, var
 
@@ -102,7 +105,8 @@ def chart_bracket(chart: Chart, lam: LambdaData | None = None) -> BracketTable:
     the derivatives of the coordinates along all 4|Delta+| left/right
     root-vector fields.  wbar^{-1} rep is factored once on Laurent values in
     the model's internal basis, the tangents of its factors along every
-    field come from the same pass (``linalg.gauss_ltu_lift``), and each
+    field, given as the nonzero entries of its constant, come from the same
+    pass as per-entry lists (``linalg.gauss_ltu_lift``), and each
     coordinate and its tangents are read off those factors through one table
     of signed minors (``atlas.coordinate_jets``: for every v, the N_v
     coordinates are minors of the N factor, so no second factorization
@@ -118,20 +122,21 @@ def chart_bracket(chart: Chart, lam: LambdaData | None = None) -> BracketTable:
     n = chart.dims
     wp = model.signed_perm(chart.spec.w.canonical)
 
-    # h = wbar^{-1} rep moves to h X along rep X, and to X' h along X rep
-    # with X' = wbar^{-1} X wbar
+    # h = wbar^{-1} rep moves to h X along rep X, and to X' h along X rep with X' = W^{-1} X W for W = wbar.
+    # Each field goes to the lift as the nonzero entries (k, l, c) of X or X' in the internal basis, with
+    # W^{-1} E_rc W = signs[cols[r]] * signs[cols[c]] * E_{cols[r], cols[c]}
+    pos = {r: i for i, r in enumerate(model._perm)}
+    moved = [(pos[wp.cols[r]], wp.signs[wp.cols[r]]) for r in range(model.dim)]
     fields = []
     for _, e_minus, e_plus, _ in lam.terms:
-        fields.append(("left", e_minus))
-        fields.append(("left", e_plus))
-        fields.append(("right", wp.left_inv(wp.right(e_minus))))
-        fields.append(("right", wp.left_inv(wp.right(e_plus))))
-    # point and fields go to the internal basis once; no factor or tangent comes back from it
-    fields = [(side, model.to_internal(x)) for side, x in fields]
+        nonzero = [[(r, c, x) for r, row in enumerate(e) for c, x in enumerate(row) if x] for e in (e_minus, e_plus)]
+        fields += [("left", [(pos[r], pos[c], x) for r, c, x in xs]) for xs in nonzero]
+        fields += [("right", [(moved[r][0], moved[c][0], moved[r][1] * moved[c][1] * x) for r, c, x in xs]) for xs in nonzero]
+    # the point goes to the internal basis once; no factor or tangent comes back from it
     frame, lifted = gauss_ltu_lift(model.to_internal(wp.left_inv(chart.rep)), fields, chart.frame)
-    # values[i]: z_{i+1} read back off the factors; derivs[k][i]: its derivative along
+    # values[i]: z_{i+1} read back off the factors; tangents[i][k]: its derivative along
     # field k (order L-, L+, R-, R+ per term), each a Laurent value over the frame
-    values, tangents = coordinate_jets(chart, lifted, frame)
+    values, tangents = coordinate_jets(chart, lifted, len(fields))
     units = unit_keys(len(frame))
     for c, z in zip(values, chart.zvars):
         if z not in frame or c != {units[frame[z]]: 1}:
@@ -171,48 +176,57 @@ def _require_polynomial(f: RatFunc, laurent, where):
 def jacobi_check(table: BracketTable):
     """Exact Jacobi identity report, with the nonzero cyclic sum of each failing triple.
 
-    The table's Laurent values (``BracketTable.laurent_entries``) are
-    differentiated once per variable z_m of each entry, into a gradient
-    table; an entry that is not Laurent raises NonPolynomialBracket.  An
-    entry is log-canonical when it is 0 or exactly c_ij*z_i*z_j.  A triple of three log-canonical
-    entries is skipped: its Jacobiator is z_i*z_j*z_k times
+    The table's Laurent values (``BracketTable.laurent_entries``) are split
+    as P_ij = c_ij*z_i*z_j + F_ij; an entry that is not Laurent raises
+    NonPolynomialBracket.  Each nonzero remainder F_ij is differentiated once
+    per variable z_m of it (m <= n; any other variable is a constant).  The
+    Jacobiator of a triple is the cyclic sum over (r; a, b) of
+    {z_r, P_ab} = sum_m d_m P_ab * P_rm
+    = c_ab*(z_b*F_ra + z_a*F_rb) + sum_m d_m F_ab * P_rm + c_ab*z_r*z_a*z_b*(c_ra + c_rb),
+    and the last terms sum to z_i*z_j*z_k times
     c_jk(c_ij + c_ik) + c_ki(c_jk + c_ji) + c_ij(c_ki + c_kj) = 0 for skew c.
-    On every other triple {z_i, {z_j, z_k}} is the Leibniz sum
-    sum_m d_m{z_j, z_k} * {z_i, z_m}, and each cyclic sum accumulates in one
-    dict.  A failure's value is the text of the canonical RatFunc.
+    So a triple whose three remainders are 0 is skipped, and every other
+    one sums only the first two products in one dict; no two log-canonical
+    parts are multiplied.  A failure's value is the text of the canonical
+    RatFunc.
     """
     n = table.n_vars
     frame, values = table.laurent_entries()
-    # signed[(i, m)] = (s, x) with {z_i, z_m} = s * x, for i < m and for i > m
-    signed = {}
-    grads = {}
-    # the pairs whose entry is not log-canonical
-    general = set()
     units = unit_keys(len(frame))
-    # unit[m]: the key of z_m alone; the frame holds z_1 .. z_n
-    unit = {v.index: units[slot] for v, slot in frame.items() if v.symbol == "z" and 1 <= v.index <= n}
+    # slot_of[m]: the frame slot of z_m; the frame holds z_1 .. z_n
+    slot_of = {v.index: slot for v, slot in frame.items() if v.symbol == "z" and 1 <= v.index <= n}
+    mono = {m: {units[slot]: 1} for m, slot in slot_of.items()}
+    # signed[(i, m)] = (s, x) with {z_i, z_m} = s * x, and rest[(i, m)] = (s, F_im) where F_im is nonzero,
+    # for i < m and for i > m; lc[(i, j)] = c_ij and grads[(i, j)] the derivatives of F_ij, for i < j
+    signed, rest, lc, grads = {}, {}, {}, {}
     for (i, j), (x, den) in values.items():
-        f = table.entries[(i, j)]
         if den is not None:
+            f = table.entries[(i, j)]
             raise NonPolynomialBracket(f"bracket ({i}, {j}) is not a Laurent polynomial: {f.text()}")
-        signed[(i, j)] = (1, x)
-        signed[(j, i)] = (-1, x)
-        # the variables of the canonical entry are the support of x
-        support = [v.index for v in f.variables() if v.symbol == "z" and v.index in unit]
-        grads[(i, j)] = [(m, laurent_derivative(x, unit[m])) for m in support]
-        if x and not (len(x) == 1 and unit[i] + unit[j] in x):
-            general.add((i, j))
+        signed[(i, j)], signed[(j, i)] = (1, x), (-1, x)
+        key = units[slot_of[i]] + units[slot_of[j]]
+        lc[(i, j)] = c = x.get(key, 0)
+        f = {e: k for e, k in x.items() if e != key} if c else x
+        if f:
+            rest[(i, j)], rest[(j, i)] = (1, f), (-1, f)
+            cols = unpack_columns(f, len(frame))
+            grads[(i, j)] = [(m, laurent_derivative(f, units[slot])) for m, slot in slot_of.items() if any(cols[slot])]
 
     failures = []
     for i, j, k in combinations(range(1, n + 1), 3):
-        if (i, j) not in general and (i, k) not in general and (j, k) not in general:
+        if (i, j) not in rest and (i, k) not in rest and (j, k) not in rest:
             continue
         # {z_k, z_i} = -{z_i, z_k}
         acc = {}
-        for sign, r, pair in ((1, i, (j, k)), (-1, j, (i, k)), (1, k, (i, j))):
-            for m, part in grads[pair]:
-                if m != r:
-                    s, x = signed[(r, m)]
+        for sign, r, a, b in ((1, i, j, k), (-1, j, i, k), (1, k, i, j)):
+            if c := lc[(a, b)]:
+                for x, y in ((a, b), (b, a)):
+                    if (r, x) in rest:
+                        s, f = rest[(r, x)]
+                        laurent_fma(acc, sign * s * c, mono[y], f)
+            for m, part in grads.get((a, b), ()):
+                s, x = signed[(r, m)] if m != r else (1, None)
+                if x:
                     laurent_fma(acc, sign * s, part, x)
         if acc:
             failures.append({"triple": (i, j, k), "value": from_laurent(acc, frame).text()})

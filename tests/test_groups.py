@@ -405,6 +405,21 @@ def _from_laurent_matrix(entries, frame):
     return [[from_laurent(x, frame) for x in row] for row in entries]
 
 
+def _field(x):
+    """The nonzero entries (k, l, c) of the matrix x, as ``gauss_ltu_lift`` takes a field."""
+    return [(k, l, c) for k, row in enumerate(x) for l, c in enumerate(row) if c]
+
+
+def _dense(lists, k):
+    """The tangent matrix along field k of the per-entry (field, tangent) lists of one factor."""
+    return [[dict(pairs).get(k, {}) for pairs in row] for row in lists]
+
+
+def _per_entry(das):
+    """The dense tangent matrices das as per-entry lists of their nonzero (field, tangent) pairs."""
+    return [[[(k, da[r][c]) for k, da in enumerate(das) if da[r][c]] for c in range(len(row))] for r, row in enumerate(das[0])]
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_lifted_factors_match_dual_elimination(data):
@@ -417,6 +432,9 @@ def test_lifted_factors_match_dual_elimination(data):
     reference is the elimination over the dual numbers, done in RatFunc.
     A draw perturbs along one field per point, or along both fields at once,
     h + eps1 h X + eps2 X' h, whose reference gcds run in three variables.
+    Each field goes to the lift as its nonzero entries, two of them for a
+    short root of Sp(4), and its per-entry tangent lists are read back as one
+    dense matrix per field.
     """
     series, rank = data.draw(st.sampled_from([("A", 2), ("A", 3), ("C", 2)]))
     m = cached_model(series, rank)
@@ -436,9 +454,9 @@ def test_lifted_factors_match_dual_elimination(data):
     vectors = [x for pair in m.pos_root_vectors.values() for x in pair]
     x_left, x_right = data.draw(st.sampled_from(vectors)), data.draw(st.sampled_from(vectors))
     # the lift runs in the internal basis, and its factors and tangents are read back in the model's
-    fields = [("left", m.to_internal(x_left)), ("right", m.to_internal(x_right))]
+    fields = [("left", _field(m.to_internal(x_left))), ("right", _field(m.to_internal(x_right)))]
     frame, lifted = gauss_ltu_lift(m.to_internal(h), fields)
-    lifted = [(m.from_internal(f), [m.from_internal(d) for d in ds]) for f, ds in lifted]
+    lifted = [(m.from_internal(f), [m.from_internal(_dense(ds, k)) for k in range(2)]) for f, ds in lifted]
     assert [_from_laurent_matrix(f, frame) for f, _ in lifted] == [list(f) for f in m.triangular_factor(h)]
     das, eps = (mat_mul(h, x_left), mat_mul(x_right, h)), (VarName("eps", 1), VarName("eps", 2))
     if data.draw(st.booleans()):
@@ -508,7 +526,7 @@ def test_lift_refuses_a_point_whose_factors_are_not_laurent():
     m.triangular_factor(h)
     x = m.pos_root_vectors[m.rs.simple_root(1)][0]
     with pytest.raises(NonPolynomialBracket):
-        gauss_ltu_lift(m.to_internal(h), [("left", m.to_internal(x)), ("right", m.to_internal(x))])
+        gauss_ltu_lift(m.to_internal(h), [("left", _field(m.to_internal(x))), ("right", _field(m.to_internal(x)))])
 
 
 _entries = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), -3])
@@ -552,7 +570,7 @@ def test_minor_tangents_match_eps_derivative_of_minor(case):
     want = [_eps_derivative([[minor(_perturbed(a, da), rows, cols)]])[0][0] for da in das]
     frame = laurent_frame(x for b in [a, *das] for row in b for x in row)
     la, *ldas = ([[to_laurent(x, frame) for x in row] for row in b] for b in [a, *das])
-    value, tangents = minor_tangents(la, ldas, rows, cols, frame)
+    value, tangents = minor_tangents(la, _per_entry(ldas), rows, cols, len(ldas))
     assert [from_laurent(d, frame) for d in tangents] == want
     assert from_laurent(value, frame) == minor(a, rows, cols)
 
