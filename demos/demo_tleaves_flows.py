@@ -30,12 +30,12 @@ print("totally positive point:", lbl)
 rng = random.Random(0)
 print("\nrandom rational points and their leaf labels (w, y), always y <= w * v:")
 for _ in range(6):
-    point = None
+    letters, params = [], []
     for _ in range(rng.randint(1, 5)):
         i = rng.randint(1, 2)
-        letter = i if rng.random() < 0.5 else -i
-        point = model.scaled_chain(point, [letter], [Fraction(rng.randint(-5, 5), rng.randint(1, 5))])
-    lbl = t_leaf_classify(space, model.rational_point(point))
+        letters.append(i if rng.random() < 0.5 else -i)
+        params.append(Fraction(rng.randint(-5, 5), rng.randint(1, 5)))
+    lbl = t_leaf_classify(space, model.rational_point(model.word_point(letters, params)))
     wn = ".".join(f"s{i}" for i in lbl.w.canonical) or "e"
     yn = ".".join(f"s{i}" for i in lbl.y.canonical) or "e"
     print(f"   w = {wn:10s} y = {yn}")

@@ -20,7 +20,7 @@ coordinates with their tangents off its Laurent factors
 from __future__ import annotations
 
 from .errors import NotInBigCell, NotInChartDomain
-from .groups import GroupElement, GroupModel, MinorSpec, _signed
+from .groups import GroupElement, GroupModel, MinorSpec
 from .laurent import laurent_shift, pack_exponent
 from .linalg import laurent_lower_factor, laurent_lower_inverse, ltu_minors, minor_tangents
 from .symbolic import VarName, from_laurent
@@ -106,9 +106,10 @@ class Chart:
     dict from packed monomial keys over ``frame`` (each variable to its slot)
     to coefficients, built from the spec when first read (``representative``).
     ``param``, the same matrix as a GroupElement of canonical RatFuncs, is
-    formed when it is first read.  ``minors`` reads each coordinate as one
-    signed minor (factor, rows, cols, sign) of the normal form L*N*T of
-    wbar^{-1} g, with factor 0, 1, 2 for L, N, T (``signed_minors``).
+    formed when it is first read.  ``minors``, built with the chart, reads
+    each coordinate as one signed minor (factor, rows, cols, sign) of the
+    normal form L*N*T of wbar^{-1} g in the model's internal basis, with
+    factor 0, 1, 2 for L, N, T (``signed_minors``).
     """
 
     __slots__ = ("spec", "dims", "zvars", "_frame", "_rep", "_param", "coord_formulas", "minors")
@@ -214,26 +215,27 @@ _FACTOR_OF_TAG = {"m": 0, "wmw": 0, "n": 1, "t": 2}
 
 
 def signed_minors(spec: ChartSpec, formulas):
-    """Each coordinate recipe as (factor, rows, cols, sign): sign * det factor[rows, cols].
+    """Each coordinate recipe as (factor, rows, cols, sign): sign * det factor[rows, cols], rows and cols in the
+    model's internal basis (``GroupModel.to_internal``).
 
     A 'wmw' minor of wbar L wbar^{-1} reindexes L: with pi = W.cols and
     s_r = W.signs[pi r], (W L W^{-1})[r][c] = s_r s_c L[pi r][pi c].
-    t^{omega_i} is the leading principal minor of T of size i.
+    t^{omega_i} is the leading principal minor of T of size i in the model's own basis.
     """
     model = spec.space.model
-    wp = model.signed_perm(spec.w.canonical)
+    wp, pos = model.signed_perm(spec.w.canonical), model._pos
     out = []
     for tag, payload in formulas:
         if tag == "t":
-            k = tuple(range(payload))
-            out.append((2, k, k, 1))
-            continue
-        rows, cols, sign = model.minor_indices(payload)
+            rows = cols = range(payload)
+            sign = 1
+        else:
+            rows, cols, sign = model.minor_indices(payload)
         if tag == "wmw":
             rows, cols = tuple(wp.cols[r] for r in rows), tuple(wp.cols[c] for c in cols)
             for j in rows + cols:
                 sign *= wp.signs[j]
-        out.append((_FACTOR_OF_TAG[tag], rows, cols, sign))
+        out.append((_FACTOR_OF_TAG[tag], tuple(pos[r] for r in rows), tuple(pos[c] for c in cols), sign))
     return out
 
 
@@ -283,17 +285,17 @@ def eval_coordinates(chart: Chart, g):
     """Coordinates of a point g of the shifted big cell, as RatFuncs or Fractions.
 
     g is a Chart, read at its stored Laurent representative; a scaled point
-    (m, d) of an int matrix m and an int d, the point m/d; or a GroupElement
-    or a list of rows, of Fractions or of RatFuncs whose denominators are
-    monomials (any other raises NonPolynomialBracket).  ``Chart.minors`` is
-    reindexed into the model's internal basis and every coordinate is read
-    as one quotient from one fraction-free elimination of wbar^{-1} g
+    (m, d) of an int matrix m and an int d, the point m/d (``GroupModel.word_point``),
+    read on its ints; or a GroupElement or a list of rows, of Fractions or of
+    RatFuncs whose denominators are monomials (any other raises
+    NonPolynomialBracket).  wbar^{-1} g goes into the model's internal basis
+    in one reindex, where ``Chart.minors`` reads every coordinate as one
+    signed quotient from one fraction-free elimination
     (``linalg.ltu_minors``); no factor is formed.  Raises NotInChartDomain
     with the index of the vanishing principal minor of wbar^{-1} g when the
     point is outside the cell.
     """
-    spec = chart.spec
-    model = spec.space.model
+    model = chart.spec.space.model
     frame = den = None
     if isinstance(g, Chart):
         frame, entries = g.frame, g.rep
@@ -301,18 +303,10 @@ def eval_coordinates(chart: Chart, g):
         entries, den = g
     else:
         entries = g.entries if isinstance(g, GroupElement) else g
-    h = model.to_internal(model.signed_perm(spec.w.canonical).left_inv(entries))
     try:
-        values = ltu_minors(h, _internal_minors(chart), frame, den)
+        return ltu_minors(model.internal_left_inv(chart.spec.w.canonical, entries), chart.minors, frame, den)
     except NotInBigCell as e:
         raise NotInChartDomain(e.minor_index) from None
-    return [_signed(x, minor[3]) for x, minor in zip(values, chart.minors)]
-
-
-def _internal_minors(chart: Chart):
-    """``Chart.minors`` as (factor, rows, cols) in the model's internal basis (``GroupModel.to_internal``)."""
-    pos = {r: i for i, r in enumerate(chart.spec.space.model._perm)}
-    return [(f, [pos[r] for r in rows], [pos[c] for c in cols]) for f, rows, cols, _ in chart.minors]
 
 
 def coordinate_jets(chart: Chart, lifted, fields):
@@ -321,18 +315,18 @@ def coordinate_jets(chart: Chart, lifted, fields):
     lifted[f] is factor f of the normal form of wbar^{-1} g in the model's
     internal basis with the nonzero (field, tangent) pairs of each of its
     entries (``linalg.gauss_ltu_lift``); coordinate i, the signed minor
-    ``Chart.minors[i]``, is read there (``_internal_minors``) with its
-    tangents tangents[i], one per field, by ``linalg.minor_tangents``.  The
-    N_v coordinates are minors of N itself,
+    ``Chart.minors[i]``, is read there with its tangents tangents[i], one
+    per field, by ``linalg.minor_tangents``, which carries the sign in its
+    cofactors.  The N_v coordinates are minors of N itself,
     for every v: with N = n1 n2 and n2 in N cap vbar N vbar^{-1}, each v' of
     a minor D_{u omega, v' omega} is a left prefix of the word of v, so
     v'bar^{-1} n2 v'bar lies in N, and principal minors are right-N-invariant.
     """
     values, tangents = [], []
-    for (f, rows, cols), (*_, sign) in zip(_internal_minors(chart), chart.minors):
-        value, ds = minor_tangents(*lifted[f], rows, cols, fields)
-        values.append(_signed(value, sign))
-        tangents.append([_signed(d, sign) for d in ds])
+    for f, rows, cols, sign in chart.minors:
+        value, ds = minor_tangents(*lifted[f], rows, cols, fields, sign)
+        values.append(value)
+        tangents.append(ds)
     return values, tangents
 
 

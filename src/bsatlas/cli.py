@@ -362,18 +362,17 @@ def cmd_tleaf(args):
 
 
 def _random_element(model, rng):
-    """Random exact-rational group element spread across Bruhat cells, built on integers."""
+    """Random exact-rational group element spread across Bruhat cells, built on integers (``GroupModel.word_point``)."""
     rs = model.rs
-    point = None
+    letters, params = [], []
     for _ in range(rng.randint(1, 2 * rs.l0)):
         i = rng.randint(1, rs.rank)
-        c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        m, d = model.scaled_chain(point, [i if rng.random() < 0.5 else -i], [c])
+        params.append(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        letters.append(i if rng.random() < 0.5 else -i)
         if rng.random() < 0.3:
-            m = model.signed_perm((i,)).right(m)
-        point = (m, d)
+            letters.append((i,))
     vals = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(rs.rank)]
-    return model.rational_point(model.scaled_torus(point, vals))
+    return model.rational_point(model.word_point(letters, params, vals))
 
 
 def cmd_repro(args):

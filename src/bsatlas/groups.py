@@ -20,14 +20,14 @@ A representative wbar is a signed permutation matrix, read once per word
 into a ``SignedPerm`` (the row and the sign of each column's one nonzero
 entry), the one memo of representatives, so wbar^{-1} g, g wbar and the
 minor Delta^{omega_i}(ubar^{-1} g vbar) = +- det g[ubar rows, vbar cols]
-only reorder and negate entries.  A simple root vector e has e^2 = 0, so right
-multiplication by x_{+-i}(c) = 1 + c e is one column update.  Two functions
-run it, and only they read the updates: ``scaled_chain`` builds numeric
-points on integers, as a scaled point (m, d) = m/d with one denominator (with
-``scaled_torus``), so a chain takes no gcd, and runs the same update for a
-ring-element parameter; ``mul_word`` updates a chart's partial product by the
-chain of a word on Laurent values, each a monomial shift, and ``SignedPerm``
-reorders and negates dicts.
+only reorder and negate entries, wbar^{-1} g in the internal basis in one
+reindex.  A simple root vector e has e^2 = 0, so right multiplication by
+x_{+-i}(c) = 1 + c e is one column update.  Two functions run it, and only
+they read the updates: ``word_point`` builds every numeric point on integers,
+as a scaled point (m, d) = m/d with one denominator, so it takes no gcd, and
+runs the same update for a ring-element parameter; ``mul_word`` updates a
+chart's partial product by the chain of a word on Laurent values, each a
+monomial shift, and ``SignedPerm`` reorders and negates dicts.
 """
 
 from __future__ import annotations
@@ -104,12 +104,13 @@ class SignedPerm:
     """A signed permutation matrix W: column j is signs[j] times basis vector rows[j].
 
     ``cols`` is the inverse permutation: row r is nonzero in column cols[r].
-    W^{-1} = W^T, so the products with W only reorder and negate.
+    W^{-1} = W^T, so the products with W only reorder and negate.  Row i of
+    W^{-1} a in the basis ``order`` is s times row r of a, (r, s) = internal[i].
     """
 
-    __slots__ = ("rows", "signs", "cols", "_prefix_signs")
+    __slots__ = ("rows", "signs", "cols", "_prefix_signs", "internal")
 
-    def __init__(self, entries):
+    def __init__(self, entries, order):
         n = len(entries)
         rows, signs = [], []
         for j in range(n):
@@ -130,6 +131,7 @@ class SignedPerm:
         for sg in signs:
             prefix.append(prefix[-1] * sg)
         self._prefix_signs = tuple(prefix)
+        self.internal = tuple((rows[q], signs[q]) for q in order)
 
     def right(self, a):
         """a W: column j is signs[j] times column rows[j] of a."""
@@ -138,10 +140,6 @@ class SignedPerm:
     def right_inv(self, a):
         """a W^{-1} = a W^T: column rows[j] is signs[j] times column j of a."""
         return [[_signed(row[j], self.signs[j]) for j in self.cols] for row in a]
-
-    def left_inv(self, a):
-        """W^{-1} a = W^T a: row j is signs[j] times row rows[j] of a."""
-        return [[_signed(x, sg) for x in a[r]] for r, sg in zip(self.rows, self.signs)]
 
 
 def _signed(x, sign):
@@ -179,6 +177,7 @@ class GroupModel:
         # basis order in which the unipotent radical is upper triangular: slots by decreasing height
         height = Coweight((1,) * rs.rank)
         self._perm = tuple(sorted(range(self.dim), key=lambda p: -rs.evaluate(Weight(self.slot_weights[p]), height)))
+        self._pos = tuple(self._perm.index(p) for p in range(self.dim))
         # tr(e_1 f_1) times this scale is 2/<alpha_1, alpha_1>
         a1 = rs.simple_root(1)
         self._trace_scale = Fraction(2) / (rs.pairing(a1, a1) * _trace(mat_mul(simple_e[1], simple_f[1])))
@@ -264,51 +263,49 @@ class GroupModel:
         got = self._perm_cache.get(word)
         if got is None:
             if len(word) == 1:
-                entries = self.scaled_chain(None, (word[0], -word[0], word[0]), (-1, 1, -1))[0]
+                entries = self.word_point((word[0], -word[0], word[0]), (-1, 1, -1))[0]
             else:
                 self.rs.assert_reduced(word)
-                entries = [[int(i == j) for j in range(self.dim)] for i in range(self.dim)]
-                for i in word:
-                    entries = self.signed_perm((i,)).right(entries)
-            got = self._perm_cache[word] = SignedPerm(entries)
+                entries = self.word_point([(i,) for i in word])[0]
+            got = self._perm_cache[word] = SignedPerm(entries, self._perm)
         return got
 
-    def scaled_chain(self, point, letters, params):
-        """(m', d') with m'/d' = (m/d) x_{a_1}(c_1) ... x_{a_k}(c_k) for point = (m, d); None is the identity.
+    def word_point(self, letters, params=(), torus=None, point=None):
+        """(m', d') with m'/d' = (m/d) x t for point = (m, d) (None is the identity), x the word of ``letters``.
 
-        With c = a/b (``_num_den``), each letter sets m <- b m + a m e and
-        d <- b d: column q gains a coef times column p of the old m for each
-        entry (p, q, coef) of e.  Nothing is divided, so m and d stay ints for
-        rational c, or ring elements for a ring element c = c/1.
+        A letter is +-i, x_{+-i}(c) at the next c of ``params``, or a reduced
+        word as a tuple, whose wbar reorders and negates columns.  With c = a/b
+        (``_num_den``), x_{+-i}(c) sets m <- b m + a m e (b = 1 scales
+        nothing) and d <- b d.  t^{omega_i} = torus[i]; slot p of t is
+        prod_i c_i^{k_i}, k = slot_weights[p].  With c_i = a_i/b_i and u_i,
+        l_i >= 0 the largest positive and negative k_i over the slots, D =
+        prod_i a_i^{l_i} b_i^{u_i} clears every slot: column p of m takes D t_p
+        and d takes D.  Nothing is divided, so m and d stay ints for rational
+        parameters, or ring elements for ring elements c = c/1; d > 0 when
+        every torus value is positive.
         """
         m, d = point or ([[int(i == j) for j in range(self.dim)] for i in range(self.dim)], 1)
-        for letter, c in zip(letters, params):
-            a, b = _num_den(c)
-            out = [[b * x for x in row] for row in m]
+        params = iter(params)
+        for letter in letters:
+            if type(letter) is tuple:
+                m = self.signed_perm(letter).right(m)
+                continue
+            a, b = _num_den(next(params))
+            out = [[b * x for x in row] for row in m] if b != 1 else [list(row) for row in m]
             for p, q, coef in self._column_updates[letter]:
                 for row, src in zip(out, m):
                     if src[p]:
                         row[q] = row[q] + a * coef * src[p]
             m, d = out, b * d
-        return m, d
-
-    def scaled_torus(self, point, values):
-        """(m', d') with m'/d' = (m/d) t for the torus element t with t^{omega_i} = values[i].
-
-        Slot p of t is prod_i c_i^{k_i}, k = slot_weights[p].  With c_i = a_i/b_i
-        and u_i, l_i >= 0 the largest positive and negative k_i over the slots,
-        D = prod_i a_i^{l_i} b_i^{u_i} clears every slot, D t_p = prod_i
-        a_i^{l_i + k_i} b_i^{u_i - k_i}: column p of m takes that factor and d
-        takes D, with no division.  d stays positive when every value is.
-        """
-        parts = [_num_den(c) for c in values]
+        if torus is None:
+            return m, d
+        parts = [_num_den(c) for c in torus]
         if len(parts) != self.rs.rank or any(_is_zero(a) for a, _ in parts):
             raise ZeroTorusValue("need one nonzero value per fundamental weight")
         ks = self.slot_weights + ((0,) * len(parts),)
         up, low = [max(*col) for col in zip(*ks)], [-min(*col) for col in zip(*ks)]
         # one factor per slot, then D itself at the zero weight that closes ks
         scale = [prod(a ** (lo + k) * b ** (u - k) for (a, b), k, u, lo in zip(parts, kp, up, low)) for kp in ks]
-        m, d = point
         return [[x * s for x, s in zip(row, scale)] for row in m], d * scale[-1]
 
     def rational_point(self, point):
@@ -352,13 +349,17 @@ class GroupModel:
         p = self._perm
         return [[entries[p[i]][p[j]] for j in range(self.dim)] for i in range(self.dim)]
 
-    def from_internal(self, entries):
-        p = self._perm
-        out = [[None] * self.dim for _ in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(self.dim):
-                out[p[i]][p[j]] = entries[i][j]
+    def internal_left_inv(self, word, entries):
+        """wbar^{-1} entries in the internal basis, for the element of ``word``, in one reindex (``SignedPerm.internal``)."""
+        p, out = self._perm, []
+        for r, sg in self.signed_perm(word).internal:
+            row = entries[r]
+            out.append([row[c] for c in p] if sg == 1 else [_signed(row[c], -1) for c in p])
         return out
+
+    def from_internal(self, entries):
+        pos = self._pos
+        return [[entries[pos[i]][pos[j]] for j in range(self.dim)] for i in range(self.dim)]
 
     def triangular_factor(self, entries):
         """Group Gauss factorization a = lower * upper * torus, in the model's own basis.

@@ -102,14 +102,15 @@ def minor(a, rows, cols):
     return det(sub)
 
 
-def minor_tangents(a, da, rows, cols, fields):
-    """(det S, [d det S along each of ``fields`` fields]) for the minor S = a[rows, cols].
+def minor_tangents(a, da, rows, cols, fields, sign):
+    """(sign * det S, [sign * d det S along each of ``fields`` fields]) for the minor S = a[rows, cols].
 
     a holds Laurent values and da[r][c] the nonzero (field, tangent) pairs of
     entry (r, c), as ``gauss_ltu_lift`` returns them.  One set of cofactors C
     of S, each computed where the first row of S or some tangent is nonzero,
     gives det S = sum_q S_0q C_0q and each tangent by Jacobi's formula
-    d det S = sum_pq C_pq dS_pq, each cofactor run over the list of its entry.
+    d det S = sum_pq C_pq dS_pq, each cofactor run over the list of its entry;
+    ``sign`` (+-1) rides on the cofactor signs, so no tangent is negated after.
     """
     one, value, tangents = {0: 1}, {}, [{} for _ in range(fields)]
     for p, r in enumerate(rows):
@@ -118,7 +119,7 @@ def minor_tangents(a, da, rows, cols, fields):
             if first or da[r][c]:
                 cof = _laurent_det([[a[i][j] for j in cols if j != c] for i in rows if i != r], one)
                 if cof:
-                    s = -1 if (p + q) % 2 else 1
+                    s = -sign if (p + q) % 2 else sign
                     if first:
                         laurent_fma(value, s, a[r][c], cof)
                     for k, t in da[r][c]:
@@ -169,7 +170,7 @@ def _normal_form(ring, m, p, c, make):
 
 
 def ltu_minors(a, minors, frame=None, den=None):
-    """det F[rows, cols] for each (f, rows, cols) of minors, F = gauss_ltu(a)[f], each one quotient off one pass.
+    """sign * det F[rows, cols] for each (f, rows, cols, sign) of minors, F = gauss_ltu(a)[f], off one pass.
 
     a is read as ``_ring_of`` reads it: Laurent values over ``frame``, the
     scaled point a/den of an int matrix a, or Fraction or RatFunc entries.
@@ -178,7 +179,8 @@ def ltu_minors(a, minors, frame=None, den=None):
     """
     ring, m, p, c = _bareiss(a, frame, den)
     split = [_pivot_split(x, ring.frame) for x in p]
-    return [_factor_minor(ring, m, p, c, split, f, rows, cols) for f, rows, cols in minors]
+    values = [(_factor_minor(ring, m, p, c, split, f, rows, cols), sign) for f, rows, cols, sign in minors]
+    return [x if sign == 1 else -x for x, sign in values]
 
 
 def _pivot_split(piv, frame):

@@ -125,15 +125,15 @@ def chart_bracket(chart: Chart, lam: LambdaData | None = None) -> BracketTable:
     # h = wbar^{-1} rep moves to h X along rep X, and to X' h along X rep with X' = W^{-1} X W for W = wbar.
     # Each field goes to the lift as the nonzero entries (k, l, c) of X or X' in the internal basis, with
     # W^{-1} E_rc W = signs[cols[r]] * signs[cols[c]] * E_{cols[r], cols[c]}
-    pos = {r: i for i, r in enumerate(model._perm)}
+    pos = model._pos
     moved = [(pos[wp.cols[r]], wp.signs[wp.cols[r]]) for r in range(model.dim)]
     fields = []
     for _, e_minus, e_plus, _ in lam.terms:
         nonzero = [[(r, c, x) for r, row in enumerate(e) for c, x in enumerate(row) if x] for e in (e_minus, e_plus)]
         fields += [("left", [(pos[r], pos[c], x) for r, c, x in xs]) for xs in nonzero]
         fields += [("right", [(moved[r][0], moved[c][0], moved[r][1] * moved[c][1] * x) for r, c, x in xs]) for xs in nonzero]
-    # the point goes to the internal basis once; no factor or tangent comes back from it
-    frame, lifted = gauss_ltu_lift(model.to_internal(wp.left_inv(chart.rep)), fields, chart.frame)
+    # the point goes to the internal basis in one reindex; no factor or tangent comes back from it
+    frame, lifted = gauss_ltu_lift(model.internal_left_inv(chart.spec.w.canonical, chart.rep), fields, chart.frame)
     # values[i]: z_{i+1} read back off the factors; tangents[i][k]: its derivative along
     # field k (order L-, L+, R-, R+ per term), each a Laurent value over the frame
     values, tangents = coordinate_jets(chart, lifted, len(fields))

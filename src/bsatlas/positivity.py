@@ -2,10 +2,11 @@
 
 Toric points are products of one-parameter chains at strictly positive
 rationals, built on integers as a scaled point (m, d): the matrix m/d with
-one denominator d > 0 (``GroupModel.scaled_chain``).  A flag minor of size
+one denominator d > 0 (``GroupModel.word_point``).  A flag minor of size
 k is read on m, one determinant per set of rows, where it is d^k times its
 value at the point, so its sign is the verdict, an exact comparison of
-ints.  The chart coordinates are read at the Fraction point m/d.
+ints.  The chart coordinates are read on (m, d), each a Fraction with a
+positive denominator, so signs and the least one are read on ints too.
 """
 
 from __future__ import annotations
@@ -68,32 +69,26 @@ class ToricChartSpec:
 
 
 def _toric_numerators(spec: ToricChartSpec, c):
-    """The toric point at c as a scaled point (m, d) of ints with d > 0.
+    """The toric point at c as a scaled point (m, d) of ints with d > 0; ints and Fractions are used as given.
 
     The plus-chain of the flag targets runs through the REVERSED v-word (it
     is a chain for v^{-1}); the G target uses both w0-words in plain order.
     """
     model = spec.model
-    rs = model.rs
     c = list(c)
     if any(isinstance(x, float) for x in c):
         raise TypeError("toric parameters must be exact (ints, Fractions or rational strings), not binary floats")
-    c = [Fraction(x) for x in c]
+    c = [x if type(x) in (int, Fraction) else Fraction(x) for x in c]
     if len(c) != spec.n_params():
         raise LengthMismatch(f"expected {spec.n_params()} parameters, got {len(c)}")
-    if any(x <= 0 for x in c):
+    if any(x.numerator <= 0 for x in c):
         raise NonPositiveInput("toric parameters must be strictly positive")
-    l0 = rs.l0
-    w1, w2 = spec.words
-    neg = [-i for i in w1]
+    l0, (w1, w2) = model.rs.l0, spec.words
+    k = l0 + len(w2)
     if spec.target == "G":
-        point = model.scaled_chain(None, neg + list(w2), c[: 2 * l0])
-        return model.scaled_torus(point, c[2 * l0 :])
-    lv = len(w2)
-    point = model.scaled_chain(None, neg + list(reversed(w2)), c[:l0] + list(reversed(c[l0 : l0 + lv])))
-    if spec.target == "GmodNv":
-        point = model.scaled_torus(point, c[l0 + lv :])
-    return point
+        return model.word_point([-i for i in w1] + list(w2), c[:k], c[k:])
+    torus = c[k:] if spec.target == "GmodNv" else None
+    return model.word_point([-i for i in w1] + list(w2[::-1]), c[:l0] + c[l0:k][::-1], torus)
 
 
 def toric_point(spec: ToricChartSpec, c) -> GroupElement:
@@ -143,11 +138,16 @@ def certify_chart_positivity(chart: Chart, spec: ToricChartSpec, n_samples, seed
     Per sample: (i) the point lies in the chart's shifted big cell and in
     every other shifted big cell (all flag minors D_{w omega, omega}
     positive, read on the integer numerators of the point); (ii) every
-    coordinate value is a strictly positive rational.
+    coordinate value is a strictly positive rational, read on its numerator.
+    A toric chart of another group's model is refused with ValueError
+    before any sample is drawn.
     """
     _require_samples(n_samples)
+    model = chart.spec.space.model
+    if spec.model is not model:
+        raise ValueError(f"toric chart of {spec.model.name} does not act on a chart of {model.name}")
     rng = random.Random(seed)
-    labels, read_flags = _flag_minors(chart.spec.space.model)
+    labels, read_flags = _flag_minors(model)
     violations = []
     min_seen = None
     per_sample = []
@@ -166,9 +166,9 @@ def certify_chart_positivity(chart: Chart, spec: ToricChartSpec, n_samples, seed
             per_sample.append({"sample": s, "params": [str(x) for x in c], "coords": None})
             continue
         for idx, val in enumerate(coords, start=1):
-            if val <= 0:
+            if val.numerator <= 0:
                 violations.append({"sample": s, "kind": "nonpositive", "coordinate": idx, "value": str(val)})
-            if min_seen is None or val < min_seen:
+            if min_seen is None or val.numerator * min_seen.denominator < min_seen.numerator * val.denominator:
                 min_seen = val
         per_sample.append(
             {"sample": s, "params": [str(x) for x in c], "coords": [str(v) for v in coords], "cell_ok": cell_ok}
@@ -213,7 +213,7 @@ def certify_minor_positivity(space, w, v1, alpha, n_samples, seed=0):
 def extract_negative_chain(model, m, word):
     """Exact chain parameters of m = x_{-a1}(c1) ... x_{-ak}(ck) (word reduced).
 
-    Peels letters from the right off a scaled point (m, d) (``GroupModel.scaled_chain``):
+    Peels letters from the right off a scaled point (m, d) (``GroupModel.word_point``):
     with w' the product of the first j letters, the flag minor
     D_{w' omega_a, omega_a} of (m/d) x_{-a}(-c) is affine in c and vanishes
     exactly at the true parameter.  Its values at c = 0 and c = 1 are read on
@@ -228,11 +228,11 @@ def extract_negative_chain(model, m, word):
         a = word[j - 1]
         rows, cols, _ = model.minor_indices(MinorSpec(rs.element_from_word(word[:j]), rs.identity, a))
         f0 = minor(point[0], rows, cols)
-        f1 = minor(model.scaled_chain(point, (-a,), (-1,))[0], rows, cols)
+        f1 = minor(model.word_point((-a,), (-1,), point=point)[0], rows, cols)
         if f1 == f0:
             raise ArithmeticError("degenerate peel: minor not affine in the parameter")
         out[j - 1] = Fraction(f0, f0 - f1)
-        point = model.scaled_chain(point, (-a,), (-out[j - 1],))
+        point = model.word_point((-a,), (-out[j - 1],), point=point)
     m, d = point
     if m != [[d * (i == j) for j in range(model.dim)] for i in range(model.dim)]:
         raise ArithmeticError("chain extraction did not exhaust the unipotent factor")

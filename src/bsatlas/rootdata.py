@@ -434,9 +434,11 @@ class RootSystem:
     # -- orders and the Demazure product --------------------------------------
 
     def bruhat_leq(self, y, w):
-        """Bruhat order via the subword property on one reduced word of w."""
+        """Bruhat order via the subword property on one reduced word of w; every y lies below w0."""
         if y.length() > w.length():
             return False
+        if w.length() == self.l0:
+            return True
         reachable = {self.identity.rho: self.identity}
         for i in w.canonical:
             si = self.simple(i)

@@ -9,7 +9,7 @@ from bsatlas.cgl import CGLPresentation, CGLReport, _support_range_ok, _zero_wei
 from bsatlas.errors import DimensionMismatch, LengthMismatch, NotInBigCell, ZeroTorusValue
 from bsatlas.groups import GroupElement, _signed
 from bsatlas.laurent import EXP_BITS, _coeff_quotient, _exact, laurent_shift, pack_exponent
-from bsatlas.linalg import _bareiss, _dot, _is_zero, laurent_lower_factor, laurent_lower_inverse, mat_mul, minor
+from bsatlas.linalg import _bareiss, _dot, _is_zero, laurent_lower_factor, laurent_lower_inverse, mat_mul, mat_transpose, minor
 from bsatlas.poisson import BracketTable, build_lambda
 from bsatlas.symbolic import _RF_ZERO, MultiPoly, RatFunc, VarName, _grlex_key, from_laurent
 
@@ -28,8 +28,26 @@ def exp_nilpotent(model, x, c):
 
 
 def coordinates_from_factors(chart, *factors):
-    """Coordinates of the point whose wbar^{-1} g has the normal form L * N * T = factors, as minors of formed factors."""
+    """Coordinates of the point whose wbar^{-1} g has the normal form L * N * T = factors in the model's internal
+    basis, as minors of formed factors."""
     return [_signed(minor(factors[f], rows, cols), sign) for f, rows, cols, sign in chart.minors]
+
+
+def bruhat_leq_by_interval(rs, y, w):
+    """Bruhat order by enumerating the lower interval of w: the subword property on one reduced word of w,
+    every element a subword reaches grown letter by letter, with no shortcut at w0."""
+    if y.length() > w.length():
+        return False
+    reachable = {rs.identity.rho: rs.identity}
+    for i in w.canonical:
+        si = rs.simple(i)
+        additions = {}
+        for el in reachable.values():
+            nxt = rs.multiply(el, si)
+            if nxt.length() > el.length() and nxt.rho not in reachable:
+                additions[nxt.rho] = nxt
+        reachable.update(additions)
+    return y.rho in reachable
 
 
 def identity(model):
@@ -58,6 +76,11 @@ def fraction_chain(model, letters, c):
 def wbar(model, word):
     """The representative of the element of a reduced ``word`` as a Fraction matrix, formed from its SignedPerm."""
     return GroupElement(model, model.signed_perm(word).right(identity(model).entries))
+
+
+def wbar_inverse_times(model, word, g):
+    """wbar^{-1} g for the element of a reduced ``word``, as the dense product wbar^T g (``wbar``)."""
+    return mat_mul(mat_transpose(wbar(model, word).entries), g)
 
 
 def sbar(model, i):
@@ -479,7 +502,7 @@ def matrix_product_representative(spec):
     l, dims = l0 + len(v_word), spec.space.dims()
     one = {0: 1}
     g1, g2, g3 = (model.mul_word(None, word, start, dims) for word, start in ((w0_word, 0), (w_word, k), (v_word, l0)))
-    x = laurent_mat_mul(g2, model.signed_perm(rs.w0.canonical).left_inv(g1))
+    x = laurent_mat_mul(g2, model.from_internal(model.internal_left_inv(rs.w0.canonical, g1)))
     lower_inv = model.from_internal(laurent_lower_inverse(laurent_lower_factor(model.to_internal(x), one), one))
     rep = model.signed_perm(v_word).right_inv(laurent_mat_mul(laurent_mat_mul(lower_inv, g2), g3))
     if spec.space.qkind == "Nv":
@@ -502,12 +525,10 @@ def undivided_coordinates(chart, g):
     """
     model = chart.spec.space.model
     frame, entries = (g.frame, g.rep) if isinstance(g, Chart) else (None, getattr(g, "entries", g))
-    h = model.to_internal(model.signed_perm(chart.spec.w.canonical).left_inv(entries))
-    ring, m, p, _ = _bareiss(h, frame)
-    pos = {r: i for i, r in enumerate(model._perm)}
+    ring, m, p, _ = _bareiss(model.internal_left_inv(chart.spec.w.canonical, entries), frame)
     out = []
     for f, rows, cols, sign in chart.minors:
-        rows, cols = [pos[r] for r in rows], [pos[k] for k in cols]
+        rows, cols = list(rows), list(cols)
         if f == 2:
             num, up, down = ring.one, [i + 1 for i in rows], rows
         else:

@@ -30,7 +30,7 @@ from bsatlas.positivity import ToricChartSpec, certify_chart_positivity
 from bsatlas.rootdata import build_root_system
 from bsatlas.symbolic import MultiPoly, RatFunc, VarName, var
 from oracles import coordinates_from_factors, ltu_reference, matrix_product_representative, mul_torus, packed, torus_element
-from oracles import fraction_chain, identity, one_param, product, sbar, undivided_coordinates, wbar
+from oracles import fraction_chain, identity, one_param, product, sbar, undivided_coordinates, wbar, wbar_inverse_times
 
 
 def zrf(i):
@@ -603,7 +603,7 @@ def _coordinates_by_factors(chart, g):
     With wbar^{-1} g = L*T*U in the internal basis, N = T U T^{-1}; an int entry is read as a Fraction.
     """
     m = chart.spec.space.model
-    h = m.signed_perm(chart.spec.w.canonical).left_inv(g.entries if isinstance(g, GroupElement) else g)
+    h = wbar_inverse_times(m, chart.spec.w.canonical, g.entries if isinstance(g, GroupElement) else g)
     try:
         lower, t, upper = ltu_reference(m.to_internal([[Fraction(x) if type(x) is int else x for x in row] for row in h]))
     except NotInBigCell as e:
@@ -611,7 +611,7 @@ def _coordinates_by_factors(chart, g):
     zero, n = t[0] * 0, len(t)
     upper = [[upper[i][j] * t[i] / t[j] if j > i else upper[i][j] for j in range(n)] for i in range(n)]
     tmat = [[t[i] if i == j else zero for j in range(n)] for i in range(n)]
-    return coordinates_from_factors(chart, *(m.from_internal(f) for f in (lower, upper, tmat)))
+    return coordinates_from_factors(chart, lower, upper, tmat)
 
 
 def _change_pairs():
@@ -641,7 +641,7 @@ def test_eval_coordinates_matches_formed_factors():
     for src, dst in pairs[::40]:
         g = [[x / (d + 1) if j == 0 else x for j, x in enumerate(row)] for row in src.param.entries]
         m = dst.spec.space.model
-        h = m.to_internal(m.signed_perm(dst.spec.w.canonical).left_inv(g))
+        h = m.internal_left_inv(dst.spec.w.canonical, g)
         entry = next(x for row in h for x in row if len(x.den.terms) > 1)
         with pytest.raises(NonPolynomialBracket, match=rf"^{re.escape(entry.text())} is not a Laurent polynomial"):
             eval_coordinates(dst, g)
@@ -755,7 +755,7 @@ def test_a_pivot_factor_that_divides_nothing_is_left_to_the_gcd(monkeypatch):
         return got
 
     monkeypatch.setattr(symbolic, "poly_gcd", recording)
-    lo, up = ltu_minors(a, [(0, [1], [0]), (1, [0], [1])])
+    lo, up = ltu_minors(a, [(0, [1], [0], 1), (1, [0], [1], 1)])
     monkeypatch.undo()
     assert (lo.text(), up.text()) == ("z2/(z2 + 1)", "(z2 + 1)/(z1*z2 + z1 + 1)")
     assert gcds == ["z1 + 1", "z1 + 1"]

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +18,7 @@ from bsatlas.positivity import ToricChartSpec, toric_point
 from bsatlas.rootdata import build_root_system
 from bsatlas.symbolic import MultiPoly, RatFunc, VarName, from_laurent, var
 from oracles import generic_element, ltu_reference, mul_torus, poly_derivative, torus_element
-from oracles import fraction_chain, identity, one_param, product, sbar, wbar
+from oracles import fraction_chain, identity, one_param, product, sbar, wbar, wbar_inverse_times
 
 
 def entry_matrix(m, symbol="a"):
@@ -39,7 +39,7 @@ def split_unipotent_by_v(m, n_el, v):
     n1 are the reference they must equal.
     """
     vp = m.signed_perm(v.canonical)
-    x = vp.right(vp.left_inv(n_el.entries))
+    x = vp.right(wbar_inverse_times(m, v.canonical, n_el.entries))
     # by the division elimination, since the entries of n need not be Laurent; with T = 1, N = U
     lo, t, up = ltu_reference(m.to_internal(x))
     if not all(_is_zero(d - 1) for d in t):
@@ -76,8 +76,8 @@ def test_one_param_sl2():
     assert [[e.text() for e in r] for r in one_param(m, 1, c).entries] == [["1", "c"], ["0", "1"]]
     assert [[e.text() for e in r] for r in one_param(m, -1, c).entries] == [["1", "0"], ["c", "1"]]
     # a ring-element parameter is c/1: the column update leaves d = 1
-    assert m.scaled_chain(None, (1,), (c,)) == ([[1, c], [0, 1]], 1)
-    assert m.scaled_chain(None, (-1,), (c,)) == ([[1, 0], [c, 1]], 1)
+    assert m.word_point((1,), (c,)) == ([[1, c], [0, 1]], 1)
+    assert m.word_point((-1,), (c,)) == ([[1, 0], [c, 1]], 1)
 
 
 def test_signed_perm_is_cached():
@@ -90,11 +90,11 @@ def test_signed_perm_is_cached():
             letters = [a for i in word for a in (i, -i, i)]
             assert wbar(m, word).entries == fraction_chain(m, letters, [-1, 1, -1] * len(word)).entries
             assert sp.right_inv(sp.right(g)) == g
-            assert sp.left_inv(g) == mat_mul(mat_transpose(wbar(m, word).entries), g)
+            assert m.internal_left_inv(word, g) == m.to_internal(mat_mul(mat_transpose(wbar(m, word).entries), g))
     with pytest.raises(AssertionError):
-        SignedPerm([[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]])
+        SignedPerm([[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]], (0, 1))
     with pytest.raises(AssertionError):
-        SignedPerm([[Fraction(0), Fraction(2)], [Fraction(1), Fraction(0)]])
+        SignedPerm([[Fraction(0), Fraction(2)], [Fraction(1), Fraction(0)]], (0, 1))
 
 
 def _dense_minor(m, g, u, v, alpha):
@@ -144,7 +144,7 @@ def test_column_update_matches_dense_product(data):
     )
     c = _entry(kind, data.draw, "c")
     dense = mat_mul(g.entries, one_param(m, i, c).entries)
-    got, d = m.scaled_chain((g.entries, 1), (i,), (c,))
+    got, d = m.word_point((i,), (c,), point=(g.entries, 1))
     assert all(_same_entry(x, d * y) for rx, ry in zip(got, dense) for x, y in zip(rx, ry))
     assert all(type(x).__name__ == kind for row in got for x in row)
 
@@ -570,7 +570,7 @@ def test_minor_tangents_match_eps_derivative_of_minor(case):
     want = [_eps_derivative([[minor(_perturbed(a, da), rows, cols)]])[0][0] for da in das]
     frame = laurent_frame(x for b in [a, *das] for row in b for x in row)
     la, *ldas = ([[to_laurent(x, frame) for x in row] for row in b] for b in [a, *das])
-    value, tangents = minor_tangents(la, _per_entry(ldas), rows, cols, len(ldas))
+    value, tangents = minor_tangents(la, _per_entry(ldas), rows, cols, len(ldas), 1)
     assert [from_laurent(d, frame) for d in tangents] == want
     assert from_laurent(value, frame) == minor(a, rows, cols)
 
@@ -734,10 +734,9 @@ def test_n_coordinates_are_minors_of_the_split_factor(series, rank, qkind, v, co
             for _ in range(2):
                 values = {z: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for z in src.zvars}
                 points.append([[x.evaluate(values) for x in row] for row in src.param.entries])
-        wp = m.signed_perm(dst.spec.w.canonical)
         for g in points:
             try:
-                _, nfull, _ = m.triangular_factor(wp.left_inv(g))
+                _, nfull, _ = m.triangular_factor(wbar_inverse_times(m, dst.spec.w.canonical, g))
             except NotInBigCell:
                 continue
             n1, _ = split_unipotent_by_v(m, GroupElement(m, nfull), v_el)
@@ -755,8 +754,7 @@ def _reference_coordinates(chart, g):
     t^{omega_i} as the product of the leading diagonal entries of T, from the factors of wbar^{-1} g.
     """
     m = chart.spec.space.model
-    wp = m.signed_perm(chart.spec.w.canonical)
-    lower, nfull, tdiag = m.triangular_factor(wp.left_inv(g))
+    lower, nfull, tdiag = m.triangular_factor(wbar_inverse_times(m, chart.spec.w.canonical, g))
     read = {
         "m": lambda spec: m.generalized_minor(lower, spec),
         "wmw": lambda spec: m.generalized_minor(_conjugate(wbar(m, chart.spec.w.canonical).entries, lower), spec),
@@ -771,29 +769,52 @@ def _reference_coordinates(chart, g):
 )
 def test_signed_minor_table_matches_conjugated_reference(series, rank, qkind, v):
     """On every chart, each coordinate read from the signed-minor table equals the conjugated
-    construction, in value and type, at a symbolic chart-change point and a rational point."""
+    construction, in value and type, at a symbolic chart-change point, a rational point and that point
+    scaled (m, d) with d > 1; and a point outside the chart's cell raises NotInChartDomain with the
+    reference's minor index in every form."""
     from bsatlas.atlas import SpaceSpec, enumerate_charts, eval_coordinates, parametrize
+    from bsatlas.errors import NotInChartDomain
+
+    def scaled(point):
+        # twice the lcm of the denominators, so d > 1 and m/d is not in lowest terms
+        d = 2 * lcm(*(x.denominator for row in point for x in row))
+        return [[int(x * d) for x in row] for row in point], d
+
+    def outside_index(chart, forms, at):
+        with pytest.raises(NotInBigCell) as want:
+            _reference_coordinates(chart, at)
+        for g in forms:
+            with pytest.raises(NotInChartDomain) as got:
+                eval_coordinates(chart, g)
+            assert got.value.minor_index == want.value.minor_index, chart.spec
+        return want.value.minor_index
 
     m = cached_model(series, rank)
     specs = enumerate_charts(SpaceSpec(m, qkind, m.rs.w0 if v == "w0" else m.rs.identity))
     charts = [parametrize(s) for s in specs]
     rng = random.Random(len(charts))
-    seen, checked = set(), 0
+    seen, checked, indices = set(), 0, set()
     for chart in charts:
         src = rng.choice(charts)
         values = {z: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for z in src.zvars}
-        for g in (src.param.entries, [[x.evaluate(values) for x in row] for row in src.param.entries]):
+        rational = [[x.evaluate(values) for x in row] for row in src.param.entries]
+        for g, at in ((src.param.entries, src.param.entries), (rational, rational), (scaled(rational), rational)):
             try:
-                want = _reference_coordinates(chart, g)
+                want = _reference_coordinates(chart, at)
             except NotInBigCell:
+                outside_index(chart, [g], at)
                 continue
             got = eval_coordinates(chart, g)
             assert [(type(x), x) for x in got] == [(type(x), x) for _, x in want], chart.spec
             seen.update(tag for tag, _ in want)
             checked += 1
+        # wbar^{-1} g = sbar_i has a vanishing leading minor
+        out = product(wbar(m, chart.spec.w.canonical), sbar(m, rng.randint(1, m.rs.rank))).entries
+        indices.add(outside_index(chart, ([[RatFunc.constant(x) for x in row] for row in out], out, scaled(out)), out))
     # a generic symbolic point lies in every chart
     assert checked >= len(charts)
     assert seen == ({"m", "wmw", "n", "t"} if qkind == "Nv" else {"m", "wmw"})
+    assert len(indices) > 1
 
 
 def test_generalized_minor_principal():

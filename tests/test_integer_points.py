@@ -95,7 +95,7 @@ def test_toric_point_refuses_floats_before_any_chain_work(monkeypatch):
     def no_chain(*args):
         raise AssertionError("chain built")
 
-    monkeypatch.setattr(m, "scaled_chain", no_chain)
+    monkeypatch.setattr(m, "word_point", no_chain)
     for c in ([0.5, 1, 1], [1, 1, 1e-3], (x for x in [Fraction(1), 2.0, 1])):
         with pytest.raises(TypeError, match="not binary floats"):
             toric_point(spec, c)
@@ -204,9 +204,8 @@ def test_toric_point_builder_over_ring_elements():
     rs = m.rs
     letters = [-i for i in rs.w0.canonical] + list(rs.w0.canonical)
     u = [var("u", i) for i in range(1, len(letters) + 3)]
-    chain = m.scaled_chain(None, letters, u[: len(letters)])
-    assert chain[1] == 1
-    mat, d = m.scaled_torus(chain, u[len(letters) :])
+    assert m.word_point(letters, u[: len(letters)])[1] == 1
+    mat, d = m.word_point(letters, u[: len(letters)], u[len(letters) :])
     assert len(d.num.terms) == 1 and d.den == 1
     want = mul_torus(m, fraction_chain(m, letters, u[: len(letters)]), u[len(letters) :]).entries
     assert all((x / d - y).is_zero() for row, wrow in zip(mat, want) for x, y in zip(row, wrow))
@@ -215,7 +214,6 @@ def test_toric_point_builder_over_ring_elements():
 
 def test_scaled_torus_refuses_zero_or_missing_values():
     m = cached_model("A", 2)
-    point = m.scaled_chain(None, [1, -2], [Fraction(1, 2), 3])
     for values in ([0, 1], [Fraction(1, 3)], [1, 2, 3], [RatFunc.zero(), 1]):
         with pytest.raises(ZeroTorusValue):
-            m.scaled_torus(point, values)
+            m.word_point([1, -2], [Fraction(1, 2), 3], values)

@@ -1,6 +1,9 @@
 """Toric charts, exact sampling, positivity certification."""
 
+import hashlib
+import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,6 +17,7 @@ from bsatlas.errors import (
 )
 from bsatlas import positivity
 from bsatlas.groups import MinorSpec, build_model, cached_model
+from bsatlas.leaves import t_leaf_classify
 from bsatlas.positivity import (
     ToricChartSpec,
     _flag_minors,
@@ -267,11 +271,53 @@ def test_toric_equivalence_fails_on_a_chain_with_a_negative_parameter(monkeypatc
     def negated_first(spec, c):
         l0 = spec.model.rs.l0
         letters = [-i for i in spec.words[0]] + list(spec.words[1])
-        point = spec.model.scaled_chain(None, letters, [-c[0]] + list(c[1 : 2 * l0]))
-        return spec.model.rational_point(spec.model.scaled_torus(point, c[2 * l0 :]))
+        return spec.model.rational_point(spec.model.word_point(letters, [-c[0]] + list(c[1 : 2 * l0]), c[2 * l0 :]))
 
     monkeypatch.setattr(positivity, "toric_point", negated_first)
     rep = certify_toric_equivalence(a, b, 3, seed=0)
     assert rep["ok"] is False
     assert [(v["sample"], v["coordinate"]) for v in rep["violations"]] == [(0, 3), (1, 3), (2, 3)]
     assert all(Fraction(v["value"]) < 0 for v in rep["violations"])
+
+
+# (charts, SHA-256) of the full ``certify_chart_positivity`` report of every chart at 3 samples (seed = chart index),
+# and on the G targets of rank 2 the torus-leaf labels at 10 seeded toric points, recorded before the scaled-point
+# builder and the int verdicts replaced the Fraction ones
+_POSITIVITY_DIGESTS = {
+    ("A", 1, "Nv", "G"): (2, "969b09ab63012987ba4382e7192f3ff7475c8521c43fe87c9f0ff7c2b6da0a30"),
+    ("A", 2, "Nv", "G"): (16, "b166ae2e86dd4cf9ad38cc0c5f2c13d2506e919ecfc144707a8fcac760400de0"),
+    ("A", 2, "Bv", "GmodBv"): (8, "0c9649a92fe74331f5fabd4ec48cd5f51b1249a8e0d77b3fe41956946776f1c9"),
+    ("C", 2, "Nv", "G"): (20, "63b3f193f499e99f7a915cb9912843d2cdd251af1b0b4d79aceca15059f47c6a"),
+}
+
+
+@pytest.mark.parametrize("series, rank, qkind, target", list(_POSITIVITY_DIGESTS))
+def test_positivity_reports_and_leaf_labels_are_pinned(series, rank, qkind, target):
+    m = cached_model(series, rank)
+    rs = m.rs
+    space = SpaceSpec(m, qkind, rs.w0 if qkind == "Nv" else rs.identity)
+    tspec = ToricChartSpec(m, target, (rs.w0.canonical, rs.w0.canonical if target == "G" else ()))
+    specs = enumerate_charts(space)
+    texts = [json.dumps(certify_chart_positivity(parametrize(s), tspec, 3, seed), sort_keys=True) for seed, s in enumerate(specs)]
+    if target == "G" and rank == 2:
+        rng = random.Random(11)
+        for _ in range(10):
+            c = [Fraction(rng.randint(1, 1000), rng.randint(1, 1000)) for _ in range(tspec.n_params())]
+            label = t_leaf_classify(space, toric_point(tspec, c))
+            texts.append(f"{label.w.canonical}|{label.y.canonical}")
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert (len(specs), digest) == _POSITIVITY_DIGESTS[(series, rank, qkind, target)]
+
+
+def test_chart_positivity_refuses_a_toric_chart_of_another_group(monkeypatch):
+    """A toric spec must act on the chart's own model.  Read in an SL(4)/B(e) chart, an Sp(4) point would give
+    false big-cell violations; read in an SL(3)/N(w0) chart, an SL(2) point has too few rows.  Both are refused
+    before a sample is drawn."""
+    monkeypatch.setattr(positivity, "_sample_positive", lambda rng, n: pytest.fail("a sample was drawn"))
+    cases = [(("A", 3, "Bv"), ("C", 2)), (("A", 2, "Nv"), ("A", 1))]
+    for (series, rank, qkind), (toric_series, toric_rank) in cases:
+        m, tm = cached_model(series, rank), cached_model(toric_series, toric_rank)
+        chart = parametrize(enumerate_charts(SpaceSpec(m, qkind, m.rs.w0 if qkind == "Nv" else m.rs.identity))[0])
+        tspec = ToricChartSpec(tm, "G", (tm.rs.w0.canonical, tm.rs.w0.canonical))
+        with pytest.raises(ValueError, match=re.escape(f"toric chart of {tm.name} does not act on a chart of {m.name}")):
+            certify_chart_positivity(chart, tspec, 3, seed=0)

@@ -8,6 +8,7 @@ import pytest
 
 from bsatlas.errors import UnsupportedSeries
 from bsatlas.rootdata import Weight, build_root_system
+from oracles import bruhat_leq_by_interval
 
 
 def _perm_mul(p, q):
@@ -227,6 +228,14 @@ def test_orders():
     assert rs.weak_leq(s1, s12)
     assert not rs.weak_leq(s2, s12)
     assert rs.bruhat_leq(s2, s12)
+
+
+@pytest.mark.parametrize("series, rank", [("A", 1), ("A", 2), ("A", 3), ("C", 2)], ids=["A1", "A2", "A3", "C2"])
+def test_bruhat_leq_matches_the_lower_interval(series, rank):
+    rs = build_root_system(series, rank)
+    elements = rs.all_elements()
+    for y, w in itertools.product(elements, repeat=2):
+        assert rs.bruhat_leq(y, w) == bruhat_leq_by_interval(rs, y, w), (y, w)
 
 
 def test_star_product():
