@@ -30,7 +30,7 @@ for tag, payload in chart.coord_formulas:
     print(f"   {tag}: {payload if tag == 't' else payload.label()}")
 
 # Round trip: extracting coordinates from the representative returns z1..z8.
-coords = eval_coordinates(chart, chart.param)
+coords = eval_coordinates(chart, chart.param.entries)
 print("\nround trip:", [c.text() for c in coords])
 
 # Changes of coordinates between charts are explicit birational maps.

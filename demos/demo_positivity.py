@@ -23,10 +23,10 @@ rs = model.rs
 
 # A toric chart on the group: two reduced words of w0 plus torus values.
 tspec = ToricChartSpec(model, "G", ((1, 2, 1), (2, 1, 2)))
-point = toric_point(tspec, [Fraction(1)] * 8)
+m, d = toric_point(tspec, [Fraction(1)] * 8)
 print("totally positive point at all-ones parameters:")
-for row in point.entries:
-    print("  ", [str(x) for x in row])
+for row in m:
+    print("  ", [str(Fraction(x, d)) for x in row])
 
 # The chart inversion is exact; parameters come back on the nose.
 c = [Fraction(p, q) for p, q in [(2, 3), (1, 2), (5, 4), (1, 3), (3, 2), (2, 5), (7, 6), (1, 4)]]

@@ -35,7 +35,7 @@ for _ in range(6):
         i = rng.randint(1, 2)
         letters.append(i if rng.random() < 0.5 else -i)
         params.append(Fraction(rng.randint(-5, 5), rng.randint(1, 5)))
-    lbl = t_leaf_classify(space, model.rational_point(model.word_point(letters, params)))
+    lbl = t_leaf_classify(space, model.word_point(letters, params))
     wn = ".".join(f"s{i}" for i in lbl.w.canonical) or "e"
     yn = ".".join(f"s{i}" for i in lbl.y.canonical) or "e"
     print(f"   w = {wn:10s} y = {yn}")
@@ -74,6 +74,6 @@ rep_at = lambda pt: [
     [f.substitute({VarName("z", i): pt[i] for i in pt}) for f in row]
     for row in chart.param.entries
 ]
-lbl0 = t_leaf_classify(space, rep_at(start))
-lbl1 = t_leaf_classify(space, rep_at(formal))
+lbl0 = t_leaf_classify(space, (rep_at(start), 1))
+lbl1 = t_leaf_classify(space, (rep_at(formal), 1))
 print("leaf label preserved along the flow:", lbl0 == lbl1)

@@ -285,9 +285,10 @@ def eval_coordinates(chart: Chart, g):
     """Coordinates of a point g of the shifted big cell, as RatFuncs or Fractions.
 
     g is a Chart, read at its stored Laurent representative; a scaled point
-    (m, d) of an int matrix m and an int d, the point m/d (``GroupModel.word_point``),
-    read on its ints; or a GroupElement or a list of rows, of Fractions or of
-    RatFuncs whose denominators are monomials (any other raises
+    (m, d), the point m/d (``GroupModel.word_point``), read on its ints when m
+    and d are ints and else over the frame of its entries, symbolic ones
+    included; or a list of rows, of Fractions or of RatFuncs.  Every
+    denominator met off the ints must be a monomial (any other raises
     NonPolynomialBracket).  wbar^{-1} g goes into the model's internal basis
     in one reindex, where ``Chart.minors`` reads every coordinate as one
     signed quotient from one fraction-free elimination
@@ -297,12 +298,11 @@ def eval_coordinates(chart: Chart, g):
     """
     model = chart.spec.space.model
     frame = den = None
+    entries = g
     if isinstance(g, Chart):
         frame, entries = g.frame, g.rep
     elif isinstance(g, tuple):
         entries, den = g
-    else:
-        entries = g.entries if isinstance(g, GroupElement) else g
     try:
         return ltu_minors(model.internal_left_inv(chart.spec.w.canonical, entries), chart.minors, frame, den)
     except NotInBigCell as e:

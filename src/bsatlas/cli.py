@@ -332,7 +332,7 @@ def cmd_tleaf(args):
             raise ValueError("--point has an entry with a zero denominator") from None
         if not GroupElement(model, mat).satisfies_group_constraint():
             raise ValueError(f"--point is not an element of {model.name}")
-        lbl = t_leaf_classify(space, mat)
+        lbl = t_leaf_classify(space, (mat, 1))
         labels.append((None, lbl))
     else:
         rng = random.Random(args.seed)
@@ -362,7 +362,7 @@ def cmd_tleaf(args):
 
 
 def _random_element(model, rng):
-    """Random exact-rational group element spread across Bruhat cells, built on integers (``GroupModel.word_point``)."""
+    """Random exact-rational group element spread across Bruhat cells, as the scaled point of ``GroupModel.word_point``."""
     rs = model.rs
     letters, params = [], []
     for _ in range(rng.randint(1, 2 * rs.l0)):
@@ -372,7 +372,7 @@ def _random_element(model, rng):
         if rng.random() < 0.3:
             letters.append((i,))
     vals = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(rs.rank)]
-    return model.rational_point(model.word_point(letters, params, vals))
+    return model.word_point(letters, params, vals)
 
 
 def cmd_repro(args):

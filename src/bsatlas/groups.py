@@ -308,11 +308,6 @@ class GroupModel:
         scale = [prod(a ** (lo + k) * b ** (u - k) for (a, b), k, u, lo in zip(parts, kp, up, low)) for kp in ks]
         return [[x * s for x, s in zip(row, scale)] for row in m], d * scale[-1]
 
-    def rational_point(self, point):
-        """The Fraction group element m/d of a scaled point (m, d) of ints."""
-        m, d = point
-        return GroupElement(self, [[Fraction(x, d) for x in row] for row in m])
-
     def mul_word(self, g, word, start, width):
         """g x_{a1}(z) sbar_{a1} ... x_{ak}(z) sbar_{ak} for g of Laurent values over a frame of ``width`` slots.
 
@@ -384,10 +379,9 @@ class GroupModel:
         return up.rows[:k], vp.rows[:k], up._prefix_signs[k] * vp._prefix_signs[k]
 
     def generalized_minor(self, g, spec: MinorSpec):
-        """Delta_{u omega_a, v omega_a}(g) = Delta^{omega_a}(ubar^{-1} g vbar), a signed minor of g."""
-        entries = g.entries if isinstance(g, GroupElement) else g
+        """Delta_{u omega_a, v omega_a}(g) = Delta^{omega_a}(ubar^{-1} g vbar), a signed minor of the matrix g."""
         rows, cols, sign = self.minor_indices(spec)
-        return _signed(minor(entries, rows, cols), sign)
+        return _signed(minor(g, rows, cols), sign)
 
 
 def _num_den(c):

@@ -8,12 +8,9 @@ order against the Demazure product) is asserted on every classification.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from math import gcd
 
 from .errors import SingularInput
-from .groups import GroupElement
-from .linalg import _rational_column
 
 
 # A leaf label: the pair (w, y), with y <= w * v.
@@ -27,17 +24,17 @@ def pivot_permutation_upper(mat):
     right multiplication adds earlier columns to later ones and scales
     columns; neither moves a matrix out of its cell B sigma B.  The invariant
     pivot of each column is its bottom-most surviving nonzero row.  Each step
-    stays fraction-free: a rational row is first cleared to ints by the lcm
-    of its denominators, a row above the pivot becomes piv * row - f * (pivot
-    row), a scaling by piv times a row addition, and an int row is then
-    divided by its content; other rings, such as RatFunc, skip both.  The
-    pivot is then the only nonzero entry of its column, so clearing the rest
-    of the pivot row by column additions only zeroes those entries.  Every
-    step is invertible, so a column with no nonzero entry left means mat is
-    singular: SingularInput.
+    stays fraction-free: a row above the pivot becomes piv * row - f * (pivot
+    row), a scaling by piv times a row addition.  On an int matrix every
+    row, as given and as eliminated, is divided by its content
+    (``_primitive``); other rings, such as Fraction or RatFunc, skip that.
+    The pivot is then the only nonzero entry of its column, so clearing the
+    rest of the pivot row by column additions only zeroes those entries.
+    Every step is invertible, so a column with no nonzero entry left means
+    mat is singular: SingularInput.
     """
-    rational = all(type(x) in (int, Fraction) for row in mat for x in row)
-    m = [_rational_column(row)[0] if rational else list(row) for row in mat]
+    ints = all(type(x) is int for row in mat for x in row)
+    m = [_primitive(list(row)) if ints else list(row) for row in mat]
     n = len(m)
     sigma = [0] * (n + 1)
     for j in range(n):
@@ -50,10 +47,15 @@ def pivot_permutation_upper(mat):
             f = m[r][j]
             if f != 0:
                 row = [piv * x - f * y for x, y in zip(m[r], ri)]
-                g = gcd(*row) if rational else 1
-                m[r] = [x // g for x in row] if g > 1 else row
+                m[r] = _primitive(row) if ints else row
         m[i] = ri[: j + 1] + [ri[j] * 0] * (n - j - 1)
     return tuple(sigma[1:])
+
+
+def _primitive(row):
+    """An int row divided by its content, the gcd of its entries, which keeps the elimination's ints short."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def _element_from_pattern(model, sigma):
@@ -88,14 +90,15 @@ def _pattern_of(model, el):
     return tuple(p.index(rows[p[j]]) + 1 for j in range(model.dim))
 
 
-def t_leaf_classify(space, g) -> TLeafLabel:
-    """Leaf label of an exact group element (or coset representative); a singular one raises SingularInput.
+def t_leaf_classify(space, point) -> TLeafLabel:
+    """Leaf label of a scaled point (m, d), the group element (or coset representative) m/d in any ring.
 
-    Pivot patterns are read in the model's internal basis order, where the
-    Borel pair is genuinely triangular (this matters for Sp(4)).
+    Both pivot patterns are read on m, since the scalar d does not move m/d
+    out of its cell B sigma B; a singular m raises SingularInput.  They are
+    read in the model's internal basis order, where the Borel pair is
+    genuinely triangular (this matters for Sp(4)).
     """
-    model = space.model
-    mat = g.entries if isinstance(g, GroupElement) else g
+    model, mat = space.model, point[0]
     rs = model.rs
     sigma_w = pivot_permutation_upper(model.to_internal(mat))
     w = _element_from_pattern(model, sigma_w)

@@ -11,13 +11,14 @@ and Bareiss elimination runs on the numerators with exact divisions only,
 so every intermediate entry is a minor of the input.  One elimination reads
 three inputs (``_ring_of``).  A chart's representative is stored as Laurent
 values over the chart's frame, each monomial one packed int key (``laurent``),
-and goes in as it is, with c_j = 1.  A numeric point becomes ints, each column over the
-lcm of its denominators, or over d for a scaled point m/d.  A RatFunc matrix
-is converted once, as a front end, to Laurent values over the frame of its
-entries (c_j = 1); a denominator that is not a monomial raises
-NonPolynomialBracket, naming the entry.  With
-p_k the leading principal minors of the numerators and M the entries before
-their elimination step, each factor entry is one quotient of two such minors:
+and goes in as it is, with c_j = 1.  A scaled point m/d of ints goes in as
+it is, each column over d, and Fraction rows as ints over the lcm of each
+column's denominators.  Any other matrix is converted once, as a front end,
+to Laurent values over the frame of its entries (c_j = 1, or c_j = d over
+the same frame for a scaled point); a denominator that is not a monomial
+raises NonPolynomialBracket, naming the entry.  With p_k the leading
+principal minors of the numerators and M the entries before their
+elimination step, each factor entry is one quotient of two such minors:
 L_ik = M_ik/p_{k+1}, N_kj = M_kj p_j/(p_k p_{j+1}), T_k = p_{k+1}/(p_k c_k).
 ``ltu_minors`` reads any minor of a factor as one quotient straight from the
 pass, so a chart's coordinates need no factor.  On Laurent values a quotient
@@ -173,7 +174,7 @@ def ltu_minors(a, minors, frame=None, den=None):
     """sign * det F[rows, cols] for each (f, rows, cols, sign) of minors, F = gauss_ltu(a)[f], off one pass.
 
     a is read as ``_ring_of`` reads it: Laurent values over ``frame``, the
-    scaled point a/den of an int matrix a, or Fraction or RatFunc entries.
+    scaled point a/den in any ring, or Fraction or RatFunc entries.
     Each Laurent pivot is split once, p_k = z^e_k q_k (``_pivot_split``), for
     the divisions of ``_factor_minor``.
     """
@@ -219,20 +220,22 @@ def _ring_of(a, frame=None, den=None):
     """(ring, columns): the ring of one elimination of a, and each column j of a as (numerators, c_j) in it.
 
     With ``frame``, the entries are Laurent values over it and stay as they
-    are (c_j = 1).  Else an int matrix a with ``den`` is the scaled point
-    a/den, each column over den, and other int and Fraction entries are ints
-    over the lcm c_j of each column's denominators.  Any other entries are
-    RatFuncs whose denominators are monomials, converted once to Laurent
-    values over the frame of the entries (``laurent_matrix``, c_j = 1).
+    are (c_j = 1).  Else an int matrix a with an int ``den`` is the scaled
+    point a/den, each column over den, and without ``den``, int and Fraction
+    entries are ints over the lcm c_j of each column's denominators.  Any
+    other entries coerce to RatFuncs whose denominators are monomials, read
+    once as Laurent values over the frame of the entries (``laurent_matrix``),
+    with c_j = 1, or c_j = den over the same frame for a scaled point.
     laurent_divide is looked up per call, so a test can replace it.
     """
-    one = {0: 1}
+    one = c = {0: 1}
     if frame is None:
-        if den is not None:
+        if type(den) is int and all(type(x) is int for row in a for x in row):
             return _RATIONALS, [(list(col), den) for col in zip(*a)]
-        if all(type(x) in (int, Fraction) for row in a for x in row):
+        if den is None and all(type(x) in (int, Fraction) for row in a for x in row):
             return _RATIONALS, [_rational_column(col) for col in zip(*a)]
-        frame, a = laurent_matrix(a)
+        frame, a = laurent_matrix(a if den is None else [*a, [den]])
+        c = one if den is None else a.pop()[0]
     ring = _Ring(
         {},
         one,
@@ -243,7 +246,7 @@ def _ring_of(a, frame=None, den=None):
         lambda num, d, coprime=False: from_laurent(num, frame, d, coprime),
         frame,
     )
-    return ring, [(list(col), one) for col in zip(*a)]
+    return ring, [(list(col), c) for col in zip(*a)]
 
 
 def laurent_matrix(a):

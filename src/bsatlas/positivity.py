@@ -1,12 +1,12 @@
 """Lusztig positive structures: toric charts, exact sampling, certification.
 
 Toric points are products of one-parameter chains at strictly positive
-rationals, built on integers as a scaled point (m, d): the matrix m/d with
-one denominator d > 0 (``GroupModel.word_point``).  A flag minor of size
-k is read on m, one determinant per set of rows, where it is d^k times its
-value at the point, so its sign is the verdict, an exact comparison of
-ints.  The chart coordinates are read on (m, d), each a Fraction with a
-positive denominator, so signs and the least one are read on ints too.
+rationals, built and read on integers as a scaled point (m, d): the matrix
+m/d with one denominator d > 0 (``GroupModel.word_point``).  A flag minor of
+size k is read on m, where it is d^k times its value at the point, so its
+sign is the verdict, an exact comparison of ints.  The chart coordinates
+are read on (m, d), each a Fraction with a positive denominator, so signs
+and the least one are read on ints too.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import (
     NonPositiveInput,
     NotInChartDomain,
 )
-from .groups import GroupElement, MinorSpec
+from .groups import MinorSpec
 from .linalg import mat_transpose, minor
 
 
@@ -68,11 +68,13 @@ class ToricChartSpec:
         return f"ToricChartSpec({self.target}, {self.words})"
 
 
-def _toric_numerators(spec: ToricChartSpec, c):
-    """The toric point at c as a scaled point (m, d) of ints with d > 0; ints and Fractions are used as given.
+def toric_point(spec: ToricChartSpec, c):
+    """The representative at a strictly positive exact parameter vector, as a scaled point (m, d) of ints, d > 0.
 
-    The plus-chain of the flag targets runs through the REVERSED v-word (it
-    is a chain for v^{-1}); the G target uses both w0-words in plain order.
+    Ints and Fractions are used as given; binary floats are refused, since
+    an exact verdict takes exact parameters.  The plus-chain of the flag
+    targets runs through the REVERSED v-word (it is a chain for v^{-1}); the
+    G target uses both w0-words in plain order.
     """
     model = spec.model
     c = list(c)
@@ -89,14 +91,6 @@ def _toric_numerators(spec: ToricChartSpec, c):
         return model.word_point([-i for i in w1] + list(w2), c[:k], c[k:])
     torus = c[k:] if spec.target == "GmodNv" else None
     return model.word_point([-i for i in w1] + list(w2[::-1]), c[:l0] + c[l0:k][::-1], torus)
-
-
-def toric_point(spec: ToricChartSpec, c) -> GroupElement:
-    """The representative at a strictly positive exact parameter vector, as Fractions.
-
-    Binary floats are refused: an exact verdict takes exact parameters.
-    """
-    return spec.model.rational_point(_toric_numerators(spec, c))
 
 
 def _require_samples(n_samples):
@@ -153,7 +147,7 @@ def certify_chart_positivity(chart: Chart, spec: ToricChartSpec, n_samples, seed
     per_sample = []
     for s in range(n_samples):
         c = _sample_positive(rng, spec.n_params())
-        nums, d = _toric_numerators(spec, c)
+        nums, d = toric_point(spec, c)
         cell_ok = True
         for (w, alpha), value in zip(labels, read_flags(nums)):
             if value <= 0:
@@ -202,7 +196,7 @@ def certify_minor_positivity(space, w, v1, alpha, n_samples, seed=0):
     violations = []
     values = []
     for s in range(n_samples):
-        m, d = _toric_numerators(spec, _sample_positive(rng, spec.n_params()))
+        m, d = toric_point(spec, _sample_positive(rng, spec.n_params()))
         val = Fraction(model.generalized_minor(m, ms), d**alpha)
         values.append(str(val))
         if val <= 0:
@@ -210,10 +204,10 @@ def certify_minor_positivity(space, w, v1, alpha, n_samples, seed=0):
     return {"minor": ms.label(), "n_samples": n_samples, "ok": not violations, "violations": violations, "values": values}
 
 
-def extract_negative_chain(model, m, word):
-    """Exact chain parameters of m = x_{-a1}(c1) ... x_{-ak}(ck) (word reduced).
+def extract_negative_chain(model, point, word):
+    """Exact chain parameters of the scaled point (m, d) = x_{-a1}(c1) ... x_{-ak}(ck) (word reduced).
 
-    Peels letters from the right off a scaled point (m, d) (``GroupModel.word_point``):
+    Peels letters from the right off (m, d) (``GroupModel.word_point``):
     with w' the product of the first j letters, the flag minor
     D_{w' omega_a, omega_a} of (m/d) x_{-a}(-c) is affine in c and vanishes
     exactly at the true parameter.  Its values at c = 0 and c = 1 are read on
@@ -222,7 +216,6 @@ def extract_negative_chain(model, m, word):
     rs = model.rs
     word = tuple(word)
     rs.assert_reduced(word)
-    point = (m.entries if isinstance(m, GroupElement) else m, 1)
     out = [None] * len(word)
     for j in range(len(word), 0, -1):
         a = word[j - 1]
@@ -239,14 +232,15 @@ def extract_negative_chain(model, m, word):
     return out
 
 
-def extract_positive_chain(model, n, word):
-    """Chain parameters of n = x_{a1}(c1) ... x_{ak}(ck) via transpose."""
-    nt = mat_transpose(n.entries if isinstance(n, GroupElement) else n)
-    return list(reversed(extract_negative_chain(model, nt, tuple(reversed(word)))))
+def extract_positive_chain(model, point, word):
+    """Chain parameters of the scaled point (n, d) = x_{a1}(c1) ... x_{ak}(ck) via transpose."""
+    n, d = point
+    return list(reversed(extract_negative_chain(model, (mat_transpose(n), d), tuple(reversed(word)))))
 
 
 def toric_coordinates(spec: ToricChartSpec, point) -> list:
-    """Invert a toric chart at an exact point of its image.
+    """Invert a toric chart at an exact scaled point (m, d) of its image: m and m/d have the same unipotent
+    factors, and a torus minor Delta^{omega_i} read on m is d^i times its value at the point.
 
     Supported: target 'G' for any pair of w0-words, and the flag targets for
     v = e or v = w0.  For intermediate v the plus-chain leaves the subgroup
@@ -255,12 +249,12 @@ def toric_coordinates(spec: ToricChartSpec, point) -> list:
     """
     model = spec.model
     rs = model.rs
-    entries = point.entries if isinstance(point, GroupElement) else point
-    lower, plus, tdiag = model.triangular_factor(entries)
-    c1 = extract_negative_chain(model, lower, spec.words[0])
-    torus = [model.generalized_minor(tdiag, MinorSpec(rs.identity, rs.identity, i)) for i in range(1, rs.rank + 1)]
+    m, d = point
+    lower, plus, tdiag = model.triangular_factor(m)
+    c1 = extract_negative_chain(model, (lower, 1), spec.words[0])
+    torus = [model.generalized_minor(tdiag, MinorSpec(rs.identity, rs.identity, i)) / d**i for i in range(1, rs.rank + 1)]
     if spec.target == "G":
-        return c1 + extract_positive_chain(model, plus, spec.words[1]) + torus
+        return c1 + extract_positive_chain(model, (plus, 1), spec.words[1]) + torus
     v = spec.v_element()
     if not (v.is_identity() or v == rs.w0):
         raise HypothesisViolated(
@@ -268,7 +262,7 @@ def toric_coordinates(spec: ToricChartSpec, point) -> list:
         )
     c2 = []
     if v == rs.w0:
-        c2 = list(reversed(extract_positive_chain(model, plus, tuple(reversed(spec.words[1])))))
+        c2 = list(reversed(extract_positive_chain(model, (plus, 1), tuple(reversed(spec.words[1])))))
     if spec.target == "GmodBv":
         return c1 + c2
     return c1 + c2 + torus

@@ -207,7 +207,7 @@ def test_criterion_7_t_weights():
                 n += 1
                 tv = [Fraction(rng.randint(1, 50), rng.randint(1, 50)) for _ in range(2)]
                 t = torus_element(space.model, tv)
-                shifted = eval_coordinates(chart, product(t, chart.param))
+                shifted = eval_coordinates(chart, product(t, chart.param).entries)
                 for j, (val, wt) in enumerate(zip(shifted, weights), start=1):
                     scale = Fraction(1)
                     for i, c in enumerate(wt.coeffs):
@@ -258,7 +258,7 @@ def test_criterion_8_t_leaf_stratification():
     bad = []
     for s in range(200):
         mat = random_point()
-        lbl = t_leaf_classify(space, mat)
+        lbl = t_leaf_classify(space, (mat, 1))
         if not rs.bruhat_leq(lbl.y, rs.star_product(lbl.w, rs.w0)):
             bad.append((s, "admissibility"))
             continue
@@ -330,14 +330,14 @@ def test_criterion_10_roundtrip_and_representative_independence():
         for spec in specs:
             n_charts += 1
             chart = parametrize(spec)
-            coords = eval_coordinates(chart, chart.param)
+            coords = eval_coordinates(chart, chart.param.entries)
             if not all((RatFunc.coerce(c) - _zrf(i + 1)).is_zero() for i, c in enumerate(coords)):
                 bad.append(("roundtrip", spec.label()))
     mc = cached_model("C", 2)
     spacec = SpaceSpec(mc, "Nv", mc.rs.w0)
     chartc = parametrize(ChartSpec(spacec, mc.rs.identity, ((1, 2, 1, 2), (), (2, 1, 2, 1))))
     n_charts += 1
-    coords = eval_coordinates(chartc, chartc.param)
+    coords = eval_coordinates(chartc, chartc.param.entries)
     if not all((RatFunc.coerce(c) - _zrf(i + 1)).is_zero() for i, c in enumerate(coords)):
         bad.append(("roundtrip", "sp4"))
     # representative independence: multiply by symbolic Q-valued elements
@@ -346,7 +346,7 @@ def test_criterion_10_roundtrip_and_representative_independence():
     chart = parametrize(enumerate_charts(spb)[0])
     q = product(fraction_chain(m2, (1, 2), (var("u", 1), var("u", 2))), torus_element(m2, [var("u", 3), var("u", 4)]))
     moved = product(chart.param, q)
-    got = eval_coordinates(chart, moved)
+    got = eval_coordinates(chart, moved.entries)
     if not all((RatFunc.coerce(c) - _zrf(i + 1)).is_zero() for i, c in enumerate(got)):
         bad.append(("representative-independence", "Bv"))
     spn = SpaceSpec(m2, "Nv", m2.rs.element_from_word((1,)))
@@ -356,7 +356,7 @@ def test_criterion_10_roundtrip_and_representative_independence():
     qn = exp_nilpotent(m2, m2.pos_root_vectors[m2.rs.simple_root(2)][0], var("u", 5))
     beta = m2.rs.simple_root(1) + m2.rs.simple_root(2)
     qn = product(qn, exp_nilpotent(m2, m2.pos_root_vectors[beta][0], var("u", 6)))
-    got = eval_coordinates(chartn, product(chartn.param, qn))
+    got = eval_coordinates(chartn, product(chartn.param, qn).entries)
     if not all((RatFunc.coerce(c) - _zrf(i + 1)).is_zero() for i, c in enumerate(got)):
         bad.append(("representative-independence", "Nv"))
     report(10, not bad, f"round trips on {n_charts} charts; representative independence on Bv and Nv {bad or ''}")

@@ -206,10 +206,10 @@ def test_coordinates_make_no_matrix_product(series, rank, vword, monkeypatch):
         if real is not None:
             monkeypatch.setattr(module, "mat_mul", lambda a, b, real=real: calls.append(1) or real(a, b))
     for chart in charts:
-        got = eval_coordinates(chart, chart.param)
+        got = eval_coordinates(chart, chart.param.entries)
         assert all((c - RatFunc.from_poly(MultiPoly.variable(z))).is_zero() for c, z in zip(got, chart.zvars))
         for u in rs.all_elements():
-            m.generalized_minor(chart.param, MinorSpec(u, rs.w0, rank))
+            m.generalized_minor(chart.param.entries, MinorSpec(u, rs.w0, rank))
     assert calls == []
 
 
@@ -237,7 +237,7 @@ def test_round_trip_all_charts(series, rank, qkind, vname):
     space = SpaceSpec(m, qkind, v)
     for spec in enumerate_charts(space):
         chart = parametrize(spec)
-        assert is_identity_coords(chart, eval_coordinates(chart, chart.param)), spec.label()
+        assert is_identity_coords(chart, eval_coordinates(chart, chart.param.entries)), spec.label()
 
 
 def _ratfunc_param(spec):
@@ -444,7 +444,7 @@ def test_round_trip_intermediate_v():
     charts = enumerate_charts(space)
     for spec in charts[:6]:
         chart = parametrize(spec)
-        assert is_identity_coords(chart, eval_coordinates(chart, chart.param))
+        assert is_identity_coords(chart, eval_coordinates(chart, chart.param.entries))
 
 
 def test_round_trip_sl4_and_sp4_samples():
@@ -453,11 +453,11 @@ def test_round_trip_sl4_and_sp4_samples():
     for r in (((3, 2, 1, 3, 2, 3), (), ()), ((), (1, 3, 2, 3, 1, 2), ())):
         w = m.rs.identity if r[1] == () else m.rs.element_from_word(r[1])
         chart = parametrize(ChartSpec(space, w, r))
-        assert is_identity_coords(chart, eval_coordinates(chart, chart.param))
+        assert is_identity_coords(chart, eval_coordinates(chart, chart.param.entries))
     mc = cached_model("C", 2)
     spacec = SpaceSpec(mc, "Nv", mc.rs.w0)
     chart = parametrize(ChartSpec(spacec, mc.rs.identity, ((1, 2, 1, 2), (), (2, 1, 2, 1))))
-    assert is_identity_coords(chart, eval_coordinates(chart, chart.param))
+    assert is_identity_coords(chart, eval_coordinates(chart, chart.param.entries))
 
 
 def test_eval_coordinates_sl3_printed_formulas():
@@ -533,7 +533,7 @@ def test_torus_equivariance_random():
         for _ in range(3):
             tv = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(2)]
             t = torus_element(m, tv)
-            shifted = eval_coordinates(chart, product(t, chart.param))
+            shifted = eval_coordinates(chart, product(t, chart.param).entries)
             for j, (val, wt) in enumerate(zip(shifted, weights), start=1):
                 scale = Fraction(1)
                 for i, c in enumerate(wt.coeffs):
@@ -546,7 +546,7 @@ def test_representative_independence():
     rs = m.rs
     space = SpaceSpec(m, "Nv", rs.w0)
     chart = parametrize(enumerate_charts(space)[5])
-    coords = eval_coordinates(chart, chart.param)
+    coords = eval_coordinates(chart, chart.param.entries)
     # right-multiplying the representative by N(v)=e for v=w0 is trivial; use
     # the Bv space for a real test
     spaceb = SpaceSpec(m, "Bv", rs.identity)
@@ -554,7 +554,7 @@ def test_representative_independence():
     u1, u2 = var("u", 1), var("u", 2)
     q = product(fraction_chain(m, (1, 2), (u1, u2)), torus_element(m, [var("u", 3), var("u", 4)]))
     moved = product(chartb.param, q)
-    got = eval_coordinates(chartb, moved)
+    got = eval_coordinates(chartb, moved.entries)
     assert is_identity_coords(chartb, got)
 
 
@@ -594,7 +594,7 @@ def test_sl4_group_chart_round_trips():
         ChartSpec(space, rs.w0, ((), w0w, w0w)),
     ):
         chart = parametrize(spec)
-        assert is_identity_coords(chart, eval_coordinates(chart, chart.param))
+        assert is_identity_coords(chart, eval_coordinates(chart, chart.param.entries))
 
 
 def _coordinates_by_factors(chart, g):
@@ -603,7 +603,7 @@ def _coordinates_by_factors(chart, g):
     With wbar^{-1} g = L*T*U in the internal basis, N = T U T^{-1}; an int entry is read as a Fraction.
     """
     m = chart.spec.space.model
-    h = wbar_inverse_times(m, chart.spec.w.canonical, g.entries if isinstance(g, GroupElement) else g)
+    h = wbar_inverse_times(m, chart.spec.w.canonical, g)
     try:
         lower, t, upper = ltu_reference(m.to_internal([[Fraction(x) if type(x) is int else x for x in row] for row in h]))
     except NotInBigCell as e:
@@ -632,8 +632,8 @@ def test_eval_coordinates_matches_formed_factors():
     text and at a rational point; a point whose column denominator is not a monomial is refused, naming the entry."""
     d, pairs = var("d"), _change_pairs()
     for src, dst in pairs:
-        got = eval_coordinates(dst, src.param)
-        assert [f.text() for f in got] == [f.text() for f in _coordinates_by_factors(dst, src.param)], dst
+        got = eval_coordinates(dst, src.param.entries)
+        assert [f.text() for f in got] == [f.text() for f in _coordinates_by_factors(dst, src.param.entries)], dst
         point = {z: Fraction(k + 2, 2 * k + 3) for k, z in enumerate(src.zvars)}
         numeric = [[x.evaluate(point) for x in row] for row in src.param.entries]
         got = eval_coordinates(dst, numeric)
@@ -645,6 +645,23 @@ def test_eval_coordinates_matches_formed_factors():
         entry = next(x for row in h for x in row if len(x.den.terms) > 1)
         with pytest.raises(NonPolynomialBracket, match=rf"^{re.escape(entry.text())} is not a Laurent polynomial"):
             eval_coordinates(dst, g)
+
+
+@pytest.mark.parametrize("series, rank, n_charts", [("A", 2, 16), ("C", 2, 20)], ids=["A2", "C2"])
+def test_eval_coordinates_reads_a_symbolic_scaled_point(series, rank, n_charts):
+    """The toric point (m, d) of ``word_point`` at variables c_k and t_i goes into ``eval_coordinates`` as it is,
+    m and d over one frame, and gives on every chart of G/N(w0) the canonical texts of the RatFunc rows m/d."""
+    m = cached_model(series, rank)
+    rs = m.rs
+    letters = [-i for i in rs.w0.canonical] + list(rs.w0.canonical)
+    mat, d = m.word_point(letters, [var("c", k) for k in range(1, len(letters) + 1)], [var("t", i) for i in range(1, rank + 1)])
+    rows = [[RatFunc.coerce(x) / d for x in row] for row in mat]
+    specs = enumerate_charts(SpaceSpec(m, "Nv", rs.w0))
+    assert len(specs) == n_charts
+    for spec in specs:
+        chart = parametrize(spec)
+        got = [x.text() for x in eval_coordinates(chart, (mat, d))]
+        assert got == [x.text() for x in eval_coordinates(chart, rows)], spec.label()
 
 
 def test_eval_coordinates_outside_the_cell_names_the_minor_of_the_factorization():
@@ -773,7 +790,7 @@ def test_change_of_coordinates_matches_the_undivided_quotients():
         charts = [parametrize(s) for s in enumerate_charts(SpaceSpec(m, qkind, m.rs.w0 if v == "w0" else m.rs.identity))]
         for src in charts:
             t = torus_element(m, [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(rank)])
-            point = product(t, src.param)
+            point = product(t, src.param).entries
             for dst in charts:
                 if src is not dst:
                     got = [x.text() for x in change_of_coordinates(src, dst)]

@@ -425,7 +425,7 @@ def test_sp4_full_atlas_verification():
     assert len(charts) == 20
     for spec in charts:
         chart = parametrize(spec)
-        coords = eval_coordinates(chart, chart.param)
+        coords = eval_coordinates(chart, chart.param.entries)
         assert all(
             (c - RatFunc.from_poly(MultiPoly.variable(v))).is_zero()
             for c, v in zip(coords, chart.zvars)

@@ -10,7 +10,9 @@ bracket, CGL and A3/C2 intermediate-v chart-change payloads to the engine
 whose Gauss factorization returned L*T*U and whose Jacobi check
 differentiated each bracket entry once per triple; the intermediate-v
 bracket and CGL payloads to the engine that read the N_v coordinates off
-the first factor of a second, v-splitting factorization.
+the first factor of a second, v-splitting factorization; the ``tleaf
+--point`` payloads, one SL(3) element with mixed denominators and one Sp(4)
+element, to the engine that classified the parsed point as a Fraction matrix.
 """
 
 from pathlib import Path
@@ -40,6 +42,13 @@ CASES = {
     ],
     "bracket_A2_Nv_s1_i3": ["bracket", "--series", "A", "--rank", "2", "--q", "Nv", "--v", "s1", "--index", "3"],
     "cgl_verify_C2_Nv_s2_i4": ["cgl", "verify", "--series", "C", "--rank", "2", "--q", "Nv", "--v", "s2", "--index", "4"],
+    "tleaf_A2_point": [
+        "tleaf", "--series", "A", "--rank", "2", "--point", '[["-1/2","-15/14","21/25"],["2/3",0,0],["4/9",0,"7/5"]]',
+    ],
+    "tleaf_C2_point": [
+        "tleaf", "--series", "C", "--rank", "2", "--point",
+        '[["3/2","2/9",0,0],["-3/5","-352/2835",1,"-27/4"],[0,"8/135","2/3",0],[0,"4/27",0,0]]',
+    ],
 }
 
 

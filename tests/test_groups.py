@@ -297,15 +297,15 @@ def test_validate_refuses_an_order_where_a_root_vector_is_not_upper(series, rank
 
 @pytest.mark.parametrize("series, rank", [("A", 2), ("C", 2)])
 def test_numeric_points_stay_fraction_matrices(series, rank):
-    """Int root vectors do not leak into numeric points: wbar, toric points and random
-    group elements are Fraction matrices."""
+    """Int root vectors do not leak into numeric points: every wbar is a Fraction matrix, and toric points
+    and random group elements are scaled points (m, d) of ints with d > 0."""
     m = cached_model(series, rank)
     rs = m.rs
-    points = [wbar(m, w.canonical) for w in rs.all_elements()]
-    points.append(toric_point(ToricChartSpec(m, "G", (rs.w0.canonical, rs.w0.canonical)), [1] * (2 * rs.l0 + rank)))
+    assert all(type(x) is Fraction for w in rs.all_elements() for row in wbar(m, w.canonical).entries for x in row)
+    points = [toric_point(ToricChartSpec(m, "G", (rs.w0.canonical, rs.w0.canonical)), [1] * (2 * rs.l0 + rank))]
     rng = random.Random(3)
     points += [_random_element(m, rng) for _ in range(5)]
-    assert all(type(x) is Fraction for g in points for row in g.entries for x in row)
+    assert all(type(d) is int and d > 0 and all(type(x) is int for row in g for x in row) for g, d in points)
 
 
 def _factor(m, g):
@@ -742,7 +742,7 @@ def test_n_coordinates_are_minors_of_the_split_factor(series, rank, qkind, v, co
             n1, _ = split_unipotent_by_v(m, GroupElement(m, nfull), v_el)
             for (tag, spec), c in zip(dst.coord_formulas, eval_coordinates(dst, g)):
                 if tag == "n":
-                    assert _is_zero(c - m.generalized_minor(n1, spec)), (dst.spec, spec)
+                    assert _is_zero(c - m.generalized_minor(n1.entries, spec)), (dst.spec, spec)
                     checked += 1
     assert checked >= 4 * len(charts) * len(v)
 
@@ -821,8 +821,8 @@ def test_generalized_minor_principal():
     m = cached_model("A", 2)
     g = entry_matrix(m)
     rs = m.rs
-    assert m.generalized_minor(g, MinorSpec(rs.identity, rs.identity, 1)).text() == "a11"
-    got = m.generalized_minor(g, MinorSpec(rs.identity, rs.identity, 2))
+    assert m.generalized_minor(g.entries, MinorSpec(rs.identity, rs.identity, 1)).text() == "a11"
+    got = m.generalized_minor(g.entries, MinorSpec(rs.identity, rs.identity, 2))
     assert got.text() == "a11*a22 - a12*a21"
 
 
@@ -838,7 +838,7 @@ def test_generalized_minor_transpose_symmetry():
         for u in rs.all_elements():
             for v in rs.all_elements():
                 for alpha in (1, 2):
-                    lhs = m.generalized_minor(g, MinorSpec(u, v, alpha))
+                    lhs = m.generalized_minor(g.entries, MinorSpec(u, v, alpha))
                     rhs = m.generalized_minor(mat_transpose(g.entries), MinorSpec(v, u, alpha))
                     assert (lhs - rhs).is_zero()
 
@@ -892,7 +892,7 @@ def test_sp4_minor_tables_on_group():
     for r in range(4):
         for c in range(4):
             uw, vw = SP4_D1_SPECS[r][c]
-            got = mc.generalized_minor(g, MinorSpec(rs.element_from_word(uw), rs.element_from_word(vw), 1))
+            got = mc.generalized_minor(g.entries, MinorSpec(rs.element_from_word(uw), rs.element_from_word(vw), 1))
             want = RatFunc.coerce(SP4_D1_SIGNS[r][c]) * g.entries[r][c]
             assert (got - want).is_zero(), (r, c)
     from bsatlas.linalg import minor
@@ -900,7 +900,7 @@ def test_sp4_minor_tables_on_group():
     for r in range(4):
         for c in range(4):
             uw, vw = SP4_D2_SPECS[r][c]
-            got = mc.generalized_minor(g, MinorSpec(rs.element_from_word(uw), rs.element_from_word(vw), 2))
+            got = mc.generalized_minor(g.entries, MinorSpec(rs.element_from_word(uw), rs.element_from_word(vw), 2))
             rows = [i - 1 for i in SP4_D2_ROWS[r]]
             cols = [j - 1 for j in SP4_D2_COLS[c]]
             want = RatFunc.coerce(SP4_D2_SIGNS[r][c]) * minor(g.entries, rows, cols)
@@ -911,9 +911,9 @@ def test_sp4_specific_entries():
     mc = cached_model("C", 2)
     rs = mc.rs
     g = entry_matrix(mc)
-    got = mc.generalized_minor(g, MinorSpec(rs.element_from_word((2, 1)), rs.identity, 1))
+    got = mc.generalized_minor(g.entries, MinorSpec(rs.element_from_word((2, 1)), rs.identity, 1))
     assert got.text() == "a41"
-    got = mc.generalized_minor(g, MinorSpec(rs.element_from_word((1, 2)), rs.element_from_word((2,)), 2))
+    got = mc.generalized_minor(g.entries, MinorSpec(rs.element_from_word((1, 2)), rs.element_from_word((2,)), 2))
     assert got.text() == "-a21*a34 + a24*a31"
 
 

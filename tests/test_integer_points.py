@@ -12,7 +12,7 @@ from bsatlas.cli import _random_element
 from bsatlas.errors import SingularInput, ZeroTorusValue
 from bsatlas.groups import GroupElement, MinorSpec, cached_model
 from bsatlas.leaves import pivot_permutation_upper, t_leaf_classify
-from bsatlas.positivity import ToricChartSpec, _toric_numerators, certify_minor_positivity, toric_point
+from bsatlas.positivity import ToricChartSpec, certify_minor_positivity, toric_point
 from bsatlas.symbolic import RatFunc, VarName, var
 from oracles import (
     fraction_chain,
@@ -54,11 +54,9 @@ def test_toric_point_matches_fraction_chain(series, rank):
     for spec in _toric_specs(m):
         targets.add(spec.target)
         for c in [_params(rng, spec.n_params()) for _ in range(3)] + [[1] * spec.n_params()]:
-            mat, d = _toric_numerators(spec, c)
-            assert d > 0 and all(type(x) is int for row in mat for x in row)
-            got = toric_point(spec, c).entries
-            assert got == fraction_toric_point(spec, c).entries
-            assert all(type(x) is Fraction for row in got for x in row)
+            mat, d = toric_point(spec, c)
+            assert type(d) is int and d > 0 and all(type(x) is int for row in mat for x in row)
+            assert [[Fraction(x, d) for x in row] for row in mat] == fraction_toric_point(spec, c).entries
     assert targets == {"G", "GmodBv", "GmodNv"}
 
 
@@ -72,8 +70,8 @@ def test_flag_minors_on_numerators_match_fraction_point(series, rank):
     spec = ToricChartSpec(m, "G", (rs.w0.canonical, rs.w0.canonical))
     for _ in range(3):
         c = _params(rng, spec.n_params())
-        mat, d = _toric_numerators(spec, c)
-        point = fraction_toric_point(spec, c)
+        mat, d = toric_point(spec, c)
+        point = fraction_toric_point(spec, c).entries
         for w in rs.all_elements():
             for alpha in range(1, rank + 1):
                 ms = MinorSpec(w, rs.identity, alpha)
@@ -84,7 +82,7 @@ def test_flag_minors_on_numerators_match_fraction_point(series, rank):
     rep = certify_minor_positivity(space, rs.w0, rs.identity, rank, 3, seed=5)
     tspec = ToricChartSpec(m, "GmodNv", (rs.w0.canonical, rs.w0.canonical))
     rng = random.Random(5)
-    want = [str(m.generalized_minor(fraction_toric_point(tspec, _params(rng, tspec.n_params())), MinorSpec(rs.w0, rs.identity, rank))) for _ in range(3)]
+    want = [str(m.generalized_minor(fraction_toric_point(tspec, _params(rng, tspec.n_params())).entries, MinorSpec(rs.w0, rs.identity, rank))) for _ in range(3)]
     assert rep["values"] == want
 
 
@@ -103,19 +101,21 @@ def test_toric_point_refuses_floats_before_any_chain_work(monkeypatch):
 
 @pytest.mark.parametrize("series, rank", [("A", 2), ("A", 3), ("A", 4), ("C", 2)], ids=["A2", "A3", "A4", "C2"])
 def test_random_element_matches_fraction_oracle(series, rank):
-    """``cli._random_element`` draws the same numbers in the same order and builds the same point."""
+    """``cli._random_element`` draws the same numbers in the same order and builds the same point, as a scaled point."""
     m = cached_model(series, rank)
     for seed in range(10):
         rng, ref = random.Random(seed), random.Random(seed)
         for _ in range(5):
-            assert _random_element(m, rng).entries == fraction_random_element(m, ref).entries
+            mat, d = _random_element(m, rng)
+            assert [[Fraction(x, d) for x in row] for row in mat] == fraction_random_element(m, ref).entries
         assert rng.getstate() == ref.getstate()
 
 
 def _leaf_points(m, rng):
-    """Rational points, most of them not generic: every wbar, chains with zero parameters and sbar factors, and toric points."""
+    """Scaled points, most of them not generic: every wbar and chains with zero parameters and sbar factors, as
+    Fraction matrices over 1, and toric points on ints."""
     rs = m.rs
-    points = [wbar(m, w.canonical).entries for w in rs.all_elements()]
+    points = [(wbar(m, w.canonical).entries, 1) for w in rs.all_elements()]
     for _ in range(25):
         g = identity(m)
         for _ in range(rng.randint(1, 2 * rs.l0)):
@@ -123,9 +123,9 @@ def _leaf_points(m, rng):
             g = product(g, one_param(m, i if rng.random() < 0.5 else -i, Fraction(rng.randint(-3, 3), rng.randint(1, 3))))
             if rng.random() < 0.3:
                 g = product(g, sbar(m, i))
-        points.append(g.entries)
+        points.append((g.entries, 1))
     spec = ToricChartSpec(m, "G", (rs.w0.canonical, rs.w0.canonical))
-    points += [toric_point(spec, _params(rng, spec.n_params())).entries for _ in range(5)]
+    points += [toric_point(spec, _params(rng, spec.n_params())) for _ in range(5)]
     return points
 
 
@@ -135,13 +135,13 @@ def test_leaf_patterns_match_fraction_elimination(series, rank):
     m = cached_model(series, rank)
     rng = random.Random(31 + rank)
     points = _leaf_points(m, rng)
-    assert any(x == 0 for g in points for row in g for x in row)
-    for g in points:
+    assert any(x == 0 for g, _ in points for row in g for x in row)
+    for g, d in points:
         assert pivot_permutation_upper(m.to_internal(g)) == fraction_pivot_permutation_upper(m.to_internal(g))
         for v in m.rs.all_elements():
             gv = m.to_internal(m.signed_perm(v.canonical).right(g))[::-1]
             assert pivot_permutation_upper(gv) == fraction_pivot_permutation_upper(gv)
-            t_leaf_classify(SpaceSpec(m, "Nv", v), g)
+            t_leaf_classify(SpaceSpec(m, "Nv", v), (g, d))
 
 
 def test_leaf_patterns_on_ratfunc_matrices():
@@ -152,9 +152,9 @@ def test_leaf_patterns_on_ratfunc_matrices():
     for spec in enumerate_charts(sp)[:6]:
         g = parametrize(spec).param.entries
         assert pivot_permutation_upper(m.to_internal(g)) == fraction_pivot_permutation_upper(m.to_internal(g))
-        lbl = t_leaf_classify(sp, g)
+        lbl = t_leaf_classify(sp, (g, 1))
         at = {VarName("z", i): Fraction(i + 1, i + 3) for i in range(1, 9)}
-        assert lbl == t_leaf_classify(sp, [[x.substitute(at) for x in row] for row in g])
+        assert lbl == t_leaf_classify(sp, ([[x.substitute(at) for x in row] for row in g], 1))
     u = [var("u", i) for i in range(1, 5)]
     h = mul_torus(m, fraction_chain(m, [1, -2, 2], u[:3]), [u[3], RatFunc.coerce(2)]).entries
     assert pivot_permutation_upper(h) == fraction_pivot_permutation_upper(h)
@@ -171,12 +171,13 @@ def test_singular_matrices_are_still_refused():
         [[var("a"), var("b"), 0], [2 * var("a"), 2 * var("b"), 0], [0, 0, 1]],
     ):
         with pytest.raises(SingularInput):
-            t_leaf_classify(sp, mat)
+            t_leaf_classify(sp, (mat, 1))
 
 
 # Entry bit length over the eliminations of 5x5 random elements.  On these
-# seeds the cleared inputs have at most 37 bits and the rows at most 56 with
-# the content division; without it the same rows reach 234 bits.
+# seeds the scaled points have entries of at most 54 bits and the rows reach
+# at most 56 with every row divided by its content; with only the eliminated
+# rows divided they reach 98 bits, and with no division 536.
 MAX_PIVOT_BITS = 96
 
 

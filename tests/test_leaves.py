@@ -82,7 +82,7 @@ def test_examples():
     rs = m.rs
     # v = e: the identity sits in (e, e)
     sp_e = SpaceSpec(m, "Nv", rs.identity)
-    lbl = t_leaf_classify(sp_e, identity(m))
+    lbl = t_leaf_classify(sp_e, (identity(m).entries, 1))
     assert lbl.w.is_identity() and lbl.y.is_identity()
     # v = w0, totally positive point: (w0, e), the open double Bruhat cell
     sp = SpaceSpec(m, "Nv", rs.w0)
@@ -92,7 +92,7 @@ def test_examples():
     # a representative matrix itself: w recovers the element, and for v = e
     # the mixed cell of wbar is labelled by w as well
     for w in rs.all_elements():
-        lbl = t_leaf_classify(sp_e, wbar(m, w.canonical))
+        lbl = t_leaf_classify(sp_e, (wbar(m, w.canonical).entries, 1))
         assert lbl.w == w and lbl.y == w
 
 
@@ -100,7 +100,7 @@ def test_singular_input():
     m = cached_model("A", 2)
     sp = SpaceSpec(m, "Nv", m.rs.w0)
     with pytest.raises(SingularInput):
-        t_leaf_classify(sp, [[Fraction(0)] * 3 for _ in range(3)])
+        t_leaf_classify(sp, ([[Fraction(0)] * 3 for _ in range(3)], 1))
 
 
 def test_admissibility_and_oracle_agreement():
@@ -113,7 +113,7 @@ def test_admissibility_and_oracle_agreement():
     vbar = wbar(m, rs.w0.canonical).entries
     for _ in range(60):
         mat = _random_point(m, rng)
-        lbl = t_leaf_classify(sp, mat)
+        lbl = t_leaf_classify(sp, (mat, 1))
         assert rs.bruhat_leq(lbl.y, rs.star_product(lbl.w, rs.w0))
         assert _in_upper_cell(m.to_internal(mat), _pattern(lbl.w, m))
         assert _in_mixed_cell(m.to_internal(mat_mul(mat, vbar)), _pattern(lbl.y, m))
@@ -127,7 +127,7 @@ def test_double_bruhat_identification_v_w0():
     rng = random.Random(23)
     for _ in range(40):
         mat = _random_point(m, rng)
-        lbl = t_leaf_classify(sp, mat)
+        lbl = t_leaf_classify(sp, (mat, 1))
         u = rs.multiply(lbl.y, rs.w0)
         # membership in B^- u B^- via rank patterns rank(g[:i, j:])
         sigma = _pattern(u, m)
@@ -144,7 +144,7 @@ def test_sp4_patterns():
     rs = mc.rs
     sp = SpaceSpec(mc, "Nv", rs.w0)
     for w in rs.all_elements():
-        lbl = t_leaf_classify(sp, wbar(mc, w.canonical))
+        lbl = t_leaf_classify(sp, (wbar(mc, w.canonical).entries, 1))
         assert lbl.w == w
     rng = random.Random(5)
     for _ in range(20):
@@ -152,7 +152,7 @@ def test_sp4_patterns():
         for _ in range(rng.randint(1, 6)):
             i = rng.randint(1, 2)
             g = product(g, one_param(mc, i if rng.random() < 0.5 else -i, Fraction(rng.randint(1, 5), rng.randint(1, 5))))
-        lbl = t_leaf_classify(sp, g)
+        lbl = t_leaf_classify(sp, (g.entries, 1))
         assert rs.bruhat_leq(lbl.y, rs.star_product(lbl.w, rs.w0))
 
 
@@ -181,7 +181,7 @@ def test_label_constant_along_flow():
 
     def classify_at(point):
         at = {VarName("z", i): point[i] for i in point}
-        return t_leaf_classify(sp, [[x.substitute(at) for x in row] for row in chart.param.entries])
+        return t_leaf_classify(sp, ([[x.substitute(at) for x in row] for row in chart.param.entries], 1))
 
     lbl0 = classify_at(start)
     assert lbl0.w == rs.w0 and lbl0.y.is_identity()
@@ -214,3 +214,42 @@ def test_non_weyl_pattern_is_refused():
     for p in others:
         with pytest.raises(AssertionError):
             _element_from_pattern(m, p)
+
+
+@pytest.mark.parametrize("series, rank", [("A", 2), ("C", 2), ("A", 3)], ids=["A2", "C2", "A3"])
+def test_symbolic_toric_point_lies_in_the_open_leaf(series, rank):
+    """The toric point (m, d) of ``word_point`` at variables c_k and t_i, m of RatFuncs and ints and d a monomial,
+    is classified as it is: on G (v = w0), G/N(e) and G/B(e) it lies in the open leaf (w0, e)."""
+    from bsatlas.symbolic import var
+
+    m = cached_model(series, rank)
+    rs = m.rs
+    letters = [-i for i in rs.w0.canonical] + list(rs.w0.canonical)
+    point = m.word_point(letters, [var("c", k) for k in range(1, len(letters) + 1)], [var("t", i) for i in range(1, rank + 1)])
+    assert not all(type(x) is int for row in point[0] for x in row)
+    for space in (SpaceSpec(m, "Nv", rs.w0), SpaceSpec(m, "Nv", rs.identity), SpaceSpec(m, "Bv", rs.identity)):
+        assert t_leaf_classify(space, point) == (rs.w0, rs.identity), space
+
+
+def test_leaf_path_builds_no_fraction(monkeypatch):
+    """A torus-leaf item, ``toric_point`` then ``t_leaf_classify``, stays on ints: at 10 seeded parameter vectors
+    each of the SL(3) and Sp(4) G charts no Fraction is constructed once the parameters are drawn."""
+    built = []
+    real_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    rng = random.Random(11)
+    for series, rank in (("A", 2), ("C", 2)):
+        m = cached_model(series, rank)
+        rs = m.rs
+        sp = SpaceSpec(m, "Nv", rs.w0)
+        tspec = ToricChartSpec(m, "G", (rs.w0.canonical, rs.w0.canonical))
+        vectors = [[Fraction(rng.randint(1, 1000), rng.randint(1, 1000)) for _ in range(tspec.n_params())] for _ in range(10)]
+        with monkeypatch.context() as mp:
+            mp.setattr(Fraction, "__new__", staticmethod(counting_new))
+            labels = [t_leaf_classify(sp, toric_point(tspec, c)) for c in vectors]
+        assert labels == [(rs.w0, rs.identity)] * 10
+        assert built == [], (series, rank, built[:3])

@@ -94,7 +94,7 @@ def _assert_matches_entry_lift(m, space, indices=None):
     for k in range(len(specs)) if indices is None else indices:
         chart = parametrize(specs[k])
         table = chart_bracket(chart, lam)
-        lifted = eval_coordinates(chart, point)
+        lifted = eval_coordinates(chart, point.entries)
         binding = {
             entry_var(i + 1, j + 1): chart.param.entries[i][j] for i in range(n) for j in range(n)
         }

@@ -49,15 +49,16 @@ def test_x_chain_cell_membership():
     rs = m.rs
     g = x_chain(m, (1, 2, 1), -1, [Fraction(1)] * 3)
     sp = SpaceSpec(m, "Nv", rs.identity)
-    lbl = t_leaf_classify(sp, g)
+    lbl = t_leaf_classify(sp, (g.entries, 1))
     assert lbl.w == rs.w0  # N^- cap B w0 B
 
 
 def test_toric_point_g():
     m = cached_model("A", 1)
     spec = ToricChartSpec(m, "G", ((1,), (1,)))
-    p = toric_point(spec, [1, 1, 1])
-    assert p.entries == [[1, 1], [1, 2]]
+    assert toric_point(spec, [1, 1, 1]) == ([[1, 1], [1, 2]], 1)
+    # x_{-1}(1/2) x_1(1) diag(3, 1/3) = [[3, 1/3], [3/2, 1/2]], over d = 2 * 3 with no gcd taken
+    assert toric_point(spec, [Fraction(1, 2), 1, 3]) == ([[18, 2], [9, 3]], 6)
     with pytest.raises(NonPositiveInput):
         toric_point(spec, [1, 0, 1])
     with pytest.raises(LengthMismatch):
@@ -71,7 +72,7 @@ def test_toric_point_flag_targets():
     p = toric_point(specb, [1, 2, 3])
     # v = e: the point is the negative chain itself
     q = x_chain(m, rs.w0.canonical, -1, [1, 2, 3])
-    assert p.entries == q.entries
+    assert p == (q.entries, 1)
 
 
 def test_certify_chart_positivity_sl2():
@@ -166,9 +167,13 @@ def test_chain_extraction_roundtrip():
         m = cached_model(series, rank)
         cs = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in word]
         g = x_chain(m, word, -1, cs)
-        assert extract_negative_chain(m, g, word) == cs
+        assert extract_negative_chain(m, (g.entries, 1), word) == cs
         h = x_chain(m, word, +1, cs)
-        assert extract_positive_chain(m, h, word) == cs
+        assert extract_positive_chain(m, (h.entries, 1), word) == cs
+        # the same chains scaled by d: (d g, d) is the point g
+        d = rng.randint(2, 9)
+        assert extract_negative_chain(m, ([[d * x for x in row] for row in g.entries], d), word) == cs
+        assert extract_positive_chain(m, ([[d * x for x in row] for row in h.entries], d), word) == cs
 
 
 def test_toric_coordinates_inverts_chart():
@@ -245,7 +250,7 @@ def test_chart_positivity_fails_at_the_identity(monkeypatch, chart_index, kind, 
     coordinates, and the identity lies outside the shifted big cell of the chart of w = s1."""
     m = cached_model("A", 1)
     rs = m.rs
-    monkeypatch.setattr(positivity, "_toric_numerators", _identity_point)
+    monkeypatch.setattr(positivity, "toric_point", _identity_point)
     chart = parametrize(enumerate_charts(SpaceSpec(m, "Nv", rs.w0))[chart_index])
     rep = certify_chart_positivity(chart, ToricChartSpec(m, "GmodNv", (rs.w0.canonical, rs.w0.canonical)), 1, seed=0)
     assert rep["ok"] is False
@@ -256,7 +261,7 @@ def test_chart_positivity_fails_at_the_identity(monkeypatch, chart_index, kind, 
 def test_minor_positivity_fails_at_the_identity(monkeypatch):
     m = cached_model("A", 1)
     rs = m.rs
-    monkeypatch.setattr(positivity, "_toric_numerators", _identity_point)
+    monkeypatch.setattr(positivity, "toric_point", _identity_point)
     rep = certify_minor_positivity(SpaceSpec(m, "Nv", rs.w0), rs.w0, rs.identity, 1, 2, seed=0)
     assert rep["ok"] is False
     assert rep["violations"] == [{"sample": 0, "value": "0"}, {"sample": 1, "value": "0"}]
@@ -271,7 +276,7 @@ def test_toric_equivalence_fails_on_a_chain_with_a_negative_parameter(monkeypatc
     def negated_first(spec, c):
         l0 = spec.model.rs.l0
         letters = [-i for i in spec.words[0]] + list(spec.words[1])
-        return spec.model.rational_point(spec.model.word_point(letters, [-c[0]] + list(c[1 : 2 * l0]), c[2 * l0 :]))
+        return spec.model.word_point(letters, [-c[0]] + list(c[1 : 2 * l0]), c[2 * l0 :])
 
     monkeypatch.setattr(positivity, "toric_point", negated_first)
     rep = certify_toric_equivalence(a, b, 3, seed=0)
